@@ -10,8 +10,6 @@
 //	benchall -exp fig21      # one experiment
 //	benchall -exp fig19      # the Fig 19 commutativity function
 //	benchall -exp ablation   # design-choice ablations A1–A5
-//	benchall -exp lockmech   # lock-mechanism v2 vs v1 microbenchmark
-//	                           (real execution; writes BENCH_lockmech.json)
 //	benchall -exp hotpath    # fused-prologue vs sequential-prologue
 //	                           (real execution; writes BENCH_hotpath.json)
 //	benchall -exp chaos      # fault-injection and recovery experiment
@@ -48,7 +46,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: fig19|fig21|fig22|fig22-readheavy|fig22-writeheavy|fig23|fig23-5050|fig24|fig25|ablation|lockmech|hotpath|chaos|telemetry|optimistic|resilience|net|adaptive|stats|all")
+		"experiment: fig19|fig21|fig22|fig22-readheavy|fig22-writeheavy|fig23|fig23-5050|fig24|fig25|ablation|hotpath|chaos|telemetry|optimistic|resilience|net|adaptive|stats|all")
 	scale := flag.Int("scale", 20000, "simulated transactions per thread")
 	real := flag.Bool("real", false, "also run real-execution measurements on this host")
 	realOps := flag.Int("realops", 30000, "real-execution operations per thread")
@@ -68,24 +66,8 @@ func main() {
 		fmt.Println(bench.StatsReport(20000, 4))
 		ran = true
 	}
-	// The lockmech microbenchmark measures real execution (not the
+	// The hotpath experiment measures real execution (not the
 	// simulator), so it only runs when asked for explicitly.
-	if *exp == "lockmech" {
-		rep := bench.LockmechBench(bench.LockmechConfig{TotalOps: *scale * 10})
-		fmt.Println(rep.Format())
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_lockmech.json", append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing BENCH_lockmech.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_lockmech.json")
-		ran = true
-	}
-	// The hotpath experiment also measures real execution, so it only
-	// runs when asked for explicitly.
 	if *exp == "hotpath" {
 		rep := bench.HotpathBench(bench.HotpathConfig{OpsPerThread: *scale, TotalOps: *scale * 5})
 		fmt.Println(rep.Format())

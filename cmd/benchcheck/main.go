@@ -2,10 +2,10 @@
 // benchall experiments write, so CI fails loudly when a report loses a
 // field or a criterion instead of silently uploading a hollow artifact.
 //
-// The expected schema is selected by filename: BENCH_lockmech.json,
-// BENCH_hotpath.json, BENCH_chaos.json, BENCH_telemetry.json,
-// BENCH_optimistic.json, BENCH_resilience.json, BENCH_net.json and
-// BENCH_adaptive.json each have a required set of top-level fields
+// The expected schema is selected by filename: BENCH_hotpath.json,
+// BENCH_chaos.json, BENCH_telemetry.json, BENCH_optimistic.json,
+// BENCH_resilience.json, BENCH_net.json and BENCH_adaptive.json each
+// have a required set of top-level fields
 // (which must be present and non-empty) and required criteria keys
 // (which must be present and finite). Unknown BENCH_ filenames are an
 // error — a new experiment must register its schema here.
@@ -43,13 +43,6 @@ type schema struct {
 }
 
 var schemas = map[string]schema{
-	"lockmech": {
-		fields: []string{"gomaxprocs", "total_ops_per_cell", "cells", "speedup_v2_over_v1", "criteria"},
-		criteria: []string{
-			"wildcard_vs_fine_contended_speedup",
-			"uncontended_fastpath_v2_over_v1_ns_ratio",
-		},
-	},
 	"hotpath": {
 		fields: []string{"gomaxprocs", "app_ops_per_thread", "core_ops_per_cell",
 			"app_cells", "app_speedup_fused_over_sequential", "mode_cells", "batch_cells",
@@ -195,7 +188,7 @@ func checkFile(path string, chaosStrict bool) []error {
 	kind := kindOf(path)
 	sch, ok := schemas[kind]
 	if !ok {
-		return []error{fmt.Errorf("unknown report kind %q (expected BENCH_<lockmech|hotpath|chaos|telemetry|optimistic|resilience|net|adaptive>.json)", kind)}
+		return []error{fmt.Errorf("unknown report kind %q (expected BENCH_<hotpath|chaos|telemetry|optimistic|resilience|net|adaptive>.json)", kind)}
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -15,6 +15,8 @@
 package gossip
 
 import (
+	"time"
+
 	"repro/internal/adt"
 	"repro/internal/core"
 )
@@ -152,19 +154,25 @@ func (o *Ours) UnicastBatchV(reqs []SendReq, sc *BatchScratch) {
 		return
 	}
 	core.Atomically(func(tx *core.Txn) {
-		o.unicastBatchLocked(tx, reqs, sc)
+		// Forever cannot time out: there is no error to handle.
+		_ = o.unicastBatchLocked(tx, reqs, sc, core.Forever)
 	})
 }
 
-// unicastBatchLocked is the batch body, shared with the policied form.
-func (o *Ours) unicastBatchLocked(tx *core.Txn, reqs []SendReq, sc *BatchScratch) {
+// unicastBatchLocked is the batch body, shared with the policied form:
+// both prologues wait at most patience per instance group, and a stall
+// returns before any send — the section epilogue releases what was
+// already held.
+func (o *Ours) unicastBatchLocked(tx *core.Txn, reqs []SendReq, sc *BatchScratch, patience time.Duration) error {
 	sc.outer = sc.outer[:0]
 	for i := range reqs {
 		sc.outer = append(sc.outer, core.BatchLock{
 			Sem: o.groupsSem, Mode: o.uniGRef.Mode1(reqs[i].Group), Rank: o.groupsRank,
 		})
 	}
-	tx.LockBatch(sc.outer...)
+	if err := tx.LockBatchWithin(patience, sc.outer...); err != nil {
+		return err
+	}
 	sc.inner = sc.inner[:0]
 	sc.mms = sc.mms[:0]
 	for i := range reqs {
@@ -179,8 +187,8 @@ func (o *Ours) unicastBatchLocked(tx *core.Txn, reqs []SendReq, sc *BatchScratch
 			})
 		}
 	}
-	if len(sc.inner) > 0 {
-		tx.LockBatch(sc.inner...)
+	if err := tx.LockBatchWithin(patience, sc.inner...); err != nil {
+		return err
 	}
 	for i := range reqs {
 		if mm := sc.mms[i]; mm != nil {
@@ -190,4 +198,5 @@ func (o *Ours) unicastBatchLocked(tx *core.Txn, reqs []SendReq, sc *BatchScratch
 			}
 		}
 	}
+	return nil
 }

@@ -134,16 +134,14 @@ func (r *Resilient) LookupErrV(group, member core.Value) (bool, error) {
 // UnicastBatchErrV is UnicastBatchV under the policy: the gate and
 // breaker decide admission for the whole batch (one shed refuses the
 // run of frames before any lock is touched), and the fused LockBatch
-// prologue then acquires blocking — the batch claim path has no
-// bounded-patience variant, so patience and the retry budget do not
-// apply inside an admitted batch. A batch therefore cannot stall-fail:
-// the only errors are ErrShed and ErrBreakerOpen.
+// prologues then wait at most the policy's patience per instance group.
+// A stalled batch sends nothing and returns the *core.StallError to the
+// policy, which retries it under the budget like any other section.
 func (r *Resilient) UnicastBatchErrV(reqs []SendReq, sc *BatchScratch) error {
 	if len(reqs) == 1 {
 		return r.UnicastErrV(reqs[0].Group, reqs[0].Dst, reqs[0].Payload)
 	}
 	return r.policy.Run(func(tx *core.Txn) error {
-		r.unicastBatchLocked(tx, reqs, sc)
-		return nil
+		return r.unicastBatchLocked(tx, reqs, sc, r.policy.Patience())
 	})
 }

@@ -169,3 +169,65 @@ func TestResilientRouterHammer(t *testing.T) {
 		t.Fatalf("leaked %d waiter(s)", n)
 	}
 }
+
+// TestResilientUnicastBatchStalls: the fused batch prologue is bounded
+// by the policy's patience. While an Unregister holds the member-map
+// mode one of the batch's unicasts conflicts with, UnicastBatchErrV must
+// give up with a *core.StallError, send nothing, and leave every lock
+// mechanism quiesced — and the same batch must go through once the
+// holder is gone.
+func TestResilientUnicastBatchStalls(t *testing.T) {
+	o := NewOurs(0, plan.Options{})
+	r := NewResilient(o, resilience.New("gossip", resilience.Config{Patience: 2 * time.Millisecond, Retries: -1}))
+	c1, c2 := NewConn("m1", 0), NewConn("m2", 0)
+	r.Register("g", "m1", c1)
+	r.Register("g", "m2", c2)
+	waiters := core.WaitersOutstanding()
+
+	release := make(chan struct{})
+	held := make(chan struct{})
+	o.FaultHook = func(site string) {
+		if site == "unregister" {
+			close(held)
+			<-release
+		}
+	}
+	unregistered := make(chan struct{})
+	go func() {
+		defer close(unregistered)
+		o.Unregister("g", "m1")
+	}()
+	<-held
+	o.FaultHook = nil
+
+	reqs := []SendReq{{"g", "m1", []byte("x")}, {"g", "m2", []byte("x")}}
+	var sc BatchScratch
+	err := r.UnicastBatchErrV(reqs, &sc)
+	var stall *core.StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("want *core.StallError from the bounded batch prologue, got %v", err)
+	}
+	if len(stall.Holders) == 0 {
+		t.Error("stall names no holder")
+	}
+	if n := c1.Frames.Load() + c2.Frames.Load(); n != 0 {
+		t.Errorf("stalled batch sent %d frame(s)", n)
+	}
+
+	close(release)
+	<-unregistered
+	if err := r.UnicastBatchErrV(reqs, &sc); err != nil {
+		t.Fatalf("batch after the holder left: %v", err)
+	}
+	if c1.Frames.Load() != 0 || c2.Frames.Load() != 1 {
+		t.Errorf("frames = %d/%d, want 0 to the unregistered member and 1 to the other", c1.Frames.Load(), c2.Frames.Load())
+	}
+	for _, sem := range o.Sems() {
+		if err := sem.CheckQuiesced(); err != nil {
+			t.Error(err)
+		}
+	}
+	if d := core.WaitersOutstanding() - waiters; d != 0 {
+		t.Errorf("WaitersOutstanding moved by %d", d)
+	}
+}

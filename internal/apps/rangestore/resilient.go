@@ -44,26 +44,19 @@ func (r *Resilient) PutErr(k int, v core.Value) error {
 	})
 }
 
-// PutPairErr is the pair toggle under the policy. The two shard locks
-// are taken sequentially in (rank, id) order with bounded patience —
-// the fused batch claim has no bounded variant — and the mutations run
-// only after both are held, so an aborted attempt toggles nothing.
+// PutPairErr is the pair toggle under the policy: the same fused
+// LockBatch as PutPair, with the policy's patience on each shard's
+// claim, and the mutations run only after both are held, so an aborted
+// attempt toggles nothing.
 func (r *Resilient) PutPairErr(k int) error {
 	k2 := r.Partner(k)
 	a, b := r.shardOf(k), r.shardOf(k2)
-	// Same φ-ordering contract as LockBatch: ascending instance id.
-	first, second, kf, ks := a, b, k, k2
-	if b.sem.ID() < a.sem.ID() {
-		first, second, kf, ks = b, a, k2, k
-	}
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, first.sem, tx.CachedMode1(r.writeRef, kf), 0); err != nil {
+		if err := r.policy.AcquireBatch(tx,
+			core.BatchLock{Sem: a.sem, Mode: r.writeRef.Mode1(k), Rank: 0},
+			core.BatchLock{Sem: b.sem, Mode: r.writeRef.Mode1(k2), Rank: 0},
+		); err != nil {
 			return err
-		}
-		if first != second {
-			if err := r.policy.Acquire(tx, second.sem, tx.CachedMode1(r.writeRef, ks), 0); err != nil {
-				return err
-			}
 		}
 		if a.m.Get(k) != nil {
 			a.m.Remove(k)

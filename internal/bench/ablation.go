@@ -20,7 +20,8 @@ import (
 //	                      shared cache line, modeled as 16 counters per
 //	                      line (64B line / 4B counter). The real-execution
 //	                      side of A5 (broadcast wakeups, O(modes) scans)
-//	                      is measured by `benchall -exp lockmech`.
+//	                      was measured before the v1 mechanism was
+//	                      deleted; BENCH_lockmech.json is the record.
 func AblationSim(cfg SimConfig) *Figure {
 	const keySpace = 1 << 17
 	fig := &Figure{

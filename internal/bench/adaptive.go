@@ -229,7 +229,7 @@ func (st *yieldStore) Refresh() {
 				return
 			}
 			if refused {
-				if !st.sem.OptimisticOpen() {
+				if !st.sem.OptimisticEnabled() {
 					break
 				}
 				refusals++

@@ -126,8 +126,9 @@ const (
 	hotpathFused = "fused"      // app policy "ours-fused"
 	hotpathSeq   = "sequential" // app policy "ours"
 
-	// hotpathReps measured passes per cell; the best one is kept (see
-	// lockmechReps for why the extremum beats the mean on small hosts).
+	// hotpathReps measured passes per cell; the best one is kept:
+	// single-pass cells at T=1 are dominated by scheduler and frequency
+	// noise on small hosts, which the extremum over repetitions removes.
 	// App cells get extra passes — whole-application passes carry more
 	// scheduler and GC noise than the tight core loops.
 	hotpathReps    = 3
@@ -631,4 +632,13 @@ func (r *HotpathReport) Format() string {
 		fmt.Fprintf(&b, "  %s = %.3f\n", k, r.Criteria[k])
 	}
 	return b.String()
+}
+
+func sortedStringKeys(m map[string]float64) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
 }

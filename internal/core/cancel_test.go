@@ -16,61 +16,50 @@ import (
 // TestChaosCancelWithdrawsCleanly: closing the cancel channel while a
 // bounded acquisition is parked must return ErrCanceled promptly and
 // leave no trace — no registered waiter, no leaked claim, no stranded
-// free-list entry. Both mechanism generations.
+// free-list entry.
 func TestChaosCancelWithdrawsCleanly(t *testing.T) {
-	for _, v1 := range []bool{false, true} {
-		name := "v2"
-		if v1 {
-			name = "v1"
+	// The subtest keeps the name it had while a v1 mechanism ran beside
+	// it (CI selections and recorded test lists name it).
+	t.Run("v2", func(t *testing.T) {
+		tbl := mapTable(t, 1, TableOptions{})
+		s := NewSemantic(tbl)
+		km := keyMode(tbl, 5)
+		s.Acquire(km)
+
+		cancel := make(chan struct{})
+		done := make(chan error, 1)
+		go func() { done <- s.AcquireWithinCancel(km, time.Minute, cancel) }()
+
+		waitParked(t, s, 1)
+		close(cancel)
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("want ErrCanceled, got %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("canceled waiter never returned")
 		}
-		t.Run(name, func(t *testing.T) {
-			tbl := mapTable(t, 1, TableOptions{})
-			s := NewSemantic(tbl)
-			s.DisableMechV2 = v1
-			km := keyMode(tbl, 5)
-			s.Acquire(km)
 
-			cancel := make(chan struct{})
-			done := make(chan error, 1)
-			go func() { done <- s.AcquireWithinCancel(km, time.Minute, cancel) }()
+		// A canceled acquisition is not a stall: the caller left.
+		if st := s.Stats().Stalls; st != 0 {
+			t.Errorf("cancel counted as stall: %d", st)
+		}
+		s.Release(km)
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatal(err)
+		}
+		if n := WaitersOutstanding(); n != 0 {
+			t.Fatalf("waiter free-list leaked: %d outstanding", n)
+		}
 
-			deadline := time.Now().Add(10 * time.Second)
-			for s.Stats().Waits < 1 {
-				if time.Now().After(deadline) {
-					t.Fatalf("waiter never blocked: %+v", s.Stats())
-				}
-				time.Sleep(time.Millisecond)
-			}
-			close(cancel)
-			select {
-			case err := <-done:
-				if !errors.Is(err, ErrCanceled) {
-					t.Fatalf("want ErrCanceled, got %v", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("canceled waiter never returned")
-			}
-
-			// A canceled acquisition is not a stall: the caller left.
-			if st := s.Stats().Stalls; st != 0 {
-				t.Errorf("cancel counted as stall: %d", st)
-			}
-			s.Release(km)
-			if err := s.CheckQuiesced(); err != nil {
-				t.Fatal(err)
-			}
-			if n := WaitersOutstanding(); n != 0 {
-				t.Fatalf("waiter free-list leaked: %d outstanding", n)
-			}
-
-			// A nil cancel is exactly AcquireWithin: acquisition succeeds
-			// when uncontended.
-			if err := s.AcquireWithinCancel(km, time.Second, nil); err != nil {
-				t.Fatalf("nil-cancel acquisition: %v", err)
-			}
-			s.Release(km)
-		})
-	}
+		// A nil cancel is exactly AcquireWithin: acquisition succeeds
+		// when uncontended.
+		if err := s.AcquireWithinCancel(km, time.Second, nil); err != nil {
+			t.Fatalf("nil-cancel acquisition: %v", err)
+		}
+		s.Release(km)
+	})
 }
 
 // TestChaosLockWithinCancelLeavesTxnUntouched: a canceled LockWithinCancel
@@ -89,13 +78,7 @@ func TestChaosLockWithinCancelLeavesTxnUntouched(t *testing.T) {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() { done <- tx.LockWithinCancel(s, km, 1, time.Minute, cancel) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Waits < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("waiter never blocked: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, s, 1)
 	close(cancel)
 	if err := <-done; !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
@@ -115,50 +98,45 @@ func TestChaosLockWithinCancelLeavesTxnUntouched(t *testing.T) {
 // covers: whatever interleaving occurs, every round must end quiescent
 // with nothing leaked. Run under -race.
 func TestChaosCancelReleaseRace(t *testing.T) {
-	for _, v1 := range []bool{false, true} {
-		name := "v2"
-		if v1 {
-			name = "v1"
+	// The subtest keeps the name it had while a v1 mechanism ran beside
+	// it (CI selections and recorded test lists name it).
+	t.Run("v2", func(t *testing.T) {
+		tbl := mapTable(t, 1, TableOptions{})
+		s := NewSemantic(tbl)
+		km := keyMode(tbl, 1)
+		rounds := 300
+		if testing.Short() {
+			rounds = 50
 		}
-		t.Run(name, func(t *testing.T) {
-			tbl := mapTable(t, 1, TableOptions{})
-			s := NewSemantic(tbl)
-			s.DisableMechV2 = v1
-			km := keyMode(tbl, 1)
-			rounds := 300
-			if testing.Short() {
-				rounds = 50
+		for r := 0; r < rounds; r++ {
+			s.Acquire(km)
+			cancel := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					patience := time.Duration(200+(r*7+w*131)%1800) * time.Microsecond
+					if err := s.AcquireWithinCancel(km, patience, cancel); err == nil {
+						s.Release(km)
+					}
+				}(w)
 			}
-			for r := 0; r < rounds; r++ {
-				s.Acquire(km)
-				cancel := make(chan struct{})
-				var wg sync.WaitGroup
-				for w := 0; w < 3; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						patience := time.Duration(200+(r*7+w*131)%1800) * time.Microsecond
-						if err := s.AcquireWithinCancel(km, patience, cancel); err == nil {
-							s.Release(km)
-						}
-					}(w)
-				}
-				// Sweep the cancel across the waiters' deadlines and the
-				// release as rounds advance.
-				time.Sleep(time.Duration((r*11)%1500) * time.Microsecond)
-				close(cancel)
-				time.Sleep(time.Duration((r*5)%500) * time.Microsecond)
-				s.Release(km)
-				wg.Wait()
-				if err := s.CheckQuiesced(); err != nil {
-					t.Fatalf("round %d: %v", r, err)
-				}
+			// Sweep the cancel across the waiters' deadlines and the
+			// release as rounds advance.
+			time.Sleep(time.Duration((r*11)%1500) * time.Microsecond)
+			close(cancel)
+			time.Sleep(time.Duration((r*5)%500) * time.Microsecond)
+			s.Release(km)
+			wg.Wait()
+			if err := s.CheckQuiesced(); err != nil {
+				t.Fatalf("round %d: %v", r, err)
 			}
-			if n := WaitersOutstanding(); n != 0 {
-				t.Fatalf("waiter free-list leaked: %d outstanding", n)
-			}
-		})
-	}
+		}
+		if n := WaitersOutstanding(); n != 0 {
+			t.Fatalf("waiter free-list leaked: %d outstanding", n)
+		}
+	})
 }
 
 // TestStallObserverUnifiedClock: both stall clocks — the timeout path's
@@ -191,13 +169,7 @@ func TestStallObserverUnifiedClock(t *testing.T) {
 	d.Watch(s)
 	blocked := make(chan error, 1)
 	go func() { blocked <- s.AcquireWithin(km, time.Minute) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Waits < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("waiter never blocked: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, s, 2)
 	time.Sleep(10 * time.Millisecond)
 	if n := len(d.Scan()); n == 0 {
 		t.Fatal("watchdog scan found no stalled mechanism")

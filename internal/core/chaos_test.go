@@ -16,68 +16,62 @@ import (
 // timed-out LockWithin must leave the transaction untouched while
 // attaching its acquisition log to the error.
 func TestChaosStallErrorNamesHolders(t *testing.T) {
-	for _, v1 := range []bool{false, true} {
-		name := "v2"
-		if v1 {
-			name = "v1"
+	// The subtest keeps the name it had while a v1 mechanism ran beside
+	// it (CI selections and recorded test lists name it).
+	t.Run("v2", func(t *testing.T) {
+		tbl := mapTable(t, 1, TableOptions{})
+		s := NewSemantic(tbl)
+		km := keyMode(tbl, 7)
+		s.Acquire(km)
+
+		err := s.AcquireWithin(km, 20*time.Millisecond)
+		var stall *StallError
+		if !errors.As(err, &stall) {
+			t.Fatalf("want *StallError, got %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			tbl := mapTable(t, 1, TableOptions{})
-			s := NewSemantic(tbl)
-			s.DisableMechV2 = v1
-			km := keyMode(tbl, 7)
-			s.Acquire(km)
+		if len(stall.Holders) == 0 {
+			t.Fatal("stall error names no holder slot")
+		}
+		for _, h := range stall.Holders {
+			if h.Mode == "" || h.Count < 1 {
+				t.Errorf("anonymous holder slot: %+v", h)
+			}
+		}
+		if stall.Waited < 20*time.Millisecond {
+			t.Errorf("Waited = %v, below patience", stall.Waited)
+		}
+		if stall.Instance != s.ID() {
+			t.Errorf("Instance = %d, want %d", stall.Instance, s.ID())
+		}
 
-			err := s.AcquireWithin(km, 20*time.Millisecond)
-			var stall *StallError
-			if !errors.As(err, &stall) {
-				t.Fatalf("want *StallError, got %v", err)
-			}
-			if len(stall.Holders) == 0 {
-				t.Fatal("stall error names no holder slot")
-			}
-			for _, h := range stall.Holders {
-				if h.Mode == "" || h.Count < 1 {
-					t.Errorf("anonymous holder slot: %+v", h)
-				}
-			}
-			if stall.Waited < 20*time.Millisecond {
-				t.Errorf("Waited = %v, below patience", stall.Waited)
-			}
-			if stall.Instance != s.ID() {
-				t.Errorf("Instance = %d, want %d", stall.Instance, s.ID())
-			}
+		// LockWithin on a checked transaction: the error carries the
+		// log of what the blocked transaction already held, and the
+		// failed acquisition records nothing.
+		other := NewSemantic(tbl)
+		tx := NewCheckedTxn()
+		tx.Lock(other, keyMode(tbl, 1), 0)
+		err = tx.LockWithin(s, km, 1, 10*time.Millisecond)
+		if !errors.As(err, &stall) {
+			t.Fatalf("LockWithin: want *StallError, got %v", err)
+		}
+		if len(stall.Log) != 1 || stall.Log[0].ID != other.ID() {
+			t.Errorf("stall log = %+v, want the held acquisition", stall.Log)
+		}
+		if tx.HeldCount() != 1 {
+			t.Errorf("timed-out LockWithin recorded a hold: %d", tx.HeldCount())
+		}
+		tx.UnlockAll()
 
-			// LockWithin on a checked transaction: the error carries the
-			// log of what the blocked transaction already held, and the
-			// failed acquisition records nothing.
-			other := NewSemantic(tbl)
-			other.DisableMechV2 = v1
-			tx := NewCheckedTxn()
-			tx.Lock(other, keyMode(tbl, 1), 0)
-			err = tx.LockWithin(s, km, 1, 10*time.Millisecond)
-			if !errors.As(err, &stall) {
-				t.Fatalf("LockWithin: want *StallError, got %v", err)
-			}
-			if len(stall.Log) != 1 || stall.Log[0].ID != other.ID() {
-				t.Errorf("stall log = %+v, want the held acquisition", stall.Log)
-			}
-			if tx.HeldCount() != 1 {
-				t.Errorf("timed-out LockWithin recorded a hold: %d", tx.HeldCount())
-			}
-			tx.UnlockAll()
-
-			// After release the bounded path must succeed.
-			s.Release(km)
-			if err := s.AcquireWithin(km, 5*time.Second); err != nil {
-				t.Fatalf("post-release AcquireWithin: %v", err)
-			}
-			s.Release(km)
-			if err := s.CheckQuiesced(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		// After release the bounded path must succeed.
+		s.Release(km)
+		if err := s.AcquireWithin(km, 5*time.Second); err != nil {
+			t.Fatalf("post-release AcquireWithin: %v", err)
+		}
+		s.Release(km)
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestChaosTimeoutNoStrandedToken: a bounded waiter that times out
@@ -95,13 +89,7 @@ func TestChaosTimeoutNoStrandedToken(t *testing.T) {
 	w2done := make(chan struct{})
 	go func() { s.Acquire(km); close(w2done) }()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Waits < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("waiters never blocked: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, s, 2)
 
 	// Let the bounded waiter time out and deregister, then release: the
 	// unbounded waiter must acquire.
@@ -130,47 +118,42 @@ func TestChaosTimeoutNoStrandedToken(t *testing.T) {
 // interleaving occurs, the round must end with no registered waiter, no
 // leaked claim, and no stranded goroutine. Run under -race.
 func TestChaosTimeoutReleaseRace(t *testing.T) {
-	for _, v1 := range []bool{false, true} {
-		name := "v2"
-		if v1 {
-			name = "v1"
+	// The subtest keeps the name it had while a v1 mechanism ran beside
+	// it (CI selections and recorded test lists name it).
+	t.Run("v2", func(t *testing.T) {
+		tbl := mapTable(t, 1, TableOptions{})
+		s := NewSemantic(tbl)
+		km := keyMode(tbl, 1)
+		rounds := 300
+		if testing.Short() {
+			rounds = 50
 		}
-		t.Run(name, func(t *testing.T) {
-			tbl := mapTable(t, 1, TableOptions{})
-			s := NewSemantic(tbl)
-			s.DisableMechV2 = v1
-			km := keyMode(tbl, 1)
-			rounds := 300
-			if testing.Short() {
-				rounds = 50
+		for r := 0; r < rounds; r++ {
+			s.Acquire(km)
+			var wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					patience := time.Duration(200+(r*7+w*131)%1800) * time.Microsecond
+					if err := s.AcquireWithin(km, patience); err == nil {
+						s.Release(km)
+					}
+				}(w)
 			}
-			for r := 0; r < rounds; r++ {
-				s.Acquire(km)
-				var wg sync.WaitGroup
-				for w := 0; w < 3; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						patience := time.Duration(200+(r*7+w*131)%1800) * time.Microsecond
-						if err := s.AcquireWithin(km, patience); err == nil {
-							s.Release(km)
-						}
-					}(w)
-				}
-				// Release at a phase that sweeps across the waiters'
-				// deadlines as rounds advance.
-				time.Sleep(time.Duration((r*13)%2000) * time.Microsecond)
-				s.Release(km)
-				wg.Wait()
-				if err := s.CheckQuiesced(); err != nil {
-					t.Fatalf("round %d: %v", r, err)
-				}
+			// Release at a phase that sweeps across the waiters'
+			// deadlines as rounds advance.
+			time.Sleep(time.Duration((r*13)%2000) * time.Microsecond)
+			s.Release(km)
+			wg.Wait()
+			if err := s.CheckQuiesced(); err != nil {
+				t.Fatalf("round %d: %v", r, err)
 			}
-			if n := WaitersOutstanding(); n != 0 {
-				t.Fatalf("waiter free-list leaked: %d outstanding", n)
-			}
-		})
-	}
+		}
+		if n := WaitersOutstanding(); n != 0 {
+			t.Fatalf("waiter free-list leaked: %d outstanding", n)
+		}
+	})
 }
 
 // TestChaosAtomicallyPanicReleasesLocks: a panic inside an atomic

@@ -70,15 +70,11 @@ type ModeTable struct {
 	// exact scan would touch many padded counter lines. Small
 	// fine-grained mechanisms — the common case after partitioning —
 	// skip summaries entirely and scan exactly, keeping the uncontended
-	// fast path at one RMW, the same as the v1 mechanism.
+	// fast path at one RMW.
 	summaryOn []bool
-	// conflict[m] lists the (local) counter slots mode m conflicts with
-	// inside its own mechanism, with the count threshold above which the
-	// slot blocks m (1 for m's own slot, 0 otherwise). The v1 mechanism
-	// (ablation A5) scans these directly; the v2 mechanism scans the
-	// word-bitset form in masks[m].
-	conflict [][]conflictRef
-	masks    []maskInfo
+	// masks[m] is mode m's precompiled conflict scan inside its own
+	// mechanism.
+	masks []maskInfo
 }
 
 type conflictRef struct {
@@ -86,34 +82,107 @@ type conflictRef struct {
 	threshold int32
 }
 
-// wordMask is one 64-slot word of a mode's conflict bitset: the index
-// of the word in the mechanism's summary array plus the conflicting
-// local slots within that word, one bit per slot.
+// wordMask is one 64-slot word of a scan's conflict bitset: the index
+// of the word in the mechanism's summary array, the conflicting local
+// slots within that word, one bit per slot, and the scan's own claims
+// on slots of the word — the summary value up to which the word holds
+// no foreign claim.
 type wordMask struct {
 	w    int32
+	own  int32
 	bits uint64
 }
 
-// maskInfo is the precompiled conflict-scan structure of one mode for
-// the v2 lock mechanism: the sparse word bitset of conflicting slots
-// (only words with at least one conflicting slot appear) and the mode's
-// own counter slot, whose threshold is 1 instead of 0 because the
-// scanner has already incremented it (Fig 20's increment-then-scan).
+// maskInfo is the conflict-scan structure of one acquisition within one
+// mechanism — a single mode's is precompiled here, a batch's is filled
+// from pooled scratch (Semantic.acquireMechBatch), so a single mode is
+// a batch of one: the counter slots the acquisition claims, the sparse
+// word bitset of conflicting slots (only words with at least one
+// conflicting slot appear), and the flat conflict list. A slot the
+// scanner claims itself has threshold 1 instead of 0 (k when a batch
+// claims it k times) because the scanner has already incremented it
+// (Fig 20's increment-then-scan).
 type maskInfo struct {
-	words    []wordMask
+	// words drives summary scans and doubles as a parked waiter's
+	// conflict mask; a batch's is the union of its constituents'.
+	words []wordMask
+	// slots lists every counter slot the scan claims, duplicates
+	// included, in claim order. selfSlot is slots[0] of a single mode,
+	// kept as a field so the flat first attempt (mechV2.tryAcquire)
+	// reads it without indexing; batch scans leave it unset.
+	slots    []int32
 	selfSlot int32
-	selfWord int32
-	// refs is the flat slot list (shared with ModeTable.conflict) that
-	// mechanisms with summaries off scan directly: for the few slots of a
-	// small fine-grained mechanism the threshold-baked linear walk is
-	// cheaper than iterating the bitset words.
+	_pad     [48]byte
+	// refs is the flat conflict list — the (local) counter slots the
+	// scan conflicts with, each with the count threshold above which it
+	// blocks — that mechanisms with summaries off scan directly: for the
+	// few slots of a small fine-grained mechanism the threshold-baked
+	// linear walk is cheaper than iterating the bitset words.
 	refs []conflictRef
-	// bump marks modes whose successful acquisition must advance the
+	// bump marks scans whose successful acquisition must advance the
 	// mechanism's version counter (the optimistic-read invalidation
-	// signal): exactly the modes that conflict with something.
-	// Acquiring a conflict-free mode cannot invalidate any lock-free
-	// read, so it skips the shared-counter RMW.
+	// signal): exactly the modes that conflict with something, and a
+	// batch with any such constituent — once, because one batch is one
+	// acquisition event to validators. Acquiring a conflict-free mode
+	// cannot invalidate any lock-free read, so it skips the
+	// shared-counter RMW.
 	bump bool
+}
+
+// The helpers below fill a batch's scan (Semantic.acquireMechBatch);
+// the own-claim counts also serve the hot-word scan (mechV2.conflicts)
+// and the single-mode scans compiled here.
+
+// ownClaims returns how many claims the scan itself publishes on slot
+// (several constituent modes may share a slot after canonical-mode
+// merging). Linear over the slots — prologue batches hold a handful of
+// modes.
+func (c *maskInfo) ownClaims(slot int32) int32 {
+	var n int32
+	for _, s := range c.slots {
+		if s == slot {
+			n++
+		}
+	}
+	return n
+}
+
+// ownClaimsInWord returns the scan's total claims on slots of word w —
+// its own contribution to the mechanism's summary counter of that word.
+func (c *maskInfo) ownClaimsInWord(w int32) int32 {
+	var n int32
+	for _, s := range c.slots {
+		if s>>6 == w {
+			n++
+		}
+	}
+	return n
+}
+
+func (c *maskInfo) addRef(slot int) {
+	for i := range c.refs {
+		if c.refs[i].slot == slot {
+			return
+		}
+	}
+	c.refs = append(c.refs, conflictRef{slot: slot})
+}
+
+// mergeWords ORs one mode's conflict word bitset into the union mask.
+func (c *maskInfo) mergeWords(words []wordMask) {
+	for _, wm := range words {
+		merged := false
+		for i := range c.words {
+			if c.words[i].w == wm.w {
+				c.words[i].bits |= wm.bits
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			c.words = append(c.words, wm)
+		}
+	}
 }
 
 // NewModeTable compiles the locking modes for an ADT class from its
@@ -292,46 +361,37 @@ func (t *ModeTable) partition(disabled bool) {
 		t.localIdx[i] = slot
 	}
 
-	// Conflict lists in local slot space, deduplicated per slot.
-	t.conflict = make([][]conflictRef, n)
-	for i := 0; i < n; i++ {
-		if t.part[i] < 0 {
-			continue
-		}
-		seen := make(map[int]bool)
-		for j := 0; j < n; j++ {
-			if t.part[j] != t.part[i] || t.fc[i][j] {
-				continue
-			}
-			slot := t.localIdx[j]
-			if seen[slot] {
-				continue
-			}
-			seen[slot] = true
-			ref := conflictRef{slot: slot, threshold: 0}
-			if slot == t.localIdx[i] {
-				ref.threshold = 1 // my own increment doesn't block me
-			}
-			t.conflict[i] = append(t.conflict[i], ref)
-		}
-	}
-
-	// Word-bitset form of the same conflict lists for the v2 mechanism:
-	// the O(conflicting modes) ref list becomes O(occupied words) of
-	// summary checks on the common path.
+	// Per-mode scans: the conflict list in local slot space, deduplicated
+	// per slot, and its word-bitset form — the O(conflicting modes) ref
+	// list becomes O(occupied words) of summary checks on the common
+	// path.
 	t.masks = make([]maskInfo, n)
 	for i := 0; i < n; i++ {
 		if t.part[i] < 0 {
 			continue
 		}
 		self := int32(t.localIdx[i])
-		mi := maskInfo{selfSlot: self, selfWord: self >> 6, refs: t.conflict[i], bump: len(t.conflict[i]) > 0}
+		mi := maskInfo{selfSlot: self, slots: []int32{self}}
 		byWord := make(map[int32]uint64)
-		for _, ref := range t.conflict[i] {
-			byWord[int32(ref.slot)>>6] |= 1 << (uint(ref.slot) & 63)
+		for j := 0; j < n; j++ {
+			if t.part[j] != t.part[i] || t.fc[i][j] {
+				continue
+			}
+			slot := t.localIdx[j]
+			w, bit := int32(slot)>>6, uint64(1)<<(uint(slot)&63)
+			if byWord[w]&bit != 0 {
+				continue
+			}
+			byWord[w] |= bit
+			ref := conflictRef{slot: slot, threshold: 0}
+			if slot == t.localIdx[i] {
+				ref.threshold = 1 // my own increment doesn't block me
+			}
+			mi.refs = append(mi.refs, ref)
 		}
+		mi.bump = len(mi.refs) > 0
 		for w, bits := range byWord {
-			mi.words = append(mi.words, wordMask{w: w, bits: bits})
+			mi.words = append(mi.words, wordMask{w: w, own: mi.ownClaimsInWord(w), bits: bits})
 		}
 		sort.Slice(mi.words, func(a, b int) bool { return mi.words[a].w < mi.words[b].w })
 		t.masks[i] = mi

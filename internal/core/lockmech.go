@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,8 @@ type LockStats struct {
 	// an AcquireBatch call, already included in FastPath/Slow, so
 	// FastPath+Slow-Batches recovers the single-mode acquisition count.
 	Batches uint64
-	// Stalls counts bounded acquisitions (AcquireWithin) that exhausted
-	// their patience and returned a StallError.
+	// Stalls counts bounded acquisitions (AcquireWithin, LockBatchWithin)
+	// that exhausted their patience and returned a StallError.
 	Stalls uint64
 	// WaitNanos is the cumulative measured blocking time of slow-path
 	// waiters. A waiter contributes only when it carried a timestamp —
@@ -42,8 +43,7 @@ type LockStats struct {
 	// a completed body and forcing the section to re-run through the
 	// pessimistic prologue. OptimisticRefusals counts observations
 	// turned away before any body ran: a conflicting holder was visible
-	// at Observe time, or the mechanism cannot validate at all (v1, no
-	// version counters). A refusal wastes no work, so it is deliberately
+	// at Observe time. A refusal wastes no work, so it is deliberately
 	// NOT a retry and does not feed the adaptive gate — counting it as a
 	// failure would let the pessimistic fallback a gate closure triggers
 	// keep the gate closed (every fallback holder refuses the optimists
@@ -73,28 +73,15 @@ var waitSampling atomic.Bool
 // (OS2PL ordering); a single Acquire never blocks on a mode held by its
 // own transaction because transactions never lock the same instance
 // twice (LOCAL_SET, §3.1).
-//
-// Two mechanism generations coexist: v2 (cache-line-padded counters,
-// word-summary conflict scan, targeted wakeups, adaptive fast-path
-// retries) is the default; the original Fig 20 mechanism (shared-line
-// counters, O(conflicting modes) scan, broadcast wakeups) remains
-// available behind DisableMechV2 as ablation A5.
 type Semantic struct {
 	table *ModeTable
 	mechs []mechV2
-	v1    []mechanism
 	id    uint64
 
 	// DisableFastPath forces every acquisition through the internal
 	// lock, skipping the optimistic counter scan of Fig 20 lines 3–4 —
 	// ablation A4.
 	DisableFastPath bool
-	// DisableMechV2 routes acquisitions through the original Fig 20
-	// mechanism — ablation A5. Set it before the first Acquire (the two
-	// generations keep separate counters). The v1 mechanism has no
-	// version counters, so optimistic observation reports not-ok and
-	// every TryOptimistic on the instance falls back pessimistically.
-	DisableMechV2 bool
 
 	// Optimistic-read outcome counters and the adaptive gate
 	// (Txn.TryOptimistic). optHits/optRetries are the cumulative
@@ -119,12 +106,10 @@ func NewSemantic(table *ModeTable) *Semantic {
 	s := &Semantic{
 		table: table,
 		mechs: make([]mechV2, table.NumMechanisms()),
-		v1:    make([]mechanism, table.NumMechanisms()),
 		id:    instanceIDs.Add(1),
 	}
 	for i := range s.mechs {
 		s.mechs[i].init(table.partSizes[i], table.summaryOn[i])
-		s.v1[i].init(table.partSizes[i])
 	}
 	s.optParams.Store(packOptGate(DefaultOptGateParams()))
 	return s
@@ -136,56 +121,77 @@ func (s *Semantic) Table() *ModeTable { return s.table }
 // ID returns the instance's unique identifier (the paper's unique(x)).
 func (s *Semantic) ID() uint64 { return s.id }
 
+// Forever is the patience of a blocking acquisition: the acquisition
+// core arms no timer for it, so with a nil cancel channel the call can
+// only return holding the lock. Acquire, AcquireBatch, Txn.Lock and
+// Txn.LockBatch are the Forever case of the bounded entry points.
+const Forever = time.Duration(math.MaxInt64)
+
 // Acquire blocks until the transaction may hold mode m, then records one
 // holder of m. Callers use Txn.Lock rather than calling this directly.
-func (s *Semantic) Acquire(m ModeID) {
+func (s *Semantic) Acquire(m ModeID) { s.acquire(m, nil) }
+
+// acquire is Acquire carrying the acquirer's transaction log, exposed to
+// the stall watchdog while the acquisition is parked (nil for direct
+// calls and unchecked transactions). Txn.Lock routes here.
+func (s *Semantic) acquire(m ModeID, log []Acquisition) {
 	p := s.table.part[m]
 	if p < 0 {
 		return // mode conflicts with nothing; no mechanism needed
 	}
-	if s.DisableMechV2 {
-		s.v1[p].acquire(s.table.localIdx[m], s.table.conflict[m], s.DisableFastPath)
-		return
-	}
 	// The successful first attempt — the overwhelmingly common case — is
 	// straight-lined here so it runs one call deep (tryAcquire); retries
-	// and blocking live in acquireContended.
+	// and blocking live in acquireSlow.
 	mech := &s.mechs[p]
 	c := &s.table.masks[m]
-	if s.DisableFastPath {
-		mech.slowAcquire(c, nil)
-		return
-	}
-	if mech.tryAcquire(c) {
+	if !s.DisableFastPath && mech.tryAcquire(c) {
 		mech.fastPath.Add(1)
 		return
 	}
-	mech.acquireContended(c, nil)
+	// Forever with a nil cancel cannot fail: there is no error to handle.
+	_ = s.acquireScan(p, c, Forever, nil, log, m)
 }
 
-// acquireLogged is Acquire carrying the acquirer's transaction log so a
-// blocked waiter exposes it to the stall watchdog. Txn.Lock routes here;
-// the fast path is identical to Acquire's.
-func (s *Semantic) acquireLogged(m ModeID, log []Acquisition) {
+// acquireWithin is acquire for the bounded entry points (stall.go,
+// Txn.LockWithinCancel, Txn.LockBatchWithin): the same first attempt,
+// then the same core with the caller's patience and cancel channel. The
+// first attempt is written out twice because folding acquire into this
+// function costs the blocking fast path two more arguments kept live
+// across tryAcquire and an error return — about 3 ns of a 39 ns
+// acquire/release cycle when measured.
+func (s *Semantic) acquireWithin(m ModeID, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
 	p := s.table.part[m]
 	if p < 0 {
-		return
-	}
-	if s.DisableMechV2 {
-		s.v1[p].acquire(s.table.localIdx[m], s.table.conflict[m], s.DisableFastPath)
-		return
+		return nil
 	}
 	mech := &s.mechs[p]
 	c := &s.table.masks[m]
-	if s.DisableFastPath {
-		mech.slowAcquire(c, log)
-		return
-	}
-	if mech.tryAcquire(c) {
+	if !s.DisableFastPath && mech.tryAcquire(c) {
 		mech.fastPath.Add(1)
-		return
+		return nil
 	}
-	mech.acquireContended(c, log)
+	return s.acquireScan(p, c, patience, cancel, log, m)
+}
+
+// acquireScan hands a scan — one mode's or a batch's — whose first
+// attempt failed (or was skipped, DisableFastPath) to its mechanism's
+// acquisition core and turns the outcome into the bounded-acquisition
+// error contract. ms names the scan's modes for the stall report.
+func (s *Semantic) acquireScan(p int, c *maskInfo, patience time.Duration, cancel <-chan struct{}, log []Acquisition, ms ...ModeID) error {
+	var start time.Time
+	if patience != Forever {
+		start = time.Now() // only a stall reports Waited, and Forever cannot stall
+	}
+	mech := &s.mechs[p]
+	holders, out := mech.acquireSlow(c, !s.DisableFastPath, patience, cancel, log)
+	switch out {
+	case acqOK:
+		return nil
+	case acqCanceled:
+		return ErrCanceled
+	}
+	mech.stalls.Add(1)
+	return s.stallError(ms, p, holders, time.Since(start), log)
 }
 
 // TryAcquire attempts to acquire mode m without blocking; it reports
@@ -195,9 +201,6 @@ func (s *Semantic) TryAcquire(m ModeID) bool {
 	if p < 0 {
 		return true
 	}
-	if s.DisableMechV2 {
-		return s.v1[p].tryAcquire(s.table.localIdx[m], s.table.conflict[m])
-	}
 	return s.mechs[p].tryAcquire(&s.table.masks[m])
 }
 
@@ -205,10 +208,6 @@ func (s *Semantic) TryAcquire(m ModeID) bool {
 func (s *Semantic) Release(m ModeID) {
 	p := s.table.part[m]
 	if p < 0 {
-		return
-	}
-	if s.DisableMechV2 {
-		s.v1[p].release(s.table.localIdx[m])
 		return
 	}
 	// Spelled out instead of calling retreat+wake: both inline here, so
@@ -242,26 +241,21 @@ func (s *Semantic) Release(m ModeID) {
 // batched acquisition counts once in LockStats regardless of the number
 // of constituent modes. Callers use Txn.LockBatch rather than calling
 // this directly.
-func (s *Semantic) AcquireBatch(ms ...ModeID) { s.acquireBatchLogged(ms, nil) }
+func (s *Semantic) AcquireBatch(ms ...ModeID) {
+	// Forever with a nil cancel cannot fail: there is no error to handle.
+	_ = s.acquireBatch(ms, Forever, nil, nil)
+}
 
-// acquireBatchLogged is AcquireBatch carrying the acquirer's transaction
-// log for the stall watchdog, as acquireLogged does for Acquire.
-func (s *Semantic) acquireBatchLogged(ms []ModeID, log []Acquisition) {
+// acquireBatch is AcquireBatch with the patience, cancel channel and
+// transaction log of acquireWithin. A mechanism group that times out or
+// is canceled releases the groups of ms acquired before it, so a failed
+// call holds nothing on the instance.
+func (s *Semantic) acquireBatch(ms []ModeID, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
 	switch len(ms) {
 	case 0:
-		return
+		return nil
 	case 1:
-		s.acquireLogged(ms[0], log)
-		return
-	}
-	if s.DisableMechV2 {
-		// v1 (ablation A5) has no batch machinery; sequential
-		// acquisition is equivalent, just one waiter per mode on
-		// conflict.
-		for _, m := range ms {
-			s.acquireLogged(m, log)
-		}
-		return
+		return s.acquireWithin(ms[0], patience, cancel, log)
 	}
 	// Single-mechanism batches — the shape fused prologues produce,
 	// since one instance's modes almost always share a partition — skip
@@ -294,12 +288,12 @@ func (s *Semantic) acquireBatchLogged(ms []ModeID, log []Acquisition) {
 			}
 			if ok {
 				// One batched acquisition counts once (the documented
-				// LockStats contract), exactly as the tryAcquireBatch
-				// success path below counts once — not once per
+				// LockStats contract), exactly as acquireMechBatch's
+				// first attempt below counts once — not once per
 				// constituent mode.
 				mech.batches.Add(1)
 				mech.fastPath.Add(1)
-				return
+				return nil
 			}
 			for j := 0; j < k; j++ {
 				s.Release(ms[j])
@@ -307,24 +301,24 @@ func (s *Semantic) acquireBatchLogged(ms []ModeID, log []Acquisition) {
 		}
 		sc := batchScratchPool.Get().(*batchScratch)
 		sc.modes = append(sc.modes[:0], ms...)
-		s.acquireMechBatch(p0, sc, log)
+		err := s.acquireMechBatch(p0, sc, patience, cancel, log)
 		batchScratchPool.Put(sc)
-		return
+		return err
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
+	err := s.acquireGroups(ms, sc, patience, cancel, log)
+	batchScratchPool.Put(sc)
+	return err
+}
+
+// acquireGroups acquires a batch spanning several mechanisms, one
+// mechanism group at a time in order of each group's first mode.
+func (s *Semantic) acquireGroups(ms []ModeID, sc *batchScratch, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
 	for i, m0 := range ms {
 		p := s.table.part[m0]
-		if p < 0 {
-			continue // conflicts with nothing; no mechanism needed
-		}
-		already := false
-		for j := 0; j < i; j++ {
-			if s.table.part[ms[j]] == p {
-				already = true // this mechanism's group was acquired at its first mode
-				break
-			}
-		}
-		if already {
+		if p < 0 || s.groupStarted(ms, i, p) {
+			// Conflicts with nothing, or this mechanism's group was
+			// acquired at its first mode.
 			continue
 		}
 		sc.modes = append(sc.modes[:0], m0)
@@ -333,66 +327,94 @@ func (s *Semantic) acquireBatchLogged(ms []ModeID, log []Acquisition) {
 				sc.modes = append(sc.modes, ms[j])
 			}
 		}
+		var err error
 		if len(sc.modes) == 1 {
-			s.acquireLogged(m0, log)
-			continue
+			err = s.acquireWithin(m0, patience, cancel, log)
+		} else {
+			err = s.acquireMechBatch(p, sc, patience, cancel, log)
 		}
-		s.acquireMechBatch(p, sc, log)
+		if err != nil {
+			// Give back the groups acquired before this one.
+			for _, m := range ms {
+				if pm := s.table.part[m]; pm >= 0 && s.groupStarted(ms, i, pm) {
+					s.Release(m)
+				}
+			}
+			return err
+		}
 	}
-	batchScratchPool.Put(sc)
+	return nil
 }
 
-// acquireMechBatch assembles the batch scan structure for one
-// mechanism's group of modes and drives the fast/contended/slow
-// acquisition ladder, mirroring Acquire's shape.
-func (s *Semantic) acquireMechBatch(p int, sc *batchScratch, log []Acquisition) {
+// groupStarted reports whether one of ms[:i] lives in mechanism p —
+// that is, whether p's group was acquired before the batch reached
+// position i.
+func (s *Semantic) groupStarted(ms []ModeID, i, p int) bool {
+	for _, m := range ms[:i] {
+		if s.table.part[m] == p {
+			return true
+		}
+	}
+	return false
+}
+
+// batchScratch carries the per-call scratch of AcquireBatch: the modes
+// gathered per mechanism and the batch's scan. Pooled so fused
+// prologues allocate nothing in steady state.
+type batchScratch struct {
+	modes []ModeID
+	b     maskInfo
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// acquireMechBatch fills the pooled scan from one mechanism's group of
+// modes and drives it through the same ladder as a single mode: one
+// first attempt, then the acquisition core.
+func (s *Semantic) acquireMechBatch(p int, sc *batchScratch, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
 	mech := &s.mechs[p]
 	mech.batches.Add(1)
 	b := &sc.b
-	b.slots = b.slots[:0]
-	b.claims = b.claims[:0]
-	b.refs = b.refs[:0]
-	b.words = b.words[:0]
-	b.bump = false
+	*b = maskInfo{slots: b.slots[:0], refs: b.refs[:0], words: b.words[:0]}
 	for _, m := range sc.modes {
 		c := &s.table.masks[m]
 		b.slots = append(b.slots, c.selfSlot)
-		b.addClaim(c.selfSlot)
 		b.mergeWords(c.words)
 		b.bump = b.bump || c.bump
 		for _, r := range c.refs {
-			b.addRef(int32(r.slot))
+			b.addRef(r.slot)
 		}
 	}
 	// Bake the thresholds: a slot the batch itself claims k times blocks
-	// only past k holders. This generalizes the single-mode self-slot
-	// threshold of 1, and makes intra-batch conflicts self-permitting —
-	// they are one transaction's own modes, and the no-two-transactions
-	// invariant says nothing about modes held by the same transaction.
+	// only past k holders, and a word is cold while its summary does not
+	// exceed the batch's own claims in it. This generalizes the
+	// single-mode self-slot threshold of 1, and makes intra-batch
+	// conflicts self-permitting — they are one transaction's own modes,
+	// and the no-two-transactions invariant says nothing about modes
+	// held by the same transaction.
 	for i := range b.refs {
 		b.refs[i].threshold = b.ownClaims(int32(b.refs[i].slot))
 	}
-	if s.DisableFastPath {
-		mech.slowAcquireBatch(b, log)
-		return
+	for i := range b.words {
+		b.words[i].own = b.ownClaimsInWord(b.words[i].w)
 	}
-	if mech.tryAcquireBatch(b) {
+	if !s.DisableFastPath && mech.tryScan(b) {
 		mech.fastPath.Add(1)
-		return
+		return nil
 	}
-	mech.acquireBatchContended(b, log)
+	return s.acquireScan(p, b, patience, cancel, log, sc.modes...)
 }
 
 // Stats returns the instance's cumulative acquisition statistics, summed
-// over both mechanism generations.
+// over its mechanisms.
 func (s *Semantic) Stats() LockStats {
 	var out LockStats
 	for i := range s.mechs {
-		out.FastPath += s.mechs[i].fastPath.Load() + s.v1[i].fastPath.Load()
-		out.Slow += s.mechs[i].slow.Load() + s.v1[i].slow.Load()
-		out.Waits += s.mechs[i].waits.Load() + s.v1[i].waits.Load()
+		out.FastPath += s.mechs[i].fastPath.Load()
+		out.Slow += s.mechs[i].slow.Load()
+		out.Waits += s.mechs[i].waits.Load()
 		out.Batches += s.mechs[i].batches.Load()
-		out.Stalls += s.mechs[i].stalls.Load() + s.v1[i].stalls.Load()
+		out.Stalls += s.mechs[i].stalls.Load()
 		out.WaitNanos += s.mechs[i].waitNanos.Load()
 	}
 	out.OptimisticHits = s.optHits.Load()
@@ -441,18 +463,14 @@ const (
 // claim and bump between the two, hold through our reads, and have its
 // bump absorbed into the snapshot — invisible to scan and compare
 // alike. A false result means a conflicting holder is visible right
-// now (the section would have blocked), or the instance runs the v1
-// mechanism (ablation A5), which has no version counters; the caller
-// falls back to the pessimistic prologue either way.
+// now (the section would have blocked); the caller falls back to the
+// pessimistic prologue.
 func (s *Semantic) observeMode(m ModeID) (uint64, bool) {
 	p := s.table.part[m]
 	if p < 0 {
 		// The mode conflicts with nothing: reads under it are always
 		// valid, nothing to snapshot or validate.
 		return 0, true
-	}
-	if s.DisableMechV2 {
-		return 0, false
 	}
 	mech := &s.mechs[p]
 	ver := mech.version.Load()
@@ -489,7 +507,7 @@ func (s *Semantic) validateMode(m ModeID, ver uint64) bool {
 // mechanism (test hook; 0 for conflict-free modes).
 func (s *Semantic) Version(m ModeID) uint64 {
 	p := s.table.part[m]
-	if p < 0 || s.DisableMechV2 {
+	if p < 0 {
 		return 0
 	}
 	return s.mechs[p].version.Load()
@@ -568,8 +586,13 @@ func (s *Semantic) recordValidation(ok bool) {
 func (s *Semantic) recordRefusal() { s.optRefused.Add(1) }
 
 // OptimisticEnabled reports whether the adaptive gate currently admits
-// optimistic execution on the instance (telemetry/test hook; a false
-// result is transient — the gate probes itself open again).
+// optimistic execution on the instance. Advisory: a false result is
+// transient — the gate probes itself open again — and the state may
+// change before the next observation. Callers use it to pick a refusal
+// strategy: an Observe refused under an open gate saw a transient
+// conflicting holder and may be worth retrying after a backoff, while
+// one refused by a closed gate should fall back to the pessimistic
+// prologue immediately.
 func (s *Semantic) OptimisticEnabled() bool { return s.optGate.Load() == 0 }
 
 // Holders returns the current holder count of mode m (test hook).
@@ -578,19 +601,19 @@ func (s *Semantic) Holders(m ModeID) int32 {
 	if p < 0 {
 		return 0
 	}
-	if s.DisableMechV2 {
-		return s.v1[p].counts[s.table.localIdx[m]].Load()
-	}
 	return s.mechs[p].counts[s.table.localIdx[m]].Load()
 }
 
 // ---------------------------------------------------------------------
-// Lock mechanism v2
+// Lock mechanism
 // ---------------------------------------------------------------------
 
 // mechV2 is one independent lock mechanism: the Fig 20 design (an atomic
 // counter per locking mode, an internal lock to block and wake waiters,
-// increment-then-scan Dekker acquisition) rebuilt for scalability.
+// increment-then-scan Dekker acquisition) rebuilt for scalability. (The
+// first-generation mechanism it replaced — shared-line counters, an
+// O(conflicting modes) scan, broadcast wakeups — is gone;
+// BENCH_lockmech.json records the comparison.)
 //
 //   - Counters live in padded.Int32 slots, one cache line each, so
 //     acquisitions of commuting modes never contend in hardware.
@@ -614,7 +637,7 @@ func (s *Semantic) Holders(m ModeID) int32 {
 //     only a wide conflict mask (a wildcard mode) amortizes. The small
 //     fine-grained mechanisms that partitioning produces in the common
 //     case skip summaries and scan their few conflicting slots exactly,
-//     keeping the uncontended fast path at one RMW — v1 parity.
+//     keeping the uncontended fast path at one RMW.
 //
 //   - The Dekker argument is unchanged: an acquirer publishes its claim
 //     (summary, then counter) before scanning, so of two conflicting
@@ -863,11 +886,26 @@ func (m *mechV2) conflictsUnclaimed(c *maskInfo) bool {
 	return false
 }
 
-// conflicts reports whether any conflicting slot has a holder. The
-// caller must already have claimed its own slot (the self-slot
-// threshold accounts for that). Cold words — summary zero, or just the
-// caller's own claim in the caller's word — are skipped with a single
-// load; hot words fall back to the exact per-slot scan.
+// claimAll and retreatAll publish and withdraw every claim of a scan, in
+// claim order; a slot the scan names twice is claimed twice.
+func (m *mechV2) claimAll(c *maskInfo) {
+	for _, s := range c.slots {
+		m.claim(s)
+	}
+}
+
+func (m *mechV2) retreatAll(c *maskInfo) {
+	for _, s := range c.slots {
+		m.retreat(s)
+	}
+}
+
+// conflicts reports whether any conflicting slot has a holder beyond
+// the scan's own claims. The caller must already have claimed every
+// slot of the scan (the thresholds account for that). Cold words — a
+// summary that does not exceed the scan's own claims in the word, so no
+// foreign claim lives there — are skipped with a single load; hot words
+// fall back to the exact per-slot scan.
 func (m *mechV2) conflicts(c *maskInfo) bool {
 	if !m.scanSummary.Load() {
 		// Exact scan over the flat slot list: for the few conflicting
@@ -883,12 +921,7 @@ func (m *mechV2) conflicts(c *maskInfo) bool {
 	}
 	for i := range c.words {
 		wm := &c.words[i]
-		s := m.summary[wm.w].Load()
-		if wm.w == c.selfWord {
-			if s <= 1 {
-				continue // only our own claim lives in this word
-			}
-		} else if s == 0 {
+		if m.summary[wm.w].Load() <= wm.own {
 			continue
 		}
 		bs := wm.bits
@@ -896,11 +929,7 @@ func (m *mechV2) conflicts(c *maskInfo) bool {
 		for bs != 0 {
 			slot := base + int32(bits.TrailingZeros64(bs))
 			bs &= bs - 1
-			var threshold int32
-			if slot == c.selfSlot {
-				threshold = 1
-			}
-			if m.counts[slot].Load() > threshold {
+			if m.counts[slot].Load() > c.ownClaims(slot) {
 				return true
 			}
 		}
@@ -908,11 +937,13 @@ func (m *mechV2) conflicts(c *maskInfo) bool {
 	return false
 }
 
+// tryAcquire is the single-mode first attempt: claim, scan, and on a
+// conflict retreat without blocking.
 func (m *mechV2) tryAcquire(c *maskInfo) bool {
 	// The summary-less flavor is written out flat (claim, exact scan,
 	// retreat) rather than through claim/conflicts/retreat: the exact
-	// scan then inlines here, keeping the partitioned fast path at v1's
-	// instruction count (one call from acquire, no further calls).
+	// scan then inlines here, keeping the partitioned fast path at one
+	// RMW and one call from Acquire, no further calls.
 	// Keyed on the immutable maintenance decision, not the scan toggle,
 	// so the summary-less common case pays no atomic load here.
 	if !m.maintainSummary {
@@ -946,28 +977,27 @@ func (m *mechV2) tryAcquire(c *maskInfo) bool {
 	return false
 }
 
-// acquireContended continues an acquisition whose first tryAcquire
-// failed: bounded adaptive retries, then the blocking slow path. The
-// first attempt happens in Semantic.Acquire before the adaptive bound
-// is even loaded, so the uncontended path pays no extra atomic load.
-func (m *mechV2) acquireContended(c *maskInfo, log []Acquisition) {
-	bound, mn, mx := m.spinBound()
-	for attempt := int32(1); attempt < bound; attempt++ {
-		if m.tryAcquire(c) {
-			m.fastPath.Add(1)
-			if bound < mx {
-				// Retrying paid off; spend more retries next time.
-				m.spin.Store(bound + 1)
-			}
-			return
+// tryScan is tryAcquire for any scan, a batch included: it publishes
+// every claim, then scans the union conflict structure once. The Dekker
+// argument is unchanged from the single-mode protocol, applied per
+// constituent: every claim is published before any scan, so of two
+// conflicting acquirers at least one observes the other.
+func (m *mechV2) tryScan(c *maskInfo) bool {
+	m.claimAll(c)
+	if !m.conflicts(c) {
+		if c.bump {
+			m.version.Add(1)
 		}
+		return true
 	}
-	if bound > mn {
-		// Conflicts persisted through every retry; fall through to the
-		// slow path sooner next time.
-		m.spin.Store(bound - 1)
+	m.retreatAll(c)
+	// As in tryAcquire: our transient claims may have bounced concurrent
+	// scanners toward the slow path; their masks cover our slots, so
+	// targeted wakes suffice.
+	for _, s := range c.slots {
+		m.wake(s)
 	}
-	m.slowAcquire(c, log)
+	return false
 }
 
 // spinBound loads the adaptive retry count clamped into the current
@@ -990,42 +1020,6 @@ func (m *mechV2) spinBound() (bound, mn, mx int32) {
 	return bound, mn, mx
 }
 
-// slowAcquire serializes claim-and-scan through the internal lock and
-// sleeps on the waiter's own channel while conflicts persist. The waiter
-// is registered before its first scan under mu and stays registered
-// until it acquires, so a releaser that decrements after a failed scan
-// is guaranteed to find it in the registry.
-func (m *mechV2) slowAcquire(c *maskInfo, log []Acquisition) {
-	m.slow.Add(1)
-	w := m.getWaiter(c.words, log)
-	m.mu.Lock()
-	m.registerLocked(w)
-	for {
-		m.claim(c.selfSlot)
-		if !m.conflicts(c) {
-			if c.bump {
-				m.version.Add(1)
-			}
-			m.deregisterLocked(w)
-			m.mu.Unlock()
-			m.settleWait(w)
-			putWaiter(w)
-			return
-		}
-		m.retreat(c.selfSlot)
-		// Unlike tryAcquire's retreat, no signal is needed here: every
-		// slow-path scan runs under mu, so our transient claim was
-		// invisible to other slow scanners, and a fast-path scanner it
-		// bounced re-scans under mu on its own way into slowAcquire.
-		// (Signalling here would also let two same-slot waiters wake each
-		// other in a storm that starves the holder.)
-		m.waits.Add(1)
-		m.mu.Unlock()
-		<-w.ch
-		m.mu.Lock()
-	}
-}
-
 // stallSlot is one conflicting counter slot observed over its threshold
 // when a bounded acquisition gave up: the local slot index and the number
 // of holders beyond the acquirer's own transient claim.
@@ -1034,7 +1028,7 @@ type stallSlot struct {
 	count int32
 }
 
-// acqOutcome is the three-way result of a bounded acquisition: the mode
+// acqOutcome is the three-way result of the acquisition core: the scan
 // was acquired, patience ran out with a conflict still present, or the
 // caller's cancel channel closed first (a hedge won the race, a shutdown
 // began) and the waiter withdrew without claiming anything.
@@ -1048,7 +1042,7 @@ const (
 
 // conflictHolders collects every conflicting slot currently over its
 // threshold, with the count of other holders on each. The caller has
-// already claimed its own slot (thresholds account for that, as in
+// already claimed its own slots (thresholds account for that, as in
 // conflicts). An empty result means no conflict — the claim can stand.
 // This is the diagnostic twin of conflicts: it always walks the exact
 // flat slot list rather than the summary bitset, because it runs only on
@@ -1063,39 +1057,75 @@ func (m *mechV2) conflictHolders(c *maskInfo) []stallSlot {
 	return out
 }
 
-// acquireWithin is slowAcquire with bounded patience: it sleeps on the
-// waiter channel under a timer and gives up once patience is exhausted,
-// reporting the conflicting holder slots it last observed. On timeout it
-// makes one final claim-and-scan under mu — a release may have raced the
-// timer — so a reported stall is a real conflict observed at the moment
-// of giving up, never a stale one.
+// acquireSlow is the acquisition core: every acquisition whose first
+// attempt did not succeed — one mode or a batch, blocking or bounded,
+// logged or not — continues here.
 //
-// A nil cancel channel never fires (the select arm blocks forever), so
-// the plain bounded path pays only the extra select case. A closed
-// cancel withdraws immediately WITHOUT the final claim-and-scan: the
-// caller has explicitly renounced the lock (a hedge validated, a
-// shutdown began), so acquiring on a cleared conflict would hand it a
-// lock it must then release — worse than simply leaving.
-func (m *mechV2) acquireWithin(c *maskInfo, patience time.Duration, cancel <-chan struct{}, log []Acquisition) ([]stallSlot, acqOutcome) {
+// With spin set it first retries the lock-free claim-and-scan up to the
+// mechanism's adaptive bound (the first attempt happened in the caller,
+// before the bound was even loaded, so the uncontended path pays no
+// extra atomic load). Then it serializes claim-and-scan through the
+// internal lock and sleeps on the waiter's own channel while conflicts
+// persist. ONE waiter, registered with the scan's union conflict mask,
+// covers every constituent mode — the sequential prologue would
+// register (and wake, and deregister) up to one per mode. It registers
+// before its first scan under mu and stays registered until it leaves,
+// so a releaser that decrements after a failed scan is guaranteed to
+// find it in the registry.
+//
+// A blocking acquisition is patience Forever with a nil cancel: no timer
+// is armed and both extra select arms block forever, so the call can
+// only return acqOK. On timeout it makes one final claim-and-scan under
+// mu — a release may have raced the timer — so a reported stall is a
+// real conflict observed at the moment of giving up, never a stale one.
+// A closed cancel withdraws immediately WITHOUT the final
+// claim-and-scan: the caller has explicitly renounced the lock (a hedge
+// validated, a shutdown began), so acquiring on a cleared conflict would
+// hand it a lock it must then release — worse than simply leaving.
+func (m *mechV2) acquireSlow(c *maskInfo, spin bool, patience time.Duration, cancel <-chan struct{}, log []Acquisition) ([]stallSlot, acqOutcome) {
+	if spin {
+		bound, mn, mx := m.spinBound()
+		for attempt := int32(1); attempt < bound; attempt++ {
+			if m.tryScan(c) {
+				m.fastPath.Add(1)
+				if bound < mx {
+					// Retrying paid off; spend more retries next time.
+					m.spin.Store(bound + 1)
+				}
+				return nil, acqOK
+			}
+		}
+		if bound > mn {
+			// Conflicts persisted through every retry; fall through to
+			// the slow path sooner next time.
+			m.spin.Store(bound - 1)
+		}
+	}
 	m.slow.Add(1)
 	w := m.getWaiter(c.words, log)
-	timer := time.NewTimer(patience)
-	defer timer.Stop()
+	var expired <-chan time.Time
+	if patience != Forever {
+		timer := time.NewTimer(patience)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	var holders []stallSlot
+	out := acqOK
 	m.mu.Lock()
 	m.registerLocked(w)
+park:
 	for {
-		m.claim(c.selfSlot)
+		m.claimAll(c)
 		if !m.conflicts(c) {
-			if c.bump {
-				m.version.Add(1)
-			}
-			m.deregisterLocked(w)
-			m.mu.Unlock()
-			m.settleWait(w)
-			putWaiter(w)
-			return nil, acqOK
+			break
 		}
-		m.retreat(c.selfSlot)
+		m.retreatAll(c)
+		// Unlike tryScan's retreat, no signal is needed here: every
+		// slow-path scan runs under mu, so our transient claims were
+		// invisible to other slow scanners, and a fast-path scanner they
+		// bounced re-scans under mu on its own way in here. (Signalling
+		// here would also let two same-slot waiters wake each other in a
+		// storm that starves the holder.)
 		m.waits.Add(1)
 		m.mu.Unlock()
 		select {
@@ -1103,35 +1133,34 @@ func (m *mechV2) acquireWithin(c *maskInfo, patience time.Duration, cancel <-cha
 			m.mu.Lock()
 		case <-cancel:
 			m.mu.Lock()
-			m.withdrawLocked(w)
-			m.mu.Unlock()
-			m.settleWait(w)
-			putWaiter(w)
-			return nil, acqCanceled
-		case <-timer.C:
+			out = acqCanceled
+			break park
+		case <-expired:
 			m.mu.Lock()
-			m.claim(c.selfSlot)
-			holders := m.conflictHolders(c)
-			if len(holders) == 0 {
-				// The conflict cleared between the releaser's wake and the
-				// timer firing; the claim stands — acquired, not stalled.
-				if c.bump {
-					m.version.Add(1)
-				}
-				m.deregisterLocked(w)
-				m.mu.Unlock()
-				m.settleWait(w)
-				putWaiter(w)
-				return nil, acqOK
+			m.claimAll(c)
+			if holders = m.conflictHolders(c); len(holders) == 0 {
+				// The conflict cleared between the releaser's wake and
+				// the timer firing; the claim stands — acquired, not
+				// stalled.
+				break park
 			}
-			m.retreat(c.selfSlot)
-			m.withdrawLocked(w)
-			m.mu.Unlock()
-			m.settleWait(w)
-			putWaiter(w)
-			return holders, acqStalled
+			m.retreatAll(c)
+			out = acqStalled
+			break park
 		}
 	}
+	if out == acqOK {
+		if c.bump {
+			m.version.Add(1)
+		}
+		m.deregisterLocked(w)
+	} else {
+		m.withdrawLocked(w)
+	}
+	m.mu.Unlock()
+	m.settleWait(w)
+	putWaiter(w)
+	return holders, out
 }
 
 // withdrawLocked removes a waiter that is giving up (timeout or cancel):
@@ -1146,23 +1175,8 @@ func (m *mechV2) withdrawLocked(w *waiterV2) {
 	m.deregisterLocked(w)
 	select {
 	case <-w.ch:
-		m.redonateLocked(w.mask)
+		m.signalLocked(w.mask)
 	default:
-	}
-}
-
-// redonateLocked forwards an orphaned wake token to every remaining
-// waiter whose conflict mask overlaps the departing waiter's. Spurious
-// wakeups just re-scan and sleep again; a missed wakeup would strand a
-// waiter, so over-delivery is the safe direction. Callers hold mu.
-func (m *mechV2) redonateLocked(mask []wordMask) {
-	for _, wt := range m.waiters {
-		if masksOverlap(wt.mask, mask) {
-			select {
-			case wt.ch <- struct{}{}:
-			default: // token already pending; one is enough
-			}
-		}
 	}
 }
 
@@ -1189,23 +1203,24 @@ func (m *mechV2) wake(slot int32) {
 }
 
 func (m *mechV2) wakeSlow(slot int32) {
+	mask := [1]wordMask{{w: slot >> 6, bits: 1 << (uint(slot) & 63)}}
 	m.mu.Lock()
-	m.signalLocked(slot)
+	m.signalLocked(mask[:])
 	m.mu.Unlock()
 }
 
-// signalLocked sends a wake token to every registered waiter whose mask
-// covers slot. Callers hold mu.
-func (m *mechV2) signalLocked(slot int32) {
-	w, bit := slot>>6, uint64(1)<<(uint(slot)&63)
+// signalLocked sends a wake token to every registered waiter whose
+// conflict mask overlaps mask: the one slot a release freed, or the mask
+// of a departing waiter whose orphaned token is being forwarded.
+// Spurious wakeups just re-scan and sleep again; a missed wakeup would
+// strand a waiter, so over-delivery is the safe direction. Callers hold
+// mu.
+func (m *mechV2) signalLocked(mask []wordMask) {
 	for _, wt := range m.waiters {
-		for i := range wt.mask {
-			if wt.mask[i].w == w && wt.mask[i].bits&bit != 0 {
-				select {
-				case wt.ch <- struct{}{}:
-				default: // token already pending; one is enough
-				}
-				break
+		if masksOverlap(wt.mask, mask) {
+			select {
+			case wt.ch <- struct{}{}:
+			default: // token already pending; one is enough
 			}
 		}
 	}
@@ -1248,367 +1263,5 @@ func (m *mechV2) deregisterLocked(w *waiterV2) {
 			}
 		}
 		m.waitMask[wd].Store(bits)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Batched acquisition (fused prologues)
-// ---------------------------------------------------------------------
-
-// batchScan is the one-pass scan structure of a batched acquisition
-// within one mechanism: every counter slot the batch claims (duplicates
-// included, in claim order), the deduplicated own-claim count per slot,
-// the union of the constituents' conflict lists with thresholds raised
-// to the batch's own claim counts, and the union word bitset — used
-// both for summary scans and as the single waiter's conflict mask.
-type batchScan struct {
-	slots  []int32
-	claims []slotClaim
-	refs   []conflictRef
-	words  []wordMask
-
-	// bump: some constituent mode conflicts with something, so a
-	// successful batch acquisition must advance the mechanism's version
-	// counter (once — one batch is one acquisition event to validators).
-	bump bool
-}
-
-// slotClaim is the batch's claim count on one counter slot (several
-// constituent modes may share a slot after canonical-mode merging).
-type slotClaim struct {
-	slot  int32
-	count int32
-}
-
-func (b *batchScan) addClaim(slot int32) {
-	for i := range b.claims {
-		if b.claims[i].slot == slot {
-			b.claims[i].count++
-			return
-		}
-	}
-	b.claims = append(b.claims, slotClaim{slot: slot, count: 1})
-}
-
-// ownClaims returns how many claims the batch itself publishes on slot.
-// Linear over the claims — prologue batches hold a handful of modes.
-func (b *batchScan) ownClaims(slot int32) int32 {
-	for i := range b.claims {
-		if b.claims[i].slot == slot {
-			return b.claims[i].count
-		}
-	}
-	return 0
-}
-
-// ownClaimsInWord returns the batch's total claims on slots of word w —
-// its own contribution to the mechanism's summary counter of that word.
-func (b *batchScan) ownClaimsInWord(w int32) int32 {
-	var n int32
-	for i := range b.claims {
-		if b.claims[i].slot>>6 == w {
-			n += b.claims[i].count
-		}
-	}
-	return n
-}
-
-func (b *batchScan) addRef(slot int32) {
-	for i := range b.refs {
-		if int32(b.refs[i].slot) == slot {
-			return
-		}
-	}
-	b.refs = append(b.refs, conflictRef{slot: int(slot)})
-}
-
-// mergeWords ORs one mode's conflict word bitset into the union mask.
-func (b *batchScan) mergeWords(words []wordMask) {
-	for _, wm := range words {
-		merged := false
-		for i := range b.words {
-			if b.words[i].w == wm.w {
-				b.words[i].bits |= wm.bits
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			b.words = append(b.words, wm)
-		}
-	}
-}
-
-// batchScratch carries the per-call scratch of AcquireBatch: the modes
-// gathered per mechanism and the batch scan structure. Pooled so fused
-// prologues allocate nothing in steady state.
-type batchScratch struct {
-	modes []ModeID
-	b     batchScan
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// tryAcquireBatch publishes every claim of the batch, then scans the
-// union conflict structure once. The Dekker argument is unchanged from
-// the single-mode protocol, applied per constituent: every claim is
-// published before any scan, so of two conflicting acquirers at least
-// one observes the other.
-func (m *mechV2) tryAcquireBatch(b *batchScan) bool {
-	for _, s := range b.slots {
-		m.claim(s)
-	}
-	if !m.conflictsBatch(b) {
-		if b.bump {
-			m.version.Add(1)
-		}
-		return true
-	}
-	for _, s := range b.slots {
-		m.retreat(s)
-	}
-	// As in tryAcquire: our transient claims may have bounced concurrent
-	// scanners toward the slow path; their masks cover our slots, so
-	// targeted wakes suffice.
-	for i := range b.claims {
-		m.wake(b.claims[i].slot)
-	}
-	return false
-}
-
-// conflictsBatch is conflicts over the union structure: a slot blocks
-// the batch only past the batch's own claim count on it. The summary
-// skip condition generalizes the single-mode "s <= 1 on the self word":
-// a word whose summary does not exceed the batch's own claims on its
-// slots holds no foreign claims and is skipped with one load.
-func (m *mechV2) conflictsBatch(b *batchScan) bool {
-	if !m.scanSummary.Load() {
-		for _, r := range b.refs {
-			if m.counts[r.slot].Load() > r.threshold {
-				return true
-			}
-		}
-		return false
-	}
-	for i := range b.words {
-		wm := &b.words[i]
-		if m.summary[wm.w].Load() <= b.ownClaimsInWord(wm.w) {
-			continue
-		}
-		bs := wm.bits
-		base := wm.w << 6
-		for bs != 0 {
-			slot := base + int32(bits.TrailingZeros64(bs))
-			bs &= bs - 1
-			if m.counts[slot].Load() > b.ownClaims(slot) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// acquireBatchContended is acquireContended for a batch: bounded
-// adaptive retries sharing the mechanism's spin bound, then the
-// blocking slow path.
-func (m *mechV2) acquireBatchContended(b *batchScan, log []Acquisition) {
-	bound, mn, mx := m.spinBound()
-	for attempt := int32(1); attempt < bound; attempt++ {
-		if m.tryAcquireBatch(b) {
-			m.fastPath.Add(1)
-			if bound < mx {
-				m.spin.Store(bound + 1)
-			}
-			return
-		}
-	}
-	if bound > mn {
-		m.spin.Store(bound - 1)
-	}
-	m.slowAcquireBatch(b, log)
-}
-
-// slowAcquireBatch is slowAcquire for a batch: ONE waiter, registered
-// with the union conflict mask, covers every constituent mode — a
-// release on any conflicting slot wakes it, and it re-runs the whole
-// claim-and-scan under mu. This is the point of the fused slow path:
-// the sequential prologue would register (and wake, and deregister) up
-// to one waiter per mode.
-func (m *mechV2) slowAcquireBatch(b *batchScan, log []Acquisition) {
-	m.slow.Add(1)
-	w := m.getWaiter(b.words, log)
-	m.mu.Lock()
-	m.registerLocked(w)
-	for {
-		for _, s := range b.slots {
-			m.claim(s)
-		}
-		if !m.conflictsBatch(b) {
-			if b.bump {
-				m.version.Add(1)
-			}
-			m.deregisterLocked(w)
-			m.mu.Unlock()
-			m.settleWait(w)
-			putWaiter(w)
-			return
-		}
-		for _, s := range b.slots {
-			m.retreat(s)
-		}
-		// No signal after the retreat, for slowAcquire's reasons: the
-		// scan ran under mu, so no other slow scanner saw the transient
-		// claims.
-		m.waits.Add(1)
-		m.mu.Unlock()
-		<-w.ch
-		m.mu.Lock()
-	}
-}
-
-// ---------------------------------------------------------------------
-// Lock mechanism v1 (ablation A5)
-// ---------------------------------------------------------------------
-
-// mechanism is the original lock mechanism (Fig 20 as first built): an
-// unpadded atomic counter per locking mode plus an internal lock whose
-// condition variable broadcasts to every waiter on release. The
-// acquisition protocol is increment-then-scan (Dekker style): a thread
-// first makes its own claim visible, then scans the conflicting
-// counters; under sequential consistency two conflicting acquirers
-// cannot both miss each other, so at most the false-conflict case (both
-// back off and retry serialized by the internal lock) occurs. Kept
-// verbatim behind Semantic.DisableMechV2 so ablation A5 can quantify
-// what the v2 layout, summary scan, and targeted wakeups buy.
-type mechanism struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiters atomic.Int32
-	counts  []atomic.Int32
-
-	fastPath atomic.Uint64
-	slow     atomic.Uint64
-	waits    atomic.Uint64
-	stalls   atomic.Uint64
-}
-
-func (m *mechanism) init(nModes int) {
-	m.counts = make([]atomic.Int32, nModes)
-	m.cond = sync.NewCond(&m.mu)
-}
-
-// conflicts reports whether any conflicting counter exceeds its
-// threshold. The caller must already have incremented its own counter
-// (thresholds account for that).
-func (m *mechanism) conflicts(conf []conflictRef) bool {
-	for _, c := range conf {
-		if m.counts[c.slot].Load() > c.threshold {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *mechanism) tryAcquire(slot int, conf []conflictRef) bool {
-	m.counts[slot].Add(1)
-	if !m.conflicts(conf) {
-		return true
-	}
-	m.counts[slot].Add(-1)
-	m.wakeWaiters()
-	return false
-}
-
-func (m *mechanism) acquire(slot int, conf []conflictRef, noFastPath bool) {
-	if !noFastPath {
-		// Fast path (Fig 20 lines 3–4, adapted): claim, scan, retreat on
-		// conflict. A couple of bounded retries absorb transient claims
-		// by other threads that are themselves about to retreat.
-		for attempt := 0; attempt < 2; attempt++ {
-			if m.tryAcquire(slot, conf) {
-				m.fastPath.Add(1)
-				return
-			}
-		}
-	}
-	// Slow path: serialize claim-and-scan through the internal lock and
-	// sleep on the condition variable while conflicts persist. waiters is
-	// raised before the scan so that a releaser's decrement-then-check
-	// either is seen by our scan or sees our waiter registration.
-	m.slow.Add(1)
-	m.mu.Lock()
-	m.waiters.Add(1)
-	for {
-		m.counts[slot].Add(1)
-		if !m.conflicts(conf) {
-			m.waiters.Add(-1)
-			m.mu.Unlock()
-			return
-		}
-		m.counts[slot].Add(-1)
-		m.waits.Add(1)
-		m.cond.Wait()
-	}
-}
-
-func (m *mechanism) release(slot int) {
-	m.counts[slot].Add(-1)
-	m.wakeWaiters()
-}
-
-// wakeWaiters broadcasts if any waiter might be blocked. The waiter
-// increments waiters before re-scanning under mu, and we load waiters
-// after our decrement, so either the waiter's scan sees the decrement or
-// this load sees the waiter — a lost wakeup is impossible.
-func (m *mechanism) wakeWaiters() {
-	if m.waiters.Load() > 0 {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
-}
-
-// acquireWithin is the v1 bounded acquisition: a claim-scan-retreat poll
-// with exponential backoff until the deadline. The v1 mechanism's
-// broadcast condition variable has no per-waiter channel to arm a timer
-// on, so this ablation-only path polls instead of sleeping on the cond —
-// coarser than v2's timer-armed select, but it preserves the same
-// contract: acquired before the deadline, or a report of the conflicting
-// holder slots observed at the moment of giving up.
-func (m *mechanism) acquireWithin(slot int, conf []conflictRef, patience time.Duration, cancel <-chan struct{}) ([]stallSlot, acqOutcome) {
-	m.slow.Add(1)
-	deadline := time.Now().Add(patience)
-	backoff := 50 * time.Microsecond
-	for {
-		m.counts[slot].Add(1)
-		var out []stallSlot
-		for _, c := range conf {
-			if n := m.counts[c.slot].Load() - c.threshold; n > 0 {
-				out = append(out, stallSlot{slot: int32(c.slot), count: n})
-			}
-		}
-		if len(out) == 0 {
-			return nil, acqOK // the claim stands: acquired
-		}
-		m.counts[slot].Add(-1)
-		// Our transient claim may have bounced a concurrent scanner into
-		// the cond wait; the broadcast path is cheap when nobody waits.
-		m.wakeWaiters()
-		// The poll loop has no channel to select on, so cancellation is
-		// checked once per iteration — worst-case latency is one backoff
-		// step (≤1ms), acceptable for the ablation-only path.
-		select {
-		case <-cancel:
-			return nil, acqCanceled
-		default:
-		}
-		if !time.Now().Before(deadline) {
-			return out, acqStalled
-		}
-		m.waits.Add(1)
-		time.Sleep(backoff)
-		if backoff < time.Millisecond {
-			backoff *= 2
-		}
 	}
 }

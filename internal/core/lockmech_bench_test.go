@@ -9,8 +9,7 @@ import (
 // lock acquisition (fast path, slow path, wildcard conflict scan),
 // mechanism-level contention, and Txn bookkeeping. Run with
 // `go test -bench . ./internal/core`; CI smoke-runs them with
-// -benchtime 10x. The *V1 variants measure the pre-v2 mechanism
-// (ablation A5) for comparison.
+// -benchtime 10x.
 
 // benchTable mirrors mapTable for benchmarks (no *testing.T).
 func benchTable(n int) *ModeTable {
@@ -45,23 +44,10 @@ func BenchmarkSemanticAcquireFastPath(b *testing.B) {
 	}
 }
 
-func BenchmarkSemanticAcquireFastPathV1(b *testing.B) {
-	tbl := benchTable(64)
-	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
-	m := benchKeyMode(tbl, 7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Acquire(m)
-		s.Release(m)
-	}
-}
-
 // BenchmarkSemanticAcquirePartitioned is the fast path of the common
 // case after partitioning: a fine-grained-only class (no wildcard), so
 // each key mode lives in its own small mechanism with summaries
-// statically off — one RMW per claim, v1 parity plus padding.
+// statically off — one RMW per claim.
 func BenchmarkSemanticAcquirePartitioned(b *testing.B) {
 	keySet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
 	tbl := NewModeTable(mapSpec(), []SymSet{keySet}, TableOptions{Phi: NewPhi(64)})
@@ -75,39 +61,12 @@ func BenchmarkSemanticAcquirePartitioned(b *testing.B) {
 	}
 }
 
-func BenchmarkSemanticAcquirePartitionedV1(b *testing.B) {
-	keySet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
-	tbl := NewModeTable(mapSpec(), []SymSet{keySet}, TableOptions{Phi: NewPhi(64)})
-	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
-	m := tbl.Set(keySet).Mode(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Acquire(m)
-		s.Release(m)
-	}
-}
-
 // BenchmarkSemanticAcquireWildcard acquires the size mode, whose
-// conflict list covers all 64 per-bucket put slots: the v1 mechanism
-// scans 64 counters per acquisition, v2 scans the word summaries.
+// conflict list covers all 64 per-bucket put slots: an exact scan
+// would load 64 counters per acquisition, the word summaries two.
 func BenchmarkSemanticAcquireWildcard(b *testing.B) {
 	tbl := benchTable(64)
 	s := NewSemantic(tbl)
-	m := benchSizeMode(tbl)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Acquire(m)
-		s.Release(m)
-	}
-}
-
-func BenchmarkSemanticAcquireWildcardV1(b *testing.B) {
-	tbl := benchTable(64)
-	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
 	m := benchSizeMode(tbl)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -135,21 +94,16 @@ func BenchmarkSemanticAcquireSlowPath(b *testing.B) {
 // BenchmarkMechanismContended mixes self-conflicting same-bucket
 // acquisitions from parallel goroutines — the blocking/wakeup path.
 func BenchmarkMechanismContended(b *testing.B) {
-	for _, mech := range []string{"v2", "v1"} {
-		b.Run(mech, func(b *testing.B) {
-			tbl := benchTable(4)
-			s := NewSemantic(tbl)
-			s.DisableMechV2 = mech == "v1"
-			m := benchKeyMode(tbl, 1)
-			b.SetParallelism(4)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					s.Acquire(m)
-					s.Release(m)
-				}
-			})
-		})
-	}
+	tbl := benchTable(4)
+	s := NewSemantic(tbl)
+	m := benchKeyMode(tbl, 1)
+	b.SetParallelism(4)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			s.Acquire(m)
+			s.Release(m)
+		}
+	})
 }
 
 // BenchmarkTxnLockUnlockAll is a whole-transaction lock cycle over 8

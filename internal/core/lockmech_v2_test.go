@@ -12,8 +12,7 @@ import (
 
 // Tests specific to lock mechanism v2: the padded-counter layout, the
 // summary-based conflict scan, the targeted-wakeup waiter registry, and
-// the adaptive fast-path bound — plus parity runs of the exclusion
-// tests against the v1 mechanism (ablation A5).
+// the adaptive fast-path bound.
 
 // TestMechV2CounterLayout asserts the property padding exists for: each
 // mode counter occupies its own cache line.
@@ -112,7 +111,7 @@ func TestMechV2SummaryOff(t *testing.T) {
 
 // TestTargetedWakeup is the regression test for the per-slot wait-list
 // path: holders pin N disjoint buckets, one waiter blocks per bucket,
-// and releasing one bucket must wake only that bucket's waiter. The v1
+// and releasing one bucket must wake only that bucket's waiter. A
 // broadcast would bounce every waiter through an extra failed scan,
 // which is observable as extra LockStats.Waits.
 func TestTargetedWakeup(t *testing.T) {
@@ -259,64 +258,6 @@ func TestAdaptiveSpinBounds(t *testing.T) {
 			t.Errorf("mech %d spin bound %d outside [%d,%d]", i, b, minSpin, maxSpin)
 		}
 	}
-}
-
-// TestMechV1MutualExclusion re-runs the conflicting-mode exclusion test
-// against the v1 mechanism (ablation A5), which must stay correct.
-func TestMechV1MutualExclusion(t *testing.T) {
-	tbl := mapTable(t, 1, TableOptions{})
-	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
-	km, sm := keyMode(tbl, 7), sizeMode(tbl)
-	var inside, violations atomic.Int32
-	var wg sync.WaitGroup
-	for _, m := range []ModeID{km, sm} {
-		wg.Add(1)
-		go func(m ModeID) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				s.Acquire(m)
-				if inside.Add(1) != 1 {
-					violations.Add(1)
-				}
-				inside.Add(-1)
-				s.Release(m)
-			}
-		}(m)
-	}
-	wg.Wait()
-	if v := violations.Load(); v != 0 {
-		t.Errorf("%d mutual-exclusion violations under DisableMechV2", v)
-	}
-	if st := s.Stats(); st.FastPath+st.Slow == 0 {
-		t.Error("v1 mechanism recorded no acquisitions")
-	}
-}
-
-// TestMechV1Wakeup: blocking and wakeup through the v1 broadcast path.
-func TestMechV1Wakeup(t *testing.T) {
-	tbl := mapTable(t, 1, TableOptions{})
-	s := NewSemantic(tbl)
-	s.DisableMechV2 = true
-	km, sm := keyMode(tbl, 7), sizeMode(tbl)
-	s.Acquire(km)
-	acquired := make(chan struct{})
-	go func() {
-		s.Acquire(sm)
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("conflicting acquire did not block")
-	case <-time.After(50 * time.Millisecond):
-	}
-	s.Release(km)
-	select {
-	case <-acquired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("v1 waiter never woke")
-	}
-	s.Release(sm)
 }
 
 // TestDisableFastPathV2: ablation A4 on top of v2 still excludes.

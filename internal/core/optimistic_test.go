@@ -116,15 +116,6 @@ func TestVersionBumpsOnConflictingAcquireOnly(t *testing.T) {
 	e.sem.Release(w)
 }
 
-func TestOptimisticV1MechanismFallsBack(t *testing.T) {
-	e := newOptTestEnv(t)
-	e.sem.DisableMechV2 = true
-	tx := NewTxn()
-	if e.tryRead(tx, 3) {
-		t.Fatal("optimistic read succeeded on the version-less v1 mechanism")
-	}
-}
-
 // TestOptimisticGateDisablesAndProbes drives the windowed failure gate:
 // a window of validation failures — bodies that ran to completion but
 // were invalidated by an in-window conflicting acquire — must disable

@@ -36,7 +36,7 @@ type HolderSlot struct {
 type StallError struct {
 	Instance uint64        // unique id of the Semantic instance (the paper's unique(x))
 	Class    string        // ADT class name of the instance's spec
-	Mode     string        // the mode whose acquisition stalled
+	Mode     string        // the mode whose acquisition stalled ("a+b" for a batched group)
 	Waited   time.Duration // how long the acquirer waited before giving up
 	Holders  []HolderSlot  // conflicting slots with holders at timeout
 	Log      []Acquisition // the blocked transaction's acquisition log, when known
@@ -72,6 +72,13 @@ var ErrCanceled = errors.New("core: bounded acquisition canceled")
 // deregistered, its transient claim retreated, and any wake token a
 // racing release donated is forwarded to the remaining waiters.
 // Callers use Txn.LockWithin rather than calling this directly.
+//
+// Bounded and blocking acquisitions share one core (mechV2.acquireSlow),
+// so a bounded call whose first attempt fails takes the same adaptive
+// lock-free retry ladder a blocking one does before it parks; earlier
+// versions parked after a single attempt. The guarantee that a reported
+// stall is a conflict observed by a final claim-and-scan under the
+// mechanism's lock at the moment of giving up is unchanged.
 func (s *Semantic) AcquireWithin(m ModeID, patience time.Duration) error {
 	return s.acquireWithin(m, patience, nil, nil)
 }
@@ -86,47 +93,18 @@ func (s *Semantic) AcquireWithinCancel(m ModeID, patience time.Duration, cancel 
 	return s.acquireWithin(m, patience, cancel, nil)
 }
 
-func (s *Semantic) acquireWithin(m ModeID, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
-	p := s.table.part[m]
-	if p < 0 {
-		return nil
-	}
-	start := time.Now()
-	if s.DisableMechV2 {
-		holders, out := s.v1[p].acquireWithin(s.table.localIdx[m], s.table.conflict[m], patience, cancel)
-		switch out {
-		case acqOK:
-			return nil
-		case acqCanceled:
-			return ErrCanceled
-		}
-		s.v1[p].stalls.Add(1)
-		return s.stallError(m, p, holders, time.Since(start), log)
-	}
-	mech := &s.mechs[p]
-	c := &s.table.masks[m]
-	if !s.DisableFastPath && mech.tryAcquire(c) {
-		mech.fastPath.Add(1)
-		return nil
-	}
-	holders, out := mech.acquireWithin(c, patience, cancel, log)
-	switch out {
-	case acqOK:
-		return nil
-	case acqCanceled:
-		return ErrCanceled
-	}
-	mech.stalls.Add(1)
-	return s.stallError(m, p, holders, time.Since(start), log)
-}
-
 // stallError assembles the structured report for a timed-out
-// acquisition, resolving local counter slots back to mode names.
-func (s *Semantic) stallError(m ModeID, p int, holders []stallSlot, waited time.Duration, log []Acquisition) error {
+// acquisition of ms (one mode, or the modes of one batched mechanism
+// group), resolving local counter slots back to mode names.
+func (s *Semantic) stallError(ms []ModeID, p int, holders []stallSlot, waited time.Duration, log []Acquisition) error {
+	names := make([]string, len(ms))
+	for i, m := range ms {
+		names[i] = fmt.Sprint(s.table.Mode(m))
+	}
 	e := &StallError{
 		Instance: s.id,
 		Class:    s.table.Spec.ADT,
-		Mode:     fmt.Sprint(s.table.Mode(m)),
+		Mode:     strings.Join(names, "+"),
 		Waited:   waited,
 	}
 	for _, h := range holders {
@@ -161,8 +139,9 @@ func (s *Semantic) stallError(m ModeID, p int, holders []stallSlot, waited time.
 type StallSource uint8
 
 const (
-	// StallTimeout: an AcquireWithin/LockWithin call gave up. Exactly one
-	// event per timed-out acquisition; Waited is the patience actually
+	// StallTimeout: an AcquireWithin/LockWithin/LockBatchWithin call gave
+	// up. Exactly one event per timed-out acquisition (per stalled
+	// mechanism group for a batch); Waited is the patience actually
 	// spent, Waiters is 1.
 	StallTimeout StallSource = iota
 	// StallWatchdog: a Watchdog scan found a mechanism with waiters
@@ -239,17 +218,14 @@ func (t *ModeTable) modeNameOfSlot(p, slot int) string {
 // ---------------------------------------------------------------------
 
 // OutstandingHolds returns the total holder count currently recorded
-// across the instance's mechanisms (both generations). Zero on a
-// quiescent instance; a persistent nonzero value after all transactions
-// have drained means locks leaked.
+// across the instance's mechanisms. Zero on a quiescent instance; a
+// persistent nonzero value after all transactions have drained means
+// locks leaked.
 func (s *Semantic) OutstandingHolds() int64 {
 	var n int64
 	for i := range s.mechs {
 		for j := range s.mechs[i].counts {
 			n += int64(s.mechs[i].counts[j].Load())
-		}
-		for j := range s.v1[i].counts {
-			n += int64(s.v1[i].counts[j].Load())
 		}
 	}
 	return n
@@ -282,15 +258,6 @@ func (s *Semantic) CheckQuiesced() error {
 		for j := range m.waitMask {
 			if bits := m.waitMask[j].Load(); bits != 0 {
 				return fmt.Errorf("core: instance %d mech %d word %d: waitMask %#x, want 0", s.id, p, j, bits)
-			}
-		}
-		v1 := &s.v1[p]
-		if w := v1.waiters.Load(); w != 0 {
-			return fmt.Errorf("core: instance %d v1 mech %d: %d waiter(s) still registered", s.id, p, w)
-		}
-		for j := range v1.counts {
-			if c := v1.counts[j].Load(); c != 0 {
-				return fmt.Errorf("core: instance %d v1 mech %d slot %d: count %d, want 0", s.id, p, j, c)
 			}
 		}
 	}

@@ -152,15 +152,6 @@ func (s *Semantic) SetOptGateParams(p OptGateParams) {
 	s.optParams.Store(packOptGate(p.clamp()))
 }
 
-// OptimisticOpen reports whether the adaptive gate currently admits
-// optimistic execution (no probe countdown in progress). Advisory: the
-// state may change between this call and the next observation. Callers
-// use it to pick a refusal strategy — an Observe refused under an open
-// gate saw a transient conflicting holder and may be worth retrying
-// after a backoff, while one refused by a closed gate should fall back
-// to the pessimistic prologue immediately.
-func (s *Semantic) OptimisticOpen() bool { return s.optGate.Load() == 0 }
-
 // OptGateParamsNow returns the currently applied gate parameters.
 func (s *Semantic) OptGateParamsNow() OptGateParams {
 	return unpackOptGate(s.optParams.Load())

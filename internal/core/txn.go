@@ -165,8 +165,8 @@ func (t *Txn) Holds(s *Semantic) bool {
 	return false
 }
 
-// preLock runs the pre-acquisition checks shared by Lock, LockWithin
-// and LockBatch: the LOCAL_SET membership test (nothing to do when the
+// preLock runs the pre-acquisition checks shared by every Lock variant:
+// the LOCAL_SET membership test (nothing to do when the
 // instance is nil or already held), the two-phase rule, and — for
 // checked transactions — the OS2PL ordering assertion. It reports
 // whether the caller should proceed to acquire. The panic formatting
@@ -201,10 +201,9 @@ func (t *Txn) Lock(s *Semantic, m ModeID, rank int) {
 	if !t.preLock(s, rank) {
 		return
 	}
-	// acquireLogged rather than Acquire so a blocked acquisition exposes
-	// this transaction's log to the stall watchdog (nil for unchecked
-	// transactions — identical to Acquire then).
-	s.acquireLogged(m, t.log)
+	// The transaction's log rides along so a blocked acquisition exposes
+	// it to the stall watchdog (nil for unchecked transactions).
+	s.acquire(m, t.log)
 	t.recordHeld(s, m, rank)
 }
 
@@ -215,14 +214,7 @@ func (t *Txn) Lock(s *Semantic, m ModeID, rank int) {
 // transaction exactly as it was — nothing acquired, nothing recorded —
 // so the caller may retry, release and restart, or surface the error.
 func (t *Txn) LockWithin(s *Semantic, m ModeID, rank int, patience time.Duration) error {
-	if !t.preLock(s, rank) {
-		return nil
-	}
-	if err := s.acquireWithin(m, patience, nil, t.log); err != nil {
-		return err
-	}
-	t.recordHeld(s, m, rank)
-	return nil
+	return t.LockWithinCancel(s, m, rank, patience, nil)
 }
 
 // LockWithinCancel is LockWithin with an additional cancellation
@@ -267,6 +259,21 @@ type BatchLock struct {
 // instances still acquire one at a time — blocking mid-prologue with
 // earlier locks held is precisely what OS2PL makes safe.
 func (t *Txn) LockBatch(locks ...BatchLock) {
+	// Forever cannot time out: there is no error to handle.
+	_ = t.lockBatch(locks, Forever)
+}
+
+// LockBatchWithin is LockBatch with bounded patience, applied to each
+// instance group in turn: it returns nil once every constituent is
+// held, or the *StallError of the first group whose wait timed out.
+// That group leaves no claim, no registered waiter and no recorded
+// hold; the groups acquired before it stay held for the section's
+// epilogue, exactly as the locks taken before a timed-out LockWithin do.
+func (t *Txn) LockBatchWithin(patience time.Duration, locks ...BatchLock) error {
+	return t.lockBatch(locks, patience)
+}
+
+func (t *Txn) lockBatch(locks []BatchLock, patience time.Duration) error {
 	// Insertion sort by (rank, id): prologue batches are small (a
 	// handful of entries), and the slice is typically already sorted —
 	// codegen emits rank groups in ascending rank order.
@@ -290,8 +297,9 @@ func (t *Txn) LockBatch(locks ...BatchLock) {
 			i = j
 			continue
 		}
+		var err error
 		if j-i == 1 {
-			s.acquireLogged(locks[i].Mode, t.log)
+			err = s.acquireWithin(locks[i].Mode, patience, nil, t.log)
 		} else {
 			// Several modes destined for the same instance: claim them
 			// all in one pass over the mechanism's counter arrays.
@@ -299,13 +307,17 @@ func (t *Txn) LockBatch(locks ...BatchLock) {
 			for k := i; k < j; k++ {
 				t.batchModes = append(t.batchModes, locks[k].Mode)
 			}
-			s.acquireBatchLogged(t.batchModes, t.log)
+			err = s.acquireBatch(t.batchModes, patience, nil, t.log)
+		}
+		if err != nil {
+			return err
 		}
 		for k := i; k < j; k++ {
 			t.recordHeld(s, locks[k].Mode, locks[k].Rank)
 		}
 		i = j
 	}
+	return nil
 }
 
 // batchLess orders batch entries by (rank, instance id); nil instances
@@ -387,9 +399,8 @@ func (t *Txn) LockOrdered(rank int, m ModeID, ss ...*Semantic) {
 // validation. Mirroring Lock's LV semantics, a nil instance and a
 // re-observation of an already-observed instance are no-ops. Observe
 // reports whether the observation is admissible; false — a conflicting
-// holder is visible, the instance's adaptive gate currently refuses
-// optimistic execution, or the instance runs the version-less v1
-// mechanism (DisableMechV2) — means the body should give up and let
+// holder is visible, or the instance's adaptive gate currently refuses
+// optimistic execution — means the body should give up and let
 // TryOptimistic fail over to the pessimistic prologue.
 func (t *Txn) Observe(s *Semantic, m ModeID, rank int) bool {
 	if !t.optActive {

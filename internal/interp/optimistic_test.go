@@ -3,6 +3,7 @@ package interp_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adtspecs"
 	"repro/internal/core"
@@ -83,19 +84,41 @@ func TestOptimisticInterpCommits(t *testing.T) {
 	}
 }
 
-// TestOptimisticInterpFallsBack: with the v1 lock mechanism (no version
-// counters) observation always refuses, so the interpreter runs the
-// pessimistic fallback — same answer, refusal counted, no hit.
+// TestOptimisticInterpFallsBack: while a conflicting update holds its
+// lock the observation refuses, so the interpreter runs the pessimistic
+// fallback — same answer, refusal counted, no hit.
 func TestOptimisticInterpFallsBack(t *testing.T) {
 	e := buildOccExec(t)
 	m := e.NewInstance("Map", "Map")
-	m.Sem.DisableMechV2 = true
 
-	if err := e.Run(1, map[string]core.Value{"m": m, "k": 7, "x": 11}); err != nil {
+	// The update section parks inside its hook, after the put and with
+	// its lock still held, until the lookup's refusal has been counted.
+	inside, release := make(chan struct{}), make(chan struct{})
+	updated := make(chan error, 1)
+	go func() {
+		updated <- e.RunWithHook(1, map[string]core.Value{"m": m, "k": 7, "x": 11},
+			func(uint64, core.Op, core.Value) {
+				close(inside)
+				<-release
+			})
+	}()
+	<-inside
+
+	env := map[string]core.Value{"m": m, "k": 7, "v": nil}
+	looked := make(chan error, 1)
+	go func() { looked <- e.Run(0, env) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Sem.Stats().OptimisticRefusals == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("lookup never refused: %+v", m.Sem.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-updated; err != nil {
 		t.Fatal(err)
 	}
-	env := map[string]core.Value{"m": m, "k": 7, "v": nil}
-	if err := e.Run(0, env); err != nil {
+	if err := <-looked; err != nil {
 		t.Fatal(err)
 	}
 	if env["v"] != 11 {
@@ -103,13 +126,10 @@ func TestOptimisticInterpFallsBack(t *testing.T) {
 	}
 	st := m.Sem.Stats()
 	if st.OptimisticHits != 0 {
-		t.Errorf("OptimisticHits = %d under the v1 mechanism", st.OptimisticHits)
-	}
-	if st.OptimisticRefusals == 0 {
-		t.Errorf("OptimisticRefusals = 0; the refused observation should count")
+		t.Errorf("OptimisticHits = %d for a refused observation", st.OptimisticHits)
 	}
 	if st.OptimisticRetries != 0 {
-		t.Errorf("OptimisticRetries = %d; a version-less refusal runs no body, so nothing is retried", st.OptimisticRetries)
+		t.Errorf("OptimisticRetries = %d; a refusal runs no body, so nothing is retried", st.OptimisticRetries)
 	}
 }
 

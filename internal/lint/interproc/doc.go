@@ -19,7 +19,7 @@
 //     only escape hatch.
 //
 //   - rankorder: extracts the static rank argument of every hand-written
-//     Txn.Lock / LockWithin / LockOrdered / LockBatch / Observe site
+//     Txn.Lock / LockWithin / LockOrdered / LockBatch(Within) / Observe site
 //     (and the cc.TwoPL baseline's ordered instance locks), builds the
 //     program-wide lock-order graph over those rank symbols — splicing
 //     the acquisition sequences of helpers that receive the transaction

@@ -527,7 +527,7 @@ func isTryOptimistic(pkg *lint.Package, call *ast.CallExpr) bool {
 // guard method sets, keyed by receiver type.
 var (
 	txnGuardMethods = map[string]bool{
-		"Lock": true, "LockWithin": true, "LockBatch": true,
+		"Lock": true, "LockWithin": true, "LockBatch": true, "LockBatchWithin": true,
 		"LockOrdered": true, "Observe": true,
 	}
 	semGuardMethods = map[string]bool{"Acquire": true, "TryAcquire": true}

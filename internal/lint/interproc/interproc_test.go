@@ -131,8 +131,9 @@ func TestGuardedBy(t *testing.T) {
 	}
 }
 
-// TestRankOrder: one constant inversion, the two seeded cycles (one of
-// them interprocedural through the lockY splice), and nothing else.
+// TestRankOrder: two constant inversions (one through LockBatchWithin),
+// the two seeded cycles (one of them interprocedural through the lockY
+// splice), and nothing else.
 func TestRankOrder(t *testing.T) {
 	pkg := loadFixture(t, "repro/tdata", "rankorder.go")
 	diags := lint.RunProgram([]*lint.Package{pkg}, []*lint.ProgramAnalyzer{RankOrder})
@@ -143,6 +144,10 @@ func TestRankOrder(t *testing.T) {
 	}
 	if len(inv.Witness) != 2 || !strings.Contains(witnessText(inv), "acquired first") {
 		t.Errorf("inversion witness should show both sites, got:\n%s", witnessText(inv))
+	}
+
+	if findDiag(diags, "rank 3 acquired after rank 4") == nil {
+		t.Errorf("no inversion finding for the LockBatchWithin site; got %v", diags)
 	}
 
 	var cycles []*lint.Diagnostic
@@ -170,8 +175,8 @@ func TestRankOrder(t *testing.T) {
 		t.Errorf("grid cycle witness should cross the lockY splice, got:\n%s", witnessText(gridCyc))
 	}
 
-	if len(diags) != 3 {
-		t.Errorf("want exactly 3 findings, got %d: %v", len(diags), diags)
+	if len(diags) != 4 {
+		t.Errorf("want exactly 4 findings, got %d: %v", len(diags), diags)
 	}
 
 	// The branch arms of Pick/PickRev and the TwoPL baseline order must

@@ -12,7 +12,7 @@ import (
 )
 
 // RankOrder proves the program-wide lock-order graph acyclic. Every
-// hand-written Txn.Lock / LockWithin / LockOrdered / LockBatch /
+// hand-written Txn.Lock / LockWithin / LockOrdered / LockBatch(Within) /
 // Observe site contributes its static rank argument as a node; two
 // acquisitions on the same transaction in source order contribute an
 // edge (earlier → later), with helper functions that receive the
@@ -128,7 +128,7 @@ func (s *scanner) recordRankEvents(call *ast.CallExpr, ctx *guardCtx) {
 			if len(call.Args) >= 1 {
 				s.emit(ctx, &rankLock{syms: []rankSym{s.symOf(call.Args[0])}, pos: call.Pos()})
 			}
-		case "LockBatch":
+		case "LockBatch", "LockBatchWithin": // the patience argument is no BatchLock literal and is skipped
 			var group []rankSym
 			for _, a := range call.Args {
 				lit := compositeOf(a)

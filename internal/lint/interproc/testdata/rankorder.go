@@ -5,6 +5,8 @@
 package tdata
 
 import (
+	"time"
+
 	"repro/internal/cc"
 	"repro/internal/core"
 )
@@ -37,6 +39,17 @@ func Shrink(a, b *core.Semantic) {
 		tx.Lock(a, core.ModeID(0), 2)
 		tx.Lock(b, core.ModeID(0), 1) // want "rank 1 acquired after rank 2"
 	})
+}
+
+// ShrinkBatch is the same inversion through the bounded fused
+// prologue: LockBatchWithin's entries carry ranks like LockBatch's.
+func ShrinkBatch(a, b *core.Semantic) error {
+	var err error
+	core.Atomically(func(tx *core.Txn) {
+		tx.Lock(a, core.ModeID(0), 4)
+		err = tx.LockBatchWithin(time.Millisecond, core.BatchLock{Sem: b, Rank: 3}) // want "rank 3 acquired after rank 4"
+	})
+	return err
 }
 
 type grid struct {

@@ -34,8 +34,9 @@
 //     asserts it only observes its ADTs (the optimistic-envelope
 //     eligibility property); mutator calls or stores to package-level
 //     state inside such a section break the assertion silently.
-//   - retrypath: a bounded acquisition (LockWithin / AcquireWithin and
-//     their Cancel variants) signals stalls through its error; a
+//   - retrypath: a bounded acquisition (LockWithin / AcquireWithin,
+//     their Cancel variants, and LockBatchWithin) signals stalls through
+//     its error; a
 //     discarded error proceeds without the lock, and an unbounded
 //     `for {}` retry without a resilience budget turns one stall into
 //     a retry storm.

@@ -19,6 +19,10 @@ func discardedCancelVariant(tx *core.Txn, sem *core.Semantic, m core.ModeID, can
 	tx.LockWithinCancel(sem, m, 0, time.Millisecond, cancel) // want "error discarded"
 }
 
+func discardedBatchVariant(tx *core.Txn, sem *core.Semantic, m core.ModeID) {
+	tx.LockBatchWithin(time.Millisecond, core.BatchLock{Sem: sem, Mode: m}) // want "error discarded"
+}
+
 func discardedRawAcquire(sem *core.Semantic, m core.ModeID) {
 	sem.AcquireWithin(m, time.Millisecond) // want "error discarded"
 	sem.Release(m)                         // fixture: release to keep the snippet self-consistent

@@ -206,9 +206,10 @@ func (c *conn) process(reqs []wire.Req, resp []byte) []byte {
 }
 
 // unicastRun routes a pipelined run of unicasts through the fused
-// LockBatch prologue. Under a policy the whole run is admitted or
-// refused as one unit — a shed answers every frame in the run with the
-// same error code, before any lock is touched.
+// LockBatch prologue. Under a policy the whole run succeeds or fails as
+// one unit: a shed (before any lock is touched) or a prologue that
+// stalled past the policy's patience (before any send) answers every
+// frame in the run with the same error code.
 func (c *conn) unicastRun(run []wire.Req, resp []byte) []byte {
 	c.sendReqs = c.sendReqs[:0]
 	for i := range run {

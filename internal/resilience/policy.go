@@ -14,7 +14,8 @@ import (
 // hedging, making HedgedRead run its pessimistic side directly.
 type Config struct {
 	// Patience bounds each individual lock acquisition (Acquire /
-	// AcquireCancel use LockWithin with this patience). Default 500µs.
+	// AcquireCancel use LockWithin with this patience, AcquireBatch
+	// LockBatchWithin). Default 500µs.
 	Patience time.Duration
 	// Retries caps the number of budgeted re-attempts after a stalled
 	// section, on top of the initial attempt. Default 1; negative means
@@ -49,8 +50,8 @@ func DefaultConfig() Config {
 
 // Policy bundles the enabled components for one traffic class and is
 // the object applications hold: Run wraps a whole section in
-// gate→breaker→budgeted-retry, Acquire/AcquireCancel are the bounded
-// per-lock calls inside a section, and HedgedRead (free function —
+// gate→breaker→budgeted-retry, Acquire/AcquireCancel/AcquireBatch are
+// the bounded per-lock calls inside a section, and HedgedRead (free function —
 // methods cannot be generic) is the read race.
 type Policy struct {
 	name    string
@@ -92,6 +93,10 @@ func New(name string, cfg Config) *Policy {
 // Name returns the policy's telemetry key.
 func (p *Policy) Name() string { return p.name }
 
+// Patience returns the bound the policy puts on each lock acquisition,
+// for section bodies that pass it to the core's bounded calls directly.
+func (p *Policy) Patience() time.Duration { return p.cfg.Patience }
+
 // Breaker returns the policy's breaker, nil if disabled.
 func (p *Policy) Breaker() *Breaker { return p.breaker }
 
@@ -113,6 +118,12 @@ func (p *Policy) Acquire(tx *core.Txn, s *core.Semantic, m core.ModeID, rank int
 // pessimistic side of a hedged read.
 func (p *Policy) AcquireCancel(tx *core.Txn, s *core.Semantic, m core.ModeID, rank int, cancel <-chan struct{}) error {
 	return tx.LockWithinCancel(s, m, rank, p.cfg.Patience, cancel)
+}
+
+// AcquireBatch is Acquire for a fused prologue: LockBatchWithin with the
+// policy's patience applied to each instance group.
+func (p *Policy) AcquireBatch(tx *core.Txn, locks ...core.BatchLock) error {
+	return tx.LockBatchWithin(p.cfg.Patience, locks...)
 }
 
 // Retryable reports whether err is a stall — the one failure class the
