@@ -50,7 +50,7 @@ var schemas = map[string]schema{
 		criteria: []string{
 			"gossip_fused_over_sequential_T8plus",
 			"intruder_fused_over_sequential_T2plus",
-			"mode_memo_allocs_per_op",
+			"mode_setref_allocs_per_op",
 			"unwatched_over_watched_ns_ratio",
 		},
 	},

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
 )
 
 func TestHashMapBasics(t *testing.T) {
@@ -346,5 +348,81 @@ func TestList(t *testing.T) {
 	}
 	if l.Get(0) != "z" || l.Get(1) != "b" || l.Get(-1) != nil {
 		t.Error("Get wrong")
+	}
+}
+
+// TestHashMapRangeOccupancy: Range visits occupied stripes only, so
+// under concurrent Put/Remove it must still never miss a key present
+// for the whole range and never yield one whose removal completed
+// before the range began; once writers stop, the occupancy bitmap names
+// exactly the non-empty stripes. Run under -race.
+func TestHashMapRangeOccupancy(t *testing.T) {
+	m := NewHashMap()
+	const stable, churn = 24, 200
+	for k := 0; k < stable; k++ {
+		m.Put(k, k)
+	}
+	stop := make(chan struct{})
+	var writers, rangers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := stable + (i*4+w)%churn // keys of w's residue class only
+				m.Put(k, k)
+				m.Remove(k)
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		rangers.Add(1)
+		go func(r int) {
+			defer rangers.Done()
+			for i := 0; i < 500; i++ {
+				gone := stable + churn + r // this ranger's own key
+				m.Put(gone, gone)
+				m.Remove(gone)
+				seen := 0
+				m.Range(func(k, _ core.Value) bool {
+					switch n := k.(int); {
+					case n < stable:
+						seen++
+					case n == gone:
+						t.Errorf("Range yielded key %d, removed before the range began", n)
+					}
+					return true
+				})
+				if seen != stable {
+					t.Errorf("Range saw %d of the %d keys present throughout", seen, stable)
+					return
+				}
+			}
+		}(r)
+	}
+	rangers.Wait()
+	close(stop)
+	writers.Wait()
+
+	var want uint64
+	for i := range m.shards {
+		if len(m.shards[i].m) != 0 {
+			want |= 1 << i
+		}
+	}
+	if got := m.occupied.Load(); got != want {
+		t.Errorf("occupied = %#x, non-empty stripes = %#x", got, want)
+	}
+	if got := len(m.Values()); got != stable || m.Size() != stable {
+		t.Errorf("after churn: %d values, Size %d, want %d", got, m.Size(), stable)
+	}
+	m.Clear()
+	if m.occupied.Load() != 0 || m.Size() != 0 || len(m.Values()) != 0 {
+		t.Errorf("after Clear: occupied %#x, Size %d", m.occupied.Load(), m.Size())
 	}
 }

@@ -12,13 +12,15 @@
 package adt
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 )
 
-// numShards is the stripe count of the keyed containers.
+// numShards is the stripe count of the keyed containers. HashMap keeps
+// one occupancy bit per stripe in a uint64, so it cannot exceed 64.
 const numShards = 64
 
 // shardIndex buckets a key into a stripe using the same 64-bit mixer as
@@ -37,6 +39,14 @@ type mapShard struct {
 type HashMap struct {
 	shards [numShards]mapShard
 	size   atomic.Int64
+
+	// occupied has bit i set while stripe i holds a binding. A bit is
+	// flipped only under its stripe's mutex, on the empty↔non-empty
+	// transition, so a clear bit read without the mutex is one observed
+	// moment at which the stripe was empty. The whole-map walks (Range
+	// and what is built on it, Clear) visit set bits only: a small map
+	// costs a lock per occupied stripe, not per stripe.
+	occupied atomic.Uint64
 }
 
 // NewHashMap creates an empty map.
@@ -66,12 +76,42 @@ func (h *HashMap) ContainsKey(k core.Value) bool {
 	return ok
 }
 
+// setOccupied flips stripe i's occupancy bit. The caller holds the
+// stripe's mutex; the loop only ever retries against other stripes'
+// flips.
+func (h *HashMap) setOccupied(i int, on bool) {
+	for {
+		old := h.occupied.Load()
+		flipped := old &^ (1 << i)
+		if on {
+			flipped = old | 1<<i
+		}
+		if h.occupied.CompareAndSwap(old, flipped) {
+			return
+		}
+	}
+}
+
+// insert binds an absent k in stripe i, whose mutex the caller holds.
+func (h *HashMap) insert(i int, k, v core.Value) {
+	m := h.shards[i].m
+	m[k] = v
+	if len(m) == 1 {
+		h.setOccupied(i, true)
+	}
+}
+
 // Put binds k to v and returns the previous value (nil when absent).
 func (h *HashMap) Put(k, v core.Value) core.Value {
-	s := &h.shards[shardIndex(k)]
+	i := shardIndex(k)
+	s := &h.shards[i]
 	s.mu.Lock()
 	old, had := s.m[k]
-	s.m[k] = v
+	if had {
+		s.m[k] = v
+	} else {
+		h.insert(i, k, v)
+	}
 	s.mu.Unlock()
 	if !had {
 		h.size.Add(1)
@@ -83,13 +123,14 @@ func (h *HashMap) Put(k, v core.Value) core.Value {
 // PutIfAbsent binds k to v unless k is already bound; it returns the
 // existing value, or nil when the put happened.
 func (h *HashMap) PutIfAbsent(k, v core.Value) core.Value {
-	s := &h.shards[shardIndex(k)]
+	i := shardIndex(k)
+	s := &h.shards[i]
 	s.mu.Lock()
 	if old, had := s.m[k]; had {
 		s.mu.Unlock()
 		return old
 	}
-	s.m[k] = v
+	h.insert(i, k, v)
 	s.mu.Unlock()
 	h.size.Add(1)
 	return nil
@@ -97,11 +138,15 @@ func (h *HashMap) PutIfAbsent(k, v core.Value) core.Value {
 
 // Remove unbinds k and returns the removed value (nil when absent).
 func (h *HashMap) Remove(k core.Value) core.Value {
-	s := &h.shards[shardIndex(k)]
+	i := shardIndex(k)
+	s := &h.shards[i]
 	s.mu.Lock()
 	old, had := s.m[k]
 	if had {
 		delete(s.m, k)
+		if len(s.m) == 0 {
+			h.setOccupied(i, false)
+		}
 	}
 	s.mu.Unlock()
 	if had {
@@ -116,11 +161,15 @@ func (h *HashMap) Size() int { return int(h.size.Load()) }
 
 // Clear removes every binding.
 func (h *HashMap) Clear() {
-	for i := range h.shards {
+	for occ := h.occupied.Load(); occ != 0; occ &= occ - 1 {
+		i := bits.TrailingZeros64(occ)
 		s := &h.shards[i]
 		s.mu.Lock()
-		h.size.Add(int64(-len(s.m)))
-		s.m = make(map[core.Value]core.Value)
+		if len(s.m) != 0 {
+			h.size.Add(int64(-len(s.m)))
+			s.m = make(map[core.Value]core.Value)
+			h.setOccupied(i, false)
+		}
 		s.mu.Unlock()
 	}
 }
@@ -153,14 +202,15 @@ func (h *HashMap) PutAll(src *HashMap) {
 // compute function runs while the shard is locked, so it must not touch
 // this map.
 func (h *HashMap) ComputeIfAbsent(k core.Value, compute func() core.Value) core.Value {
-	s := &h.shards[shardIndex(k)]
+	i := shardIndex(k)
+	s := &h.shards[i]
 	s.mu.Lock()
 	if v, ok := s.m[k]; ok {
 		s.mu.Unlock()
 		return v
 	}
 	v := compute()
-	s.m[k] = v
+	h.insert(i, k, v)
 	s.mu.Unlock()
 	h.size.Add(1)
 	return v
@@ -169,10 +219,13 @@ func (h *HashMap) ComputeIfAbsent(k core.Value, compute func() core.Value) core.
 // Range calls f for every binding until f returns false. It locks one
 // shard at a time, so it is not atomic with respect to concurrent
 // writers; transactions wanting an atomic scan must hold a mode
-// conflicting with all writes (as the synthesized clients do).
+// conflicting with all writes (as the synthesized clients do). Stripes
+// whose occupancy bit is clear when the range begins are skipped
+// without locking: a binding present from before the range began until
+// it ends keeps its stripe's bit set, so it is never missed.
 func (h *HashMap) Range(f func(k, v core.Value) bool) {
-	for i := range h.shards {
-		s := &h.shards[i]
+	for occ := h.occupied.Load(); occ != 0; occ &= occ - 1 {
+		s := &h.shards[bits.TrailingZeros64(occ)]
 		s.mu.Lock()
 		for k, v := range s.m {
 			if !f(k, v) {

@@ -1,16 +1,16 @@
 // Boxed-key entry points for the networked wire path.
 //
 // Converting a Go string to the runtime's Value (an interface) heap-
-// allocates a string header at every call site, which is where all four
-// steady-state allocations of the string-keyed router methods come
-// from. The TCP server interns each group/member name it decodes into a
+// allocates a string header per conversion, so the string-keyed router
+// methods box each key once (gossip.go) and pay one allocation per key.
+// The TCP server interns each group/member name it decodes into a
 // pre-boxed core.Value once per connection, so the V variants below —
-// the same fused sections, taking already-boxed keys — run the whole
+// the same sections, taking already-boxed keys — run the whole
 // decode→route→respond path without allocating.
 //
-// The V variants are the fused-prologue forms (interned mode selectors,
-// transaction memo); semantically they are identical to the string
-// methods, and TestBoxedEquivalence pins that.
+// The V variants select modes through the interned fixed-arity
+// selectors and are the bodies the fused router's string methods
+// delegate to; TestBoxedEquivalence pins that the two forms agree.
 
 package gossip
 
@@ -24,7 +24,7 @@ import (
 // RegisterV is Register with pre-boxed keys.
 func (o *Ours) RegisterV(group, member core.Value, conn *Conn) {
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, tx.CachedMode1(o.regGroupsRef, group), o.groupsRank)
+		tx.Lock(o.groupsSem, o.regGroupsRef.Mode1(group), o.groupsRank)
 		var mm *memberMap
 		if v := o.groups.Get(group); v != nil {
 			mm = v.(*memberMap)
@@ -41,10 +41,10 @@ func (o *Ours) RegisterV(group, member core.Value, conn *Conn) {
 // UnregisterV is Unregister with pre-boxed keys.
 func (o *Ours) UnregisterV(group, member core.Value) {
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, tx.CachedMode1(o.unregGRef, group), o.groupsRank)
+		tx.Lock(o.groupsSem, o.unregGRef.Mode1(group), o.groupsRank)
 		if v := o.groups.Get(group); v != nil {
 			mm := v.(*memberMap)
-			tx.Lock(mm.sem, tx.CachedMode1(o.unregMemRef, member), o.memRank)
+			tx.Lock(mm.sem, o.unregMemRef.Mode1(member), o.memRank)
 			o.fault("unregister")
 			mm.m.Remove(member)
 		}
@@ -54,10 +54,10 @@ func (o *Ours) UnregisterV(group, member core.Value) {
 // UnicastV is Unicast with pre-boxed keys.
 func (o *Ours) UnicastV(group, dst core.Value, payload []byte) {
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, tx.CachedMode1(o.uniGRef, group), o.groupsRank)
+		tx.Lock(o.groupsSem, o.uniGRef.Mode1(group), o.groupsRank)
 		if v := o.groups.Get(group); v != nil {
 			mm := v.(*memberMap)
-			tx.Lock(mm.sem, tx.CachedMode1(o.uniMemRef, dst), o.memRank)
+			tx.Lock(mm.sem, o.uniMemRef.Mode1(dst), o.memRank)
 			o.fault("unicast")
 			if c := mm.m.Get(dst); c != nil {
 				c.(*Conn).Send(payload) // I/O inside the section
@@ -69,7 +69,7 @@ func (o *Ours) UnicastV(group, dst core.Value, payload []byte) {
 // MulticastV is Multicast with a pre-boxed key.
 func (o *Ours) MulticastV(group core.Value, payload []byte) {
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, tx.CachedMode1(o.mcGRef, group), o.groupsRank)
+		tx.Lock(o.groupsSem, o.mcGRef.Mode1(group), o.groupsRank)
 		if v := o.groups.Get(group); v != nil {
 			mm := v.(*memberMap)
 			tx.Lock(mm.sem, o.mcMemMode, o.memRank)
@@ -81,19 +81,30 @@ func (o *Ours) MulticastV(group core.Value, payload []byte) {
 	})
 }
 
-// LookupV is Lookup with pre-boxed keys: optimistic first, pessimistic
-// fallback, same as the string form.
+// LookupV is Lookup with pre-boxed keys. It is the hybrid-execution
+// fast path: both ADT operations are observers (get on the outer map,
+// get on the member map), so the section first runs lock-free under
+// TryOptimistic, observing the two mechanisms it would have locked and
+// validating their version counters at the end, and only re-runs under
+// the pessimistic prologue (LookupPessimistic's body) when validation
+// fails or the per-instance adaptive gate has closed the optimistic
+// path. The observed modes are exactly the modes the pessimistic path
+// locks — unicast's {get(g)} / {get(dst)} — so the conflict predicate
+// is the one the plan's certificate already covers. The individual ADT
+// reads are safe without the semantic locks because every adt structure
+// is linearizable on its own (internal mutex); what validation adds is
+// that the two reads happened inside one conflict-free window.
 func (o *Ours) LookupV(group, member core.Value) bool {
 	var found bool
 	core.Atomically(func(tx *core.Txn) {
 		if tx.TryOptimistic(func(tx *core.Txn) bool {
-			if !tx.Observe(o.groupsSem, tx.CachedMode1(o.uniGRef, group), o.groupsRank) {
+			if !tx.Observe(o.groupsSem, o.uniGRef.Mode1(group), o.groupsRank) {
 				return false
 			}
 			found = false
 			if v := o.groups.Get(group); v != nil {
 				mm := v.(*memberMap)
-				if !tx.Observe(mm.sem, tx.CachedMode1(o.uniMemRef, member), o.memRank) {
+				if !tx.Observe(mm.sem, o.uniMemRef.Mode1(member), o.memRank) {
 					return false
 				}
 				found = mm.m.Get(member) != nil
@@ -108,10 +119,10 @@ func (o *Ours) LookupV(group, member core.Value) bool {
 }
 
 func (o *Ours) lookupLockedV(tx *core.Txn, group, member core.Value) bool {
-	tx.Lock(o.groupsSem, tx.CachedMode1(o.uniGRef, group), o.groupsRank)
+	tx.Lock(o.groupsSem, o.uniGRef.Mode1(group), o.groupsRank)
 	if v := o.groups.Get(group); v != nil {
 		mm := v.(*memberMap)
-		tx.Lock(mm.sem, tx.CachedMode1(o.uniMemRef, member), o.memRank)
+		tx.Lock(mm.sem, o.uniMemRef.Mode1(member), o.memRank)
 		return mm.m.Get(member) != nil
 	}
 	return false

@@ -46,6 +46,9 @@ func TestBoxedEquivalence(t *testing.T) {
 			if a, b := os.Lookup(g, m), ov.LookupV(box(g), box(m)); a != b {
 				t.Fatalf("lookup(%s,%s): string=%v boxed=%v", g, m, a, b)
 			}
+			if a, b := os.LookupPessimistic(g, m), ov.LookupV(box(g), box(m)); a != b {
+				t.Fatalf("lookup(%s,%s): pessimistic=%v boxed=%v", g, m, a, b)
+			}
 		case 3:
 			os.Unregister(g, m)
 			ov.UnregisterV(box(g), box(m))
@@ -80,16 +83,19 @@ func TestBoxedEquivalence(t *testing.T) {
 	}
 }
 
-// TestBoxedAllocs: with pre-boxed keys the fused sections allocate
-// nothing in steady state — the router half of the wire path's
-// 0 allocs/op pin (the server half is pinned in internal/net/server).
+// TestBoxedAllocs: with pre-boxed keys the sections allocate nothing in
+// steady state — the router half of the wire path's 0 allocs/op pin
+// (the server half is pinned in internal/net/server) — except
+// multicast, whose one allocation is the snapshot of the member map's
+// values it sends to.
 func TestBoxedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates stack closures; the 0 allocs/op pin holds on the normal build")
 	}
 	o := NewOursFused(0, plan.Options{})
 	var g, m core.Value = "g0", "m0"
-	o.RegisterV(g, m, NewConn("m0", 0))
+	conn := NewConn("m0", 0)
+	o.RegisterV(g, m, conn)
 	payload := []byte("payload")
 
 	if n := testing.AllocsPerRun(2000, func() { o.LookupV(g, m) }); n != 0 {
@@ -98,11 +104,50 @@ func TestBoxedAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(2000, func() { o.UnicastV(g, m, payload) }); n != 0 {
 		t.Errorf("UnicastV allocs/op = %v, want 0", n)
 	}
+	if n := testing.AllocsPerRun(2000, func() { o.MulticastV(g, payload) }); n > 1 {
+		t.Errorf("MulticastV allocs/op = %v, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() { o.UnregisterV(g, m); o.RegisterV(g, m, conn) }); n != 0 {
+		t.Errorf("UnregisterV+RegisterV allocs/op = %v, want 0", n)
+	}
 	reqs := []SendReq{{g, m, payload}, {g, m, payload}, {g, m, payload}, {g, m, payload}}
 	var sc BatchScratch
 	o.UnicastBatchV(reqs, &sc) // warm the scratch capacity
 	if n := testing.AllocsPerRun(2000, func() { o.UnicastBatchV(reqs, &sc) }); n != 0 {
 		t.Errorf("UnicastBatchV allocs/op = %v, want 0", n)
+	}
+}
+
+// TestStringFormAllocs: the string-keyed methods box each key once, so
+// they pay one allocation per key and nothing else (multicast: its one
+// key plus the member snapshot).
+func TestStringFormAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation heap-allocates stack closures; the pins hold on the normal build")
+	}
+	for _, o := range []*Ours{NewOursFused(0, plan.Options{}), NewOurs(0, plan.Options{})} {
+		conn := NewConn("m0", 0)
+		o.Register("g0", "m0", conn)
+		payload := []byte("payload")
+		pins := []struct {
+			name string
+			max  float64
+			op   func()
+		}{
+			{"Unicast", 2, func() { o.Unicast("g0", "m0", payload) }},
+			{"Lookup", 2, func() { o.Lookup("g0", "m0") }},
+			{"Multicast", 2, func() { o.Multicast("g0", payload) }},
+			{"Unregister", 2, func() { o.Unregister("g0", "m1") }},
+			{"Register", 2, func() { o.Register("g0", "m0", conn) }},
+		}
+		for _, p := range pins {
+			if !o.fused && p.name != "Lookup" {
+				p.max += 2 // the variadic Binder closures allocate their argument slices
+			}
+			if n := testing.AllocsPerRun(2000, p.op); n > p.max {
+				t.Errorf("fused=%v: %s allocs/op = %v, want <= %v", o.fused, p.name, n, p.max)
+			}
+		}
 	}
 }
 

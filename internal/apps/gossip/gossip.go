@@ -217,14 +217,14 @@ type Ours struct {
 	mcG       func(...core.Value) core.ModeID // multicast: groups {get(g)}
 	mcMem     func(...core.Value) core.ModeID // multicast: members {values()}
 
-	// fused selects the fused-prologue hot path (-exp hotpath): mode
-	// selection goes through the fixed-arity interned selectors and the
-	// transaction memo (Txn.CachedMode1) instead of the variadic Binder
-	// closures, so repeated acquisitions on the same group/member values
-	// neither allocate nor re-hash through φ. The two locks themselves
-	// stay sequential — the member map is only known after the get on
-	// the outer map, under the outer lock — so the fused win here is the
-	// mode-construction half of the prologue.
+	// fused selects the fused-prologue hot path (-exp hotpath): the
+	// string-keyed methods select modes through the fixed-arity interned
+	// selectors (SetRef.Mode1, Binder2) instead of the variadic Binder
+	// closures, so selection allocates no argument slice and makes no
+	// indirect call. That is all "fused" means here: the two locks
+	// themselves stay sequential — the member map is only known after
+	// the get on the outer map, under the outer lock. The V forms, Lookup
+	// and the batch path use the interned selectors whatever this says.
 	fused        bool
 	regGroupsRef core.SetRef
 	regMem2      func(core.Value, core.Value) core.ModeID
@@ -300,99 +300,67 @@ func (o *Ours) Sems() []*core.Semantic {
 	return out
 }
 
+// The string-keyed methods box each key into a core.Value once, here,
+// and hand the boxed keys to everything after — the selector and the
+// map operations. The fused router delegates to the pre-boxed V forms
+// (boxed.go), so the in-process path and the served path are one body
+// per section; the unfused bodies below differ from those only in
+// selecting modes through the variadic Binder closures.
+
 func (o *Ours) Register(group, member string, conn *Conn) {
+	g, m := core.Value(group), core.Value(member)
 	if o.fused {
-		o.registerFused(group, member, conn)
+		o.RegisterV(g, m, conn)
 		return
 	}
-	mg := o.regGroups(group)
+	mg := o.regGroups(g)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.groupsSem, mg, o.groupsRank)
 		var mm *memberMap
-		if v := o.groups.Get(group); v != nil {
+		if v := o.groups.Get(g); v != nil {
 			mm = v.(*memberMap)
 		} else {
 			mm = &memberMap{m: adt.NewHashMap(), sem: core.NewSemantic(o.memTable)}
-			o.groups.Put(group, mm)
+			o.groups.Put(g, mm)
 		}
-		tx.Lock(mm.sem, o.regMem(member, conn), o.memRank)
+		tx.Lock(mm.sem, o.regMem(m, conn), o.memRank)
 		o.fault("register")
-		mm.m.Put(member, conn)
-	})
-}
-
-func (o *Ours) registerFused(group, member string, conn *Conn) {
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, tx.CachedMode1(o.regGroupsRef, group), o.groupsRank)
-		var mm *memberMap
-		if v := o.groups.Get(group); v != nil {
-			mm = v.(*memberMap)
-		} else {
-			mm = &memberMap{m: adt.NewHashMap(), sem: core.NewSemantic(o.memTable)}
-			o.groups.Put(group, mm)
-		}
-		tx.Lock(mm.sem, o.regMem2(member, conn), o.memRank)
-		o.fault("register")
-		mm.m.Put(member, conn)
+		mm.m.Put(m, conn)
 	})
 }
 
 func (o *Ours) Unregister(group, member string) {
+	g, m := core.Value(group), core.Value(member)
 	if o.fused {
-		o.unregisterFused(group, member)
+		o.UnregisterV(g, m)
 		return
 	}
-	mg := o.unregG(group)
+	mg := o.unregG(g)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.groupsSem, mg, o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
+		if v := o.groups.Get(g); v != nil {
 			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.unregMem(member), o.memRank)
+			tx.Lock(mm.sem, o.unregMem(m), o.memRank)
 			o.fault("unregister")
-			mm.m.Remove(member)
-		}
-	})
-}
-
-func (o *Ours) unregisterFused(group, member string) {
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, tx.CachedMode1(o.unregGRef, group), o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, tx.CachedMode1(o.unregMemRef, member), o.memRank)
-			o.fault("unregister")
-			mm.m.Remove(member)
+			mm.m.Remove(m)
 		}
 	})
 }
 
 func (o *Ours) Unicast(group, dst string, payload []byte) {
+	g, d := core.Value(group), core.Value(dst)
 	if o.fused {
-		o.unicastFused(group, dst, payload)
+		o.UnicastV(g, d, payload)
 		return
 	}
-	mg := o.uniG(group)
+	mg := o.uniG(g)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.groupsSem, mg, o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
+		if v := o.groups.Get(g); v != nil {
 			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.uniMem(dst), o.memRank)
+			tx.Lock(mm.sem, o.uniMem(d), o.memRank)
 			o.fault("unicast")
-			if c := mm.m.Get(dst); c != nil {
-				c.(*Conn).Send(payload) // I/O inside the section
-			}
-		}
-	})
-}
-
-func (o *Ours) unicastFused(group, dst string, payload []byte) {
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, tx.CachedMode1(o.uniGRef, group), o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, tx.CachedMode1(o.uniMemRef, dst), o.memRank)
-			o.fault("unicast")
-			if c := mm.m.Get(dst); c != nil {
+			if c := mm.m.Get(d); c != nil {
 				c.(*Conn).Send(payload) // I/O inside the section
 			}
 		}
@@ -400,14 +368,15 @@ func (o *Ours) unicastFused(group, dst string, payload []byte) {
 }
 
 func (o *Ours) Multicast(group string, payload []byte) {
+	g := core.Value(group)
 	if o.fused {
-		o.multicastFused(group, payload)
+		o.MulticastV(g, payload)
 		return
 	}
-	mg := o.mcG(group)
+	mg := o.mcG(g)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.groupsSem, mg, o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
+		if v := o.groups.Get(g); v != nil {
 			mm := v.(*memberMap)
 			tx.Lock(mm.sem, o.mcMem(), o.memRank)
 			o.fault("multicast")
@@ -418,77 +387,22 @@ func (o *Ours) Multicast(group string, payload []byte) {
 	})
 }
 
-func (o *Ours) multicastFused(group string, payload []byte) {
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, tx.CachedMode1(o.mcGRef, group), o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.mcMemMode, o.memRank)
-			o.fault("multicast")
-			for _, c := range mm.m.Values() {
-				c.(*Conn).Send(payload) // I/O inside the section
-			}
-		}
-	})
-}
-
 // Lookup reports whether member is currently registered in group — the
-// router's read-only membership probe. It is the hybrid-execution fast
-// path: both ADT operations are observers (get on the outer map, get on
-// the member map), so the section first runs lock-free under
-// TryOptimistic, observing the two mechanisms it would have locked and
-// validating their version counters at the end, and only re-runs under
-// the pessimistic prologue (LookupPessimistic's body) when validation
-// fails or the per-instance adaptive gate has closed the optimistic
-// path. The observed modes are exactly the modes the pessimistic path
-// locks — unicast's {get(g)} / {get(dst)} — so the conflict predicate
-// is the one the plan's certificate already covers. The individual ADT
-// reads are safe without the semantic locks because every adt structure
-// is linearizable on its own (internal mutex); what validation adds is
-// that the two reads happened inside one conflict-free window.
+// router's read-only membership probe; LookupV (boxed.go) is the body.
 func (o *Ours) Lookup(group, member string) bool {
-	var found bool
-	core.Atomically(func(tx *core.Txn) {
-		if tx.TryOptimistic(func(tx *core.Txn) bool {
-			if !tx.Observe(o.groupsSem, tx.CachedMode1(o.uniGRef, group), o.groupsRank) {
-				return false
-			}
-			found = false
-			if v := o.groups.Get(group); v != nil {
-				mm := v.(*memberMap)
-				if !tx.Observe(mm.sem, tx.CachedMode1(o.uniMemRef, member), o.memRank) {
-					return false
-				}
-				found = mm.m.Get(member) != nil
-			}
-			return true
-		}) {
-			return
-		}
-		found = o.lookupLocked(tx, group, member)
-	})
-	return found
+	return o.LookupV(group, member)
 }
 
 // LookupPessimistic is the same query under the ordinary pessimistic
 // prologue — the baseline the optimistic experiment compares against,
 // and the body Lookup falls back to.
 func (o *Ours) LookupPessimistic(group, member string) bool {
+	g, m := core.Value(group), core.Value(member)
 	var found bool
 	core.Atomically(func(tx *core.Txn) {
-		found = o.lookupLocked(tx, group, member)
+		found = o.lookupLockedV(tx, g, m)
 	})
 	return found
-}
-
-func (o *Ours) lookupLocked(tx *core.Txn, group, member string) bool {
-	tx.Lock(o.groupsSem, tx.CachedMode1(o.uniGRef, group), o.groupsRank)
-	if v := o.groups.Get(group); v != nil {
-		mm := v.(*memberMap)
-		tx.Lock(mm.sem, tx.CachedMode1(o.uniMemRef, member), o.memRank)
-		return mm.m.Get(member) != nil
-	}
-	return false
 }
 
 // global serializes every section.

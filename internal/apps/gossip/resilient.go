@@ -17,7 +17,6 @@ package gossip
 import (
 	"sync/atomic"
 
-	"repro/internal/adt"
 	"repro/internal/core"
 	"repro/internal/resilience"
 )
@@ -76,86 +75,26 @@ func (r *Resilient) Multicast(group string, payload []byte) {
 // breaker check, bounded acquisitions, budgeted retries. The error is
 // nil on success, ErrShed/ErrBreakerOpen when refused up front, or the
 // final attempt's StallError (wrapped in ErrBudgetExhausted when the
-// retry budget bound) when every attempt stalled.
+// retry budget bound) when every attempt stalled. Like the other
+// string-keyed forms it boxes its keys once and runs the pre-boxed
+// section (resilient_boxed.go).
 func (r *Resilient) RegisterErr(group, member string, conn *Conn) error {
-	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.regGroupsRef, group), r.groupsRank); err != nil {
-			return err
-		}
-		var mm *memberMap
-		if v := r.groups.Get(group); v != nil {
-			mm = v.(*memberMap)
-		} else {
-			mm = &memberMap{m: adt.NewHashMap(), sem: core.NewSemantic(r.memTable)}
-			r.groups.Put(group, mm)
-		}
-		if err := r.policy.Acquire(tx, mm.sem, r.regMem2(member, conn), r.memRank); err != nil {
-			return err
-		}
-		r.fault("register")
-		mm.m.Put(member, conn)
-		return nil
-	})
+	return r.RegisterErrV(group, member, conn)
 }
 
 // UnregisterErr is the unregister section under the policy.
 func (r *Resilient) UnregisterErr(group, member string) error {
-	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.unregGRef, group), r.groupsRank); err != nil {
-			return err
-		}
-		if v := r.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, tx.CachedMode1(r.unregMemRef, member), r.memRank); err != nil {
-				return err
-			}
-			r.fault("unregister")
-			mm.m.Remove(member)
-		}
-		return nil
-	})
+	return r.UnregisterErrV(group, member)
 }
 
-// UnicastErr is the unicast section under the policy. The I/O stays
-// inside the section, after the last acquisition — an aborted attempt
-// never half-sends.
+// UnicastErr is the unicast section under the policy.
 func (r *Resilient) UnicastErr(group, dst string, payload []byte) error {
-	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.uniGRef, group), r.groupsRank); err != nil {
-			return err
-		}
-		if v := r.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, tx.CachedMode1(r.uniMemRef, dst), r.memRank); err != nil {
-				return err
-			}
-			r.fault("unicast")
-			if c := mm.m.Get(dst); c != nil {
-				c.(*Conn).Send(payload)
-			}
-		}
-		return nil
-	})
+	return r.UnicastErrV(group, dst, payload)
 }
 
 // MulticastErr is the multicast section under the policy.
 func (r *Resilient) MulticastErr(group string, payload []byte) error {
-	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.mcGRef, group), r.groupsRank); err != nil {
-			return err
-		}
-		if v := r.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, r.mcMemMode, r.memRank); err != nil {
-				return err
-			}
-			r.fault("multicast")
-			for _, c := range mm.m.Values() {
-				c.(*Conn).Send(payload)
-			}
-		}
-		return nil
-	})
+	return r.MulticastErrV(group, payload)
 }
 
 // LookupHedged is the membership probe as a hedged read: the
@@ -167,30 +106,31 @@ func (r *Resilient) MulticastErr(group string, payload []byte) error {
 // membership answer, so whichever commits is a correct serializable
 // read.
 func (r *Resilient) LookupHedged(group, member string) (bool, resilience.HedgeOutcome, error) {
+	g, m := core.Value(group), core.Value(member)
 	return resilience.HedgedRead(r.policy,
 		func(tx *core.Txn, cancel <-chan struct{}) (bool, error) {
-			if err := r.policy.AcquireCancel(tx, r.groupsSem, tx.CachedMode1(r.uniGRef, group), r.groupsRank, cancel); err != nil {
+			if err := r.policy.AcquireCancel(tx, r.groupsSem, r.uniGRef.Mode1(g), r.groupsRank, cancel); err != nil {
 				return false, err
 			}
-			if v := r.groups.Get(group); v != nil {
+			if v := r.groups.Get(g); v != nil {
 				mm := v.(*memberMap)
-				if err := r.policy.AcquireCancel(tx, mm.sem, tx.CachedMode1(r.uniMemRef, member), r.memRank, cancel); err != nil {
+				if err := r.policy.AcquireCancel(tx, mm.sem, r.uniMemRef.Mode1(m), r.memRank, cancel); err != nil {
 					return false, err
 				}
-				return mm.m.Get(member) != nil, nil
+				return mm.m.Get(m) != nil, nil
 			}
 			return false, nil
 		},
 		func(tx *core.Txn) (bool, bool) {
-			if !tx.Observe(r.groupsSem, tx.CachedMode1(r.uniGRef, group), r.groupsRank) {
+			if !tx.Observe(r.groupsSem, r.uniGRef.Mode1(g), r.groupsRank) {
 				return false, false
 			}
-			if v := r.groups.Get(group); v != nil {
+			if v := r.groups.Get(g); v != nil {
 				mm := v.(*memberMap)
-				if !tx.Observe(mm.sem, tx.CachedMode1(r.uniMemRef, member), r.memRank) {
+				if !tx.Observe(mm.sem, r.uniMemRef.Mode1(m), r.memRank) {
 					return false, false
 				}
-				return mm.m.Get(member) != nil, true
+				return mm.m.Get(m) != nil, true
 			}
 			return false, true
 		})

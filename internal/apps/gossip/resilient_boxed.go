@@ -1,7 +1,8 @@
 // Boxed-key policied sections: the resilience-layer counterparts of
 // boxed.go, used by the TCP server so a policied wire path stays
-// allocation-free too. Shapes and irrevocability discipline match
-// resilient.go exactly; only the key boxing moves to the caller.
+// allocation-free too, and by resilient.go's string-keyed forms, which
+// box their keys and delegate here. The irrevocability discipline is
+// the one resilient.go's header states.
 
 package gossip
 
@@ -13,7 +14,7 @@ import (
 // RegisterErrV is RegisterErr with pre-boxed keys.
 func (r *Resilient) RegisterErrV(group, member core.Value, conn *Conn) error {
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.regGroupsRef, group), r.groupsRank); err != nil {
+		if err := r.policy.Acquire(tx, r.groupsSem, r.regGroupsRef.Mode1(group), r.groupsRank); err != nil {
 			return err
 		}
 		var mm *memberMap
@@ -35,12 +36,12 @@ func (r *Resilient) RegisterErrV(group, member core.Value, conn *Conn) error {
 // UnregisterErrV is UnregisterErr with pre-boxed keys.
 func (r *Resilient) UnregisterErrV(group, member core.Value) error {
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.unregGRef, group), r.groupsRank); err != nil {
+		if err := r.policy.Acquire(tx, r.groupsSem, r.unregGRef.Mode1(group), r.groupsRank); err != nil {
 			return err
 		}
 		if v := r.groups.Get(group); v != nil {
 			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, tx.CachedMode1(r.unregMemRef, member), r.memRank); err != nil {
+			if err := r.policy.Acquire(tx, mm.sem, r.unregMemRef.Mode1(member), r.memRank); err != nil {
 				return err
 			}
 			r.fault("unregister")
@@ -50,15 +51,17 @@ func (r *Resilient) UnregisterErrV(group, member core.Value) error {
 	})
 }
 
-// UnicastErrV is UnicastErr with pre-boxed keys.
+// UnicastErrV is UnicastErr with pre-boxed keys. The I/O stays inside
+// the section, after the last acquisition — an aborted attempt never
+// half-sends.
 func (r *Resilient) UnicastErrV(group, dst core.Value, payload []byte) error {
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.uniGRef, group), r.groupsRank); err != nil {
+		if err := r.policy.Acquire(tx, r.groupsSem, r.uniGRef.Mode1(group), r.groupsRank); err != nil {
 			return err
 		}
 		if v := r.groups.Get(group); v != nil {
 			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, tx.CachedMode1(r.uniMemRef, dst), r.memRank); err != nil {
+			if err := r.policy.Acquire(tx, mm.sem, r.uniMemRef.Mode1(dst), r.memRank); err != nil {
 				return err
 			}
 			r.fault("unicast")
@@ -73,7 +76,7 @@ func (r *Resilient) UnicastErrV(group, dst core.Value, payload []byte) error {
 // MulticastErrV is MulticastErr with a pre-boxed key.
 func (r *Resilient) MulticastErrV(group core.Value, payload []byte) error {
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.mcGRef, group), r.groupsRank); err != nil {
+		if err := r.policy.Acquire(tx, r.groupsSem, r.mcGRef.Mode1(group), r.groupsRank); err != nil {
 			return err
 		}
 		if v := r.groups.Get(group); v != nil {
@@ -100,13 +103,13 @@ func (r *Resilient) LookupErrV(group, member core.Value) (bool, error) {
 	var found bool
 	err := r.policy.Run(func(tx *core.Txn) error {
 		if tx.TryOptimistic(func(tx *core.Txn) bool {
-			if !tx.Observe(r.groupsSem, tx.CachedMode1(r.uniGRef, group), r.groupsRank) {
+			if !tx.Observe(r.groupsSem, r.uniGRef.Mode1(group), r.groupsRank) {
 				return false
 			}
 			found = false
 			if v := r.groups.Get(group); v != nil {
 				mm := v.(*memberMap)
-				if !tx.Observe(mm.sem, tx.CachedMode1(r.uniMemRef, member), r.memRank) {
+				if !tx.Observe(mm.sem, r.uniMemRef.Mode1(member), r.memRank) {
 					return false
 				}
 				found = mm.m.Get(member) != nil
@@ -115,13 +118,13 @@ func (r *Resilient) LookupErrV(group, member core.Value) (bool, error) {
 		}) {
 			return nil
 		}
-		if err := r.policy.Acquire(tx, r.groupsSem, tx.CachedMode1(r.uniGRef, group), r.groupsRank); err != nil {
+		if err := r.policy.Acquire(tx, r.groupsSem, r.uniGRef.Mode1(group), r.groupsRank); err != nil {
 			return err
 		}
 		found = false
 		if v := r.groups.Get(group); v != nil {
 			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, tx.CachedMode1(r.uniMemRef, member), r.memRank); err != nil {
+			if err := r.policy.Acquire(tx, mm.sem, r.uniMemRef.Mode1(member), r.memRank); err != nil {
 				return err
 			}
 			found = mm.m.Get(member) != nil

@@ -253,10 +253,7 @@ type Ours struct {
 	// fused selects the fused-prologue hot path (-exp hotpath): every
 	// mode of the per-packet prologue goes through a fixed-arity
 	// interned selector instead of the variadic Mode call, so it never
-	// allocates a variadic []Value. The transaction memo is not used
-	// here — flow ids are near-uniform over thousands of flows, so an
-	// 8-entry memo cannot hit and its probe would be pure overhead
-	// (unlike gossip, whose group names repeat).
+	// allocates a variadic []Value.
 	fused bool
 
 	// FaultHook, when non-nil, is called at each section's fault point —
@@ -315,26 +312,28 @@ func (o *Ours) Process(p Packet) {
 		o.processFused(p)
 		return
 	}
-	mf := modeOf(o.fmapRef, p.FlowID)
+	flow := core.Value(p.FlowID)
+	mf := modeOf(o.fmapRef, flow)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.fmapSem, mf, o.fmapRank)
 		o.fault("process")
-		if payload, done := reassemble(o.fmap, p); done {
-			tx.Lock(o.decSem, modeOf(o.encRef, payload), o.decRank)
-			o.decoded.Enqueue(payload)
+		if payload, done := reassemble(o.fmap, flow, p); done {
+			boxed := core.Value(payload)
+			tx.Lock(o.decSem, modeOf(o.encRef, boxed), o.decRank)
+			o.decoded.Enqueue(boxed)
 		}
 	})
 }
 
 func (o *Ours) processFused(p Packet) {
+	flow := core.Value(p.FlowID)
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.fmapSem, o.fmapRef.Mode1(p.FlowID), o.fmapRank)
+		tx.Lock(o.fmapSem, o.fmapRef.Mode1(flow), o.fmapRank)
 		o.fault("process")
-		if payload, done := reassemble(o.fmap, p); done {
-			// Payloads are fresh strings, so the memo cannot hit; the
-			// fixed-arity selector still skips the variadic allocation.
-			tx.Lock(o.decSem, o.encRef.Mode1(payload), o.decRank)
-			o.decoded.Enqueue(payload)
+		if payload, done := reassemble(o.fmap, flow, p); done {
+			boxed := core.Value(payload)
+			tx.Lock(o.decSem, o.encRef.Mode1(boxed), o.decRank)
+			o.decoded.Enqueue(boxed)
 		}
 	})
 }
@@ -361,7 +360,7 @@ type globalProc struct {
 func (g *globalProc) Process(p Packet) {
 	g.mu.Enter()
 	defer g.mu.Exit()
-	if payload, done := reassemble(g.fmap, p); done {
+	if payload, done := reassemble(g.fmap, p.FlowID, p); done {
 		g.decoded.Enqueue(payload)
 	}
 }
@@ -386,7 +385,7 @@ func (t *twoPLProc) Process(p Packet) {
 	var tx cc.TwoPL
 	tx.Lock(t.fmapL)
 	defer tx.UnlockAll()
-	if payload, done := reassemble(t.fmap, p); done {
+	if payload, done := reassemble(t.fmap, p.FlowID, p); done {
 		tx.Lock(t.decodedL)
 		t.decoded.Enqueue(payload)
 	}
@@ -414,9 +413,10 @@ type manualProc struct {
 }
 
 func (m *manualProc) Process(p Packet) {
-	m.stripes.Lock(p.FlowID)
-	payload, done := reassemble(m.fmap, p)
-	m.stripes.Unlock(p.FlowID)
+	flow := core.Value(p.FlowID)
+	m.stripes.Lock(flow)
+	payload, done := reassemble(m.fmap, flow, p)
+	m.stripes.Unlock(flow)
 	if done {
 		m.decoded.Enqueue(payload)
 	}
@@ -432,17 +432,18 @@ func (m *manualProc) Pop() (string, bool) {
 }
 
 // reassemble is the shared reassembly body: fragment insertion, and on
-// completion removal plus assembly.
-func reassemble(fmap *adt.HashMap, p Packet) (string, bool) {
+// completion removal plus assembly. flow is p.FlowID, boxed once by the
+// caller for its own locking and the map operations here.
+func reassemble(fmap *adt.HashMap, flow core.Value, p Packet) (string, bool) {
 	var st *flowState
-	if v := fmap.Get(p.FlowID); v != nil {
+	if v := fmap.Get(flow); v != nil {
 		st = v.(*flowState)
 	} else {
 		st = newFlowState(p.NumFrags)
-		fmap.Put(p.FlowID, st)
+		fmap.Put(flow, st)
 	}
 	if st.add(p) {
-		fmap.Remove(p.FlowID)
+		fmap.Remove(flow)
 		return st.assemble(), true
 	}
 	return "", false

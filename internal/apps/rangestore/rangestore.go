@@ -99,9 +99,10 @@ func (s *Store) shardOf(k int) *shard {
 // lock-free: it mutates).
 func (s *Store) Put(k int, v core.Value) {
 	sh := s.shardOf(k)
+	kv := core.Value(k) // boxed once, for the selector and the map
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(sh.sem, tx.CachedMode1(s.writeRef, k), 0)
-		sh.m.Put(k, v)
+		tx.Lock(sh.sem, s.writeRef.Mode1(kv), 0)
+		sh.m.Put(kv, v)
 	})
 }
 
@@ -116,38 +117,47 @@ func (s *Store) Put(k int, v core.Value) {
 func (s *Store) PutPair(k int) {
 	k2 := s.Partner(k)
 	a, b := s.shardOf(k), s.shardOf(k2)
+	kv, kv2 := core.Value(k), core.Value(k2)
 	core.Atomically(func(tx *core.Txn) {
 		tx.LockBatch(
-			core.BatchLock{Sem: a.sem, Mode: s.writeRef.Mode1(k), Rank: 0},
-			core.BatchLock{Sem: b.sem, Mode: s.writeRef.Mode1(k2), Rank: 0},
+			core.BatchLock{Sem: a.sem, Mode: s.writeRef.Mode1(kv), Rank: 0},
+			core.BatchLock{Sem: b.sem, Mode: s.writeRef.Mode1(kv2), Rank: 0},
 		)
-		if a.m.Get(k) != nil {
-			a.m.Remove(k)
-			b.m.Remove(k2)
-		} else {
-			a.m.Put(k, k)
-			b.m.Put(k2, k2)
-		}
+		togglePair(a, b, kv, kv2)
 	})
+}
+
+// togglePair is PutPair's body once both shards are held: both present
+// -> both removed, else both inserted (each key bound to itself).
+func togglePair(a, b *shard, k, k2 core.Value) {
+	if a.m.Get(k) != nil {
+		a.m.Remove(k)
+		b.m.Remove(k2)
+	} else {
+		a.m.Put(k, k)
+		b.m.Put(k2, k2)
+	}
 }
 
 // Get returns the value under k via the optimistic fast path, falling
 // back to the pessimistic point read.
 func (s *Store) Get(k int) core.Value {
 	sh := s.shardOf(k)
+	kv := core.Value(k)
 	var v core.Value
 	core.Atomically(func(tx *core.Txn) {
+		m := s.getRef.Mode1(kv)
 		if tx.TryOptimistic(func(tx *core.Txn) bool {
-			if !tx.Observe(sh.sem, tx.CachedMode1(s.getRef, k), 0) {
+			if !tx.Observe(sh.sem, m, 0) {
 				return false
 			}
-			v = sh.m.Get(k)
+			v = sh.m.Get(kv)
 			return true
 		}) {
 			return
 		}
-		tx.Lock(sh.sem, tx.CachedMode1(s.getRef, k), 0)
-		v = sh.m.Get(k)
+		tx.Lock(sh.sem, m, 0)
+		v = sh.m.Get(kv)
 	})
 	return v
 }
@@ -156,10 +166,11 @@ func (s *Store) Get(k int) core.Value {
 // experiment's baseline.
 func (s *Store) GetPessimistic(k int) core.Value {
 	sh := s.shardOf(k)
+	kv := core.Value(k)
 	var v core.Value
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(sh.sem, tx.CachedMode1(s.getRef, k), 0)
-		v = sh.m.Get(k)
+		tx.Lock(sh.sem, s.getRef.Mode1(kv), 0)
+		v = sh.m.Get(kv)
 	})
 	return v
 }

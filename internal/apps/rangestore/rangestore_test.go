@@ -3,6 +3,8 @@ package rangestore
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestPointOps(t *testing.T) {
@@ -80,5 +82,26 @@ func TestScanOracle(t *testing.T) {
 	}
 	if hits+retries == 0 {
 		t.Error("no optimistic attempts recorded during the hammer")
+	}
+}
+
+// TestPointOpAllocs: a point operation boxes its int key once — for the
+// selector and the map alike — so it costs one allocation. (Keys below
+// 256 box for free; the probe key is above that.)
+func TestPointOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation heap-allocates stack closures; the pins hold on the normal build")
+	}
+	s := New(8, 4096)
+	var stored core.Value = 1
+	s.Put(3000, stored)
+	if n := testing.AllocsPerRun(2000, func() { s.Get(3000) }); n > 1 {
+		t.Errorf("Get allocs/op = %v, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() { s.GetPessimistic(3000) }); n > 1 {
+		t.Errorf("GetPessimistic allocs/op = %v, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() { s.Put(3000, stored) }); n > 1 {
+		t.Errorf("Put allocs/op = %v, want <= 1", n)
 	}
 }

@@ -35,11 +35,12 @@ func (r *Resilient) Policy() *resilience.Policy { return r.policy }
 // PutErr is the point write under the policy.
 func (r *Resilient) PutErr(k int, v core.Value) error {
 	sh := r.shardOf(k)
+	kv := core.Value(k)
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, sh.sem, tx.CachedMode1(r.writeRef, k), 0); err != nil {
+		if err := r.policy.Acquire(tx, sh.sem, r.writeRef.Mode1(kv), 0); err != nil {
 			return err
 		}
-		sh.m.Put(k, v)
+		sh.m.Put(kv, v)
 		return nil
 	})
 }
@@ -51,20 +52,15 @@ func (r *Resilient) PutErr(k int, v core.Value) error {
 func (r *Resilient) PutPairErr(k int) error {
 	k2 := r.Partner(k)
 	a, b := r.shardOf(k), r.shardOf(k2)
+	kv, kv2 := core.Value(k), core.Value(k2)
 	return r.policy.Run(func(tx *core.Txn) error {
 		if err := r.policy.AcquireBatch(tx,
-			core.BatchLock{Sem: a.sem, Mode: r.writeRef.Mode1(k), Rank: 0},
-			core.BatchLock{Sem: b.sem, Mode: r.writeRef.Mode1(k2), Rank: 0},
+			core.BatchLock{Sem: a.sem, Mode: r.writeRef.Mode1(kv), Rank: 0},
+			core.BatchLock{Sem: b.sem, Mode: r.writeRef.Mode1(kv2), Rank: 0},
 		); err != nil {
 			return err
 		}
-		if a.m.Get(k) != nil {
-			a.m.Remove(k)
-			b.m.Remove(k2)
-		} else {
-			a.m.Put(k, k)
-			b.m.Put(k2, k2)
-		}
+		togglePair(a, b, kv, kv2)
 		return nil
 	})
 }
@@ -74,18 +70,19 @@ func (r *Resilient) PutPairErr(k int) error {
 // hedge budget elapses.
 func (r *Resilient) GetHedged(k int) (core.Value, resilience.HedgeOutcome, error) {
 	sh := r.shardOf(k)
+	kv := core.Value(k)
 	return resilience.HedgedRead(r.policy,
 		func(tx *core.Txn, cancel <-chan struct{}) (core.Value, error) {
-			if err := r.policy.AcquireCancel(tx, sh.sem, tx.CachedMode1(r.getRef, k), 0, cancel); err != nil {
+			if err := r.policy.AcquireCancel(tx, sh.sem, r.getRef.Mode1(kv), 0, cancel); err != nil {
 				return nil, err
 			}
-			return sh.m.Get(k), nil
+			return sh.m.Get(kv), nil
 		},
 		func(tx *core.Txn) (core.Value, bool) {
-			if !tx.Observe(sh.sem, tx.CachedMode1(r.getRef, k), 0) {
+			if !tx.Observe(sh.sem, r.getRef.Mode1(kv), 0) {
 				return nil, false
 			}
-			return sh.m.Get(k), true
+			return sh.m.Get(kv), true
 		})
 }
 

@@ -24,16 +24,15 @@ import (
 // fused prologue (Txn.LockBatch + interned mode selection) against the
 // sequential prologue it replaces, on five components:
 //
-//	gossip / intruder — the real applications, "ours-fused" (interned
-//	                    selectors + transaction mode memo) against
-//	                    "ours" (variadic Binder closures), ops/ms at
-//	                    each worker count. sendCost is zero so the
-//	                    prologue dominates the section body.
+//	gossip / intruder — the real applications, "ours-fused" (fixed-
+//	                    arity interned selectors) against "ours"
+//	                    (variadic Binder closures), ops/ms at each
+//	                    worker count. sendCost is zero so the prologue
+//	                    dominates the section body.
 //	mode              — mode-construction microbenchmark: the full
 //	                    symbolic build (ModeForValues), the variadic
-//	                    Binder closure, the fixed-arity Binder1, the
-//	                    interned SetRef.Mode1 selector, and the
-//	                    transaction memo (Txn.CachedMode1) on a
+//	                    Binder closure, the fixed-arity Binder1 and
+//	                    the interned SetRef.Mode1 selector on a
 //	                    repeated same-value selection; ns/op, B/op,
 //	                    allocs/op via testing.Benchmark. The interned
 //	                    paths must report allocs/op = 0.
@@ -163,8 +162,7 @@ func hotpathTable() (*core.ModeTable, core.SetRef) {
 }
 
 // runGossipPass drives one router variant on one long-lived group — the
-// app's steady state, where the fused variant's transaction memo sees
-// repeated values. The mix is prologue-heavy: half unicasts (two locks
+// app's steady state. The mix is prologue-heavy: half unicasts (two locks
 // around one map get and one zero-cost send), a quarter multicasts, and
 // a register/unregister churn pair every eighth operation (two locks
 // around a single map mutation — the op where mode selection is the
@@ -336,8 +334,6 @@ func hotpathModeCells() []HotpathModeCell {
 	phi := tbl.Phi()
 	binderVariadic := ref.Binder("k")
 	binder1 := ref.Binder1("k")
-	tx := core.NewTxn()
-	tx.CachedMode1(ref, 7) // warm the memo: the cell measures the hit path
 
 	run := func(path string, f func()) HotpathModeCell {
 		r := testing.Benchmark(func(b *testing.B) {
@@ -360,7 +356,6 @@ func hotpathModeCells() []HotpathModeCell {
 		run("binder-variadic", func() { hotpathModeSink = binderVariadic(7) }),
 		run("binder1", func() { hotpathModeSink = binder1(7) }),
 		run("setref-mode1", func() { hotpathModeSink = ref.Mode1(7) }),
-		run("txn-memo", func() { hotpathModeSink = tx.CachedMode1(ref, 7) }),
 	}
 }
 
@@ -449,15 +444,9 @@ func HotpathBench(cfg HotpathConfig) *HotpathReport {
 	// ---- mode-construction microbenchmark ----
 	rep.Mode = hotpathModeCells()
 	for _, c := range rep.Mode {
-		switch c.Path {
-		case "txn-memo":
-			rep.Criteria["mode_memo_allocs_per_op"] = float64(c.AllocsPerOp)
-		case "setref-mode1":
+		if c.Path == "setref-mode1" {
 			rep.Criteria["mode_setref_allocs_per_op"] = float64(c.AllocsPerOp)
 		}
-	}
-	if memo := rep.Mode[4].NsPerOp; memo > 0 {
-		rep.Criteria["mode_variadic_binder_over_memo_ns_ratio"] = rep.Mode[1].NsPerOp / memo
 	}
 
 	// ---- core batch prologue ----

@@ -144,8 +144,8 @@ const (
 	// resolves the gray zone locally.
 	gateHostileAt  = 0.85 // validation-failure share where optimism is hopeless
 	gateFriendlyAt = 0.55 // failure share below which optimism still amortizes
-	summaryOnAt     = 0.10 // conflict share where summary-guided scans amortize
-	summaryOffAt    = 0.01 // conflict share where exact scans win back
+	summaryOnAt    = 0.10 // conflict share where summary-guided scans amortize
+	summaryOffAt   = 0.01 // conflict share where exact scans win back
 )
 
 // Spin regimes. "calm" is the untuned default; "contended" spins longer
@@ -705,7 +705,6 @@ func (c *Controller) State() []telemetry.PolicyStats {
 				"gate_probe":    uint64(k.OptGate.ProbeInterval),
 				"summary_scan":  boolCounter(k.SummaryScan),
 				"wait_timing":   boolCounter(core.WaitTimingEnabled()),
-				"mode_memo_lim": uint64(core.ModeMemoLimit()),
 				"gate_explores": st.explorations,
 				"gate_starve":   uint64(st.gateStarve),
 				"gate_acc":      st.optAccSamples,

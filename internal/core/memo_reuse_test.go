@@ -3,16 +3,13 @@ package core
 import "testing"
 
 // TestMemoSurvivesResetAcrossTables is the pooled-transaction staleness
-// audit of the CachedMode1/CachedMode2 memo: entries deliberately
-// survive Reset, so a pooled Txn that served sections of one ModeTable
-// and is then reused against a different one must never serve a ModeID
-// interned for the old table. The memo key includes the *ModeTable
-// pointer and the set index, so a different table — even one compiled
-// from the same spec and sets — can never hit an old entry: ModeIDs are
-// only meaningful relative to their own table, and the pointer match
-// makes cross-table confusion structurally impossible (the memo also
-// keeps the old table reachable, so its address cannot be recycled
-// while an entry still names it).
+// audit of Txn.CachedMode1: a pooled Txn that served sections of one
+// ModeTable and is then reused against a different one must never serve
+// a ModeID interned for the old table. The per-Txn memo this was
+// written against is deleted — selection keeps no state on the Txn —
+// and the name stays because the contract does: ModeIDs are only
+// meaningful relative to their own table, whatever the Txn served
+// before.
 func TestMemoSurvivesResetAcrossTables(t *testing.T) {
 	keySet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
 	sizeSet := SymSetOf(SymOpOf("size"))
@@ -37,26 +34,25 @@ func TestMemoSurvivesResetAcrossTables(t *testing.T) {
 	}
 
 	tx := NewTxn()
-	// Warm the memo thoroughly against table A, filling every slot.
-	for v := 0; v < 2*modeMemoSize; v++ {
+	for v := 0; v < 16; v++ {
 		tx.CachedMode1(refA, v)
 	}
-	tx.Reset() // pooled reuse: memo survives by design
+	tx.Reset() // pooled reuse
 
 	if got, want := tx.CachedMode1(refB, probe), refB.Mode1(probe); got != want {
 		t.Fatalf("pooled Txn served stale ModeID %d for table B value %d, want %d (table A interned %d)",
 			got, probe, want, refA.Mode1(probe))
 	}
-	// And the reverse direction, now that B's entries are interned.
+	// And the reverse direction.
 	if got, want := tx.CachedMode1(refA, probe), refA.Mode1(probe); got != want {
-		t.Fatalf("memo returned %d for table A after serving table B, want %d", got, want)
+		t.Fatalf("CachedMode1 returned %d for table A after serving table B, want %d", got, want)
 	}
 }
 
-// TestMemoDistinguishesSetsAndValueTypes: within one table the memo key
-// includes the set index, and value matching is Go interface equality —
-// int(3) and int32(3) are different keys, so a memo hit can never
-// conflate values that φ might abstract differently.
+// TestMemoDistinguishesSetsAndValueTypes: within one table, selecting
+// for one set never answers for another, and the same number under a
+// different dynamic type goes through φ on its own — on a Txn that just
+// selected the other.
 func TestMemoDistinguishesSetsAndValueTypes(t *testing.T) {
 	keySet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
 	sizeSet := SymSetOf(SymOpOf("size"))
@@ -68,14 +64,12 @@ func TestMemoDistinguishesSetsAndValueTypes(t *testing.T) {
 		if got, want := tx.CachedMode1(keys, 3), keys.Mode1(3); got != want {
 			t.Fatalf("key set: got %d, want %d", got, want)
 		}
-		// Same value, different set of the same table: must not hit the
-		// key-set entry (size is a constant set; any value selects its
-		// single mode).
+		// Same value, different set of the same table (size is a
+		// constant set; any value selects its single mode).
 		if got, want := tx.CachedMode1(size, 3), size.Mode1(3); got != want {
 			t.Fatalf("size set: got %d, want %d", got, want)
 		}
-		// Same numeric value under a different dynamic type is a
-		// distinct memo key and must re-select through φ.
+		// Same numeric value under a different dynamic type.
 		if got, want := tx.CachedMode1(keys, int32(3)), keys.Mode1(int32(3)); got != want {
 			t.Fatalf("int32 key: got %d, want %d", got, want)
 		}

@@ -10,9 +10,8 @@ import "fmt"
 // dense array indexed by the φ-images of the set's variables), so the
 // hot path never needs to construct anything — it only needs the index.
 // ModeCache exposes that interned lookup keyed by (symbolic-set id, φ
-// of the bound abstract values); the Txn memo below goes one step
-// further and skips even the φ hash when a section re-locks the same
-// values.
+// of the bound abstract values), and SetRef.Mode1/Mode2 are its
+// fixed-arity forms for call sites that resolved the set at setup.
 
 // ModeCache interns dynamic mode selection for one ModeTable: for every
 // (symbolic-set id, assignment of abstract values) it returns the
@@ -118,74 +117,8 @@ func (r SetRef) Mode2(a, b Value) ModeID {
 	panic(fmt.Sprintf("core: SetRef.Mode2: set %s has variables %v", e.set, e.vars))
 }
 
-// modeMemoSize bounds the Txn mode-selection memo. Sections lock a
-// handful of symbolic sets; eight entries cover every set of the
-// largest synthesized sections with room for pooled-transaction reuse
-// across different sections.
-const modeMemoSize = 8
-
-// modeMemo is one memoized mode selection: the set identity (table
-// pointer + dense set index), the values it was selected for, and the
-// result. All fields are immutable table state or values, so a memo
-// entry can never go stale.
-type modeMemo struct {
-	t     *ModeTable
-	set   int
-	nvals int8
-	v0    Value
-	v1    Value
-	mode  ModeID
-}
-
-// CachedMode1 selects the mode of a one-variable set through the
-// transaction's memo: when the same (set, value) was selected before —
-// in this section or a previous one run on the pooled transaction —
-// the ModeID returns without re-hashing the value through φ, without
-// allocating, and without an indirect call. Values must be comparable
-// (they already must be to serve as φ assignments and ADT keys).
-func (t *Txn) CachedMode1(r SetRef, v Value) ModeID {
-	memo := t.memo[:modeMemoLimit.Load()]
-	for i := range memo {
-		m := &memo[i]
-		if m.t == r.t && m.set == r.idx && m.nvals == 1 && m.v0 == v {
-			return m.mode
-		}
-	}
-	id := r.Mode1(v)
-	t.memoStore(modeMemo{t: r.t, set: r.idx, nvals: 1, v0: v, mode: id})
-	return id
-}
-
-// CachedMode2 is CachedMode1 for two-variable sets; values follow the
-// set's canonical Vars() order, exactly as in SetRef.Mode2.
-func (t *Txn) CachedMode2(r SetRef, a, b Value) ModeID {
-	memo := t.memo[:modeMemoLimit.Load()]
-	for i := range memo {
-		m := &memo[i]
-		if m.t == r.t && m.set == r.idx && m.nvals == 2 && m.v0 == a && m.v1 == b {
-			return m.mode
-		}
-	}
-	id := r.Mode2(a, b)
-	t.memoStore(modeMemo{t: r.t, set: r.idx, nvals: 2, v0: a, v1: b, mode: id})
-	return id
-}
-
-// memoStore inserts an entry round-robin within the tunable effective
-// size (SetModeMemoLimit). Eviction order barely matters: the memo
-// exists for the tight re-lock loops of one section, where the working
-// set is far below the limit. A shrink can leave memoNext past the new
-// limit; the wrap check catches that and entries beyond the limit are
-// never read (CachedMode1/2 scan memo[:limit]) until a grow makes them
-// eligible again — they hold older but never-wrong selections.
-func (t *Txn) memoStore(m modeMemo) {
-	lim := uint8(modeMemoLimit.Load())
-	if t.memoNext >= lim {
-		t.memoNext = 0
-	}
-	t.memo[t.memoNext] = m
-	t.memoNext++
-	if t.memoNext >= lim {
-		t.memoNext = 0
-	}
-}
+// CachedMode1 forwards to SetRef.Mode1: selection is one hash and one
+// table index, and no per-transaction memo in front of it was cheaper
+// than that (DESIGN.md §8). The method exists because the benchmark
+// ladder calls it by name; new code calls SetRef.Mode1.
+func (t *Txn) CachedMode1(r SetRef, v Value) ModeID { return r.Mode1(v) }

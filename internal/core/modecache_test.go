@@ -74,55 +74,52 @@ func TestModeCacheArityPanics(t *testing.T) {
 	mustPanic("ModeAt arity", func() { tbl.Cache().ModeAt(tbl.Cache().SetID(keySet), 1, 2) })
 }
 
-// TestTxnCachedModeMemo: the transaction memo returns the same ModeID as
-// the direct selector for hits, misses, and after round-robin eviction,
-// and survives Reset (entries are keyed on immutable table state).
+// TestTxnCachedModeMemo: Txn.CachedMode1 returns the same ModeID as the
+// direct selector, across Reset, and allocates nothing. (The memo of
+// the name is deleted; CachedMode1 forwards to SetRef.Mode1.)
 func TestTxnCachedModeMemo(t *testing.T) {
 	tbl := mapTable(t, 8, TableOptions{})
 	keySet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
 	ref := tbl.Set(keySet)
 	tx := NewTxn()
 
-	// More distinct values than memo slots forces eviction mid-loop.
 	for round := 0; round < 3; round++ {
-		for v := 0; v < 2*modeMemoSize; v++ {
+		for v := 0; v < 16; v++ {
 			if got, want := tx.CachedMode1(ref, v), ref.Mode1(v); got != want {
 				t.Fatalf("round %d: CachedMode1(%d) = %d, want %d", round, v, got, want)
 			}
 		}
-	}
-	tx.Reset()
-	if got, want := tx.CachedMode1(ref, 5), ref.Mode1(5); got != want {
-		t.Fatalf("after Reset: CachedMode1 = %d, want %d", got, want)
+		tx.Reset()
 	}
 
-	// Repeated same-value selection allocates nothing.
-	tx2 := NewTxn()
-	tx2.CachedMode1(ref, 7) // warm the memo
-	if n := testing.AllocsPerRun(100, func() { tx2.CachedMode1(ref, 7) }); n != 0 {
-		t.Errorf("CachedMode1 hit allocates %v per run, want 0", n)
+	var boxed Value = 7
+	if n := testing.AllocsPerRun(100, func() { tx.CachedMode1(ref, boxed) }); n != 0 {
+		t.Errorf("CachedMode1 allocates %v per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { ref.Mode1(7) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { ref.Mode1(boxed) }); n != 0 {
 		t.Errorf("SetRef.Mode1 allocates %v per run, want 0", n)
 	}
 }
 
-// TestTxnCachedMode2: the two-value memo distinguishes value order and
-// set identity.
+// TestTxnCachedMode2: the two-value selector distinguishes value order,
+// against the reference construction. (Txn.CachedMode2 is deleted;
+// SetRef.Mode2 is what its callers use.)
 func TestTxnCachedMode2(t *testing.T) {
 	spec := mapSpec()
 	set := SymSetOf(SymOpOf("put", VarArg("a"), VarArg("b")))
 	tbl := NewModeTable(spec, []SymSet{set}, TableOptions{Phi: NewPhi(4)})
 	ref := tbl.Set(set)
-	tx := NewTxn()
+	want := func(a, b Value) string {
+		return ModeForValues(set, tbl.Phi(), map[string]Value{"a": a, "b": b}).String()
+	}
 	for trial := 0; trial < 50; trial++ {
 		a, b := trial%5, (trial*3)%7
-		if got, want := tx.CachedMode2(ref, a, b), ref.Mode2(a, b); got != want {
-			t.Fatalf("CachedMode2(%d,%d) = %d, want %d", a, b, got, want)
+		if got := tbl.Mode(ref.Mode2(a, b)).String(); got != want(a, b) {
+			t.Fatalf("Mode2(%d,%d) = %s, want %s", a, b, got, want(a, b))
 		}
 	}
-	// (a,b) and (b,a) are distinct keys.
-	if m1, m2 := tx.CachedMode2(ref, 1, 2), tx.CachedMode2(ref, 2, 1); m1 != ref.Mode2(1, 2) || m2 != ref.Mode2(2, 1) {
-		t.Fatal("memo conflated value orders")
+	// (a,b) and (b,a) select different modes when φ separates a and b.
+	if tbl.Phi().Abstract(1) != tbl.Phi().Abstract(2) && ref.Mode2(1, 2) == ref.Mode2(2, 1) {
+		t.Fatal("Mode2 conflated value orders")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 )
 
 // Phi is the hash function φ : Value → {α_1, ..., α_n} of §5.1 that maps
@@ -38,8 +39,7 @@ const DefaultAbstractValues = 64
 // N returns the number of abstract values.
 func (p *HashPhi) N() int { return p.n }
 
-// Abstract maps v to its abstract value. Common scalar types take a fast
-// path; everything else is hashed through its fmt representation.
+// Abstract maps v to its abstract value; see HashOf for what is hashed.
 func (p *HashPhi) Abstract(v Value) int {
 	return int(hashValue(v) % uint64(p.n))
 }
@@ -47,6 +47,14 @@ func (p *HashPhi) Abstract(v Value) int {
 // HashOf returns the 64-bit hash of a value that HashPhi buckets by.
 // It is exported so that containers (internal/adt) can stripe their
 // internal state consistently with φ.
+//
+// Scalars hash their bits and strings their bytes. A pointer, channel
+// or unsafe.Pointer hashes its address — identity, which is what == on
+// a Value compares: the hash does not allocate, does not move while the
+// pointee mutates, and differs for distinct pointers to equal contents.
+// (The Go collector does not move heap objects, and a pointer shared
+// between transactions has escaped to the heap.) Any other comparable
+// value — a struct, an array — hashes its fmt rendering.
 func HashOf(v Value) uint64 { return hashValue(v) }
 
 func hashValue(v Value) uint64 {
@@ -86,11 +94,14 @@ func hashValue(v Value) uint64 {
 		h := fnv.New64a()
 		h.Write([]byte(x))
 		return h.Sum64()
-	default:
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%T:%v", v, v)
-		return h.Sum64()
 	}
+	switch rv := reflect.ValueOf(v); rv.Kind() {
+	case reflect.Pointer, reflect.Chan, reflect.UnsafePointer:
+		return mix(uint64(rv.Pointer()))
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%T:%v", v, v)
+	return h.Sum64()
 }
 
 // mix is a 64-bit finalizer (splitmix64) so that small consecutive
@@ -105,8 +116,8 @@ func mix(z uint64) uint64 {
 // FixedPhi is a φ for tests: explicit assignments with a default bucket.
 // It makes examples like Fig 19 ("φ(5) = α1") directly expressible.
 type FixedPhi struct {
-	n       int
-	assign  map[Value]int
+	n         int
+	assign    map[Value]int
 	defaultTo int
 }
 

@@ -93,3 +93,31 @@ func TestReducedPhi(t *testing.T) {
 		}
 	}
 }
+
+// TestPhiPointerIdentity: φ of a pointer is a function of its address —
+// unchanged when the pointee mutates, different for two pointers to
+// equal contents, and allocation-free.
+func TestPhiPointerIdentity(t *testing.T) {
+	type conn struct {
+		name   string
+		frames int
+	}
+	p, q := &conn{name: "m0"}, &conn{name: "m0"}
+	var pv, qv Value = p, q
+	before := HashOf(pv)
+	p.frames++
+	p.name = "renamed"
+	if after := HashOf(pv); after != before {
+		t.Errorf("HashOf(p) moved %#x -> %#x when *p changed", before, after)
+	}
+	if HashOf(pv) == HashOf(qv) {
+		t.Errorf("HashOf equal for two distinct pointers: %#x", before)
+	}
+	ch := make(chan int)
+	if HashOf(ch) != HashOf(ch) || HashOf(ch) == HashOf(make(chan int)) {
+		t.Error("HashOf(chan) is not its identity")
+	}
+	if n := testing.AllocsPerRun(100, func() { HashOf(pv) }); n != 0 {
+		t.Errorf("HashOf(pointer) allocates %v per run, want 0", n)
+	}
+}

@@ -180,3 +180,56 @@ func TestRandomModeSelectionCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomModeSelectorsAgree: for random tables, sets and values —
+// ints, strings and pointers — every way of selecting a mode names the
+// same one: Txn.CachedMode1 ≡ SetRef.Mode1 ≡ the reference construction
+// ModeForValues for sets of at most one variable, and SetRef.Mode2 ≡
+// ModeForValues for sets of none or two. The Txn is one pooled-style
+// transaction reused (and Reset) across every table of the run.
+func TestRandomModeSelectorsAgree(t *testing.T) {
+	ptrs := []*int{new(int), new(int), new(int)}
+	value := func(rng *rand.Rand) Value {
+		switch rng.Intn(3) {
+		case 0:
+			return rng.Intn(1000)
+		case 1:
+			return fmt.Sprintf("k%d", rng.Intn(1000))
+		default:
+			return ptrs[rng.Intn(len(ptrs))]
+		}
+	}
+	tx := NewTxn()
+	for seed := int64(200); seed < 260; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spec := randomSpec(rng, fmt.Sprintf("S%d", seed))
+		sets := randomSets(rng, spec)
+		tbl := NewModeTable(spec, sets, TableOptions{Phi: NewPhi(1 + rng.Intn(8))})
+		for _, set := range sets {
+			ref := tbl.Set(set)
+			vars := ref.Vars()
+			for trial := 0; trial < 20; trial++ {
+				a, b := value(rng), value(rng)
+				env := map[string]Value{}
+				for i, name := range vars {
+					env[name] = []Value{a, b}[i]
+				}
+				want := ModeForValues(set, tbl.Phi(), env).String()
+				if len(vars) <= 1 {
+					if got := tbl.Mode(ref.Mode1(a)).String(); got != want {
+						t.Fatalf("seed %d set %s: Mode1(%v) = %s, want %s", seed, set, a, got, want)
+					}
+					if got := tbl.Mode(tx.CachedMode1(ref, a)).String(); got != want {
+						t.Fatalf("seed %d set %s: CachedMode1(%v) = %s, want %s", seed, set, a, got, want)
+					}
+				}
+				if len(vars) != 1 {
+					if got := tbl.Mode(ref.Mode2(a, b)).String(); got != want {
+						t.Fatalf("seed %d set %s: Mode2(%v, %v) = %s, want %s", seed, set, a, b, got, want)
+					}
+				}
+			}
+		}
+		tx.Reset()
+	}
+}

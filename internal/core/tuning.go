@@ -230,32 +230,6 @@ var _ Tuner = (*Semantic)(nil)
 // Process-wide knobs
 // ---------------------------------------------------------------------
 
-// modeMemoLimit is the effective size of the per-Txn mode-selection
-// memo, within the fixed modeMemoSize backing array. Shrinking it makes
-// lookups scan fewer entries (cheaper for workloads whose sections lock
-// one or two sets); the slots past the limit are simply ignored and
-// become valid again when the limit grows — memo entries are keyed on
-// immutable state and can never go stale.
-var modeMemoLimit atomic.Int32
-
-func init() { modeMemoLimit.Store(modeMemoSize) }
-
-// SetModeMemoLimit retunes the effective per-Txn mode-memo size,
-// clamped to [1, 8]. Transactions pick the new limit up on their next
-// memoized selection.
-func SetModeMemoLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > modeMemoSize {
-		n = modeMemoSize
-	}
-	modeMemoLimit.Store(int32(n))
-}
-
-// ModeMemoLimit returns the current effective mode-memo size.
-func ModeMemoLimit() int { return int(modeMemoLimit.Load()) }
-
 // waitTimingAt records when global wait-time sampling last transitioned
 // off→on (unix nanos; 0 = never enabled). Waiters already parked at
 // that moment carry no timestamp of their own; their settle and the

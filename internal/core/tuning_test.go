@@ -193,44 +193,13 @@ func TestWaitTimingMidFlightToggle(t *testing.T) {
 	}
 }
 
-func TestModeMemoLimit(t *testing.T) {
-	defer SetModeMemoLimit(modeMemoSize)
-	SetModeMemoLimit(0)
-	if got := ModeMemoLimit(); got != 1 {
-		t.Fatalf("limit after SetModeMemoLimit(0) = %d, want clamp to 1", got)
-	}
-	SetModeMemoLimit(100)
-	if got := ModeMemoLimit(); got != modeMemoSize {
-		t.Fatalf("limit after SetModeMemoLimit(100) = %d, want clamp to %d", got, modeMemoSize)
-	}
-
-	// Correctness across shrink/grow: the memo must return the same
-	// ModeID the direct selector computes, at every limit.
-	tbl := mapTable(t, 8, TableOptions{})
-	ref := tbl.Set(SymSetOf(
-		SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k"))))
-	txn := &Txn{}
-	for _, lim := range []int{8, 3, 1, 5, 8} {
-		SetModeMemoLimit(lim)
-		for k := 0; k < 16; k++ {
-			want := ref.Mode1(Value(k))
-			if got := txn.CachedMode1(ref, Value(k)); got != want {
-				t.Fatalf("limit %d: CachedMode1(%d) = %v, want %v", lim, k, got, want)
-			}
-		}
-	}
-}
-
 // TestTuningRaceHammer is the satellite-4 stress: a background tuner
 // cycles every runtime knob while workers run single, batched, and
 // optimistic-accounting traffic. Run under -race it proves the knob
 // plumbing introduces no torn reads; the post-join assertions prove no
 // waiter leaked, the instance quiesced, and the stats stayed sane.
 func TestTuningRaceHammer(t *testing.T) {
-	defer func() {
-		SetModeMemoLimit(modeMemoSize)
-		SetWaitTiming(false)
-	}()
+	defer SetWaitTiming(false)
 	tbl := mapTable(t, 64, TableOptions{}) // wide φ: summaries maintained
 	s := NewSemantic(tbl)
 	ref := tbl.Set(SymSetOf(
@@ -261,7 +230,6 @@ func TestTuningRaceHammer(t *testing.T) {
 			s.SetSpinBounds(spins[i%len(spins)])
 			s.SetOptGateParams(gates[i%len(gates)])
 			s.SetSummaryScan(i%2 == 0)
-			SetModeMemoLimit(1 + i%modeMemoSize)
 			SetWaitTiming(i%4 < 2)
 			runtime.Gosched()
 		}
@@ -300,11 +268,10 @@ func TestTuningRaceHammer(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			txn := &Txn{}
 			sm := sizeMode(tbl)
 			for i := 0; i < iters; i++ {
 				k := Value((w*31 + i) % 64)
-				m := txn.CachedMode1(ref, k)
+				m := ref.Mode1(k)
 				switch i % 4 {
 				case 0:
 					s.Acquire(m)

@@ -32,16 +32,6 @@ type Txn struct {
 	// it is reused across calls so fused prologues allocate nothing.
 	batchModes []ModeID
 
-	// memo is the allocation-free mode-selection scratch (CachedMode1/
-	// CachedMode2): the most recent selections per symbolic set, keyed
-	// by value equality, so a section that re-locks the same abstract
-	// values never re-hashes them through φ. The entries are keyed on
-	// immutable table state and survive Reset deliberately — pooled
-	// transactions serving the same sections hit the memo across
-	// section executions.
-	memo     [modeMemoSize]modeMemo
-	memoNext uint8
-
 	// optSnaps is the optimistic snapshot buffer (TryOptimistic): one
 	// entry per instance the section would have locked, holding the
 	// version sampled at observation. Reset clears it — a pooled

@@ -956,3 +956,150 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl) {
 		return true
 	})
 }
+
+// ---------------------------------------------------------------------
+// boxonce
+// ---------------------------------------------------------------------
+
+// BoxOnce flags a variable boxed into core.Value more than once inside
+// one atomic section. core.Value is an interface, so handing a string
+// or an integer variable to the selector and then to each map operation
+// heap-allocates a copy per use; the section should box the key once,
+// before it starts, and pass the boxed value around (the apps' V forms
+// are that idiom). In its smallest form the check is syntactic: inside
+// a function literal passed to core.Atomically or resilience.Policy.Run
+// — nested literals included, they are the same section — it counts,
+// per variable, the plain-identifier arguments whose parameter is the
+// empty interface on a callee declared under internal/, plus explicit
+// core.Value(x) conversions, and reports the second one. Variables that
+// are already interfaces or whose boxing is free (pointers, channels,
+// maps, funcs) are not counted. Generated files are skipped: the fix
+// for those belongs in the generator.
+var BoxOnce = &Analyzer{
+	Name: "boxonce",
+	Doc:  "flags a key variable converted to core.Value more than once inside one atomic section",
+	Run:  runBoxOnce,
+}
+
+func runBoxOnce(p *Pass) {
+	for _, file := range p.Files {
+		if ast.IsGenerated(file) {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !p.isSectionCall(call) {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					p.checkBoxOnce(lit)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isSectionCall reports whether call is core.Atomically(...) or
+// (*resilience.Policy).Run(...).
+func (p *Pass) isSectionCall(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	switch sel.Sel.Name {
+	case "Atomically":
+		fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+		return ok && fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/core")
+	case "Run":
+		return namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Policy")
+	}
+	return false
+}
+
+// boxedVar returns the variable e names when boxing it allocates.
+func (p *Pass) boxedVar(e ast.Expr) *types.Var {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := p.Info.Uses[id].(*types.Var)
+	if !ok {
+		return nil
+	}
+	switch v.Type().Underlying().(type) {
+	case *types.Interface, *types.Pointer, *types.Chan, *types.Map, *types.Signature:
+		return nil
+	}
+	return v
+}
+
+func isEmptyInterface(t types.Type) bool {
+	i, ok := t.Underlying().(*types.Interface)
+	return ok && i.Empty()
+}
+
+func (p *Pass) checkBoxOnce(section *ast.FuncLit) {
+	seen := map[*types.Var]int{}
+	box := func(e ast.Expr) {
+		v := p.boxedVar(e)
+		if v == nil {
+			return
+		}
+		if seen[v]++; seen[v] == 2 {
+			p.Reportf(e.Pos(),
+				"%s is converted to core.Value again inside one atomic section; box it once before the section and pass the boxed value",
+				v.Name())
+		}
+	}
+	ast.Inspect(section.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
+			if len(call.Args) == 1 && isEmptyInterface(tv.Type) {
+				box(call.Args[0])
+			}
+			return true
+		}
+		sig, ok := p.TypeOf(call.Fun).(*types.Signature)
+		if !ok || !p.calleeUnderInternal(call.Fun) {
+			return true
+		}
+		for i, arg := range call.Args {
+			var param types.Type
+			switch last := sig.Params().Len() - 1; {
+			case sig.Variadic() && i >= last:
+				if call.Ellipsis.IsValid() {
+					continue // f(xs...): no per-element conversion here
+				}
+				param = sig.Params().At(last).Type().(*types.Slice).Elem()
+			default:
+				param = sig.Params().At(i).Type()
+			}
+			if isEmptyInterface(param) {
+				box(arg)
+			}
+		}
+		return true
+	})
+}
+
+// calleeUnderInternal reports whether fun names a function, method or
+// func-typed variable declared in one of this module's internal
+// packages — the surfaces whose `any` parameters are core.Value.
+func (p *Pass) calleeUnderInternal(fun ast.Expr) bool {
+	var id *ast.Ident
+	switch x := fun.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return false
+	}
+	obj := p.Info.Uses[id]
+	return obj != nil && obj.Pkg() != nil && strings.Contains(obj.Pkg().Path(), "internal/")
+}

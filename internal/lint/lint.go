@@ -40,6 +40,9 @@
 //     discarded error proceeds without the lock, and an unbounded
 //     `for {}` retry without a resilience budget turns one stall into
 //     a retry storm.
+//   - boxonce: a string or integer key handed to the selector and to
+//     each map operation of one atomic section is boxed into core.Value
+//     — heap-allocated — once per use; box it once before the section.
 //
 // Deliberate exceptions — plan transcriptions in internal/modules and
 // internal/apps, and benchmarks of the bare mechanism — carry
@@ -112,7 +115,7 @@ func (d Diagnostic) String() string {
 // analyzers (guardedby, rankorder) live in internal/lint/interproc and
 // run through RunProgram.
 func All() []*Analyzer {
-	return []*Analyzer{PaddedCopy, TxnDiscipline, ModeMask, UnlockPath, AbortPath, Batchable, OccPure, RetryPath}
+	return []*Analyzer{PaddedCopy, TxnDiscipline, ModeMask, UnlockPath, AbortPath, Batchable, OccPure, RetryPath, BoxOnce}
 }
 
 // ProgramAnalyzer is one whole-program check: unlike Analyzer it sees

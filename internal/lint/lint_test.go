@@ -81,6 +81,7 @@ func TestAnalyzers(t *testing.T) {
 		{"directives.go", "repro/tdata", TxnDiscipline},
 		{"occpure.go", "repro/tdata", OccPure},
 		{"retrypath.go", "repro/tdata", RetryPath},
+		{"boxonce.go", "repro/internal/apps/tdata", BoxOnce},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name+"/"+tc.file, func(t *testing.T) {
