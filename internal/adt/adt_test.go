@@ -351,16 +351,68 @@ func TestList(t *testing.T) {
 	}
 }
 
-// TestHashMapRangeOccupancy: Range visits occupied stripes only, so
-// under concurrent Put/Remove it must still never miss a key present
-// for the whole range and never yield one whose removal completed
-// before the range began; once writers stop, the occupancy bitmap names
-// exactly the non-empty stripes. Run under -race.
-func TestHashMapRangeOccupancy(t *testing.T) {
+// walker is what TestHashMapRangeOccupancy needs of a striped
+// container: the map and the set share the stripes and the occupancy
+// bitmap, so they share the test.
+type walker struct {
+	put, remove func(k int)
+	each        func(f func(k int))
+	clear       func()
+	size        func() int
+	occupied    func() uint64
+	nonEmpty    func() uint64 // bit i set iff stripe i holds a key
+}
+
+func nonEmptyStripes[V any](t *striped[V]) uint64 {
+	var bits uint64
+	for i := range t.stripes {
+		if t.stripes[i].n != 0 {
+			bits |= 1 << i
+		}
+	}
+	return bits
+}
+
+func mapWalker() walker {
 	m := NewHashMap()
+	return walker{
+		put:      func(k int) { m.Put(k, k) },
+		remove:   func(k int) { m.Remove(k) },
+		each:     func(f func(int)) { m.Range(func(k, _ core.Value) bool { f(k.(int)); return true }) },
+		clear:    m.Clear,
+		size:     m.Size,
+		occupied: m.occupied.Load,
+		nonEmpty: func() uint64 { return nonEmptyStripes(&m.striped) },
+	}
+}
+
+func setWalker() walker {
+	s := NewHashSet()
+	return walker{
+		put:      func(k int) { s.Add(k) },
+		remove:   func(k int) { s.Remove(k) },
+		each:     func(f func(int)) { s.Range(func(v core.Value) bool { f(v.(int)); return true }) },
+		clear:    s.Clear,
+		size:     s.Size,
+		occupied: s.occupied.Load,
+		nonEmpty: func() uint64 { return nonEmptyStripes(&s.striped) },
+	}
+}
+
+// TestHashMapRangeOccupancy: a walk (HashMap.Range/Values, HashSet.Range)
+// visits occupied stripes only, so under concurrent Put/Remove it must
+// still never miss a key present for the whole walk and never yield one
+// whose removal completed before the walk began; once writers stop, the
+// occupancy bitmap names exactly the non-empty stripes. Run under -race.
+func TestHashMapRangeOccupancy(t *testing.T) {
+	t.Run("map", func(t *testing.T) { testRangeOccupancy(t, mapWalker()) })
+	t.Run("set", func(t *testing.T) { testRangeOccupancy(t, setWalker()) })
+}
+
+func testRangeOccupancy(t *testing.T, m walker) {
 	const stable, churn = 24, 200
 	for k := 0; k < stable; k++ {
-		m.Put(k, k)
+		m.put(k)
 	}
 	stop := make(chan struct{})
 	var writers, rangers sync.WaitGroup
@@ -375,8 +427,8 @@ func TestHashMapRangeOccupancy(t *testing.T) {
 				default:
 				}
 				k := stable + (i*4+w)%churn // keys of w's residue class only
-				m.Put(k, k)
-				m.Remove(k)
+				m.put(k)
+				m.remove(k)
 			}
 		}(w)
 	}
@@ -386,20 +438,19 @@ func TestHashMapRangeOccupancy(t *testing.T) {
 			defer rangers.Done()
 			for i := 0; i < 500; i++ {
 				gone := stable + churn + r // this ranger's own key
-				m.Put(gone, gone)
-				m.Remove(gone)
+				m.put(gone)
+				m.remove(gone)
 				seen := 0
-				m.Range(func(k, _ core.Value) bool {
-					switch n := k.(int); {
+				m.each(func(n int) {
+					switch {
 					case n < stable:
 						seen++
 					case n == gone:
-						t.Errorf("Range yielded key %d, removed before the range began", n)
+						t.Errorf("walk yielded key %d, removed before the walk began", n)
 					}
-					return true
 				})
 				if seen != stable {
-					t.Errorf("Range saw %d of the %d keys present throughout", seen, stable)
+					t.Errorf("walk saw %d of the %d keys present throughout", seen, stable)
 					return
 				}
 			}
@@ -409,20 +460,18 @@ func TestHashMapRangeOccupancy(t *testing.T) {
 	close(stop)
 	writers.Wait()
 
-	var want uint64
-	for i := range m.shards {
-		if len(m.shards[i].m) != 0 {
-			want |= 1 << i
-		}
-	}
-	if got := m.occupied.Load(); got != want {
+	if got, want := m.occupied(), m.nonEmpty(); got != want {
 		t.Errorf("occupied = %#x, non-empty stripes = %#x", got, want)
 	}
-	if got := len(m.Values()); got != stable || m.Size() != stable {
-		t.Errorf("after churn: %d values, Size %d, want %d", got, m.Size(), stable)
+	n := 0
+	m.each(func(int) { n++ })
+	if n != stable || m.size() != stable {
+		t.Errorf("after churn: walk saw %d, Size %d, want %d", n, m.size(), stable)
 	}
-	m.Clear()
-	if m.occupied.Load() != 0 || m.Size() != 0 || len(m.Values()) != 0 {
-		t.Errorf("after Clear: occupied %#x, Size %d", m.occupied.Load(), m.Size())
+	m.clear()
+	n = 0
+	m.each(func(int) { n++ })
+	if m.occupied() != 0 || m.size() != 0 || n != 0 {
+		t.Errorf("after Clear: occupied %#x, Size %d, walk saw %d", m.occupied(), m.size(), n)
 	}
 }

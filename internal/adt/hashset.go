@@ -1,64 +1,54 @@
 package adt
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 )
 
-type setShard struct {
-	mu sync.Mutex
-	m  map[core.Value]struct{}
-}
-
 // HashSet is a linearizable hash set with striped internal locking —
-// the Set ADT of Fig 3(a).
+// the Set ADT of Fig 3(a). The zero value is an empty set.
 type HashSet struct {
-	shards [numShards]setShard
-	size   atomic.Int64
+	striped[struct{}]
+	size atomic.Int64
 }
 
 // NewHashSet creates an empty set.
-func NewHashSet() *HashSet {
-	h := &HashSet{}
-	for i := range h.shards {
-		h.shards[i].m = make(map[core.Value]struct{})
-	}
-	return h
-}
+func NewHashSet() *HashSet { return &HashSet{} }
 
 // Add inserts v.
 func (h *HashSet) Add(v core.Value) {
-	s := &h.shards[shardIndex(v)]
-	s.mu.Lock()
-	if _, had := s.m[v]; !had {
-		s.m[v] = struct{}{}
-		s.mu.Unlock()
-		h.size.Add(1)
-		return
+	v, hash := hashKey(v)
+	s := h.lock(hash)
+	had := s.find(v, hash) >= 0
+	if !had {
+		h.insert(s, v, hash, struct{}{})
 	}
 	s.mu.Unlock()
+	if !had {
+		h.size.Add(1)
+	}
 }
 
 // Remove deletes v.
 func (h *HashSet) Remove(v core.Value) {
-	s := &h.shards[shardIndex(v)]
-	s.mu.Lock()
-	if _, had := s.m[v]; had {
-		delete(s.m, v)
-		s.mu.Unlock()
-		h.size.Add(-1)
-		return
+	v, hash := hashKey(v)
+	s := h.lock(hash)
+	i := s.find(v, hash)
+	if i >= 0 {
+		h.remove(s, hash, i)
 	}
 	s.mu.Unlock()
+	if i >= 0 {
+		h.size.Add(-1)
+	}
 }
 
 // Contains reports membership of v.
 func (h *HashSet) Contains(v core.Value) bool {
-	s := &h.shards[shardIndex(v)]
-	s.mu.Lock()
-	_, ok := s.m[v]
+	v, hash := hashKey(v)
+	s := h.lock(hash)
+	ok := s.find(v, hash) >= 0
 	s.mu.Unlock()
 	return ok
 }
@@ -67,28 +57,10 @@ func (h *HashSet) Contains(v core.Value) bool {
 func (h *HashSet) Size() int { return int(h.size.Load()) }
 
 // Clear removes every element.
-func (h *HashSet) Clear() {
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		h.size.Add(int64(-len(s.m)))
-		s.m = make(map[core.Value]struct{})
-		s.mu.Unlock()
-	}
-}
+func (h *HashSet) Clear() { h.size.Add(int64(-h.clear())) }
 
 // Range calls f for every element until f returns false (shard at a
-// time; see HashMap.Range for the atomicity caveat).
+// time; see HashMap.Range for the order and the atomicity caveat).
 func (h *HashSet) Range(f func(v core.Value) bool) {
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		for v := range s.m {
-			if !f(v) {
-				s.mu.Unlock()
-				return
-			}
-		}
-		s.mu.Unlock()
-	}
+	h.each(func(v core.Value, _ struct{}) bool { return f(v) })
 }

@@ -92,11 +92,11 @@ type pqItem struct {
 
 type pqHeap []pqItem
 
-func (h pqHeap) Len() int            { return len(h) }
-func (h pqHeap) Less(i, j int) bool  { return h[i].prio < h[j].prio }
-func (h pqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pqHeap) Push(x any)         { *h = append(*h, x.(pqItem)) }
-func (h *pqHeap) Pop() any           { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h pqHeap) Len() int           { return len(h) }
+func (h pqHeap) Less(i, j int) bool { return h[i].prio < h[j].prio }
+func (h pqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *pqHeap) Push(x any)        { *h = append(*h, x.(pqItem)) }
+func (h *pqHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 // NewPQueue creates an empty priority queue.
 func NewPQueue() *PQueue { return &PQueue{} }

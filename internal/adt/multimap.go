@@ -1,61 +1,62 @@
 package adt
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 )
 
-type mmShard struct {
-	mu sync.Mutex
-	m  map[core.Value]map[core.Value]struct{}
-}
-
 // Multimap is a linearizable key → set-of-values container (the Guava
 // SetMultimap shape the Graph benchmark of §6.1 builds on), with striped
-// internal locking.
+// internal locking: a key's value set is a table of its own, guarded by
+// the key's stripe. The zero value is an empty multimap.
 type Multimap struct {
-	shards [numShards]mmShard
-	size   atomic.Int64
+	striped[table[struct{}]]
+	size atomic.Int64
 }
 
 // NewMultimap creates an empty multimap.
-func NewMultimap() *Multimap {
-	h := &Multimap{}
-	for i := range h.shards {
-		h.shards[i].m = make(map[core.Value]map[core.Value]struct{})
-	}
-	return h
-}
+func NewMultimap() *Multimap { return &Multimap{} }
 
 // Put associates v with k; it reports whether the entry was new.
 func (h *Multimap) Put(k, v core.Value) bool {
-	s := &h.shards[shardIndex(k)]
-	s.mu.Lock()
-	vs, ok := s.m[k]
-	if !ok {
-		vs = make(map[core.Value]struct{})
-		s.m[k] = vs
+	k, hash := hashKey(k)
+	v, vhash := hashKey(v)
+	s := h.lock(hash)
+	i := s.find(k, hash)
+	if i < 0 {
+		i = h.insert(s, k, hash, table[struct{}]{})
 	}
-	if _, had := vs[v]; had {
-		s.mu.Unlock()
-		return false
+	vs := &s.slots[i].v
+	isNew := vs.find(v, vhash) < 0
+	if isNew {
+		vs.insert(v, vhash, struct{}{})
 	}
-	vs[v] = struct{}{}
 	s.mu.Unlock()
-	h.size.Add(1)
-	return true
+	if isNew {
+		h.size.Add(1)
+	}
+	return isNew
+}
+
+// values returns a snapshot of a value set's members.
+func values(vs *table[struct{}]) []core.Value {
+	out := make([]core.Value, 0, vs.n)
+	for _, e := range vs.slots {
+		if e.k != nil {
+			out = append(out, userKey(e.k))
+		}
+	}
+	return out
 }
 
 // Get returns a snapshot of the values associated with k.
 func (h *Multimap) Get(k core.Value) []core.Value {
-	s := &h.shards[shardIndex(k)]
-	s.mu.Lock()
-	vs := s.m[k]
-	out := make([]core.Value, 0, len(vs))
-	for v := range vs {
-		out = append(out, v)
+	k, hash := hashKey(k)
+	s := h.lock(hash)
+	out := []core.Value{}
+	if i := s.find(k, hash); i >= 0 {
+		out = values(&s.slots[i].v)
 	}
 	s.mu.Unlock()
 	return out
@@ -63,45 +64,47 @@ func (h *Multimap) Get(k core.Value) []core.Value {
 
 // ContainsEntry reports whether (k, v) is present.
 func (h *Multimap) ContainsEntry(k, v core.Value) bool {
-	s := &h.shards[shardIndex(k)]
-	s.mu.Lock()
-	_, ok := s.m[k][v]
+	k, hash := hashKey(k)
+	v, vhash := hashKey(v)
+	s := h.lock(hash)
+	i := s.find(k, hash)
+	ok := i >= 0 && s.slots[i].v.find(v, vhash) >= 0
 	s.mu.Unlock()
 	return ok
 }
 
 // Remove deletes the entry (k, v); it reports whether it was present.
 func (h *Multimap) Remove(k, v core.Value) bool {
-	s := &h.shards[shardIndex(k)]
-	s.mu.Lock()
-	vs, ok := s.m[k]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	if _, had := vs[v]; !had {
-		s.mu.Unlock()
-		return false
-	}
-	delete(vs, v)
-	if len(vs) == 0 {
-		delete(s.m, k)
+	k, hash := hashKey(k)
+	v, vhash := hashKey(v)
+	s := h.lock(hash)
+	had := false
+	if i := s.find(k, hash); i >= 0 {
+		vs := &s.slots[i].v
+		if j := vs.find(v, vhash); j >= 0 {
+			had = true
+			vs.remove(j)
+			if vs.n == 0 {
+				h.remove(s, hash, i)
+			}
+		}
 	}
 	s.mu.Unlock()
-	h.size.Add(-1)
-	return true
+	if had {
+		h.size.Add(-1)
+	}
+	return had
 }
 
 // RemoveAll deletes every entry of k and returns the removed values.
 func (h *Multimap) RemoveAll(k core.Value) []core.Value {
-	s := &h.shards[shardIndex(k)]
-	s.mu.Lock()
-	vs := s.m[k]
-	out := make([]core.Value, 0, len(vs))
-	for v := range vs {
-		out = append(out, v)
+	k, hash := hashKey(k)
+	s := h.lock(hash)
+	out := []core.Value{}
+	if i := s.find(k, hash); i >= 0 {
+		out = values(&s.slots[i].v)
+		h.remove(s, hash, i)
 	}
-	delete(s.m, k)
 	s.mu.Unlock()
 	h.size.Add(int64(-len(out)))
 	return out

@@ -4,19 +4,68 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/modules/plan"
 )
 
+// lookupOf returns r's membership probe. Only Ours exports one; for a
+// baseline it is that policy's Unicast without the send, so the mix
+// below costs every policy the same five sections.
+func lookupOf(r Router) func(group, member string) bool {
+	switch r := r.(type) {
+	case *Ours:
+		return r.Lookup
+	case *global:
+		return func(group, member string) bool {
+			r.mu.Enter()
+			defer r.mu.Exit()
+			m := r.inner(group, false)
+			return m != nil && m.Get(member) != nil
+		}
+	case *twoPL:
+		return func(group, member string) bool {
+			var tx cc.TwoPL
+			tx.Lock(r.groupsL)
+			defer tx.UnlockAll()
+			li := r.inner(group, false)
+			if li == nil {
+				return false
+			}
+			tx.Lock(li.l)
+			return li.m.Get(member) != nil
+		}
+	case *manual:
+		return func(group, member string) bool {
+			ri := r.inner(group, false)
+			if ri == nil {
+				return false
+			}
+			ri.mu.RLock()
+			defer ri.mu.RUnlock()
+			return ri.m.Get(member) != nil
+		}
+	}
+	panic(fmt.Sprintf("gossip: no lookup for %T", r))
+}
+
 // BenchmarkGossipChurnMix is the benchmark harness's gossip-churn
 // workload as a `go test -bench` loop, so the next profile of it is
-// `go test -run '^$' -bench GossipChurnMix -cpuprofile`: the fused router
-// called in process through its string-keyed methods, 4 groups of 16
-// members (send cost 60, 64-byte payload) of which the upper 8 churn,
-// and the mix 40 % unicast, 10 % multicast, 30 % lookup, 10 % register,
-// 10 % unregister, drawn from an xorshift generator.
+// `go test -run '^$' -bench GossipChurnMix/ours-fused -cpuprofile`: a
+// router called in process through its string-keyed methods, 4 groups
+// of 16 members (send cost 60, 64-byte payload) of which the upper 8
+// churn, and the mix 40 % unicast, 10 % multicast, 30 % lookup, 10 %
+// register, 10 % unregister, drawn from an xorshift generator. The
+// harness runs ours-fused; the baseline policies run the same mix
+// beside it so "ours vs Global at one thread" (-cpu 1) is one command.
 func BenchmarkGossipChurnMix(b *testing.B) {
+	for _, policy := range []string{"ours-fused", "global", "manual", "2pl"} {
+		b.Run(policy, func(b *testing.B) { churnMix(b, New(policy, 60, plan.Options{})) })
+	}
+}
+
+func churnMix(b *testing.B, o Router) {
 	const groups, members, stable, sendCost = 4, 16, 8, 60
-	o := NewOursFused(sendCost, plan.Options{})
+	lookup := lookupOf(o)
 	var gn [groups]string
 	var mn [members]string
 	var sinks [groups][members]*Conn
@@ -47,7 +96,7 @@ func BenchmarkGossipChurnMix(b *testing.B) {
 		case p < 50:
 			o.Multicast(gn[g], payload)
 		case p < 80:
-			if !o.Lookup(gn[g], mn[m]) {
+			if !lookup(gn[g], mn[m]) {
 				b.Fatal("lookup of a stable member answered false")
 			}
 		case p < 90:

@@ -82,8 +82,8 @@ func AblationSim(cfg SimConfig) *Figure {
 				steps = append(steps, sim.W(semOverhead))
 				if len(mechs) > 0 {
 					// Contiguous bucket ranges share a mechanism resource (for
-				// mechv1, the 16 counters of one cache line).
-				m := mechs[b*len(mechs)/v.buckets]
+					// mechv1, the 16 counters of one cache line).
+					m := mechs[b*len(mechs)/v.buckets]
 					steps = append(steps, sim.Acq(m, 0), sim.W(v.mechHold), sim.Rel(m, 0))
 				}
 				steps = append(steps, sim.Acq(stripes, b), sim.W(opCost))

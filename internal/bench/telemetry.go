@@ -61,10 +61,10 @@ type TelemetrySnapshotCell struct {
 
 // TelemetryReport is the full experiment result.
 type TelemetryReport struct {
-	GOMAXPROCS   int                `json:"gomaxprocs"`
-	OpsPerThread int                `json:"app_ops_per_thread"`
-	App          []TelemetryAppCell `json:"app_cells"`
-	Overhead     map[int]float64    `json:"on_over_off_by_threads"`
+	GOMAXPROCS   int                   `json:"gomaxprocs"`
+	OpsPerThread int                   `json:"app_ops_per_thread"`
+	App          []TelemetryAppCell    `json:"app_cells"`
+	Overhead     map[int]float64       `json:"on_over_off_by_threads"`
 	Snapshot     TelemetrySnapshotCell `json:"snapshot_cell"`
 	// Trace dump: the predicted schedule of the golden section (max
 	// same-rank acquisitions per class rank) and one recorded trace that

@@ -67,13 +67,13 @@ func TestCondDefinitelyNE(t *testing.T) {
 		a, b ModeArg
 		want bool
 	}{
-		{MConst(5), MConst(6), true},   // distinct constants
-		{MConst(5), MConst(5), false},  // same constant
-		{MConst(5), MAbs(1), true},     // φ(5)=α1(0) ≠ α2 → disjoint
-		{MConst(5), MAbs(0), false},    // 5 lies in bucket α1
-		{MAbs(0), MAbs(1), true},       // distinct buckets are disjoint
-		{MAbs(0), MAbs(0), false},      // same bucket may hold equal values
-		{MStar(), MConst(5), false},    // * overlaps everything
+		{MConst(5), MConst(6), true},  // distinct constants
+		{MConst(5), MConst(5), false}, // same constant
+		{MConst(5), MAbs(1), true},    // φ(5)=α1(0) ≠ α2 → disjoint
+		{MConst(5), MAbs(0), false},   // 5 lies in bucket α1
+		{MAbs(0), MAbs(1), true},      // distinct buckets are disjoint
+		{MAbs(0), MAbs(0), false},     // same bucket may hold equal values
+		{MStar(), MConst(5), false},   // * overlaps everything
 		{MAbs(1), MStar(), false},
 	}
 	for _, c := range cases {

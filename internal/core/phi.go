@@ -91,9 +91,13 @@ func hashValue(v Value) uint64 {
 	case float32:
 		return mix(uint64(math.Float32bits(x)))
 	case string:
-		h := fnv.New64a()
-		h.Write([]byte(x))
-		return h.Sum64()
+		// FNV-1a, the loop hash/fnv's New64a runs, over the string in
+		// place: no hasher, no []byte copy of the key.
+		h := uint64(fnvOffset64)
+		for i := 0; i < len(x); i++ {
+			h = (h ^ uint64(x[i])) * fnvPrime64
+		}
+		return h
 	}
 	switch rv := reflect.ValueOf(v); rv.Kind() {
 	case reflect.Pointer, reflect.Chan, reflect.UnsafePointer:
@@ -103,6 +107,11 @@ func hashValue(v Value) uint64 {
 	fmt.Fprintf(h, "%T:%v", v, v)
 	return h.Sum64()
 }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // mix is a 64-bit finalizer (splitmix64) so that small consecutive
 // integers spread across buckets instead of clustering.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"hash/fnv"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -119,5 +122,25 @@ func TestPhiPointerIdentity(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { HashOf(pv) }); n != 0 {
 		t.Errorf("HashOf(pointer) allocates %v per run, want 0", n)
+	}
+}
+
+// TestHashOfStringMatchesFNV: the string case's inline loop is FNV-1a
+// bit for bit — φ buckets and adt stripes of string keys are where
+// hash/fnv put them — and hashes a key of any length without allocating.
+func TestHashOfStringMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(200))
+		rng.Read(b)
+		h := fnv.New64a()
+		h.Write(b)
+		if got, want := HashOf(string(b)), h.Sum64(); got != want {
+			t.Fatalf("HashOf(%q) = %#x, fnv-1a = %#x", b, got, want)
+		}
+	}
+	var long Value = strings.Repeat("k", 100)
+	if n := testing.AllocsPerRun(100, func() { HashOf(long) }); n != 0 {
+		t.Errorf("HashOf of a 100-byte string allocates %v per run, want 0", n)
 	}
 }

@@ -109,11 +109,11 @@ func (r *Res) admissible(mode int) bool {
 
 // thread is one virtual thread/core.
 type thread struct {
-	id    int
-	gen   func() []Step // next transaction's steps; nil return = done
-	steps []Step
-	ip    int
-	done  int64
+	id      int
+	gen     func() []Step // next transaction's steps; nil return = done
+	steps   []Step
+	ip      int
+	done    int64
 	blocked bool
 }
 
@@ -252,6 +252,6 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }

@@ -15,10 +15,10 @@ func secOf(body ir.Block, vars ...ir.Param) *ir.Atomic {
 }
 
 var (
-	pMap   = ir.Param{Name: "m", Type: "Map", IsADT: true, NonNull: true}
-	pMap2  = ir.Param{Name: "m2", Type: "Map", IsADT: true, NonNull: true}
-	pSet   = ir.Param{Name: "s", Type: "Set", IsADT: true}
-	pKey   = ir.Param{Name: "k", Type: "int"}
+	pMap  = ir.Param{Name: "m", Type: "Map", IsADT: true, NonNull: true}
+	pMap2 = ir.Param{Name: "m2", Type: "Map", IsADT: true, NonNull: true}
+	pSet  = ir.Param{Name: "s", Type: "Set", IsADT: true}
+	pKey  = ir.Param{Name: "k", Type: "int"}
 )
 
 func mGet(assign string) *ir.Call {
