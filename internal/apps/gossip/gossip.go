@@ -300,19 +300,25 @@ func (o *Ours) Sems() []*core.Semantic {
 	return out
 }
 
-// The string-keyed methods box each key into a core.Value once, here,
-// and hand the boxed keys to everything after — the selector and the
-// map operations. The fused router delegates to the pre-boxed V forms
-// (boxed.go), so the in-process path and the served path are one body
-// per section; the unfused bodies below differ from those only in
-// selecting modes through the variadic Binder closures.
+// The string-keyed methods box each key into a core.Value once, at the
+// call they hand it to, and everything after — the selector and the map
+// operations — takes the boxed key. The fused router calls the
+// pre-boxed V forms (boxed.go), so the in-process path and the served
+// path are one body per section; nothing in those bodies keeps a key it
+// only reads, so the box stays on this frame. The unfused bodies below
+// differ only in selecting modes through the variadic Binder closures —
+// which do make the key escape, and would for the fused call too if the
+// two shared one boxed variable; hence one conversion per branch.
 
 func (o *Ours) Register(group, member string, conn *Conn) {
-	g, m := core.Value(group), core.Value(member)
 	if o.fused {
-		o.RegisterV(g, m, conn)
+		o.RegisterV(group, member, conn)
 		return
 	}
+	o.registerUnfused(group, member, conn)
+}
+
+func (o *Ours) registerUnfused(g, m core.Value, conn *Conn) {
 	mg := o.regGroups(g)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.groupsSem, mg, o.groupsRank)
@@ -330,11 +336,14 @@ func (o *Ours) Register(group, member string, conn *Conn) {
 }
 
 func (o *Ours) Unregister(group, member string) {
-	g, m := core.Value(group), core.Value(member)
 	if o.fused {
-		o.UnregisterV(g, m)
+		o.UnregisterV(group, member)
 		return
 	}
+	o.unregisterUnfused(group, member)
+}
+
+func (o *Ours) unregisterUnfused(g, m core.Value) {
 	mg := o.unregG(g)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.groupsSem, mg, o.groupsRank)
@@ -348,11 +357,14 @@ func (o *Ours) Unregister(group, member string) {
 }
 
 func (o *Ours) Unicast(group, dst string, payload []byte) {
-	g, d := core.Value(group), core.Value(dst)
 	if o.fused {
-		o.UnicastV(g, d, payload)
+		o.UnicastV(group, dst, payload)
 		return
 	}
+	o.unicastUnfused(group, dst, payload)
+}
+
+func (o *Ours) unicastUnfused(g, d core.Value, payload []byte) {
 	mg := o.uniG(g)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.groupsSem, mg, o.groupsRank)
@@ -368,11 +380,14 @@ func (o *Ours) Unicast(group, dst string, payload []byte) {
 }
 
 func (o *Ours) Multicast(group string, payload []byte) {
-	g := core.Value(group)
 	if o.fused {
-		o.MulticastV(g, payload)
+		o.MulticastV(group, payload)
 		return
 	}
+	o.multicastUnfused(group, payload)
+}
+
+func (o *Ours) multicastUnfused(g core.Value, payload []byte) {
 	mg := o.mcG(g)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.groupsSem, mg, o.groupsRank)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBatchLockEquivalenceRandom is the fused-prologue property: for
@@ -124,6 +126,110 @@ func TestBatchLockEquivalenceRandom(t *testing.T) {
 			if semsA[i].OutstandingHolds() != 0 || semsB[i].OutstandingHolds() != 0 {
 				t.Fatalf("seed %d: instance %d left holders after UnlockAll", seed, i)
 			}
+		}
+	}
+}
+
+// TestBatchLockDuplicatesRandom is LOCAL_SET at mode granularity: a
+// random batch that names some (instance, mode) pairs several times — a
+// pipelined window addressing one member again and again — leaves the
+// transaction and the instances exactly as its de-duplicated form does:
+// one hold and one log entry per distinct pair, one holder per held
+// mode, and nothing behind once UnlockAll has run.
+func TestBatchLockDuplicatesRandom(t *testing.T) {
+	tbl := mapTable(t, 8, TableOptions{})
+	const nInst = 4
+	for seed := int64(0); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Replica A takes the batch with duplicates, B without.
+		semsA, semsB := make([]*Semantic, nInst), make([]*Semantic, nInst)
+		for i := range semsA {
+			semsA[i], semsB[i] = NewSemantic(tbl), NewSemantic(tbl)
+		}
+		var withDups, distinct []BatchLock
+		for i := 0; i < nInst; i++ {
+			// Up to three distinct key modes per instance; different
+			// buckets commute, so they make a legal same-instance group.
+			seen := map[ModeID]bool{}
+			for _, k := range rng.Perm(8)[:rng.Intn(4)] {
+				m := keyMode(tbl, k)
+				if seen[m] {
+					continue // two keys of one φ bucket
+				}
+				seen[m] = true
+				distinct = append(distinct, BatchLock{Sem: semsB[i], Mode: m, Rank: i / 2})
+				for c := 1 + rng.Intn(4); c > 0; c-- {
+					withDups = append(withDups, BatchLock{Sem: semsA[i], Mode: m, Rank: i / 2})
+				}
+			}
+		}
+		rng.Shuffle(len(withDups), func(i, j int) { withDups[i], withDups[j] = withDups[j], withDups[i] })
+
+		txA, txB := NewCheckedTxn(), NewCheckedTxn()
+		txA.LockBatch(withDups...)
+		txB.LockBatch(distinct...)
+		if txA.HeldCount() != txB.HeldCount() || txA.HeldCount() != len(distinct) {
+			t.Fatalf("seed %d: held %d with duplicates, %d without, %d distinct pairs",
+				seed, txA.HeldCount(), txB.HeldCount(), len(distinct))
+		}
+		if la, lb := len(txA.Acquisitions()), len(txB.Acquisitions()); la != lb {
+			t.Fatalf("seed %d: %d log entries with duplicates, %d without", seed, la, lb)
+		}
+		for i := range semsA {
+			for k := 0; k < 8; k++ {
+				m := keyMode(tbl, k)
+				if ha, hb := semsA[i].Holders(m), semsB[i].Holders(m); ha != hb || ha > 1 {
+					t.Fatalf("seed %d: inst %d mode %d: %d holders with duplicates, %d without", seed, i, m, ha, hb)
+				}
+			}
+		}
+		txA.UnlockAll()
+		txB.UnlockAll()
+		for i := range semsA {
+			if err := semsA[i].CheckQuiesced(); err != nil {
+				t.Fatalf("seed %d: instance %d after UnlockAll: %v", seed, i, err)
+			}
+		}
+	}
+}
+
+// TestBatchLockWithinDuplicatesStall: the bounded contract is the same
+// for a group that names its mode several times — a timed-out group
+// leaves no claim and no recorded hold, the groups before it stay held
+// for the epilogue, and everything quiesces after it.
+func TestBatchLockWithinDuplicatesStall(t *testing.T) {
+	tbl := mapTable(t, 1, TableOptions{}) // n=1: key modes conflict with size
+	km, sm := keyMode(tbl, 7), sizeMode(tbl)
+	first, blocked := NewSemantic(tbl), NewSemantic(tbl)
+	blocked.Acquire(sm) // a foreign holder the second group conflicts with
+
+	tx := NewTxn()
+	err := tx.LockBatchWithin(2*time.Millisecond,
+		BatchLock{Sem: blocked, Mode: km, Rank: 1},
+		BatchLock{Sem: first, Mode: km, Rank: 0},
+		BatchLock{Sem: blocked, Mode: km, Rank: 1},
+		BatchLock{Sem: first, Mode: km, Rank: 0},
+		BatchLock{Sem: blocked, Mode: km, Rank: 1},
+	)
+	var stall *StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("LockBatchWithin = %v, want a *StallError", err)
+	}
+	if tx.HeldCount() != 1 || !tx.Holds(first) || tx.Holds(blocked) {
+		t.Fatalf("after the stall: held %d, holds(first)=%v holds(blocked)=%v; want the first group only",
+			tx.HeldCount(), tx.Holds(first), tx.Holds(blocked))
+	}
+	if got := first.Holders(km); got != 1 {
+		t.Errorf("first group's mode has %d holders, want 1", got)
+	}
+	if got := blocked.Holders(km); got != 0 {
+		t.Errorf("timed-out group left %d claims", got)
+	}
+	tx.UnlockAll()
+	blocked.Release(sm)
+	for _, s := range []*Semantic{first, blocked} {
+		if err := s.CheckQuiesced(); err != nil {
+			t.Errorf("after UnlockAll: %v", err)
 		}
 	}
 }

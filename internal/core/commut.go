@@ -48,7 +48,10 @@ type setEntry struct {
 type ModeTable struct {
 	Spec *Spec
 
-	phi    Phi
+	phi Phi
+	// hash is phi when phi is a HashPhi, else nil: abstract then calls
+	// it directly instead of through the interface.
+	hash   *HashPhi
 	modes  []Mode   // all instantiated modes, indexed by ModeID
 	fc     [][]bool // F_c over modes
 	canon  []int    // mode → canonical (merged) index
@@ -121,11 +124,13 @@ type maskInfo struct {
 	refs []conflictRef
 	// bump marks scans whose successful acquisition must advance the
 	// mechanism's version counter (the optimistic-read invalidation
-	// signal): exactly the modes that conflict with something, and a
-	// batch with any such constituent — once, because one batch is one
-	// acquisition event to validators. Acquiring a conflict-free mode
-	// cannot invalidate any lock-free read, so it skips the
-	// shared-counter RMW.
+	// signal): exactly the modes that conflict with something and hold
+	// an operation that is not a declared observer, and a batch with
+	// any such constituent — once, because one batch is one acquisition
+	// event to validators. Acquiring a conflict-free mode, or a mode
+	// made only of observers (Spec.IsObserver — the input optimistic
+	// certification already trusts), changes nothing a lock-free read
+	// saw, so it skips the shared-counter RMW and fails no reader.
 	bump bool
 }
 
@@ -202,6 +207,7 @@ func NewModeTable(spec *Spec, sets []SymSet, opts TableOptions) *ModeTable {
 	phi = coarsenPhi(phi, uniq, maxModes)
 
 	t := &ModeTable{Spec: spec, phi: phi, setIdx: make(map[string]int)}
+	t.hash, _ = phi.(*HashPhi)
 
 	// Instantiate modes per set, building the dynamic lookup tables.
 	rawKeyToIdx := make(map[string]int)
@@ -389,7 +395,7 @@ func (t *ModeTable) partition(disabled bool) {
 			}
 			mi.refs = append(mi.refs, ref)
 		}
-		mi.bump = len(mi.refs) > 0
+		mi.bump = len(mi.refs) > 0 && !t.Spec.observerOnly(t.modes[i])
 		for w, bits := range byWord {
 			mi.words = append(mi.words, wordMask{w: w, own: mi.ownClaimsInWord(w), bits: bits})
 		}
@@ -427,6 +433,17 @@ const summaryCutoffSlots = 16
 // Phi returns the (possibly coarsened) abstract-value hash the table was
 // compiled with.
 func (t *ModeTable) Phi() Phi { return t.phi }
+
+// abstract is t.phi.Abstract(v) as mode selection calls it: v does not
+// escape through it. A HashPhi — every table the apps build — is called
+// directly; any other φ gets the key through noescape, which the sealed
+// Phi interface makes sound.
+func (t *ModeTable) abstract(v Value) int {
+	if t.hash != nil {
+		return t.hash.Abstract(v)
+	}
+	return t.phi.Abstract(noescape(v))
+}
 
 // Modes returns all instantiated locking modes, indexed by ModeID.
 func (t *ModeTable) Modes() []Mode { return t.modes }
@@ -521,7 +538,7 @@ func (r SetRef) Mode(vals ...Value) ModeID {
 	idx := 0
 	n := r.t.phi.N()
 	for i := 0; i < len(vals); i++ {
-		idx = idx*n + r.t.phi.Abstract(vals[i])
+		idx = idx*n + r.t.abstract(vals[i])
 	}
 	return e.modes[idx]
 }
@@ -610,9 +627,8 @@ func (r SetRef) Binder1(name string) func(Value) ModeID {
 	if len(vars) != 1 || vars[0] != name {
 		panic(fmt.Sprintf("core: Binder1(%q): set %s has variables %v", name, r.SymSet(), vars))
 	}
-	e := &r.t.sets[r.idx]
-	phi := r.t.phi
-	return func(v Value) ModeID { return e.modes[phi.Abstract(v)] }
+	e, t := &r.t.sets[r.idx], r.t
+	return func(v Value) ModeID { return e.modes[t.abstract(v)] }
 }
 
 // Binder2 is the fixed-arity form of Binder for two-variable sets; names
@@ -633,14 +649,13 @@ func (r SetRef) Binder2(n1, n2 string) func(Value, Value) ModeID {
 	default:
 		panic(fmt.Sprintf("core: Binder2(%q,%q): set %s has variables %v", n1, n2, r.SymSet(), vars))
 	}
-	e := &r.t.sets[r.idx]
-	phi := r.t.phi
-	n := phi.N()
+	e, t := &r.t.sets[r.idx], r.t
+	n := t.phi.N()
 	return func(a, b Value) ModeID {
 		if swap {
 			a, b = b, a
 		}
-		return e.modes[phi.Abstract(a)*n+phi.Abstract(b)]
+		return e.modes[t.abstract(a)*n+t.abstract(b)]
 	}
 }
 
@@ -718,6 +733,11 @@ func coarsenPhi(phi Phi, sets []SymSet, maxModes int) Phi {
 	if n == phi.N() {
 		return phi
 	}
+	if _, ok := phi.(*HashPhi); ok && phi.N()%n == 0 {
+		// h mod N mod n == h mod n when n divides N: the coarsened φ of
+		// a HashPhi is the HashPhi of n.
+		return NewPhi(n)
+	}
 	return &reducedPhi{base: phi, n: n}
 }
 
@@ -728,6 +748,8 @@ type reducedPhi struct {
 	base Phi
 	n    int
 }
+
+func (*reducedPhi) sealed() {}
 
 func (p *reducedPhi) N() int { return p.n }
 

@@ -85,19 +85,18 @@ type Semantic struct {
 
 	// Optimistic-read outcome counters and the adaptive gate
 	// (Txn.TryOptimistic). optHits/optRetries are the cumulative
-	// validation outcomes reported in LockStats; the three gate cells
-	// implement the windowed failure-rate hysteresis of
-	// optimisticAllowed/recordValidation, parameterized by optParams —
-	// the packed, runtime-tunable gate quadruple (see OptGateParams).
-	// All padded: they sit on the section hot path of read-mostly
-	// workloads.
-	optHits     padded.Uint64
-	optRetries  padded.Uint64
-	optRefused  padded.Uint64 // observe-time turn-aways; never enter the gate window
-	optGate     padded.Uint64 // 0 = enabled; n>0 = pessimistic runs left before the next probe
-	optWinFail  padded.Uint64
-	optWinTotal padded.Uint64
-	optParams   padded.Uint64 // packed OptGateParams (window, num, den, probe)
+	// validation outcomes reported in LockStats, and their sum is the
+	// gate's window position; the two gate cells implement the windowed
+	// failure-rate hysteresis of optimisticAllowed/recordValidation,
+	// parameterized by optParams — the packed, runtime-tunable gate
+	// quadruple (see OptGateParams). All padded: they sit on the
+	// section hot path of read-mostly workloads.
+	optHits    padded.Uint64
+	optRetries padded.Uint64
+	optRefused padded.Uint64 // observe-time turn-aways; never enter the gate window
+	optGate    padded.Uint64 // 0 = enabled; n>0 = pessimistic runs left before the next probe
+	optWinFail padded.Uint64
+	optParams  padded.Uint64 // packed OptGateParams (window, num, den, probe)
 }
 
 // NewSemantic creates the semantic lock for one ADT instance of the class
@@ -535,39 +534,37 @@ func (s *Semantic) optimisticAllowed() bool {
 	return false
 }
 
-// recordValidation accounts one optimistic outcome on the instance —
-// cumulative counters for telemetry, windowed counters for the gate. A
+// recordValidation accounts one optimistic outcome on the instance:
+// one RMW on the cumulative counter the outcome belongs to, plus the
+// window's failure counter for a failure. The gate's window needs no
+// counter of its own — its position is hits + retries, and the update
+// that brings the sum to a multiple of Window closes the window. A
 // window whose failure share reaches DisableNum/DisableDen (at the
 // boundary: exactly window·num/den failures close it, one fewer does
 // not) disables the optimistic path for ProbeInterval executions.
 //
-// Exactly ONE closer per window: the updater whose CompareAndSwap
-// resets the total owns the close. Racing updaters that also observed a
-// full window lose the CAS (the counter has moved past the value they
-// saw) and return — the double-close of the earlier Store-based code,
-// where two racers could each evaluate and re-arm the gate from one
-// window's partially-reset counts, cannot happen. The failure counter
-// is harvested with a Swap so a failure recorded between the closer's
-// read and reset is carried into the next window instead of vanishing.
+// The sum is read from two cells, so a hit and a failure racing across
+// a boundary can both see it, or both step over it. Neither loses a
+// failure: the failure counter is harvested with a Swap, so a second
+// closer finds it already emptied and leaves the gate as the first set
+// it, and a boundary nobody saw carries its failures into the next
+// window's verdict, as does a failure recorded between a closer's read
+// and its Swap. A retune that changes Window moves the boundaries the
+// same harmless way.
 func (s *Semantic) recordValidation(ok bool) {
+	var n uint64
 	if ok {
-		s.optHits.Add(1)
+		n = s.optHits.Add(1) + s.optRetries.Load()
 	} else {
-		s.optRetries.Add(1)
 		s.optWinFail.Add(1)
+		n = s.optRetries.Add(1) + s.optHits.Load()
 	}
 	p := unpackOptGate(s.optParams.Load())
-	total := s.optWinTotal.Add(1)
-	if total < uint64(p.Window) {
-		return
-	}
-	// total >= window also catches a window the controller shrank below
-	// the accumulated count mid-flight; whoever wins the CAS closes it.
-	if !s.optWinTotal.CompareAndSwap(total, 0) {
+	if n%uint64(p.Window) != 0 {
 		return
 	}
 	fails := s.optWinFail.Swap(0)
-	if fails*uint64(p.DisableDen) >= total*uint64(p.DisableNum) {
+	if fails*uint64(p.DisableDen) >= uint64(p.Window)*uint64(p.DisableNum) {
 		s.optGate.Store(uint64(p.ProbeInterval))
 	}
 }
@@ -701,8 +698,9 @@ type mechV2 struct {
 	watchedAt atomic.Int64
 
 	// version is the optimistic-read invalidation counter: every
-	// SUCCESSFUL acquisition of a mode that conflicts with anything
-	// advances it, immediately after the claim-and-scan settles. A
+	// SUCCESSFUL acquisition of a mode that conflicts with anything and
+	// is not made only of observers (maskInfo.bump) advances it,
+	// immediately after the claim-and-scan settles. A
 	// lock-free reader snapshots it at observation and compares at
 	// validation, so validation is a single load — no holder re-scan.
 	// The bump lives on the acquire side (not release) because that is

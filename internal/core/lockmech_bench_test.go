@@ -106,6 +106,48 @@ func BenchmarkMechanismContended(b *testing.B) {
 	})
 }
 
+// BenchmarkAcquireRelease is one uncontended acquire + release with the
+// mechanism engaged: a get(k) set beside a put(k,*) set, as gossip's and
+// rangestore's tables have, so get(k) conflicts with something and owns
+// a counter slot. (The benchmark ladder's core.acquire_release_ns locks
+// a get-only table, whose modes conflict with nothing and touch no
+// mechanism at all.) The observer mode claims and retreats; the mutator
+// also advances the version counter.
+func BenchmarkAcquireRelease(b *testing.B) {
+	get := SymSetOf(SymOpOf("get", VarArg("k")))
+	put := SymSetOf(SymOpOf("put", VarArg("k"), Star()))
+	tbl := NewModeTable(mapSpec().Observer("get", "size"), []SymSet{get, put}, TableOptions{Phi: NewPhi(16)})
+	for _, c := range []struct {
+		name string
+		mode ModeID
+	}{
+		{"observer", tbl.Set(get).Mode1(7)},
+		{"mutator", tbl.Set(put).Mode1(7)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewSemantic(tbl)
+			if s.table.part[c.mode] < 0 {
+				b.Fatal("mode has no mechanism")
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Acquire(c.mode)
+				s.Release(c.mode)
+			}
+		})
+	}
+}
+
+// BenchmarkSectionSkeleton is an atomic section with nothing in it:
+// the pooled transaction, the one deferred epilogue, Reset and Put —
+// what every section pays before it locks anything.
+func BenchmarkSectionSkeleton(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Atomically(func(*Txn) {})
+	}
+}
+
 // BenchmarkTxnLockUnlockAll is a whole-transaction lock cycle over 8
 // instances, the shape of a synthesized multi-instance atomic section.
 func BenchmarkTxnLockUnlockAll(b *testing.B) {

@@ -58,7 +58,7 @@ func (c *ModeCache) Mode1(setID int, v Value) ModeID {
 	if len(e.vars) != 1 {
 		panic(fmt.Sprintf("core: ModeCache.Mode1: set %s has %d variables", e.set, len(e.vars)))
 	}
-	return e.modes[c.t.phi.Abstract(v)]
+	return e.modes[c.t.abstract(v)]
 }
 
 // Mode2 returns the interned ModeID of a two-variable set for values
@@ -68,8 +68,8 @@ func (c *ModeCache) Mode2(setID int, a, b Value) ModeID {
 	if len(e.vars) != 2 {
 		panic(fmt.Sprintf("core: ModeCache.Mode2: set %s has %d variables", e.set, len(e.vars)))
 	}
-	phi := c.t.phi
-	return e.modes[phi.Abstract(a)*phi.N()+phi.Abstract(b)]
+	t := c.t
+	return e.modes[t.abstract(a)*t.phi.N()+t.abstract(b)]
 }
 
 // Interned returns the canonical Mode value for an id — the same mode
@@ -96,7 +96,7 @@ func (r SetRef) Mode1(v Value) ModeID {
 	case 0:
 		return e.modes[0]
 	case 1:
-		return e.modes[r.t.phi.Abstract(v)]
+		return e.modes[r.t.abstract(v)]
 	}
 	panic(fmt.Sprintf("core: SetRef.Mode1: set %s has variables %v", e.set, e.vars))
 }
@@ -111,8 +111,8 @@ func (r SetRef) Mode2(a, b Value) ModeID {
 	case 0:
 		return e.modes[0]
 	case 2:
-		phi := r.t.phi
-		return e.modes[phi.Abstract(a)*phi.N()+phi.Abstract(b)]
+		t := r.t
+		return e.modes[t.abstract(a)*t.phi.N()+t.abstract(b)]
 	}
 	panic(fmt.Sprintf("core: SetRef.Mode2: set %s has variables %v", e.set, e.vars))
 }

@@ -351,3 +351,65 @@ func TestOptimisticTornWindow(t *testing.T) {
 	}
 	t.Logf("optimistic commits: %d / %d", commits.Load(), int64(4*iters))
 }
+
+// TestObserverModesDoNotBump: acquiring a mode made only of declared
+// observers changes nothing a lock-free read saw, so it leaves the
+// mechanism's version alone — no shared RMW for a pessimistic get(k),
+// and no optimistic reader failed by one — while any mode holding a
+// mutator, alone or in a batch, still advances it once.
+func TestObserverModesDoNotBump(t *testing.T) {
+	readSet := SymSetOf(SymOpOf("get", VarArg("k")))
+	writeSet := SymSetOf(SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
+	mixedSet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()))
+	tbl := NewModeTable(mapSpec().Observer("get", "size"),
+		[]SymSet{readSet, writeSet, mixedSet}, TableOptions{Phi: NewPhi(8)})
+	sem := NewSemantic(tbl)
+	r, r2 := tbl.Set(readSet).Mode1(3), tbl.Set(readSet).Mode1(4)
+	w, mixed := tbl.Set(writeSet).Mode1(3), tbl.Set(mixedSet).Mode1(3)
+	if tbl.Commute(r, w) {
+		t.Fatal("test premise: get(k) and put(k,*) must conflict")
+	}
+
+	lockUnlock := func(ms ...ModeID) {
+		tx := NewTxn()
+		locks := make([]BatchLock, len(ms))
+		for i, m := range ms {
+			locks[i] = BatchLock{Sem: sem, Mode: m}
+		}
+		tx.LockBatch(locks...)
+		tx.UnlockAll()
+	}
+	for _, step := range []struct {
+		name  string
+		modes []ModeID
+		bump  uint64
+	}{
+		{"get(k)", []ModeID{r}, 0},
+		{"batch of get(k), get(k')", []ModeID{r, r2}, 0},
+		{"put(k,*)", []ModeID{w}, 1},
+		{"{get(k),put(k,*)}", []ModeID{mixed}, 1},
+		{"batch of get(k'), put(k,*)", []ModeID{r2, w}, 1},
+	} {
+		before := sem.Version(r)
+		lockUnlock(step.modes...)
+		if got := sem.Version(r) - before; got != step.bump {
+			t.Errorf("lock/unlock of %s advanced the version by %d, want %d", step.name, got, step.bump)
+		}
+	}
+
+	inWindow := func(m ModeID) bool {
+		return NewTxn().TryOptimistic(func(tt *Txn) bool {
+			if !tt.Observe(sem, r, 0) {
+				return false
+			}
+			lockUnlock(m) // another transaction, entirely inside the read window
+			return true
+		})
+	}
+	if !inWindow(r) {
+		t.Error("a pessimistic get(k) inside the window failed the optimistic reader's validation")
+	}
+	if inWindow(w) {
+		t.Error("validation passed despite a put(k,*) inside the window")
+	}
+}

@@ -44,6 +44,8 @@ func NewIntervalPhi(n int, max int64) *IntervalPhi {
 // N returns the bucket count.
 func (p *IntervalPhi) N() int { return p.n }
 
+func (*IntervalPhi) sealed() {}
+
 // Abstract maps integer values by interval and everything else by hash.
 func (p *IntervalPhi) Abstract(v Value) int {
 	k, ok := asInt64(v)

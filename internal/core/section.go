@@ -84,27 +84,7 @@ func (t *Txn) Abort() {
 // acquisition state; Txn.Abort returns normally. This is the panic-safe
 // form of the §3.1 prologue/epilogue pair.
 func (t *Txn) Atomically(fn func(*Txn)) {
-	defer func() {
-		heldAtPanic := len(t.held)
-		t.UnlockAll()
-		switch r := recover().(type) {
-		case nil:
-			// Normal return; epilogue already ran.
-		case *sectionAbort:
-			if r.t == t {
-				sectionAborts.Add(1)
-				return // our own abort: swallow, locks already released
-			}
-			panic(r) // some outer section's abort; keep unwinding
-		default:
-			var log []Acquisition
-			if len(t.log) > 0 {
-				log = append(log, t.log...)
-			}
-			sectionPanics.Add(1)
-			panic(&SectionPanic{Value: r, HeldAtPanic: heldAtPanic, Log: log})
-		}
-	}()
+	defer t.epilogue(false)
 	fn(t)
 }
 
@@ -118,11 +98,41 @@ var txnPool = sync.Pool{New: func() any { return NewTxn() }}
 // first. Generated *_semlock.go code uses this as the section wrapper.
 func Atomically(fn func(*Txn)) {
 	t := txnPool.Get().(*Txn)
-	defer func() {
-		// Runs after t.Atomically's own deferred epilogue, so no locks are
-		// held here even when unwinding; Reset cannot panic.
+	defer t.epilogue(true)
+	fn(t)
+}
+
+// epilogue is the one deferred call of a section, in the order that
+// keeps every exit path safe: release the locks, settle an abort or a
+// panic, hand a pooled transaction back, and only then re-panic. It
+// calls recover, so it must be deferred directly.
+func (t *Txn) epilogue(pooled bool) {
+	heldAtPanic := len(t.held)
+	t.UnlockAll()
+	var raise any
+	switch r := recover().(type) {
+	case nil:
+		// Normal return.
+	case *sectionAbort:
+		if r.t == t {
+			sectionAborts.Add(1) // our own abort: swallow
+		} else {
+			raise = r // some outer section's abort; keep unwinding
+		}
+	default:
+		var log []Acquisition
+		if len(t.log) > 0 {
+			log = append(log, t.log...)
+		}
+		sectionPanics.Add(1)
+		raise = &SectionPanic{Value: r, HeldAtPanic: heldAtPanic, Log: log}
+	}
+	if pooled {
+		// No locks are held here even when unwinding; Reset cannot panic.
 		t.Reset()
 		txnPool.Put(t)
-	}()
-	t.Atomically(fn)
+	}
+	if raise != nil {
+		panic(raise)
+	}
 }

@@ -90,6 +90,17 @@ func (s *Spec) Observer(methods ...string) *Spec {
 // IsObserver reports whether the named method is declared an observer.
 func (s *Spec) IsObserver(method string) bool { return s.observers[method] }
 
+// observerOnly reports whether every operation of mode m is a declared
+// observer: holding m cannot change the abstract state.
+func (s *Spec) observerOnly(m Mode) bool {
+	for _, op := range m.Ops {
+		if !s.observers[op.Method] {
+			return false
+		}
+	}
+	return true
+}
+
 func (s *Spec) mustHave(m string) {
 	if _, ok := s.byName[m]; !ok {
 		panic(fmt.Sprintf("core: spec %q has no method %q", s.ADT, m))

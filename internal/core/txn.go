@@ -28,8 +28,9 @@ type Txn struct {
 	// cross-check the runtime order against the static verifier.
 	log []Acquisition
 
-	// batchModes is LockBatch's scratch for same-instance mode groups;
-	// it is reused across calls so fused prologues allocate nothing.
+	// batchModes is LockBatch's scratch for the distinct modes of one
+	// same-instance group; it is reused across calls so fused prologues
+	// allocate nothing.
 	batchModes []ModeID
 
 	// optSnaps is the optimistic snapshot buffer (TryOptimistic): one
@@ -243,11 +244,13 @@ type BatchLock struct {
 // skipped, exactly as in Lock.
 //
 // Consecutive entries naming the same instance are acquired as one
-// batched acquisition (Semantic.AcquireBatch): all their counter slots
-// are claimed in one pass, and a conflict registers a single waiter
-// with the union conflict mask instead of one waiter per mode. Distinct
-// instances still acquire one at a time — blocking mid-prologue with
-// earlier locks held is precisely what OS2PL makes safe.
+// batched acquisition (Semantic.AcquireBatch) of their distinct modes —
+// a mode named twice on one instance is held once: all the counter
+// slots are claimed in one pass, and a conflict registers a single
+// waiter with the union conflict mask instead of one waiter per mode.
+// Distinct instances still acquire one at a time — blocking
+// mid-prologue with earlier locks held is precisely what OS2PL makes
+// safe.
 func (t *Txn) LockBatch(locks ...BatchLock) {
 	// Forever cannot time out: there is no error to handle.
 	_ = t.lockBatch(locks, Forever)
@@ -287,23 +290,32 @@ func (t *Txn) lockBatch(locks []BatchLock, patience time.Duration) error {
 			i = j
 			continue
 		}
+		// LOCAL_SET at mode granularity: a group that names one mode
+		// several times — a pipelined window addressing one member —
+		// claims, records and releases it once.
+		t.batchModes = t.batchModes[:0]
+	gather:
+		for k := i; k < j; k++ {
+			for _, m := range t.batchModes {
+				if m == locks[k].Mode {
+					continue gather
+				}
+			}
+			t.batchModes = append(t.batchModes, locks[k].Mode)
+		}
 		var err error
-		if j-i == 1 {
-			err = s.acquireWithin(locks[i].Mode, patience, nil, t.log)
+		if len(t.batchModes) == 1 {
+			err = s.acquireWithin(t.batchModes[0], patience, nil, t.log)
 		} else {
 			// Several modes destined for the same instance: claim them
 			// all in one pass over the mechanism's counter arrays.
-			t.batchModes = t.batchModes[:0]
-			for k := i; k < j; k++ {
-				t.batchModes = append(t.batchModes, locks[k].Mode)
-			}
 			err = s.acquireBatch(t.batchModes, patience, nil, t.log)
 		}
 		if err != nil {
 			return err
 		}
-		for k := i; k < j; k++ {
-			t.recordHeld(s, locks[k].Mode, locks[k].Rank)
+		for _, m := range t.batchModes {
+			t.recordHeld(s, m, locks[i].Rank)
 		}
 		i = j
 	}
