@@ -64,8 +64,36 @@ func benchValues(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkHashMapValues16 is multicast's walk over a member map.
+// BenchmarkHashMapValues16 is the snapshot walk over a map the size of a
+// member map — what multicast paid before RangeHeld.
 func BenchmarkHashMapValues16(b *testing.B) { benchValues(b, 16) }
 
 // BenchmarkHashMapValues4096 is the same walk with every stripe full.
 func BenchmarkHashMapValues4096(b *testing.B) { benchValues(b, 4096) }
+
+var sinkInt int
+
+func benchRangeHeld(b *testing.B, n int) {
+	m := NewHashMap()
+	for _, k := range benchKeys(n) {
+		m.Put(k, k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seen := 0
+		m.RangeHeld(func(_, v core.Value) bool {
+			sinkValue = v
+			seen++
+			return true
+		})
+		sinkInt = seen
+	}
+}
+
+// BenchmarkHashMapRangeHeld16 is the walk of BenchmarkHashMapValues16 as
+// multicast now takes it: no stripe mutex, no snapshot.
+func BenchmarkHashMapRangeHeld16(b *testing.B) { benchRangeHeld(b, 16) }
+
+// BenchmarkHashMapRangeHeld4096 is the same with every stripe full.
+func BenchmarkHashMapRangeHeld4096(b *testing.B) { benchRangeHeld(b, 4096) }

@@ -151,3 +151,15 @@ func (h *HashMap) ComputeIfAbsent(k core.Value, compute func() core.Value) core.
 // wanting an atomic scan must hold a mode conflicting with all writes
 // (as the synthesized clients do).
 func (h *HashMap) Range(f func(k, v core.Value) bool) { h.each(f) }
+
+// RangeHeld is Range — same bindings, same order — for a caller that
+// holds, for the whole walk, a lock conflicting with every Put,
+// PutIfAbsent, ComputeIfAbsent, Remove, Clear and PutAll-destination on
+// this map (a semantic mode for which ModeTable.ExcludesMutators is
+// true, or an exclusive / reader-side lock every writer takes). Under
+// that lock the walk is atomic, takes no shard lock and allocates
+// nothing; without it, it is a data race. Concurrent Get, ContainsKey,
+// Range and optimistic readers are unaffected. striped.eachHeld carries
+// the happens-before argument; the heldwalk analyzer checks that a call
+// sits behind an acquisition.
+func (h *HashMap) RangeHeld(f func(k, v core.Value) bool) { h.eachHeld(f) }

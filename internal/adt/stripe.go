@@ -217,3 +217,38 @@ func (t *striped[V]) each(f func(k core.Value, v V) bool) {
 		s.mu.Unlock()
 	}
 }
+
+// eachHeld is each for a caller whose own lock already excludes every
+// writer: the same stripe-then-table order, no stripe mutex, nothing
+// allocated.
+//
+// Contract: for the whole walk the caller holds a lock that conflicts
+// with every operation that writes a table or the occupancy word of this
+// instance — the containers' Put/PutIfAbsent/ComputeIfAbsent, Remove,
+// Clear, and PutAll with this instance as the destination. A semantic
+// mode qualifies when ModeTable.ExcludesMutators says so; so does an
+// exclusive or reader-vs-writer lock every writer takes.
+//
+// Why that suffices, with no line of this package synchronising the
+// walk. (1) Whoever else runs during the walk only reads what the walk
+// reads: Get, ContainsKey, each, and the optimistic observers built on
+// them, write nothing but a stripe's mutex word, which the walk never
+// touches. (2) Every write the walk can see is ordered before it, and
+// the walk before every later write, by the caller's lock: a mutator
+// wrote the table before it released (for a semantic lock, the counter
+// decrement of Semantic.Release), that release happens-before the
+// walker's acquisition (the scan load that found the counter clear), and
+// the walker's own release happens-before the scan of any mutator that
+// gets in afterwards. Both edges are atomics of the lock, not of the
+// table, so the race detector checks the contract wherever a test
+// exercises it.
+func (t *striped[V]) eachHeld(f func(k core.Value, v V) bool) {
+	for occ := t.occupied.Load(); occ != 0; occ &= occ - 1 {
+		s := &t.stripes[bits.TrailingZeros64(occ)]
+		for i := range s.slots {
+			if e := &s.slots[i]; e.k != nil && !f(userKey(e.k), e.v) {
+				return
+			}
+		}
+	}
+}

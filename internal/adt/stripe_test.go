@@ -3,6 +3,7 @@ package adt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,10 +130,10 @@ var chainKeys = sync.OnceValue(func() []core.Value {
 	return keysWhere(24, func(h uint64) bool { return h%numShards == 5 && h>>51 == 1<<13-1 })
 })
 
-// TestHashMapModelRandom: random operation sequences agree with Go's
-// map over key spaces from 4 keys to 8192, a nil key among them, with
-// the tables' invariants checked along the way.
-func TestHashMapModelRandom(t *testing.T) {
+// modelSpaces is the key-space corpus of the model tests: every key in
+// one stripe, every key on one home slot, strings, and ints from 4 keys
+// to 8192 with a nil key among them.
+func modelSpaces() map[string][]core.Value {
 	spaces := map[string][]core.Value{
 		"one-stripe-2048": keysWhere(2048, func(h uint64) bool { return h%numShards == 5 }),
 		"one-home-slot":   chainKeys(),
@@ -145,7 +146,14 @@ func TestHashMapModelRandom(t *testing.T) {
 		}
 		spaces[fmt.Sprintf("ints-%d", n)] = keys
 	}
-	for name, keys := range spaces {
+	return spaces
+}
+
+// TestHashMapModelRandom: random operation sequences agree with Go's
+// map over key spaces from 4 keys to 8192, a nil key among them, with
+// the tables' invariants checked along the way.
+func TestHashMapModelRandom(t *testing.T) {
+	for name, keys := range modelSpaces() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(keys))))
 			m, ref := NewHashMap(), make(map[core.Value]core.Value)
@@ -176,6 +184,56 @@ func TestHashMapModelRandom(t *testing.T) {
 			dst.PutAll(m)
 			ref["kept"] = 1
 			checkMap(t, dst, ref)
+		})
+	}
+}
+
+// TestRangeHeldModel: on every key space of the model corpus, along a
+// random operation sequence, RangeHeld yields exactly Range's bindings
+// in Range's order, and stops where f first returns false. One
+// goroutine, so the walk's contract (no concurrent writer) holds with no
+// lock at all.
+func TestRangeHeldModel(t *testing.T) {
+	type binding struct{ k, v core.Value }
+	// walk collects what a Range-shaped walk yields, asking it to stop
+	// after the stop-th binding (never, when stop is 0).
+	walk := func(rangeFn func(func(k, v core.Value) bool), stop int) []binding {
+		var out []binding
+		rangeFn(func(k, v core.Value) bool {
+			out = append(out, binding{k, v})
+			return len(out) != stop
+		})
+		return out
+	}
+	for name, keys := range modelSpaces() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(keys))))
+			m, ref := NewHashMap(), make(map[core.Value]core.Value)
+			ops := 20 * len(keys)
+			for i := 0; i <= ops; i++ {
+				if i == ops/2 {
+					m.Clear() // the empty map is a case too
+					clear(ref)
+				} else {
+					modelOp(t, m, ref, byte(rng.Intn(8)), keys[rng.Intn(len(keys))], i)
+				}
+				if i%(ops/40+1) != 0 && i != ops/2 {
+					continue
+				}
+				want := walk(m.Range, 0)
+				if len(want) != len(ref) {
+					t.Fatalf("Range yielded %d of %d bindings", len(want), len(ref))
+				}
+				for _, stop := range []int{0, 1, len(want) / 2, len(want), len(want) + 1} {
+					n := len(want)
+					if stop > 0 && stop < n {
+						n = stop
+					}
+					if got := walk(m.RangeHeld, stop); !slices.Equal(got, want[:n]) {
+						t.Fatalf("after %d ops, stop %d: RangeHeld yielded %v, Range %v", i, stop, got, want[:n])
+					}
+				}
+			}
 		})
 	}
 }

@@ -74,9 +74,10 @@ func (o *Ours) MulticastV(group core.Value, payload []byte) {
 			mm := v.(*memberMap)
 			tx.Lock(mm.sem, o.mcMemMode, o.memRank)
 			o.fault("multicast")
-			for _, c := range mm.m.Values() {
+			mm.m.RangeHeld(func(_, c core.Value) bool {
 				c.(*Conn).Send(payload) // I/O inside the section
-			}
+				return true
+			})
 		}
 	})
 }

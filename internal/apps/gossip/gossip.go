@@ -42,16 +42,29 @@ func NewConn(member string, sendCost int) *Conn {
 
 // Send delivers one frame.
 func (c *Conn) Send(payload []byte) {
-	// Synthetic serialization cost.
-	s := 0
-	for i := 0; i < c.sendCost; i++ {
-		s += i
-	}
-	if s == -1 {
+	if burn(c.sendCost) == -1 {
 		panic("unreachable")
 	}
 	c.Frames.Add(1)
 	c.Bytes.Add(int64(len(payload)))
+}
+
+// burn is the synthetic serialization cost: n dependent additions. It
+// is a leaf of its own, never inlined, so that the loop sits at the head
+// of a 32-byte-aligned function, inside one fetch window wherever the
+// linker puts it. Written inside Send, the 16-byte loop straddled
+// Send's +0x20 boundary — a cache-line boundary whenever Send landed on
+// an odd multiple of 32 bytes, and every send then cost ≈ 28 ns more: a
+// calibrated cost that moved by a third with the amount of code linked
+// in front of it (EXPERIMENTS.md, "Multicast walk under a held mode").
+//
+//go:noinline
+func burn(n int) int {
+	s := 0
+	for i := 0; i < n; i++ {
+		s += i
+	}
+	return s
 }
 
 // Router handles the four message kinds under one synchronization
@@ -247,7 +260,14 @@ type memberMap struct {
 // returns the same thing as a Router.
 func NewOurs(sendCost int, opt plan.Options) *Ours {
 	_ = sendCost
-	p := BuildPlan(opt)
+	return newOurs(BuildPlan(opt))
+}
+
+// newOurs wires the router to a synthesized plan. It panics unless the
+// plan's member table derives that multicast's {values()} mode excludes
+// every mutator of a member map: the multicast bodies walk the map with
+// RangeHeld on the strength of that mode alone.
+func newOurs(p *plan.Plan) *Ours {
 	o := &Ours{groups: adt.NewHashMap()}
 	o.groupsSem = core.NewSemantic(p.Table("Map$groups"))
 	o.memTable = p.Table("Map$members")
@@ -269,6 +289,10 @@ func NewOurs(sendCost int, opt plan.Options) *Ours {
 	o.uniMemRef = p.Ref(2, "members")
 	o.mcGRef = p.Ref(3, "groups")
 	o.mcMemMode = p.Ref(3, "members").Mode()
+	if !o.memTable.ExcludesMutators(o.mcMemMode) {
+		panic(fmt.Sprintf("gossip: multicast's member mode %s does not exclude every mutator; its RangeHeld walk would race",
+			o.memTable.Mode(o.mcMemMode)))
+	}
 	return o
 }
 
@@ -395,9 +419,12 @@ func (o *Ours) multicastUnfused(g core.Value, payload []byte) {
 			mm := v.(*memberMap)
 			tx.Lock(mm.sem, o.mcMem(), o.memRank)
 			o.fault("multicast")
-			for _, c := range mm.m.Values() {
+			// mcMem() is mcMemMode, which newOurs checked excludes
+			// every mutator of mm.m.
+			mm.m.RangeHeld(func(_, c core.Value) bool {
 				c.(*Conn).Send(payload) // I/O inside the section
-			}
+				return true
+			})
 		}
 	})
 }
@@ -466,9 +493,10 @@ func (g *global) Multicast(group string, payload []byte) {
 	g.mu.Enter()
 	defer g.mu.Exit()
 	if m := g.inner(group, false); m != nil {
-		for _, c := range m.Values() {
+		m.RangeHeld(func(_, c core.Value) bool {
 			c.(*Conn).Send(payload)
-		}
+			return true
+		})
 	}
 }
 
@@ -532,9 +560,10 @@ func (t *twoPL) Multicast(group string, payload []byte) {
 	defer tx.UnlockAll()
 	if li := t.inner(group, false); li != nil {
 		tx.Lock(li.l)
-		for _, c := range li.m.Values() {
+		li.m.RangeHeld(func(_, c core.Value) bool {
 			c.(*Conn).Send(payload)
-		}
+			return true
+		})
 	}
 }
 
@@ -600,9 +629,10 @@ func (m *manual) Unicast(group, dst string, payload []byte) {
 func (m *manual) Multicast(group string, payload []byte) {
 	if ri := m.inner(group, false); ri != nil {
 		ri.mu.RLock()
-		for _, c := range ri.m.Values() {
+		ri.m.RangeHeld(func(_, c core.Value) bool {
 			c.(*Conn).Send(payload)
-		}
+			return true
+		})
 		ri.mu.RUnlock()
 	}
 }

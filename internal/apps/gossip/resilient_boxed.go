@@ -85,9 +85,10 @@ func (r *Resilient) MulticastErrV(group core.Value, payload []byte) error {
 				return err
 			}
 			r.fault("multicast")
-			for _, c := range mm.m.Values() {
+			mm.m.RangeHeld(func(_, c core.Value) bool {
 				c.(*Conn).Send(payload)
-			}
+				return true
+			})
 		}
 		return nil
 	})

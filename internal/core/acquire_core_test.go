@@ -272,6 +272,60 @@ func TestLockBatchWithinKeepsEarlierGroups(t *testing.T) {
 	}
 }
 
+// TestAcquireGroupsOpposedOrders: two sections name the same two
+// mechanisms of ONE instance in opposite orders with pairwise-conflicting
+// modes, and both complete. The schedule is forced, not raced: a helper
+// hold parks the first section on its R group with its L group held, the
+// second section then starts, and the helper leaves. Taking groups in
+// argument order, the second section took R (which the helper's mode
+// lets in) and parked on L — each then held the group the other waited
+// for, until patience ran out. In ascending mechanism order the second
+// section parks on L holding nothing.
+func TestAcquireGroupsOpposedOrders(t *testing.T) {
+	tw := newTwinTable(t, 4, false)
+	s := NewSemantic(tw.tbl)
+	helper := tw.put("R", 2) // blocks sizeR, commutes with putR(1)
+	s.Acquire(helper)
+
+	const patience = 3 * time.Second
+	section := func(locks ...BatchLock) chan error {
+		done := make(chan error, 1)
+		go func() {
+			tx := NewTxn()
+			err := tx.LockBatchWithin(patience, locks...)
+			tx.UnlockAll()
+			done <- err
+		}()
+		return done
+	}
+	first := section(
+		BatchLock{Sem: s, Mode: tw.size("L")},
+		BatchLock{Sem: s, Mode: tw.size("R")})
+	waitParked(t, s, 1)
+	if s.Holders(tw.size("L")) != 1 {
+		t.Fatal("test premise: the first section parks on R holding its L group")
+	}
+	second := section(
+		BatchLock{Sem: s, Mode: tw.put("R", 1)},
+		BatchLock{Sem: s, Mode: tw.put("L", 1)})
+	waitParked(t, s, 2)
+	s.Release(helper)
+
+	for name, done := range map[string]chan error{"L-then-R": first, "R-then-L": second} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s section: %v", name, err)
+			}
+		case <-time.After(4 * patience):
+			t.Fatalf("%s section never returned", name)
+		}
+	}
+	if err := s.CheckQuiesced(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestWithdrawRedonatesToken: a wake token that lands on a waiter
 // already on its way out is forwarded, so a second waiter on an
 // overlapping mask acquires without any further release. The orphan is

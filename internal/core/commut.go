@@ -59,6 +59,10 @@ type ModeTable struct {
 	sets   []setEntry
 	setIdx map[string]int // SymSet key → index into sets
 
+	// exclMut[m] is ExcludesMutators(m): F_c(m, ·) is conflict on every
+	// mode holding a non-observer operation.
+	exclMut []bool
+
 	// Partitioning: part[m] is the mechanism index for mode m, or -1
 	// when the mode conflicts with nothing (including itself) and needs
 	// no mechanism at all. localIdx[m] is the counter slot of m's
@@ -276,6 +280,23 @@ func NewModeTable(spec *Spec, sets []SymSet, opts TableOptions) *ModeTable {
 		}
 	}
 
+	// ExcludesMutators, from F_c: a mutator mode is one holding an
+	// operation the spec does not declare an observer.
+	mutator := make([]bool, len(raw))
+	for i := range raw {
+		mutator[i] = !spec.observerOnly(raw[i])
+	}
+	t.exclMut = make([]bool, len(raw))
+	for i := range raw {
+		t.exclMut[i] = true
+		for j := range raw {
+			if mutator[j] && t.fc[i][j] {
+				t.exclMut[i] = false
+				break
+			}
+		}
+	}
+
 	t.partition(opts.DisablePartitioning)
 	return t
 }
@@ -465,6 +486,18 @@ func (t *ModeTable) Commute(a, b ModeID) bool { return t.fc[a][b] }
 
 // Mode returns the mode for an id.
 func (t *ModeTable) Mode(id ModeID) Mode { return t.modes[id] }
+
+// ExcludesMutators reports whether holding mode m on an instance keeps
+// every mutator of that instance out: F_c(m, m') is conflict for every
+// mode m' of the table that holds an operation the Spec does not declare
+// an observer (m itself included, when it is such a mode). Computed when
+// the table is built. While it is true for a held mode, whatever else
+// runs against the instance under this table only observes — the
+// precondition of the adt package's *Held walks, which then need no
+// synchronisation of their own. The answer is relative to the table's
+// sets: an operation performed under no mode of this table is not
+// accounted for (guardedby is the analyzer that rules those out).
+func (t *ModeTable) ExcludesMutators(m ModeID) bool { return t.exclMut[m] }
 
 // MechanismOf returns the index of the lock mechanism guarding mode id,
 // or -1 when the mode conflicts with nothing (including itself) and

@@ -311,50 +311,49 @@ func (s *Semantic) acquireBatch(ms []ModeID, patience time.Duration, cancel <-ch
 }
 
 // acquireGroups acquires a batch spanning several mechanisms, one
-// mechanism group at a time in order of each group's first mode.
+// mechanism group at a time in ascending mechanism index — whatever
+// order ms names them in. A group may park while the earlier groups
+// stay held, so every batch on an instance must meet the mechanisms in
+// one order: were they taken in argument order, two batches naming the
+// same two groups oppositely, with conflicting modes, would each hold
+// the group the other waits for.
 func (s *Semantic) acquireGroups(ms []ModeID, sc *batchScratch, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
-	for i, m0 := range ms {
-		p := s.table.part[m0]
-		if p < 0 || s.groupStarted(ms, i, p) {
-			// Conflicts with nothing, or this mechanism's group was
-			// acquired at its first mode.
-			continue
+	part := s.table.part
+	for last := -1; ; {
+		// The lowest mechanism above last that one of ms lives in. Modes
+		// with part < 0 conflict with nothing and are never selected.
+		p := -1
+		for _, m := range ms {
+			if pm := part[m]; pm > last && (p < 0 || pm < p) {
+				p = pm
+			}
 		}
-		sc.modes = append(sc.modes[:0], m0)
-		for j := i + 1; j < len(ms); j++ {
-			if s.table.part[ms[j]] == p {
-				sc.modes = append(sc.modes, ms[j])
+		if p < 0 {
+			return nil
+		}
+		sc.modes = sc.modes[:0]
+		for _, m := range ms {
+			if part[m] == p {
+				sc.modes = append(sc.modes, m)
 			}
 		}
 		var err error
 		if len(sc.modes) == 1 {
-			err = s.acquireWithin(m0, patience, cancel, log)
+			err = s.acquireWithin(sc.modes[0], patience, cancel, log)
 		} else {
 			err = s.acquireMechBatch(p, sc, patience, cancel, log)
 		}
 		if err != nil {
 			// Give back the groups acquired before this one.
 			for _, m := range ms {
-				if pm := s.table.part[m]; pm >= 0 && s.groupStarted(ms, i, pm) {
+				if pm := part[m]; pm >= 0 && pm < p {
 					s.Release(m)
 				}
 			}
 			return err
 		}
+		last = p
 	}
-	return nil
-}
-
-// groupStarted reports whether one of ms[:i] lives in mechanism p —
-// that is, whether p's group was acquired before the batch reached
-// position i.
-func (s *Semantic) groupStarted(ms []ModeID, i, p int) bool {
-	for _, m := range ms[:i] {
-		if s.table.part[m] == p {
-			return true
-		}
-	}
-	return false
 }
 
 // batchScratch carries the per-call scratch of AcquireBatch: the modes

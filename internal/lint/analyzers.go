@@ -1103,3 +1103,148 @@ func (p *Pass) calleeUnderInternal(fun ast.Expr) bool {
 	obj := p.Info.Uses[id]
 	return obj != nil && obj.Pkg() != nil && strings.Contains(obj.Pkg().Path(), "internal/")
 }
+
+// ---------------------------------------------------------------------
+// heldwalk
+// ---------------------------------------------------------------------
+
+// HeldWalk checks the callers of the adt package's *Held methods
+// (HashMap.RangeHeld). Such a walk takes no lock of the container's
+// own: it is sound only while the caller holds a lock that keeps every
+// writer of the instance out — a semantic mode for which
+// ModeTable.ExcludesMutators holds, or an exclusive / reader-side lock
+// every writer takes. Whether the held mode is the right one is
+// derived where the mode table is built (gossip.NewOurs panics
+// otherwise); what can be lost silently in maintenance is the
+// acquisition itself, and that is syntactic:
+//
+//   - the call must be preceded, in source order inside its section body
+//     — the function literal handed to core.Atomically or
+//     resilience.Policy.Run, else the enclosing function declaration
+//     (a helper taking the *core.Txn, or a baseline's method) — by a
+//     Txn.Lock*, a Policy.Acquire*, or a lock call of internal/cc or
+//     sync;
+//   - it must not sit inside a Txn.TryOptimistic body: an optimistic
+//     observer holds nothing, so nothing keeps a writer out of the walk.
+//
+// That every operation on the instance is dominated by an acquisition
+// on the right Semantic is guardedby's obligation, unchanged — to it a
+// *Held method is one more adt operation. internal/adt, where the
+// methods and their contract live, is exempt.
+var HeldWalk = &Analyzer{
+	Name: "heldwalk",
+	Doc:  "flags adt *Held walks with no preceding lock acquisition in their section, or inside a TryOptimistic body",
+	Run:  runHeldWalk,
+}
+
+// calleeFunc returns the declared function or method a call invokes.
+func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	fn, _ := p.Info.Uses[sel.Sel].(*types.Func)
+	if fn == nil || fn.Pkg() == nil {
+		return nil
+	}
+	return fn
+}
+
+// isHeldCall reports whether call invokes a *Held method of internal/adt.
+func (p *Pass) isHeldCall(call *ast.CallExpr) bool {
+	fn := p.calleeFunc(call)
+	return fn != nil && strings.HasSuffix(fn.Name(), "Held") &&
+		strings.HasSuffix(fn.Pkg().Path(), "internal/adt") &&
+		fn.Type().(*types.Signature).Recv() != nil
+}
+
+// isAcquisition reports whether call takes a lock a held walk can rest
+// on: Txn.Lock*, Policy.Acquire*, or Lock/RLock/LockOrdered/Enter of a
+// type from sync or internal/cc.
+func (p *Pass) isAcquisition(call *ast.CallExpr) bool {
+	fn := p.calleeFunc(call)
+	if fn == nil {
+		return false
+	}
+	recv := p.TypeOf(call.Fun.(*ast.SelectorExpr).X)
+	switch name := fn.Name(); {
+	case strings.HasPrefix(name, "Lock") && namedFromCore(recv, "Txn"):
+		return true
+	case strings.HasPrefix(name, "Acquire") && namedFromPkg(recv, "internal/resilience", "Policy"):
+		return true
+	case name == "Lock" || name == "RLock" || name == "LockOrdered" || name == "Enter":
+		path := fn.Pkg().Path()
+		return path == "sync" || strings.HasSuffix(path, "internal/cc")
+	}
+	return false
+}
+
+// isTryOptimistic reports whether call is (*core.Txn).TryOptimistic(...).
+func (p *Pass) isTryOptimistic(call *ast.CallExpr) bool {
+	fn := p.calleeFunc(call)
+	return fn != nil && fn.Name() == "TryOptimistic" &&
+		namedFromCore(p.TypeOf(call.Fun.(*ast.SelectorExpr).X), "Txn")
+}
+
+func runHeldWalk(p *Pass) {
+	if strings.HasSuffix(p.PkgPath, "internal/adt") {
+		return // the walks and their contract live here
+	}
+	for _, file := range p.Files {
+		var stack []ast.Node
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			if call, ok := n.(*ast.CallExpr); ok && p.isHeldCall(call) {
+				p.checkHeldWalk(call, stack)
+			}
+			return true
+		})
+	}
+}
+
+// checkHeldWalk finds held's section body among its ancestors —
+// innermost first: a literal handed to a section call, else the function
+// declaration — and requires an acquisition before it there.
+func (p *Pass) checkHeldWalk(held *ast.CallExpr, ancestors []ast.Node) {
+	name := exprText(held.Fun)
+	var body *ast.BlockStmt
+	for i := len(ancestors) - 1; i >= 0 && body == nil; i-- {
+		switch fn := ancestors[i].(type) {
+		case *ast.FuncDecl:
+			body = fn.Body
+		case *ast.FuncLit:
+			outer, ok := ancestors[i-1].(*ast.CallExpr)
+			if !ok {
+				continue // a plain closure: part of the body around it
+			}
+			if p.isTryOptimistic(outer) {
+				p.Reportf(held.Pos(),
+					"%s inside a TryOptimistic body: an optimistic observer holds no mode, so nothing keeps a writer out of the walk; use the locking walk there, or move the call to the pessimistic path",
+					name)
+				return
+			}
+			if p.isSectionCall(outer) {
+				body = fn.Body
+			}
+		}
+	}
+	if body == nil {
+		return // a package-level initializer: no section to speak of
+	}
+	locked := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && call.Pos() < held.Pos() && p.isAcquisition(call) {
+			locked = true
+		}
+		return !locked
+	})
+	if !locked {
+		p.Reportf(held.Pos(),
+			"%s is not preceded by a lock acquisition in its section; a *Held walk takes no lock of its own — first take a mode that excludes every mutator (Txn.Lock*, Policy.Acquire*) or the cc/sync lock every writer takes",
+			name)
+	}
+}

@@ -23,6 +23,18 @@ import (
 // descending order are reported directly (the checked runtime would
 // panic on that transaction at the second acquisition).
 //
+// A node here is a rank, and below it the runtime orders instances of
+// one rank by unique id. One level further down — the several lock
+// mechanisms of ONE instance, which a LockBatch naming modes of
+// different partitions acquires one after the other while holding the
+// earlier ones — this graph has no nodes, and needs none: the runtime
+// takes an instance's mechanism groups in ascending mechanism index
+// whatever order the batch names its modes in (Semantic.acquireGroups;
+// core's TestAcquireGroupsOpposedOrders), so the order below an
+// instance is fixed by the mode table and no call site can invert it.
+// The argument order of a batch's entries for one instance is therefore
+// not an ordering fact, and this analyzer does not read it as one.
+//
 // Synthesized sections don't go through this text-level analysis: their
 // exact class ranks are exported by internal/synth and embedded into
 // internal/verify's GlobalOrder, which cmd/semlockvet cross-checks

@@ -43,6 +43,9 @@
 //   - boxonce: a string or integer key handed to the selector and to
 //     each map operation of one atomic section is boxed into core.Value
 //     — heap-allocated — once per use; box it once before the section.
+//   - heldwalk: an adt *Held walk (HashMap.RangeHeld) takes no lock of
+//     the container's own, so it must come after a lock acquisition in
+//     its section and never inside a TryOptimistic body.
 //
 // Deliberate exceptions — plan transcriptions in internal/modules and
 // internal/apps, and benchmarks of the bare mechanism — carry
@@ -115,7 +118,7 @@ func (d Diagnostic) String() string {
 // analyzers (guardedby, rankorder) live in internal/lint/interproc and
 // run through RunProgram.
 func All() []*Analyzer {
-	return []*Analyzer{PaddedCopy, TxnDiscipline, ModeMask, UnlockPath, AbortPath, Batchable, OccPure, RetryPath, BoxOnce}
+	return []*Analyzer{PaddedCopy, TxnDiscipline, ModeMask, UnlockPath, AbortPath, Batchable, OccPure, RetryPath, BoxOnce, HeldWalk}
 }
 
 // ProgramAnalyzer is one whole-program check: unlike Analyzer it sees

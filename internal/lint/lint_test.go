@@ -82,6 +82,7 @@ func TestAnalyzers(t *testing.T) {
 		{"occpure.go", "repro/tdata", OccPure},
 		{"retrypath.go", "repro/tdata", RetryPath},
 		{"boxonce.go", "repro/internal/apps/tdata", BoxOnce},
+		{"heldwalk.go", "repro/tdata", HeldWalk},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name+"/"+tc.file, func(t *testing.T) {

@@ -6,10 +6,12 @@
 package modules_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps/gossip"
 	"repro/internal/apps/intruder"
+	"repro/internal/apps/rangestore"
 	"repro/internal/core"
 	"repro/internal/modules/cache"
 	"repro/internal/modules/cia"
@@ -150,4 +152,73 @@ func TestGossipCoverage(t *testing.T) {
 
 	rg := p.Ref(0, "groups").Mode("g1")
 	mustCover(t, groups, rg, core.NewOp("get", "g1"), core.NewOp("put", "g1", "anything"))
+}
+
+// TestExcludesMutators reads ModeTable.ExcludesMutators off every
+// shipped table and compares it, mode by mode, with the answer written
+// here per mode shape (the methods a mode holds). What the rows say:
+//
+//   - gossip's member {values()} — the mode multicast's RangeHeld walk
+//     rests on — excludes every mutator, and so does rangestore's scan
+//     mode, the queue's {dequeue()} (no commuting entry at all) and any
+//     mode holding clear();
+//   - no single-key mode does where another key's mutator can run beside
+//     it: put/remove/get on α commute with put/remove on α' ≠ α, and
+//     enqueues commute with each other;
+//   - cache's longterm map is the instructive exception: its only
+//     mutator is putAll, which the Map spec lets commute with nothing,
+//     so even {get(k)} keeps every mutator out. True by derivation — the
+//     reason the query is computed, not guessed from a mode's arity.
+func TestExcludesMutators(t *testing.T) {
+	tables := map[string]*core.ModeTable{
+		"rangestore": rangestore.New(2, 64).Sems()[0].Table(),
+	}
+	for domain, p := range map[string]*plan.Plan{
+		"gossip":   gossip.BuildPlan(plan.Options{}),
+		"intruder": intruder.BuildPlan(plan.Options{}),
+		"cia":      cia.BuildPlan(plan.Options{}),
+		"graph":    graph.BuildPlan(plan.Options{}),
+		"cache":    cache.BuildPlan(plan.Options{}),
+	} {
+		for class, tbl := range p.Res.Tables {
+			tables[domain+"/"+class] = tbl
+		}
+	}
+	want := map[string]map[string]bool{
+		"gossip/Map$groups":    {"get": false, "get+put": false},
+		"gossip/Map$members":   {"get": false, "put": false, "remove": false, "values": true},
+		"rangestore":           {"get": false, "put+remove": false, "values": true},
+		"intruder/Map":         {"get+put+remove": false},
+		"intruder/Queue":       {"enqueue": false, "dequeue": true},
+		"cia/Map":              {"get+put": false},
+		"graph/Multimap$succs": {"get": false, "put": false, "remove": false},
+		"graph/Multimap$preds": {"get": false, "put": false, "remove": false},
+		"cache/Map$eden":       {"get+put": false, "clear+put+size": true},
+		"cache/Map$longterm":   {"get": true, "putAll": true},
+	}
+	if len(tables) != len(want) {
+		t.Errorf("%d shipped tables, answers written for %d", len(tables), len(want))
+	}
+	for name, tbl := range tables {
+		seen := make(map[string]bool)
+		for id, m := range tbl.Modes() {
+			methods := make([]string, len(m.Ops))
+			for i, op := range m.Ops {
+				methods[i] = op.Method
+			}
+			shape := strings.Join(methods, "+")
+			seen[shape] = true
+			exp, ok := want[name][shape]
+			if !ok {
+				t.Errorf("%s: no answer written for mode %s", name, m)
+			} else if got := tbl.ExcludesMutators(core.ModeID(id)); got != exp {
+				t.Errorf("%s: ExcludesMutators(%s) = %v, want %v", name, m, got, exp)
+			}
+		}
+		for shape := range want[name] {
+			if !seen[shape] {
+				t.Errorf("%s: no mode of shape %s in the table", name, shape)
+			}
+		}
+	}
 }

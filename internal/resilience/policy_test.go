@@ -105,14 +105,15 @@ func TestPolicyRetrySucceeds(t *testing.T) {
 		Backoff:  resilience.Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond},
 		Budget:   &resilience.BudgetConfig{Capacity: 10, RefillPerSec: 100},
 	})
-	// Release the blocker after the first attempt has had time to stall.
-	go func() {
-		time.Sleep(8 * time.Millisecond)
-		s.Release(km)
-	}()
+	// The blocker outlasts the first attempt, whatever the scheduler
+	// does, and is gone before the second one acquires: the retry itself
+	// releases it.
 	ran := 0
 	err := p.Run(func(tx *core.Txn) error {
 		ran++
+		if ran == 2 {
+			s.Release(km)
+		}
 		return p.Acquire(tx, s, km, 0)
 	})
 	if err != nil {
