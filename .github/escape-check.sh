@@ -4,18 +4,19 @@
 # `go build -gcflags=-m`. The apps' alloc pins (TestStringFormAllocs,
 # TestPointOpAllocs) catch the effect; this names the line that caused it.
 # Likewise the closures handed to the held walk (HashMap.RangeHeld) must
-# stay on the multicast sections' stacks.
+# stay on the multicast sections' stacks, and the core.Snapshot of a
+# transaction-free optimistic read on its reader's.
 set -u
-out="$(go build -gcflags=-m ./internal/core ./internal/adt ./internal/apps/gossip 2>&1)"
+out="$(go build -gcflags=-m ./internal/core ./internal/adt ./internal/apps/gossip ./internal/apps/rangestore 2>&1)"
 fail=0
-check() { # file, start of the function's declaration, parameter
-	local line
+check() { # file, start of the function's declaration, parameter[, its verdict if not "does not escape"]
+	local line want="${4:-$3 does not escape}"
 	line="$(grep -nF "$2" "$1" | head -1 | cut -d: -f1)"
 	if [ -z "$line" ]; then
 		echo "escape-check: no '$2' in $1"
 		fail=1
-	elif ! grep -q "^$1:$line:[0-9]*: $3 does not escape" <<<"$out"; then
-		echo "escape-check: $3 of '$2' ($1:$line) is not reported as 'does not escape':"
+	elif ! grep -q "^$1:$line:[0-9]*: $want\$" <<<"$out"; then
+		echo "escape-check: $3 of '$2' ($1:$line) is not reported as '$want':"
 		grep "^$1:$line:" <<<"$out"
 		fail=1
 	fi
@@ -33,6 +34,24 @@ check internal/adt/hashmap.go 'func (h *HashMap) Remove(' k
 # the one on the wrapper it is inlined into — f would leak there if
 # eachHeld kept it.
 check internal/adt/hashmap.go 'func (h *HashMap) RangeHeld(' f
+# A read declares its Snapshot as a local and hands its address to both
+# methods: either receiver leaking would move every `var sn` to the heap.
+# Observe's verdict is "content": the 9th observation appends to the
+# overflow slice, which copies entries the receiver points at — not the
+# receiver — to the heap. The `moved to heap: sn` check below is the one
+# that says where a reader's snapshot lives.
+check internal/core/snapshot.go 'func (sn *Snapshot) Observe(' sn 'leaking param content: sn'
+check internal/core/snapshot.go 'func (sn *Snapshot) Validate(' sn
+for f in internal/apps/rangestore/rangestore.go internal/apps/gossip/boxed.go; do
+	if ! grep -q 'var sn core.Snapshot' "$f"; then
+		echo "escape-check: $f declares no 'var sn core.Snapshot'; the transaction-free reads moved"
+		fail=1
+	fi
+	if grep "^$f:[0-9]*:[0-9]*: moved to heap: sn\$" <<<"$out"; then
+		echo "escape-check: a core.Snapshot in $f is heap-allocated"
+		fail=1
+	fi
+done
 check_walks() { # file, number of RangeHeld call sites it must hold
 	local lines n=0 line
 	lines="$(grep -nF '.RangeHeld(func(' "$1" | cut -d: -f1)"

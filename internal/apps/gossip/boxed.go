@@ -84,39 +84,43 @@ func (o *Ours) MulticastV(group core.Value, payload []byte) {
 
 // LookupV is Lookup with pre-boxed keys. It is the hybrid-execution
 // fast path: both ADT operations are observers (get on the outer map,
-// get on the member map), so the section first runs lock-free under
-// TryOptimistic, observing the two mechanisms it would have locked and
-// validating their version counters at the end, and only re-runs under
-// the pessimistic prologue (LookupPessimistic's body) when validation
-// fails or the per-instance adaptive gate has closed the optimistic
-// path. The observed modes are exactly the modes the pessimistic path
-// locks — unicast's {get(g)} / {get(dst)} — so the conflict predicate
-// is the one the plan's certificate already covers. The individual ADT
-// reads are safe without the semantic locks because every adt structure
-// is linearizable on its own (internal mutex); what validation adds is
-// that the two reads happened inside one conflict-free window.
+// get on the member map), so the section first runs lock-free, observing
+// into a core.Snapshot on its stack the two mechanisms it would have
+// locked and validating their version counters at the end — it holds
+// nothing, so it needs no transaction — and only re-runs under the
+// pessimistic prologue (LookupPessimistic's body) when an observation is
+// refused, validation fails or the per-instance adaptive gate has closed
+// the optimistic path. The observed modes are exactly the modes the
+// pessimistic path locks — unicast's {get(g)} / {get(dst)} — so the
+// conflict predicate is the one the plan's certificate already covers.
+// The individual ADT reads are safe without the semantic locks because
+// every adt structure is linearizable on its own (internal mutex); what
+// validation adds is that the two reads happened inside one
+// conflict-free window.
 func (o *Ours) LookupV(group, member core.Value) bool {
+	if found, ok := o.lookupOptimisticV(group, member); ok {
+		return found
+	}
 	var found bool
 	core.Atomically(func(tx *core.Txn) {
-		if tx.TryOptimistic(func(tx *core.Txn) bool {
-			if !tx.Observe(o.groupsSem, o.uniGRef.Mode1(group), o.groupsRank) {
-				return false
-			}
-			found = false
-			if v := o.groups.Get(group); v != nil {
-				mm := v.(*memberMap)
-				if !tx.Observe(mm.sem, o.uniMemRef.Mode1(member), o.memRank) {
-					return false
-				}
-				found = mm.m.Get(member) != nil
-			}
-			return true
-		}) {
-			return
-		}
 		found = o.lookupLockedV(tx, group, member)
 	})
 	return found
+}
+
+func (o *Ours) lookupOptimisticV(group, member core.Value) (found, ok bool) {
+	var sn core.Snapshot
+	if !sn.Observe(o.groupsSem, o.uniGRef.Mode1(group)) {
+		return false, false
+	}
+	if v := o.groups.Get(group); v != nil {
+		mm := v.(*memberMap)
+		if !sn.Observe(mm.sem, o.uniMemRef.Mode1(member)) {
+			return false, false
+		}
+		found = mm.m.Get(member) != nil
+	}
+	return found, sn.Validate()
 }
 
 func (o *Ours) lookupLockedV(tx *core.Txn, group, member core.Value) bool {

@@ -2,9 +2,11 @@ package gossip
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/modules/plan"
 )
 
@@ -84,5 +86,33 @@ func TestLookupConcurrentChurn(t *testing.T) {
 	st := r.groupsSem.Stats()
 	if st.OptimisticHits+st.OptimisticRetries == 0 {
 		t.Errorf("no optimistic attempts recorded under churn: %+v", st)
+	}
+}
+
+// TestLookupFallsBack: while a conflicting mode is held on the groups
+// map, LookupV is refused at its first observation, takes the
+// pessimistic body — which waits for the holder — and answers
+// correctly; the refusal is counted and no hit is.
+func TestLookupFallsBack(t *testing.T) {
+	r := NewOurs(0, plan.Options{})
+	r.Register("g", "alice", NewConn("alice", 0))
+	g, alice := core.Value("g"), core.Value("alice")
+	before := r.groupsSem.Stats()
+
+	holder := core.NewTxn()
+	holder.Lock(r.groupsSem, r.regGroupsRef.Mode1(g), r.groupsRank)
+	found := make(chan bool)
+	go func() { found <- r.LookupV(g, alice) }()
+	for r.groupsSem.Stats().OptimisticRefusals == before.OptimisticRefusals {
+		runtime.Gosched() // until the lookup's observation has been turned away
+	}
+	holder.UnlockAll()
+	if !<-found {
+		t.Error("LookupV through the fallback missed a registered member")
+	}
+	after := r.groupsSem.Stats()
+	if after.OptimisticRefusals != before.OptimisticRefusals+1 || after.OptimisticHits != before.OptimisticHits {
+		t.Errorf("refusals %d -> %d, hits %d -> %d; want +1 and unchanged",
+			before.OptimisticRefusals, after.OptimisticRefusals, before.OptimisticHits, after.OptimisticHits)
 	}
 }

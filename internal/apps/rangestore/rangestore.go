@@ -1,6 +1,8 @@
 // Package rangestore is a range-sharded key-value store: the second
-// workload of the hybrid optimistic/pessimistic experiment
-// (benchall -exp optimistic). Keys [0, Capacity) are partitioned into
+// workload of the hybrid optimistic/pessimistic experiments (benchall
+// -exp optimistic and -exp adaptive), the store behind the gated
+// rangestore-scan workload of benchmark/, and the example in
+// examples/rangestore. Keys [0, Capacity) are partitioned into
 // contiguous ranges, one shard — an adt.HashMap plus its own Semantic
 // lock — per range. Point writes lock one shard's key mode; the pair
 // write locks two shards in one fused LockBatch; the scan is the
@@ -14,12 +16,16 @@
 // anomaly version validation must rule out on the lock-free path.
 //
 // Like gossip's Ours router, this is a hand transcription of the plan
-// a synthesized scan/put/pair program would produce: every section runs
-// under core.Atomically, acquisitions flow through core.Txn, and the
-// optimistic sections observe exactly the modes their fallbacks lock.
+// a synthesized scan/put/pair program would produce: every section that
+// locks runs under core.Atomically with its acquisitions flowing
+// through core.Txn, and the optimistic reads — which hold nothing, so
+// need no transaction — observe into a core.Snapshot on their own stack
+// exactly the modes their fallbacks lock.
 package rangestore
 
 import (
+	"math/bits"
+
 	"repro/internal/adt"
 	"repro/internal/adtspecs"
 	"repro/internal/core"
@@ -36,6 +42,7 @@ type Store struct {
 	shards   []shard
 	capacity int
 	width    int
+	shift    int // log2(width) when width is a power of two, else -1
 
 	writeRef core.SetRef // {put(k,*), remove(k)}
 	getRef   core.SetRef // {get(k)}
@@ -60,9 +67,14 @@ func New(nShards, capacity int) *Store {
 	tbl := core.NewModeTable(adtspecs.Map(), []core.SymSet{writeSet, getSet, scanSet},
 		core.TableOptions{Phi: core.NewPhi(16)})
 
+	shift := -1
+	if width&(width-1) == 0 {
+		shift = bits.TrailingZeros(uint(width))
+	}
 	s := &Store{
 		capacity: width * nShards,
 		width:    width,
+		shift:    shift,
 		writeRef: tbl.Set(writeSet),
 		getRef:   tbl.Set(getSet),
 		scanMode: tbl.Set(scanSet).Mode(),
@@ -90,9 +102,19 @@ func (s *Store) Sems() []*core.Semantic {
 	return out
 }
 
+// shardOf maps any key — out-of-range and negative ones wrap into
+// [0, capacity) — to the shard holding its range. The keys the workloads
+// send are in range, so the common case is one compare and one shift.
 func (s *Store) shardOf(k int) *shard {
-	i := (k % s.capacity) / s.width
-	return &s.shards[i]
+	if uint(k) >= uint(s.capacity) {
+		if k %= s.capacity; k < 0 {
+			k += s.capacity
+		}
+	}
+	if s.shift >= 0 {
+		return &s.shards[k>>uint(s.shift)]
+	}
+	return &s.shards[k/s.width]
 }
 
 // Put stores v under k, pessimistically (a point write can never run
@@ -139,27 +161,20 @@ func togglePair(a, b *shard, k, k2 core.Value) {
 	}
 }
 
-// Get returns the value under k via the optimistic fast path, falling
-// back to the pessimistic point read.
+// Get returns the value under k via the optimistic fast path: observe
+// the key's get mode, read, validate — nothing acquired, so no
+// transaction. On a refusal or a failed validation it is the
+// pessimistic point read.
 func (s *Store) Get(k int) core.Value {
 	sh := s.shardOf(k)
 	kv := core.Value(k)
-	var v core.Value
-	core.Atomically(func(tx *core.Txn) {
-		m := s.getRef.Mode1(kv)
-		if tx.TryOptimistic(func(tx *core.Txn) bool {
-			if !tx.Observe(sh.sem, m, 0) {
-				return false
-			}
-			v = sh.m.Get(kv)
-			return true
-		}) {
-			return
+	var sn core.Snapshot
+	if sn.Observe(sh.sem, s.getRef.Mode1(kv)) {
+		if v := sh.m.Get(kv); sn.Validate() {
+			return v
 		}
-		tx.Lock(sh.sem, m, 0)
-		v = sh.m.Get(kv)
-	})
-	return v
+	}
+	return s.GetPessimistic(k)
 }
 
 // GetPessimistic is the point read under the ordinary prologue — the
@@ -177,29 +192,29 @@ func (s *Store) GetPessimistic(k int) core.Value {
 
 // Scan counts the store's entries via the optimistic fast path:
 // observe every shard's values() mode, read every size lock-free, and
-// validate. On failure it re-runs under the pessimistic whole-store
-// batch. Because PutPair keeps the entry count even in every serial
-// state, an odd return would prove a torn read escaped validation.
+// validate. On a refusal or a failed validation it re-runs under the
+// pessimistic whole-store batch. Because PutPair keeps the entry count
+// even in every serial state, an odd return would prove a torn read
+// escaped validation.
 func (s *Store) Scan() int {
-	var n int
-	core.Atomically(func(tx *core.Txn) {
-		if tx.TryOptimistic(func(tx *core.Txn) bool {
-			for i := range s.shards {
-				if !tx.Observe(s.shards[i].sem, s.scanMode, 0) {
-					return false
-				}
-			}
-			n = 0
-			for i := range s.shards {
-				n += s.shards[i].m.Size()
-			}
-			return true
-		}) {
-			return
+	if n, ok := s.scanOptimistic(); ok {
+		return n
+	}
+	return s.ScanPessimistic()
+}
+
+func (s *Store) scanOptimistic() (int, bool) {
+	var sn core.Snapshot
+	for i := range s.shards {
+		if !sn.Observe(s.shards[i].sem, s.scanMode) {
+			return 0, false
 		}
-		n = s.scanLocked(tx)
-	})
-	return n
+	}
+	n := 0
+	for i := range s.shards {
+		n += s.shards[i].m.Size()
+	}
+	return n, sn.Validate()
 }
 
 // ScanPessimistic counts the entries under the whole-store LockBatch —

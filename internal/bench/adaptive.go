@@ -212,32 +212,24 @@ func (st *yieldStore) fold() int64 {
 // formed during a closed-gate phase would otherwise sustain itself
 // indefinitely after the gate reopens.
 func (st *yieldStore) Refresh() {
-	core.Atomically(func(tx *core.Txn) {
-		attempts, refusals := 0, 0
-		for attempts < refreshRetries && refusals <= refusalBackoffs {
-			var sum int64
-			refused := false
-			if tx.TryOptimistic(func(tx *core.Txn) bool {
-				if !tx.Observe(st.sem, st.values, 0) {
-					refused = true
-					return false
-				}
-				sum = st.fold()
-				return true
-			}) {
-				st.cache.Store(sum)
-				return
+	attempts, refusals := 0, 0
+	for attempts < refreshRetries && refusals <= refusalBackoffs {
+		var sn core.Snapshot
+		if !sn.Observe(st.sem, st.values) {
+			if !st.sem.OptimisticEnabled() {
+				break
 			}
-			if refused {
-				if !st.sem.OptimisticEnabled() {
-					break
-				}
-				refusals++
-				runtime.Gosched()
-				continue
-			}
-			attempts++
+			refusals++
+			runtime.Gosched()
+			continue
 		}
+		if sum := st.fold(); sn.Validate() {
+			st.cache.Store(sum)
+			return
+		}
+		attempts++
+	}
+	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(st.sem, st.refresh, 0)
 		st.cache.Store(st.fold())
 	})

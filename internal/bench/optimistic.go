@@ -17,7 +17,7 @@ import (
 // `benchall -exp optimistic`: read-mostly workloads on two applications,
 // each run in two variants —
 //
-//	optimistic  — reads go through the TryOptimistic envelope (observe
+//	optimistic  — reads run transaction-free on a core.Snapshot (observe
 //	              version counters, read lock-free, validate; fall back
 //	              to the pessimistic prologue on conflict, with the
 //	              per-instance adaptive gate closing the fast path when

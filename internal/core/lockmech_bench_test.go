@@ -140,7 +140,9 @@ func BenchmarkAcquireRelease(b *testing.B) {
 
 // BenchmarkSectionSkeleton is an atomic section with nothing in it:
 // the pooled transaction, the one deferred epilogue, Reset and Put —
-// what every section pays before it locks anything.
+// what every section pays before it locks anything, and what a read on
+// a bare Snapshot does not (BenchmarkOptimisticRead, optread_bench_test.go,
+// puts a point read in each shape).
 func BenchmarkSectionSkeleton(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

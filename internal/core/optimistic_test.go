@@ -224,8 +224,8 @@ func TestOptimisticSnapshotClearedOnReset(t *testing.T) {
 	e.sem.Acquire(w)
 	e.sem.Release(w)
 	tx.Reset()
-	if tx.optActive || len(tx.optSnaps) != 0 {
-		t.Fatalf("Reset left optimistic state: active=%v snaps=%d", tx.optActive, len(tx.optSnaps))
+	if tx.optActive || tx.snap.n != 0 {
+		t.Fatalf("Reset left optimistic state: active=%v snaps=%d", tx.optActive, tx.snap.n)
 	}
 	other := newOptTestEnv(t)
 	if !other.tryRead(tx, 3) {
@@ -244,8 +244,8 @@ func TestOptimisticSnapshotClearedOnReset(t *testing.T) {
 		})
 	}()
 	tx.Reset()
-	if tx.optActive || len(tx.optSnaps) != 0 {
-		t.Fatalf("Reset after mid-body panic left optimistic state: active=%v snaps=%d", tx.optActive, len(tx.optSnaps))
+	if tx.optActive || tx.snap.n != 0 {
+		t.Fatalf("Reset after mid-body panic left optimistic state: active=%v snaps=%d", tx.optActive, tx.snap.n)
 	}
 	if !e.tryRead(tx, 3) {
 		t.Fatal("transaction unusable after mid-body panic and Reset")
@@ -253,7 +253,7 @@ func TestOptimisticSnapshotClearedOnReset(t *testing.T) {
 
 	// Shrink: a section that observed a pathological number of instances
 	// must not pin its peak buffer through the pool.
-	sems := make([]*Semantic, resetShrinkCap+8)
+	sems := make([]*Semantic, snapInline+resetShrinkCap+8)
 	for i := range sems {
 		sems[i] = NewSemantic(e.tbl)
 	}
@@ -266,8 +266,8 @@ func TestOptimisticSnapshotClearedOnReset(t *testing.T) {
 		return false // discard; only the buffer growth matters
 	})
 	tx.Reset()
-	if tx.optSnaps != nil {
-		t.Fatalf("Reset kept an oversized snapshot buffer (cap=%d > %d)", cap(tx.optSnaps), resetShrinkCap)
+	if kept := cap(tx.snap.more); kept > resetShrinkCap {
+		t.Fatalf("Reset kept an oversized snapshot overflow (%d entries > %d)", kept, resetShrinkCap)
 	}
 }
 
@@ -293,63 +293,87 @@ func TestOptimisticAllocFree(t *testing.T) {
 	}
 }
 
+// optimisticShapes are the two entries to the one observe/validate
+// protocol: the Txn envelope and the bare Snapshot. Each runs one read
+// section observing mode m on s around read, and reports whether it
+// committed.
+var optimisticShapes = []struct {
+	name string
+	read func(tx *Txn, s *Semantic, m ModeID, read func()) bool
+}{
+	{"envelope", func(tx *Txn, s *Semantic, m ModeID, read func()) bool {
+		return tx.TryOptimistic(func(tt *Txn) bool {
+			if !tt.Observe(s, m, 0) {
+				return false
+			}
+			read()
+			return true
+		})
+	}},
+	{"snapshot", func(_ *Txn, s *Semantic, m ModeID, read func()) bool {
+		var sn Snapshot
+		if !sn.Observe(s, m) {
+			return false
+		}
+		read()
+		return sn.Validate()
+	}},
+}
+
 // TestOptimisticTornWindow races optimistic readers against pessimistic
 // writers maintaining the invariant x == y under the write mode. A
 // validated optimistic read must never observe the writers' torn
-// mid-section state — that is exactly the protocol's guarantee.
+// mid-section state — that is exactly the protocol's guarantee, through
+// either entry shape.
 func TestOptimisticTornWindow(t *testing.T) {
-	e := newOptTestEnv(t)
-	rm := e.read.Mode1(3)
-	wm := e.write.Mode1(3)
-	var x, y atomic.Int64
-	const iters = 20000
+	for _, shape := range optimisticShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			e := newOptTestEnv(t)
+			rm := e.read.Mode1(3)
+			wm := e.write.Mode1(3)
+			var x, y atomic.Int64
+			const iters = 20000
 
-	var wg sync.WaitGroup
-	var torn atomic.Int64
-	var commits atomic.Int64
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tx := NewTxn()
-			for i := 0; i < iters; i++ {
-				tx.Lock(e.sem, wm, 0)
-				x.Add(1)
-				y.Add(1)
-				tx.UnlockAll()
-				tx.Reset()
-			}
-		}()
-	}
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tx := NewTxn()
-			for i := 0; i < iters; i++ {
-				var a, b int64
-				ok := tx.TryOptimistic(func(tt *Txn) bool {
-					if !tt.Observe(e.sem, rm, 0) {
-						return false
+			var wg sync.WaitGroup
+			var torn atomic.Int64
+			var commits atomic.Int64
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tx := NewTxn()
+					for i := 0; i < iters; i++ {
+						tx.Lock(e.sem, wm, 0)
+						x.Add(1)
+						y.Add(1)
+						tx.UnlockAll()
+						tx.Reset()
 					}
-					a = x.Load()
-					b = y.Load()
-					return true
-				})
-				if ok {
-					commits.Add(1)
-					if a != b {
-						torn.Add(1)
-					}
-				}
+				}()
 			}
-		}()
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tx := NewTxn()
+					for i := 0; i < iters; i++ {
+						var a, b int64
+						if shape.read(tx, e.sem, rm, func() { a, b = x.Load(), y.Load() }) {
+							commits.Add(1)
+							if a != b {
+								torn.Add(1)
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if n := torn.Load(); n != 0 {
+				t.Fatalf("%d validated optimistic reads observed torn writer state", n)
+			}
+			t.Logf("optimistic commits: %d / %d", commits.Load(), int64(4*iters))
+		})
 	}
-	wg.Wait()
-	if n := torn.Load(); n != 0 {
-		t.Fatalf("%d validated optimistic reads observed torn writer state", n)
-	}
-	t.Logf("optimistic commits: %d / %d", commits.Load(), int64(4*iters))
 }
 
 // TestObserverModesDoNotBump: acquiring a mode made only of declared

@@ -56,7 +56,12 @@ var (
 
 // SectionPanicsRecovered returns how many panics have escaped atomic
 // sections process-wide. Every one of them had its section's locks
-// released by the Atomically epilogue before re-panicking.
+// released by the Atomically epilogue before re-panicking. A panic in a
+// transaction-free optimistic read (a Snapshot's Observe…Validate span)
+// is not one of them: that read holds no lock and no pooled object, so
+// the panic unwinds as itself, unwrapped and uncounted — there is
+// nothing to release and nothing for a SectionPanic to report. The
+// read's pessimistic fallback is an ordinary section and counts.
 func SectionPanicsRecovered() uint64 { return sectionPanics.Load() }
 
 // SectionAborts returns how many Txn.Abort calls have been absorbed by

@@ -33,16 +33,15 @@ type Txn struct {
 	// allocate nothing.
 	batchModes []ModeID
 
-	// optSnaps is the optimistic snapshot buffer (TryOptimistic): one
-	// entry per instance the section would have locked, holding the
-	// version sampled at observation. Reset clears it — a pooled
-	// transaction must never validate against a stale version vector —
-	// and TryOptimistic additionally truncates it on entry as defense in
-	// depth. optActive marks execution inside an optimistic body, where
-	// Observe records instead of acquiring and Assert accepts coverage
-	// by observed modes.
-	optSnaps  []optSnap
+	// snap is the version vector of the optimistic envelope
+	// (TryOptimistic): the same Snapshot a transaction-free read declares
+	// on its stack. Reset clears it — a pooled transaction must never
+	// validate against a stale version vector — and TryOptimistic
+	// additionally empties it on entry as defense in depth. optActive
+	// marks execution inside an optimistic body, where Observe records
+	// instead of acquiring and Assert accepts coverage by observed modes.
 	optActive bool
+	snap      Snapshot
 
 	// trace is the telemetry acquisition ring (StartTrace): a bounded
 	// buffer of Acquisition events recorded by recordHeld, the same
@@ -68,18 +67,6 @@ type heldLock struct {
 	sem  *Semantic
 	mode ModeID
 	rank int
-}
-
-// optSnap is one optimistic observation: the instance and mode the
-// section would have locked, plus the mechanism version sampled when
-// the observation was made. rank is recorded for diagnostics only —
-// observation acquires nothing, so the OS2PL order does not constrain
-// it.
-type optSnap struct {
-	sem  *Semantic
-	mode ModeID
-	rank int
-	ver  uint64
 }
 
 // NewTxn begins a transaction (the prologue of §3.1: LOCAL_SET := ∅).
@@ -127,10 +114,9 @@ func (t *Txn) Reset() {
 	// vector, and a body that panicked mid-TryOptimistic (unwound by
 	// Atomically) left optActive set.
 	t.optActive = false
-	if cap(t.optSnaps) > resetShrinkCap {
-		t.optSnaps = nil
-	} else {
-		t.optSnaps = t.optSnaps[:0]
+	t.snap.n = 0
+	if cap(t.snap.more) > resetShrinkCap {
+		t.snap.more = nil
 	}
 }
 
@@ -394,45 +380,18 @@ func (t *Txn) LockOrdered(rank int, m ModeID, ss ...*Semantic) {
 	}
 }
 
-// Observe is the optimistic counterpart of Lock, valid only inside a
-// TryOptimistic body: instead of acquiring mode m on instance s it
-// snapshots the version counter of m's mechanism (after checking that
-// no conflicting mode currently has a holder) for end-of-body
-// validation. Mirroring Lock's LV semantics, a nil instance and a
-// re-observation of an already-observed instance are no-ops. Observe
-// reports whether the observation is admissible; false — a conflicting
-// holder is visible, or the instance's adaptive gate currently refuses
-// optimistic execution — means the body should give up and let
-// TryOptimistic fail over to the pessimistic prologue.
+// Observe is Snapshot.Observe on the transaction's embedded snapshot,
+// valid only inside a TryOptimistic body: it records instead of
+// acquiring, and false means the body should give up and let
+// TryOptimistic fail over to the pessimistic prologue. rank is accepted
+// so a call site reads like the Lock it stands for; observation
+// acquires nothing, so the OS2PL order does not constrain it.
 func (t *Txn) Observe(s *Semantic, m ModeID, rank int) bool {
 	if !t.optActive {
 		panic("core: Txn.Observe outside TryOptimistic")
 	}
-	if s == nil {
-		return true
-	}
-	for i := range t.optSnaps {
-		if t.optSnaps[i].sem == s {
-			return true // LOCAL_SET: one observation per instance
-		}
-	}
-	if !s.optimisticAllowed() {
-		return false
-	}
-	ver, ok := s.observeMode(m)
-	if !ok {
-		// A conflicting holder is visible right now: the pessimistic
-		// prologue would have blocked. This is a refusal, not a failed
-		// validation — no body ran, nothing is re-executed — and it must
-		// not feed the gate's failure window: fallback holders (which a
-		// gate closure itself produces) refuse every optimist behind
-		// them, and accounting those as failures locks the gate shut on
-		// evidence of its own making.
-		s.recordRefusal()
-		return false
-	}
-	t.optSnaps = append(t.optSnaps, optSnap{sem: s, mode: m, rank: rank, ver: ver})
-	return true
+	//semlockvet:ignore occpure -- the envelope's forwarder: TryOptimistic, which set optActive, validates
+	return t.snap.Observe(s, m)
 }
 
 // TryOptimistic runs body lock-free: body calls Observe where the
@@ -446,6 +405,11 @@ func (t *Txn) Observe(s *Semantic, m ModeID, rank int) bool {
 // envelopes for sections it certified read-only, and internal/verify
 // re-proves both properties on every emitted ir.Optimistic node.
 //
+// This is the entry for a read that is already inside a transaction —
+// a checked or hook-buffered interpreter run, a resilience policy's
+// section. A section that is nothing but the read declares a Snapshot
+// on its stack and needs no transaction at all.
+//
 // A panic inside body unwinds through TryOptimistic without cleanup;
 // the enclosing Atomically epilogue and Reset restore the transaction's
 // optimistic state before any reuse.
@@ -453,47 +417,20 @@ func (t *Txn) TryOptimistic(body func(*Txn) bool) bool {
 	if t.optActive {
 		panic("core: nested TryOptimistic")
 	}
-	t.optSnaps = t.optSnaps[:0]
+	t.snap.n = 0
 	t.optActive = true
 	ok := body(t)
 	t.optActive = false
-	if ok {
-		ok = t.validateOptimistic()
+	if !ok {
+		t.snap.n = 0
+		return false
 	}
-	t.optSnaps = t.optSnaps[:0]
-	return ok
-}
-
-// validateOptimistic re-checks every observation with one version
-// compare per observed instance (see Semantic.validateMode for why the
-// acquire-side bump makes a holder re-scan unnecessary). Outcomes are
-// recorded per instance — a hit on each instance that validated, a
-// failed validation on the instance that did not — feeding the
-// per-instance adaptive gates.
-func (t *Txn) validateOptimistic() bool {
-	for i := range t.optSnaps {
-		sn := &t.optSnaps[i]
-		if !sn.sem.validateMode(sn.mode, sn.ver) {
-			sn.sem.recordValidation(false)
-			return false
-		}
-	}
-	for i := range t.optSnaps {
-		t.optSnaps[i].sem.recordValidation(true)
-	}
-	return true
+	return t.snap.Validate()
 }
 
 // Observed reports whether the transaction's current optimistic body
 // has observed instance s (test hook; the optimistic LOCAL_SET).
-func (t *Txn) Observed(s *Semantic) bool {
-	for i := range t.optSnaps {
-		if t.optSnaps[i].sem == s {
-			return true
-		}
-	}
-	return false
-}
+func (t *Txn) Observed(s *Semantic) bool { return t.snap.find(s) != nil }
 
 // UnlockInstance releases all modes held on instance s — the early lock
 // release of Appendix A ("if(x!=null) x.unlockAll()" moved before the end
@@ -548,10 +485,8 @@ func (t *Txn) Assert(s *Semantic, op Op) {
 	// pessimistic section would, so each must be covered by the mode the
 	// section would have locked.
 	if t.optActive {
-		for i := range t.optSnaps {
-			if t.optSnaps[i].sem == s && s.table.CoversOp(t.optSnaps[i].mode, op) {
-				return
-			}
+		if e := t.snap.find(s); e != nil && s.table.CoversOp(e.mode, op) {
+			return
 		}
 		panic(fmt.Sprintf(
 			"core: optimistic violation: operation %s on instance (id=%d) not covered by any observed mode", op, s.id))

@@ -188,7 +188,10 @@ type Observe struct {
 	Guarded bool
 }
 
-// Optimistic is the hybrid execution envelope (core.Txn.TryOptimistic):
+// Optimistic is the hybrid execution envelope (core.Snapshot's
+// observe/validate protocol; internal/interp runs it through
+// core.Txn.TryOptimistic on the transaction it already has,
+// internal/gosrc emits it over a bare Snapshot):
 // Body is the certified read-only variant of the section, with every
 // lock statement replaced by an Observe; Fallback is the unchanged
 // pessimistic expansion (prologue, LV/LV2/LockBatch, epilogue). The

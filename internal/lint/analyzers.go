@@ -781,9 +781,18 @@ func (p *Pass) checkUnboundedRetry(loop *ast.ForStmt) {
 // real soundness certificate is internal/verify's optimistic obligation
 // — this is the early, syntactic tripwire. Deliberate exceptions carry
 // //semlockvet:ignore occpure -- <reason>.
+//
+// A core.Snapshot's Observe…Validate span is the same promise made by
+// hand, marker or no marker: the reads between the two calls may be
+// discarded and re-run under locks, so the same two rules hold inside
+// it — observers only (of semadt classes, and of the internal/adt
+// containers the apps' hand-transcribed plans call directly), and no
+// store to package-level state. An Observe whose snapshot is never
+// validated — no Validate follows, or its answer is discarded — is
+// reported where it stands: it promises a check that does not happen.
 var OccPure = &Analyzer{
 	Name: "occpure",
-	Doc:  "flags mutations of shared ADT state inside //semlock:readonly sections",
+	Doc:  "flags mutations of shared ADT state inside //semlock:readonly sections and core.Snapshot Observe…Validate spans",
 	Run:  runOccPure,
 }
 
@@ -839,7 +848,21 @@ func runOccPure(p *Pass) {
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !hasDocDirective(fn.Doc, "//semlock:readonly") {
+			if !ok || fn.Body == nil {
+				continue
+			}
+			if !hasDocDirective(fn.Doc, "//semlock:readonly") {
+				if spans := SnapshotSpans(p.Info, fn.Body); len(spans) > 0 {
+					for _, sp := range spans {
+						if sp.Close == token.NoPos {
+							p.Reportf(sp.Open,
+								"%s.Observe in %s is never followed by a use of %s.Validate's answer; the reads it covers are taken as consistent without the check that makes them so",
+								sp.Recv, fn.Name.Name, sp.Recv)
+						}
+					}
+					p.checkOccPure(fn, "an Observe…Validate span of "+fn.Name.Name,
+						func(pos token.Pos) bool { return InSnapshotSpan(spans, pos) })
+				}
 				continue
 			}
 			if !hasDocDirective(fn.Doc, "//semlock:atomic") {
@@ -848,12 +871,74 @@ func runOccPure(p *Pass) {
 					fn.Name.Name)
 				continue
 			}
-			p.checkOccPure(fn)
+			p.checkOccPure(fn, "//semlock:readonly section "+fn.Name.Name, func(token.Pos) bool { return true })
 		}
 	}
 }
 
-func (p *Pass) checkOccPure(fn *ast.FuncDecl) {
+// SnapshotSpan is one transaction-free optimistic read in a function
+// body: from a core.Snapshot's Observe to the Validate of the same
+// receiver that decides it. This is the one statement of the span rule;
+// occpure, heldwalk and interproc's guardedby all read it from here.
+// Source order stands in for dominance, as it does for lock acquisitions
+// throughout this package.
+type SnapshotSpan struct {
+	Recv string    // the receiver expression that names the snapshot
+	Open token.Pos // its first Observe
+	// Close is the Validate that ends the span, or NoPos when the read is
+	// never validated: no Validate of Recv follows, or the one that does
+	// is an expression statement and throws its answer away. Such a span
+	// covers nothing.
+	Close token.Pos
+}
+
+// SnapshotSpans returns the spans of body in source order.
+func SnapshotSpans(info *types.Info, body ast.Node) []SnapshotSpan {
+	var spans []SnapshotSpan
+	open := make(map[string]int)              // receiver → index of its open span
+	dropped := make(map[ast.Expr]bool)        // calls whose result is discarded
+	ast.Inspect(body, func(n ast.Node) bool { // reaches calls in source order
+		if st, ok := n.(*ast.ExprStmt); ok {
+			dropped[st.X] = true
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !namedFromCore(info.TypeOf(sel.X), "Snapshot") {
+			return true
+		}
+		recv := exprText(sel.X)
+		switch i, isOpen := open[recv]; {
+		case sel.Sel.Name == "Observe" && !isOpen:
+			open[recv] = len(spans)
+			spans = append(spans, SnapshotSpan{Recv: recv, Open: call.Pos()})
+		case sel.Sel.Name == "Validate" && isOpen:
+			if !dropped[call] {
+				spans[i].Close = call.Pos()
+			}
+			delete(open, recv)
+		}
+		return true
+	})
+	return spans
+}
+
+// InSnapshotSpan reports whether pos lies after the Observe and before
+// the Validate of one of spans.
+func InSnapshotSpan(spans []SnapshotSpan, pos token.Pos) bool {
+	for _, sp := range spans {
+		if sp.Open < pos && pos < sp.Close {
+			return true
+		}
+	}
+	return false
+}
+
+// checkOccPure applies the observers-only / no-package-store rule to
+// the part of fn's body that in selects; where names it in the reports.
+func (p *Pass) checkOccPure(fn *ast.FuncDecl, where string, in func(token.Pos) bool) {
 	// callFuns collects every expression in call position, so a mutator
 	// reference that is NOT immediately called — a method value bound to
 	// a variable, deferred, or handed to go — is flagged at its capture
@@ -873,24 +958,45 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl) {
 		}
 		return true
 	})
-	// semadtClass returns the semadt type name of a receiver expression.
-	semadtClass := func(e ast.Expr) (string, bool) {
+	// classOf returns the spec class of a receiver expression: the type
+	// name of a semadt wrapper, or that of the internal/adt container
+	// behind one (adt.HashMap implements Map, adt.HashSet implements Set;
+	// the others share their class's name).
+	classOf := func(e ast.Expr) (class string, wrapper, ok bool) {
 		t := p.TypeOf(e)
 		if t == nil {
-			return "", false
+			return "", false, false
 		}
-		if ptr, ok := t.(*types.Pointer); ok {
+		if ptr, isPtr := t.(*types.Pointer); isPtr {
 			t = ptr.Elem()
 		}
-		n, ok := t.(*types.Named)
-		if !ok {
-			return "", false
+		n, isNamed := t.(*types.Named)
+		if !isNamed || n.Obj().Pkg() == nil {
+			return "", false, false
 		}
-		obj := n.Obj()
-		if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/semadt") {
-			return "", false
+		switch path := n.Obj().Pkg().Path(); {
+		case strings.HasSuffix(path, "internal/semadt"):
+			return n.Obj().Name(), true, true
+		case strings.HasSuffix(path, "internal/adt"):
+			return strings.TrimPrefix(n.Obj().Name(), "Hash"), false, true
 		}
-		return obj.Name(), true
+		return "", false, false
+	}
+	// mutates reports whether Go method name of class is anything but a
+	// declared observer. A semadt wrapper exports exactly its spec's
+	// methods, so what the spec does not name is held against it; an adt
+	// container also has walks and accessors no spec names, and those
+	// are heldwalk's and guardedby's to judge.
+	mutates := func(class string, wrapper bool, name string) bool {
+		spec := occObservers[class]
+		if spec == nil {
+			return wrapper
+		}
+		m := occLowerMethod(name)
+		if _, declared := spec.Method(m); !declared {
+			return wrapper
+		}
+		return !spec.IsObserver(m)
 	}
 	isPkgLevel := func(id *ast.Ident) bool {
 		obj := p.Info.Uses[id]
@@ -900,26 +1006,28 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl) {
 	flagStore := func(lhs ast.Expr) {
 		if id := occRootIdent(lhs); id != nil && isPkgLevel(id) {
 			p.Reportf(lhs.Pos(),
-				"store to package-level %s inside //semlock:readonly section %s; the optimistic envelope may run this body and discard it, so it must not write shared state",
-				id.Name, fn.Name.Name)
+				"store to package-level %s inside %s; an optimistic read may run this code and discard it, so it must not write shared state",
+				id.Name, where)
 		}
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if n == nil || !in(n.Pos()) {
+			return true
+		}
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			sel, ok := x.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			class, ok := semadtClass(sel.X)
+			class, wrapper, ok := classOf(sel.X)
 			if !ok || sel.Sel.Name == "Sem" {
 				return true
 			}
-			m := occLowerMethod(sel.Sel.Name)
-			if spec := occObservers[class]; spec == nil || !spec.IsObserver(m) {
+			if mutates(class, wrapper, sel.Sel.Name) {
 				p.Reportf(x.Pos(),
-					"call %s.%s mutates %s state inside //semlock:readonly section %s; drop the marker or move the mutation out",
-					exprText(sel.X), sel.Sel.Name, class, fn.Name.Name)
+					"call %s.%s mutates %s state inside %s; an optimistic read only observes — move the mutation out, or make the section pessimistic",
+					exprText(sel.X), sel.Sel.Name, class, where)
 			}
 		case *ast.SelectorExpr:
 			// A method value (m.Put) or method expression
@@ -929,7 +1037,7 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl) {
 			if callFuns[x] || x.Sel.Name == "Sem" {
 				return true
 			}
-			class, ok := semadtClass(x.X)
+			class, wrapper, ok := classOf(x.X)
 			if !ok {
 				return true
 			}
@@ -940,11 +1048,10 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl) {
 			} else if _, isFunc := p.Info.Uses[x.Sel].(*types.Func); !isFunc {
 				return true
 			}
-			m := occLowerMethod(x.Sel.Name)
-			if spec := occObservers[class]; spec == nil || !spec.IsObserver(m) {
+			if mutates(class, wrapper, x.Sel.Name) {
 				p.Reportf(x.Pos(),
-					"method value %s.%s captures a mutator of %s inside //semlock:readonly section %s; deferred or spawned, it still mutates state the optimistic envelope may discard",
-					exprText(x.X), x.Sel.Name, class, fn.Name.Name)
+					"method value %s.%s captures a mutator of %s inside %s; deferred or spawned, it still mutates state an optimistic read may discard",
+					exprText(x.X), x.Sel.Name, class, where)
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
@@ -1124,8 +1231,9 @@ func (p *Pass) calleeUnderInternal(fun ast.Expr) bool {
 //     (a helper taking the *core.Txn, or a baseline's method) — by a
 //     Txn.Lock*, a Policy.Acquire*, or a lock call of internal/cc or
 //     sync;
-//   - it must not sit inside a Txn.TryOptimistic body: an optimistic
-//     observer holds nothing, so nothing keeps a writer out of the walk.
+//   - it must not sit inside a Txn.TryOptimistic body, nor between a
+//     core.Snapshot's Observe and its Validate: an optimistic observer
+//     holds nothing, so nothing keeps a writer out of the walk.
 //
 // That every operation on the instance is dominated by an acquisition
 // on the right Semantic is guardedby's obligation, unchanged — to it a
@@ -1133,7 +1241,7 @@ func (p *Pass) calleeUnderInternal(fun ast.Expr) bool {
 // methods and their contract live, is exempt.
 var HeldWalk = &Analyzer{
 	Name: "heldwalk",
-	Doc:  "flags adt *Held walks with no preceding lock acquisition in their section, or inside a TryOptimistic body",
+	Doc:  "flags adt *Held walks with no preceding lock acquisition in their section, or inside a TryOptimistic body or a core.Snapshot Observe…Validate span",
 	Run:  runHeldWalk,
 }
 
@@ -1192,14 +1300,18 @@ func runHeldWalk(p *Pass) {
 	}
 	for _, file := range p.Files {
 		var stack []ast.Node
+		var spans []SnapshotSpan // of the function declaration being walked
 		ast.Inspect(file, func(n ast.Node) bool {
 			if n == nil {
 				stack = stack[:len(stack)-1]
 				return true
 			}
 			stack = append(stack, n)
+			if fn, ok := n.(*ast.FuncDecl); ok && fn.Body != nil {
+				spans = SnapshotSpans(p.Info, fn.Body)
+			}
 			if call, ok := n.(*ast.CallExpr); ok && p.isHeldCall(call) {
-				p.checkHeldWalk(call, stack)
+				p.checkHeldWalk(call, stack, spans)
 			}
 			return true
 		})
@@ -1209,8 +1321,14 @@ func runHeldWalk(p *Pass) {
 // checkHeldWalk finds held's section body among its ancestors —
 // innermost first: a literal handed to a section call, else the function
 // declaration — and requires an acquisition before it there.
-func (p *Pass) checkHeldWalk(held *ast.CallExpr, ancestors []ast.Node) {
+func (p *Pass) checkHeldWalk(held *ast.CallExpr, ancestors []ast.Node, spans []SnapshotSpan) {
 	name := exprText(held.Fun)
+	if InSnapshotSpan(spans, held.Pos()) {
+		p.Reportf(held.Pos(),
+			"%s between a core.Snapshot's Observe and its Validate: an optimistic observer holds no mode, so nothing keeps a writer out of the walk; use the locking walk there, or move the call to the pessimistic path",
+			name)
+		return
+	}
 	var body *ast.BlockStmt
 	for i := len(ancestors) - 1; i >= 0 && body == nil; i-- {
 		switch fn := ancestors[i].(type) {

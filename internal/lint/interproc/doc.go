@@ -10,7 +10,10 @@
 //     core.Atomically / Txn.Atomically / Txn.TryOptimistic, the
 //     resilience layer's section entries (resilience.Policy.Run and
 //     resilience.HedgedRead run their closures inside core.Atomically),
-//     a //semlock:atomic-compiled section, or an explicitly certified
+//     a //semlock:atomic-compiled section, the span between a
+//     core.Snapshot's Observe and the Validate that decides it (a
+//     transaction-free optimistic read; lint.SnapshotSpans — an Observe
+//     that is never validated opens nothing), or an explicitly certified
 //     baseline guard (internal/cc, or a hand-transcribed plan's raw
 //     Semantic acquisition) — and reports the interprocedural witness
 //     (caller chain from an unguarded entry point, the spawn or escape
@@ -25,9 +28,11 @@
 //     the acquisition sequences of helpers that receive the transaction
 //     as a parameter into their callers — and proves it acyclic,
 //     printing the cycle as a potential-deadlock counterexample
-//     otherwise. Together with internal/verify's GlobalOrder embedding
-//     check over the synthesized plans (exact class ranks), this
-//     extends the per-section OS2PL certificate to a global claim.
+//     otherwise. A core.Snapshot observation acquires nothing and has
+//     no rank: its span contributes no edge. Together with
+//     internal/verify's GlobalOrder embedding check over the synthesized
+//     plans (exact class ranks), this extends the per-section OS2PL
+//     certificate to a global claim.
 //
 // Both analyzers implement lint.ProgramAnalyzer and run through
 // lint.RunProgram; cmd/semlockvet wires them in next to the per-package

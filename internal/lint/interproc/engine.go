@@ -139,7 +139,8 @@ func buildProgram(pkgs []*lint.Package) *program {
 	// Pass 2: scan bodies (op sites, call edges, rank scopes, escapes).
 	for _, key := range p.order {
 		fi := p.funcs[key]
-		s := &scanner{p: p, pkg: fi.pkg, fi: fi, vals: make(map[types.Object]*valInfo)}
+		s := &scanner{p: p, pkg: fi.pkg, fi: fi, vals: make(map[types.Object]*valInfo),
+			spans: lint.SnapshotSpans(fi.pkg.Info, fi.decl.Body)}
 		s.prepass()
 		ctx := &guardCtx{guarded: fi.sectionGuarded, scope: fi.topScope}
 		s.scanStmts(fi.decl.Body.List, ctx)
@@ -241,10 +242,22 @@ type guardCtx struct {
 }
 
 type scanner struct {
-	p    *program
-	pkg  *lint.Package
-	fi   *funcInfo
-	vals map[types.Object]*valInfo
+	p     *program
+	pkg   *lint.Package
+	fi    *funcInfo
+	vals  map[types.Object]*valInfo
+	spans []lint.SnapshotSpan // the declaration's core.Snapshot Observe…Validate spans
+}
+
+// covered reports whether an operation at pos is protected: by an
+// enclosing section, by an earlier guard acquisition, or by lying
+// between a core.Snapshot's Observe and the Validate that decides it —
+// the guard context of a TryOptimistic literal without the literal. An
+// operation before the Observe or after the Validate, or behind an
+// Observe that is never validated, is as naked as it would be outside
+// the literal.
+func (s *scanner) covered(ctx *guardCtx, pos token.Pos) bool {
+	return ctx.guarded || ctx.guardSeen || lint.InSnapshotSpan(s.spans, pos)
 }
 
 // prepass seeds the instance-flow lattice: classify every ADT-typed
@@ -876,7 +889,7 @@ func (s *scanner) scanCall(call *ast.CallExpr, ctx *guardCtx) {
 	// rank scope. Atomically starts a fresh transaction; TryOptimistic
 	// runs on the enclosing one, but its Observe events never advance
 	// the rank watermark and are discarded before any fallback locks
-	// (core.Txn.TryOptimistic resets optSnaps), so for ordering
+	// (core.Txn.TryOptimistic empties its snapshot), so for ordering
 	// purposes the body is an isolated alternative too. The resilience
 	// layer's Policy.Run and HedgedRead run their closures inside
 	// core.Atomically, each on a fresh transaction, so the same applies.
@@ -924,7 +937,7 @@ func (s *scanner) scanCall(call *ast.CallExpr, ctx *guardCtx) {
 			recv:    exprText(recvExpr),
 			class:   class,
 			method:  method,
-			guarded: ctx.guarded || ctx.guardSeen,
+			guarded: s.covered(ctx, call.Pos()),
 			spawned: ctx.spawned,
 			shared:  true,
 			flow:    "receiver " + exprText(recvExpr) + " may be shared",
@@ -973,7 +986,7 @@ func (s *scanner) recordCall(call *ast.CallExpr, ctx *guardCtx) {
 		s.fi.calls = append(s.fi.calls, &callEdge{
 			callee:  callee,
 			pos:     call.Pos(),
-			guarded: ctx.guarded || ctx.guardSeen,
+			guarded: s.covered(ctx, call.Pos()),
 		})
 		// Helpers that receive the transaction splice their acquisition
 		// sequence into the caller's rank scope.

@@ -135,3 +135,84 @@ func PolicyLikeButNot(run func(func(tx *core.Txn) error) error, s *store) error 
 		return nil
 	})
 }
+
+// BareGet is guarded: the read sits between a core.Snapshot's Observe
+// and its Validate — the guard context of a TryOptimistic body without
+// the transaction — and the fallback is a section of its own.
+func (s *store) BareGet(k core.Value) core.Value {
+	var sn core.Snapshot
+	if sn.Observe(s.m.Sem(), core.ModeID(0)) {
+		if v := s.m.Get(k); sn.Validate() {
+			return v
+		}
+	}
+	return s.Get(k)
+}
+
+// BareSize observes in a loop and reads after it, like a sharded scan.
+func BareSize(ss []*store) (int, bool) {
+	var sn core.Snapshot
+	for _, s := range ss {
+		if !sn.Observe(s.m.Sem(), core.ModeID(0)) {
+			return 0, false
+		}
+	}
+	n := 0
+	for _, s := range ss {
+		n += s.m.Size()
+	}
+	return n, sn.Validate()
+}
+
+// EarlyGet reads before its Observe: no version was sampled yet, so the
+// validation that follows proves nothing about this read.
+func (s *store) EarlyGet(k core.Value) core.Value {
+	var sn core.Snapshot
+	v := s.m.Get(k) // want "reachable outside any atomic section"
+	if sn.Observe(s.m.Sem(), core.ModeID(0)) && sn.Validate() {
+		return v
+	}
+	return s.Get(k)
+}
+
+// LateGet reads after Validate closed the span.
+func (s *store) LateGet(k core.Value) core.Value {
+	var sn core.Snapshot
+	if !sn.Observe(s.m.Sem(), core.ModeID(0)) || !sn.Validate() {
+		return s.Get(k)
+	}
+	return s.m.Get(k) // want "reachable outside any atomic section"
+}
+
+// OtherSpan's read follows the Validate of the snapshot that was
+// observed; a second snapshot that observed nothing guards nothing.
+func (s *store) OtherSpan(k core.Value) core.Value {
+	var a, b core.Snapshot
+	if !a.Observe(s.m.Sem(), core.ModeID(0)) || !a.Validate() {
+		return s.Get(k)
+	}
+	v := s.m.Get(k) // want "reachable outside any atomic section"
+	_ = b.Validate()
+	return v
+}
+
+// Unvalidated observes and never validates: an open-ended span is not a
+// guard, so the read is as naked as EarlyGet's.
+func (s *store) Unvalidated(k core.Value) core.Value {
+	var sn core.Snapshot
+	if !sn.Observe(s.m.Sem(), core.ModeID(0)) {
+		return s.Get(k)
+	}
+	return s.m.Get(k) // want "reachable outside any atomic section"
+}
+
+// DroppedValidate calls Validate and ignores what it says.
+func (s *store) DroppedValidate(k core.Value) core.Value {
+	var sn core.Snapshot
+	if !sn.Observe(s.m.Sem(), core.ModeID(0)) {
+		return s.Get(k)
+	}
+	v := s.m.Get(k) // want "reachable outside any atomic section"
+	sn.Validate()
+	return v
+}

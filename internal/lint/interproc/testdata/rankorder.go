@@ -122,3 +122,23 @@ func (b *bank) Audit() {
 	defer tx.UnlockAll()
 	tx.LockOrdered(b.l1, b.l2)
 }
+
+// ReadBA and ReadAB observe the pair's instances in opposite orders on a
+// core.Snapshot: an observation acquires nothing and carries no rank,
+// so the span is an order-free alternative to the fallback behind it —
+// no edge, no cycle. (Their fallbacks agree with TransferAB.)
+func (p *pair) ReadBA() {
+	var sn core.Snapshot
+	if sn.Observe(p.b, core.ModeID(0)) && sn.Observe(p.a, core.ModeID(0)) && sn.Validate() {
+		return
+	}
+	p.TransferAB()
+}
+
+func (p *pair) ReadAB() {
+	var sn core.Snapshot
+	if sn.Observe(p.a, core.ModeID(0)) && sn.Observe(p.b, core.ModeID(0)) && sn.Validate() {
+		return
+	}
+	p.TransferAB()
+}

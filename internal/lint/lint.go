@@ -33,7 +33,11 @@
 //   - occpure: a //semlock:atomic function marked //semlock:readonly
 //     asserts it only observes its ADTs (the optimistic-envelope
 //     eligibility property); mutator calls or stores to package-level
-//     state inside such a section break the assertion silently.
+//     state inside such a section break the assertion silently. The
+//     span between a core.Snapshot's Observe and its Validate makes the
+//     same promise and is held to the same rule (SnapshotSpans is the
+//     span rule, shared with heldwalk and interproc's guardedby); an
+//     Observe that no Validate answers is reported too.
 //   - retrypath: a bounded acquisition (LockWithin / AcquireWithin,
 //     their Cancel variants, and LockBatchWithin) signals stalls through
 //     its error; a
@@ -45,7 +49,8 @@
 //     — heap-allocated — once per use; box it once before the section.
 //   - heldwalk: an adt *Held walk (HashMap.RangeHeld) takes no lock of
 //     the container's own, so it must come after a lock acquisition in
-//     its section and never inside a TryOptimistic body.
+//     its section and never inside a TryOptimistic body or a
+//     core.Snapshot's Observe…Validate span.
 //
 // Deliberate exceptions — plan transcriptions in internal/modules and
 // internal/apps, and benchmarks of the bare mechanism — carry

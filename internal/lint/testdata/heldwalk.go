@@ -123,6 +123,23 @@ func lockedThenOptimistic(w *walked) {
 	})
 }
 
+// A core.Snapshot's Observe…Validate span is the same observer body
+// without the transaction: it holds no mode either. The fallback's walk,
+// after the span closed and under its own acquisition, is fine.
+func insideSnapshotSpan(w *walked) {
+	var sn core.Snapshot
+	if sn.Observe(w.sem, w.mode) {
+		w.m.RangeHeld(visit) // want "between a core.Snapshot's Observe and its Validate"
+		if sn.Validate() {
+			return
+		}
+	}
+	core.Atomically(func(tx *core.Txn) {
+		tx.Lock(w.sem, w.mode, 0)
+		w.m.RangeHeld(visit)
+	})
+}
+
 func suppressed(w *walked) {
 	//semlockvet:ignore heldwalk -- start-up: the map is not yet shared
 	w.m.RangeHeld(visit)

@@ -2,7 +2,11 @@
 // shared ADT state or package-level variables.
 package tdata
 
-import "repro/internal/semadt"
+import (
+	"repro/internal/adt"
+	"repro/internal/core"
+	"repro/internal/semadt"
+)
 
 var hitCount int
 
@@ -88,4 +92,46 @@ func capturedMutator(m *semadt.Map, k int) {
 func methodExprMutator(m *semadt.Map, k int) {
 	h := (*semadt.Map).Remove // want "captures a mutator"
 	h(m, k)
+}
+
+// A core.Snapshot's Observe…Validate span is a read-only section by
+// construction, marked or not: the rule holds between the two calls and
+// nowhere else in the function.
+func bareSpan(m *semadt.Map, h *adt.HashMap, k int) core.Value {
+	hitCount++ // before the span: an ordinary store
+	var sn core.Snapshot
+	if sn.Observe(m.Sem(), core.ModeID(0)) {
+		v := m.Get(k)
+		_ = h.Get(k)     // an adt container's observer: fine
+		h.RangeHeld(nil) // not a spec method: heldwalk's to judge, not occpure's
+		m.Put(k, v)      // want "mutates Map state"
+		h.Remove(k)      // want "mutates Map state"
+		hitCount++       // want "store to package-level hitCount"
+		if sn.Validate() {
+			return v
+		}
+	}
+	m.Put(k, k) // after the span closed: the pessimistic path may mutate
+	return nil
+}
+
+// An Observe that no Validate answers guards nothing: the reads behind
+// it are used as if they were one snapshot and never checked.
+func neverValidated(m *semadt.Map, k int) core.Value {
+	var sn core.Snapshot
+	if sn.Observe(m.Sem(), core.ModeID(0)) { // want "never followed by a use of sn.Validate's answer"
+		return m.Get(k)
+	}
+	return nil
+}
+
+// Calling Validate and throwing its answer away is the same thing.
+func droppedValidate(m *semadt.Map, k int) core.Value {
+	var sn core.Snapshot
+	if !sn.Observe(m.Sem(), core.ModeID(0)) { // want "never followed by a use of sn.Validate's answer"
+		return nil
+	}
+	v := m.Get(k)
+	sn.Validate()
+	return v
 }

@@ -112,12 +112,14 @@ func TestMixedBurstsSerializable(t *testing.T) {
 	}
 }
 
-// TestOptimisticRaceHammer races TryOptimistic readers against batched
-// pessimistic writers (core.Txn.LockBatch → AcquireBatch) over a
-// two-instance invariant: writers advance two counters in lockstep under
-// both locks, readers snapshot both lock-free and validate. Every
-// validated read must see the invariant intact — and under -race the
-// version-counter protocol itself is checked for races.
+// TestOptimisticRaceHammer races optimistic readers — through the Txn
+// envelope and through a bare core.Snapshot, the two entries to the one
+// observe/validate protocol — against batched pessimistic writers
+// (core.Txn.LockBatch → AcquireBatch) over a two-instance invariant:
+// writers advance two counters in lockstep under both locks, readers
+// snapshot both lock-free and validate. Every validated read must see
+// the invariant intact — and under -race the version-counter protocol
+// itself is checked for races.
 func TestOptimisticRaceHammer(t *testing.T) {
 	keySet := core.SymSetOf(
 		core.SymOpOf("get", core.VarArg("k")),
@@ -125,75 +127,94 @@ func TestOptimisticRaceHammer(t *testing.T) {
 		core.SymOpOf("remove", core.VarArg("k")))
 	tbl := core.NewModeTable(adtspecs.Map(), []core.SymSet{keySet},
 		core.TableOptions{Phi: core.NewPhi(4)})
-	a, b := core.NewSemantic(tbl), core.NewSemantic(tbl)
 	amode := tbl.Set(keySet).Mode(1)
 	bmode := tbl.Set(keySet).Mode(1)
 
-	var x, y atomic.Int64
-	const writers, readers, iters = 2, 4, 2000
-
-	var wg sync.WaitGroup
-	torn := make(chan [2]int64, readers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tx := core.NewTxn()
-			for i := 0; i < iters; i++ {
-				tx.LockBatch(
-					core.BatchLock{Sem: a, Mode: amode, Rank: 0},
-					core.BatchLock{Sem: b, Mode: bmode, Rank: 1},
-				)
-				x.Add(1)
-				y.Add(1)
-				tx.UnlockAll()
-				tx.Reset()
-			}
-		}()
-	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tx := core.NewTxn()
-			for i := 0; i < iters; i++ {
-				var rx, ry int64
-				ok := tx.TryOptimistic(func(tx *core.Txn) bool {
-					if !tx.Observe(a, amode, 0) || !tx.Observe(b, bmode, 1) {
-						return false
-					}
-					rx = x.Load()
-					ry = y.Load()
-					return true
-				})
-				if ok && rx != ry {
-					torn <- [2]int64{rx, ry}
-					return
+	// read runs one optimistic section observing a then b around body,
+	// and reports whether it committed.
+	type readFunc func(tx *core.Txn, a, b *core.Semantic, body func()) bool
+	shapes := []struct {
+		name string
+		read readFunc
+	}{
+		{"envelope", func(tx *core.Txn, a, b *core.Semantic, body func()) bool {
+			defer tx.Reset()
+			return tx.TryOptimistic(func(tx *core.Txn) bool {
+				if !tx.Observe(a, amode, 0) || !tx.Observe(b, bmode, 1) {
+					return false
 				}
-				tx.Reset()
+				body()
+				return true
+			})
+		}},
+		{"snapshot", func(_ *core.Txn, a, b *core.Semantic, body func()) bool {
+			var sn core.Snapshot
+			if !sn.Observe(a, amode) || !sn.Observe(b, bmode) {
+				return false
 			}
-		}()
+			body()
+			return sn.Validate()
+		}},
 	}
-	wg.Wait()
-	close(torn)
-	for pair := range torn {
-		t.Fatalf("validated optimistic read saw torn invariant: x=%d y=%d", pair[0], pair[1])
-	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			a, b := core.NewSemantic(tbl), core.NewSemantic(tbl)
+			var x, y atomic.Int64
+			const writers, readers, iters = 2, 4, 2000
 
-	// After the writers drain, the optimistic path must commit again
-	// (the adaptive gate reopens after its probe interval at worst).
-	tx := core.NewTxn()
-	committed := false
-	for i := 0; i < 10000 && !committed; i++ {
-		committed = tx.TryOptimistic(func(tx *core.Txn) bool {
-			return tx.Observe(a, amode, 0) && tx.Observe(b, bmode, 1)
+			var wg sync.WaitGroup
+			torn := make(chan [2]int64, readers)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tx := core.NewTxn()
+					for i := 0; i < iters; i++ {
+						tx.LockBatch(
+							core.BatchLock{Sem: a, Mode: amode, Rank: 0},
+							core.BatchLock{Sem: b, Mode: bmode, Rank: 1},
+						)
+						x.Add(1)
+						y.Add(1)
+						tx.UnlockAll()
+						tx.Reset()
+					}
+				}()
+			}
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tx := core.NewTxn()
+					for i := 0; i < iters; i++ {
+						var rx, ry int64
+						ok := shape.read(tx, a, b, func() { rx, ry = x.Load(), y.Load() })
+						if ok && rx != ry {
+							torn <- [2]int64{rx, ry}
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(torn)
+			for pair := range torn {
+				t.Fatalf("validated optimistic read saw torn invariant: x=%d y=%d", pair[0], pair[1])
+			}
+
+			// After the writers drain, the optimistic path must commit again
+			// (the adaptive gate reopens after its probe interval at worst).
+			tx := core.NewTxn()
+			committed := false
+			for i := 0; i < 10000 && !committed; i++ {
+				committed = shape.read(tx, a, b, func() {})
+			}
+			if !committed {
+				t.Error("optimistic path never recovered after contention drained")
+			}
+			if hits := a.Stats().OptimisticHits; hits == 0 {
+				t.Error("no optimistic hits recorded on instance a")
+			}
 		})
-		tx.Reset()
-	}
-	if !committed {
-		t.Error("optimistic path never recovered after contention drained")
-	}
-	if hits := a.Stats().OptimisticHits; hits == 0 {
-		t.Error("no optimistic hits recorded on instance a")
 	}
 }

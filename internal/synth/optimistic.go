@@ -12,7 +12,10 @@ import (
 //	optimistic { <body with LV/LV2/LockBatch replaced by observe> }
 //	fallback   { <the unchanged pessimistic expansion> }
 //
-// which internal/gosrc emits as core.Txn.TryOptimistic: the body runs
+// which internal/gosrc emits transaction-free — the body over a
+// core.Snapshot on the function's stack, ahead of the guard that wraps
+// the fallback, since the envelope is the whole section — and
+// internal/interp runs through core.Txn.TryOptimistic: the body runs
 // without acquiring anything, snapshotting the version counter of every
 // mode the pessimistic section would have locked, and validates the
 // snapshots at the end; on mismatch the body's results are discarded and
