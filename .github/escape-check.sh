@@ -70,5 +70,5 @@ check_walks() { # file, number of RangeHeld call sites it must hold
 }
 check_walks internal/apps/gossip/boxed.go 1           # MulticastV
 check_walks internal/apps/gossip/resilient_boxed.go 1 # Resilient.MulticastErrV
-check_walks internal/apps/gossip/gossip.go 4          # multicastUnfused + the three baselines
+check_walks internal/apps/gossip/gossip.go 3          # the three baselines (global, 2pl, manual)
 exit $fail

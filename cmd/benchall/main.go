@@ -10,31 +10,26 @@
 //	benchall -exp fig21      # one experiment
 //	benchall -exp fig19      # the Fig 19 commutativity function
 //	benchall -exp ablation   # design-choice ablations A1–A5
-//	benchall -exp hotpath    # fused-prologue vs sequential-prologue
-//	                           (real execution; writes BENCH_hotpath.json)
 //	benchall -exp chaos      # fault-injection and recovery experiment
-//	                           (real execution; writes BENCH_chaos.json)
-//	benchall -exp telemetry  # observability-layer overhead + trace audit
-//	                           (real execution; writes BENCH_telemetry.json)
-//	benchall -exp optimistic # hybrid lock-free reads vs pessimistic prologue
-//	                           (real execution; writes BENCH_optimistic.json)
 //	benchall -exp resilience # graceful degradation under slow-hold injection
-//	                           (real execution; writes BENCH_resilience.json)
 //	benchall -exp net        # gossipd over TCP: connection sweep with
 //	                           p50/p95/p99 latency and the in-process ratio
-//	                           (real execution; writes BENCH_net.json)
 //	benchall -exp net -netconns 16 -netdur 100ms   # short CI smoke cell
 //	benchall -exp adaptive   # control plane vs static knob profiles
-//	                           (real execution; writes BENCH_adaptive.json)
 //	benchall -real           # include real-execution measurements
 //	benchall -scale 50000    # simulated transactions per thread
+//
+// chaos, resilience, net and adaptive (bench.Reports) are real execution:
+// each runs only when named, and writes BENCH_<id>.json in the current
+// directory for benchcheck to validate. An unknown -exp exits 2.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/adtspecs"
@@ -44,9 +39,50 @@ import (
 	"repro/internal/core"
 )
 
+// figures are the simulated experiments, in the order -exp all prints
+// them.
+var figures = []struct {
+	id string
+	fn func(bench.SimConfig) *bench.Figure
+}{
+	{"fig21", bench.Fig21Sim},
+	{"fig22", bench.Fig22Sim},
+	{"fig22-readheavy", func(c bench.SimConfig) *bench.Figure {
+		return bench.Fig22SimMix(c, bench.GraphMix{FindSucc: 45, FindPred: 45, Insert: 8, Remove: 2}, "fig22-readheavy")
+	}},
+	{"fig22-writeheavy", func(c bench.SimConfig) *bench.Figure {
+		return bench.Fig22SimMix(c, bench.GraphMix{FindSucc: 25, FindPred: 25, Insert: 30, Remove: 20}, "fig22-writeheavy")
+	}},
+	{"fig23", bench.Fig23Sim},
+	{"fig23-5050", func(c bench.SimConfig) *bench.Figure {
+		return bench.Fig23SimMix(c, 50, "fig23-5050")
+	}},
+	{"fig24", bench.Fig24Sim},
+	{"fig25", bench.Fig25Sim},
+	{"ablation", bench.AblationSim},
+}
+
+// expIDs is every value -exp accepts; the flag's help string and the
+// unknown-id message are both made from it.
+func expIDs() []string {
+	ids := []string{"fig19"}
+	for _, f := range figures {
+		ids = append(ids, f.id)
+	}
+	for _, r := range bench.Reports {
+		ids = append(ids, r.ID)
+	}
+	return append(ids, "stats", "all")
+}
+
+func fatalf(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "benchall: "+format+"\n", args...)
+	os.Exit(code)
+}
+
 func main() {
-	exp := flag.String("exp", "all",
-		"experiment: fig19|fig21|fig22|fig22-readheavy|fig22-writeheavy|fig23|fig23-5050|fig24|fig25|ablation|hotpath|chaos|telemetry|optimistic|resilience|net|adaptive|stats|all")
+	ids := expIDs()
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(ids, "|"))
 	scale := flag.Int("scale", 20000, "simulated transactions per thread")
 	real := flag.Bool("real", false, "also run real-execution measurements on this host")
 	realOps := flag.Int("realops", 30000, "real-execution operations per thread")
@@ -54,176 +90,39 @@ func main() {
 	netDur := flag.Duration("netdur", 0, "for -exp net: per-cell measurement window (default 400ms)")
 	flag.Parse()
 
-	cfg := bench.SimConfig{TxnsPerThread: *scale, Seed: 1}
+	if !slices.Contains(ids, *exp) {
+		fatalf(2, "unknown experiment %q (valid: %s)", *exp, strings.Join(ids, ", "))
+	}
+	opts := bench.RunOptions{Scale: *scale, NetDur: *netDur}
+	if *netConns != "" {
+		for _, f := range strings.Split(*netConns, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil || n <= 0 {
+				fatalf(2, "bad -netconns entry %q", f)
+			}
+			opts.NetConns = append(opts.NetConns, n)
+		}
+	}
 	want := func(id string) bool { return *exp == "all" || *exp == id }
-	ran := false
 
 	if want("fig19") {
 		printFig19()
-		ran = true
 	}
 	if want("stats") {
 		fmt.Println(bench.StatsReport(20000, 4))
-		ran = true
 	}
-	// The hotpath experiment measures real execution (not the
-	// simulator), so it only runs when asked for explicitly.
-	if *exp == "hotpath" {
-		rep := bench.HotpathBench(bench.HotpathConfig{OpsPerThread: *scale, TotalOps: *scale * 5})
-		fmt.Println(rep.Format())
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_hotpath.json", append(out, '\n'), 0o644)
+	// The reports measure real execution (not the simulator), so one
+	// runs only when asked for by name, never under "all".
+	for _, r := range bench.Reports {
+		if r.ID == *exp {
+			runReport(r, opts)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing BENCH_hotpath.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_hotpath.json")
-		ran = true
 	}
-	// The telemetry experiment measures real execution with the
-	// observability layer attached, so it only runs when asked for
-	// explicitly.
-	if *exp == "telemetry" {
-		rep, err := bench.TelemetryBench(bench.TelemetryConfig{OpsPerThread: *scale})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: telemetry experiment: %v\n", err)
-			os.Exit(1)
+	cfg := bench.SimConfig{TxnsPerThread: *scale, Seed: 1}
+	for _, f := range figures {
+		if want(f.id) {
+			fmt.Println(f.fn(cfg).Format())
 		}
-		fmt.Println(rep.Format())
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_telemetry.json", append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing BENCH_telemetry.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_telemetry.json")
-		ran = true
-	}
-	// The optimistic experiment measures real execution of the hybrid
-	// lock-free read path, so it only runs when asked for explicitly.
-	if *exp == "optimistic" {
-		rep := bench.OptimisticBench(bench.OptimisticConfig{OpsPerThread: *scale})
-		fmt.Println(rep.Format())
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_optimistic.json", append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing BENCH_optimistic.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_optimistic.json")
-		ran = true
-	}
-	// The resilience experiment sweeps a time-based slow-hold saboteur
-	// over the policied and unpolicied router — real execution only.
-	if *exp == "resilience" {
-		rep := bench.ResilienceBench(bench.ResilienceConfig{})
-		fmt.Println(rep.Format())
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_resilience.json", append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing BENCH_resilience.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_resilience.json")
-		ran = true
-	}
-	// The net experiment serves the router over real TCP sockets and
-	// sweeps client connection counts — real execution only.
-	if *exp == "net" {
-		ncfg := bench.NetConfig{Duration: *netDur}
-		if *netConns != "" {
-			for _, f := range strings.Split(*netConns, ",") {
-				var n int
-				if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n <= 0 {
-					fmt.Fprintf(os.Stderr, "benchall: bad -netconns entry %q\n", f)
-					os.Exit(2)
-				}
-				ncfg.Conns = append(ncfg.Conns, n)
-			}
-		}
-		rep, err := bench.NetBench(ncfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: net experiment: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(rep.Format())
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_net.json", append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing BENCH_net.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_net.json")
-		ran = true
-	}
-	// The adaptive experiment races the control plane against static
-	// knob profiles — real execution only.
-	if *exp == "adaptive" {
-		rep := bench.AdaptiveBench(bench.AdaptiveConfig{OpsPerThread: *scale})
-		fmt.Println(rep.Format())
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_adaptive.json", append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing BENCH_adaptive.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_adaptive.json")
-		ran = true
-	}
-	// The chaos experiment injects real panics and delays into real
-	// execution, so it too only runs when asked for explicitly.
-	if *exp == "chaos" {
-		rep := bench.ChaosBench(bench.ChaosConfig{})
-		fmt.Println(rep.Format())
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_chaos.json", append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing BENCH_chaos.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_chaos.json")
-		ran = true
-	}
-	type figFn struct {
-		id string
-		fn func(bench.SimConfig) *bench.Figure
-	}
-	for _, f := range []figFn{
-		{"fig21", bench.Fig21Sim},
-		{"fig22", bench.Fig22Sim},
-		{"fig22-readheavy", func(c bench.SimConfig) *bench.Figure {
-			return bench.Fig22SimMix(c, bench.GraphMix{FindSucc: 45, FindPred: 45, Insert: 8, Remove: 2}, "fig22-readheavy")
-		}},
-		{"fig22-writeheavy", func(c bench.SimConfig) *bench.Figure {
-			return bench.Fig22SimMix(c, bench.GraphMix{FindSucc: 25, FindPred: 25, Insert: 30, Remove: 20}, "fig22-writeheavy")
-		}},
-		{"fig23", bench.Fig23Sim},
-		{"fig23-5050", func(c bench.SimConfig) *bench.Figure {
-			return bench.Fig23SimMix(c, 50, "fig23-5050")
-		}},
-		{"fig24", bench.Fig24Sim},
-		{"fig25", bench.Fig25Sim},
-		{"ablation", bench.AblationSim},
-	} {
-		if !want(f.id) {
-			continue
-		}
-		fmt.Println(f.fn(cfg).Format())
-		ran = true
 	}
 
 	if *real {
@@ -245,11 +144,20 @@ func main() {
 			fmt.Println(bench.Fig25Real(rcfg, gossip.PaperMPerf(1)).Format())
 		}
 	}
+}
 
-	if !ran && !*real {
-		fmt.Fprintf(os.Stderr, "benchall: unknown experiment %q\n", *exp)
-		os.Exit(2)
+// runReport runs one bench.Reports entry, prints its tables and writes
+// its artifact into the current directory.
+func runReport(r *bench.Report, opts bench.RunOptions) {
+	rep, err := r.Run(opts)
+	if err != nil {
+		fatalf(1, "%s experiment: %v", r.ID, err)
 	}
+	fmt.Println(rep.Format())
+	if err := bench.WriteReport(r.File, rep); err != nil {
+		fatalf(1, "writing %s: %v", r.File, err)
+	}
+	fmt.Println("wrote", r.File)
 }
 
 // printFig19 reproduces the commutativity function table of Fig 19.

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -77,11 +76,7 @@ func main() {
 	}
 	fmt.Println(rep.Format())
 	if *jsonPath != "" {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(out, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := bench.WriteReport(*jsonPath, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "gossipload: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}

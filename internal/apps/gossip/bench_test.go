@@ -50,15 +50,15 @@ func lookupOf(r Router) func(group, member string) bool {
 
 // BenchmarkGossipChurnMix is the benchmark harness's gossip-churn
 // workload as a `go test -bench` loop, so the next profile of it is
-// `go test -run '^$' -bench GossipChurnMix/ours-fused -cpuprofile`: a
+// `go test -run '^$' -bench GossipChurnMix/ours -cpuprofile`: a
 // router called in process through its string-keyed methods, 4 groups
 // of 16 members (send cost 60, 64-byte payload) of which the upper 8
 // churn, and the mix 40 % unicast, 10 % multicast, 30 % lookup, 10 %
 // register, 10 % unregister, drawn from an xorshift generator. The
-// harness runs ours-fused; the baseline policies run the same mix
-// beside it so "ours vs Global at one thread" (-cpu 1) is one command.
+// harness runs ours; the baseline policies run the same mix beside it
+// so "ours vs Global at one thread" (-cpu 1) is one command.
 func BenchmarkGossipChurnMix(b *testing.B) {
-	for _, policy := range []string{"ours-fused", "global", "manual", "2pl"} {
+	for _, policy := range []string{"ours", "global", "manual", "2pl"} {
 		b.Run(policy, func(b *testing.B) { churnMix(b, New(policy, 60, plan.Options{})) })
 	}
 }

@@ -1,16 +1,16 @@
-// Boxed-key entry points for the networked wire path.
+// Boxed-key entry points: the one body of each section.
 //
-// Converting a Go string to the runtime's Value (an interface) heap-
-// allocates a string header per conversion, so the string-keyed router
-// methods box each key once (gossip.go) and pay one allocation per key.
-// The TCP server interns each group/member name it decodes into a
-// pre-boxed core.Value once per connection, so the V variants below —
-// the same sections, taking already-boxed keys — run the whole
-// decode→route→respond path without allocating.
+// Converting a Go string to the runtime's Value (an interface) costs a
+// string header per conversion — on the caller's stack when nothing
+// keeps the key, on the heap when something does. The TCP server interns
+// each group/member name it decodes into a pre-boxed core.Value once per
+// connection, so the V variants below run the whole decode→route→respond
+// path without allocating; the string-keyed methods (gossip.go) box at
+// the call into them, so in process and over the wire a section is the
+// same code. TestBoxedEquivalence pins that the two forms agree.
 //
 // The V variants select modes through the interned fixed-arity
-// selectors and are the bodies the fused router's string methods
-// delegate to; TestBoxedEquivalence pins that the two forms agree.
+// selectors.
 
 package gossip
 

@@ -117,38 +117,39 @@ func TestBoxedAllocs(t *testing.T) {
 	}
 }
 
-// TestStringFormAllocs: on the fused router a string key that a section
-// only reads is boxed on the caller's stack, so Unicast, Lookup,
-// Unregister and Multicast (which walks the member map in place)
-// allocate nothing; Register stores its two keys and pays for them. The unfused router's
-// Binder closures make each key escape and allocate their argument
-// slices besides; Lookup is LookupV on both.
+// TestStringFormAllocs: a string key that a section only reads is boxed
+// on the caller's stack, so Unicast, Lookup, Unregister and Multicast
+// (which walks the member map in place) allocate nothing; Register
+// stores its two keys and pays for them. Every way of building the
+// router runs the same bodies, so every constructor is held to the same
+// pins.
 func TestStringFormAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates stack closures; the pins hold on the normal build")
 	}
-	for _, o := range []*Ours{NewOursFused(0, plan.Options{}), NewOurs(0, plan.Options{})} {
+	routers := map[string]*Ours{
+		`New("ours")`:  New("ours", 0, plan.Options{}).(*Ours),
+		"NewOurs":      NewOurs(0, plan.Options{}),
+		"NewOursFused": NewOursFused(0, plan.Options{}),
+	}
+	for ctor, o := range routers {
 		conn := NewConn("m0", 0)
 		o.Register("g0", "m0", conn)
 		payload := []byte("payload")
 		pins := []struct {
-			name           string
-			fused, unfused float64
-			op             func()
+			name  string
+			limit float64
+			op    func()
 		}{
-			{"Unicast", 0, 4, func() { o.Unicast("g0", "m0", payload) }},
-			{"Lookup", 0, 0, func() { o.Lookup("g0", "m0") }},
-			{"Multicast", 0, 2, func() { o.Multicast("g0", payload) }},
-			{"Unregister", 0, 4, func() { o.Unregister("g0", "m1") }},
-			{"Register", 2, 4, func() { o.Register("g0", "m0", conn) }},
+			{"Unicast", 0, func() { o.Unicast("g0", "m0", payload) }},
+			{"Lookup", 0, func() { o.Lookup("g0", "m0") }},
+			{"Multicast", 0, func() { o.Multicast("g0", payload) }},
+			{"Unregister", 0, func() { o.Unregister("g0", "m1") }},
+			{"Register", 2, func() { o.Register("g0", "m0", conn) }},
 		}
 		for _, p := range pins {
-			limit := p.unfused
-			if o.fused {
-				limit = p.fused
-			}
-			if n := testing.AllocsPerRun(2000, p.op); n > limit {
-				t.Errorf("fused=%v: %s allocs/op = %v, want <= %v", o.fused, p.name, n, limit)
+			if n := testing.AllocsPerRun(2000, p.op); n > p.limit {
+				t.Errorf("%s: %s allocs/op = %v, want <= %v", ctor, p.name, n, p.limit)
 			}
 		}
 	}

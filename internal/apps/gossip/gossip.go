@@ -180,13 +180,12 @@ var planCache = plan.NewCache(func(opt plan.Options) *plan.Plan {
 func BuildPlan(opt plan.Options) *plan.Plan { return planCache.Get(opt) }
 
 // New creates the named variant: "ours", "global", "2pl" or "manual".
-// sendCost is the per-frame synthetic I/O cost.
+// The router ignores sendCost: the per-frame synthetic I/O cost belongs
+// to the Conn a member registers (NewConn), not to the routing table.
 func New(policy string, sendCost int, opt plan.Options) Router {
 	switch policy {
 	case "ours":
 		return NewOurs(sendCost, opt)
-	case "ours-fused":
-		return NewOursFused(sendCost, opt)
 	case "global":
 		return &global{groups: adt.NewHashMap()}
 	case "2pl":
@@ -221,32 +220,17 @@ type Ours struct {
 	// *core.SectionPanic with all locks released.
 	FaultHook func(site string)
 
-	regGroups func(...core.Value) core.ModeID // register: groups {get(g),put(g,*)}
-	regMem    func(...core.Value) core.ModeID // register: members {put(m,conn)}
-	unregG    func(...core.Value) core.ModeID // unregister: groups {get(g)}
-	unregMem  func(...core.Value) core.ModeID // unregister: members {remove(m)}
-	uniG      func(...core.Value) core.ModeID // unicast: groups {get(g)}
-	uniMem    func(...core.Value) core.ModeID // unicast: members {get(dst)}
-	mcG       func(...core.Value) core.ModeID // multicast: groups {get(g)}
-	mcMem     func(...core.Value) core.ModeID // multicast: members {values()}
-
-	// fused selects the fused-prologue hot path (-exp hotpath): the
-	// string-keyed methods select modes through the fixed-arity interned
-	// selectors (SetRef.Mode1, Binder2) instead of the variadic Binder
-	// closures, so selection allocates no argument slice and makes no
-	// indirect call. That is all "fused" means here: the two locks
-	// themselves stay sequential — the member map is only known after
-	// the get on the outer map, under the outer lock. The V forms, Lookup
-	// and the batch path use the interned selectors whatever this says.
-	fused        bool
-	regGroupsRef core.SetRef
-	regMem2      func(core.Value, core.Value) core.ModeID
-	unregGRef    core.SetRef
-	unregMemRef  core.SetRef
-	uniGRef      core.SetRef
-	uniMemRef    core.SetRef
-	mcGRef       core.SetRef
-	mcMemMode    core.ModeID
+	// Every section selects its modes through the fixed-arity interned
+	// selectors (SetRef.Mode1, Binder2): no argument slice, no indirect
+	// call, and the key stays on the caller's stack.
+	regGroupsRef core.SetRef                              // register: groups {get(g),put(g,*)}
+	regMem2      func(core.Value, core.Value) core.ModeID // register: members {put(m,conn)}
+	unregGRef    core.SetRef                              // unregister: groups {get(g)}
+	unregMemRef  core.SetRef                              // unregister: members {remove(m)}
+	uniGRef      core.SetRef                              // unicast: groups {get(g)}
+	uniMemRef    core.SetRef                              // unicast: members {get(dst)}
+	mcGRef       core.SetRef                              // multicast: groups {get(g)}
+	mcMemMode    core.ModeID                              // multicast: members {values()}
 }
 
 // memberMap is one inner ADT instance: a map plus its semantic lock.
@@ -257,7 +241,7 @@ type memberMap struct {
 
 // NewOurs creates the semantic-locking router with access to the
 // concrete type (fault hook, lock introspection); New("ours", ...)
-// returns the same thing as a Router.
+// returns the same thing as a Router. sendCost is ignored, as in New.
 func NewOurs(sendCost int, opt plan.Options) *Ours {
 	_ = sendCost
 	return newOurs(BuildPlan(opt))
@@ -273,14 +257,6 @@ func newOurs(p *plan.Plan) *Ours {
 	o.memTable = p.Table("Map$members")
 	o.groupsRank = p.Rank("Map$groups")
 	o.memRank = p.Rank("Map$members")
-	o.regGroups = p.Ref(0, "groups").Binder("g")
-	o.regMem = p.Ref(0, "members").Binder("m", "conn")
-	o.unregG = p.Ref(1, "groups").Binder("g")
-	o.unregMem = p.Ref(1, "members").Binder("m")
-	o.uniG = p.Ref(2, "groups").Binder("g")
-	o.uniMem = p.Ref(2, "members").Binder("dst")
-	o.mcG = p.Ref(3, "groups").Binder("g")
-	o.mcMem = p.Ref(3, "members").Binder()
 	o.regGroupsRef = p.Ref(0, "groups")
 	o.regMem2 = p.Ref(0, "members").Binder2("m", "conn")
 	o.unregGRef = p.Ref(1, "groups")
@@ -296,14 +272,10 @@ func newOurs(p *plan.Plan) *Ours {
 	return o
 }
 
-// NewOursFused is NewOurs with the fused-prologue hot path enabled; see
-// the fused field. New("ours-fused", ...) returns the same thing as a
-// Router.
-func NewOursFused(sendCost int, opt plan.Options) *Ours {
-	o := NewOurs(sendCost, opt)
-	o.fused = true
-	return o
-}
+// NewOursFused is NewOurs: there is one router. The name survives only
+// because benchmark/README.md "The API this benchmark pins" lists it; the
+// owed benchmark-only PR drops it together with Txn.CachedMode1.
+func NewOursFused(sendCost int, opt plan.Options) *Ours { return NewOurs(sendCost, opt) }
 
 func (o *Ours) fault(site string) {
 	if o.FaultHook != nil {
@@ -325,109 +297,17 @@ func (o *Ours) Sems() []*core.Semantic {
 }
 
 // The string-keyed methods box each key into a core.Value once, at the
-// call they hand it to, and everything after — the selector and the map
-// operations — takes the boxed key. The fused router calls the
-// pre-boxed V forms (boxed.go), so the in-process path and the served
-// path are one body per section; nothing in those bodies keeps a key it
-// only reads, so the box stays on this frame. The unfused bodies below
-// differ only in selecting modes through the variadic Binder closures —
-// which do make the key escape, and would for the fused call too if the
-// two shared one boxed variable; hence one conversion per branch.
+// call into the pre-boxed V form (boxed.go), so the in-process path and
+// the served path are one body per section; nothing in those bodies
+// keeps a key it only reads, so the box stays on this frame.
 
-func (o *Ours) Register(group, member string, conn *Conn) {
-	if o.fused {
-		o.RegisterV(group, member, conn)
-		return
-	}
-	o.registerUnfused(group, member, conn)
-}
+func (o *Ours) Register(group, member string, conn *Conn) { o.RegisterV(group, member, conn) }
 
-func (o *Ours) registerUnfused(g, m core.Value, conn *Conn) {
-	mg := o.regGroups(g)
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, mg, o.groupsRank)
-		var mm *memberMap
-		if v := o.groups.Get(g); v != nil {
-			mm = v.(*memberMap)
-		} else {
-			mm = &memberMap{m: adt.NewHashMap(), sem: core.NewSemantic(o.memTable)}
-			o.groups.Put(g, mm)
-		}
-		tx.Lock(mm.sem, o.regMem(m, conn), o.memRank)
-		o.fault("register")
-		mm.m.Put(m, conn)
-	})
-}
+func (o *Ours) Unregister(group, member string) { o.UnregisterV(group, member) }
 
-func (o *Ours) Unregister(group, member string) {
-	if o.fused {
-		o.UnregisterV(group, member)
-		return
-	}
-	o.unregisterUnfused(group, member)
-}
+func (o *Ours) Unicast(group, dst string, payload []byte) { o.UnicastV(group, dst, payload) }
 
-func (o *Ours) unregisterUnfused(g, m core.Value) {
-	mg := o.unregG(g)
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, mg, o.groupsRank)
-		if v := o.groups.Get(g); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.unregMem(m), o.memRank)
-			o.fault("unregister")
-			mm.m.Remove(m)
-		}
-	})
-}
-
-func (o *Ours) Unicast(group, dst string, payload []byte) {
-	if o.fused {
-		o.UnicastV(group, dst, payload)
-		return
-	}
-	o.unicastUnfused(group, dst, payload)
-}
-
-func (o *Ours) unicastUnfused(g, d core.Value, payload []byte) {
-	mg := o.uniG(g)
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, mg, o.groupsRank)
-		if v := o.groups.Get(g); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.uniMem(d), o.memRank)
-			o.fault("unicast")
-			if c := mm.m.Get(d); c != nil {
-				c.(*Conn).Send(payload) // I/O inside the section
-			}
-		}
-	})
-}
-
-func (o *Ours) Multicast(group string, payload []byte) {
-	if o.fused {
-		o.MulticastV(group, payload)
-		return
-	}
-	o.multicastUnfused(group, payload)
-}
-
-func (o *Ours) multicastUnfused(g core.Value, payload []byte) {
-	mg := o.mcG(g)
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, mg, o.groupsRank)
-		if v := o.groups.Get(g); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.mcMem(), o.memRank)
-			o.fault("multicast")
-			// mcMem() is mcMemMode, which newOurs checked excludes
-			// every mutator of mm.m.
-			mm.m.RangeHeld(func(_, c core.Value) bool {
-				c.(*Conn).Send(payload) // I/O inside the section
-				return true
-			})
-		}
-	})
-}
+func (o *Ours) Multicast(group string, payload []byte) { o.MulticastV(group, payload) }
 
 // Lookup reports whether member is currently registered in group — the
 // router's read-only membership probe; LookupV (boxed.go) is the body.

@@ -54,7 +54,7 @@ func TestMulticastWalkHammer(t *testing.T) {
 				resilience.New("hammer", resilience.Config{Patience: time.Minute}))
 		},
 	}
-	for _, pol := range []string{"ours", "ours-fused", "global", "2pl", "manual"} {
+	for _, pol := range []string{"ours", "global", "2pl", "manual"} {
 		routers[pol] = func() Router { return New(pol, 0, plan.Options{}) }
 	}
 	for pol, build := range routers {

@@ -214,8 +214,6 @@ func NewProcessor(policy string, opt plan.Options) Processor {
 	switch policy {
 	case "ours":
 		return NewOurs(opt)
-	case "ours-fused":
-		return NewOursFused(opt)
 	case "global":
 		return &globalProc{fmap: adt.NewHashMap(), decoded: adt.NewQueue()}
 	case "2pl":
@@ -247,14 +245,7 @@ type Ours struct {
 	decRank  int
 	fmapRef  core.SetRef
 	encRef   core.SetRef // reassembly: {enqueue(payload)}
-	popRef   core.SetRef // pop: {dequeue()}
-	popMode  core.ModeID // interned pop mode (constant set, one mode)
-
-	// fused selects the fused-prologue hot path (-exp hotpath): every
-	// mode of the per-packet prologue goes through a fixed-arity
-	// interned selector instead of the variadic Mode call, so it never
-	// allocates a variadic []Value.
-	fused bool
+	popMode  core.ModeID // pop: {dequeue()}, a constant set — one mode
 
 	// FaultHook, when non-nil, is called at each section's fault point —
 	// with the section's locks held — with the section name ("process",
@@ -274,25 +265,8 @@ func NewOurs(opt plan.Options) *Ours {
 	o.decRank = p.Rank("Queue")
 	o.fmapRef = p.Ref(0, "fmap")
 	o.encRef = p.Ref(0, "decoded")
-	o.popRef = p.Ref(1, "decoded")
-	o.popMode = modeOf(o.popRef)
+	o.popMode = p.Ref(1, "decoded").Mode()
 	return o
-}
-
-// NewOursFused is NewOurs with the fused-prologue hot path enabled; see
-// the fused field. NewProcessor("ours-fused", ...) returns the same
-// thing as a Processor.
-func NewOursFused(opt plan.Options) *Ours {
-	o := NewOurs(opt)
-	o.fused = true
-	return o
-}
-
-func modeOf(ref core.SetRef, vals ...core.Value) core.ModeID {
-	if len(ref.Vars()) == 0 {
-		return ref.Mode()
-	}
-	return ref.Mode(vals...)
 }
 
 func (o *Ours) fault(site string) {
@@ -307,25 +281,10 @@ func (o *Ours) Sems() []*core.Semantic {
 	return []*core.Semantic{o.fmapSem, o.decSem}
 }
 
+// Process selects both modes of the per-packet prologue through the
+// fixed-arity interned selector, so it never allocates a variadic
+// []Value.
 func (o *Ours) Process(p Packet) {
-	if o.fused {
-		o.processFused(p)
-		return
-	}
-	flow := core.Value(p.FlowID)
-	mf := modeOf(o.fmapRef, flow)
-	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.fmapSem, mf, o.fmapRank)
-		o.fault("process")
-		if payload, done := reassemble(o.fmap, flow, p); done {
-			boxed := core.Value(payload)
-			tx.Lock(o.decSem, modeOf(o.encRef, boxed), o.decRank)
-			o.decoded.Enqueue(boxed)
-		}
-	})
-}
-
-func (o *Ours) processFused(p Packet) {
 	flow := core.Value(p.FlowID)
 	core.Atomically(func(tx *core.Txn) {
 		tx.Lock(o.fmapSem, o.fmapRef.Mode1(flow), o.fmapRank)

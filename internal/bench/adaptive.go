@@ -96,6 +96,25 @@ type AdaptiveReport struct {
 	Criteria     map[string]float64            `json:"criteria"`
 }
 
+// adaptiveReport is BENCH_adaptive.json's schema. The acceptance
+// criteria are throughput ratios — host-speed-independent but noisy on
+// short runs — so they wait for strict: the controller's paired geomean
+// matches the best static profile, the static profiles actually diverge
+// (opposite sweet spots, or the experiment means nothing), and a
+// ticking, never-applying controller costs at most 5 %.
+var adaptiveReport = Report{
+	ID: "adaptive", File: "BENCH_adaptive.json",
+	Run: func(o RunOptions) (Formatter, error) {
+		return AdaptiveBench(AdaptiveConfig{OpsPerThread: o.Scale}), nil
+	},
+	Fields: []string{"gomaxprocs", "ops_per_thread", "cells", "ratio_adaptive_over_profile", "final_knobs", "criteria"},
+	Criteria: []string{"adaptive_over_best_static_geomean", "adaptive_over_best_static_worst_workload",
+		"controller_off_overhead_pct", "static_spread", "scan_preempt_adaptive_over_best_static",
+		"churn_preempt_adaptive_over_best_static", "rangestore_f99_adaptive_over_best_static"},
+	Strict: []Bound{{"adaptive_over_best_static_geomean", 1, inf}, {"static_spread", 1.1, inf},
+		{"controller_off_overhead_pct", -inf, 5}},
+}
+
 const (
 	profDefault  = "static-default"
 	profRead     = "static-read"
@@ -600,9 +619,5 @@ func (r *AdaptiveReport) Format() string {
 			fk.Knobs.OptGate.DisableNum, fk.Knobs.OptGate.DisableDen, fk.Knobs.OptGate.Window,
 			fk.Knobs.OptGate.ProbeInterval, fk.Knobs.SummaryScan, fk.Applies, fk.Ticks)
 	}
-	fmt.Fprintf(&b, "\ncriteria:\n")
-	for _, k := range sortedStringKeys(r.Criteria) {
-		fmt.Fprintf(&b, "  %s = %.3f\n", k, r.Criteria[k])
-	}
-	return b.String()
+	return b.String() + formatCriteria(r.Criteria)
 }

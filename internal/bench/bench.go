@@ -8,6 +8,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -93,12 +94,27 @@ func (f *Figure) Scalability(name string) float64 {
 	return s.Values[f.Xs[len(f.Xs)-1]] / base
 }
 
-// sortedKeys is a helper for deterministic map iteration in reports.
-func sortedKeys[V any](m map[int]V) []int {
-	ks := make([]int, 0, len(m))
+// sortedStringKeys is a helper for deterministic map iteration in reports.
+func sortedStringKeys(m map[string]float64) []string {
+	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Ints(ks)
+	sort.Strings(ks)
 	return ks
+}
+
+// geomean returns the geometric mean of the positive values in xs.
+func geomean(xs []float64) float64 {
+	sum, n := 0.0, 0
+	for _, x := range xs {
+		if x > 0 {
+			sum += math.Log(x)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return math.Exp(sum / float64(n))
 }

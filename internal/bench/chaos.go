@@ -86,6 +86,21 @@ type ChaosReport struct {
 	Criteria   map[string]float64 `json:"criteria"`
 }
 
+// chaosReport is BENCH_chaos.json's schema. Strict is the chaos pass
+// condition: nothing leaked, every instance quiescent, the telemetry
+// layer agreeing with the harness's own accounting, and the recovery
+// phase back to 80 % of the baseline.
+var chaosReport = Report{
+	ID: "chaos", File: "BENCH_chaos.json",
+	Run:    func(RunOptions) (Formatter, error) { return ChaosBench(ChaosConfig{}), nil },
+	Fields: []string{"gomaxprocs", "cells", "criteria"},
+	Criteria: []string{"recovery_ratio_min", "leaked_locks_total", "quiesce_failures",
+		"telemetry_holds_mismatch", "panic_recovery_mismatch", "leaked_waiters_total"},
+	Strict: append(zero("leaked_locks_total", "leaked_waiters_total", "quiesce_failures",
+		"telemetry_holds_mismatch", "panic_recovery_mismatch"),
+		Bound{"recovery_ratio_min", 0.8, inf}),
+}
+
 // chaosInjector is the shared fault schedule: frequent enough that a
 // phase of a few thousand ops sees dozens of faults, slow holds long
 // enough for the watchdog (threshold below) to observe them.
@@ -420,9 +435,5 @@ func (r *ChaosReport) Format() string {
 		}
 		fmt.Fprintf(&b, "  recovery ratio = %.3f\n", c.RecoveryRatio)
 	}
-	fmt.Fprintf(&b, "\ncriteria:\n")
-	for _, k := range sortedStringKeys(r.Criteria) {
-		fmt.Fprintf(&b, "  %s = %.3f\n", k, r.Criteria[k])
-	}
-	return b.String()
+	return b.String() + formatCriteria(r.Criteria)
 }

@@ -90,6 +90,23 @@ type NetReport struct {
 	Criteria          map[string]float64 `json:"criteria"`
 }
 
+// netReport is BENCH_net.json's schema. A nonzero steady-state
+// allocation count or any leaked resource is a regression of the wire
+// path's core claims, never a host-speed matter, so those are enforced
+// with or without strict; the sweep floor (max_conns_swept) and the
+// throughput ratio stay informational so a short smoke cell validates.
+var netReport = Report{
+	ID: "net", File: "BENCH_net.json",
+	Run: func(o RunOptions) (Formatter, error) {
+		return NetBench(NetConfig{Duration: o.NetDur, Conns: o.NetConns})
+	},
+	Fields: []string{"gomaxprocs", "cell_seconds", "points", "inproc_baseline", "net_over_inproc_ratio", "criteria"},
+	Criteria: []string{"steady_frame_allocs_per_op", "leaked_conns_total", "leaked_locks_total",
+		"leaked_waiters_total", "quiesce_failures", "drain_failures", "max_conns_swept", "net_over_inproc_at_read50"},
+	Always: zero("steady_frame_allocs_per_op", "leaked_conns_total", "leaked_locks_total",
+		"leaked_waiters_total", "quiesce_failures", "drain_failures"),
+}
+
 func (c *NetConfig) defaults() {
 	if c.Duration <= 0 {
 		c.Duration = 400 * time.Millisecond
@@ -367,9 +384,5 @@ func (r *NetReport) Format() string {
 	for _, k := range sortedStringKeys(r.NetOverInproc) {
 		fmt.Fprintf(&b, "  %s = %.3f\n", k, r.NetOverInproc[k])
 	}
-	fmt.Fprintf(&b, "\ncriteria:\n")
-	for _, k := range sortedStringKeys(r.Criteria) {
-		fmt.Fprintf(&b, "  %s = %.3f\n", k, r.Criteria[k])
-	}
-	return b.String()
+	return b.String() + formatCriteria(r.Criteria)
 }

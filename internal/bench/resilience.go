@@ -77,6 +77,20 @@ type ResilienceReport struct {
 	Criteria   map[string]float64      `json:"criteria"`
 }
 
+// resilienceReport is BENCH_resilience.json's schema. Strict is the
+// degradation criterion: at the harshest injection rate the policied
+// router retains at least twice the blocking router's completed
+// throughput, its policies did engage, and nothing leaked.
+var resilienceReport = Report{
+	ID: "resilience", File: "BENCH_resilience.json",
+	Run:    func(RunOptions) (Formatter, error) { return ResilienceBench(ResilienceConfig{}), nil },
+	Fields: []string{"gomaxprocs", "workers", "points", "policy_state", "criteria"},
+	Criteria: []string{"retention_at_max_hold", "retention_at_zero_hold", "policies_engaged_at_max_hold",
+		"leaked_locks_total", "leaked_waiters_total", "quiesce_failures"},
+	Strict: append(zero("leaked_locks_total", "leaked_waiters_total", "quiesce_failures"),
+		Bound{"retention_at_max_hold", 2, inf}, Bound{"policies_engaged_at_max_hold", 1, inf}),
+}
+
 // resilienceGroups is the workload's group layout: one hot group the
 // saboteur sits on, three cold groups that must keep flowing.
 var resilienceGroups = []string{"hot", "c0", "c1", "c2"}
@@ -396,11 +410,7 @@ func (r *ResilienceReport) Format() string {
 	for _, row := range r.Policies {
 		fmt.Fprintf(&b, "  %-12s %-8s %-10s %v\n", row.Policy, row.Kind, row.State, row.Counters)
 	}
-	fmt.Fprintf(&b, "\ncriteria:\n")
-	for _, k := range sortedStringKeys(r.Criteria) {
-		fmt.Fprintf(&b, "  %s = %.3f\n", k, r.Criteria[k])
-	}
-	return b.String()
+	return b.String() + formatCriteria(r.Criteria)
 }
 
 // Retryable re-exports the policy's retry classifier for the chaos
