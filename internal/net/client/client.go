@@ -5,12 +5,11 @@
 // read fractions for the networked benchmark.
 //
 // Like the server, a Conn owns all its buffers: one encode buffer and
-// one frame-read buffer, reused across calls, so a steady client loop
-// does not allocate either.
+// one frame reader whose responses are parsed where they were read,
+// both reused across calls, so a steady client loop does not allocate.
 package client
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 
@@ -36,10 +35,13 @@ func (e *RespError) Shed() bool {
 // generator gives each worker goroutine its own.
 type Conn struct {
 	nc  net.Conn
-	br  *bufio.Reader
-	buf []byte
+	fr  *wire.Reader
 	out []byte
 }
+
+// respBufSize is the frame reader's initial buffer: a response frame is
+// at most 6 bytes, so this holds the replies to a 40-deep window.
+const respBufSize = 256
 
 // Dial connects to a gossip server.
 func Dial(addr string) (*Conn, error) {
@@ -47,11 +49,7 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{
-		nc:  nc,
-		br:  bufio.NewReaderSize(nc, 32<<10),
-		out: make([]byte, 0, 4<<10),
-	}, nil
+	return &Conn{nc: nc, fr: wire.NewReader(nc, respBufSize, 0)}, nil
 }
 
 // Close closes the connection.
@@ -69,8 +67,7 @@ func (c *Conn) flush() error {
 
 // recv reads one response frame.
 func (c *Conn) recv() (wire.Resp, error) {
-	body, buf, err := wire.ReadFrame(c.br, c.buf, 0)
-	c.buf = buf
+	body, err := c.fr.Next()
 	if err != nil {
 		return wire.Resp{}, err
 	}

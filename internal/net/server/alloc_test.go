@@ -9,8 +9,8 @@ import (
 
 // TestServerFramePathAllocs is the tentpole's 0 allocs/op pin: the
 // steady-state decode→handle→encode path, run through the Exerciser
-// (the identical code the reader goroutines execute, minus the socket
-// syscalls, which allocate nothing either). Registration is membership
+// (the identical code a connection's goroutine executes, minus the
+// socket syscalls, which allocate nothing either). Registration is membership
 // churn and exempt; lookup, unicast, and the fused batch path must be
 // allocation-free once the connection's buffers and intern table are
 // warm.

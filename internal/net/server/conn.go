@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"net"
 
@@ -11,35 +9,27 @@ import (
 	"repro/internal/net/wire"
 )
 
-// conn is one client connection: a reader goroutine that decodes,
-// batches, and runs sections, and a writer goroutine that flushes
-// encoded responses — decoupled through a two-buffer swap so the reader
-// starts the next batch while the previous batch's responses are still
-// in the kernel's send queue.
+// conn is one client connection, served by one goroutine: it reads
+// requests into the frame reader's buffer, parses them where they lie,
+// runs their sections and writes the replies itself, one write per
+// batch.
 //
-// Every buffer here is connection-owned and reused: frame slots (one
-// per batch position, so a fused unicast run can alias all its payloads
-// at once), the parsed-request scratch, the SendReq scratch, the
-// LockBatch scratch, the intern table, and the two response buffers.
-// After warmup the loop allocates nothing.
+// Every buffer here is connection-owned and reused: the frame reader's
+// buffer (a batch's parsed requests alias it until the batch is
+// answered), the reply buffer, the parsed-request scratch, the SendReq
+// scratch, the LockBatch scratch and the intern table. The scratch
+// slices start empty and grow to the largest batch the client sends, so
+// a connection that never pipelines never pays for MaxBatch. After
+// warmup the loop allocates nothing.
 type conn struct {
-	s  *Server
-	nc net.Conn
-	br *bufio.Reader
+	s   *Server
+	nc  net.Conn
+	fr  *wire.Reader
+	out []byte
 
-	// Response buffers circulate reader→writeCh→writer→freeCh→reader.
-	// Capacity 2 on both channels means neither side ever blocks handing
-	// a buffer back.
-	writeCh    chan []byte
-	freeCh     chan []byte
-	writerDone chan struct{}
-
-	// frameBufs[i] backs the i-th frame of the current batch; parsed
-	// requests alias these slots until the batch is processed.
-	frameBufs [][]byte
-	reqs      []wire.Req
-	sendReqs  []gossip.SendReq
-	sc        gossip.BatchScratch
+	reqs     []wire.Req
+	sendReqs []gossip.SendReq
+	sc       gossip.BatchScratch
 
 	// names interns decoded group/member names into pre-boxed
 	// core.Values: the map lookup keyed by string(b) is allocation-free
@@ -47,27 +37,25 @@ type conn struct {
 	names map[string]core.Value
 }
 
-// maxIntern caps one connection's intern table; a client cycling
-// through more names than this re-boxes the overflow per request
-// instead of growing without bound.
-const maxIntern = 4096
+const (
+	// maxIntern caps one connection's intern table; a client cycling
+	// through more names than this re-boxes the overflow per request
+	// instead of growing without bound.
+	maxIntern = 4096
+
+	// readBufSize is a connection's initial frame buffer. It holds a
+	// full default batch (16 unicasts with 64-byte payloads are 1.2 KiB)
+	// and grows only for a larger frame.
+	readBufSize = 2 << 10
+)
 
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{
-		s:          s,
-		nc:         nc,
-		br:         bufio.NewReaderSize(nc, 32<<10),
-		writeCh:    make(chan []byte, 2),
-		freeCh:     make(chan []byte, 2),
-		writerDone: make(chan struct{}),
-		frameBufs:  make([][]byte, s.cfg.MaxBatch),
-		reqs:       make([]wire.Req, 0, s.cfg.MaxBatch),
-		sendReqs:   make([]gossip.SendReq, 0, s.cfg.MaxBatch),
-		names:      make(map[string]core.Value),
+	return &conn{
+		s:     s,
+		nc:    nc,
+		fr:    wire.NewReader(nc, readBufSize, s.cfg.MaxFrame),
+		names: make(map[string]core.Value),
 	}
-	c.freeCh <- make([]byte, 0, 4<<10)
-	c.freeCh <- make([]byte, 0, 4<<10)
-	return c
 }
 
 func (c *conn) intern(b []byte) core.Value {
@@ -82,106 +70,75 @@ func (c *conn) intern(b []byte) core.Value {
 	return v
 }
 
-// readLoop is the connection's request side. It owns the deferred
-// teardown: close the write channel, wait for the writer to flush what
-// it has, close the socket, and only then drop off the server's
-// connection set — so Shutdown's wait observes fully-flushed,
-// fully-closed connections.
-func (c *conn) readLoop() {
-	go c.writeLoop()
-	defer func() {
-		close(c.writeCh)
-		<-c.writerDone
-		c.nc.Close()
-		c.s.mu.Lock()
-		delete(c.s.conns, c)
-		c.s.mu.Unlock()
-		c.s.Stats.Closed.Add(1)
-		c.s.Stats.Active.Add(-1)
-		c.s.wg.Done()
-	}()
-	resp := <-c.freeCh
-	for {
-		if c.s.closing.Load() {
-			return
-		}
-		// Blocking read of the batch's first frame.
-		body, buf, err := wire.ReadFrame(c.br, c.frameBufs[0], c.s.cfg.MaxFrame)
-		c.frameBufs[0] = buf
+// serve is the connection's goroutine. Each pass takes one frame with a
+// blocking read, drains the complete frames the client already
+// pipelined behind it (the drain never blocks mid-batch), answers them
+// in order and writes every reply with one write. The deferred teardown
+// closes the socket and only then drops off the server's connection
+// set, so Shutdown's wait observes fully-written, fully-closed
+// connections.
+func (c *conn) serve() {
+	defer c.close()
+	for !c.s.closing.Load() {
+		body, err := c.fr.Next()
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) {
 				// The stream cannot be resynced past an oversized frame:
-				// tell the client why, flush, close.
+				// tell the client why, then close.
 				c.s.Stats.Decode.Add(1)
-				c.writeCh <- c.respErr(resp, wire.CodeMalformed)
+				c.write(c.respErr(c.out[:0], wire.CodeMalformed))
 			}
 			// EOF, reset, or the shutdown read deadline: just close.
 			return
 		}
 		c.reqs = c.reqs[:0]
-		req, perr := wire.ParseReq(body)
+		perr := c.parse(body)
+		for perr == nil && len(c.reqs) < c.s.cfg.MaxBatch {
+			body, ok := c.fr.Buffered()
+			if !ok {
+				break
+			}
+			perr = c.parse(body)
+		}
+		// A malformed frame is answered after the well-formed prefix, and
+		// then the connection closes.
+		out := c.process(c.reqs, c.out[:0])
 		if perr != nil {
 			c.s.Stats.Decode.Add(1)
-			c.writeCh <- c.respErr(resp, wire.CodeMalformed)
+			out = c.respErr(out, wire.CodeMalformed)
+		}
+		if !c.write(out) || perr != nil {
 			return
 		}
-		c.s.Stats.FramesIn[int(req.Kind)].Add(1)
-		c.reqs = append(c.reqs, req)
-
-		// Drain frames the client already pipelined: peek each length
-		// prefix and take the frame only if it is completely buffered, so
-		// the drain never blocks mid-batch. Each frame lands in its own
-		// slot; a run of adjacent unicasts then fuses into one section.
-		for len(c.reqs) < c.s.cfg.MaxBatch {
-			if c.br.Buffered() < wire.HeaderLen {
-				break
-			}
-			hdr, _ := c.br.Peek(wire.HeaderLen)
-			n := int(binary.BigEndian.Uint32(hdr))
-			if n > c.s.cfg.MaxFrame || c.br.Buffered() < wire.HeaderLen+n {
-				// Oversized (next blocking read reports it) or not fully
-				// buffered yet: stop draining, serve what we have.
-				break
-			}
-			slot := len(c.reqs)
-			body, buf, err := wire.ReadFrame(c.br, c.frameBufs[slot], c.s.cfg.MaxFrame)
-			c.frameBufs[slot] = buf
-			if err != nil {
-				c.writeCh <- c.process(c.reqs, resp)
-				return
-			}
-			req, perr := wire.ParseReq(body)
-			if perr != nil {
-				// Answer the well-formed prefix, then the error, then close.
-				resp = c.process(c.reqs, resp)
-				c.s.Stats.Decode.Add(1)
-				c.writeCh <- c.respErr(resp, wire.CodeMalformed)
-				return
-			}
-			c.s.Stats.FramesIn[int(req.Kind)].Add(1)
-			c.reqs = append(c.reqs, req)
-		}
-
-		c.writeCh <- c.process(c.reqs, resp)
-		resp = <-c.freeCh
 	}
 }
 
-// writeLoop flushes encoded response buffers and hands them back. On a
-// write error it closes the socket (unblocking the reader) and keeps
-// draining so buffer circulation never deadlocks.
-func (c *conn) writeLoop() {
-	defer close(c.writerDone)
-	failed := false
-	for buf := range c.writeCh {
-		if !failed && len(buf) > 0 {
-			if _, err := c.nc.Write(buf); err != nil {
-				failed = true
-				c.nc.Close()
-			}
-		}
-		c.freeCh <- buf[:0]
+// parse appends one request to the batch.
+func (c *conn) parse(body []byte) error {
+	req, err := wire.ParseReq(body)
+	if err != nil {
+		return err
 	}
+	c.s.Stats.FramesIn[int(req.Kind)].Add(1)
+	c.reqs = append(c.reqs, req)
+	return nil
+}
+
+// write sends one batch's replies and keeps the buffer for the next.
+func (c *conn) write(out []byte) bool {
+	c.out = out[:0]
+	_, err := c.nc.Write(out)
+	return err == nil
+}
+
+func (c *conn) close() {
+	c.nc.Close()
+	c.s.mu.Lock()
+	delete(c.s.conns, c)
+	c.s.mu.Unlock()
+	c.s.Stats.Closed.Add(1)
+	c.s.Stats.Active.Add(-1)
+	c.s.wg.Done()
 }
 
 // process answers a batch of parsed requests in order, fusing each run
@@ -323,43 +280,33 @@ func (c *conn) respErr(resp []byte, code byte) []byte {
 
 // Exerciser drives the server's decode→handle→encode path without a
 // socket: the alloc-pin test and the in-process benchmark baseline run
-// the exact handling code the reader goroutines run, minus the kernel.
-// One Exerciser is one virtual connection (own intern table and
+// the exact handling code a connection's goroutine runs, minus the
+// kernel. One Exerciser is one virtual connection (own intern table and
 // scratch); it is not safe for concurrent use.
 type Exerciser struct{ c *conn }
 
 // Exerciser returns a new virtual connection over the server's router.
 func (s *Server) Exerciser() *Exerciser {
-	return &Exerciser{c: &conn{
-		s:        s,
-		reqs:     make([]wire.Req, 0, s.cfg.MaxBatch),
-		sendReqs: make([]gossip.SendReq, 0, s.cfg.MaxBatch),
-		names:    make(map[string]core.Value),
-	}}
+	return &Exerciser{c: &conn{s: s, names: make(map[string]core.Value)}}
 }
 
 // Handle parses one frame body and appends its response frame to resp.
 func (e *Exerciser) Handle(body, resp []byte) ([]byte, error) {
-	req, err := wire.ParseReq(body)
-	if err != nil {
+	e.c.reqs = e.c.reqs[:0]
+	if err := e.c.parse(body); err != nil {
 		return resp, err
 	}
-	e.c.s.Stats.FramesIn[int(req.Kind)].Add(1)
-	e.c.reqs = append(e.c.reqs[:0], req)
 	return e.c.process(e.c.reqs, resp), nil
 }
 
 // HandleBatch parses a pipelined run of bodies and processes it with
-// the same unicast-run fusion the reader applies.
+// the same unicast-run fusion a connection applies.
 func (e *Exerciser) HandleBatch(bodies [][]byte, resp []byte) ([]byte, error) {
 	e.c.reqs = e.c.reqs[:0]
 	for _, b := range bodies {
-		req, err := wire.ParseReq(b)
-		if err != nil {
+		if err := e.c.parse(b); err != nil {
 			return resp, err
 		}
-		e.c.s.Stats.FramesIn[int(req.Kind)].Add(1)
-		e.c.reqs = append(e.c.reqs, req)
 	}
 	return e.c.process(e.c.reqs, resp), nil
 }

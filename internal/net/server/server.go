@@ -1,23 +1,24 @@
 // Package server puts the gossip router behind a real TCP listener:
-// the wire package's length-prefixed frames arrive on per-connection
-// reader goroutines, run through the same semlock-compiled sections the
-// in-process benchmarks measure, and leave through per-connection
-// writer goroutines — so every scaling claim the lock mechanism makes
-// is exercised across syscalls, scheduler churn, and GC pressure.
+// the wire package's length-prefixed frames arrive on one goroutine per
+// connection, run through the same semlock-compiled sections the
+// in-process benchmarks measure, and are answered by the same goroutine
+// — so every scaling claim the lock mechanism makes is exercised across
+// syscalls, scheduler churn, and GC pressure.
 //
 // Hot-path discipline: the steady-state decode→handle→encode path
-// allocates nothing. Frame bodies land in per-connection reusable
-// buffers, group/member names are interned into pre-boxed core.Values
-// once per connection (the router's V entry points take them boxed, so
-// no string header is re-allocated per request), responses are encoded
-// into a pair of swap buffers shared with the writer goroutine, and the
-// per-frame-type counters are padded atomics.
+// allocates nothing. Requests are parsed in place in the connection's
+// read buffer, group/member names are interned into pre-boxed
+// core.Values once per connection (the router's V entry points take
+// them boxed, so no string header is re-allocated per request),
+// responses are encoded into one reusable reply buffer, and the
+// per-frame-type counters are padded atomics. A connection that sends
+// small frames costs one goroutine and a few KiB of buffers.
 //
 // Pipelining: when a client has more requests already buffered on the
-// connection, the reader drains up to MaxBatch of them and a run of
+// connection, the goroutine drains up to MaxBatch of them, a run of
 // adjacent unicasts becomes ONE atomic section with a fused LockBatch
-// prologue (gossip.UnicastBatchV) — the network-fed form of the PR 4
-// prologue fusion. Responses keep request order.
+// prologue (gossip.UnicastBatchV), and the batch's replies leave in one
+// write. Responses keep request order.
 //
 // Resilience: with a Policy configured, every section runs
 // admission-gated and breaker-checked (gossip.Resilient); a refusal
@@ -52,9 +53,9 @@ type Config struct {
 	// in-process MPerf uses, which keeps the in-process-vs-networked
 	// comparison honest: only the request wire path differs).
 	SendCost int
-	// MaxBatch caps how many already-buffered frames the reader drains
-	// per wakeup; runs of adjacent unicasts inside the drain are fused
-	// into one LockBatch prologue. 0 means 16; 1 disables batching.
+	// MaxBatch caps how many already-buffered frames a connection
+	// drains per wakeup; runs of adjacent unicasts inside the drain are
+	// fused into one LockBatch prologue. 0 means 16; 1 disables batching.
 	MaxBatch int
 	// MaxFrame caps one frame body; 0 means 64 KiB.
 	MaxFrame int
@@ -169,7 +170,7 @@ func (s *Server) Serve() error {
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go c.readLoop()
+		go c.serve()
 	}
 }
 
@@ -182,11 +183,11 @@ func (s *Server) Shutdown(deadline time.Duration) error {
 	s.closing.Store(true)
 	s.ln.Close()
 	s.acceptWG.Wait()
-	// Unblock idle readers parked in a socket read: a deadline in the
-	// past makes the pending read return immediately, and the reader
-	// observes closing and exits after flushing. Busy readers finish
-	// their current batch first — the deadline only affects the socket
-	// read, never a section in flight.
+	// Unblock idle connections parked in a socket read: a deadline in
+	// the past makes the pending read return immediately, and the
+	// goroutine exits. Busy connections answer their current batch and
+	// write the replies first, then observe closing — the deadline only
+	// affects the socket read, never a section in flight or its reply.
 	s.mu.Lock()
 	for c := range s.conns {
 		c.nc.SetReadDeadline(time.Unix(1, 0))

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"io"
 	"net"
 	"sync"
@@ -16,10 +15,9 @@ import (
 
 // client is a minimal test-side wire client over one connection.
 type client struct {
-	t   *testing.T
-	nc  net.Conn
-	br  *bufio.Reader
-	buf []byte
+	t  *testing.T
+	nc net.Conn
+	fr *wire.Reader
 }
 
 func dial(t *testing.T, addr string) *client {
@@ -28,7 +26,7 @@ func dial(t *testing.T, addr string) *client {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	return &client{t: t, nc: nc, br: bufio.NewReader(nc)}
+	return &client{t: t, nc: nc, fr: wire.NewReader(nc, 64, 0)}
 }
 
 func (c *client) close() { c.nc.Close() }
@@ -46,8 +44,7 @@ func (c *client) send(frames ...[]byte) {
 
 func (c *client) recv() wire.Resp {
 	c.t.Helper()
-	body, buf, err := wire.ReadFrame(c.br, c.buf, 0)
-	c.buf = buf
+	body, err := c.fr.Next()
 	if err != nil {
 		c.t.Fatalf("read response: %v", err)
 	}
@@ -61,8 +58,7 @@ func (c *client) recv() wire.Resp {
 // recvErr reads one frame tolerating stream end; ok reports whether a
 // response arrived.
 func (c *client) recvErr() (wire.Resp, bool) {
-	body, buf, err := wire.ReadFrame(c.br, c.buf, 0)
-	c.buf = buf
+	body, err := c.fr.Next()
 	if err != nil {
 		return wire.Resp{}, false
 	}
@@ -228,6 +224,44 @@ func TestServerPipelining(t *testing.T) {
 	}
 }
 
+// TestServerSplitFrames: requests parsed in place survive the read
+// buffer being refilled, compacted and outgrown — a pipelined burst
+// arrives a few bytes per segment, with a multicast four times the
+// connection's initial buffer in the middle, and every reply still
+// comes back in order with every frame delivered.
+func TestServerSplitFrames(t *testing.T) {
+	s := startServer(t, Config{})
+	defer s.Shutdown(5 * time.Second)
+	c := dial(t, s.Addr().String())
+	defer c.close()
+	c.send(frame(wire.AppendRegister(nil, "g", "m")))
+	c.recv()
+
+	big := make([]byte, 4*readBufSize)
+	var stream []byte
+	for i := 0; i < 6; i++ {
+		stream = append(stream, frame(wire.AppendUnicast(nil, "g", "m", []byte("split")))...)
+	}
+	stream = append(stream, frame(wire.AppendMulticast(nil, "g", big))...)
+	stream = append(stream, frame(wire.AppendLookup(nil, "g", "m"))...)
+	for len(stream) > 0 {
+		n := min(len(stream), 7)
+		c.send(stream[:n])
+		stream = stream[n:]
+	}
+	for i := 0; i < 7; i++ {
+		if r := c.recv(); r.Kind != wire.KindOK {
+			t.Fatalf("reply %d: %+v", i, r)
+		}
+	}
+	if r := c.recv(); r.Kind != wire.KindBool || !r.Bool {
+		t.Fatalf("tail lookup: %+v", r)
+	}
+	if got := s.Sink("g", "m").Frames.Load(); got != 7 {
+		t.Errorf("delivered frames = %d, want 7", got)
+	}
+}
+
 // TestServerMalformed: garbage and oversized frames get one
 // CodeMalformed error frame and a closed connection — never a panic,
 // never a desynced stream. The server survives to serve a new client.
@@ -241,7 +275,7 @@ func TestServerMalformed(t *testing.T) {
 	if r, ok := c.recvErr(); !ok || r.Kind != wire.KindErr || r.Code != wire.CodeMalformed {
 		t.Fatalf("unknown kind: %+v ok=%v", r, ok)
 	}
-	if _, err := c.br.ReadByte(); err != io.EOF {
+	if _, err := c.fr.Next(); err != io.EOF {
 		t.Fatalf("connection not closed after malformed frame: %v", err)
 	}
 	c.close()
@@ -377,8 +411,7 @@ func TestServerDrain(t *testing.T) {
 				return
 			}
 			defer nc.Close()
-			br := bufio.NewReader(nc)
-			var buf []byte
+			fr := wire.NewReader(nc, 64, 0)
 			reg, _ := wire.AppendRegister(nil, "g", string(rune('a'+w)))
 			uni, _ := wire.AppendUnicast(nil, "g", string(rune('a'+w)), []byte("x"))
 			look, _ := wire.AppendLookup(nil, "g", string(rune('a'+w)))
@@ -386,8 +419,7 @@ func TestServerDrain(t *testing.T) {
 				return
 			}
 			for {
-				body, b, err := wire.ReadFrame(br, buf, 0)
-				buf = b
+				body, err := fr.Next()
 				if err != nil {
 					return // server closed us mid-drain: expected
 				}
@@ -403,10 +435,9 @@ func TestServerDrain(t *testing.T) {
 				}
 				// Drain the two extra responses of the burst.
 				for i := 0; i < 2; i++ {
-					if body, buf, err = wire.ReadFrame(br, buf, 0); err != nil {
+					if _, err := fr.Next(); err != nil {
 						return
 					}
-					_ = body
 				}
 			}
 		}(w)

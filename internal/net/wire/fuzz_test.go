@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -93,8 +94,27 @@ func FuzzParseResp(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame: arbitrary streams never panic the framer, and
-// whatever it accepts respects the size cap.
+// chunkReader returns a stream a few bytes per Read (1 to 5, cycling),
+// with io.EOF on the call that hands out the last bytes.
+type chunkReader struct {
+	b     []byte
+	calls int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.calls++
+	n := copy(p[:min(len(p), 1+c.calls%5)], c.b)
+	c.b = c.b[n:]
+	if len(c.b) == 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// FuzzReadFrame: arbitrary streams never panic the framer, and a Reader
+// fed a few bytes at a time from a 4-byte buffer, mixing Buffered and
+// Next, yields exactly the frames — and then the error — of a direct
+// walk over the stream under the same 4096-byte cap.
 func FuzzReadFrame(f *testing.F) {
 	for _, b := range seedBodies(f) {
 		f.Add(AppendFrame(nil, b))
@@ -102,20 +122,42 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	f.Add([]byte{0, 0})
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
-		var buf []byte
-		for {
-			var body []byte
-			var err error
-			body, buf, err = ReadFrame(r, buf, 4096)
-			if err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF || err == ErrFrameTooLarge {
-					return
-				}
-				t.Fatalf("unexpected error class: %v", err)
+		const limit = 4096
+		var want [][]byte
+		wantErr := io.EOF
+		for rest := stream; len(rest) > 0; {
+			if len(rest) < HeaderLen {
+				wantErr = io.ErrUnexpectedEOF
+				break
 			}
-			if len(body) > 4096 {
-				t.Fatalf("accepted %d-byte body past the 4096 cap", len(body))
+			n := int(binary.BigEndian.Uint32(rest))
+			if n > limit {
+				wantErr = ErrFrameTooLarge
+				break
+			}
+			if len(rest)-HeaderLen < n {
+				wantErr = io.ErrUnexpectedEOF
+				break
+			}
+			want = append(want, rest[HeaderLen:HeaderLen+n])
+			rest = rest[HeaderLen+n:]
+		}
+
+		fr := NewReader(&chunkReader{b: stream}, HeaderLen, limit)
+		for i := 0; ; i++ {
+			body, ok := fr.Buffered()
+			var err error
+			if !ok {
+				body, err = fr.Next()
+			}
+			if err != nil {
+				if i != len(want) || err != wantErr {
+					t.Fatalf("after %d frames: %v; want %v after %d", i, err, wantErr, len(want))
+				}
+				return
+			}
+			if i >= len(want) || !bytes.Equal(body, want[i]) {
+				t.Fatalf("frame %d = %x; want %d frames, then %v", i, body, len(want), wantErr)
 			}
 			_, _ = ParseReq(body) // must not panic
 		}

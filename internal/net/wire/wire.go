@@ -24,9 +24,10 @@
 //	Bool  := 0x11 | value:byte                   lookup result (0 or 1)
 //	Err   := 0x1f | code:byte                    see the Code* constants
 //
-// The decoder never allocates: ParseReq returns subslices of the body
-// it was handed, so the caller owns buffer reuse (the server interns
-// names per connection and recycles the frame buffer between reads).
+// The decoder never allocates: Reader hands out frame bodies inside its
+// own read buffer and ParseReq returns subslices of the body it was
+// handed, so a request is parsed where the read left it (the server
+// interns names per connection before the buffer is reused).
 // Malformed input — truncated names, trailing garbage on fixed-shape
 // requests, oversized frames, unknown kinds — returns an error, never
 // panics: the fuzz corpus in testdata pins that.
@@ -149,40 +150,107 @@ type Resp struct {
 	Code byte // KindErr code
 }
 
-// ReadFrame reads one length-prefixed frame body from r into buf,
-// growing buf as needed, and returns the body slice (aliasing the
-// returned buffer, which the caller should keep for the next call).
-// A length prefix over max (or MaxBody, whichever is smaller) returns
-// ErrFrameTooLarge without consuming the body.
-func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, []byte, error) {
+// Reader decodes length-prefixed frames in place. It reads the stream
+// into one buffer it owns and returns frame bodies that alias that
+// buffer, so no frame is copied between the read and the parser.
+//
+// A body returned by Next or Buffered stays valid until the following
+// call to Next, which may read and move bytes. Buffered never reads or
+// moves anything, so a caller can take one frame with Next, drain the
+// complete frames behind it with Buffered, and use all of their bodies
+// together — the server's pipelined batch.
+//
+// The buffer starts at the size given to NewReader and grows to fit
+// the largest frame seen; it never shrinks. A read error is sticky:
+// frames already buffered are still returned, then every call reports
+// the error.
+type Reader struct {
+	r    io.Reader
+	buf  []byte
+	head int // first unconsumed byte
+	tail int // end of the bytes read so far
+	max  int
+	err  error
+}
+
+// NewReader returns a Reader over r with a size-byte buffer, accepting
+// bodies of at most max bytes (MaxBody when max is ≤ 0 or larger).
+func NewReader(r io.Reader, size, max int) *Reader {
 	if max <= 0 || max > MaxBody {
 		max = MaxBody
 	}
-	// The header is read into the reusable buffer, not a local array: a
-	// local escapes through the io.Reader interface and would cost one
-	// allocation per frame.
-	if cap(buf) < HeaderLen {
-		buf = make([]byte, HeaderLen, 512)
+	if size < HeaderLen {
+		size = HeaderLen
 	}
-	buf = buf[:cap(buf)]
-	if _, err := io.ReadFull(r, buf[:HeaderLen]); err != nil {
-		return nil, buf, err
+	return &Reader{r: r, buf: make([]byte, size), max: max}
+}
+
+// Buffered returns the next frame's body and consumes the frame if it
+// is completely buffered. Otherwise — including when the next length
+// prefix is over the cap, which the following Next reports — it
+// returns false and consumes nothing.
+func (fr *Reader) Buffered() ([]byte, bool) {
+	avail := fr.tail - fr.head
+	if avail < HeaderLen {
+		return nil, false
 	}
-	n := int(binary.BigEndian.Uint32(buf[:HeaderLen]))
-	if n > max {
-		return nil, buf, ErrFrameTooLarge
+	n := binary.BigEndian.Uint32(fr.buf[fr.head:])
+	if n > uint32(fr.max) || uint32(avail-HeaderLen) < n {
+		return nil, false
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:cap(buf)]
-	if _, err := io.ReadFull(r, buf[:n]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	start := fr.head + HeaderLen
+	fr.head = start + int(n)
+	return fr.buf[start:fr.head:fr.head], true
+}
+
+// Next returns the next frame's body, reading until the whole frame is
+// buffered. A length prefix over the cap returns ErrFrameTooLarge
+// before the body is read; a stream that ends inside a frame returns
+// io.ErrUnexpectedEOF, and one that ends between frames io.EOF.
+func (fr *Reader) Next() ([]byte, error) {
+	for {
+		if body, ok := fr.Buffered(); ok {
+			return body, nil
 		}
-		return nil, buf, err
+		need := HeaderLen
+		if fr.tail-fr.head >= HeaderLen {
+			n := binary.BigEndian.Uint32(fr.buf[fr.head:])
+			if n > uint32(fr.max) {
+				return nil, ErrFrameTooLarge
+			}
+			need += int(n)
+		}
+		if fr.err != nil {
+			if fr.err == io.EOF && fr.tail > fr.head {
+				return nil, io.ErrUnexpectedEOF
+			}
+			return nil, fr.err
+		}
+		fr.makeRoom(need)
+		n, err := fr.r.Read(fr.buf[fr.tail:])
+		fr.tail += n
+		fr.err = err
 	}
-	return buf[:n], buf, nil
+}
+
+// makeRoom makes the buffer hold need bytes from head on, moving the
+// unconsumed bytes to the front (into a larger buffer when need exceeds
+// the current one). need is always more than is buffered, so there is
+// free space behind tail afterwards.
+func (fr *Reader) makeRoom(need int) {
+	if fr.head == fr.tail {
+		fr.head, fr.tail = 0, 0
+	}
+	if len(fr.buf)-fr.head >= need {
+		return
+	}
+	buf := fr.buf
+	if need > len(buf) {
+		buf = make([]byte, max(need, 2*len(buf)))
+	}
+	fr.tail = copy(buf, fr.buf[fr.head:fr.tail])
+	fr.head = 0
+	fr.buf = buf
 }
 
 // AppendFrame appends the length prefix and body to dst.

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRequestRoundTrip: every encode helper's output parses back to the
-// same request through ReadFrame + ParseReq.
+// same request through Reader + ParseReq.
 func TestRequestRoundTrip(t *testing.T) {
 	payload := []byte("the payload \x00\xff bytes")
 	cases := []struct {
@@ -35,9 +35,9 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
-		body, _, err := ReadFrame(bytes.NewReader(frame), nil, 0)
+		body, err := readOne(frame, 0)
 		if err != nil {
-			t.Fatalf("%s: ReadFrame: %v", tc.name, err)
+			t.Fatalf("%s: Next: %v", tc.name, err)
 		}
 		got, err := ParseReq(body)
 		if err != nil {
@@ -61,9 +61,9 @@ func TestResponseRoundTrip(t *testing.T) {
 		{AppendBool(nil, false), Resp{Kind: KindBool, Bool: false}},
 		{AppendErr(nil, CodeShed), Resp{Kind: KindErr, Code: CodeShed}},
 	} {
-		body, _, err := ReadFrame(bytes.NewReader(tc.frame), nil, 0)
+		body, err := readOne(tc.frame, 0)
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("Next: %v", err)
 		}
 		got, err := ParseResp(body)
 		if err != nil {
@@ -75,8 +75,14 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// readOne decodes the first frame of a stream through a Reader whose
+// buffer starts too small for any frame, so every call grows it.
+func readOne(stream []byte, max int) ([]byte, error) {
+	return NewReader(bytes.NewReader(stream), 0, max).Next()
+}
+
 // TestPipelinedFrames: multiple frames on one stream decode in order
-// with one reused buffer — the server's reader-loop shape.
+// through one Reader — the server's per-connection shape.
 func TestPipelinedFrames(t *testing.T) {
 	var stream []byte
 	var err error
@@ -92,17 +98,15 @@ func TestPipelinedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(stream)
-	var buf []byte
+	fr := NewReader(bytes.NewReader(stream), 16, 0)
 	var kinds []Kind
 	for {
-		var body []byte
-		body, buf, err = ReadFrame(r, buf, 0)
+		body, err := fr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("Next: %v", err)
 		}
 		req, err := ParseReq(body)
 		if err != nil {
@@ -131,13 +135,13 @@ func TestMalformed(t *testing.T) {
 	// Every strict prefix of the stream either hits EOF (header cut) or
 	// ErrUnexpectedEOF (body cut) — never a parse success.
 	for i := 0; i < len(frame); i++ {
-		_, _, err := ReadFrame(bytes.NewReader(frame[:i]), nil, 0)
+		_, err := readOne(frame[:i], 0)
 		if err == nil {
-			t.Fatalf("prefix %d: ReadFrame succeeded on truncated input", i)
+			t.Fatalf("prefix %d: Next succeeded on truncated input", i)
 		}
 	}
 	// Truncated bodies handed straight to ParseReq.
-	body, _, err := ReadFrame(bytes.NewReader(frame), nil, 0)
+	body, err := readOne(frame, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +187,14 @@ func TestMalformed(t *testing.T) {
 // body is read, under both the protocol cap and a caller cap.
 func TestOversized(t *testing.T) {
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, _, err := ReadFrame(bytes.NewReader(huge), nil, 0); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readOne(huge, 0); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("4GiB prefix: got %v, want ErrFrameTooLarge", err)
 	}
 	frame, err := AppendMulticast(nil, "g", bytes.Repeat([]byte{'x'}, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(frame), nil, 64); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readOne(frame, 64); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("caller cap: got %v, want ErrFrameTooLarge", err)
 	}
 	// Encode side refuses to build an oversized frame at all.
@@ -205,9 +209,9 @@ func TestOversized(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocs: ParseReq and ParseResp are allocation-free, and
-// ReadFrame stops allocating once its buffer has grown to the frame
-// size — the wire half of the server's 0 allocs/op discipline.
+// TestDecodeAllocs: ParseReq and ParseResp are allocation-free, and a
+// Reader stops allocating once its buffer has grown to the frame size —
+// the wire half of the server's 0 allocs/op discipline.
 func TestDecodeAllocs(t *testing.T) {
 	frame, err := AppendUnicast(nil, "group-name", "member-name", bytes.Repeat([]byte{'p'}, 256))
 	if err != nil {
@@ -230,15 +234,104 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Fatalf("ParseResp allocs/op = %v, want 0", n)
 	}
 	r := bytes.NewReader(frame)
-	buf := make([]byte, 0, len(frame))
+	fr := NewReader(r, 0, 0)
 	if n := testing.AllocsPerRun(1000, func() {
 		r.Reset(frame)
-		var err error
-		_, buf, err = ReadFrame(r, buf, 0)
-		if err != nil {
+		if _, err := fr.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("ReadFrame steady-state allocs/op = %v, want 0", n)
+		t.Fatalf("Reader steady-state allocs/op = %v, want 0", n)
+	}
+}
+
+// countingReader hands out at most chunk bytes per Read and counts the
+// calls.
+type countingReader struct {
+	b     []byte
+	chunk int
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	if len(c.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.chunk)], c.b)
+	c.b = c.b[n:]
+	return n, nil
+}
+
+// TestReaderBatchInPlace: Buffered takes the complete frames behind the
+// one Next returned without reading, and every body of the batch stays
+// intact until the following Next — the contract the server's pipelined
+// batch rests on. A frame split across reads and a frame larger than the
+// buffer decode the same.
+func TestReaderBatchInPlace(t *testing.T) {
+	var stream []byte
+	var want [][]byte
+	for i := 0; i < 6; i++ {
+		f, err := AppendUnicast(nil, "g", "m", bytes.Repeat([]byte{byte('a' + i)}, 10*i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, f...)
+		want = append(want, f[HeaderLen:])
+	}
+	big, err := AppendMulticast(nil, "g", bytes.Repeat([]byte{'z'}, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream = append(stream, big...)
+	want = append(want, big[HeaderLen:])
+
+	// The first read takes the first three frames and part of the
+	// fourth: Next returns one, Buffered the next two, and stops short
+	// of the cut frame without reading.
+	cut := 0
+	for _, b := range want[:3] {
+		cut += HeaderLen + len(b)
+	}
+	src := &countingReader{b: stream, chunk: cut + 5}
+	fr := NewReader(src, 128, 0)
+	var batch [][]byte
+	body, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch = append(batch, body)
+	for {
+		body, ok := fr.Buffered()
+		if !ok {
+			break
+		}
+		batch = append(batch, body)
+	}
+	if len(batch) != 3 || src.reads != 1 {
+		t.Fatalf("first batch: %d frames after %d reads, want 3 after 1", len(batch), src.reads)
+	}
+	for i, b := range batch {
+		if !bytes.Equal(b, want[i]) {
+			t.Fatalf("batch frame %d = %q, want %q", i, b, want[i])
+		}
+	}
+	// The rest — the cut frame, two more, the 300-byte multicast past
+	// the 128-byte buffer — arrive a few bytes per read.
+	src.chunk = 7
+	for i := 3; i < len(want); i++ {
+		body, err := fr.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(body, want[i]) {
+			t.Fatalf("frame %d = %q, want %q", i, body, want[i])
+		}
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+	if _, ok := fr.Buffered(); ok {
+		t.Fatal("Buffered returned a frame past the end of the stream")
 	}
 }
