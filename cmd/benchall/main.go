@@ -15,13 +15,14 @@
 //	benchall -exp net        # gossipd over TCP: connection sweep with
 //	                           p50/p95/p99 latency and the in-process ratio
 //	benchall -exp net -netconns 16 -netdur 100ms   # short CI smoke cell
-//	benchall -exp adaptive   # control plane vs static knob profiles
 //	benchall -real           # include real-execution measurements
 //	benchall -scale 50000    # simulated transactions per thread
 //
-// chaos, resilience, net and adaptive (bench.Reports) are real execution:
-// each runs only when named, and writes BENCH_<id>.json in the current
-// directory for benchcheck to validate. An unknown -exp exits 2.
+// chaos, resilience and net (bench.Reports) are real execution: each
+// runs only when named, and writes BENCH_<id>.json in the current
+// directory for benchcheck to validate. An unknown -exp exits 2 — that
+// includes the retired experiments whose JSON stays as history
+// (lockmech, hotpath, optimistic, telemetry, adaptive).
 package main
 
 import (
@@ -93,7 +94,7 @@ func main() {
 	if !slices.Contains(ids, *exp) {
 		fatalf(2, "unknown experiment %q (valid: %s)", *exp, strings.Join(ids, ", "))
 	}
-	opts := bench.RunOptions{Scale: *scale, NetDur: *netDur}
+	opts := bench.RunOptions{NetDur: *netDur}
 	if *netConns != "" {
 		for _, f := range strings.Split(*netConns, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))

@@ -3,18 +3,18 @@
 // field or a criterion instead of silently uploading a hollow artifact.
 //
 // The schema is selected by file name from bench.Reports
-// (BENCH_chaos.json, BENCH_resilience.json, BENCH_net.json,
-// BENCH_adaptive.json): required top-level fields must be present and
-// non-empty, required criteria present and finite, and the net report's
-// allocation and leak criteria exactly zero. Any other file name is an
-// error — that includes the historical records of retired experiments
-// (BENCH_lockmech.json, BENCH_hotpath.json, BENCH_optimistic.json,
-// BENCH_telemetry.json). `go test ./internal/bench` runs the same check
+// (BENCH_chaos.json, BENCH_resilience.json, BENCH_net.json): required
+// top-level fields must be present and non-empty, required criteria
+// present and finite, and the net report's allocation and leak criteria
+// exactly zero. Any other file name is an error — that includes the
+// historical records of retired experiments (BENCH_lockmech.json,
+// BENCH_hotpath.json, BENCH_optimistic.json, BENCH_telemetry.json,
+// BENCH_adaptive.json). `go test ./internal/bench` runs the same check
 // over the committed files.
 //
 // Usage:
 //
-//	benchcheck BENCH_net.json BENCH_adaptive.json
+//	benchcheck BENCH_net.json
 //	benchcheck -chaos-strict BENCH_chaos.json
 //	benchcheck -chaos-strict BENCH_resilience.json
 //
@@ -33,7 +33,7 @@ import (
 
 func main() {
 	strict := flag.Bool("chaos-strict", false,
-		"also enforce the report's pass condition on its criteria values (chaos: zero leaks and recovery >= 0.8; resilience: >= 2x retention and zero leaks; adaptive: controller matches the best static profile)")
+		"also enforce the report's pass condition on its criteria values (chaos: zero leaks and recovery >= 0.8; resilience: >= 2x retention and zero leaks)")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "benchcheck: no files given")

@@ -25,18 +25,11 @@
 //	gossipd -policy ours
 //	gossipd -policy ours -debug-addr localhost:6060
 //	gossipd -policy ours -resilience                  # policied router
-//	gossipd -policy ours -resilience -patience 300us -retries 3 -hedge-budget 150us
-//	gossipd -policy ours -adaptive                    # telemetry-tuned knobs
+//	gossipd -policy ours -resilience -patience 300us -retries 3
 //	gossipd -listen :7946                             # serve the wire protocol
 //	gossipd -listen :7946 -resilience -debug-addr localhost:6060
 //
-// -adaptive attaches the control plane of internal/controlplane: a
-// feedback controller snapshots the telemetry registry on a ticker and
-// retunes spin bounds, the optimistic gate, and summary scanning per
-// mechanism group, with hysteresis. With -debug-addr, /debug/semlock
-// reports the live knob values, decide rates, and apply counts per
-// group (the controller registers itself as a policy source). Works in
-// both the MPerf workload mode and the -listen daemon mode.
+// An unknown -policy exits 2 naming the valid ones.
 //
 // -listen switches gossipd from the self-contained MPerf workload to a
 // network daemon: the ours router served over the TCP wire protocol of
@@ -53,7 +46,7 @@
 // breaker and admission gate, and shed messages are counted instead of
 // wedging a worker. With -debug-addr, /debug/semlock additionally
 // reports the live policy state (breaker state, budget level, shed and
-// hedge counts) alongside the lock-group snapshot.
+// retry counts) alongside the lock-group snapshot.
 package main
 
 import (
@@ -64,11 +57,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/apps/gossip"
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/modules/plan"
 	"repro/internal/net/server"
@@ -85,15 +79,18 @@ func main() {
 	unicast := flag.Int("unicast", 10, "percent unicast messages")
 	sendCost := flag.Int("sendcost", 60, "synthetic per-frame I/O cost")
 	workers := flag.Int("workers", 4, "router worker count (the paper's active cores)")
-	policy := flag.String("policy", "", "run one policy only (ours|global|2pl|manual)")
+	policy := flag.String("policy", "", "run one policy only ("+strings.Join(gossip.Policies(), "|")+")")
 	debugAddr := flag.String("debug-addr", "", "serve expvar/pprof/telemetry on this address (e.g. localhost:6060)")
-	resil := flag.Bool("resilience", false, "wrap the ours router in the resilience layer (budgeted retries, breaker, gate, hedged lookups)")
+	resil := flag.Bool("resilience", false, "wrap the ours router in the resilience layer (budgeted retries, breaker, gate)")
 	patience := flag.Duration("patience", 500*time.Microsecond, "with -resilience: per-acquisition patience bound")
 	retries := flag.Int("retries", 2, "with -resilience: budgeted retry attempts per stalled section")
-	hedgeBudget := flag.Duration("hedge-budget", 200*time.Microsecond, "with -resilience: pessimistic latency before a lookup hedges optimistically")
 	listen := flag.String("listen", "", "serve the wire protocol on this TCP address (e.g. :7946) instead of running the MPerf workload")
-	adaptive := flag.Bool("adaptive", false, "attach the adaptive control plane: retune spin bounds, the optimistic gate, and summary scanning per mechanism from live telemetry (ours policy only)")
 	flag.Parse()
+
+	if *policy != "" && !slices.Contains(gossip.Policies(), *policy) {
+		fmt.Fprintf(os.Stderr, "gossipd: unknown policy %q (valid: %s)\n", *policy, strings.Join(gossip.Policies(), ", "))
+		os.Exit(2)
+	}
 
 	if *debugAddr != "" {
 		// Wait-duration sampling is off by default (it costs two clock
@@ -118,7 +115,7 @@ func main() {
 	}
 
 	if *listen != "" {
-		serveListen(*listen, *sendCost, *resil, *adaptive, *debugAddr != "", *patience, *retries, *hedgeBudget)
+		serveListen(*listen, *sendCost, *resil, *debugAddr != "", *patience, *retries)
 		return
 	}
 
@@ -140,8 +137,7 @@ func main() {
 	interrupted := false
 	for _, pol := range want {
 		r := gossip.New(pol, cfg.SendCost, plan.Options{})
-		var ctl *controlplane.Controller
-		if *debugAddr != "" || *adaptive {
+		if *debugAddr != "" {
 			if o, ok := r.(*gossip.Ours); ok {
 				// Live provider: each scrape re-walks the group table, so
 				// new groups appear in later snapshots. MPerf creates its
@@ -153,35 +149,17 @@ func main() {
 				telemetry.Default.RegisterProvider(pol, "Map", o.Sems)
 			}
 		}
-		if *adaptive {
-			if _, ok := r.(*gossip.Ours); ok {
-				ctl = controlplane.New(controlplane.Config{
-					Registry: telemetry.Default,
-					// With a debug listener the operator turned wait timing
-					// on explicitly; don't let the controller toggle it back
-					// off during quiet spells.
-					ManageWaitTiming: *debugAddr == "",
-				})
-				ctl.Start()
-				// The controller registers itself as a policy source, so
-				// /debug/semlock shows live knob values and decide rates
-				// per mechanism group.
-			} else {
-				fmt.Fprintf(os.Stderr, "gossipd: -adaptive applies to the ours policy only; running %s untuned\n", pol)
-			}
-		}
 		var wrapped *gossip.Resilient
 		var mgr *resilience.Manager
 		if *resil {
 			if o, ok := r.(*gossip.Ours); ok {
 				rp := resilience.New("gossipd", resilience.Config{
-					Patience:    *patience,
-					Retries:     *retries,
-					Backoff:     resilience.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
-					HedgeBudget: *hedgeBudget,
-					Budget:      &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e5},
-					Breaker:     &resilience.BreakerConfig{TripStallRate: 1000, Cooldown: time.Millisecond, Probes: 3},
-					Gate:        &resilience.GateConfig{MaxConcurrent: 2 * cfg.Workers, QueueDepth: 4 * cfg.Workers, QueueTimeout: time.Millisecond, PressureOn: 16, PressureOff: 4},
+					Patience: *patience,
+					Retries:  *retries,
+					Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
+					Budget:   &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e5},
+					Breaker:  &resilience.BreakerConfig{TripStallRate: 1000, Cooldown: time.Millisecond, Probes: 3},
+					Gate:     &resilience.GateConfig{MaxConcurrent: 2 * cfg.Workers, QueueDepth: 4 * cfg.Workers, QueueTimeout: time.Millisecond, PressureOn: 16, PressureOff: 4},
 				})
 				wrapped = gossip.NewResilient(o, rp)
 				// nil registry without a debug listener: policy state is
@@ -221,10 +199,6 @@ func main() {
 		elapsed := time.Since(start)
 		if mgr != nil {
 			mgr.Stop()
-		}
-		if ctl != nil {
-			ctl.Stop()
-			fmt.Printf("%-8s adaptive: %d knob applies over %d ticks\n", pol, ctl.Applies(), ctl.Ticks())
 		}
 
 		dropped := uint64(0)
@@ -279,19 +253,18 @@ func main() {
 // serveListen is the -listen daemon mode: the ours router behind the
 // TCP wire protocol, with the same drain discipline and leak audit as
 // the workload mode.
-func serveListen(addr string, sendCost int, resil, adaptive, debug bool, patience time.Duration, retries int, hedgeBudget time.Duration) {
+func serveListen(addr string, sendCost int, resil, debug bool, patience time.Duration, retries int) {
 	waiters0 := core.WaitersOutstanding()
 	cfg := server.Config{Addr: addr, SendCost: sendCost}
 	var mgr *resilience.Manager
 	if resil {
 		rp := resilience.New("gossipd-net", resilience.Config{
-			Patience:    patience,
-			Retries:     retries,
-			Backoff:     resilience.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
-			HedgeBudget: hedgeBudget,
-			Budget:      &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e5},
-			Breaker:     &resilience.BreakerConfig{TripStallRate: 1000, Cooldown: time.Millisecond, Probes: 3},
-			Gate:        &resilience.GateConfig{MaxConcurrent: 64, QueueDepth: 256, QueueTimeout: time.Millisecond, PressureOn: 16, PressureOff: 4},
+			Patience: patience,
+			Retries:  retries,
+			Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
+			Budget:   &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e5},
+			Breaker:  &resilience.BreakerConfig{TripStallRate: 1000, Cooldown: time.Millisecond, Probes: 3},
+			Gate:     &resilience.GateConfig{MaxConcurrent: 64, QueueDepth: 256, QueueTimeout: time.Millisecond, PressureOn: 16, PressureOff: 4},
 		})
 		cfg.Policy = rp
 		var reg *telemetry.Registry
@@ -307,19 +280,9 @@ func serveListen(addr string, sendCost int, resil, adaptive, debug bool, patienc
 		fmt.Fprintf(os.Stderr, "gossipd: listen: %v\n", err)
 		os.Exit(1)
 	}
-	if debug || adaptive {
-		telemetry.Default.RegisterProvider("gossipd-net", "Map", s.Router().Sems)
-	}
 	if debug {
+		telemetry.Default.RegisterProvider("gossipd-net", "Map", s.Router().Sems)
 		telemetry.Default.RegisterNetSource("gossipd-net", s.NetStats)
-	}
-	var ctl *controlplane.Controller
-	if adaptive {
-		ctl = controlplane.New(controlplane.Config{
-			Registry:         telemetry.Default,
-			ManageWaitTiming: !debug,
-		})
-		ctl.Start()
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- s.Serve() }()
@@ -341,10 +304,6 @@ func serveListen(addr string, sendCost int, resil, adaptive, debug bool, patienc
 	}
 	if mgr != nil {
 		mgr.Stop()
-	}
-	if ctl != nil {
-		ctl.Stop()
-		fmt.Printf("gossipd: adaptive: %d knob applies over %d ticks\n", ctl.Applies(), ctl.Ticks())
 	}
 
 	leaked := int64(0)

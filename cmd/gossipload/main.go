@@ -35,7 +35,6 @@ func main() {
 	pipeline := flag.Int("pipeline", 8, "unicasts per pipelined window")
 	payload := flag.Int("payload", 64, "unicast payload bytes")
 	jsonPath := flag.String("json", "", "write the report as JSON to this path (self-hosted only)")
-	adaptive := flag.Bool("adaptive", false, "self-hosted only: attach the adaptive control plane to each cell's server")
 	flag.Parse()
 
 	connList, err := parseInts(*conns)
@@ -54,10 +53,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gossipload: -json requires self-hosted mode (no -addr)")
 			os.Exit(2)
 		}
-		if *adaptive {
-			fmt.Fprintln(os.Stderr, "gossipload: -adaptive requires self-hosted mode (attach the controller to the external server via gossipd -adaptive instead)")
-			os.Exit(2)
-		}
 		driveExternal(*addr, connList, readList, *dur, *pipeline, *payload)
 		return
 	}
@@ -68,7 +63,6 @@ func main() {
 		ReadFracs:    readList,
 		Pipeline:     *pipeline,
 		PayloadBytes: *payload,
-		Adaptive:     *adaptive,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gossipload: %v\n", err)

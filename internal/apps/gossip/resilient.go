@@ -1,9 +1,8 @@
 // Resilient is the gossip router under the resilience layer: every
 // section runs through a resilience.Policy — admission-gated, breaker-
 // checked, bounded-patience acquisitions with budgeted retries — and the
-// read-only membership probe gets a hedged variant that races the
-// pessimistic acquisition against the optimistic envelope when the
-// pessimistic side exceeds its latency budget.
+// read-only membership probe (LookupErrV) tries the optimistic envelope
+// before its bounded pessimistic fallback.
 //
 // The sections keep the irrevocability discipline of Ours: every ADT
 // mutation and every I/O happens only after the last acquisition of the
@@ -17,7 +16,6 @@ package gossip
 import (
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/resilience"
 )
 
@@ -95,43 +93,4 @@ func (r *Resilient) UnicastErr(group, dst string, payload []byte) error {
 // MulticastErr is the multicast section under the policy.
 func (r *Resilient) MulticastErr(group string, payload []byte) error {
 	return r.MulticastErrV(group, payload)
-}
-
-// LookupHedged is the membership probe as a hedged read: the
-// pessimistic acquisition runs with the policy's patience and a cancel
-// channel; if it exceeds the hedge budget, the optimistic envelope —
-// observing exactly the modes the pessimistic side locks — races it,
-// and the loser is cancelled (the pessimistic side withdraws its
-// waiter cleanly, holding nothing). Both sides compute the same
-// membership answer, so whichever commits is a correct serializable
-// read.
-func (r *Resilient) LookupHedged(group, member string) (bool, resilience.HedgeOutcome, error) {
-	g, m := core.Value(group), core.Value(member)
-	return resilience.HedgedRead(r.policy,
-		func(tx *core.Txn, cancel <-chan struct{}) (bool, error) {
-			if err := r.policy.AcquireCancel(tx, r.groupsSem, r.uniGRef.Mode1(g), r.groupsRank, cancel); err != nil {
-				return false, err
-			}
-			if v := r.groups.Get(g); v != nil {
-				mm := v.(*memberMap)
-				if err := r.policy.AcquireCancel(tx, mm.sem, r.uniMemRef.Mode1(m), r.memRank, cancel); err != nil {
-					return false, err
-				}
-				return mm.m.Get(m) != nil, nil
-			}
-			return false, nil
-		},
-		func(tx *core.Txn) (bool, bool) {
-			if !tx.Observe(r.groupsSem, r.uniGRef.Mode1(g), r.groupsRank) {
-				return false, false
-			}
-			if v := r.groups.Get(g); v != nil {
-				mm := v.(*memberMap)
-				if !tx.Observe(mm.sem, r.uniMemRef.Mode1(m), r.memRank) {
-					return false, false
-				}
-				return mm.m.Get(m) != nil, true
-			}
-			return false, true
-		})
 }

@@ -69,13 +69,13 @@ func TestResilientRouterShedsAndRecovers(t *testing.T) {
 	if err := r.UnicastErr("g", "m1", []byte("x")); err != nil {
 		t.Fatalf("UnicastErr after recovery: %v", err)
 	}
-	found, _, err := r.LookupHedged("g", "m3")
+	found, err := r.LookupErrV("g", "m3")
 	if err != nil || !found {
-		t.Fatalf("LookupHedged(g, m3) = (%v, %v), want (true, nil)", found, err)
+		t.Fatalf("LookupErrV(g, m3) = (%v, %v), want (true, nil)", found, err)
 	}
-	found, _, err = r.LookupHedged("g", "nobody")
+	found, err = r.LookupErrV("g", "nobody")
 	if err != nil || found {
-		t.Fatalf("LookupHedged(g, nobody) = (%v, %v), want (false, nil)", found, err)
+		t.Fatalf("LookupErrV(g, nobody) = (%v, %v), want (false, nil)", found, err)
 	}
 	for _, sem := range o.Sems() {
 		if err := sem.CheckQuiesced(); err != nil {
@@ -85,18 +85,17 @@ func TestResilientRouterShedsAndRecovers(t *testing.T) {
 }
 
 // TestResilientRouterHammer races all four policy-guarded operations
-// and hedged lookups across groups while a saboteur repeatedly parks on
+// and policied lookups across groups while a saboteur repeatedly parks on
 // the register fault point of one hot group. Run under -race; the
 // invariants are liveness (no wedged goroutine survives the hammer),
 // no leaked waiters, and quiesced locks.
 func TestResilientRouterHammer(t *testing.T) {
 	o := NewOurs(0, plan.Options{})
 	p := resilience.New("gossip", resilience.Config{
-		Patience:    time.Millisecond,
-		Retries:     5,
-		Backoff:     resilience.Backoff{Base: 20 * time.Microsecond, Max: 200 * time.Microsecond},
-		Budget:      &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e6},
-		HedgeBudget: 100 * time.Microsecond,
+		Patience: time.Millisecond,
+		Retries:  5,
+		Backoff:  resilience.Backoff{Base: 20 * time.Microsecond, Max: 200 * time.Microsecond},
+		Budget:   &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e6},
 	})
 	r := NewResilient(o, p)
 	groups := []string{"hot", "warm", "cold"}
@@ -143,7 +142,7 @@ func TestResilientRouterHammer(t *testing.T) {
 				case 2:
 					r.Multicast(g, []byte("y"))
 				case 3:
-					if _, _, err := r.LookupHedged(g, "seed"); err == nil {
+					if _, err := r.LookupErrV(g, "seed"); err == nil {
 						lookups.Add(1)
 					}
 				}

@@ -1,7 +1,7 @@
 // Package rangestore is a range-sharded key-value store: the second
-// workload of the hybrid optimistic/pessimistic experiments (benchall
-// -exp optimistic and -exp adaptive), the store behind the gated
-// rangestore-scan workload of benchmark/, and the example in
+// workload of the hybrid optimistic/pessimistic experiments (the
+// retired benchall -exp optimistic and -exp adaptive), the store behind
+// the gated rangestore-scan workload of benchmark/, and the example in
 // examples/rangestore. Keys [0, Capacity) are partitioned into
 // contiguous ranges, one shard — an adt.HashMap plus its own Semantic
 // lock — per range. Point writes lock one shard's key mode; the pair

@@ -13,11 +13,10 @@ import (
 
 func testPolicy() *resilience.Policy {
 	return resilience.New("rs", resilience.Config{
-		Patience:    2 * time.Millisecond,
-		Retries:     20,
-		Backoff:     resilience.Backoff{Base: 20 * time.Microsecond, Max: 500 * time.Microsecond},
-		Budget:      &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e6},
-		HedgeBudget: 50 * time.Microsecond,
+		Patience: 2 * time.Millisecond,
+		Retries:  20,
+		Backoff:  resilience.Backoff{Base: 20 * time.Microsecond, Max: 500 * time.Microsecond},
+		Budget:   &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e6},
 	})
 }
 
@@ -26,33 +25,31 @@ func TestResilientPointOps(t *testing.T) {
 	if err := r.PutErr(3, "x"); err != nil {
 		t.Fatalf("PutErr: %v", err)
 	}
-	v, _, err := r.GetHedged(3)
-	if err != nil || v != "x" {
-		t.Fatalf("GetHedged(3) = (%v, %v), want (x, nil)", v, err)
+	if v := r.Get(3); v != "x" {
+		t.Fatalf("Get(3) = %v, want x", v)
 	}
 	if err := r.PutPairErr(5); err != nil {
 		t.Fatalf("PutPairErr: %v", err)
 	}
-	n, _, err := r.ScanHedged()
-	if err != nil || n != 3 {
-		t.Fatalf("ScanHedged = (%d, %v), want (3, nil)", n, err)
+	if n := r.Scan(); n != 3 {
+		t.Fatalf("Scan = %d, want 3", n)
 	}
 }
 
-// TestResilientScanOracleHedged hammers hedged scans and hedged point
-// reads against policy-guarded pair toggles. PutPairErr keeps the entry
-// count even in every serial state (mutations run only after both shard
-// locks are held, and a stalled attempt toggles nothing), so ANY hedged
-// scan returning an odd count — from the pessimistic side, the
-// optimistic side, or a cancelled-loser interleaving — is a torn read
-// that escaped validation. Run under -race.
-func TestResilientScanOracleHedged(t *testing.T) {
+// TestResilientScanOracle hammers scans and point reads against
+// policy-guarded pair toggles. PutPairErr keeps the entry count even in
+// every serial state (mutations run only after both shard locks are
+// held, and a stalled attempt toggles nothing), so ANY scan returning
+// an odd count — validated optimistic or pessimistic fallback — is a
+// torn read, or a stalled toggle that left half its pair behind. Run
+// under -race.
+func TestResilientScanOracle(t *testing.T) {
 	s := New(8, 256)
 	r := NewResilient(s, testPolicy())
 	const writers, scanners = 2, 4
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var scans, hedgeWins, toggles atomic.Int64
+	var scans, toggles atomic.Int64
 
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -86,27 +83,12 @@ func TestResilientScanOracleHedged(t *testing.T) {
 					return
 				default:
 				}
-				n, outcome, err := r.ScanHedged()
-				if err != nil {
-					if !resilience.Retryable(err) && !errors.Is(err, resilience.ErrBudgetExhausted) {
-						t.Errorf("ScanHedged: %v", err)
-						return
-					}
-					continue
-				}
-				if n%2 != 0 {
-					t.Errorf("torn scan: count %d is odd (outcome %v)", n, outcome)
+				if n := r.Scan(); n%2 != 0 {
+					t.Errorf("torn scan: count %d is odd", n)
 					return
 				}
 				scans.Add(1)
-				if outcome == resilience.HedgeWon {
-					hedgeWins.Add(1)
-				}
-				if _, _, err := r.GetHedged(k % s.Capacity()); err != nil &&
-					!resilience.Retryable(err) && !errors.Is(err, resilience.ErrBudgetExhausted) {
-					t.Errorf("GetHedged: %v", err)
-					return
-				}
+				r.Get(k % s.Capacity())
 				k += 3
 			}
 		}(g)
@@ -118,7 +100,7 @@ func TestResilientScanOracleHedged(t *testing.T) {
 	if scans.Load() == 0 || toggles.Load() == 0 {
 		t.Fatalf("hammer did no work: scans=%d toggles=%d", scans.Load(), toggles.Load())
 	}
-	t.Logf("scans=%d hedgeWins=%d toggles=%d", scans.Load(), hedgeWins.Load(), toggles.Load())
+	t.Logf("scans=%d toggles=%d", scans.Load(), toggles.Load())
 	for _, sem := range s.Sems() {
 		if err := sem.CheckQuiesced(); err != nil {
 			t.Fatal(err)

@@ -67,15 +67,13 @@ type ChaosCell struct {
 	// Resilience accounting, populated only by the policied cell:
 	// operations the policy dropped instead of wedging on (stalled past
 	// the retry budget, shed by the gate, or refused by the breaker),
-	// and the hedged-lookup counters. The recovery criteria apply to
+	// and the breaker's own counts. The recovery criteria apply to
 	// the policied cell unchanged — absorbing faults by dropping work
 	// must still leave zero leaked locks and a recovered throughput.
 	Dropped        uint64 `json:"dropped_ops,omitempty"`
 	Shed           uint64 `json:"shed_ops,omitempty"`
 	BreakerTrips   uint64 `json:"breaker_trips,omitempty"`
 	BreakerRejects uint64 `json:"breaker_rejects,omitempty"`
-	Hedges         uint64 `json:"hedges_launched,omitempty"`
-	HedgeWins      uint64 `json:"hedge_wins,omitempty"`
 }
 
 // ChaosReport is the full result of the chaos experiment, the content
@@ -236,17 +234,16 @@ func chaosGossipCell(cfg ChaosConfig) ChaosCell {
 // on — stalled past the retry budget, shed, or breaker-refused — are
 // dropped (counted) instead of blocking until the fault clears; the
 // structural recovery criteria apply unchanged, and the policy's
-// shed/hedge counters land in the cell for the -chaos-strict artifact.
+// shed/breaker counters land in the cell for the -chaos-strict artifact.
 func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 	o := gossip.NewOurs(0, plan.Options{})
 	inj := chaosInjector()
 	o.FaultHook = inj.Hook
 	pol := resilience.New("gossip-chaos", resilience.Config{
-		Patience:    500 * time.Microsecond,
-		Retries:     3,
-		Backoff:     resilience.Backoff{Base: 50 * time.Microsecond, Max: 500 * time.Microsecond},
-		Budget:      &resilience.BudgetConfig{Capacity: 5000, RefillPerSec: 50000},
-		HedgeBudget: 200 * time.Microsecond,
+		Patience: 500 * time.Microsecond,
+		Retries:  3,
+		Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: 500 * time.Microsecond},
+		Budget:   &resilience.BudgetConfig{Capacity: 5000, RefillPerSec: 50000},
 		Breaker: &resilience.BreakerConfig{
 			Window:        100 * time.Millisecond,
 			Buckets:       4,
@@ -290,7 +287,7 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 						case op < 50:
 							err = r.UnicastErr(g, m, payload)
 						case op < 60:
-							_, _, err = r.LookupHedged(g, m)
+							_, err = r.LookupErrV(g, m)
 						default:
 							err = r.MulticastErr(g, payload)
 						}
@@ -312,9 +309,6 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 	cell.Dropped = dropped.Load()
 	for _, row := range pol.Stats() {
 		switch row.Kind {
-		case "policy":
-			cell.Hedges = row.Counters["hedges_launched"]
-			cell.HedgeWins = row.Counters["hedge_wins"]
 		case "breaker":
 			cell.BreakerTrips = row.Counters["tripped"]
 			cell.BreakerRejects = row.Counters["rejected"]
@@ -422,9 +416,9 @@ func (r *ChaosReport) Format() string {
 			c.App, c.Panics, c.SlowHolds, c.Delays, c.StallReports, c.LeakedLocks)
 		fmt.Fprintf(&b, "  telemetry: outstanding-holds=%d recovered-panics=%d leaked-waiters=%d\n",
 			c.TelemetryHolds, c.RecoveredPanics, c.LeakedWaiters)
-		if c.Dropped+c.Shed+c.BreakerTrips+c.Hedges > 0 {
-			fmt.Fprintf(&b, "  resilience: dropped=%d shed=%d breaker-trips=%d breaker-rejects=%d hedges=%d hedge-wins=%d\n",
-				c.Dropped, c.Shed, c.BreakerTrips, c.BreakerRejects, c.Hedges, c.HedgeWins)
+		if c.Dropped+c.Shed+c.BreakerTrips > 0 {
+			fmt.Fprintf(&b, "  resilience: dropped=%d shed=%d breaker-trips=%d breaker-rejects=%d\n",
+				c.Dropped, c.Shed, c.BreakerTrips, c.BreakerRejects)
 		}
 		if c.QuiesceError != "" {
 			fmt.Fprintf(&b, "  QUIESCE FAILED: %s\n", c.QuiesceError)

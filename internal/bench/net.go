@@ -7,12 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/net/client"
 	"repro/internal/net/server"
 	"repro/internal/net/wire"
-	"repro/internal/telemetry"
 )
 
 // NetBench is the networked-gossipd experiment behind `benchall -exp
@@ -41,7 +39,6 @@ type NetConfig struct {
 	Pipeline     int           // unicasts per pipelined window (default 8)
 	PayloadBytes int           // unicast payload (default 64)
 	SendCost     int           // synthetic sink I/O cost (default 0)
-	Adaptive     bool          // attach the adaptive control plane to each cell's server
 }
 
 // NetPoint is one (conns, read fraction) cell.
@@ -134,23 +131,6 @@ func netCell(cfg NetConfig, conns int, readFrac float64) (NetPoint, error) {
 		return NetPoint{}, err
 	}
 	go s.Serve()
-
-	if cfg.Adaptive {
-		// Controller per cell, like the server: fresh knob state per
-		// sweep point, stopped (and its applied knobs left in place —
-		// the server is discarded with them) on cell teardown.
-		reg := telemetry.NewRegistry()
-		// Live provider, not a static list: the router's groups are
-		// created lazily by the clients' Register frames, after this
-		// point.
-		reg.RegisterProvider("net", "Map", s.Router().Sems)
-		ctl := controlplane.New(controlplane.Config{
-			Registry: reg,
-			Interval: 5 * time.Millisecond,
-		})
-		ctl.Start()
-		defer ctl.Stop()
-	}
 
 	res, err := client.RunLoad(client.LoadConfig{
 		Addr:         s.Addr().String(),

@@ -16,7 +16,6 @@ type Formatter interface{ Format() string }
 
 // RunOptions carries benchall's flags to the report that reads them.
 type RunOptions struct {
-	Scale    int           // -scale: operations per thread (adaptive)
 	NetConns []int         // -netconns: connection sweep (net)
 	NetDur   time.Duration // -netdur: per-cell window (net)
 }
@@ -51,9 +50,10 @@ type Report struct {
 }
 
 // Reports lists the experiments that write a BENCH_<id>.json. The
-// retired ones (lockmech, hotpath, optimistic, telemetry) keep their
-// committed JSON as history and have no entry: their ids are unknown.
-var Reports = []*Report{&chaosReport, &resilienceReport, &netReport, &adaptiveReport}
+// retired ones (lockmech, hotpath, optimistic, telemetry, adaptive)
+// keep their committed JSON as history and have no entry: their ids are
+// unknown.
+var Reports = []*Report{&chaosReport, &resilienceReport, &netReport}
 
 // formatCriteria is the tail every report's Format ends with.
 func formatCriteria(criteria map[string]float64) string {

@@ -26,7 +26,6 @@ func TestReportsTable(t *testing.T) {
 		"chaos":      ChaosReport{},
 		"resilience": ResilienceReport{},
 		"net":        NetReport{},
-		"adaptive":   AdaptiveReport{},
 	}
 	ids, files := map[string]bool{}, map[string]bool{}
 	for _, r := range Reports {
@@ -53,7 +52,7 @@ func TestReportsTable(t *testing.T) {
 // TestRetiredReportsUnknown: the experiments whose JSON stays as history
 // have no id and no schema.
 func TestRetiredReportsUnknown(t *testing.T) {
-	for _, id := range []string{"hotpath", "optimistic", "telemetry", "lockmech"} {
+	for _, id := range []string{"hotpath", "optimistic", "telemetry", "lockmech", "adaptive"} {
 		for _, r := range Reports {
 			if r.ID == id {
 				t.Errorf("retired id %q is still in Reports", id)

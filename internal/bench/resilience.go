@@ -24,7 +24,8 @@ import (
 // same mixed workload twice — policies OFF (the plain blocking router)
 // and policies ON (bounded-patience acquisitions, budgeted retries, a
 // per-traffic-class circuit breaker and admission gate on the hot
-// class, hedged lookups) — and the report's retention curve is the
+// class, lookups that try the optimistic envelope first) — and the
+// report's retention curve is the
 // ratio of completed operations per second, ON over OFF.
 //
 // The injection is time-based, not op-count-based, deliberately: a
@@ -58,8 +59,6 @@ type ResiliencePoint struct {
 	BreakerRejects uint64 `json:"breaker_rejects"` // attempts refused while open
 	Retries        uint64 `json:"retries"`         // budgeted re-attempts
 	BudgetDenied   uint64 `json:"budget_denied"`   // retries refused by the token bucket
-	Hedges         uint64 `json:"hedges_launched"` // optimistic hedges launched by slow lookups
-	HedgeWins      uint64 `json:"hedge_wins"`      // hedges that beat the pessimistic side
 
 	LeakedLocks   int64  `json:"leaked_locks"`   // outstanding holds after the ON run; must be 0
 	LeakedWaiters int64  `json:"leaked_waiters"` // registered-waiter delta after the ON run; must be 0
@@ -205,17 +204,16 @@ func resilienceOp(i int) (string, string) {
 // the hot class gets the full stack — tight patience, one budgeted
 // retry, a breaker tripping on the unified stall feed with a short
 // cooldown (open = fast-fail shedding during a hold, probe recovery
-// after), an admission gate pressured by the parked-waiter gauge, and a
-// hedge budget for lookups — while the cold class runs with bounded
+// after), and an admission gate pressured by the parked-waiter gauge —
+// while the cold class runs with bounded
 // patience and retries only (its traffic is healthy; a process-wide
 // breaker would punish it for the hot class's stalls).
 func resiliencePolicies() (hot, cold *resilience.Policy) {
 	hot = resilience.New("gossip-hot", resilience.Config{
-		Patience:    300 * time.Microsecond,
-		Retries:     1,
-		Backoff:     resilience.Backoff{Base: 50 * time.Microsecond, Max: 200 * time.Microsecond},
-		Budget:      &resilience.BudgetConfig{Capacity: 2000, RefillPerSec: 20000},
-		HedgeBudget: 150 * time.Microsecond,
+		Patience: 300 * time.Microsecond,
+		Retries:  1,
+		Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: 200 * time.Microsecond},
+		Budget:   &resilience.BudgetConfig{Capacity: 2000, RefillPerSec: 20000},
 		Breaker: &resilience.BreakerConfig{
 			Window:        100 * time.Millisecond,
 			Buckets:       4,
@@ -232,11 +230,10 @@ func resiliencePolicies() (hot, cold *resilience.Policy) {
 		},
 	})
 	cold = resilience.New("gossip-cold", resilience.Config{
-		Patience:    300 * time.Microsecond,
-		Retries:     1,
-		Backoff:     resilience.Backoff{Base: 50 * time.Microsecond, Max: 200 * time.Microsecond},
-		Budget:      &resilience.BudgetConfig{Capacity: 2000, RefillPerSec: 20000},
-		HedgeBudget: 150 * time.Microsecond,
+		Patience: 300 * time.Microsecond,
+		Retries:  1,
+		Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: 200 * time.Microsecond},
+		Budget:   &resilience.BudgetConfig{Capacity: 2000, RefillPerSec: 20000},
 	})
 	return hot, cold
 }
@@ -285,7 +282,7 @@ func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint
 				case 2:
 					err = r.MulticastErr(g, payload)
 				default:
-					_, _, err = r.LookupHedged(g, m)
+					_, err = r.LookupErrV(g, m)
 				}
 				if err == nil {
 					ops.Add(1)
@@ -317,8 +314,6 @@ func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint
 		switch row.Kind {
 		case "policy":
 			pt.Retries += row.Counters["retries"]
-			pt.Hedges += row.Counters["hedges_launched"]
-			pt.HedgeWins += row.Counters["hedge_wins"]
 		case "budget":
 			pt.BudgetDenied += row.Counters["denied"]
 		case "breaker":
@@ -399,12 +394,12 @@ func (r *ResilienceReport) Format() string {
 	fmt.Fprintf(&b, "Resilience — graceful degradation under slow-hold injection, GOMAXPROCS=%d\n", r.GOMAXPROCS)
 	fmt.Fprintf(&b, "(%d workers, %.0fms cells, saboteur re-hold every %.0fms; ops/sec are completed operations)\n",
 		r.Workers, r.CellSec*1000, r.IntervalMS)
-	fmt.Fprintf(&b, "%-9s%14s%14s%11s%9s%8s%9s%9s%8s%8s\n",
-		"hold(ms)", "off ops/s", "on ops/s", "retention", "dropped", "shed", "b.trips", "retries", "hedges", "h.wins")
+	fmt.Fprintf(&b, "%-9s%14s%14s%11s%9s%8s%9s%9s\n",
+		"hold(ms)", "off ops/s", "on ops/s", "retention", "dropped", "shed", "b.trips", "retries")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-9.1f%14.0f%14.0f%11.2f%9d%8d%9d%9d%8d%8d\n",
+		fmt.Fprintf(&b, "%-9.1f%14.0f%14.0f%11.2f%9d%8d%9d%9d\n",
 			p.HoldMS, p.OffOpsPerSec, p.OnOpsPerSec, p.Retention,
-			p.Dropped, p.Shed, p.BreakerTrips, p.Retries, p.Hedges, p.HedgeWins)
+			p.Dropped, p.Shed, p.BreakerTrips, p.Retries)
 	}
 	fmt.Fprintf(&b, "\npolicy state (max-hold cell):\n")
 	for _, row := range r.Policies {

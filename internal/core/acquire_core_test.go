@@ -11,10 +11,10 @@ import (
 
 // Tests for the one acquisition core (mechV2.acquireSlow): every shape
 // of scan — one mode, a batch inside one mechanism, a batch spanning two
-// — crossed with every way a parked acquisition can end — woken by a
-// release, out of patience, canceled — with summary counters on and off.
-// The batch × timeout and batch × cancel cells have no other entry
-// point; the rest pin that the merged loop kept each family's contract.
+// — crossed with both ways a parked acquisition can end — woken by a
+// release, or out of patience — with summary counters on and off. The
+// batch × timeout cells have no other entry point; the rest pin that
+// the merged loop kept each family's contract.
 
 // twinSpec is two independent maps in one ADT: putL/sizeL and putR/sizeR
 // behave like mapSpec's put/size, and every L method commutes with every
@@ -120,7 +120,7 @@ func waitParked(t *testing.T, s *Semantic, waits uint64) {
 func TestAcquireCoreTable(t *testing.T) {
 	for _, tc := range coreTables {
 		for _, shape := range coreShapes {
-			for _, ending := range []string{"blocking", "timeout", "cancel"} {
+			for _, ending := range []string{"blocking", "timeout"} {
 				t.Run(tc.name+"/"+shape.name+"/"+ending, func(t *testing.T) {
 					tw := newTwinTable(t, tc.n, tc.summary)
 					s := NewSemantic(tw.tbl)
@@ -129,27 +129,21 @@ func TestAcquireCoreTable(t *testing.T) {
 					s.Acquire(blocker)
 					v0 := s.Version(blocker)
 
-					patience, cancel := Forever, chan struct{}(nil)
-					switch ending {
-					case "timeout":
+					patience := Forever
+					if ending == "timeout" {
 						patience = 30 * time.Millisecond
-					case "cancel":
-						patience, cancel = time.Minute, make(chan struct{})
 					}
 					done := make(chan error, 1)
-					go func() { done <- s.acquireBatch(modes, patience, cancel, nil) }()
+					go func() { done <- s.acquireBatch(modes, patience, nil) }()
 					waitParked(t, s, 1)
 
-					switch ending {
-					case "blocking":
+					if ending == "blocking" {
 						select {
 						case err := <-done:
 							t.Fatalf("acquired against a conflicting holder: %v", err)
 						case <-time.After(20 * time.Millisecond):
 						}
 						s.Release(blocker)
-					case "cancel":
-						close(cancel)
 					}
 					var err error
 					select {
@@ -187,10 +181,6 @@ func TestAcquireCoreTable(t *testing.T) {
 						}
 						if stall.Waited < patience {
 							t.Errorf("Waited = %v, below patience %v", stall.Waited, patience)
-						}
-					case "cancel":
-						if !errors.Is(err, ErrCanceled) {
-							t.Fatalf("want ErrCanceled, got %v", err)
 						}
 					}
 					if ending != "blocking" {
@@ -329,67 +319,66 @@ func TestAcquireGroupsOpposedOrders(t *testing.T) {
 // TestWithdrawRedonatesToken: a wake token that lands on a waiter
 // already on its way out is forwarded, so a second waiter on an
 // overlapping mask acquires without any further release. The orphan is
-// built by hand: the test holds the mechanism's lock while the canceled
-// waiter is between its select and its withdrawal, drops the holder's
-// count without the wake a Release would send, and leaves the only
-// token with the waiter that is leaving.
+// built by hand and deterministically: the test holds the mechanism's
+// lock across the leaving waiter's deadline, so its timer is the only
+// arm its select can take and it queues on mu; then it drops one holder
+// without the wake a Release would send and leaves the only token with
+// the waiter that is leaving. A second holder keeps that waiter's final
+// claim-and-scan failing, so it withdraws rather than acquires.
 func TestWithdrawRedonatesToken(t *testing.T) {
 	tw := newTwinTable(t, 4, false)
-	want, hold := tw.put("L", 1), tw.size("L")
-	mech := func(s *Semantic) *mechV2 { return &s.mechs[tw.tbl.part[hold]] }
+	// The leaving waiter wants size (conflicts with both puts); the one
+	// that stays wants put(1) (conflicts with put(1) and size). Their
+	// masks overlap on put(1)'s slot.
+	leave, want := tw.size("L"), tw.put("L", 1)
+	hold1, hold2 := tw.put("L", 1), tw.put("L", 2)
+	s := NewSemantic(tw.tbl)
+	mech := &s.mechs[tw.tbl.part[leave]]
+	// No lock-free attempts: their retreats send wake tokens of their
+	// own, and the only token in play must be the one planted below.
+	s.DisableFastPath = true
+	s.Acquire(hold1)
+	s.Acquire(hold2)
 	leaving := []Acquisition{{ID: 1 << 40}} // marks the waiter that will withdraw
+	const patience = 20 * time.Millisecond
+	stalled := make(chan error, 1)
+	go func() { stalled <- s.acquireWithin(leave, patience, leaving) }()
+	stays := make(chan struct{})
+	go func() { s.Acquire(want); close(stays) }()
+	waitParked(t, s, 2)
 
-	for attempt := 0; attempt < 10; attempt++ {
-		s := NewSemantic(tw.tbl)
-		// No lock-free attempts: their retreats send wake tokens of their
-		// own, and the only token in play must be the one planted below.
-		s.DisableFastPath = true
-		s.Acquire(hold)
-		cancel := make(chan struct{})
-		canceled := make(chan error, 1)
-		go func() { canceled <- s.acquireWithin(want, time.Minute, cancel, leaving) }()
-		stays := make(chan struct{})
-		go func() { s.Acquire(want); close(stays) }()
-		waitParked(t, s, 2)
-
-		m := mech(s)
-		m.mu.Lock()
-		close(cancel)
-		time.Sleep(20 * time.Millisecond) // the canceled waiter leaves its select and queues on mu
-		m.retreat(int32(tw.tbl.localIdx[hold]))
-		for _, w := range m.waiters {
-			if len(w.log) == 1 && w.log[0].ID == leaving[0].ID {
-				select {
-				case w.ch <- struct{}{}:
-				default:
-				}
+	mech.mu.Lock()
+	time.Sleep(patience + 30*time.Millisecond) // the leaving waiter's timer fires; it queues on mu
+	mech.retreat(int32(tw.tbl.localIdx[hold1]))
+	planted := false
+	for _, w := range mech.waiters {
+		if len(w.log) == 1 && w.log[0].ID == leaving[0].ID {
+			select {
+			case w.ch <- struct{}{}:
+				planted = true
+			default:
 			}
 		}
-		m.mu.Unlock()
-
-		if err := <-canceled; err == nil {
-			// The waiter was still inside its select when the token
-			// arrived and took it instead of the cancel: it acquired.
-			// Not the interleaving under test; clear up and go again.
-			s.Release(want)
-			<-stays
-			s.Release(want)
-			continue
-		} else if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("want ErrCanceled, got %v", err)
-		}
-		select {
-		case <-stays:
-		case <-time.After(5 * time.Second):
-			t.Fatal("orphaned wake token was not re-donated: the remaining waiter is stranded")
-		}
-		s.Release(want)
-		if err := s.CheckQuiesced(); err != nil {
-			t.Fatal(err)
-		}
-		return
 	}
-	t.Skip("never caught the canceled waiter between select and withdrawal")
+	mech.mu.Unlock()
+	if !planted {
+		t.Fatal("test premise: the leaving waiter is registered with an empty channel")
+	}
+
+	var stall *StallError
+	if err := <-stalled; !errors.As(err, &stall) {
+		t.Fatalf("leaving waiter: want *StallError, got %v", err)
+	}
+	select {
+	case <-stays:
+	case <-time.After(5 * time.Second):
+		t.Fatal("orphaned wake token was not re-donated: the remaining waiter is stranded")
+	}
+	s.Release(want)
+	s.Release(hold2)
+	if err := s.CheckQuiesced(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAcquireCoreHammer races every shape and every ending against each
@@ -450,15 +439,11 @@ func TestAcquireCoreHammer(t *testing.T) {
 								modes[j] = tw.put(sides[p.side], p.key)
 							}
 						}
-						patience, cancel := Forever, chan struct{}(nil)
-						switch rng.Intn(3) {
-						case 1:
+						patience := Forever
+						if rng.Intn(2) == 1 {
 							patience = time.Duration(rng.Intn(300)) * time.Microsecond
-						case 2:
-							patience, cancel = time.Second, make(chan struct{})
-							time.AfterFunc(time.Duration(rng.Intn(300))*time.Microsecond, func() { close(cancel) })
 						}
-						if s.acquireBatch(modes, patience, cancel, nil) != nil {
+						if s.acquireBatch(modes, patience, nil) != nil {
 							continue
 						}
 						for _, p := range picks {

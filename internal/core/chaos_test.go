@@ -156,6 +156,101 @@ func TestChaosTimeoutReleaseRace(t *testing.T) {
 	})
 }
 
+// TestChaosPatienceExpiresAtRelease aims each waiter's deadline at the
+// instant the holder releases, a few tens of microseconds either side,
+// so the timer, the release's wake token and the final claim-and-scan
+// land together. Whichever wins — acquired on the wake, acquired at the
+// final scan, or withdrawn with a token to re-donate — every round must
+// end quiescent with nothing leaked. Run under -race.
+func TestChaosPatienceExpiresAtRelease(t *testing.T) {
+	tbl := mapTable(t, 1, TableOptions{})
+	s := NewSemantic(tbl)
+	km := keyMode(tbl, 1)
+	rounds := 300
+	if testing.Short() {
+		rounds = 50
+	}
+	for r := 0; r < rounds; r++ {
+		s.Acquire(km)
+		releaseAt := time.Now().Add(time.Duration(300+(r*37)%1500) * time.Microsecond)
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				skew := time.Duration((r*7+w*53)%101-50) * time.Microsecond
+				if err := s.AcquireWithin(km, time.Until(releaseAt)+skew); err == nil {
+					s.Release(km)
+				}
+			}(w)
+		}
+		time.Sleep(time.Until(releaseAt))
+		s.Release(km)
+		wg.Wait()
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	if n := WaitersOutstanding(); n != 0 {
+		t.Fatalf("waiter free-list leaked: %d outstanding", n)
+	}
+}
+
+// TestChaosLockWithinTimeoutLeavesTxnUntouched: a LockWithin whose
+// patience expires at the instant the conflicting holder releases
+// either acquires and records the hold, or returns a *StallError with
+// the transaction exactly as it was — earlier holds intact, nothing
+// recorded for the failed acquisition, no claim left on the instance.
+func TestChaosLockWithinTimeoutLeavesTxnUntouched(t *testing.T) {
+	tbl := mapTable(t, 1, TableOptions{})
+	s := NewSemantic(tbl)
+	other := NewSemantic(tbl)
+	km := keyMode(tbl, 2)
+	rounds := 200
+	if testing.Short() {
+		rounds = 40
+	}
+	for r := 0; r < rounds; r++ {
+		s.Acquire(km)
+		tx := NewCheckedTxn()
+		tx.Lock(other, keyMode(tbl, 1), 0)
+
+		releaseAt := time.Now().Add(time.Duration(300+(r*37)%1200) * time.Microsecond)
+		skew := time.Duration((r*13)%101-50) * time.Microsecond
+		done := make(chan error, 1)
+		go func() { done <- tx.LockWithin(s, km, 1, time.Until(releaseAt)+skew) }()
+		time.Sleep(time.Until(releaseAt))
+		s.Release(km)
+		err := <-done
+
+		var stall *StallError
+		switch {
+		case err == nil:
+			if tx.HeldCount() != 2 || !tx.Holds(s) {
+				t.Fatalf("round %d: acquired but holds %d (s held %v)", r, tx.HeldCount(), tx.Holds(s))
+			}
+		case errors.As(err, &stall):
+			if tx.HeldCount() != 1 || tx.Holds(s) || !tx.Holds(other) {
+				t.Fatalf("round %d: timed-out LockWithin changed holds: %d (s held %v)", r, tx.HeldCount(), tx.Holds(s))
+			}
+			if s.Holders(km) != 0 {
+				t.Fatalf("round %d: timed-out LockWithin left %d claim(s)", r, s.Holders(km))
+			}
+		default:
+			t.Fatalf("round %d: want nil or *StallError, got %v", r, err)
+		}
+		tx.UnlockAll()
+		for _, inst := range []*Semantic{s, other} {
+			if err := inst.CheckQuiesced(); err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+	}
+	if n := WaitersOutstanding(); n != 0 {
+		t.Fatalf("waiter free-list leaked: %d outstanding", n)
+	}
+}
+
 // TestChaosAtomicallyPanicReleasesLocks: a panic inside an atomic
 // section releases every held lock before unwinding as *SectionPanic,
 // and Txn.Abort releases and returns normally.

@@ -59,7 +59,7 @@ type LockStats struct {
 // which only telemetry consumers should pay for.
 var waitSampling atomic.Bool
 
-// SetWaitTiming (internal/core/tuning.go) flips this switch; it also
+// SetWaitTiming (internal/core/stall.go) flips this switch; it also
 // records the enable instant so waiters parked before the flip settle
 // with a lower-bound wait instead of none at all.
 
@@ -87,16 +87,14 @@ type Semantic struct {
 	// (Txn.TryOptimistic). optHits/optRetries are the cumulative
 	// validation outcomes reported in LockStats, and their sum is the
 	// gate's window position; the two gate cells implement the windowed
-	// failure-rate hysteresis of optimisticAllowed/recordValidation,
-	// parameterized by optParams — the packed, runtime-tunable gate
-	// quadruple (see OptGateParams). All padded: they sit on the
-	// section hot path of read-mostly workloads.
+	// failure-rate hysteresis of optimisticAllowed/recordValidation.
+	// All padded: they sit on the section hot path of read-mostly
+	// workloads.
 	optHits    padded.Uint64
 	optRetries padded.Uint64
 	optRefused padded.Uint64 // observe-time turn-aways; never enter the gate window
 	optGate    padded.Uint64 // 0 = enabled; n>0 = pessimistic runs left before the next probe
 	optWinFail padded.Uint64
-	optParams  padded.Uint64 // packed OptGateParams (window, num, den, probe)
 }
 
 // NewSemantic creates the semantic lock for one ADT instance of the class
@@ -110,7 +108,6 @@ func NewSemantic(table *ModeTable) *Semantic {
 	for i := range s.mechs {
 		s.mechs[i].init(table.partSizes[i], table.summaryOn[i])
 	}
-	s.optParams.Store(packOptGate(DefaultOptGateParams()))
 	return s
 }
 
@@ -121,8 +118,8 @@ func (s *Semantic) Table() *ModeTable { return s.table }
 func (s *Semantic) ID() uint64 { return s.id }
 
 // Forever is the patience of a blocking acquisition: the acquisition
-// core arms no timer for it, so with a nil cancel channel the call can
-// only return holding the lock. Acquire, AcquireBatch, Txn.Lock and
+// core arms no timer for it, so the call can only return holding the
+// lock. Acquire, AcquireBatch, Txn.Lock and
 // Txn.LockBatch are the Forever case of the bounded entry points.
 const Forever = time.Duration(math.MaxInt64)
 
@@ -147,18 +144,18 @@ func (s *Semantic) acquire(m ModeID, log []Acquisition) {
 		mech.fastPath.Add(1)
 		return
 	}
-	// Forever with a nil cancel cannot fail: there is no error to handle.
-	_ = s.acquireScan(p, c, Forever, nil, log, m)
+	// Forever cannot fail: there is no error to handle.
+	_ = s.acquireScan(p, c, Forever, log, m)
 }
 
 // acquireWithin is acquire for the bounded entry points (stall.go,
-// Txn.LockWithinCancel, Txn.LockBatchWithin): the same first attempt,
-// then the same core with the caller's patience and cancel channel. The
+// Txn.LockWithin, Txn.LockBatchWithin): the same first attempt, then
+// the same core with the caller's patience. The
 // first attempt is written out twice because folding acquire into this
 // function costs the blocking fast path two more arguments kept live
 // across tryAcquire and an error return — about 3 ns of a 39 ns
 // acquire/release cycle when measured.
-func (s *Semantic) acquireWithin(m ModeID, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
+func (s *Semantic) acquireWithin(m ModeID, patience time.Duration, log []Acquisition) error {
 	p := s.table.part[m]
 	if p < 0 {
 		return nil
@@ -169,25 +166,22 @@ func (s *Semantic) acquireWithin(m ModeID, patience time.Duration, cancel <-chan
 		mech.fastPath.Add(1)
 		return nil
 	}
-	return s.acquireScan(p, c, patience, cancel, log, m)
+	return s.acquireScan(p, c, patience, log, m)
 }
 
 // acquireScan hands a scan — one mode's or a batch's — whose first
 // attempt failed (or was skipped, DisableFastPath) to its mechanism's
 // acquisition core and turns the outcome into the bounded-acquisition
 // error contract. ms names the scan's modes for the stall report.
-func (s *Semantic) acquireScan(p int, c *maskInfo, patience time.Duration, cancel <-chan struct{}, log []Acquisition, ms ...ModeID) error {
+func (s *Semantic) acquireScan(p int, c *maskInfo, patience time.Duration, log []Acquisition, ms ...ModeID) error {
 	var start time.Time
 	if patience != Forever {
 		start = time.Now() // only a stall reports Waited, and Forever cannot stall
 	}
 	mech := &s.mechs[p]
-	holders, out := mech.acquireSlow(c, !s.DisableFastPath, patience, cancel, log)
-	switch out {
-	case acqOK:
+	holders, out := mech.acquireSlow(c, !s.DisableFastPath, patience, log)
+	if out == acqOK {
 		return nil
-	case acqCanceled:
-		return ErrCanceled
 	}
 	mech.stalls.Add(1)
 	return s.stallError(ms, p, holders, time.Since(start), log)
@@ -241,20 +235,20 @@ func (s *Semantic) Release(m ModeID) {
 // of constituent modes. Callers use Txn.LockBatch rather than calling
 // this directly.
 func (s *Semantic) AcquireBatch(ms ...ModeID) {
-	// Forever with a nil cancel cannot fail: there is no error to handle.
-	_ = s.acquireBatch(ms, Forever, nil, nil)
+	// Forever cannot fail: there is no error to handle.
+	_ = s.acquireBatch(ms, Forever, nil)
 }
 
-// acquireBatch is AcquireBatch with the patience, cancel channel and
-// transaction log of acquireWithin. A mechanism group that times out or
-// is canceled releases the groups of ms acquired before it, so a failed
-// call holds nothing on the instance.
-func (s *Semantic) acquireBatch(ms []ModeID, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
+// acquireBatch is AcquireBatch with the patience and transaction log of
+// acquireWithin. A mechanism group that times out releases the groups
+// of ms acquired before it, so a failed call holds nothing on the
+// instance.
+func (s *Semantic) acquireBatch(ms []ModeID, patience time.Duration, log []Acquisition) error {
 	switch len(ms) {
 	case 0:
 		return nil
 	case 1:
-		return s.acquireWithin(ms[0], patience, cancel, log)
+		return s.acquireWithin(ms[0], patience, log)
 	}
 	// Single-mechanism batches — the shape fused prologues produce,
 	// since one instance's modes almost always share a partition — skip
@@ -300,12 +294,12 @@ func (s *Semantic) acquireBatch(ms []ModeID, patience time.Duration, cancel <-ch
 		}
 		sc := batchScratchPool.Get().(*batchScratch)
 		sc.modes = append(sc.modes[:0], ms...)
-		err := s.acquireMechBatch(p0, sc, patience, cancel, log)
+		err := s.acquireMechBatch(p0, sc, patience, log)
 		batchScratchPool.Put(sc)
 		return err
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
-	err := s.acquireGroups(ms, sc, patience, cancel, log)
+	err := s.acquireGroups(ms, sc, patience, log)
 	batchScratchPool.Put(sc)
 	return err
 }
@@ -317,7 +311,7 @@ func (s *Semantic) acquireBatch(ms []ModeID, patience time.Duration, cancel <-ch
 // one order: were they taken in argument order, two batches naming the
 // same two groups oppositely, with conflicting modes, would each hold
 // the group the other waits for.
-func (s *Semantic) acquireGroups(ms []ModeID, sc *batchScratch, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
+func (s *Semantic) acquireGroups(ms []ModeID, sc *batchScratch, patience time.Duration, log []Acquisition) error {
 	part := s.table.part
 	for last := -1; ; {
 		// The lowest mechanism above last that one of ms lives in. Modes
@@ -339,9 +333,9 @@ func (s *Semantic) acquireGroups(ms []ModeID, sc *batchScratch, patience time.Du
 		}
 		var err error
 		if len(sc.modes) == 1 {
-			err = s.acquireWithin(sc.modes[0], patience, cancel, log)
+			err = s.acquireWithin(sc.modes[0], patience, log)
 		} else {
-			err = s.acquireMechBatch(p, sc, patience, cancel, log)
+			err = s.acquireMechBatch(p, sc, patience, log)
 		}
 		if err != nil {
 			// Give back the groups acquired before this one.
@@ -369,7 +363,7 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // acquireMechBatch fills the pooled scan from one mechanism's group of
 // modes and drives it through the same ladder as a single mode: one
 // first attempt, then the acquisition core.
-func (s *Semantic) acquireMechBatch(p int, sc *batchScratch, patience time.Duration, cancel <-chan struct{}, log []Acquisition) error {
+func (s *Semantic) acquireMechBatch(p int, sc *batchScratch, patience time.Duration, log []Acquisition) error {
 	mech := &s.mechs[p]
 	mech.batches.Add(1)
 	b := &sc.b
@@ -400,7 +394,7 @@ func (s *Semantic) acquireMechBatch(p int, sc *batchScratch, patience time.Durat
 		mech.fastPath.Add(1)
 		return nil
 	}
-	return s.acquireScan(p, b, patience, cancel, log, sc.modes...)
+	return s.acquireScan(p, b, patience, log, sc.modes...)
 }
 
 // Stats returns the instance's cumulative acquisition statistics, summed
@@ -425,22 +419,23 @@ func (s *Semantic) Stats() LockStats {
 // Optimistic read validation (Txn.TryOptimistic)
 // ---------------------------------------------------------------------
 
-// The adaptive gate's default tuning: validation outcomes are accounted
-// in windows of optWindow attempts; a window whose failure share
-// reaches optDisableNum/optDisableDen — i.e. fails·den >= window·num,
-// so with the defaults the gate closes at exactly 16 failures of 64,
-// and stays open at 15 — disables the optimistic path for
-// optProbeInterval executions, after which a single probe attempt
-// decides whether to re-enable. Contended instances thus degrade to the
-// pessimistic path at a bounded duty cycle (one wasted body execution
-// per ~optProbeInterval sections), which is what keeps the write-heavy
-// regression bounded. These are the DEFAULTS of the per-instance packed
-// parameter cell (optParams); SetOptGateParams retunes a live instance.
+// The adaptive gate's tuning: validation outcomes are accounted in
+// windows of optWindow attempts; a window whose failure share reaches
+// optDisableNum/optDisableDen — i.e. fails·den >= window·num, so the
+// gate closes at exactly 768 failures of 1024, and stays open at 767 —
+// disables the optimistic path for optProbeInterval executions, after
+// which a single probe attempt decides whether to re-enable. The wide
+// window and high threshold ride out correlated failure bursts — a
+// writer preempted inside a read window fails every reader of that
+// window at once — while a sustained failure rate still closes the
+// gate, and contended instances then degrade to the pessimistic path at
+// a bounded duty cycle (one wasted body execution per ~optProbeInterval
+// sections). DESIGN.md §14 has the measurements behind the values.
 const (
-	optWindow        = 64
-	optDisableNum    = 1 // disable at ≥ num/den = 1/4 failures per window
+	optWindow        = 1024
+	optDisableNum    = 3 // disable at ≥ num/den = 3/4 failures per window
 	optDisableDen    = 4
-	optProbeInterval = 8192
+	optProbeInterval = 1024
 )
 
 // observeMode begins one optimistic observation of mode m on the
@@ -524,7 +519,7 @@ func (s *Semantic) optimisticAllowed() bool {
 		return true
 	}
 	n := s.optGate.Add(^uint64(0))
-	if n == 0 || n > uint64(unpackOptGate(s.optParams.Load()).ProbeInterval) {
+	if n == 0 || n > optProbeInterval {
 		// Reached (or raced past) the probe point. Clear the gate so the
 		// probe's recordValidation starts from the enabled state.
 		s.optGate.Store(0)
@@ -537,10 +532,11 @@ func (s *Semantic) optimisticAllowed() bool {
 // one RMW on the cumulative counter the outcome belongs to, plus the
 // window's failure counter for a failure. The gate's window needs no
 // counter of its own — its position is hits + retries, and the update
-// that brings the sum to a multiple of Window closes the window. A
-// window whose failure share reaches DisableNum/DisableDen (at the
-// boundary: exactly window·num/den failures close it, one fewer does
-// not) disables the optimistic path for ProbeInterval executions.
+// that brings the sum to a multiple of optWindow closes the window. A
+// window whose failure share reaches optDisableNum/optDisableDen (at
+// the boundary: exactly window·num/den failures close it, one fewer
+// does not) disables the optimistic path for optProbeInterval
+// executions.
 //
 // The sum is read from two cells, so a hit and a failure racing across
 // a boundary can both see it, or both step over it. Neither loses a
@@ -548,8 +544,7 @@ func (s *Semantic) optimisticAllowed() bool {
 // closer finds it already emptied and leaves the gate as the first set
 // it, and a boundary nobody saw carries its failures into the next
 // window's verdict, as does a failure recorded between a closer's read
-// and its Swap. A retune that changes Window moves the boundaries the
-// same harmless way.
+// and its Swap.
 func (s *Semantic) recordValidation(ok bool) {
 	var n uint64
 	if ok {
@@ -558,13 +553,12 @@ func (s *Semantic) recordValidation(ok bool) {
 		s.optWinFail.Add(1)
 		n = s.optRetries.Add(1) + s.optHits.Load()
 	}
-	p := unpackOptGate(s.optParams.Load())
-	if n%uint64(p.Window) != 0 {
+	if n%optWindow != 0 {
 		return
 	}
 	fails := s.optWinFail.Swap(0)
-	if fails*uint64(p.DisableDen) >= uint64(p.Window)*uint64(p.DisableNum) {
-		s.optGate.Store(uint64(p.ProbeInterval))
+	if fails*optDisableDen >= optWindow*optDisableNum {
+		s.optGate.Store(optProbeInterval)
 	}
 }
 
@@ -577,8 +571,7 @@ func (s *Semantic) recordValidation(ok bool) {
 // through the pessimistic fallback, every fallback holder refuses the
 // optimists arriving behind it, and if those refusals counted as
 // failures the gate would observe a near-total "failure" rate of its
-// own making and never re-open (and would starve the control plane of
-// honest samples while doing so).
+// own making and never re-open.
 func (s *Semantic) recordRefusal() { s.optRefused.Add(1) }
 
 // OptimisticEnabled reports whether the adaptive gate currently admits
@@ -660,14 +653,7 @@ type mechV2 struct {
 	waitMask []padded.Uint64 // per-word slots with registered waiters; stored under mu, loaded lock-free
 	counts   []padded.Int32  // per-slot holder counts, one cache line each
 	summary  []padded.Int32  // per-word claim counts (over-approximate occupancy)
-	spin     padded.Int32    // adaptive fast-path retry bound
-
-	// spinMin/spinMax bound the adaptive retry count. They default to
-	// the former minSpin/maxSpin constants and are retuned at runtime by
-	// the control plane (Semantic.SetSpinBounds); only the contended
-	// path loads them, so the uncontended fast path is unchanged.
-	spinMin atomic.Int32
-	spinMax atomic.Int32
+	spin     padded.Int32    // adaptive fast-path retry bound, in [minSpin, maxSpin]
 
 	// maintainSummary is the compile-time decision to maintain summary
 	// counters (see ModeTable.summaryOn). When false, claims touch only
@@ -675,15 +661,6 @@ type mechV2 struct {
 	// maintenance on a live mechanism cannot reconstruct the
 	// over-approximation invariant without stopping the world.
 	maintainSummary bool
-	// scanSummary selects whether conflict scans USE the maintained
-	// summaries (the word-skip shortcut) or walk the exact flat slot
-	// list. Tunable at any moment (Semantic.SetSummaryScan): maintenance
-	// keeps the over-approximation invariant alive continuously, so
-	// either scan flavor is correct at every instant — the toggle only
-	// trades scan cost (summaries win on wide, mostly-idle masks; exact
-	// scans win when the words are hot and the summary load is pure
-	// overhead). Never true unless maintainSummary is.
-	scanSummary atomic.Bool
 
 	// watched is set once a Watchdog registers the instance. Slow-path
 	// waiters only pay a time.Now() for their diagnostic timestamp when
@@ -789,9 +766,10 @@ func (m *mechV2) getWaiter(mask []wordMask, log []Acquisition) *waiterV2 {
 // becoming watched and the last SetWaitTiming enable), the same
 // semantics the watchdog uses for pre-Watch waiters
 // (WaiterInfo.Sampled). The bound is sound because an unsampled waiter
-// demonstrably parked before the gate opened. Without it, a controller
-// that enables wait timing mid-run would read zero-wait samples from
-// every waiter already parked — garbage that looks like an idle lock.
+// demonstrably parked before the gate opened. Without it, a metrics
+// consumer that enables wait timing mid-run would read zero-wait samples
+// from every waiter already parked — garbage that looks like an idle
+// lock.
 // Waiters settling with every gate still closed contribute nothing.
 func (m *mechV2) settleWait(w *waiterV2) {
 	if !w.since.IsZero() {
@@ -830,8 +808,7 @@ func putWaiter(w *waiterV2) {
 	waiterPool.Put(w)
 }
 
-// The former spin constants, now the DEFAULTS of the per-mechanism
-// spinMin/spinMax cells (SetSpinBounds retunes a live instance).
+// The bounds and starting point of the adaptive retry count.
 const (
 	minSpin     = 1
 	maxSpin     = 8
@@ -844,10 +821,7 @@ func (m *mechV2) init(nSlots int, useSummary bool) {
 	m.summary = make([]padded.Int32, words)
 	m.waitMask = make([]padded.Uint64, words)
 	m.spin.Store(initialSpin)
-	m.spinMin.Store(minSpin)
-	m.spinMax.Store(maxSpin)
 	m.maintainSummary = useSummary
-	m.scanSummary.Store(useSummary)
 }
 
 // claim publishes one acquisition attempt: summary first, counter
@@ -904,11 +878,10 @@ func (m *mechV2) retreatAll(c *maskInfo) {
 // foreign claim lives there — are skipped with a single load; hot words
 // fall back to the exact per-slot scan.
 func (m *mechV2) conflicts(c *maskInfo) bool {
-	if !m.scanSummary.Load() {
+	if !m.maintainSummary {
 		// Exact scan over the flat slot list: for the few conflicting
-		// slots of a summary-less mechanism (or one whose summary scan
-		// the control plane turned off) this is cheaper than iterating
-		// the bitset words.
+		// slots of a summary-less mechanism this is cheaper than
+		// iterating the bitset words.
 		for _, r := range c.refs {
 			if m.counts[r.slot].Load() > r.threshold {
 				return true
@@ -941,8 +914,6 @@ func (m *mechV2) tryAcquire(c *maskInfo) bool {
 	// retreat) rather than through claim/conflicts/retreat: the exact
 	// scan then inlines here, keeping the partitioned fast path at one
 	// RMW and one call from Acquire, no further calls.
-	// Keyed on the immutable maintenance decision, not the scan toggle,
-	// so the summary-less common case pays no atomic load here.
 	if !m.maintainSummary {
 		m.counts[c.selfSlot].Add(1)
 		for _, r := range c.refs {
@@ -997,26 +968,6 @@ func (m *mechV2) tryScan(c *maskInfo) bool {
 	return false
 }
 
-// spinBound loads the adaptive retry count clamped into the current
-// (tunable) bounds. The clamp matters after a retune: the floating
-// count may sit outside the new [min, max] and must re-enter it rather
-// than keep drifting from a stale position.
-func (m *mechV2) spinBound() (bound, mn, mx int32) {
-	bound = m.spin.Load()
-	mn, mx = m.spinMin.Load(), m.spinMax.Load()
-	if mx < mn {
-		// A retuner stores min before max; between the two stores the
-		// pair can be momentarily inverted. Collapse to the min.
-		mx = mn
-	}
-	if bound < mn {
-		bound = mn
-	} else if bound > mx {
-		bound = mx
-	}
-	return bound, mn, mx
-}
-
 // stallSlot is one conflicting counter slot observed over its threshold
 // when a bounded acquisition gave up: the local slot index and the number
 // of holders beyond the acquirer's own transient claim.
@@ -1025,16 +976,13 @@ type stallSlot struct {
 	count int32
 }
 
-// acqOutcome is the three-way result of the acquisition core: the scan
-// was acquired, patience ran out with a conflict still present, or the
-// caller's cancel channel closed first (a hedge won the race, a shutdown
-// began) and the waiter withdrew without claiming anything.
+// acqOutcome is the two-way result of the acquisition core: the scan
+// was acquired, or patience ran out with a conflict still present.
 type acqOutcome uint8
 
 const (
 	acqOK acqOutcome = iota
 	acqStalled
-	acqCanceled
 )
 
 // conflictHolders collects every conflicting slot currently over its
@@ -1070,29 +1018,25 @@ func (m *mechV2) conflictHolders(c *maskInfo) []stallSlot {
 // so a releaser that decrements after a failed scan is guaranteed to
 // find it in the registry.
 //
-// A blocking acquisition is patience Forever with a nil cancel: no timer
-// is armed and both extra select arms block forever, so the call can
-// only return acqOK. On timeout it makes one final claim-and-scan under
-// mu — a release may have raced the timer — so a reported stall is a
-// real conflict observed at the moment of giving up, never a stale one.
-// A closed cancel withdraws immediately WITHOUT the final
-// claim-and-scan: the caller has explicitly renounced the lock (a hedge
-// validated, a shutdown began), so acquiring on a cleared conflict would
-// hand it a lock it must then release — worse than simply leaving.
-func (m *mechV2) acquireSlow(c *maskInfo, spin bool, patience time.Duration, cancel <-chan struct{}, log []Acquisition) ([]stallSlot, acqOutcome) {
+// A blocking acquisition is patience Forever: no timer is armed and the
+// timer's select arm blocks forever, so the call can only return acqOK.
+// On timeout it makes one final claim-and-scan under mu — a release may
+// have raced the timer — so a reported stall is a real conflict
+// observed at the moment of giving up, never a stale one.
+func (m *mechV2) acquireSlow(c *maskInfo, spin bool, patience time.Duration, log []Acquisition) ([]stallSlot, acqOutcome) {
 	if spin {
-		bound, mn, mx := m.spinBound()
+		bound := m.spin.Load()
 		for attempt := int32(1); attempt < bound; attempt++ {
 			if m.tryScan(c) {
 				m.fastPath.Add(1)
-				if bound < mx {
+				if bound < maxSpin {
 					// Retrying paid off; spend more retries next time.
 					m.spin.Store(bound + 1)
 				}
 				return nil, acqOK
 			}
 		}
-		if bound > mn {
+		if bound > minSpin {
 			// Conflicts persisted through every retry; fall through to
 			// the slow path sooner next time.
 			m.spin.Store(bound - 1)
@@ -1128,10 +1072,6 @@ park:
 		select {
 		case <-w.ch:
 			m.mu.Lock()
-		case <-cancel:
-			m.mu.Lock()
-			out = acqCanceled
-			break park
 		case <-expired:
 			m.mu.Lock()
 			m.claimAll(c)
@@ -1160,7 +1100,7 @@ park:
 	return holders, out
 }
 
-// withdrawLocked removes a waiter that is giving up (timeout or cancel):
+// withdrawLocked removes a waiter that is giving up on a timeout:
 // it deregisters the waiter and re-donates any wake token a racing
 // release parked in its channel. That token announced a release this
 // waiter will now never consume; forwarding it to the remaining

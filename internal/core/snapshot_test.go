@@ -83,10 +83,12 @@ func TestSnapshotValidationCatchesWriterInWindow(t *testing.T) {
 	}
 }
 
-// The gate closes at exactly 16 failures in a window of 64 — 15 leave it
-// open — and a probe after ProbeInterval re-opens it.
+// The gate closes at exactly optWindow·optDisableNum/optDisableDen
+// failures in a window (768 of 1024) — one fewer leaves it open — and a
+// probe after optProbeInterval re-opens it.
 func TestSnapshotGateDisablesAndProbes(t *testing.T) {
-	for _, fails := range []int{optWindow/optDisableDen - 1, optWindow / optDisableDen} {
+	const closeAt = optWindow * optDisableNum / optDisableDen
+	for _, fails := range []int{closeAt - 1, closeAt} {
 		e := newOptTestEnv(t)
 		for i := 0; i < optWindow; i++ {
 			var body func()
@@ -97,7 +99,7 @@ func TestSnapshotGateDisablesAndProbes(t *testing.T) {
 				t.Fatalf("attempt %d of the window committed=%v", i, got)
 			}
 		}
-		if wantOpen := fails < optWindow/optDisableDen; e.sem.OptimisticEnabled() != wantOpen {
+		if wantOpen := fails < closeAt; e.sem.OptimisticEnabled() != wantOpen {
 			t.Fatalf("%d failures in a window of %d: gate open=%v, want %v", fails, optWindow, !wantOpen, wantOpen)
 		}
 		if e.sem.OptimisticEnabled() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -58,13 +57,6 @@ func (e *StallError) Error() string {
 	return b.String()
 }
 
-// ErrCanceled is returned by the cancellable bounded-acquisition paths
-// (AcquireWithinCancel, Txn.LockWithinCancel) when the caller's cancel
-// channel closed before the mode was acquired. A canceled acquisition
-// leaves no trace in the mechanism — same cleanup discipline as a
-// timeout — and is NOT counted as a stall: the caller chose to leave.
-var ErrCanceled = errors.New("core: bounded acquisition canceled")
-
 // AcquireWithin is Acquire with bounded patience: it blocks at most
 // patience waiting for mode m and returns nil once the mode is held, or
 // a *StallError naming the conflicting holder slots if the wait timed
@@ -80,17 +72,7 @@ var ErrCanceled = errors.New("core: bounded acquisition canceled")
 // stall is a conflict observed by a final claim-and-scan under the
 // mechanism's lock at the moment of giving up is unchanged.
 func (s *Semantic) AcquireWithin(m ModeID, patience time.Duration) error {
-	return s.acquireWithin(m, patience, nil, nil)
-}
-
-// AcquireWithinCancel is AcquireWithin with an additional cancellation
-// channel: closing cancel while the acquisition is parked makes it
-// withdraw cleanly and return ErrCanceled. A nil cancel is equivalent
-// to AcquireWithin. The resilience layer's hedged reads use this to
-// revoke a pessimistic acquisition the moment an optimistic hedge
-// validates.
-func (s *Semantic) AcquireWithinCancel(m ModeID, patience time.Duration, cancel <-chan struct{}) error {
-	return s.acquireWithin(m, patience, cancel, nil)
+	return s.acquireWithin(m, patience, nil)
 }
 
 // stallError assembles the structured report for a timed-out
@@ -336,6 +318,34 @@ type WatchdogConfig struct {
 	OnStall func(StallReport)
 }
 
+// waitTimingAt records when global wait-time sampling last transitioned
+// off→on (unix nanos; 0 = never enabled). Waiters already parked at
+// that moment carry no timestamp of their own; their settle and the
+// watchdog sampler use this as the same ">=" lower bound that
+// Watchdog.Watch's watchedAt provides — a waiter demonstrably parked
+// before the gate opened has waited at least since the gate opened.
+var waitTimingAt atomic.Int64
+
+// SetWaitTiming turns global wait-time sampling on or off. The
+// telemetry layer calls this when a metrics consumer attaches; a
+// Watchdog.Watch enables sampling per instance regardless of this
+// switch. Waiters already parked when sampling turns on have no
+// park-time timestamp; they settle with a lower bound measured from the
+// enable instant (see mechV2.settleWait), so a mid-run enable feeds the
+// telemetry consumers conservative nonzero samples instead of zeros.
+func SetWaitTiming(on bool) {
+	if on {
+		if !waitSampling.Swap(true) {
+			waitTimingAt.Store(time.Now().UnixNano())
+		}
+		return
+	}
+	waitSampling.Store(false)
+}
+
+// WaitTimingEnabled reports whether global wait-time sampling is on.
+func WaitTimingEnabled() bool { return waitSampling.Load() }
+
 // Watchdog samples registered Semantic instances for acquisitions
 // blocked past a threshold. One watchdog typically covers every
 // instance of a ModeTable (register instances at creation); sampling
@@ -343,12 +353,6 @@ type WatchdogConfig struct {
 // cheap enough to leave running in production.
 type Watchdog struct {
 	cfg WatchdogConfig
-
-	// interval is the live sampling period (nanoseconds). It starts at
-	// cfg.Interval and can be retuned while the sampler runs
-	// (SetInterval) — the adaptive control plane slows sampling on a
-	// quiet runtime and speeds it up when stalls recur.
-	interval atomic.Int64
 
 	mu   sync.Mutex
 	sems []*Semantic
@@ -365,23 +369,8 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.Interval <= 0 {
 		cfg.Interval = cfg.Threshold / 2
 	}
-	d := &Watchdog{cfg: cfg}
-	d.interval.Store(int64(cfg.Interval))
-	return d
+	return &Watchdog{cfg: cfg}
 }
-
-// SetInterval retunes the background sampler's period at runtime.
-// Non-positive intervals are ignored. A running sampler applies the
-// change at its next tick (it waits out at most one old interval
-// first); a stopped one picks it up on Start.
-func (d *Watchdog) SetInterval(iv time.Duration) {
-	if iv > 0 {
-		d.interval.Store(int64(iv))
-	}
-}
-
-// Interval returns the sampler's current period.
-func (d *Watchdog) Interval() time.Duration { return time.Duration(d.interval.Load()) }
 
 // Watch registers an instance for sampling. It also marks the
 // instance's mechanisms as watched, which turns on the per-waiter wait
@@ -525,18 +514,13 @@ func (d *Watchdog) Start() {
 
 func (d *Watchdog) run(stop, done chan struct{}) {
 	defer close(done)
-	iv := d.Interval()
-	ticker := time.NewTicker(iv)
+	ticker := time.NewTicker(d.cfg.Interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-ticker.C:
-			if cur := d.Interval(); cur != iv {
-				iv = cur
-				ticker.Reset(iv)
-			}
 			if d.cfg.OnStall == nil {
 				continue
 			}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -206,4 +208,249 @@ func TestBatchStatsContract(t *testing.T) {
 	}
 	s.Release(m0)
 	s.Release(m1)
+}
+
+// TestStallObserverUnifiedClock: both stall clocks — the timeout path's
+// self-clocked StallError and the watchdog's threshold scan — must feed
+// the single process-wide observer, tagged by source, for the same
+// instance and mechanism.
+func TestStallObserverUnifiedClock(t *testing.T) {
+	var mu sync.Mutex
+	var events []StallEvent
+	prev := SetStallObserver(func(ev StallEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	})
+	defer SetStallObserver(prev)
+
+	tbl := mapTable(t, 1, TableOptions{})
+	s := NewSemantic(tbl)
+	km := keyMode(tbl, 4)
+	s.Acquire(km)
+
+	// Clock one: bounded acquisition times out.
+	patience := 10 * time.Millisecond
+	if err := s.AcquireWithin(km, patience); err == nil {
+		t.Fatal("acquisition against a live holder succeeded")
+	}
+
+	// Clock two: watchdog finds a parked waiter past threshold.
+	d := NewWatchdog(WatchdogConfig{Threshold: 5 * time.Millisecond})
+	d.Watch(s)
+	blocked := make(chan error, 1)
+	go func() { blocked <- s.AcquireWithin(km, time.Minute) }()
+	waitParked(t, s, 2)
+	time.Sleep(10 * time.Millisecond)
+	if n := len(d.Scan()); n == 0 {
+		t.Fatal("watchdog scan found no stalled mechanism")
+	}
+	s.Release(km)
+	if err := <-blocked; err != nil {
+		t.Fatalf("parked waiter after release: %v", err)
+	}
+	s.Release(km)
+
+	mu.Lock()
+	defer mu.Unlock()
+	var timeouts, watchdogs int
+	for _, ev := range events {
+		if ev.Instance != s.ID() {
+			t.Errorf("event for unexpected instance %d", ev.Instance)
+		}
+		switch ev.Source {
+		case StallTimeout:
+			timeouts++
+			if ev.Waiters != 1 {
+				t.Errorf("timeout event Waiters = %d, want 1", ev.Waiters)
+			}
+			if ev.Waited < patience {
+				t.Errorf("timeout event Waited = %v, below patience %v", ev.Waited, patience)
+			}
+		case StallWatchdog:
+			watchdogs++
+			if ev.Waiters < 1 {
+				t.Errorf("watchdog event Waiters = %d, want >=1", ev.Waiters)
+			}
+		}
+	}
+	if timeouts != 1 {
+		t.Errorf("timeout events = %d, want 1", timeouts)
+	}
+	if watchdogs < 1 {
+		t.Errorf("watchdog events = %d, want >=1", watchdogs)
+	}
+}
+
+// TestWaitTimingMidFlightToggle: a waiter parked BEFORE
+// SetWaitTiming(true) settles with a ">=" lower bound measured from the
+// enable instant instead of reporting zero — the same convention the
+// watchdog uses for pre-Watch waiters — so a metrics consumer attaching
+// mid-run reads conservative nonzero samples, not garbage.
+func TestWaitTimingMidFlightToggle(t *testing.T) {
+	SetWaitTiming(false)
+	defer SetWaitTiming(false)
+	tbl := mapTable(t, 1, TableOptions{}) // n=1: key modes conflict with size
+	s := NewSemantic(tbl)
+	km, sm := keyMode(tbl, 7), sizeMode(tbl)
+
+	s.Acquire(km)
+	done := make(chan struct{})
+	go func() {
+		s.Acquire(sm) // parks: conflicts with the held key mode
+		s.Release(sm)
+		close(done)
+	}()
+	// Wait until the waiter is parked (Waits counts the park).
+	for deadline := time.Now().Add(2 * time.Second); s.Stats().Waits == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never parked")
+		}
+		runtime.Gosched()
+	}
+
+	// Enable wait timing with the waiter already parked, then hold the
+	// lock long enough that the lower bound is unmistakably nonzero.
+	SetWaitTiming(true)
+	const hold = 40 * time.Millisecond
+	time.Sleep(hold)
+	s.Release(km)
+	<-done
+
+	got := time.Duration(s.Stats().WaitNanos)
+	if got < hold/2 {
+		t.Fatalf("WaitNanos = %v after mid-flight enable, want >= ~%v (lower bound from enable instant)", got, hold)
+	}
+
+	// Control: with timing off again, a fresh pre-parked waiter settles
+	// with no credit at all — the bound only applies while a gate is
+	// open at settle time.
+	SetWaitTiming(false)
+	base := s.Stats().WaitNanos
+	s.Acquire(km)
+	done2 := make(chan struct{})
+	go func() {
+		s.Acquire(sm)
+		s.Release(sm)
+		close(done2)
+	}()
+	for deadline := time.Now().Add(2 * time.Second); s.Stats().Waits < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("second waiter never parked")
+		}
+		runtime.Gosched()
+	}
+	time.Sleep(10 * time.Millisecond)
+	s.Release(km)
+	<-done2
+	if after := s.Stats().WaitNanos; after != base {
+		t.Fatalf("WaitNanos moved %d -> %d with timing off", base, after)
+	}
+}
+
+// TestWaitTimingToggleHammer: a background goroutine flips global wait
+// timing on and off while workers run single, batched, and
+// optimistic-accounting traffic on a summary-maintaining instance. Run
+// under -race it proves waiters parked on either side of a flip settle
+// without torn reads; the post-join assertions prove no waiter leaked,
+// the instance quiesced, and the stats stayed monotone.
+func TestWaitTimingToggleHammer(t *testing.T) {
+	defer SetWaitTiming(false)
+	tbl := mapTable(t, 64, TableOptions{}) // wide φ: summaries maintained
+	s := NewSemantic(tbl)
+	ref := tbl.Set(SymSetOf(
+		SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k"))))
+
+	iters := 4000
+	if testing.Short() {
+		iters = 500
+	}
+
+	stop := make(chan struct{})
+	var toggleWG sync.WaitGroup
+	toggleWG.Add(1)
+	go func() {
+		defer toggleWG.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			SetWaitTiming(i%4 < 2)
+			runtime.Gosched()
+		}
+	}()
+
+	// Monitor: lifetime counters must be monotone under concurrent
+	// toggling — a torn or double-harvested counter shows up as a dip.
+	var monWG sync.WaitGroup
+	monWG.Add(1)
+	go func() {
+		defer monWG.Done()
+		var prev LockStats
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := s.Stats()
+			if st.FastPath < prev.FastPath || st.Slow < prev.Slow ||
+				st.Waits < prev.Waits || st.Batches < prev.Batches ||
+				st.OptimisticHits < prev.OptimisticHits ||
+				st.OptimisticRetries < prev.OptimisticRetries ||
+				st.WaitNanos < prev.WaitNanos {
+				t.Errorf("LockStats went backwards: %+v -> %+v", prev, st)
+				return
+			}
+			prev = st
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	workers := 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sm := sizeMode(tbl)
+			for i := 0; i < iters; i++ {
+				k := Value((w*31 + i) % 64)
+				m := ref.Mode1(k)
+				switch i % 4 {
+				case 0:
+					s.Acquire(m)
+					s.Release(m)
+				case 1:
+					s.AcquireBatch(m, sm)
+					s.Release(m)
+					s.Release(sm)
+				case 2:
+					s.Acquire(sm) // wildcard: conflicts with every key mode
+					s.Release(sm)
+				default:
+					if s.optimisticAllowed() {
+						s.recordValidation(i%8 != 0)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	toggleWG.Wait()
+	monWG.Wait()
+
+	if err := s.CheckQuiesced(); err != nil {
+		t.Fatalf("instance not quiescent after hammer: %v", err)
+	}
+	if n := WaitersOutstanding(); n != 0 {
+		t.Fatalf("WaitersOutstanding = %d after hammer, want 0", n)
+	}
+	st := s.Stats()
+	if st.FastPath+st.Slow+st.Batches == 0 {
+		t.Fatal("hammer recorded no acquisitions at all")
+	}
 }

@@ -191,21 +191,10 @@ func (t *Txn) Lock(s *Semantic, m ModeID, rank int) {
 // transaction exactly as it was — nothing acquired, nothing recorded —
 // so the caller may retry, release and restart, or surface the error.
 func (t *Txn) LockWithin(s *Semantic, m ModeID, rank int, patience time.Duration) error {
-	return t.LockWithinCancel(s, m, rank, patience, nil)
-}
-
-// LockWithinCancel is LockWithin with an additional cancellation
-// channel: closing cancel while the acquisition is parked makes it
-// withdraw cleanly and return ErrCanceled, with the transaction exactly
-// as it was — nothing acquired, nothing recorded, earlier-held locks
-// untouched (the enclosing section's epilogue releases those). The
-// resilience layer's hedged reads use this to revoke the pessimistic
-// side of a read race the moment the optimistic hedge validates.
-func (t *Txn) LockWithinCancel(s *Semantic, m ModeID, rank int, patience time.Duration, cancel <-chan struct{}) error {
 	if !t.preLock(s, rank) {
 		return nil
 	}
-	if err := s.acquireWithin(m, patience, cancel, t.log); err != nil {
+	if err := s.acquireWithin(m, patience, t.log); err != nil {
 		return err
 	}
 	t.recordHeld(s, m, rank)
@@ -291,11 +280,11 @@ func (t *Txn) lockBatch(locks []BatchLock, patience time.Duration) error {
 		}
 		var err error
 		if len(t.batchModes) == 1 {
-			err = s.acquireWithin(t.batchModes[0], patience, nil, t.log)
+			err = s.acquireWithin(t.batchModes[0], patience, t.log)
 		} else {
 			// Several modes destined for the same instance: claim them
 			// all in one pass over the mechanism's counter arrays.
-			err = s.acquireBatch(t.batchModes, patience, nil, t.log)
+			err = s.acquireBatch(t.batchModes, patience, t.log)
 		}
 		if err != nil {
 			return err

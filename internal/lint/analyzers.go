@@ -626,9 +626,8 @@ func exprText(e ast.Expr) string {
 // ---------------------------------------------------------------------
 
 // RetryPath checks the discipline around the bounded-acquisition
-// surface (Txn.LockWithin / LockWithinCancel / LockBatchWithin,
-// Semantic.AcquireWithin / AcquireWithinCancel). Two shapes defeat the point of a patience
-// bound:
+// surface (Txn.LockWithin / LockBatchWithin, Semantic.AcquireWithin).
+// Two shapes defeat the point of a patience bound:
 //
 //   - a discarded error (expression statement or blank assignment): the
 //     acquisition can time out, report a StallError — and the caller
@@ -672,11 +671,11 @@ func (p *Pass) boundedAcqCall(call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "LockWithin", "LockWithinCancel", "LockBatchWithin":
+	case "LockWithin", "LockBatchWithin":
 		if namedFromCore(p.TypeOf(sel.X), "Txn") {
 			return exprText(sel.X) + "." + sel.Sel.Name, true
 		}
-	case "AcquireWithin", "AcquireWithinCancel":
+	case "AcquireWithin":
 		if namedFromCore(p.TypeOf(sel.X), "Semantic") {
 			return exprText(sel.X) + "." + sel.Sel.Name, true
 		}
@@ -748,7 +747,7 @@ func (p *Pass) checkUnboundedRetry(loop *ast.ForStmt) {
 				if namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Budget") {
 					budgeted = true
 				}
-			case "Run", "Acquire", "AcquireCancel", "AcquireBatch":
+			case "Run", "Acquire", "AcquireBatch":
 				// Delegating to the policy layer IS the budgeted path.
 				if namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Policy") {
 					budgeted = true

@@ -8,8 +8,8 @@
 //     internal/adt containers and their internal/semadt wrappers) is
 //     dominated by an enclosing atomic section's Txn — reached from
 //     core.Atomically / Txn.Atomically / Txn.TryOptimistic, the
-//     resilience layer's section entries (resilience.Policy.Run and
-//     resilience.HedgedRead run their closures inside core.Atomically),
+//     resilience layer's section entry (resilience.Policy.Run runs its
+//     closure inside core.Atomically),
 //     a //semlock:atomic-compiled section, the span between a
 //     core.Snapshot's Observe and the Validate that decides it (a
 //     transaction-free optimistic read; lint.SnapshotSpans — an Observe

@@ -489,36 +489,24 @@ func isSectionEntry(pkg *lint.Package, call *ast.CallExpr) bool {
 		strings.HasSuffix(fn.Pkg().Path(), "internal/core")
 }
 
-// isPolicySection: (*resilience.Policy).Run(section) or
-// resilience.HedgedRead(p, pessimistic, optimistic). The resilience
-// layer runs every closure argument inside core.Atomically (HedgedRead
-// additionally wraps its optimistic side in TryOptimistic), so the
-// literal bodies are section-guarded exactly like Atomically arguments.
-// HedgedRead is generic; an explicit instantiation shows up as an
-// IndexExpr around the selector and is unwrapped first.
+// isPolicySection: (*resilience.Policy).Run(section). The resilience
+// layer runs the closure inside core.Atomically, so the literal body is
+// section-guarded exactly like an Atomically argument.
 func isPolicySection(pkg *lint.Package, call *ast.CallExpr) bool {
-	fun := call.Fun
-	switch x := fun.(type) {
-	case *ast.IndexExpr:
-		fun = x.X
-	case *ast.IndexListExpr:
-		fun = x.X
-	}
-	sel, ok := fun.(*ast.SelectorExpr)
+	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	if selObj, isMethod := pkg.Info.Selections[sel]; isMethod {
-		fn, _ := selObj.Obj().(*types.Func)
-		if fn == nil || fn.Name() != "Run" {
-			return false
-		}
-		n, ok := namedFrom(selObj.Recv(), "internal/resilience")
-		return ok && n == "Policy"
+	selObj, isMethod := pkg.Info.Selections[sel]
+	if !isMethod {
+		return false
 	}
-	fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
-	return fn != nil && fn.Name() == "HedgedRead" && fn.Pkg() != nil &&
-		strings.HasSuffix(fn.Pkg().Path(), "internal/resilience")
+	fn, _ := selObj.Obj().(*types.Func)
+	if fn == nil || fn.Name() != "Run" {
+		return false
+	}
+	n, ok := namedFrom(selObj.Recv(), "internal/resilience")
+	return ok && n == "Policy"
 }
 
 // isTryOptimistic: (*core.Txn).TryOptimistic(fn) — body runs on the
@@ -891,8 +879,8 @@ func (s *scanner) scanCall(call *ast.CallExpr, ctx *guardCtx) {
 	// the rank watermark and are discarded before any fallback locks
 	// (core.Txn.TryOptimistic empties its snapshot), so for ordering
 	// purposes the body is an isolated alternative too. The resilience
-	// layer's Policy.Run and HedgedRead run their closures inside
-	// core.Atomically, each on a fresh transaction, so the same applies.
+	// layer's Policy.Run runs its closure inside core.Atomically, on a
+	// fresh transaction, so the same applies.
 	if isSectionEntry(s.pkg, call) || isTryOptimistic(s.pkg, call) || isPolicySection(s.pkg, call) {
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			s.scanExpr(sel.X, ctx)

@@ -106,29 +106,9 @@ func PoliciedPut(pol *resilience.Policy, s *store) error {
 	})
 }
 
-// HedgedGet is guarded on both sides: HedgedRead runs the pessimistic
-// closure in its own atomic section and the optimistic closure inside
-// TryOptimistic.
-func HedgedGet(pol *resilience.Policy, s *store) (core.Value, error) {
-	v, _, err := resilience.HedgedRead(pol,
-		func(tx *core.Txn, cancel <-chan struct{}) (core.Value, error) {
-			if err := pol.AcquireCancel(tx, s.m.Sem(), core.ModeID(0), s.rank, cancel); err != nil {
-				return nil, err
-			}
-			return s.m.Get(1), nil
-		},
-		func(tx *core.Txn) (core.Value, bool) {
-			if !tx.Observe(s.m.Sem(), core.ModeID(0), s.rank) {
-				return nil, false
-			}
-			return s.m.Get(1), true
-		})
-	return v, err
-}
-
 // PolicyLikeButNot: a closure handed to an arbitrary higher-order
-// function stays an escape — only the resilience entry points certify
-// their arguments.
+// function stays an escape — only the resilience entry point certifies
+// its argument.
 func PolicyLikeButNot(run func(func(tx *core.Txn) error) error, s *store) error {
 	return run(func(tx *core.Txn) error {
 		s.m.Put(3, 4) // want "reachable outside any atomic section"

@@ -38,9 +38,8 @@
 //     same promise and is held to the same rule (SnapshotSpans is the
 //     span rule, shared with heldwalk and interproc's guardedby); an
 //     Observe that no Validate answers is reported too.
-//   - retrypath: a bounded acquisition (LockWithin / AcquireWithin,
-//     their Cancel variants, and LockBatchWithin) signals stalls through
-//     its error; a
+//   - retrypath: a bounded acquisition (LockWithin, AcquireWithin and
+//     LockBatchWithin) signals stalls through its error; a
 //     discarded error proceeds without the lock, and an unbounded
 //     `for {}` retry without a resilience budget turns one stall into
 //     a retry storm.

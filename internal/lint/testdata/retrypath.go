@@ -15,10 +15,6 @@ func discardedAsStatement(tx *core.Txn, sem *core.Semantic, m core.ModeID) {
 	tx.LockWithin(sem, m, 0, time.Millisecond) // want "error discarded"
 }
 
-func discardedCancelVariant(tx *core.Txn, sem *core.Semantic, m core.ModeID, cancel <-chan struct{}) {
-	tx.LockWithinCancel(sem, m, 0, time.Millisecond, cancel) // want "error discarded"
-}
-
 func discardedBatchVariant(tx *core.Txn, sem *core.Semantic, m core.ModeID) {
 	tx.LockBatchWithin(time.Millisecond, core.BatchLock{Sem: sem, Mode: m}) // want "error discarded"
 }
@@ -28,8 +24,8 @@ func discardedRawAcquire(sem *core.Semantic, m core.ModeID) {
 	sem.Release(m)                         // fixture: release to keep the snippet self-consistent
 }
 
-func blankAssigned(sem *core.Semantic, m core.ModeID, cancel <-chan struct{}) {
-	_ = sem.AcquireWithinCancel(m, time.Millisecond, cancel) // want "assigned to _"
+func blankAssigned(sem *core.Semantic, m core.ModeID) {
+	_ = sem.AcquireWithin(m, time.Millisecond) // want "assigned to _"
 }
 
 func handledErrorIsClean(tx *core.Txn, sem *core.Semantic, m core.ModeID) error {

@@ -41,9 +41,6 @@ func NewManager(reg *telemetry.Registry, interval time.Duration) *Manager {
 	}
 }
 
-// Feed returns the manager's unified stall feed.
-func (m *Manager) Feed() *telemetry.StallFeed { return m.feed }
-
 // Add registers a policy: its breaker joins the stall fan-out and its
 // state rows join the registry's snapshots.
 func (m *Manager) Add(p *Policy) {

@@ -10,12 +10,11 @@ import (
 )
 
 // Config assembles one policy. Budget, Breaker, and Gate are each
-// optional (nil disables the component); HedgeBudget <= 0 disables
-// hedging, making HedgedRead run its pessimistic side directly.
+// optional (nil disables the component).
 type Config struct {
-	// Patience bounds each individual lock acquisition (Acquire /
-	// AcquireCancel use LockWithin with this patience, AcquireBatch
-	// LockBatchWithin). Default 500µs.
+	// Patience bounds each individual lock acquisition (Acquire uses
+	// LockWithin with this patience, AcquireBatch LockBatchWithin).
+	// Default 500µs.
 	Patience time.Duration
 	// Retries caps the number of budgeted re-attempts after a stalled
 	// section, on top of the initial attempt. Default 1; negative means
@@ -23,36 +22,31 @@ type Config struct {
 	Retries int
 	// Backoff shapes the jittered delay between retries.
 	Backoff Backoff
-	// HedgeBudget is the pessimistic-acquisition latency after which
-	// HedgedRead launches its optimistic hedge.
-	HedgeBudget time.Duration
 
 	Budget  *BudgetConfig
 	Breaker *BreakerConfig
 	Gate    *GateConfig
 }
 
-// DefaultConfig enables all four components with conservative settings:
-// 500µs patience, one budgeted retry, a 1s/8-bucket breaker tripping at
-// 500 stalls/s, a 4-deep gate, and a 200µs hedge budget.
+// DefaultConfig enables all three components with conservative
+// settings: 500µs patience, one budgeted retry, a 1s/8-bucket breaker
+// tripping at 500 stalls/s, and a 4-deep gate.
 func DefaultConfig() Config {
 	b := DefaultBudgetConfig()
 	return Config{
-		Patience:    500 * time.Microsecond,
-		Retries:     1,
-		Backoff:     Backoff{Base: 100 * time.Microsecond, Max: 2 * time.Millisecond},
-		HedgeBudget: 200 * time.Microsecond,
-		Budget:      &b,
-		Breaker:     &BreakerConfig{TripStallRate: 500, Cooldown: 2 * time.Millisecond, Probes: 3},
-		Gate:        &GateConfig{MaxConcurrent: 4, QueueDepth: 16, QueueTimeout: time.Millisecond, PressureOn: 8},
+		Patience: 500 * time.Microsecond,
+		Retries:  1,
+		Backoff:  Backoff{Base: 100 * time.Microsecond, Max: 2 * time.Millisecond},
+		Budget:   &b,
+		Breaker:  &BreakerConfig{TripStallRate: 500, Cooldown: 2 * time.Millisecond, Probes: 3},
+		Gate:     &GateConfig{MaxConcurrent: 4, QueueDepth: 16, QueueTimeout: time.Millisecond, PressureOn: 8},
 	}
 }
 
 // Policy bundles the enabled components for one traffic class and is
 // the object applications hold: Run wraps a whole section in
-// gate→breaker→budgeted-retry, Acquire/AcquireCancel/AcquireBatch are
-// the bounded per-lock calls inside a section, and HedgedRead (free function —
-// methods cannot be generic) is the read race.
+// gate→breaker→budgeted-retry, and Acquire/AcquireBatch are the bounded
+// per-lock calls inside a section.
 type Policy struct {
 	name    string
 	cfg     Config
@@ -60,13 +54,9 @@ type Policy struct {
 	breaker *Breaker
 	gate    *Gate
 
-	runs           atomic.Uint64
-	stallFailures  atomic.Uint64
-	retries        atomic.Uint64
-	hedgesLaunched atomic.Uint64
-	hedgeWins      atomic.Uint64
-	hedgeLosses    atomic.Uint64
-	hedgeCancels   atomic.Uint64
+	runs          atomic.Uint64
+	stallFailures atomic.Uint64
+	retries       atomic.Uint64
 }
 
 // New creates a policy named name (the telemetry key) from cfg.
@@ -114,12 +104,6 @@ func (p *Policy) Acquire(tx *core.Txn, s *core.Semantic, m core.ModeID, rank int
 	return tx.LockWithin(s, m, rank, p.cfg.Patience)
 }
 
-// AcquireCancel is Acquire with a cancellation channel, for the
-// pessimistic side of a hedged read.
-func (p *Policy) AcquireCancel(tx *core.Txn, s *core.Semantic, m core.ModeID, rank int, cancel <-chan struct{}) error {
-	return tx.LockWithinCancel(s, m, rank, p.cfg.Patience, cancel)
-}
-
 // AcquireBatch is Acquire for a fused prologue: LockBatchWithin with the
 // policy's patience applied to each instance group.
 func (p *Policy) AcquireBatch(tx *core.Txn, locks ...core.BatchLock) error {
@@ -127,8 +111,8 @@ func (p *Policy) AcquireBatch(tx *core.Txn, locks ...core.BatchLock) error {
 }
 
 // Retryable reports whether err is a stall — the one failure class the
-// budgeted retry loop re-attempts. Cancellations, sheds, and breaker
-// refusals are deliberate outcomes, not transient contention.
+// budgeted retry loop re-attempts. Sheds and breaker refusals are
+// deliberate outcomes, not transient contention.
 func Retryable(err error) bool {
 	var stall *core.StallError
 	return errors.As(err, &stall)
@@ -148,7 +132,11 @@ func (p *Policy) Run(section func(tx *core.Txn) error) error {
 	})
 }
 
-// retryLoop is the budgeted-retry engine shared by Run and HedgedRead.
+// retryLoop is Run's budgeted-retry engine: one guarded attempt, then a
+// budgeted, backed-off re-attempt per stall up to cfg.Retries. It is
+// kept out of Run so that Run inlines into the Resilient wrappers,
+// which keeps those wrappers too large to inline into the server's
+// frame loop (EXPERIMENTS.md "The gate the controller chose").
 func (p *Policy) retryLoop(attempt func() error) error {
 	for try := 0; ; try++ {
 		err := p.guarded(attempt)
@@ -223,20 +211,16 @@ func (p *Policy) ObserveWaiters(n int64) {
 }
 
 // Stats returns one telemetry row per enabled component plus the
-// policy-level retry/hedge row, suitable for
+// policy-level retry row, suitable for
 // telemetry.Registry.RegisterPolicySource.
 func (p *Policy) Stats() []telemetry.PolicyStats {
 	out := []telemetry.PolicyStats{{
 		Policy: p.name,
 		Kind:   "policy",
 		Counters: map[string]uint64{
-			"runs":            p.runs.Load(),
-			"stall_failures":  p.stallFailures.Load(),
-			"retries":         p.retries.Load(),
-			"hedges_launched": p.hedgesLaunched.Load(),
-			"hedge_wins":      p.hedgeWins.Load(),
-			"hedge_losses":    p.hedgeLosses.Load(),
-			"hedge_cancels":   p.hedgeCancels.Load(),
+			"runs":           p.runs.Load(),
+			"stall_failures": p.stallFailures.Load(),
+			"retries":        p.retries.Load(),
 		},
 	}}
 	if p.budget != nil {

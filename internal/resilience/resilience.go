@@ -4,7 +4,7 @@
 // telemetry Registry — into action, so an injected slow hold degrades
 // throughput instead of collapsing it.
 //
-// Four cooperating pieces, each independently optional per Policy:
+// Three cooperating pieces, each independently optional per Policy:
 //
 //   - Budget: a token-bucket retry budget. Retries after a StallError
 //     are bounded globally per policy, not per caller, so a contention
@@ -24,12 +24,6 @@
 //     it cannot contribute to deadlock pressure, priority inversion, or
 //     the very waiter population that triggered the pressure — the gate
 //     protects the sections already in flight.
-//
-//   - HedgedRead: a read-only section whose pessimistic acquisition
-//     exceeds a latency budget races a TryOptimistic hedge; whichever
-//     validates first wins and the loser is cancelled cleanly (the
-//     pessimistic side via core.ErrCanceled, the hedge by discarding
-//     its validated-but-late snapshot).
 //
 // Policies expose every counter through telemetry.PolicyStats
 // (Registry.RegisterPolicySource), and a Manager runs the control loop

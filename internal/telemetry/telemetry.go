@@ -61,13 +61,13 @@ type GroupStats struct {
 
 // PolicyStats is one resilience-policy component's state at snapshot
 // time: a breaker's state machine position, a retry budget's token
-// level, a gate's queue depth, a hedge engine's win/loss split. The
+// level, a gate's queue depth, a policy's retry counts. The
 // shape is deliberately generic (string state + counter/rate maps) so
 // telemetry does not import the resilience package; sources register
 // the concrete values via RegisterPolicySource.
 type PolicyStats struct {
 	Policy   string             `json:"policy"`
-	Kind     string             `json:"kind"`            // "breaker" | "budget" | "gate" | "hedge"
+	Kind     string             `json:"kind"`            // "policy" | "breaker" | "budget" | "gate"
 	State    string             `json:"state,omitempty"` // state-machine position, when the kind has one
 	Counters map[string]uint64  `json:"counters,omitempty"`
 	Rates    map[string]float64 `json:"rates,omitempty"`
@@ -249,61 +249,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for _, s := range netSources {
 		out.Net = append(out.Net, s.fn()...)
-	}
-	return out
-}
-
-// RegisteredGroup is one registered group's identity plus its current
-// instance list, with providers resolved at call time. The adaptive
-// control plane walks these to pair each group's telemetry deltas with
-// the core.Tuner handles it should retune — the registry is the single
-// source of "which instances belong to which workload", so the
-// controller needs no second registration channel.
-type RegisteredGroup struct {
-	Group string
-	Class string
-	Sems  []*core.Semantic
-}
-
-// Groups returns the currently registered groups with their instance
-// lists. Rows with the same (group, class) are merged, matching the
-// Snapshot aggregation, and sorted the same way. Providers are invoked
-// on the caller's goroutine under the same rules as Snapshot.
-func (r *Registry) Groups() []RegisteredGroup {
-	r.mu.Lock()
-	groups := append([]*group(nil), r.groups...)
-	r.mu.Unlock()
-
-	type key struct{ group, class string }
-	rows := make(map[key]*RegisteredGroup)
-	order := make([]key, 0, len(groups))
-	for _, g := range groups {
-		k := key{g.name, g.class}
-		row, ok := rows[k]
-		if !ok {
-			row = &RegisteredGroup{Group: g.name, Class: g.class}
-			rows[k] = row
-			order = append(order, k)
-		}
-		sems := g.sems
-		if g.provider != nil {
-			sems = g.provider()
-		}
-		for _, s := range sems {
-			if s != nil {
-				row.Sems = append(row.Sems, s)
-			}
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].group != order[j].group {
-			return order[i].group < order[j].group
-		}
-		return order[i].class < order[j].class
-	})
-	out := make([]RegisteredGroup, 0, len(order))
-	for _, k := range order {
-		out = append(out, *rows[k])
 	}
 	return out
 }

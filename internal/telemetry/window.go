@@ -251,9 +251,6 @@ func (f *StallFeed) observe(ev core.StallEvent) {
 	}
 }
 
-// Rate returns stall events per second over the trailing window.
-func (f *StallFeed) Rate() float64 { return f.win.Rate() }
-
 // Sum returns the stall events inside the trailing window.
 func (f *StallFeed) Sum() uint64 { return f.win.Sum() }
 
