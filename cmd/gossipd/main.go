@@ -25,7 +25,7 @@
 //	gossipd -policy ours
 //	gossipd -policy ours -debug-addr localhost:6060
 //	gossipd -policy ours -resilience                  # policied router
-//	gossipd -policy ours -resilience -patience 300us -retries 3
+//	gossipd -policy ours -resilience -patience 300us
 //	gossipd -listen :7946                             # serve the wire protocol
 //	gossipd -listen :7946 -resilience -debug-addr localhost:6060
 //
@@ -38,15 +38,15 @@
 // in-flight sections, flush responses, audit for leaked connections and
 // holds. With -debug-addr, /debug/semlock additionally carries the
 // per-connection and per-frame-type counters ("net" rows); with
-// -resilience, requests run admission-gated and refusals go back to
+// -resilience, requests run breaker-checked and refusals go back to
 // clients as wire-level error frames.
 //
 // -resilience wraps the ours router in the resilience layer: every
-// route becomes a budgeted bounded-patience section behind a circuit
-// breaker and admission gate, and shed messages are counted instead of
-// wedging a worker. With -debug-addr, /debug/semlock additionally
-// reports the live policy state (breaker state, budget level, shed and
-// retry counts) alongside the lock-group snapshot.
+// route becomes a bounded-patience section behind a circuit breaker,
+// and dropped messages are counted instead of wedging a worker. With
+// -debug-addr, /debug/semlock additionally reports the live policy
+// state (breaker state, run and stall counts) alongside the lock-group
+// snapshot.
 package main
 
 import (
@@ -81,9 +81,8 @@ func main() {
 	workers := flag.Int("workers", 4, "router worker count (the paper's active cores)")
 	policy := flag.String("policy", "", "run one policy only ("+strings.Join(gossip.Policies(), "|")+")")
 	debugAddr := flag.String("debug-addr", "", "serve expvar/pprof/telemetry on this address (e.g. localhost:6060)")
-	resil := flag.Bool("resilience", false, "wrap the ours router in the resilience layer (budgeted retries, breaker, gate)")
+	resil := flag.Bool("resilience", false, "wrap the ours router in the resilience layer (bounded patience, breaker)")
 	patience := flag.Duration("patience", 500*time.Microsecond, "with -resilience: per-acquisition patience bound")
-	retries := flag.Int("retries", 2, "with -resilience: budgeted retry attempts per stalled section")
 	listen := flag.String("listen", "", "serve the wire protocol on this TCP address (e.g. :7946) instead of running the MPerf workload")
 	flag.Parse()
 
@@ -115,7 +114,7 @@ func main() {
 	}
 
 	if *listen != "" {
-		serveListen(*listen, *sendCost, *resil, *debugAddr != "", *patience, *retries)
+		serveListen(*listen, *sendCost, *resil, *debugAddr != "", *patience)
 		return
 	}
 
@@ -153,24 +152,9 @@ func main() {
 		var mgr *resilience.Manager
 		if *resil {
 			if o, ok := r.(*gossip.Ours); ok {
-				rp := resilience.New("gossipd", resilience.Config{
-					Patience: *patience,
-					Retries:  *retries,
-					Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
-					Budget:   &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e5},
-					Breaker:  &resilience.BreakerConfig{TripStallRate: 1000, Cooldown: time.Millisecond, Probes: 3},
-					Gate:     &resilience.GateConfig{MaxConcurrent: 2 * cfg.Workers, QueueDepth: 4 * cfg.Workers, QueueTimeout: time.Millisecond, PressureOn: 16, PressureOff: 4},
-				})
+				var rp *resilience.Policy
+				rp, mgr = startPolicy("gossipd", *patience, *debugAddr != "")
 				wrapped = gossip.NewResilient(o, rp)
-				// nil registry without a debug listener: policy state is
-				// only worth publishing where an operator can scrape it.
-				var reg *telemetry.Registry
-				if *debugAddr != "" {
-					reg = telemetry.Default
-				}
-				mgr = resilience.NewManager(reg, time.Millisecond)
-				mgr.Add(rp)
-				mgr.Start()
 				r = wrapped
 			} else {
 				fmt.Fprintf(os.Stderr, "gossipd: -resilience applies to the ours policy only; running %s unwrapped\n", pol)
@@ -212,7 +196,7 @@ func main() {
 		case res.FramesDelivered != expected && dropped == 0:
 			status = "FRAME MISMATCH"
 		case res.FramesDelivered > expected:
-			// Shedding only ever removes frames; extras are a real bug.
+			// Dropping only ever removes frames; extras are a real bug.
 			status = "FRAME MISMATCH"
 		case dropped > 0:
 			// A policied run under overload delivers fewer frames by
@@ -223,7 +207,7 @@ func main() {
 			pol, res.Handled, res.FramesDelivered, elapsed.Round(time.Millisecond),
 			float64(res.Handled)/elapsed.Seconds(), status)
 		if wrapped != nil {
-			fmt.Printf("%-8s resilience: %d message(s) shed under policy; see /debug/semlock policy state for breaker/budget/gate detail\n",
+			fmt.Printf("%-8s resilience: %d message(s) dropped under policy; see /debug/semlock policy state for breaker detail\n",
 				pol, dropped)
 		}
 
@@ -250,30 +234,35 @@ func main() {
 	}
 }
 
+// startPolicy builds the -resilience policy — the given patience and a
+// breaker tripping at 1000 stalls/s — and starts a Manager feeding it
+// the stall feed. Its state is registered with the Default telemetry
+// registry only when debug endpoints are served: policy state is only
+// worth publishing where an operator can scrape it.
+func startPolicy(name string, patience time.Duration, debug bool) (*resilience.Policy, *resilience.Manager) {
+	rp := resilience.New(name, resilience.Config{
+		Patience: patience,
+		Breaker:  &resilience.BreakerConfig{TripStallRate: 1000, Cooldown: time.Millisecond, Probes: 3},
+	})
+	var reg *telemetry.Registry
+	if debug {
+		reg = telemetry.Default
+	}
+	mgr := resilience.NewManager(reg)
+	mgr.Add(rp)
+	mgr.Start()
+	return rp, mgr
+}
+
 // serveListen is the -listen daemon mode: the ours router behind the
 // TCP wire protocol, with the same drain discipline and leak audit as
 // the workload mode.
-func serveListen(addr string, sendCost int, resil, debug bool, patience time.Duration, retries int) {
+func serveListen(addr string, sendCost int, resil, debug bool, patience time.Duration) {
 	waiters0 := core.WaitersOutstanding()
 	cfg := server.Config{Addr: addr, SendCost: sendCost}
 	var mgr *resilience.Manager
 	if resil {
-		rp := resilience.New("gossipd-net", resilience.Config{
-			Patience: patience,
-			Retries:  retries,
-			Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
-			Budget:   &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e5},
-			Breaker:  &resilience.BreakerConfig{TripStallRate: 1000, Cooldown: time.Millisecond, Probes: 3},
-			Gate:     &resilience.GateConfig{MaxConcurrent: 64, QueueDepth: 256, QueueTimeout: time.Millisecond, PressureOn: 16, PressureOff: 4},
-		})
-		cfg.Policy = rp
-		var reg *telemetry.Registry
-		if debug {
-			reg = telemetry.Default
-		}
-		mgr = resilience.NewManager(reg, time.Millisecond)
-		mgr.Add(rp)
-		mgr.Start()
+		cfg.Policy, mgr = startPolicy("gossipd-net", patience, debug)
 	}
 	s, err := server.New(cfg)
 	if err != nil {

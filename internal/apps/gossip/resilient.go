@@ -1,15 +1,15 @@
 // Resilient is the gossip router under the resilience layer: every
-// section runs through a resilience.Policy — admission-gated, breaker-
-// checked, bounded-patience acquisitions with budgeted retries — and the
-// read-only membership probe (LookupErrV) tries the optimistic envelope
-// before its bounded pessimistic fallback.
+// section runs through a resilience.Policy — breaker-checked,
+// bounded-patience acquisitions — and the read-only membership probe
+// (LookupErrV) tries the optimistic envelope before its bounded
+// pessimistic fallback.
 //
 // The sections keep the irrevocability discipline of Ours: every ADT
 // mutation and every I/O happens only after the last acquisition of the
-// section, so a bounded acquisition that stalls aborts the attempt with
+// section, so a bounded acquisition that stalls aborts the section with
 // at most one benign partial effect — register's creation of an empty
-// member map under the outer lock, which a retry (or any later
-// register) completes idempotently.
+// member map under the outer lock, which any later register completes
+// idempotently.
 
 package gossip
 
@@ -29,8 +29,7 @@ type Resilient struct {
 	policy *resilience.Policy
 
 	// Dropped counts operations abandoned after the policy gave up:
-	// shed by the gate, refused by the breaker, or stalled past the
-	// retry budget.
+	// refused by the breaker, or stalled past the patience.
 	Dropped atomic.Uint64
 }
 
@@ -69,11 +68,10 @@ func (r *Resilient) Multicast(group string, payload []byte) {
 	r.drop(r.MulticastErr(group, payload))
 }
 
-// RegisterErr is the register section under the policy: gate admission,
-// breaker check, bounded acquisitions, budgeted retries. The error is
-// nil on success, ErrShed/ErrBreakerOpen when refused up front, or the
-// final attempt's StallError (wrapped in ErrBudgetExhausted when the
-// retry budget bound) when every attempt stalled. Like the other
+// RegisterErr is the register section under the policy: breaker check,
+// then bounded acquisitions. The error is nil on success,
+// ErrBreakerOpen when refused up front, or the *core.StallError of an
+// acquisition that outlasted the patience. Like the other
 // string-keyed forms it boxes its keys once and runs the pre-boxed
 // section (resilient_boxed.go).
 func (r *Resilient) RegisterErr(group, member string, conn *Conn) error {

@@ -97,9 +97,9 @@ func (r *Resilient) MulticastErrV(group core.Value, payload []byte) error {
 // LookupErrV is the membership probe under the policy with pre-boxed
 // keys: the section first rides the optimistic envelope (lock-free, so
 // it can neither stall nor trip the breaker's stall feed) and only the
-// pessimistic fallback pays bounded acquisitions. Admission — gate and
-// breaker — still guards the whole section, so an open breaker sheds
-// the read before it touches anything.
+// pessimistic fallback pays bounded acquisitions. The breaker still
+// guards the whole section, so an open breaker sheds the read before
+// it touches anything.
 func (r *Resilient) LookupErrV(group, member core.Value) (bool, error) {
 	var found bool
 	err := r.policy.Run(func(tx *core.Txn) error {
@@ -135,12 +135,11 @@ func (r *Resilient) LookupErrV(group, member core.Value) (bool, error) {
 	return found, err
 }
 
-// UnicastBatchErrV is UnicastBatchV under the policy: the gate and
-// breaker decide admission for the whole batch (one shed refuses the
-// run of frames before any lock is touched), and the fused LockBatch
-// prologues then wait at most the policy's patience per instance group.
-// A stalled batch sends nothing and returns the *core.StallError to the
-// policy, which retries it under the budget like any other section.
+// UnicastBatchErrV is UnicastBatchV under the policy: the breaker
+// decides admission for the whole batch (one refusal answers the run of
+// frames before any lock is touched), and the fused LockBatch prologues
+// then wait at most the policy's patience per instance group. A stalled
+// batch sends nothing and returns the *core.StallError.
 func (r *Resilient) UnicastBatchErrV(reqs []SendReq, sc *BatchScratch) error {
 	if len(reqs) == 1 {
 		return r.UnicastErrV(reqs[0].Group, reqs[0].Dst, reqs[0].Payload)

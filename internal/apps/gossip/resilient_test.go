@@ -14,18 +14,12 @@ import (
 
 // TestResilientRouterShedsAndRecovers: with a fault injected into the
 // register section (a sleep while both locks are held), policy-guarded
-// operations against the same group must stall, burn their retry
-// budget, and be dropped — not wedge forever — and once the fault
-// clears, the same operations must succeed again.
+// operations against the same group must stall past their patience and
+// be dropped — not wedge forever — and once the fault clears, the same
+// operations must succeed again.
 func TestResilientRouterShedsAndRecovers(t *testing.T) {
 	o := NewOurs(0, plan.Options{})
-	p := resilience.New("gossip", resilience.Config{
-		Patience: time.Millisecond,
-		Retries:  2,
-		Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: 200 * time.Microsecond},
-		Budget:   &resilience.BudgetConfig{Capacity: 100, RefillPerSec: 1e4},
-	})
-	r := NewResilient(o, p)
+	r := NewResilient(o, resilience.New("gossip", resilience.Config{Patience: time.Millisecond}))
 
 	r.Register("g", "m1", NewConn("m1", 0))
 
@@ -49,9 +43,10 @@ func TestResilientRouterShedsAndRecovers(t *testing.T) {
 	o.FaultHook = nil
 
 	// Conflicting policy-guarded writes must be dropped, not wedge.
+	var stall *core.StallError
 	if err := r.RegisterErr("g", "m3", NewConn("m3", 0)); err == nil {
 		t.Fatal("RegisterErr succeeded against a held conflicting lock")
-	} else if !resilience.Retryable(err) && !errors.Is(err, resilience.ErrBudgetExhausted) {
+	} else if !errors.As(err, &stall) {
 		t.Fatalf("RegisterErr error lost its type: %v", err)
 	}
 	r.Register("g", "m4", NewConn("m4", 0))
@@ -86,17 +81,26 @@ func TestResilientRouterShedsAndRecovers(t *testing.T) {
 
 // TestResilientRouterHammer races all four policy-guarded operations
 // and policied lookups across groups while a saboteur repeatedly parks on
-// the register fault point of one hot group. Run under -race; the
-// invariants are liveness (no wedged goroutine survives the hammer),
-// no leaked waiters, and quiesced locks.
+// the register fault point of one hot group, with the stall feed wired
+// into a breaker that trips, cools down and probes throughout. Run
+// under -race; the invariants are liveness (no wedged goroutine
+// survives the hammer), no leaked waiters, and quiesced locks.
 func TestResilientRouterHammer(t *testing.T) {
 	o := NewOurs(0, plan.Options{})
 	p := resilience.New("gossip", resilience.Config{
 		Patience: time.Millisecond,
-		Retries:  5,
-		Backoff:  resilience.Backoff{Base: 20 * time.Microsecond, Max: 200 * time.Microsecond},
-		Budget:   &resilience.BudgetConfig{Capacity: 10000, RefillPerSec: 1e6},
+		Breaker: &resilience.BreakerConfig{
+			Window:        50 * time.Millisecond,
+			Buckets:       4,
+			TripStallRate: 100,
+			Cooldown:      500 * time.Microsecond,
+			Probes:        2,
+		},
 	})
+	mgr := resilience.NewManager(nil)
+	mgr.Add(p)
+	mgr.Start()
+	defer mgr.Stop()
 	r := NewResilient(o, p)
 	groups := []string{"hot", "warm", "cold"}
 	for _, g := range groups {
@@ -158,7 +162,7 @@ func TestResilientRouterHammer(t *testing.T) {
 	if ops.Load() == 0 || lookups.Load() == 0 {
 		t.Fatalf("hammer did no work: ops=%d lookups=%d", ops.Load(), lookups.Load())
 	}
-	t.Logf("ops=%d lookups=%d dropped=%d", ops.Load(), lookups.Load(), r.Dropped.Load())
+	t.Logf("ops=%d lookups=%d dropped=%d breaker=%v", ops.Load(), lookups.Load(), r.Dropped.Load(), p.Breaker().Stats().Counters)
 	for _, sem := range o.Sems() {
 		if err := sem.CheckQuiesced(); err != nil {
 			t.Fatal(err)
@@ -177,7 +181,7 @@ func TestResilientRouterHammer(t *testing.T) {
 // holder is gone.
 func TestResilientUnicastBatchStalls(t *testing.T) {
 	o := NewOurs(0, plan.Options{})
-	r := NewResilient(o, resilience.New("gossip", resilience.Config{Patience: 2 * time.Millisecond, Retries: -1}))
+	r := NewResilient(o, resilience.New("gossip", resilience.Config{Patience: 2 * time.Millisecond}))
 	c1, c2 := NewConn("m1", 0), NewConn("m2", 0)
 	r.Register("g", "m1", c1)
 	r.Register("g", "m2", c2)

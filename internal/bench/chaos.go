@@ -66,12 +66,11 @@ type ChaosCell struct {
 
 	// Resilience accounting, populated only by the policied cell:
 	// operations the policy dropped instead of wedging on (stalled past
-	// the retry budget, shed by the gate, or refused by the breaker),
-	// and the breaker's own counts. The recovery criteria apply to
-	// the policied cell unchanged — absorbing faults by dropping work
-	// must still leave zero leaked locks and a recovered throughput.
+	// the patience, or refused by the breaker), and the breaker's own
+	// counts. The recovery criteria apply to the policied cell unchanged
+	// — absorbing faults by dropping work must still leave zero leaked
+	// locks and a recovered throughput.
 	Dropped        uint64 `json:"dropped_ops,omitempty"`
-	Shed           uint64 `json:"shed_ops,omitempty"`
 	BreakerTrips   uint64 `json:"breaker_trips,omitempty"`
 	BreakerRejects uint64 `json:"breaker_rejects,omitempty"`
 }
@@ -231,19 +230,16 @@ func chaosGossipCell(cfg ChaosConfig) ChaosCell {
 
 // chaosGossipResilientCell runs the policied router through the same
 // three phases. Unlike the plain cell, operations the policy gives up
-// on — stalled past the retry budget, shed, or breaker-refused — are
-// dropped (counted) instead of blocking until the fault clears; the
-// structural recovery criteria apply unchanged, and the policy's
-// shed/breaker counters land in the cell for the -chaos-strict artifact.
+// on — stalled past the patience, or breaker-refused — are dropped
+// (counted) instead of blocking until the fault clears; the structural
+// recovery criteria apply unchanged, and the breaker's counters land in
+// the cell for the -chaos-strict artifact.
 func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 	o := gossip.NewOurs(0, plan.Options{})
 	inj := chaosInjector()
 	o.FaultHook = inj.Hook
 	pol := resilience.New("gossip-chaos", resilience.Config{
 		Patience: 500 * time.Microsecond,
-		Retries:  3,
-		Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: 500 * time.Microsecond},
-		Budget:   &resilience.BudgetConfig{Capacity: 5000, RefillPerSec: 50000},
 		Breaker: &resilience.BreakerConfig{
 			Window:        100 * time.Millisecond,
 			Buckets:       4,
@@ -253,7 +249,7 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 		},
 	})
 	r := gossip.NewResilient(o, pol)
-	mgr := resilience.NewManager(nil, time.Millisecond)
+	mgr := resilience.NewManager(nil)
 	mgr.Add(pol)
 	mgr.Start()
 	payload := []byte("chaos-payload")
@@ -307,15 +303,9 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 	cell := runChaosPhases("gossip-resilient", inj, o.Sems(), run)
 	mgr.Stop()
 	cell.Dropped = dropped.Load()
-	for _, row := range pol.Stats() {
-		switch row.Kind {
-		case "breaker":
-			cell.BreakerTrips = row.Counters["tripped"]
-			cell.BreakerRejects = row.Counters["rejected"]
-		case "gate":
-			cell.Shed = row.Counters["shed"]
-		}
-	}
+	st := pol.Breaker().Stats()
+	cell.BreakerTrips = st.Counters["tripped"]
+	cell.BreakerRejects = st.Counters["rejected"]
 	return cell
 }
 
@@ -416,9 +406,9 @@ func (r *ChaosReport) Format() string {
 			c.App, c.Panics, c.SlowHolds, c.Delays, c.StallReports, c.LeakedLocks)
 		fmt.Fprintf(&b, "  telemetry: outstanding-holds=%d recovered-panics=%d leaked-waiters=%d\n",
 			c.TelemetryHolds, c.RecoveredPanics, c.LeakedWaiters)
-		if c.Dropped+c.Shed+c.BreakerTrips > 0 {
-			fmt.Fprintf(&b, "  resilience: dropped=%d shed=%d breaker-trips=%d breaker-rejects=%d\n",
-				c.Dropped, c.Shed, c.BreakerTrips, c.BreakerRejects)
+		if c.Dropped+c.BreakerTrips > 0 {
+			fmt.Fprintf(&b, "  resilience: dropped=%d breaker-trips=%d breaker-rejects=%d\n",
+				c.Dropped, c.BreakerTrips, c.BreakerRejects)
 		}
 		if c.QuiesceError != "" {
 			fmt.Fprintf(&b, "  QUIESCE FAILED: %s\n", c.QuiesceError)

@@ -22,18 +22,17 @@ import (
 // (a slow-hold injected through the register fault point), swept over
 // hold durations at a fixed re-hold interval. Each sweep point runs the
 // same mixed workload twice — policies OFF (the plain blocking router)
-// and policies ON (bounded-patience acquisitions, budgeted retries, a
-// per-traffic-class circuit breaker and admission gate on the hot
-// class, lookups that try the optimistic envelope first) — and the
-// report's retention curve is the
-// ratio of completed operations per second, ON over OFF.
+// and policies ON (bounded-patience acquisitions, a circuit breaker on
+// the hot traffic class, lookups that try the optimistic envelope
+// first) — and the report's retention curve is the ratio of completed
+// operations per second, ON over OFF.
 //
 // The injection is time-based, not op-count-based, deliberately: a
 // per-op injector advances with completed work, which makes both sides
 // equally injection-bound and flattens the curve. A saboteur holding
 // the lock for 4ms out of every 5ms starves a blocking workload no
-// matter how fast it is, while a policied workload sheds the hot class
-// and keeps the cold classes flowing — exactly the degradation the
+// matter how fast it is, while a policied workload fails the hot class
+// fast and keeps the cold classes flowing — exactly the degradation the
 // resilience layer exists to bound.
 type ResilienceConfig struct {
 	Duration time.Duration   // per-cell measurement window (default 300ms)
@@ -54,11 +53,8 @@ type ResiliencePoint struct {
 
 	// Policy-side accounting for the ON run.
 	Dropped        uint64 `json:"dropped_ops"`     // attempts abandoned after the policy gave up
-	Shed           uint64 `json:"shed_ops"`        // refused by the admission gate
 	BreakerTrips   uint64 `json:"breaker_trips"`   // hot-class breaker openings
 	BreakerRejects uint64 `json:"breaker_rejects"` // attempts refused while open
-	Retries        uint64 `json:"retries"`         // budgeted re-attempts
-	BudgetDenied   uint64 `json:"budget_denied"`   // retries refused by the token bucket
 
 	LeakedLocks   int64  `json:"leaked_locks"`   // outstanding holds after the ON run; must be 0
 	LeakedWaiters int64  `json:"leaked_waiters"` // registered-waiter delta after the ON run; must be 0
@@ -201,19 +197,14 @@ func resilienceOp(i int) (string, string) {
 }
 
 // resiliencePolicies builds the ON side's two traffic-class policies:
-// the hot class gets the full stack — tight patience, one budgeted
-// retry, a breaker tripping on the unified stall feed with a short
-// cooldown (open = fast-fail shedding during a hold, probe recovery
-// after), and an admission gate pressured by the parked-waiter gauge —
-// while the cold class runs with bounded
-// patience and retries only (its traffic is healthy; a process-wide
-// breaker would punish it for the hot class's stalls).
+// the hot class gets tight patience and a breaker tripping on the
+// unified stall feed with a short cooldown (open = fail fast during a
+// hold, probe recovery after), while the cold class runs with bounded
+// patience only (its traffic is healthy; a process-wide breaker would
+// punish it for the hot class's stalls).
 func resiliencePolicies() (hot, cold *resilience.Policy) {
 	hot = resilience.New("gossip-hot", resilience.Config{
 		Patience: 300 * time.Microsecond,
-		Retries:  1,
-		Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: 200 * time.Microsecond},
-		Budget:   &resilience.BudgetConfig{Capacity: 2000, RefillPerSec: 20000},
 		Breaker: &resilience.BreakerConfig{
 			Window:        100 * time.Millisecond,
 			Buckets:       4,
@@ -221,25 +212,13 @@ func resiliencePolicies() (hot, cold *resilience.Policy) {
 			Cooldown:      500 * time.Microsecond,
 			Probes:        2,
 		},
-		Gate: &resilience.GateConfig{
-			MaxConcurrent: 8,
-			QueueDepth:    8,
-			QueueTimeout:  200 * time.Microsecond,
-			PressureOn:    4,
-			PressureOff:   1,
-		},
 	})
-	cold = resilience.New("gossip-cold", resilience.Config{
-		Patience: 300 * time.Microsecond,
-		Retries:  1,
-		Backoff:  resilience.Backoff{Base: 50 * time.Microsecond, Max: 200 * time.Microsecond},
-		Budget:   &resilience.BudgetConfig{Capacity: 2000, RefillPerSec: 20000},
-	})
+	cold = resilience.New("gossip-cold", resilience.Config{Patience: 300 * time.Microsecond})
 	return hot, cold
 }
 
 // resilienceOnCell measures the policied router under the same
-// saboteur: operations complete, retry, or are dropped — never wedge.
+// saboteur: operations complete or are dropped — never wedge.
 func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint, []telemetry.PolicyStats) {
 	o := gossip.NewOurs(0, plan.Options{})
 	resilienceSeed(o)
@@ -249,7 +228,7 @@ func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint
 	polHot, polCold := resiliencePolicies()
 	rHot := gossip.NewResilient(o, polHot)
 	rCold := gossip.NewResilient(o, polCold)
-	mgr := resilience.NewManager(nil, time.Millisecond)
+	mgr := resilience.NewManager(nil)
 	mgr.Add(polHot)
 	mgr.Add(polCold)
 	mgr.Start()
@@ -311,16 +290,9 @@ func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint
 	}
 	stats := append(polHot.Stats(), polCold.Stats()...)
 	for _, row := range stats {
-		switch row.Kind {
-		case "policy":
-			pt.Retries += row.Counters["retries"]
-		case "budget":
-			pt.BudgetDenied += row.Counters["denied"]
-		case "breaker":
+		if row.Kind == "breaker" {
 			pt.BreakerTrips += row.Counters["tripped"]
 			pt.BreakerRejects += row.Counters["rejected"]
-		case "gate":
-			pt.Shed += row.Counters["shed"]
 		}
 	}
 	for _, s := range o.Sems() {
@@ -375,7 +347,7 @@ func ResilienceBench(cfg ResilienceConfig) *ResilienceReport {
 		}
 	}
 	last := rep.Points[len(rep.Points)-1]
-	engaged = float64(last.Dropped + last.Shed + last.BreakerRejects + last.Retries)
+	engaged = float64(last.Dropped + last.BreakerRejects)
 	// Pass condition (-chaos-strict): retention_at_max_hold ≥ 2.0 and
 	// the leak/quiesce criteria exactly 0. retention_at_zero_hold is the
 	// policy overhead check — informational, expected near 1.0.
@@ -394,12 +366,12 @@ func (r *ResilienceReport) Format() string {
 	fmt.Fprintf(&b, "Resilience — graceful degradation under slow-hold injection, GOMAXPROCS=%d\n", r.GOMAXPROCS)
 	fmt.Fprintf(&b, "(%d workers, %.0fms cells, saboteur re-hold every %.0fms; ops/sec are completed operations)\n",
 		r.Workers, r.CellSec*1000, r.IntervalMS)
-	fmt.Fprintf(&b, "%-9s%14s%14s%11s%9s%8s%9s%9s\n",
-		"hold(ms)", "off ops/s", "on ops/s", "retention", "dropped", "shed", "b.trips", "retries")
+	fmt.Fprintf(&b, "%-9s%14s%14s%11s%9s%9s%10s\n",
+		"hold(ms)", "off ops/s", "on ops/s", "retention", "dropped", "b.trips", "b.rejects")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-9.1f%14.0f%14.0f%11.2f%9d%8d%9d%9d\n",
+		fmt.Fprintf(&b, "%-9.1f%14.0f%14.0f%11.2f%9d%9d%10d\n",
 			p.HoldMS, p.OffOpsPerSec, p.OnOpsPerSec, p.Retention,
-			p.Dropped, p.Shed, p.BreakerTrips, p.Retries)
+			p.Dropped, p.BreakerTrips, p.BreakerRejects)
 	}
 	fmt.Fprintf(&b, "\npolicy state (max-hold cell):\n")
 	for _, row := range r.Policies {
@@ -408,12 +380,10 @@ func (r *ResilienceReport) Format() string {
 	return b.String() + formatCriteria(r.Criteria)
 }
 
-// Retryable re-exports the policy's retry classifier for the chaos
-// harness (a shed or budget-exhausted operation is an absorbed drop,
-// not a failure).
+// resilienceDropped reports whether err is a policy's deliberate give-up
+// — a stall past the patience or a breaker refusal — which the chaos
+// harness counts as an absorbed drop, not a failure.
 func resilienceDropped(err error) bool {
-	return err != nil && (resilience.Retryable(err) ||
-		errors.Is(err, resilience.ErrBudgetExhausted) ||
-		errors.Is(err, resilience.ErrShed) ||
-		errors.Is(err, resilience.ErrBreakerOpen))
+	var stall *core.StallError
+	return errors.As(err, &stall) || errors.Is(err, resilience.ErrBreakerOpen)
 }

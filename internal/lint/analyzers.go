@@ -626,26 +626,27 @@ func exprText(e ast.Expr) string {
 // ---------------------------------------------------------------------
 
 // RetryPath checks the discipline around the bounded-acquisition
-// surface (Txn.LockWithin / LockBatchWithin, Semantic.AcquireWithin).
-// Two shapes defeat the point of a patience bound:
+// surface (Txn.LockWithin / LockBatchWithin, Semantic.AcquireWithin,
+// resilience.Policy.Acquire). Two shapes defeat the point of a patience
+// bound:
 //
 //   - a discarded error (expression statement or blank assignment): the
 //     acquisition can time out, report a StallError — and the caller
 //     proceeds as if the lock were held. The bound becomes dead code
 //     and the section races its conflictors.
-//   - an unbounded `for {}` loop re-attempting a bounded acquisition
-//     with no retry budget: the StallError is handled, but by turning a
-//     blocked waiter into an infinite retry storm — under a real stall
-//     this burns CPU forever and amplifies the overload the patience
-//     bound was meant to surface. Bound the loop, or gate each attempt
-//     with resilience.Budget.TryWithdraw (resilience.Policy.Run does
-//     both and adds backoff).
+//   - an unbounded `for {}` loop re-attempting a bounded acquisition:
+//     the StallError is handled, but by turning a blocked waiter into
+//     an infinite retry storm — under a real stall this burns CPU
+//     forever and amplifies the overload the patience bound was meant
+//     to surface. Bound the loop, or run each attempt through
+//     resilience.Policy.Run, whose breaker refuses a storm before it
+//     reaches a lock.
 //
-// internal/core (the mechanism) and internal/resilience (the sanctioned
-// retry loop) are exempt; test files are not loaded by semlockvet.
+// internal/core (the mechanism) is exempt; test files are not loaded by
+// semlockvet.
 var RetryPath = &Analyzer{
 	Name: "retrypath",
-	Doc:  "flags discarded bounded-acquisition errors and unbounded stall-retry loops without a budget",
+	Doc:  "flags discarded bounded-acquisition errors and unbounded stall-retry loops",
 	Run:  runRetryPath,
 }
 
@@ -679,13 +680,17 @@ func (p *Pass) boundedAcqCall(call *ast.CallExpr) (string, bool) {
 		if namedFromCore(p.TypeOf(sel.X), "Semantic") {
 			return exprText(sel.X) + "." + sel.Sel.Name, true
 		}
+	case "Acquire":
+		if namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Policy") {
+			return exprText(sel.X) + "." + sel.Sel.Name, true
+		}
 	}
 	return "", false
 }
 
 func runRetryPath(p *Pass) {
-	if strings.HasSuffix(p.PkgPath, "internal/core") || strings.HasSuffix(p.PkgPath, "internal/resilience") {
-		return // the mechanism and the sanctioned retry loop live here
+	if strings.HasSuffix(p.PkgPath, "internal/core") {
+		return // the mechanism lives here
 	}
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -724,12 +729,12 @@ func runRetryPath(p *Pass) {
 }
 
 // checkUnboundedRetry flags a `for {}` loop that re-attempts a bounded
-// acquisition without withdrawing from a retry budget. Function
+// acquisition without delegating to resilience.Policy.Run. Function
 // literals inside the loop are separate control flow (a spawned worker
 // retrying is that goroutine's loop, not this one) and are skipped.
 func (p *Pass) checkUnboundedRetry(loop *ast.ForStmt) {
 	var acq string
-	budgeted := false
+	delegated := false
 	ast.Inspect(loop.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -741,24 +746,15 @@ func (p *Pass) checkUnboundedRetry(loop *ast.ForStmt) {
 		if name, ok := p.boundedAcqCall(call); ok && acq == "" {
 			acq = name
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			switch sel.Sel.Name {
-			case "TryWithdraw":
-				if namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Budget") {
-					budgeted = true
-				}
-			case "Run", "Acquire", "AcquireBatch":
-				// Delegating to the policy layer IS the budgeted path.
-				if namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Policy") {
-					budgeted = true
-				}
-			}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Run" &&
+			namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Policy") {
+			delegated = true
 		}
 		return true
 	})
-	if acq != "" && !budgeted {
+	if acq != "" && !delegated {
 		p.Reportf(loop.Pos(),
-			"unbounded for-loop retries %s without a retry budget; bound the iterations or gate each attempt with Budget.TryWithdraw (resilience.Policy.Run does both)",
+			"unbounded for-loop retries %s; bound the iterations or run each attempt through resilience.Policy.Run, whose breaker refuses a retry storm before it reaches a lock",
 			acq)
 	}
 }

@@ -1,7 +1,8 @@
 // Fixture for the retrypath analyzer: a bounded acquisition's error is
 // the stall signal — discarding it races the section against the
 // holders it failed to displace, and retrying it in an unbounded loop
-// without a budget turns one stall into a retry storm.
+// that does not go through Policy.Run turns one stall into a retry
+// storm.
 package tdata
 
 import (
@@ -55,14 +56,16 @@ func counterBoundedRetryIsClean(tx *core.Txn, sem *core.Semantic, m core.ModeID)
 	return false
 }
 
-func budgetGatedRetryIsClean(sem *core.Semantic, m core.ModeID, budget *resilience.Budget) bool {
-	for {
-		if !budget.TryWithdraw() {
-			return false
-		}
-		if err := sem.AcquireWithin(m, time.Millisecond); err == nil {
-			sem.Release(m)
-			return true
+func discardedPolicyAcquire(pol *resilience.Policy, tx *core.Txn, sem *core.Semantic, m core.ModeID) {
+	pol.Acquire(tx, sem, m, 0) // want "error discarded"
+	tx.UnlockAll()
+}
+
+func policyAcquireRetryStorm(pol *resilience.Policy, tx *core.Txn, sem *core.Semantic, m core.ModeID) {
+	for { // want "unbounded for-loop retries"
+		if err := pol.Acquire(tx, sem, m, 0); err == nil {
+			tx.UnlockAll()
+			return
 		}
 	}
 }

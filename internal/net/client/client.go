@@ -17,16 +17,16 @@ import (
 )
 
 // RespError is a server-side refusal carried in a KindErr frame: the
-// wire form of a shed, an open breaker, a stall, or a decode error.
+// wire form of an open breaker, a stall, or a decode error.
 type RespError struct{ Code byte }
 
 func (e *RespError) Error() string {
 	return "wire: server refused: " + wire.CodeString(e.Code)
 }
 
-// Shed reports whether the refusal is load shedding (admission gate or
-// breaker) — expected under pressure, and accounted separately from
-// hard failures by the load generator.
+// Shed reports whether the refusal is load shedding (an open breaker,
+// or the retired admission-gate code) — expected under pressure, and
+// accounted separately from hard failures by the load generator.
 func (e *RespError) Shed() bool {
 	return e.Code == wire.CodeShed || e.Code == wire.CodeBreakerOpen
 }

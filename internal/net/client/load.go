@@ -39,7 +39,7 @@ type LoadConfig struct {
 type LoadResult struct {
 	Conns   int
 	Ops     uint64 // completed operations (each unicast in a window counts once)
-	Shed    uint64 // operations refused by the server's admission control
+	Shed    uint64 // operations refused by the server's breaker
 	Errors  uint64 // hard failures (I/O, protocol, internal)
 	Elapsed time.Duration
 	Hist    Hist // per-operation round-trip latency

@@ -21,9 +21,9 @@
 // write. Responses keep request order.
 //
 // Resilience: with a Policy configured, every section runs
-// admission-gated and breaker-checked (gossip.Resilient); a refusal
-// becomes a wire error frame (CodeShed, CodeBreakerOpen, CodeStall,
-// CodeBudget) written before any lock is touched, and the connection
+// breaker-checked with bounded patience (gossip.Resilient); an open
+// breaker's refusal (CodeBreakerOpen) is written before any lock is
+// touched, a stalled section answers CodeStall, and the connection
 // keeps serving.
 package server
 
@@ -80,7 +80,7 @@ type Counters struct {
 
 	FramesIn  [wire.KindMax]padded.Uint64 // by request kind
 	FramesOut [wire.KindMax]padded.Uint64 // by response kind
-	Shed      padded.Uint64               // error frames from admission refusals (shed | breaker open)
+	Shed      padded.Uint64               // error frames from admission refusals (breaker open)
 	Errors    padded.Uint64               // all error frames sent
 	Decode    padded.Uint64               // malformed/oversized frames (connection closed after)
 	Batches   padded.Uint64               // fused unicast batches executed
@@ -264,18 +264,12 @@ func (s *Server) NetStats() []telemetry.NetStats {
 	return []telemetry.NetStats{row}
 }
 
-// errCode maps a section failure to its wire code. Budget exhaustion is
-// checked before the stall it wraps (errors.Join keeps both in the
-// chain).
+// errCode maps a section failure to its wire code.
 func errCode(err error) byte {
 	var stall *core.StallError
 	switch {
-	case errors.Is(err, resilience.ErrShed):
-		return wire.CodeShed
 	case errors.Is(err, resilience.ErrBreakerOpen):
 		return wire.CodeBreakerOpen
-	case errors.Is(err, resilience.ErrBudgetExhausted):
-		return wire.CodeBudget
 	case errors.As(err, &stall):
 		return wire.CodeStall
 	}

@@ -315,22 +315,21 @@ func TestServerMalformed(t *testing.T) {
 }
 
 // TestServerShedChaos: a chaos hook holds a unicast section open while
-// a second client's requests arrive; the 1-deep admission gate must
-// refuse them with wire-level shed frames BEFORE any lock is touched,
-// and the refused connection keeps serving afterwards.
+// a second client's conflicting unregister stalls past the policy's
+// patience. That stall trips the breaker through the stall feed, so the
+// second client's next requests are refused with wire-level
+// CodeBreakerOpen frames BEFORE any lock is touched, and the refused
+// connection serves normally once the hold clears and a probe closes
+// the breaker.
 func TestServerShedChaos(t *testing.T) {
 	policy := resilience.New("net-test", resilience.Config{
 		Patience: 500 * time.Microsecond,
-		Gate: &resilience.GateConfig{
-			MaxConcurrent: 1,
-			QueueDepth:    1,
-			QueueTimeout:  500 * time.Microsecond,
-		},
+		Breaker:  &resilience.BreakerConfig{TripStallRate: 1, Cooldown: 200 * time.Millisecond, Probes: 1},
 	})
-	// The gate admits everything until pressured; this test is about the
-	// refusal path, so put it under pressure directly (the Manager's
-	// control loop does this from waiter telemetry in production).
-	policy.Gate().SetPressure(true)
+	mgr := resilience.NewManager(nil)
+	mgr.Add(policy)
+	mgr.Start()
+	defer mgr.Stop()
 	s := startServer(t, Config{Policy: policy})
 	defer s.Shutdown(5 * time.Second)
 
@@ -355,41 +354,53 @@ func TestServerShedChaos(t *testing.T) {
 	}
 
 	// Client A's unicast enters its section and parks on the chaos hook,
-	// occupying the gate's only slot.
+	// holding its mode on member m.
 	trap.Store(true)
 	a.send(frame(wire.AppendUnicast(nil, "g", "m", []byte("slow"))))
 	<-entered
 
-	// Client B's lookups now hit a full gate; past the queue timeout
-	// they are shed as error frames, and B's connection stays up.
-	shed := 0
-	for i := 0; i < 10; i++ {
-		b.send(frame(wire.AppendLookup(nil, "g", "m")))
-		r := b.recv()
-		switch {
-		case r.Kind == wire.KindErr && (r.Code == wire.CodeShed || r.Code == wire.CodeBreakerOpen):
-			shed++
-		case r.Kind == wire.KindBool:
-			// Queue slot won the race; legal.
-		default:
-			t.Fatalf("request %d: unexpected response %+v", i, r)
-		}
+	// Client B's unregister of m conflicts with that mode and stalls.
+	b.send(frame(wire.AppendUnregister(nil, "g", "m")))
+	if r := b.recv(); r.Kind != wire.KindErr || r.Code != wire.CodeStall {
+		t.Fatalf("conflicting unregister: %+v, want a stall error frame", r)
 	}
-	if shed == 0 {
-		t.Fatalf("no requests shed while the gate was held")
+	if st := policy.Breaker().State(); st != resilience.BreakerOpen {
+		t.Fatalf("breaker %v after the stall, want open", st)
+	}
+
+	// The open breaker refuses B's lookups as error frames, and B's
+	// connection stays up.
+	const n = 10
+	for i := 0; i < n; i++ {
+		b.send(frame(wire.AppendLookup(nil, "g", "m")))
+		if r := b.recv(); r.Kind != wire.KindErr || r.Code != wire.CodeBreakerOpen {
+			t.Fatalf("request %d: %+v, want a breaker-open error frame", i, r)
+		}
 	}
 
 	close(release)
 	if r := a.recv(); r.Kind != wire.KindOK {
 		t.Fatalf("slow unicast after release: %+v", r)
 	}
-	// The shed connection serves normally once the hold clears.
-	b.send(frame(wire.AppendLookup(nil, "g", "m")))
-	if r := b.recv(); r.Kind != wire.KindBool || !r.Bool {
-		t.Fatalf("connection dead after sheds: %+v", r)
+	// The refused connection serves normally once the cooldown ends and
+	// its first request, the probe, succeeds.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.send(frame(wire.AppendLookup(nil, "g", "m")))
+		r := b.recv()
+		if r.Kind == wire.KindBool && r.Bool {
+			break
+		}
+		if r.Kind != wire.KindErr || r.Code != wire.CodeBreakerOpen || time.Now().After(deadline) {
+			t.Fatalf("connection dead after refusals: %+v", r)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if got := s.Stats.Shed.Load(); int(got) < shed {
-		t.Errorf("shed counter = %d, observed %d shed frames", got, shed)
+	if st := policy.Breaker().State(); st != resilience.BreakerClosed {
+		t.Fatalf("breaker %v after a successful probe, want closed", st)
+	}
+	if got := s.Stats.Shed.Load(); got < n {
+		t.Errorf("shed counter = %d, observed %d refusal frames", got, n)
 	}
 }
 

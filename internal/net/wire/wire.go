@@ -85,13 +85,17 @@ func (k Kind) String() string {
 }
 
 // Error codes carried by KindErr frames: the wire form of the
-// resilience layer's refusals plus the protocol's own failures.
+// resilience layer's refusals plus the protocol's own failures. Codes 2
+// and 5 belonged to the admission gate and the retry budget, which the
+// resilience layer no longer has; the server never sends them, but they
+// keep their numbers and names so no code is ever reused with a
+// different meaning.
 const (
 	CodeMalformed   byte = 1 // request did not parse; the connection is closed after sending
-	CodeShed        byte = 2 // resilience.ErrShed — refused by admission control before any lock
+	CodeShed        byte = 2 // retired: refused by admission control before any lock
 	CodeBreakerOpen byte = 3 // resilience.ErrBreakerOpen — circuit breaker rejected the section
-	CodeStall       byte = 4 // core.StallError — bounded acquisition gave up past the retry budget
-	CodeBudget      byte = 5 // resilience.ErrBudgetExhausted — stalled and the retry budget was dry
+	CodeStall       byte = 4 // core.StallError — bounded acquisition outlasted the policy's patience
+	CodeBudget      byte = 5 // retired: stalled and the retry budget was dry
 	CodeInternal    byte = 6 // any other section failure
 )
 

@@ -14,8 +14,8 @@ import (
 type BreakerState int32
 
 const (
-	// BreakerClosed: traffic flows; every Allow re-checks the trip
-	// conditions against the sliding windows.
+	// BreakerClosed: traffic flows; a stall that lifts the windowed
+	// stall rate to the trip rate opens the breaker.
 	BreakerClosed BreakerState = iota
 	// BreakerOpen: traffic is refused with ErrBreakerOpen until the
 	// cooldown elapses.
@@ -40,17 +40,14 @@ func (s BreakerState) String() string {
 // BreakerConfig tunes a circuit breaker. Zero-valued fields take the
 // defaults documented per field.
 type BreakerConfig struct {
-	// Window / Buckets shape the sliding windows both trip signals are
+	// Window / Buckets shape the sliding window the stall rate is
 	// measured over. Defaults: 1s over 8 buckets.
 	Window  time.Duration
 	Buckets int
 	// TripStallRate is the windowed stall rate (events/sec on the
-	// unified stall feed) at or above which the breaker opens. <= 0
-	// disables rate tripping.
+	// unified stall feed) at or above which a stall opens the breaker.
+	// <= 0 disables tripping.
 	TripStallRate float64
-	// TripWaiters is the windowed-max outstanding-waiter count at or
-	// above which the breaker opens. <= 0 disables waiter tripping.
-	TripWaiters int64
 	// Cooldown is how long an open breaker refuses before moving to
 	// half-open. Default 50ms.
 	Cooldown time.Duration
@@ -60,16 +57,15 @@ type BreakerConfig struct {
 }
 
 // Breaker is a circuit breaker over one policy's traffic, driven by the
-// two windowed signals the runtime already measures: the unified stall
-// feed (RecordStall) and the outstanding-waiter gauge (ObserveWaiters).
-// Admission is Allow; the returned done func reports the attempt's
-// outcome so half-open probes can vote on recovery.
+// unified stall feed. The trip decision sits on the stall path
+// (RecordStall), so admission in the closed state (Allow) is one atomic
+// load; the returned done func reports the attempt's outcome so
+// half-open probes can vote on recovery.
 type Breaker struct {
 	name string
 	cfg  BreakerConfig
 
-	stalls  *telemetry.RateWindow
-	waiters *telemetry.GaugeWindow
+	stalls *telemetry.RateWindow
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -77,10 +73,9 @@ type Breaker struct {
 	probing  int // probes in flight while half-open
 	probeOK  int // consecutive probe successes this half-open episode
 
-	statev   atomic.Int32 // mirror of state for lock-free State()
+	statev   atomic.Int32 // mirror of state: Allow's closed-state check and State()
 	tripped  atomic.Uint64
 	rejected atomic.Uint64
-	admitted atomic.Uint64
 	probes   atomic.Uint64
 	reopened atomic.Uint64
 	reclosed atomic.Uint64
@@ -102,20 +97,31 @@ func NewBreaker(name string, cfg BreakerConfig) *Breaker {
 		cfg.Probes = 3
 	}
 	return &Breaker{
-		name:    name,
-		cfg:     cfg,
-		stalls:  telemetry.NewRateWindow(cfg.Window, cfg.Buckets),
-		waiters: telemetry.NewGaugeWindow(cfg.Window, cfg.Buckets),
+		name:   name,
+		cfg:    cfg,
+		stalls: telemetry.NewRateWindow(cfg.Window, cfg.Buckets),
 	}
 }
 
-// RecordStall feeds one stall observation into the breaker's window.
+// RecordStall feeds one stall observation into the breaker's window and
+// opens a closed breaker once the windowed rate reaches TripStallRate.
 // Wired to the unified stall feed by the Manager, so timeout-path and
-// watchdog stalls land in the same window by construction.
-func (b *Breaker) RecordStall(core.StallEvent) { b.stalls.Add(1) }
-
-// ObserveWaiters feeds one outstanding-waiter gauge sample.
-func (b *Breaker) ObserveWaiters(n int64) { b.waiters.Observe(n) }
+// watchdog stalls land in the same window by construction. Only a new
+// stall can trip: the stalls behind an earlier trip stay in the window
+// after the probes reclose the breaker, and re-reading them at
+// admission would reopen it at once.
+func (b *Breaker) RecordStall(core.StallEvent) {
+	b.stalls.Add(1)
+	if b.cfg.TripStallRate <= 0 || b.State() != BreakerClosed || b.stalls.Rate() < b.cfg.TripStallRate {
+		return
+	}
+	b.mu.Lock()
+	if b.state == BreakerClosed {
+		b.openLocked()
+		b.tripped.Add(1)
+	}
+	b.mu.Unlock()
+}
 
 // noopDone is handed to closed-state admissions: their outcome carries
 // no state-machine weight, so sharing one func keeps Allow
@@ -125,19 +131,24 @@ var noopDone = func(bool) {}
 // Allow asks the breaker to admit one attempt. On admission it returns
 // a done func the caller MUST invoke with the attempt's outcome (true =
 // success or non-stall failure, false = stall); on refusal it returns
-// ErrBreakerOpen. Closed-state admissions get a shared no-op done;
-// half-open admissions get a probe callback that votes on recovery.
+// ErrBreakerOpen. Closed-state admissions cost one atomic load and get
+// a shared no-op done; half-open admissions get a probe callback that
+// votes on recovery.
 func (b *Breaker) Allow() (done func(ok bool), err error) {
+	if b.State() == BreakerClosed {
+		return noopDone, nil
+	}
+	return b.allowSlow()
+}
+
+// allowSlow is Allow for a breaker that was open or half-open at the
+// load: it re-reads the state under mu, since a probe may have closed it
+// in between.
+func (b *Breaker) allowSlow() (done func(ok bool), err error) {
 	b.mu.Lock()
 	switch b.state {
 	case BreakerClosed:
-		if b.tripLocked() {
-			b.mu.Unlock()
-			b.rejected.Add(1)
-			return nil, fmt.Errorf("resilience: breaker %s tripped: %w", b.name, ErrBreakerOpen)
-		}
 		b.mu.Unlock()
-		b.admitted.Add(1)
 		return noopDone, nil
 	case BreakerOpen:
 		if time.Since(b.openedAt) < b.cfg.Cooldown {
@@ -157,27 +168,16 @@ func (b *Breaker) Allow() (done func(ok bool), err error) {
 		b.probing++
 		b.mu.Unlock()
 		b.probes.Add(1)
-		b.admitted.Add(1)
 		var once sync.Once
 		return func(ok bool) { once.Do(func() { b.probeDone(ok) }) }, nil
 	}
 }
 
-// tripLocked evaluates the trip conditions. Callers hold mu.
-func (b *Breaker) tripLocked() bool {
-	trip := false
-	if b.cfg.TripStallRate > 0 && b.stalls.Rate() >= b.cfg.TripStallRate {
-		trip = true
-	}
-	if b.cfg.TripWaiters > 0 && b.waiters.Max() >= b.cfg.TripWaiters {
-		trip = true
-	}
-	if trip {
-		b.setStateLocked(BreakerOpen)
-		b.openedAt = time.Now()
-		b.tripped.Add(1)
-	}
-	return trip
+// openLocked moves the breaker to open and starts the cooldown. Callers
+// hold mu.
+func (b *Breaker) openLocked() {
+	b.setStateLocked(BreakerOpen)
+	b.openedAt = time.Now()
 }
 
 // probeDone records a half-open probe's outcome: any failure reopens
@@ -193,8 +193,7 @@ func (b *Breaker) probeDone(ok bool) {
 		return // a concurrent probe already decided the episode
 	}
 	if !ok {
-		b.setStateLocked(BreakerOpen)
-		b.openedAt = time.Now()
+		b.openLocked()
 		b.probeOK = 0
 		b.reopened.Add(1)
 		return
@@ -221,16 +220,12 @@ func (b *Breaker) Stats() telemetry.PolicyStats {
 		Kind:   "breaker",
 		State:  b.State().String(),
 		Counters: map[string]uint64{
-			"admitted": b.admitted.Load(),
 			"rejected": b.rejected.Load(),
 			"tripped":  b.tripped.Load(),
 			"probes":   b.probes.Load(),
 			"reopened": b.reopened.Load(),
 			"reclosed": b.reclosed.Load(),
 		},
-		Rates: map[string]float64{
-			"stall_rate":  b.stalls.Rate(),
-			"waiters_max": float64(b.waiters.Max()),
-		},
+		Rates: map[string]float64{"stall_rate": b.stalls.Rate()},
 	}
 }

@@ -35,15 +35,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.RecordStall(core.StallEvent{})
 	}
-	if _, err := b.Allow(); !errors.Is(err, resilience.ErrBreakerOpen) {
-		t.Fatalf("tripped Allow: %v, want ErrBreakerOpen", err)
-	}
 	if b.State() != resilience.BreakerOpen {
 		t.Fatalf("state after trip %v", b.State())
 	}
 	// Still open inside the cooldown.
 	if _, err := b.Allow(); !errors.Is(err, resilience.ErrBreakerOpen) {
-		t.Fatalf("cooldown Allow: %v", err)
+		t.Fatalf("cooldown Allow: %v, want ErrBreakerOpen", err)
 	}
 
 	// Cooldown elapses → half-open; a failed probe reopens.
@@ -72,12 +69,80 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != resilience.BreakerClosed {
 		t.Fatalf("state after successful probes %v", b.State())
 	}
-	// Closed again: traffic flows (the stall window has decayed by now
-	// or the next trip is legitimate — either way Allow must not panic
-	// and done must be single-shot safe).
-	if done, err := b.Allow(); err == nil {
+	// Closed again: traffic flows, and done is single-shot safe.
+	done, err = b.Allow()
+	if err != nil {
+		t.Fatalf("Allow after reclose: %v", err)
+	}
+	done(true)
+	done(true) // double-invoke must be a no-op
+}
+
+// TestBreakerTripsOnStall: the trip decision sits on the stall path. The
+// stall that lifts the windowed rate to TripStallRate opens the breaker
+// by itself — no Allow in between — and the stalls below it do not; a
+// closed Allow allocates nothing.
+func TestBreakerTripsOnStall(t *testing.T) {
+	b := resilience.NewBreaker("t", resilience.BreakerConfig{
+		TripStallRate: 10, // 10 events in the default 1s window
+		Cooldown:      time.Minute,
+	})
+	if n := testing.AllocsPerRun(100, func() {
+		done, err := b.Allow()
+		if err != nil {
+			t.Fatal(err)
+		}
 		done(true)
-		done(true) // double-invoke must be a no-op
+	}); n != 0 {
+		t.Fatalf("closed Allow allocates %v per call, want 0", n)
+	}
+	for i := 0; i < 9; i++ {
+		b.RecordStall(core.StallEvent{})
+	}
+	if b.State() != resilience.BreakerClosed {
+		t.Fatalf("state below the trip rate %v, want closed", b.State())
+	}
+	b.RecordStall(core.StallEvent{})
+	if b.State() != resilience.BreakerOpen {
+		t.Fatalf("state after the crossing stall %v, want open", b.State())
+	}
+	if got := b.Stats().Counters["tripped"]; got != 1 {
+		t.Fatalf("tripped = %d, want 1", got)
+	}
+}
+
+// TestBreakerReclosedIgnoresStaleStalls: the stalls that tripped the
+// breaker are still inside its window when the probes reclose it. The
+// next admission must not re-read them and reopen the breaker — only a
+// new stall may trip it again.
+func TestBreakerReclosedIgnoresStaleStalls(t *testing.T) {
+	b := resilience.NewBreaker("t", resilience.BreakerConfig{
+		TripStallRate: 10,
+		Cooldown:      time.Millisecond,
+		Probes:        3,
+	})
+	for i := 0; i < 50; i++ {
+		b.RecordStall(core.StallEvent{})
+	}
+	if _, err := b.Allow(); !errors.Is(err, resilience.ErrBreakerOpen) {
+		t.Fatalf("Allow after 50 stalls: %v, want ErrBreakerOpen", err)
+	}
+	time.Sleep(2 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		done, err := b.Allow()
+		if err != nil {
+			t.Fatalf("probe %d refused: %v", i, err)
+		}
+		done(true)
+	}
+	if b.State() != resilience.BreakerClosed {
+		t.Fatalf("state after successful probes %v", b.State())
+	}
+	if _, err := b.Allow(); err != nil {
+		t.Fatalf("reclosed breaker refused on stale stalls: %v", err)
+	}
+	if b.State() != resilience.BreakerClosed {
+		t.Fatalf("state after admission %v, want closed", b.State())
 	}
 }
 
@@ -92,7 +157,7 @@ func TestBreakerHalfOpenProbeQuota(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.RecordStall(core.StallEvent{})
 	}
-	if _, err := b.Allow(); !errors.Is(err, resilience.ErrBreakerOpen) {
+	if b.State() != resilience.BreakerOpen {
 		t.Fatal("breaker did not trip")
 	}
 	time.Sleep(2 * time.Millisecond)
@@ -114,7 +179,7 @@ func TestBreakerHalfOpenProbeQuota(t *testing.T) {
 
 // TestBreakerConcurrentProbesRace hammers the state machine from many
 // goroutines — concurrent Allow/done with mixed outcomes racing
-// RecordStall and ObserveWaiters — then verifies the breaker still
+// RecordStall — then verifies the breaker still
 // converges: with stalls stopped and only successes voting, it must end
 // closed. Run under -race.
 func TestBreakerConcurrentProbesRace(t *testing.T) {
@@ -125,7 +190,6 @@ func TestBreakerConcurrentProbesRace(t *testing.T) {
 		Window:        50 * time.Millisecond,
 		Buckets:       4,
 		TripStallRate: 20,
-		TripWaiters:   64,
 		Cooldown:      time.Millisecond,
 		Probes:        3,
 	})
@@ -140,7 +204,6 @@ func TestBreakerConcurrentProbesRace(t *testing.T) {
 				return
 			default:
 				b.RecordStall(core.StallEvent{})
-				b.ObserveWaiters(rand.Int63n(128))
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
@@ -185,7 +248,7 @@ func TestBreakerConcurrentProbesRace(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	st := b.Stats()
-	if st.Counters["admitted"] == 0 || st.Counters["tripped"] == 0 {
+	if st.Counters["probes"] == 0 || st.Counters["tripped"] == 0 {
 		t.Fatalf("hammer left no trace: %+v", st.Counters)
 	}
 }

@@ -10,35 +10,22 @@ import (
 
 // Manager owns the signal plumbing for a set of policies: it installs
 // the unified stall feed (one clock for timeout-path and watchdog
-// stalls), fans every event into the policies' breaker windows, runs
-// the control loop that samples outstanding-waiter telemetry into
-// breaker windows and gate pressure, and registers each policy's state
-// with a telemetry registry so /debug/semlock shows breaker states,
-// budget levels, and shed counts.
+// stalls), fans every event into the policies' breakers, and registers
+// each policy's state with a telemetry registry so /debug/semlock shows
+// breaker states and stall counts.
 type Manager struct {
-	interval time.Duration
-	reg      *telemetry.Registry
-	feed     *telemetry.StallFeed
+	reg *telemetry.Registry
 
 	mu       sync.Mutex
 	policies []*Policy
+	running  bool
 	prev     func(core.StallEvent)
-	stop     chan struct{}
-	done     chan struct{}
 }
 
-// NewManager creates a manager sampling waiter telemetry every
-// interval (default 1ms). reg may be nil to skip telemetry
+// NewManager creates a manager. reg may be nil to skip telemetry
 // registration.
-func NewManager(reg *telemetry.Registry, interval time.Duration) *Manager {
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	return &Manager{
-		interval: interval,
-		reg:      reg,
-		feed:     telemetry.NewStallFeed(time.Second, 8),
-	}
+func NewManager(reg *telemetry.Registry) *Manager {
+	return &Manager{reg: reg}
 }
 
 // Add registers a policy: its breaker joins the stall fan-out and its
@@ -52,22 +39,21 @@ func (m *Manager) Add(p *Policy) {
 	}
 }
 
-// Start installs the stall feed as the process-wide observer and
-// launches the control loop. Idempotent while running.
+// Start installs a fresh stall feed as the process-wide observer, fanned
+// out to every policy. Idempotent while running.
 func (m *Manager) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.stop != nil {
+	if m.running {
 		return
 	}
-	m.prev = m.feed.Install()
-	m.feed.Subscribe(m.fan)
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	go m.loop(m.stop, m.done)
+	feed := telemetry.NewStallFeed(time.Second, 8)
+	m.prev = feed.Install()
+	feed.Subscribe(m.fan)
+	m.running = true
 }
 
-// fan delivers one stall event to every policy's breaker window.
+// fan delivers one stall event to every policy's breaker.
 func (m *Manager) fan(ev core.StallEvent) {
 	m.mu.Lock()
 	policies := m.policies
@@ -77,68 +63,14 @@ func (m *Manager) fan(ev core.StallEvent) {
 	}
 }
 
-// loop samples the parked-waiter population — the same process counter
-// telemetry snapshots export as waiters_outstanding — into every
-// policy's breaker window and gate pressure hysteresis.
-func (m *Manager) loop(stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(m.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			n := core.WaitersOutstanding()
-			m.mu.Lock()
-			policies := m.policies
-			m.mu.Unlock()
-			for _, p := range policies {
-				p.ObserveWaiters(n)
-			}
-		}
-	}
-}
-
-// Stop halts the control loop and restores the previously installed
-// stall observer. Safe to call when never started.
+// Stop restores the previously installed stall observer. Safe to call
+// when never started.
 func (m *Manager) Stop() {
 	m.mu.Lock()
-	stop, done := m.stop, m.done
-	prev := m.prev
-	m.stop, m.done, m.prev = nil, nil, nil
-	m.mu.Unlock()
-	if stop == nil {
+	defer m.mu.Unlock()
+	if !m.running {
 		return
 	}
-	close(stop)
-	<-done
-	core.SetStallObserver(prev)
-}
-
-// Unregister removes every policy's telemetry registration (used by
-// benchmarks that build and tear down managers repeatedly against the
-// shared Default registry).
-func (m *Manager) Unregister() {
-	if m.reg == nil {
-		return
-	}
-	m.mu.Lock()
-	policies := m.policies
-	m.mu.Unlock()
-	for _, p := range policies {
-		m.reg.UnregisterPolicySource(p.Name())
-	}
-}
-
-// Stats returns every registered policy's current telemetry rows.
-func (m *Manager) Stats() []telemetry.PolicyStats {
-	m.mu.Lock()
-	policies := m.policies
-	m.mu.Unlock()
-	var out []telemetry.PolicyStats
-	for _, p := range policies {
-		out = append(out, p.Stats()...)
-	}
-	return out
+	core.SetStallObserver(m.prev)
+	m.running, m.prev = false, nil
 }

@@ -60,14 +60,14 @@ type GroupStats struct {
 }
 
 // PolicyStats is one resilience-policy component's state at snapshot
-// time: a breaker's state machine position, a retry budget's token
-// level, a gate's queue depth, a policy's retry counts. The
-// shape is deliberately generic (string state + counter/rate maps) so
-// telemetry does not import the resilience package; sources register
-// the concrete values via RegisterPolicySource.
+// time: a breaker's state machine position and windowed stall rate, a
+// policy's run and stall counts. The shape is deliberately generic
+// (string state + counter/rate maps) so telemetry does not import the
+// resilience package; sources register the concrete values via
+// RegisterPolicySource.
 type PolicyStats struct {
 	Policy   string             `json:"policy"`
-	Kind     string             `json:"kind"`            // "policy" | "breaker" | "budget" | "gate"
+	Kind     string             `json:"kind"`            // "policy" | "breaker"
 	State    string             `json:"state,omitempty"` // state-machine position, when the kind has one
 	Counters map[string]uint64  `json:"counters,omitempty"`
 	Rates    map[string]float64 `json:"rates,omitempty"`

@@ -116,80 +116,6 @@ func (w *RateWindow) Total() uint64 {
 	return w.total
 }
 
-// GaugeWindow tracks the maximum of a sampled gauge (outstanding
-// waiters) over a trailing window, with the same lazy bucket rotation
-// as RateWindow: Observe records a sample, Max reports the largest
-// sample still inside the window. Breakers trip on the windowed max so
-// a momentary dip between two samples cannot mask sustained pressure.
-type GaugeWindow struct {
-	mu        sync.Mutex
-	bucketDur time.Duration
-	buckets   []int64
-	head      int
-	headStart time.Time
-}
-
-// NewGaugeWindow creates a max-window covering the trailing `window`
-// duration in `buckets` equal slices. As in NewRateWindow, the bucket
-// duration rounds up so the covered span is never less than requested.
-func NewGaugeWindow(window time.Duration, buckets int) *GaugeWindow {
-	if buckets < 1 {
-		buckets = 1
-	}
-	if window <= 0 {
-		window = time.Second
-	}
-	return &GaugeWindow{
-		bucketDur: ceilDiv(window, buckets),
-		buckets:   make([]int64, buckets),
-		headStart: time.Now(),
-	}
-}
-
-func (w *GaugeWindow) advanceLocked(now time.Time) {
-	steps := int(now.Sub(w.headStart) / w.bucketDur)
-	if steps <= 0 {
-		return
-	}
-	if steps >= len(w.buckets) {
-		for i := range w.buckets {
-			w.buckets[i] = 0
-		}
-		w.head = 0
-		w.headStart = now
-		return
-	}
-	for i := 0; i < steps; i++ {
-		w.head = (w.head + 1) % len(w.buckets)
-		w.buckets[w.head] = 0
-	}
-	w.headStart = w.headStart.Add(time.Duration(steps) * w.bucketDur)
-}
-
-// Observe records one gauge sample at the current time.
-func (w *GaugeWindow) Observe(v int64) {
-	w.mu.Lock()
-	w.advanceLocked(time.Now())
-	if v > w.buckets[w.head] {
-		w.buckets[w.head] = v
-	}
-	w.mu.Unlock()
-}
-
-// Max returns the largest sample inside the trailing window.
-func (w *GaugeWindow) Max() int64 {
-	w.mu.Lock()
-	w.advanceLocked(time.Now())
-	var m int64
-	for _, b := range w.buckets {
-		if b > m {
-			m = b
-		}
-	}
-	w.mu.Unlock()
-	return m
-}
-
 // StallFeed is the single funnel for core's stall observations: Install
 // registers it as the process-wide stall observer, after which every
 // bounded-acquisition timeout and every watchdog threshold report lands

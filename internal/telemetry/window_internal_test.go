@@ -34,11 +34,6 @@ func TestWindowBucketDurationCoversRequest(t *testing.T) {
 			t.Errorf("NewRateWindow(%v, %d).bucketDur = %v, want %v",
 				c.window, c.buckets, rw.bucketDur, c.want)
 		}
-		gw := NewGaugeWindow(c.window, c.buckets)
-		if gw.bucketDur != c.want {
-			t.Errorf("NewGaugeWindow(%v, %d).bucketDur = %v, want %v",
-				c.window, c.buckets, gw.bucketDur, c.want)
-		}
 		// The structural guarantee the fix exists for: covered span is
 		// never below the requested window.
 		wantWindow := c.window

@@ -37,19 +37,6 @@ func TestRateWindowDecays(t *testing.T) {
 	}
 }
 
-func TestGaugeWindowMaxDecays(t *testing.T) {
-	w := telemetry.NewGaugeWindow(40*time.Millisecond, 4)
-	w.Observe(7)
-	w.Observe(3) // lower sample must not shrink the max
-	if m := w.Max(); m != 7 {
-		t.Fatalf("Max = %d, want 7", m)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if m := w.Max(); m != 0 {
-		t.Fatalf("Max after window = %d, want 0", m)
-	}
-}
-
 // TestStallFeedUnifiesClocks: both core stall sources must land in the
 // feed's single window, split by source in the lifetime counts, and fan
 // out to subscribers.
