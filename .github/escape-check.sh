@@ -25,7 +25,6 @@ check internal/core/phi.go 'func hashValue(' v
 check internal/core/modecache.go 'func (r SetRef) Mode1(' v
 check internal/core/modecache.go 'func (r SetRef) Mode2(' a
 check internal/core/modecache.go 'func (r SetRef) Mode2(' b
-check internal/core/modecache.go 'func (c *ModeCache) Mode1(' v
 check internal/adt/hashmap.go 'func (h *HashMap) Get(' k
 check internal/adt/hashmap.go 'func (h *HashMap) ContainsKey(' k
 check internal/adt/hashmap.go 'func (h *HashMap) Remove(' k

@@ -12,9 +12,9 @@
 //	benchall -exp ablation   # design-choice ablations A1–A5
 //	benchall -exp chaos      # fault-injection and recovery experiment
 //	benchall -exp resilience # graceful degradation under slow-hold injection
-//	benchall -exp net        # gossipd over TCP: connection sweep with
-//	                           p50/p95/p99 latency and the in-process ratio
-//	benchall -exp net -netconns 16 -netdur 100ms   # short CI smoke cell
+//	benchall -exp net        # gossipd over TCP: the full connection sweep
+//	                           with p50/p95/p99 latency and the in-process
+//	                           ratio (gossipload runs narrower sweeps)
 //	benchall -real           # include real-execution measurements
 //	benchall -scale 50000    # simulated transactions per thread
 //
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/adtspecs"
@@ -87,22 +86,10 @@ func main() {
 	scale := flag.Int("scale", 20000, "simulated transactions per thread")
 	real := flag.Bool("real", false, "also run real-execution measurements on this host")
 	realOps := flag.Int("realops", 30000, "real-execution operations per thread")
-	netConns := flag.String("netconns", "", "for -exp net: comma-separated connection sweep (default 64,256,1024,4096)")
-	netDur := flag.Duration("netdur", 0, "for -exp net: per-cell measurement window (default 400ms)")
 	flag.Parse()
 
 	if !slices.Contains(ids, *exp) {
 		fatalf(2, "unknown experiment %q (valid: %s)", *exp, strings.Join(ids, ", "))
-	}
-	opts := bench.RunOptions{NetDur: *netDur}
-	if *netConns != "" {
-		for _, f := range strings.Split(*netConns, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fatalf(2, "bad -netconns entry %q", f)
-			}
-			opts.NetConns = append(opts.NetConns, n)
-		}
 	}
 	want := func(id string) bool { return *exp == "all" || *exp == id }
 
@@ -116,7 +103,7 @@ func main() {
 	// runs only when asked for by name, never under "all".
 	for _, r := range bench.Reports {
 		if r.ID == *exp {
-			runReport(r, opts)
+			runReport(r)
 		}
 	}
 	cfg := bench.SimConfig{TxnsPerThread: *scale, Seed: 1}
@@ -149,8 +136,8 @@ func main() {
 
 // runReport runs one bench.Reports entry, prints its tables and writes
 // its artifact into the current directory.
-func runReport(r *bench.Report, opts bench.RunOptions) {
-	rep, err := r.Run(opts)
+func runReport(r *bench.Report) {
+	rep, err := r.Run()
 	if err != nil {
 		fatalf(1, "%s experiment: %v", r.ID, err)
 	}

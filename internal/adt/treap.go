@@ -177,30 +177,6 @@ func (t *Treap) RangeCount(lo, hi int64) int {
 	return count
 }
 
-// RangeKeys returns the sorted keys in [lo, hi].
-func (t *Treap) RangeKeys(lo, hi int64) []int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []int64
-	var walk func(n *treapNode)
-	walk = func(n *treapNode) {
-		if n == nil {
-			return
-		}
-		if n.key >= lo {
-			walk(n.left)
-		}
-		if n.key >= lo && n.key <= hi {
-			out = append(out, n.key)
-		}
-		if n.key <= hi {
-			walk(n.right)
-		}
-	}
-	walk(t.root)
-	return out
-}
-
 // Size returns the binding count.
 func (t *Treap) Size() int {
 	t.mu.Lock()

@@ -2,7 +2,6 @@ package adt
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -81,16 +80,6 @@ func TestTreapRange(t *testing.T) {
 	}
 	if got := tr.RangeCount(100, 200); got != 0 {
 		t.Errorf("empty range = %d", got)
-	}
-	ks := tr.RangeKeys(1, 20)
-	if !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
-		t.Errorf("RangeKeys not sorted: %v", ks)
-	}
-	if len(ks) != len(keys) {
-		t.Errorf("RangeKeys = %v", ks)
-	}
-	if got := tr.RangeKeys(6, 14); len(got) != 2 || got[0] != 7 || got[1] != 9 {
-		t.Errorf("RangeKeys(6,14) = %v", got)
 	}
 }
 

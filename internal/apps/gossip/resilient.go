@@ -38,9 +38,6 @@ func NewResilient(o *Ours, p *resilience.Policy) *Resilient {
 	return &Resilient{Ours: o, policy: p}
 }
 
-// Policy returns the wrapped policy (telemetry registration, tests).
-func (r *Resilient) Policy() *resilience.Policy { return r.policy }
-
 func (r *Resilient) drop(err error) {
 	if err != nil {
 		r.Dropped.Add(1)

@@ -89,7 +89,7 @@ type ChaosReport struct {
 // phase back to 80 % of the baseline.
 var chaosReport = Report{
 	ID: "chaos", File: "BENCH_chaos.json",
-	Run:    func(RunOptions) (Formatter, error) { return ChaosBench(ChaosConfig{}), nil },
+	Run:    func() (Formatter, error) { return ChaosBench(ChaosConfig{}), nil },
 	Fields: []string{"gomaxprocs", "cells", "criteria"},
 	Criteria: []string{"recovery_ratio_min", "leaked_locks_total", "quiesce_failures",
 		"telemetry_holds_mismatch", "panic_recovery_mismatch", "leaked_waiters_total"},

@@ -94,9 +94,7 @@ type NetReport struct {
 // throughput ratio stay informational so a short smoke cell validates.
 var netReport = Report{
 	ID: "net", File: "BENCH_net.json",
-	Run: func(o RunOptions) (Formatter, error) {
-		return NetBench(NetConfig{Duration: o.NetDur, Conns: o.NetConns})
-	},
+	Run:    func() (Formatter, error) { return NetBench(NetConfig{}) },
 	Fields: []string{"gomaxprocs", "cell_seconds", "points", "inproc_baseline", "net_over_inproc_ratio", "criteria"},
 	Criteria: []string{"steady_frame_allocs_per_op", "leaked_conns_total", "leaked_locks_total",
 		"leaked_waiters_total", "quiesce_failures", "drain_failures", "max_conns_swept", "net_over_inproc_at_read50"},

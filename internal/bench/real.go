@@ -27,11 +27,6 @@ type RealConfig struct {
 	Threads      []int
 }
 
-// DefaultRealConfig keeps runs short on small hosts.
-func DefaultRealConfig() RealConfig {
-	return RealConfig{OpsPerThread: 30000, Threads: []int{1, 2, 4, 8}}
-}
-
 func hostNote() string {
 	return "real execution on this host: GOMAXPROCS = " + itoa(runtime.GOMAXPROCS(0))
 }

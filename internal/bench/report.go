@@ -7,18 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
 // Formatter is what every run function returns: a result that prints
 // itself as aligned tables (and marshals as the JSON artifact).
 type Formatter interface{ Format() string }
-
-// RunOptions carries benchall's flags to the report that reads them.
-type RunOptions struct {
-	NetConns []int         // -netconns: connection sweep (net)
-	NetDur   time.Duration // -netdur: per-cell window (net)
-}
 
 // Bound is a pass condition on one criterion: Min <= value <= Max.
 type Bound struct {
@@ -42,7 +35,7 @@ func zero(keys ...string) (bs []Bound) {
 // JSON tag and forgetting its schema fails this package's tests.
 type Report struct {
 	ID, File string
-	Run      func(RunOptions) (Formatter, error)
+	Run      func() (Formatter, error)
 	Fields   []string // top-level fields that must be present and non-empty
 	Criteria []string // keys under "criteria" that must be present and finite
 	Always   []Bound  // exact at any scale (leaks, allocation pins): always enforced

@@ -97,3 +97,33 @@ func TestCheckFileRejects(t *testing.T) {
 		t.Errorf("leaky net report: %d errors, want 1: %v", len(errs), errs)
 	}
 }
+
+// TestResilienceCriteria: on synthetic sweep points, every criterion the
+// schema requires is computed, and policies_engaged_at_max_hold counts
+// dropped operations once — a breaker refusal is one of them, not an
+// extra engagement on top.
+func TestResilienceCriteria(t *testing.T) {
+	points := []ResiliencePoint{
+		{HoldMS: 0, Retention: 0.95, LeakedWaiters: 1},
+		{HoldMS: 9, Retention: 4, Dropped: 5, BreakerRejects: 3, LeakedLocks: 2, QuiesceError: "busy"},
+	}
+	c := resilienceCriteria(points)
+	for _, k := range resilienceReport.Criteria {
+		if _, ok := c[k]; !ok {
+			t.Errorf("criterion %q not computed", k)
+		}
+	}
+	want := map[string]float64{
+		"retention_at_max_hold":        4,
+		"retention_at_zero_hold":       0.95,
+		"policies_engaged_at_max_hold": 5,
+		"leaked_locks_total":           2,
+		"leaked_waiters_total":         1,
+		"quiesce_failures":             1,
+	}
+	for k, v := range want {
+		if c[k] != v {
+			t.Errorf("%s = %v, want %v", k, c[k], v)
+		}
+	}
+}

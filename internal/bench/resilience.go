@@ -78,7 +78,7 @@ type ResilienceReport struct {
 // throughput, its policies did engage, and nothing leaked.
 var resilienceReport = Report{
 	ID: "resilience", File: "BENCH_resilience.json",
-	Run:    func(RunOptions) (Formatter, error) { return ResilienceBench(ResilienceConfig{}), nil },
+	Run:    func() (Formatter, error) { return ResilienceBench(ResilienceConfig{}), nil },
 	Fields: []string{"gomaxprocs", "workers", "points", "policy_state", "criteria"},
 	Criteria: []string{"retention_at_max_hold", "retention_at_zero_hold", "policies_engaged_at_max_hold",
 		"leaked_locks_total", "leaked_waiters_total", "quiesce_failures"},
@@ -324,7 +324,6 @@ func ResilienceBench(cfg ResilienceConfig) *ResilienceReport {
 		Workers:    cfg.Workers,
 		CellSec:    cfg.Duration.Seconds(),
 		IntervalMS: float64(cfg.Interval) / float64(time.Millisecond),
-		Criteria:   map[string]float64{},
 	}
 	for _, hold := range cfg.Holds {
 		offOps, offRate := resilienceOffCell(cfg, hold)
@@ -336,28 +335,35 @@ func ResilienceBench(cfg ResilienceConfig) *ResilienceReport {
 		rep.Points = append(rep.Points, pt)
 		rep.Policies = stats // keep the last (highest-hold) cell's rows
 	}
+	rep.Criteria = resilienceCriteria(rep.Points)
+	return rep
+}
 
+// resilienceCriteria summarizes the sweep points, lowest hold first.
+// Pass condition (-chaos-strict): retention_at_max_hold ≥ 2.0 and the
+// leak/quiesce criteria exactly 0. retention_at_zero_hold is the policy
+// overhead check — informational, expected near 1.0.
+// policies_engaged_at_max_hold counts the ON run's dropped operations,
+// breaker refusals included: each refusal already failed one operation.
+func resilienceCriteria(points []ResiliencePoint) map[string]float64 {
 	var leakedLocks, leakedWaiters int64
-	var quiesceFailures, engaged float64
-	for _, pt := range rep.Points {
+	var quiesceFailures float64
+	for _, pt := range points {
 		leakedLocks += pt.LeakedLocks
 		leakedWaiters += pt.LeakedWaiters
 		if pt.QuiesceError != "" {
 			quiesceFailures++
 		}
 	}
-	last := rep.Points[len(rep.Points)-1]
-	engaged = float64(last.Dropped + last.BreakerRejects)
-	// Pass condition (-chaos-strict): retention_at_max_hold ≥ 2.0 and
-	// the leak/quiesce criteria exactly 0. retention_at_zero_hold is the
-	// policy overhead check — informational, expected near 1.0.
-	rep.Criteria["retention_at_max_hold"] = last.Retention
-	rep.Criteria["retention_at_zero_hold"] = rep.Points[0].Retention
-	rep.Criteria["policies_engaged_at_max_hold"] = engaged
-	rep.Criteria["leaked_locks_total"] = float64(leakedLocks)
-	rep.Criteria["leaked_waiters_total"] = float64(leakedWaiters)
-	rep.Criteria["quiesce_failures"] = quiesceFailures
-	return rep
+	last := points[len(points)-1]
+	return map[string]float64{
+		"retention_at_max_hold":        last.Retention,
+		"retention_at_zero_hold":       points[0].Retention,
+		"policies_engaged_at_max_hold": float64(last.Dropped),
+		"leaked_locks_total":           float64(leakedLocks),
+		"leaked_waiters_total":         float64(leakedWaiters),
+		"quiesce_failures":             quiesceFailures,
+	}
 }
 
 // Format renders the report as the retention curve table.

@@ -27,9 +27,6 @@ type SimConfig struct {
 	Seed          int64
 }
 
-// DefaultSimConfig balances fidelity and runtime.
-func DefaultSimConfig() SimConfig { return SimConfig{TxnsPerThread: 20000, Seed: 1} }
-
 // phi64 buckets keys the way the compiled tables do.
 var phi64 = core.NewPhi(64)
 

@@ -136,29 +136,3 @@ func (s *Striped) UnlockAll() {
 		s.locks[i].Unlock()
 	}
 }
-
-// LockPair exclusively locks the stripes of two keys in index order
-// (once when they collide), for hand-crafted two-key sections.
-func (s *Striped) LockPair(a, b core.Value) {
-	i, j := s.indexOf(a), s.indexOf(b)
-	if i == j {
-		s.locks[i].Lock()
-		return
-	}
-	if i > j {
-		i, j = j, i
-	}
-	s.locks[i].Lock()
-	s.locks[j].Lock()
-}
-
-// UnlockPair undoes LockPair.
-func (s *Striped) UnlockPair(a, b core.Value) {
-	i, j := s.indexOf(a), s.indexOf(b)
-	if i == j {
-		s.locks[i].Unlock()
-		return
-	}
-	s.locks[i].Unlock()
-	s.locks[j].Unlock()
-}

@@ -114,40 +114,6 @@ func TestStripedReadersShare(t *testing.T) {
 	s.RUnlock(1)
 }
 
-func TestStripedLockPair(t *testing.T) {
-	s := NewStriped(8)
-	// Same stripe: must lock once (no self-deadlock).
-	var same int
-	for k := 1; k < 200; k++ {
-		if s.indexOf(k) == s.indexOf(0) {
-			same = k
-			break
-		}
-	}
-	s.LockPair(0, same)
-	s.UnlockPair(0, same)
-
-	// Opposite orders from two goroutines: index ordering prevents
-	// deadlock.
-	done := make(chan struct{}, 2)
-	run := func(a, b int) {
-		for i := 0; i < 2000; i++ {
-			s.LockPair(a, b)
-			s.UnlockPair(a, b)
-		}
-		done <- struct{}{}
-	}
-	go run(1, 2)
-	go run(2, 1)
-	for i := 0; i < 2; i++ {
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatal("LockPair deadlocked")
-		}
-	}
-}
-
 func TestStripedLockAll(t *testing.T) {
 	s := NewStriped(16)
 	s.LockAll()

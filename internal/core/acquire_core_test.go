@@ -336,7 +336,7 @@ func TestWithdrawRedonatesToken(t *testing.T) {
 	mech := &s.mechs[tw.tbl.part[leave]]
 	// No lock-free attempts: their retreats send wake tokens of their
 	// own, and the only token in play must be the one planted below.
-	s.DisableFastPath = true
+	s.disableFastPath = true
 	s.Acquire(hold1)
 	s.Acquire(hold2)
 	leaving := []Acquisition{{ID: 1 << 40}} // marks the waiter that will withdraw

@@ -469,10 +469,6 @@ func (t *ModeTable) abstract(v Value) int {
 // Modes returns all instantiated locking modes, indexed by ModeID.
 func (t *ModeTable) Modes() []Mode { return t.modes }
 
-// RawModes returns the same slice as Modes (kept for reports that
-// contrast instantiated modes with the merged counter count).
-func (t *ModeTable) RawModes() []Mode { return t.modes }
-
 // CanonicalCount returns the number of counters after merging
 // indistinguishable modes (§5.3, opt. 1).
 func (t *ModeTable) CanonicalCount() int { return t.nCanon }
@@ -576,81 +572,12 @@ func (r SetRef) Mode(vals ...Value) ModeID {
 	return e.modes[idx]
 }
 
-// Binder returns a mode selector that accepts values in the caller's
-// own argument order (names) instead of the set's canonical sorted-Vars
-// order. It panics unless names is a permutation of Vars(). Use it once
-// at setup to make multi-variable lock sites immune to argument-order
-// mistakes:
-//
-//	mode := table.Set(set).Binder("s", "d")   // caller's order
-//	...
-//	id := mode(s, d)
-func (r SetRef) Binder(names ...string) func(vals ...Value) ModeID {
-	vars := r.Vars()
-	if len(vars) == 0 {
-		// Constant set (e.g. under the no-refinement ablation): one
-		// mode regardless of the caller's values.
-		return func(_ ...Value) ModeID { return r.Mode() }
-	}
-	if len(names) != len(vars) {
-		panic(fmt.Sprintf("core: Binder(%v): set %s has variables %v", names, r.SymSet(), vars))
-	}
-	perm := make([]int, len(vars)) // perm[i] = caller index supplying vars[i]
-	for i, v := range vars {
-		found := -1
-		for j, n := range names {
-			if n == v {
-				found = j
-				break
-			}
-		}
-		if found == -1 {
-			panic(fmt.Sprintf("core: Binder(%v): set %s has variables %v", names, r.SymSet(), vars))
-		}
-		perm[i] = found
-	}
-	identity := true
-	for i, j := range perm {
-		if i != j {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		// The caller's order is already the canonical Vars() order; no
-		// reordering buffer at all.
-		return func(vals ...Value) ModeID {
-			if len(vals) != len(perm) {
-				panic(fmt.Sprintf("core: bound mode selector expects %d values, got %d", len(perm), len(vals)))
-			}
-			return r.Mode(vals...)
-		}
-	}
-	return func(vals ...Value) ModeID {
-		if len(vals) != len(perm) {
-			panic(fmt.Sprintf("core: bound mode selector expects %d values, got %d", len(perm), len(vals)))
-		}
-		// Selector runs on the per-operation mode-selection path: keep
-		// the reorder buffer on the stack for the common arities.
-		var buf [4]Value
-		ordered := buf[:0]
-		if len(perm) > len(buf) {
-			ordered = make([]Value, 0, len(perm))
-		}
-		for _, j := range perm {
-			ordered = append(ordered, vals[j])
-		}
-		return r.Mode(ordered...)
-	}
-}
-
-// Binder1 is the fixed-arity form of Binder for one-variable sets: the
-// returned selector takes its single value directly, so a call through
-// it builds no variadic []Value slice at all — the variadic Binder
-// closure costs one heap-allocated argument slice per call at every
-// indirect call site. Constant sets (e.g. under the no-refinement
-// ablation) are accepted and select their single mode regardless of the
-// value.
+// Binder1 returns a mode selector for a one-variable set, checking at
+// setup that the set's variable is name. The returned selector takes
+// its single value directly, so a call through it builds no []Value
+// slice and allocates nothing. Constant sets (e.g. under the
+// no-refinement ablation) are accepted and select their single mode
+// regardless of the value.
 func (r SetRef) Binder1(name string) func(Value) ModeID {
 	vars := r.Vars()
 	if len(vars) == 0 {
@@ -664,10 +591,10 @@ func (r SetRef) Binder1(name string) func(Value) ModeID {
 	return func(v Value) ModeID { return e.modes[t.abstract(v)] }
 }
 
-// Binder2 is the fixed-arity form of Binder for two-variable sets; names
-// give the caller's argument order, which may be either permutation of
-// Vars(). As with Binder1, calls through the returned selector are
-// allocation-free.
+// Binder2 is Binder1 for two-variable sets; names give the caller's
+// argument order, which may be either permutation of Vars(), so a
+// multi-variable lock site is immune to argument-order mistakes. As
+// with Binder1, calls through the returned selector are allocation-free.
 func (r SetRef) Binder2(n1, n2 string) func(Value, Value) ModeID {
 	vars := r.Vars()
 	if len(vars) == 0 {
@@ -690,21 +617,6 @@ func (r SetRef) Binder2(n1, n2 string) func(Value, Value) ModeID {
 		}
 		return e.modes[t.abstract(a)*n+t.abstract(b)]
 	}
-}
-
-// ModeEnv selects the locking mode using an environment σ mapping
-// variable names to runtime values — the reference (slower) path.
-func (r SetRef) ModeEnv(env map[string]Value) ModeID {
-	e := &r.t.sets[r.idx]
-	vals := make([]Value, len(e.vars))
-	for i, v := range e.vars {
-		val, ok := env[v]
-		if !ok {
-			panic(fmt.Sprintf("core: no runtime value for variable %q", v))
-		}
-		vals[i] = val
-	}
-	return r.Mode(vals...)
 }
 
 // CoversOp reports whether the canonical mode id's denotation contains

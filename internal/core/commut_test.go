@@ -105,9 +105,9 @@ func TestDynamicModeSelection(t *testing.T) {
 	if got := tbl.Mode(m).Key(); got != "{add(α1),remove(α2)}" {
 		t.Errorf("Mode(5,9) = %s", got)
 	}
-	m = ref.ModeEnv(map[string]Value{"i": 9, "j": 5})
+	m = ref.Mode(9, 5)
 	if got := tbl.Mode(m).Key(); got != "{add(α2),remove(α1)}" {
-		t.Errorf("ModeEnv(i=9,j=5) = %s", got)
+		t.Errorf("Mode(9,5) = %s", got)
 	}
 	cref := tbl.Set(SymSetOf(SymOpOf("add", Star())))
 	if got := tbl.Mode(cref.Mode()).Key(); got != "{add(*)}" {
@@ -211,8 +211,8 @@ func TestCoarsening(t *testing.T) {
 	if got := tbl.Phi().N(); got != 2 {
 		t.Errorf("coarsened φ has %d buckets, want 2 (2^2 = 4 ≤ MaxModes)", got)
 	}
-	if len(tbl.RawModes()) > 4 {
-		t.Errorf("raw modes = %d exceeds MaxModes", len(tbl.RawModes()))
+	if len(tbl.Modes()) > 4 {
+		t.Errorf("raw modes = %d exceeds MaxModes", len(tbl.Modes()))
 	}
 }
 

@@ -78,10 +78,10 @@ type Semantic struct {
 	mechs []mechV2
 	id    uint64
 
-	// DisableFastPath forces every acquisition through the internal
+	// disableFastPath forces every acquisition through the internal
 	// lock, skipping the optimistic counter scan of Fig 20 lines 3–4 —
 	// ablation A4.
-	DisableFastPath bool
+	disableFastPath bool
 
 	// Optimistic-read outcome counters and the adaptive gate
 	// (Txn.TryOptimistic). optHits/optRetries are the cumulative
@@ -140,7 +140,7 @@ func (s *Semantic) acquire(m ModeID, log []Acquisition) {
 	// and blocking live in acquireSlow.
 	mech := &s.mechs[p]
 	c := &s.table.masks[m]
-	if !s.DisableFastPath && mech.tryAcquire(c) {
+	if !s.disableFastPath && mech.tryAcquire(c) {
 		mech.fastPath.Add(1)
 		return
 	}
@@ -162,7 +162,7 @@ func (s *Semantic) acquireWithin(m ModeID, patience time.Duration, log []Acquisi
 	}
 	mech := &s.mechs[p]
 	c := &s.table.masks[m]
-	if !s.DisableFastPath && mech.tryAcquire(c) {
+	if !s.disableFastPath && mech.tryAcquire(c) {
 		mech.fastPath.Add(1)
 		return nil
 	}
@@ -170,7 +170,7 @@ func (s *Semantic) acquireWithin(m ModeID, patience time.Duration, log []Acquisi
 }
 
 // acquireScan hands a scan — one mode's or a batch's — whose first
-// attempt failed (or was skipped, DisableFastPath) to its mechanism's
+// attempt failed (or was skipped, disableFastPath) to its mechanism's
 // acquisition core and turns the outcome into the bounded-acquisition
 // error contract. ms names the scan's modes for the stall report.
 func (s *Semantic) acquireScan(p int, c *maskInfo, patience time.Duration, log []Acquisition, ms ...ModeID) error {
@@ -179,7 +179,7 @@ func (s *Semantic) acquireScan(p int, c *maskInfo, patience time.Duration, log [
 		start = time.Now() // only a stall reports Waited, and Forever cannot stall
 	}
 	mech := &s.mechs[p]
-	holders, out := mech.acquireSlow(c, !s.DisableFastPath, patience, log)
+	holders, out := mech.acquireSlow(c, !s.disableFastPath, patience, log)
 	if out == acqOK {
 		return nil
 	}
@@ -270,7 +270,7 @@ func (s *Semantic) acquireBatch(ms []ModeID, patience time.Duration, log []Acqui
 	}
 	if samePart {
 		mech := &s.mechs[p0]
-		if !s.DisableFastPath {
+		if !s.disableFastPath {
 			k := 0
 			ok := true
 			for ; k < len(ms); k++ {
@@ -390,7 +390,7 @@ func (s *Semantic) acquireMechBatch(p int, sc *batchScratch, patience time.Durat
 	for i := range b.words {
 		b.words[i].own = b.ownClaimsInWord(b.words[i].w)
 	}
-	if !s.DisableFastPath && mech.tryScan(b) {
+	if !s.disableFastPath && mech.tryScan(b) {
 		mech.fastPath.Add(1)
 		return nil
 	}

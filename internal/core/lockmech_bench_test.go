@@ -81,7 +81,7 @@ func BenchmarkSemanticAcquireWildcard(b *testing.B) {
 func BenchmarkSemanticAcquireSlowPath(b *testing.B) {
 	tbl := benchTable(64)
 	s := NewSemantic(tbl)
-	s.DisableFastPath = true
+	s.disableFastPath = true
 	m := benchKeyMode(tbl, 7)
 	b.ReportAllocs()
 	b.ResetTimer()

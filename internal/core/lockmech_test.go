@@ -211,7 +211,7 @@ func TestTryAcquire(t *testing.T) {
 func TestNoFastPathStillCorrect(t *testing.T) {
 	tbl := mapTable(t, 1, TableOptions{})
 	s := NewSemantic(tbl)
-	s.DisableFastPath = true
+	s.disableFastPath = true
 	km, sm := keyMode(tbl, 7), sizeMode(tbl)
 	var inside, violations atomic.Int32
 	var wg sync.WaitGroup

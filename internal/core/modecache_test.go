@@ -5,36 +5,25 @@ import (
 	"testing"
 )
 
-// TestModeCacheFaithful: every interned selector returns exactly the
-// mode the reference path (ModeForValues) constructs, for random values
-// and every registered set of a representative table.
+// TestModeCacheFaithful: the interned selectors of modecache.go return
+// exactly the mode the reference path (ModeForValues) constructs, for
+// random values of a representative table's key set.
 func TestModeCacheFaithful(t *testing.T) {
 	tbl := mapTable(t, 8, TableOptions{})
-	cache := tbl.Cache()
 	keySet := SymSetOf(SymOpOf("get", VarArg("k")), SymOpOf("put", VarArg("k"), Star()), SymOpOf("remove", VarArg("k")))
 	sizeSet := SymSetOf(SymOpOf("size"))
 	rng := rand.New(rand.NewSource(1))
 
-	keyID := cache.SetID(keySet)
 	keyRef := tbl.Set(keySet)
 	for trial := 0; trial < 200; trial++ {
 		v := rng.Intn(64)
 		want := keyRef.Mode(v)
-		if got := cache.Mode1(keyID, v); got != want {
-			t.Fatalf("Mode1(%d) = %d, want %d", v, got, want)
-		}
-		if got := cache.ModeAt(keyID, tbl.Phi().Abstract(v)); got != want {
-			t.Fatalf("ModeAt(%d) = %d, want %d", v, got, want)
-		}
 		if got := keyRef.Mode1(v); got != want {
 			t.Fatalf("SetRef.Mode1(%d) = %d, want %d", v, got, want)
 		}
 		ref := ModeForValues(keySet, tbl.Phi(), map[string]Value{"k": v})
-		if interned := cache.Interned(want); interned.String() != ref.String() {
-			t.Fatalf("Interned(%d) = %s, reference build = %s", want, interned, ref)
-		}
-		if m := cache.ModeFor(keySet, map[string]Value{"k": v}); m.String() != ref.String() {
-			t.Fatalf("ModeFor = %s, reference = %s", m, ref)
+		if interned := tbl.Mode(want); interned.String() != ref.String() {
+			t.Fatalf("Mode(%d) = %s, reference build = %s", want, interned, ref)
 		}
 	}
 
@@ -47,9 +36,6 @@ func TestModeCacheFaithful(t *testing.T) {
 	}
 	if got := sizeRef.Mode2(1, 2); got != want {
 		t.Fatalf("SetRef.Mode2 on constant set = %d, want %d", got, want)
-	}
-	if got := cache.ModeAt(cache.SetID(sizeSet)); got != want {
-		t.Fatalf("ModeAt on constant set = %d, want %d", got, want)
 	}
 }
 
@@ -67,11 +53,8 @@ func TestModeCacheArityPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("SetID unknown", func() {
-		tbl.Cache().SetID(SymSetOf(SymOpOf("get", ConstArg(42))))
-	})
 	mustPanic("Mode2 on 1-var set", func() { tbl.Set(keySet).Mode2(1, 2) })
-	mustPanic("ModeAt arity", func() { tbl.Cache().ModeAt(tbl.Cache().SetID(keySet), 1, 2) })
+	mustPanic("Mode arity", func() { tbl.Set(keySet).Mode(1, 2) })
 }
 
 // TestTxnCachedModeMemo: Txn.CachedMode1 returns the same ModeID as the

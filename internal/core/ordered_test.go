@@ -108,8 +108,8 @@ func TestRangeLockModes(t *testing.T) {
 	rangeSet := SymSetOf(SymOpOf("rangeCount", VarArg("lo"), VarArg("hi")))
 	tbl := NewModeTable(spec, []SymSet{putSet, rangeSet}, TableOptions{Phi: phi, MaxModes: 8 + 64})
 
-	put := tbl.Set(putSet).Binder("k")
-	rng := tbl.Set(rangeSet).Binder("lo", "hi")
+	put := tbl.Set(putSet).Binder1("k")
+	rng := tbl.Set(rangeSet).Binder2("lo", "hi")
 
 	scan := rng(int64(250), int64(349)) // covers buckets 2..3
 	below := put(int64(50))             // bucket 0

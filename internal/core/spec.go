@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MethodSig describes one method of an ADT's standard API: its name and
 // the number of (non-receiver) arguments.
@@ -198,15 +195,4 @@ func checkCondArity(c Cond, a1, a2 int) error {
 		}
 	}
 	return nil
-}
-
-// MethodNames returns the sorted method names (handy for deterministic
-// iteration in reports).
-func (s *Spec) MethodNames() []string {
-	names := make([]string, 0, len(s.byName))
-	for n := range s.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -51,7 +51,7 @@ func TestStatsBlocked(t *testing.T) {
 func TestStatsNoFastPath(t *testing.T) {
 	tbl := mapTable(t, 4, TableOptions{})
 	s := NewSemantic(tbl)
-	s.DisableFastPath = true
+	s.disableFastPath = true
 	for i := 0; i < 50; i++ {
 		m := keyMode(tbl, i)
 		s.Acquire(m)

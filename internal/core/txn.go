@@ -42,17 +42,6 @@ type Txn struct {
 	// instead of acquiring and Assert accepts coverage by observed modes.
 	optActive bool
 	snap      Snapshot
-
-	// trace is the telemetry acquisition ring (StartTrace): a bounded
-	// buffer of Acquisition events recorded by recordHeld, the same
-	// machinery that feeds the checked log, but available on unchecked
-	// transactions and switchable per transaction. Unlike the checked
-	// log it never grows past its capacity — old events are overwritten
-	// so a long section costs a fixed amount of memory to trace.
-	trace      []Acquisition
-	traceHead  int
-	traceTotal int
-	traceOn    bool
 }
 
 // Acquisition is one recorded lock acquisition of a checked transaction:
@@ -101,13 +90,6 @@ func (t *Txn) Reset() {
 		t.log = nil
 	} else {
 		t.log = t.log[:0]
-	}
-	t.traceOn = false
-	t.traceHead, t.traceTotal = 0, 0
-	if cap(t.trace) > resetShrinkCap {
-		t.trace = nil
-	} else {
-		t.trace = t.trace[:0]
 	}
 	// Clear the optimistic snapshot state: a pooled transaction reused
 	// by a different section must never validate against a stale version
@@ -330,9 +312,6 @@ func (t *Txn) recordHeld(s *Semantic, m ModeID, rank int) {
 	if t.checked {
 		t.log = append(t.log, Acquisition{Rank: rank, ID: s.id, Mode: m})
 	}
-	if t.traceOn {
-		t.traceRecord(Acquisition{Rank: rank, ID: s.id, Mode: m})
-	}
 }
 
 // LockOrdered acquires the same mode on several same-rank instances in
@@ -417,10 +396,6 @@ func (t *Txn) TryOptimistic(body func(*Txn) bool) bool {
 	return t.snap.Validate()
 }
 
-// Observed reports whether the transaction's current optimistic body
-// has observed instance s (test hook; the optimistic LOCAL_SET).
-func (t *Txn) Observed(s *Semantic) bool { return t.snap.find(s) != nil }
-
 // UnlockInstance releases all modes held on instance s — the early lock
 // release of Appendix A ("if(x!=null) x.unlockAll()" moved before the end
 // of the section). A batched acquisition may have taken several modes on
@@ -503,69 +478,6 @@ func (t *Txn) Assert(s *Semantic, op Op) {
 
 // Checked reports whether protocol checking is enabled.
 func (t *Txn) Checked() bool { return t.checked }
-
-// defaultTraceCap is StartTrace's ring capacity when the caller passes
-// a non-positive one: enough for every prologue in the paper corpus
-// (the widest fused prologue locks a handful of instances) without
-// growing the Txn noticeably.
-const defaultTraceCap = 16
-
-// StartTrace enables per-transaction acquisition tracing with a ring of
-// the given capacity (≤0 selects a small default). Every subsequent
-// acquisition — Lock, LockWithin, LockBatch, on checked and unchecked
-// transactions alike — appends an Acquisition event; once the ring is
-// full the oldest events are overwritten, so tracing a long section has
-// fixed cost. Starting an already-started trace re-arms it empty,
-// keeping the existing backing array when its capacity suffices.
-func (t *Txn) StartTrace(capacity int) {
-	if capacity <= 0 {
-		capacity = defaultTraceCap
-	}
-	if cap(t.trace) < capacity {
-		t.trace = make([]Acquisition, 0, capacity)
-	} else {
-		t.trace = t.trace[:0]
-	}
-	t.traceHead, t.traceTotal = 0, 0
-	t.traceOn = true
-}
-
-// StopTrace disables tracing. The recorded events remain readable via
-// TraceEvents until the next StartTrace or Reset.
-func (t *Txn) StopTrace() { t.traceOn = false }
-
-// traceRecord appends one event to the trace ring, overwriting the
-// oldest event once the ring is full.
-func (t *Txn) traceRecord(a Acquisition) {
-	if len(t.trace) < cap(t.trace) {
-		t.trace = append(t.trace, a)
-	} else {
-		t.trace[t.traceHead] = a
-		t.traceHead++
-		if t.traceHead == len(t.trace) {
-			t.traceHead = 0
-		}
-	}
-	t.traceTotal++
-}
-
-// TraceEvents returns a copy of the traced acquisition events, oldest
-// first. If more than the ring's capacity were recorded, only the most
-// recent capacity events are available (TraceTotal reports how many were
-// recorded in all). Returns nil if tracing was never started.
-func (t *Txn) TraceEvents() []Acquisition {
-	if len(t.trace) == 0 {
-		return nil
-	}
-	out := make([]Acquisition, 0, len(t.trace))
-	out = append(out, t.trace[t.traceHead:]...)
-	out = append(out, t.trace[:t.traceHead]...)
-	return out
-}
-
-// TraceTotal returns how many acquisition events were recorded since
-// StartTrace, including any that the ring has since overwritten.
-func (t *Txn) TraceTotal() int { return t.traceTotal }
 
 // Acquisitions returns the lock acquisitions the transaction performed
 // since it was created or Reset, in order. Only checked transactions

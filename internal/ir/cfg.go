@@ -161,9 +161,6 @@ func (g *CFG) NodeOf(s Stmt) (int, bool) {
 	return id, ok
 }
 
-// Reaches reports a path of length ≥ 0 from a to b.
-func (g *CFG) Reaches(a, b int) bool { return g.reach0[a][b] }
-
 // ReachesProperly reports a path of length ≥ 1 from a to b (needed for
 // self-reachability through loops, as in Fig 9).
 func (g *CFG) ReachesProperly(a, b int) bool { return g.reach1[a][b] }

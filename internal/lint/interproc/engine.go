@@ -536,7 +536,7 @@ var (
 		"GlobalLock": {"Enter": true},
 		"TwoPL":      {"Lock": true, "LockOrdered": true},
 		"Striped": {
-			"Lock": true, "RLock": true, "LockAll": true, "LockPair": true,
+			"Lock": true, "RLock": true, "LockAll": true,
 		},
 	}
 	// Hand-optimized baselines guard ADT compounds with raw stdlib

@@ -71,24 +71,24 @@ func TestGraphCoverage(t *testing.T) {
 	preds := p.Table("Multimap$preds")
 
 	s, d, n := 3, 9, 5
-	find := p.Ref(0, "succs").Binder("n")(n)
+	find := p.Ref(0, "succs").Binder1("n")(n)
 	mustCover(t, succs, find, core.NewOp("get", n))
 	mustNotCover(t, succs, find, core.NewOp("put", n, d), core.NewOp("remove", n, d))
 
-	ins := p.Ref(2, "succs").Binder("s", "d")(s, d)
+	ins := p.Ref(2, "succs").Binder2("s", "d")(s, d)
 	mustCover(t, succs, ins, core.NewOp("put", s, d))
 	mustNotCover(t, succs, ins, core.NewOp("get", s), core.NewOp("removeAll", s))
 
-	insP := p.Ref(2, "preds").Binder("d", "s")(d, s)
+	insP := p.Ref(2, "preds").Binder2("d", "s")(d, s)
 	mustCover(t, preds, insP, core.NewOp("put", d, s))
 
-	rem := p.Ref(3, "succs").Binder("s", "d")(s, d)
+	rem := p.Ref(3, "succs").Binder2("s", "d")(s, d)
 	mustCover(t, succs, rem, core.NewOp("remove", s, d))
 	mustNotCover(t, succs, rem, core.NewOp("put", s, d))
 
 	// And the cross-mode conflict the swapped-argument bug would lose:
 	// find(s) must conflict with insert(s, d).
-	findS := p.Ref(0, "succs").Binder("n")(s)
+	findS := p.Ref(0, "succs").Binder1("n")(s)
 	if succs.Commute(findS, ins) {
 		t.Error("find(s) must conflict with insert(s,d) — get/put on one key")
 	}
@@ -106,7 +106,7 @@ func TestCacheCoverage(t *testing.T) {
 	mustCover(t, eden, get, core.NewOp("get", k), core.NewOp("put", k, v))
 	mustNotCover(t, eden, get, core.NewOp("size"), core.NewOp("clear"))
 
-	put := p.Ref(1, "eden").Binder("k", "v")(k, v)
+	put := p.Ref(1, "eden").Binder2("k", "v")(k, v)
 	mustCover(t, eden, put,
 		core.NewOp("size"), core.NewOp("clear"), core.NewOp("put", k, v))
 
@@ -143,7 +143,7 @@ func TestGossipCoverage(t *testing.T) {
 	members := p.Table("Map$members")
 	groups := p.Table("Map$groups")
 
-	reg := p.Ref(0, "members").Binder("m", "conn")("alice", "conn-id")
+	reg := p.Ref(0, "members").Binder2("m", "conn")("alice", "conn-id")
 	mustCover(t, members, reg, core.NewOp("put", "alice", "conn-id"))
 
 	mc := p.Ref(3, "members").Mode()

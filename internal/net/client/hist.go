@@ -14,7 +14,6 @@ import (
 type Hist struct {
 	counts [65]uint64
 	n      uint64
-	sum    uint64
 }
 
 // Record adds one latency sample.
@@ -25,19 +24,10 @@ func (h *Hist) Record(d time.Duration) {
 	}
 	h.counts[bits.Len64(ns)]++
 	h.n++
-	h.sum += ns
 }
 
 // Count returns the number of recorded samples.
 func (h *Hist) Count() uint64 { return h.n }
-
-// Mean returns the exact (un-bucketed) mean of the recorded samples.
-func (h *Hist) Mean() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.n)
-}
 
 // Merge folds o into h.
 func (h *Hist) Merge(o *Hist) {
@@ -45,7 +35,6 @@ func (h *Hist) Merge(o *Hist) {
 		h.counts[i] += o.counts[i]
 	}
 	h.n += o.n
-	h.sum += o.sum
 }
 
 // Quantile returns the q-th (0..1) latency estimate: the geometric

@@ -137,13 +137,6 @@ func (cs *Classes) ClassOfVar(si int, v string) (string, bool) {
 	return k, ok
 }
 
-// SameClass reports whether two variables of one section share a class.
-func (cs *Classes) SameClass(si int, a, b string) bool {
-	ka, oka := cs.ClassOfVar(si, a)
-	kb, okb := cs.ClassOfVar(si, b)
-	return oka && okb && ka == kb
-}
-
 // Keys returns all class keys in first-appearance order.
 func (cs *Classes) Keys() []string {
 	return append([]string(nil), cs.appearance...)

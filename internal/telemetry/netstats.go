@@ -32,20 +32,3 @@ func (r *Registry) RegisterNetSource(name string, fn func() []NetStats) {
 	r.net = append(r.net, netSource{name: name, fn: fn})
 	r.mu.Unlock()
 }
-
-// UnregisterNetSource removes every network source registered under
-// name.
-func (r *Registry) UnregisterNetSource(name string) {
-	r.mu.Lock()
-	kept := r.net[:0]
-	for _, s := range r.net {
-		if s.name != name {
-			kept = append(kept, s)
-		}
-	}
-	for i := len(kept); i < len(r.net); i++ {
-		r.net[i] = netSource{}
-	}
-	r.net = kept
-	r.mu.Unlock()
-}

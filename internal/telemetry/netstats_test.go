@@ -45,10 +45,4 @@ func TestNetSourceSnapshot(t *testing.T) {
 	if len(back.Net) != 2 || back.Net[0].Conns["accepted"] != 3 {
 		t.Fatalf("JSON round-trip lost net rows: %+v", back.Net)
 	}
-
-	r.UnregisterNetSource("gossipd")
-	snap = r.Snapshot()
-	if len(snap.Net) != 1 || snap.Net[0].Server != "second" {
-		t.Fatalf("after unregister: %+v", snap.Net)
-	}
 }

@@ -153,23 +153,6 @@ func (r *Registry) RegisterPolicySource(name string, fn func() []PolicyStats) {
 	r.mu.Unlock()
 }
 
-// UnregisterPolicySource removes every policy source registered under
-// name.
-func (r *Registry) UnregisterPolicySource(name string) {
-	r.mu.Lock()
-	kept := r.policies[:0]
-	for _, p := range r.policies {
-		if p.name != name {
-			kept = append(kept, p)
-		}
-	}
-	for i := len(kept); i < len(r.policies); i++ {
-		r.policies[i] = policySource{}
-	}
-	r.policies = kept
-	r.mu.Unlock()
-}
-
 // Unregister removes every group registered under groupName.
 func (r *Registry) Unregister(groupName string) {
 	r.mu.Lock()

@@ -3,17 +3,12 @@ package telemetry_test
 import (
 	"encoding/json"
 	"expvar"
-	"math/rand"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"repro/internal/adtspecs"
 	"repro/internal/core"
-	"repro/internal/interp"
-	"repro/internal/ir"
-	"repro/internal/papersec"
-	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
@@ -159,103 +154,5 @@ func TestPublishAndHandler(t *testing.T) {
 	}
 	if len(snap.Groups) != 1 || snap.Groups[0].Group != "pub" {
 		t.Errorf("handler snapshot = %+v", snap)
-	}
-}
-
-// TestTraceMatchesVerifierSchedule runs the synthesized Fig 7 section
-// on traced unchecked transactions and asserts every recorded schedule
-// realizes the verifier's predicted order — the telemetry twin of the
-// checked-transaction crosscheck, exercising StartTrace/TraceEvents
-// plus ScheduleWidths/CheckSchedule end to end.
-func TestTraceMatchesVerifierSchedule(t *testing.T) {
-	seeder := &ir.Atomic{
-		Name: "seed",
-		Vars: []ir.Param{
-			{Name: "m", Type: "Map", IsADT: true, NonNull: true},
-			{Name: "s", Type: "Set", IsADT: true, NonNull: true},
-			{Name: "k", Type: "int"},
-		},
-		Body: ir.Block{
-			&ir.Call{Recv: "m", Method: "put", Args: []ir.Expr{ir.VarRef{Name: "k"}, ir.VarRef{Name: "s"}}},
-		},
-	}
-	res, err := synth.Synthesize(
-		&synth.Program{Sections: []*ir.Atomic{papersec.Fig7(), seeder}, Specs: adtspecs.All()},
-		synth.DefaultOptions(),
-	)
-	if err != nil {
-		t.Fatalf("Synthesize: %v", err)
-	}
-	maxAtRank := telemetry.ScheduleWidths(res, 0)
-	if len(maxAtRank) < 2 {
-		t.Fatalf("fig7 should lock several classes, got rank map %v", maxAtRank)
-	}
-
-	e := interp.NewExecutor(res, false)
-	e.EvalOpaque = func(text string, env map[string]core.Value) core.Value {
-		if text == "s1!=null && s2!=null" {
-			return env["s1"] != nil && env["s2"] != nil
-		}
-		t.Fatalf("unexpected opaque condition %q", text)
-		return nil
-	}
-	m := e.NewInstance("Map", "Map")
-	q := e.NewInstance("Queue", "Queue")
-	const keys = 4
-	for k := 0; k < keys; k++ {
-		env := map[string]core.Value{"m": m, "s": e.NewInstance("Set", "Set"), "k": k}
-		if err := e.Run(1, env); err != nil {
-			t.Fatalf("seed: %v", err)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(1))
-	tx := core.NewTxn()
-	for i := 0; i < 200; i++ {
-		tx.Reset()
-		tx.StartTrace(64)
-		env := map[string]core.Value{
-			"m": m, "q": q, "s1": nil, "s2": nil,
-			"key1": rng.Intn(keys), "key2": rng.Intn(keys),
-		}
-		if err := e.RunWithTxn(0, env, tx, nil); err != nil {
-			t.Fatal(err)
-		}
-		ev := tx.TraceEvents()
-		if len(ev) == 0 || tx.TraceTotal() != len(ev) {
-			t.Fatalf("trace lost events: total=%d, got %d", tx.TraceTotal(), len(ev))
-		}
-		if err := telemetry.CheckSchedule(ev, maxAtRank); err != nil {
-			t.Fatalf("iteration %d: %v (events %v)", i, err, ev)
-		}
-	}
-}
-
-// TestTraceEqualsCheckedLog: on a checked transaction the trace ring
-// (when large enough) must record exactly the acquisitions the checked
-// log records — both feed off recordHeld.
-func TestTraceEqualsCheckedLog(t *testing.T) {
-	tbl, keys, _ := keyedTable(t)
-	a, b := core.NewSemantic(tbl), core.NewSemantic(tbl)
-	tx := core.NewCheckedTxn()
-	tx.StartTrace(8)
-	tx.LockBatch(
-		core.BatchLock{Sem: a, Mode: keys.Mode(0), Rank: 1},
-		core.BatchLock{Sem: b, Mode: keys.Mode(1), Rank: 1},
-	)
-	tx.UnlockAll()
-	log := tx.Acquisitions()
-	ev := tx.TraceEvents()
-	if len(log) != 2 || len(ev) != len(log) {
-		t.Fatalf("log %v, trace %v", log, ev)
-	}
-	for i := range log {
-		if log[i] != ev[i] {
-			t.Fatalf("event %d: log %+v != trace %+v", i, log[i], ev[i])
-		}
-	}
-	tx.Reset()
-	if tx.TraceEvents() != nil || tx.TraceTotal() != 0 {
-		t.Error("Reset must clear the trace")
 	}
 }

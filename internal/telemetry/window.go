@@ -28,7 +28,6 @@ type RateWindow struct {
 	buckets   []uint64
 	head      int       // index of the bucket covering headStart
 	headStart time.Time // start of the head bucket's interval
-	total     uint64    // lifetime count, never decayed
 }
 
 // NewRateWindow creates a window covering the trailing `window` duration
@@ -87,7 +86,6 @@ func (w *RateWindow) Add(n uint64) {
 	w.mu.Lock()
 	w.advanceLocked(time.Now())
 	w.buckets[w.head] += n
-	w.total += n
 	w.mu.Unlock()
 }
 
@@ -107,13 +105,6 @@ func (w *RateWindow) Sum() uint64 {
 func (w *RateWindow) Rate() float64 {
 	span := w.bucketDur * time.Duration(len(w.buckets))
 	return float64(w.Sum()) / span.Seconds()
-}
-
-// Total returns the lifetime event count (never decayed).
-func (w *RateWindow) Total() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.total
 }
 
 // StallFeed is the single funnel for core's stall observations: Install

@@ -15,17 +15,10 @@ func TestRateWindowDecays(t *testing.T) {
 	if s := w.Sum(); s != 10 {
 		t.Fatalf("Sum = %d, want 10", s)
 	}
-	if tot := w.Total(); tot != 10 {
-		t.Fatalf("Total = %d, want 10", tot)
-	}
-	// After a full window passes the sum decays to zero; the lifetime
-	// total does not.
+	// After a full window passes the sum decays to zero.
 	time.Sleep(60 * time.Millisecond)
 	if s := w.Sum(); s != 0 {
 		t.Fatalf("Sum after window = %d, want 0", s)
-	}
-	if tot := w.Total(); tot != 10 {
-		t.Fatalf("Total after window = %d, want 10", tot)
 	}
 	// New events land in a fresh bucket.
 	w.Add(3)
@@ -89,9 +82,5 @@ func TestPolicySourcesInSnapshot(t *testing.T) {
 	p := snap.Policies[0]
 	if p.Policy != "p1" || p.Kind != "breaker" || p.State != "closed" || p.Counters["tripped"] != 2 {
 		t.Fatalf("row = %+v", p)
-	}
-	r.UnregisterPolicySource("p1")
-	if snap := r.Snapshot(); len(snap.Policies) != 0 {
-		t.Fatalf("Policies after unregister = %+v, want none", snap.Policies)
 	}
 }
