@@ -67,7 +67,6 @@ check_walks() { # file, number of RangeHeld call sites it must hold
 		fail=1
 	fi
 }
-check_walks internal/apps/gossip/boxed.go 1           # MulticastV
-check_walks internal/apps/gossip/resilient_boxed.go 1 # Resilient.MulticastErrV
-check_walks internal/apps/gossip/gossip.go 3          # the three baselines (global, 2pl, manual)
+check_walks internal/apps/gossip/boxed.go 1  # multicast, the body of MulticastV and Resilient.MulticastErrV
+check_walks internal/apps/gossip/gossip.go 3 # the three baselines (global, 2pl, manual)
 exit $fail

@@ -271,7 +271,7 @@ func serveListen(addr string, sendCost int, resil, debug bool, patience time.Dur
 	}
 	if debug {
 		telemetry.Default.RegisterProvider("gossipd-net", "Map", s.Router().Sems)
-		telemetry.Default.RegisterNetSource("gossipd-net", s.NetStats)
+		telemetry.Default.RegisterNetSource(s.NetStats)
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- s.Serve() }()

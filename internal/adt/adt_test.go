@@ -90,21 +90,21 @@ func TestHashMapRange(t *testing.T) {
 		m.Put(i, i*i)
 	}
 	seen := 0
-	m.Range(func(k, v any) bool {
+	m.each(func(k, v any) bool {
 		if v != k.(int)*k.(int) {
-			t.Errorf("Range saw %v→%v", k, v)
+			t.Errorf("each saw %v→%v", k, v)
 		}
 		seen++
 		return true
 	})
 	if seen != 100 {
-		t.Errorf("Range visited %d, want 100", seen)
+		t.Errorf("each visited %d, want 100", seen)
 	}
 	// Early stop.
 	n := 0
-	m.Range(func(k, v any) bool { n++; return n < 5 })
+	m.each(func(k, v any) bool { n++; return n < 5 })
 	if n != 5 {
-		t.Errorf("Range early stop visited %d", n)
+		t.Errorf("each early stop visited %d", n)
 	}
 }
 
@@ -145,9 +145,9 @@ func TestHashSetBasics(t *testing.T) {
 		t.Error("remove wrong")
 	}
 	count := 0
-	s.Range(func(v any) bool { count++; return true })
+	s.each(func(v any, _ struct{}) bool { count++; return true })
 	if count != 1 {
-		t.Errorf("Range visited %d", count)
+		t.Errorf("each visited %d", count)
 	}
 	s.Clear()
 	if s.Size() != 0 {
@@ -378,7 +378,7 @@ func mapWalker() walker {
 	return walker{
 		put:      func(k int) { m.Put(k, k) },
 		remove:   func(k int) { m.Remove(k) },
-		each:     func(f func(int)) { m.Range(func(k, _ core.Value) bool { f(k.(int)); return true }) },
+		each:     func(f func(int)) { m.each(func(k, _ core.Value) bool { f(k.(int)); return true }) },
 		clear:    m.Clear,
 		size:     m.Size,
 		occupied: m.occupied.Load,
@@ -391,7 +391,7 @@ func setWalker() walker {
 	return walker{
 		put:      func(k int) { s.Add(k) },
 		remove:   func(k int) { s.Remove(k) },
-		each:     func(f func(int)) { s.Range(func(v core.Value) bool { f(v.(int)); return true }) },
+		each:     func(f func(int)) { s.each(func(v core.Value, _ struct{}) bool { f(v.(int)); return true }) },
 		clear:    s.Clear,
 		size:     s.Size,
 		occupied: s.occupied.Load,
@@ -399,7 +399,7 @@ func setWalker() walker {
 	}
 }
 
-// TestHashMapRangeOccupancy: a walk (HashMap.Range/Values, HashSet.Range)
+// TestHashMapRangeOccupancy: a locking walk (each, under Values)
 // visits occupied stripes only, so under concurrent Put/Remove it must
 // still never miss a key present for the whole walk and never yield one
 // whose removal completed before the walk began; once writers stop, the

@@ -102,8 +102,10 @@ func (h *HashMap) Size() int { return int(h.size.Load()) }
 // Clear removes every binding.
 func (h *HashMap) Clear() { h.size.Add(int64(-h.clear())) }
 
-// Values returns a snapshot of all bound values (shard at a time; see
-// Range for the atomicity caveat).
+// Values returns a snapshot of all bound values. It locks one shard at
+// a time, so it is not atomic with respect to concurrent writers;
+// transactions wanting an atomic scan must hold a mode conflicting with
+// all writes (as the synthesized clients do).
 func (h *HashMap) Values() []core.Value {
 	out := make([]core.Value, 0, h.Size())
 	h.each(func(_, v core.Value) bool {
@@ -144,22 +146,16 @@ func (h *HashMap) ComputeIfAbsent(k core.Value, compute func() core.Value) core.
 	return v
 }
 
-// Range calls f for every binding until f returns false, in table order
-// (stripe by stripe, slot by slot — a function of the keys' hashes and
-// insertion history, not randomised). It locks one shard at a time, so
-// it is not atomic with respect to concurrent writers; transactions
-// wanting an atomic scan must hold a mode conflicting with all writes
-// (as the synthesized clients do).
-func (h *HashMap) Range(f func(k, v core.Value) bool) { h.each(f) }
-
-// RangeHeld is Range — same bindings, same order — for a caller that
-// holds, for the whole walk, a lock conflicting with every Put,
+// RangeHeld calls f for every binding until f returns false, in table
+// order (stripe by stripe, slot by slot — a function of the keys' hashes
+// and insertion history, not randomised), for a caller that holds, for
+// the whole walk, a lock conflicting with every Put,
 // PutIfAbsent, ComputeIfAbsent, Remove, Clear and PutAll-destination on
 // this map (a semantic mode for which ModeTable.ExcludesMutators is
 // true, or an exclusive / reader-side lock every writer takes). Under
 // that lock the walk is atomic, takes no shard lock and allocates
 // nothing; without it, it is a data race. Concurrent Get, ContainsKey,
-// Range and optimistic readers are unaffected. striped.eachHeld carries
+// Values and optimistic readers are unaffected. striped.eachHeld carries
 // the happens-before argument; the heldwalk analyzer checks that a call
 // sits behind an acquisition.
 func (h *HashMap) RangeHeld(f func(k, v core.Value) bool) { h.eachHeld(f) }

@@ -58,9 +58,3 @@ func (h *HashSet) Size() int { return int(h.size.Load()) }
 
 // Clear removes every element.
 func (h *HashSet) Clear() { h.size.Add(int64(-h.clear())) }
-
-// Range calls f for every element until f returns false (shard at a
-// time; see HashMap.Range for the order and the atomicity caveat).
-func (h *HashSet) Range(f func(v core.Value) bool) {
-	h.each(func(v core.Value, _ struct{}) bool { return f(v) })
-}

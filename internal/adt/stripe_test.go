@@ -43,7 +43,7 @@ func checkTable[V any](t *testing.T, tab *table[V]) {
 	}
 }
 
-// checkMap asserts that m holds exactly ref's bindings, by Get, Range,
+// checkMap asserts that m holds exactly ref's bindings, by Get, each,
 // Values and Size, and that every stripe's table and the occupancy
 // bitmap are well formed.
 func checkMap(t *testing.T, m *HashMap, ref map[core.Value]core.Value) {
@@ -52,16 +52,16 @@ func checkMap(t *testing.T, m *HashMap, ref map[core.Value]core.Value) {
 		t.Fatalf("Size = %d, want %d", m.Size(), len(ref))
 	}
 	seen := make(map[core.Value]bool, len(ref))
-	m.Range(func(k, v core.Value) bool {
+	m.each(func(k, v core.Value) bool {
 		want, ok := ref[k]
 		if !ok || v != want || seen[k] {
-			t.Fatalf("Range yielded %v→%v (bound %v, to %v, seen %v)", k, v, ok, want, seen[k])
+			t.Fatalf("each yielded %v→%v (bound %v, to %v, seen %v)", k, v, ok, want, seen[k])
 		}
 		seen[k] = true
 		return true
 	})
 	if len(seen) != len(ref) || len(m.Values()) != len(ref) {
-		t.Fatalf("Range saw %d and Values %d of %d bindings", len(seen), len(m.Values()), len(ref))
+		t.Fatalf("each saw %d and Values %d of %d bindings", len(seen), len(m.Values()), len(ref))
 	}
 	for k, want := range ref {
 		if got := m.Get(k); got != want || !m.ContainsKey(k) {
@@ -189,13 +189,13 @@ func TestHashMapModelRandom(t *testing.T) {
 }
 
 // TestRangeHeldModel: on every key space of the model corpus, along a
-// random operation sequence, RangeHeld yields exactly Range's bindings
-// in Range's order, and stops where f first returns false. One
+// random operation sequence, RangeHeld yields exactly the locking walk's
+// bindings in its order, and stops where f first returns false. One
 // goroutine, so the walk's contract (no concurrent writer) holds with no
 // lock at all.
 func TestRangeHeldModel(t *testing.T) {
 	type binding struct{ k, v core.Value }
-	// walk collects what a Range-shaped walk yields, asking it to stop
+	// walk collects what a walk of that shape yields, asking it to stop
 	// after the stop-th binding (never, when stop is 0).
 	walk := func(rangeFn func(func(k, v core.Value) bool), stop int) []binding {
 		var out []binding
@@ -220,9 +220,9 @@ func TestRangeHeldModel(t *testing.T) {
 				if i%(ops/40+1) != 0 && i != ops/2 {
 					continue
 				}
-				want := walk(m.Range, 0)
+				want := walk(m.each, 0)
 				if len(want) != len(ref) {
-					t.Fatalf("Range yielded %d of %d bindings", len(want), len(ref))
+					t.Fatalf("each yielded %d of %d bindings", len(want), len(ref))
 				}
 				for _, stop := range []int{0, 1, len(want) / 2, len(want), len(want) + 1} {
 					n := len(want)
@@ -230,7 +230,7 @@ func TestRangeHeldModel(t *testing.T) {
 						n = stop
 					}
 					if got := walk(m.RangeHeld, stop); !slices.Equal(got, want[:n]) {
-						t.Fatalf("after %d ops, stop %d: RangeHeld yielded %v, Range %v", i, stop, got, want[:n])
+						t.Fatalf("after %d ops, stop %d: RangeHeld yielded %v, each %v", i, stop, got, want[:n])
 					}
 				}
 			}
@@ -302,9 +302,9 @@ func TestHashMapNilKey(t *testing.T) {
 		t.Fatal("a free slot answered for the nil element")
 	}
 	s.Add(nil)
-	s.Range(func(v core.Value) bool {
+	s.each(func(v core.Value, _ struct{}) bool {
 		if v != nil && v != neighbours[0] {
-			t.Fatalf("HashSet.Range yielded %v", v)
+			t.Fatalf("HashSet.each yielded %v", v)
 		}
 		return true
 	})
@@ -416,9 +416,9 @@ func TestHashSetAndMultimapModel(t *testing.T) {
 			}
 		}
 		n := 0
-		s.Range(func(v core.Value) bool {
+		s.each(func(v core.Value, _ struct{}) bool {
 			if !sref[v] {
-				t.Fatalf("HashSet.Range yielded %v", v)
+				t.Fatalf("HashSet.each yielded %v", v)
 			}
 			n++
 			return true
@@ -488,7 +488,7 @@ func TestHashMapWalkHammer(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				seen := make(map[core.Value]int)
 				if (i+r)%2 == 0 {
-					m.Range(func(k, v core.Value) bool {
+					m.each(func(k, v core.Value) bool {
 						if k != v {
 							t.Errorf("Range yielded %v→%v", k, v)
 						}

@@ -1,4 +1,6 @@
-// Boxed-key entry points: the one body of each section.
+// Boxed-key entry points and the one body of each section: the V forms
+// below and the Resilient ErrV forms (resilient_boxed.go) run the same
+// body, and differ only in the envelope and the patience they pass.
 //
 // Converting a Go string to the runtime's Value (an interface) costs a
 // string header per conversion — on the caller's stack when nothing
@@ -24,62 +26,107 @@ import (
 // RegisterV is Register with pre-boxed keys.
 func (o *Ours) RegisterV(group, member core.Value, conn *Conn) {
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, o.regGroupsRef.Mode1(group), o.groupsRank)
-		var mm *memberMap
-		if v := o.groups.Get(group); v != nil {
-			mm = v.(*memberMap)
-		} else {
-			mm = &memberMap{m: adt.NewHashMap(), sem: core.NewSemantic(o.memTable)}
-			o.groups.Put(group, mm)
-		}
-		tx.Lock(mm.sem, o.regMem2(member, conn), o.memRank)
-		o.fault("register")
-		mm.m.Put(member, conn)
+		_ = o.register(tx, group, member, conn, core.Forever)
 	})
 }
 
 // UnregisterV is Unregister with pre-boxed keys.
 func (o *Ours) UnregisterV(group, member core.Value) {
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, o.unregGRef.Mode1(group), o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.unregMemRef.Mode1(member), o.memRank)
-			o.fault("unregister")
-			mm.m.Remove(member)
-		}
+		_ = o.unregister(tx, group, member, core.Forever)
 	})
 }
 
 // UnicastV is Unicast with pre-boxed keys.
 func (o *Ours) UnicastV(group, dst core.Value, payload []byte) {
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, o.uniGRef.Mode1(group), o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.uniMemRef.Mode1(dst), o.memRank)
-			o.fault("unicast")
-			if c := mm.m.Get(dst); c != nil {
-				c.(*Conn).Send(payload) // I/O inside the section
-			}
-		}
+		_ = o.unicast(tx, group, dst, payload, core.Forever)
 	})
 }
 
 // MulticastV is Multicast with a pre-boxed key.
 func (o *Ours) MulticastV(group core.Value, payload []byte) {
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(o.groupsSem, o.mcGRef.Mode1(group), o.groupsRank)
-		if v := o.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			tx.Lock(mm.sem, o.mcMemMode, o.memRank)
-			o.fault("multicast")
-			mm.m.RangeHeld(func(_, c core.Value) bool {
-				c.(*Conn).Send(payload) // I/O inside the section
-				return true
-			})
-		}
+		_ = o.multicast(tx, group, payload, core.Forever)
 	})
+}
+
+// The section bodies. Each waits at most patience per acquisition —
+// core.Forever for the blocking V forms, which therefore have no error
+// to handle, the policy's patience for the Resilient ErrV forms — and
+// returns the *core.StallError of one that timed out; the section
+// epilogue releases what was already held. Every ADT mutation and every
+// send comes after the body's last acquisition, so a stalled body has
+// changed nothing but, in register, created an empty member map under
+// the outer lock (which any later register completes idempotently).
+
+func (o *Ours) register(tx *core.Txn, group, member core.Value, conn *Conn, patience time.Duration) error {
+	if err := tx.LockWithin(o.groupsSem, o.regGroupsRef.Mode1(group), o.groupsRank, patience); err != nil {
+		return err
+	}
+	var mm *memberMap
+	if v := o.groups.Get(group); v != nil {
+		mm = v.(*memberMap)
+	} else {
+		mm = &memberMap{m: adt.NewHashMap(), sem: core.NewSemantic(o.memTable)}
+		o.groups.Put(group, mm)
+	}
+	if err := tx.LockWithin(mm.sem, o.regMem2(member, conn), o.memRank, patience); err != nil {
+		return err
+	}
+	o.fault("register")
+	mm.m.Put(member, conn)
+	return nil
+}
+
+func (o *Ours) unregister(tx *core.Txn, group, member core.Value, patience time.Duration) error {
+	if err := tx.LockWithin(o.groupsSem, o.unregGRef.Mode1(group), o.groupsRank, patience); err != nil {
+		return err
+	}
+	if v := o.groups.Get(group); v != nil {
+		mm := v.(*memberMap)
+		if err := tx.LockWithin(mm.sem, o.unregMemRef.Mode1(member), o.memRank, patience); err != nil {
+			return err
+		}
+		o.fault("unregister")
+		mm.m.Remove(member)
+	}
+	return nil
+}
+
+func (o *Ours) unicast(tx *core.Txn, group, dst core.Value, payload []byte, patience time.Duration) error {
+	if err := tx.LockWithin(o.groupsSem, o.uniGRef.Mode1(group), o.groupsRank, patience); err != nil {
+		return err
+	}
+	if v := o.groups.Get(group); v != nil {
+		mm := v.(*memberMap)
+		if err := tx.LockWithin(mm.sem, o.uniMemRef.Mode1(dst), o.memRank, patience); err != nil {
+			return err
+		}
+		o.fault("unicast")
+		if c := mm.m.Get(dst); c != nil {
+			c.(*Conn).Send(payload) // I/O inside the section
+		}
+	}
+	return nil
+}
+
+func (o *Ours) multicast(tx *core.Txn, group core.Value, payload []byte, patience time.Duration) error {
+	if err := tx.LockWithin(o.groupsSem, o.mcGRef.Mode1(group), o.groupsRank, patience); err != nil {
+		return err
+	}
+	if v := o.groups.Get(group); v != nil {
+		mm := v.(*memberMap)
+		if err := tx.LockWithin(mm.sem, o.mcMemMode, o.memRank, patience); err != nil {
+			return err
+		}
+		o.fault("multicast")
+		mm.m.RangeHeld(func(_, c core.Value) bool {
+			c.(*Conn).Send(payload) // I/O inside the section
+			return true
+		})
+	}
+	return nil
 }
 
 // LookupV is Lookup with pre-boxed keys. It is the hybrid-execution
@@ -88,22 +135,22 @@ func (o *Ours) MulticastV(group core.Value, payload []byte) {
 // into a core.Snapshot on its stack the two mechanisms it would have
 // locked and validating their version counters at the end — it holds
 // nothing, so it needs no transaction — and only re-runs under the
-// pessimistic prologue (LookupPessimistic's body) when an observation is
-// refused, validation fails or the per-instance adaptive gate has closed
-// the optimistic path. The observed modes are exactly the modes the
-// pessimistic path locks — unicast's {get(g)} / {get(dst)} — so the
-// conflict predicate is the one the plan's certificate already covers.
-// The individual ADT reads are safe without the semantic locks because
-// every adt structure is linearizable on its own (internal mutex); what
-// validation adds is that the two reads happened inside one
-// conflict-free window.
+// pessimistic prologue (lookup, LookupPessimistic's body) when an
+// observation is refused, validation fails or the per-instance adaptive
+// gate has closed the optimistic path. The observed modes are exactly
+// the modes the pessimistic path locks — unicast's {get(g)} / {get(dst)}
+// — so the conflict predicate is the one the plan's certificate already
+// covers. The individual ADT reads are safe without the semantic locks
+// because every adt structure is linearizable on its own (internal
+// mutex); what validation adds is that the two reads happened inside
+// one conflict-free window.
 func (o *Ours) LookupV(group, member core.Value) bool {
 	if found, ok := o.lookupOptimisticV(group, member); ok {
 		return found
 	}
 	var found bool
 	core.Atomically(func(tx *core.Txn) {
-		found = o.lookupLockedV(tx, group, member)
+		found, _ = o.lookup(tx, group, member, core.Forever)
 	})
 	return found
 }
@@ -123,14 +170,20 @@ func (o *Ours) lookupOptimisticV(group, member core.Value) (found, ok bool) {
 	return found, sn.Validate()
 }
 
-func (o *Ours) lookupLockedV(tx *core.Txn, group, member core.Value) bool {
-	tx.Lock(o.groupsSem, o.uniGRef.Mode1(group), o.groupsRank)
+// lookup is the pessimistic lookup body, with the patience contract of
+// the other section bodies.
+func (o *Ours) lookup(tx *core.Txn, group, member core.Value, patience time.Duration) (bool, error) {
+	if err := tx.LockWithin(o.groupsSem, o.uniGRef.Mode1(group), o.groupsRank, patience); err != nil {
+		return false, err
+	}
 	if v := o.groups.Get(group); v != nil {
 		mm := v.(*memberMap)
-		tx.Lock(mm.sem, o.uniMemRef.Mode1(member), o.memRank)
-		return mm.m.Get(member) != nil
+		if err := tx.LockWithin(mm.sem, o.uniMemRef.Mode1(member), o.memRank, patience); err != nil {
+			return false, err
+		}
+		return mm.m.Get(member) != nil, nil
 	}
-	return false
+	return false, nil
 }
 
 // SendReq is one unicast inside a batched prologue: a run of adjacent
@@ -170,16 +223,14 @@ func (o *Ours) UnicastBatchV(reqs []SendReq, sc *BatchScratch) {
 		return
 	}
 	core.Atomically(func(tx *core.Txn) {
-		// Forever cannot time out: there is no error to handle.
-		_ = o.unicastBatchLocked(tx, reqs, sc, core.Forever)
+		_ = o.unicastBatch(tx, reqs, sc, core.Forever)
 	})
 }
 
-// unicastBatchLocked is the batch body, shared with the policied form:
-// both prologues wait at most patience per instance group, and a stall
-// returns before any send — the section epilogue releases what was
-// already held.
-func (o *Ours) unicastBatchLocked(tx *core.Txn, reqs []SendReq, sc *BatchScratch, patience time.Duration) error {
+// unicastBatch is the batch body, with the patience contract of the
+// other section bodies: both prologues wait at most patience per
+// instance group, and a stall returns before any send.
+func (o *Ours) unicastBatch(tx *core.Txn, reqs []SendReq, sc *BatchScratch, patience time.Duration) error {
 	sc.outer = sc.outer[:0]
 	for i := range reqs {
 		sc.outer = append(sc.outer, core.BatchLock{

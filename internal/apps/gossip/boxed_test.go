@@ -214,39 +214,61 @@ func TestUnicastBatchRace(t *testing.T) {
 }
 
 // TestResilientBoxedEquivalence: the policied V variants agree with the
-// plain V variants when the policy never refuses.
+// plain V variants when the policy never refuses — and a nil policy,
+// which has no breaker and no bound, never refuses: every ErrV form
+// returns nil and leaves the router as the blocking form leaves Ours.
 func TestResilientBoxedEquivalence(t *testing.T) {
-	o := NewOursFused(0, plan.Options{})
-	r := NewResilient(o, resilience.New("test", resilience.Config{}))
-	var g, m core.Value = "g0", "m0"
-	c := NewConn("m0", 0)
-	if err := r.RegisterErrV(g, m, c); err != nil {
-		t.Fatal(err)
-	}
-	found, err := r.LookupErrV(g, m)
-	if err != nil || !found {
-		t.Fatalf("LookupErrV = %v, %v; want true, nil", found, err)
-	}
-	if err := r.UnicastErrV(g, m, []byte("p")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.MulticastErrV(g, []byte("q")); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Frames.Load(); got != 2 {
-		t.Fatalf("frames = %d, want 2", got)
-	}
-	var sc BatchScratch
-	if err := r.UnicastBatchErrV([]SendReq{{g, m, nil}, {g, m, nil}}, &sc); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Frames.Load(); got != 4 {
-		t.Fatalf("frames after batch = %d, want 4", got)
-	}
-	if err := r.UnregisterErrV(g, m); err != nil {
-		t.Fatal(err)
-	}
-	if found, _ := r.LookupErrV(g, m); found {
-		t.Fatal("member still present after UnregisterErrV")
+	for _, arm := range []struct {
+		name string
+		p    *resilience.Policy
+	}{
+		{"policy", resilience.New("test", resilience.Config{})},
+		{"nil", nil},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			o := NewOursFused(0, plan.Options{})
+			r := NewResilient(NewOursFused(0, plan.Options{}), arm.p)
+			var g, m core.Value = "g0", "m0"
+			co, c := NewConn("m0", 0), NewConn("m0", 0)
+			same := func(what string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if a, b := co.Frames.Load(), c.Frames.Load(); a != b {
+					t.Fatalf("after %s: Ours delivered %d frames, Resilient %d", what, a, b)
+				}
+				found, err := r.LookupErrV(g, m)
+				if err != nil || found != o.LookupV(g, m) {
+					t.Fatalf("after %s: LookupErrV = %v, %v; LookupV = %v", what, found, err, o.LookupV(g, m))
+				}
+			}
+
+			o.RegisterV(g, m, co)
+			same("RegisterErrV", r.RegisterErrV(g, m, c))
+			o.UnicastV(g, m, []byte("p"))
+			same("UnicastErrV", r.UnicastErrV(g, m, []byte("p")))
+			o.MulticastV(g, []byte("q"))
+			same("MulticastErrV", r.MulticastErrV(g, []byte("q")))
+			if got := c.Frames.Load(); got != 2 {
+				t.Fatalf("frames = %d, want 2", got)
+			}
+			var so, sc BatchScratch
+			o.UnicastBatchV([]SendReq{{g, m, nil}, {g, m, nil}}, &so)
+			same("UnicastBatchErrV", r.UnicastBatchErrV([]SendReq{{g, m, nil}, {g, m, nil}}, &sc))
+			if got := c.Frames.Load(); got != 4 {
+				t.Fatalf("frames after batch = %d, want 4", got)
+			}
+			o.UnregisterV(g, m)
+			same("UnregisterErrV", r.UnregisterErrV(g, m))
+			if found, _ := r.LookupErrV(g, m); found {
+				t.Fatal("member still present after UnregisterErrV")
+			}
+			for _, s := range r.Sems() {
+				if err := s.CheckQuiesced(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -30,7 +30,6 @@ import (
 type Conn struct {
 	Member   string
 	Frames   atomic.Int64
-	Bytes    atomic.Int64
 	sendCost int
 }
 
@@ -46,7 +45,6 @@ func (c *Conn) Send(payload []byte) {
 		panic("unreachable")
 	}
 	c.Frames.Add(1)
-	c.Bytes.Add(int64(len(payload)))
 }
 
 // burn is the synthetic serialization cost: n dependent additions. It
@@ -322,7 +320,7 @@ func (o *Ours) LookupPessimistic(group, member string) bool {
 	g, m := core.Value(group), core.Value(member)
 	var found bool
 	core.Atomically(func(tx *core.Txn) {
-		found = o.lookupLockedV(tx, g, m)
+		found, _ = o.lookup(tx, g, m, core.Forever)
 	})
 	return found
 }

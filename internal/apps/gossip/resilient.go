@@ -1,15 +1,10 @@
 // Resilient is the gossip router under the resilience layer: every
-// section runs through a resilience.Policy — breaker-checked,
-// bounded-patience acquisitions — and the read-only membership probe
-// (LookupErrV) tries the optimistic envelope before its bounded
-// pessimistic fallback.
-//
-// The sections keep the irrevocability discipline of Ours: every ADT
-// mutation and every I/O happens only after the last acquisition of the
-// section, so a bounded acquisition that stalls aborts the section with
-// at most one benign partial effect — register's creation of an empty
-// member map under the outer lock, which any later register completes
-// idempotently.
+// section runs Ours's one body for it through a resilience.Policy —
+// breaker admission, then acquisitions bounded by the policy's
+// patience — and the read-only membership probe (LookupErrV) tries the
+// transaction-free optimistic read before its bounded pessimistic
+// fallback. A stalled acquisition aborts the section with at most the
+// one benign partial effect the bodies document (boxed.go).
 
 package gossip
 
@@ -33,7 +28,10 @@ type Resilient struct {
 	Dropped atomic.Uint64
 }
 
-// NewResilient wraps o with policy p.
+// NewResilient wraps o with policy p. A nil p means no breaker and no
+// bound: every section runs as core.Atomically with core.Forever
+// patience, so the ErrV forms then behave as the blocking V forms and
+// return nil.
 func NewResilient(o *Ours, p *resilience.Policy) *Resilient {
 	return &Resilient{Ours: o, policy: p}
 }
@@ -44,48 +42,23 @@ func (r *Resilient) drop(err error) {
 	}
 }
 
-// Register routes through RegisterErr, dropping the operation if the
-// policy gives up.
+// Register runs RegisterErrV, dropping the operation if the policy
+// gives up. The string keys are boxed at the call, as in Ours.
 func (r *Resilient) Register(group, member string, conn *Conn) {
-	r.drop(r.RegisterErr(group, member, conn))
+	r.drop(r.RegisterErrV(group, member, conn))
 }
 
-// Unregister routes through UnregisterErr.
+// Unregister runs UnregisterErrV.
 func (r *Resilient) Unregister(group, member string) {
-	r.drop(r.UnregisterErr(group, member))
+	r.drop(r.UnregisterErrV(group, member))
 }
 
-// Unicast routes through UnicastErr.
+// Unicast runs UnicastErrV.
 func (r *Resilient) Unicast(group, dst string, payload []byte) {
-	r.drop(r.UnicastErr(group, dst, payload))
+	r.drop(r.UnicastErrV(group, dst, payload))
 }
 
-// Multicast routes through MulticastErr.
+// Multicast runs MulticastErrV.
 func (r *Resilient) Multicast(group string, payload []byte) {
-	r.drop(r.MulticastErr(group, payload))
-}
-
-// RegisterErr is the register section under the policy: breaker check,
-// then bounded acquisitions. The error is nil on success,
-// ErrBreakerOpen when refused up front, or the *core.StallError of an
-// acquisition that outlasted the patience. Like the other
-// string-keyed forms it boxes its keys once and runs the pre-boxed
-// section (resilient_boxed.go).
-func (r *Resilient) RegisterErr(group, member string, conn *Conn) error {
-	return r.RegisterErrV(group, member, conn)
-}
-
-// UnregisterErr is the unregister section under the policy.
-func (r *Resilient) UnregisterErr(group, member string) error {
-	return r.UnregisterErrV(group, member)
-}
-
-// UnicastErr is the unicast section under the policy.
-func (r *Resilient) UnicastErr(group, dst string, payload []byte) error {
-	return r.UnicastErrV(group, dst, payload)
-}
-
-// MulticastErr is the multicast section under the policy.
-func (r *Resilient) MulticastErr(group string, payload []byte) error {
-	return r.MulticastErrV(group, payload)
+	r.drop(r.MulticastErrV(group, payload))
 }

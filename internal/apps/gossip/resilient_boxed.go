@@ -1,136 +1,61 @@
-// Boxed-key policied sections: the resilience-layer counterparts of
-// boxed.go, used by the TCP server so a policied wire path stays
-// allocation-free too, and by resilient.go's string-keyed forms, which
-// box their keys and delegate here. The irrevocability discipline is
-// the one resilient.go's header states.
+// Boxed-key policied sections: the section bodies of boxed.go run under
+// the policy — breaker admission by Policy.Run, the policy's patience
+// on every acquisition. The TCP server calls these forms with or
+// without a policy, so the served path is allocation-free either way;
+// callers holding strings pass them in, boxed at the call.
 
 package gossip
 
-import (
-	"repro/internal/adt"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
-// RegisterErrV is RegisterErr with pre-boxed keys.
+// RegisterErrV is the register section under the policy. The error is
+// nil on success, ErrBreakerOpen when refused up front, or the
+// *core.StallError of an acquisition that outlasted the patience.
 func (r *Resilient) RegisterErrV(group, member core.Value, conn *Conn) error {
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, r.regGroupsRef.Mode1(group), r.groupsRank); err != nil {
-			return err
-		}
-		var mm *memberMap
-		if v := r.groups.Get(group); v != nil {
-			mm = v.(*memberMap)
-		} else {
-			mm = &memberMap{m: adt.NewHashMap(), sem: core.NewSemantic(r.memTable)}
-			r.groups.Put(group, mm)
-		}
-		if err := r.policy.Acquire(tx, mm.sem, r.regMem2(member, conn), r.memRank); err != nil {
-			return err
-		}
-		r.fault("register")
-		mm.m.Put(member, conn)
-		return nil
+		return r.register(tx, group, member, conn, r.policy.Patience())
 	})
 }
 
-// UnregisterErrV is UnregisterErr with pre-boxed keys.
+// UnregisterErrV is the unregister section under the policy.
 func (r *Resilient) UnregisterErrV(group, member core.Value) error {
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, r.unregGRef.Mode1(group), r.groupsRank); err != nil {
-			return err
-		}
-		if v := r.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, r.unregMemRef.Mode1(member), r.memRank); err != nil {
-				return err
-			}
-			r.fault("unregister")
-			mm.m.Remove(member)
-		}
-		return nil
+		return r.unregister(tx, group, member, r.policy.Patience())
 	})
 }
 
-// UnicastErrV is UnicastErr with pre-boxed keys. The I/O stays inside
-// the section, after the last acquisition — an aborted attempt never
-// half-sends.
+// UnicastErrV is the unicast section under the policy. The I/O stays
+// inside the section, after the last acquisition — an aborted attempt
+// never half-sends.
 func (r *Resilient) UnicastErrV(group, dst core.Value, payload []byte) error {
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, r.uniGRef.Mode1(group), r.groupsRank); err != nil {
-			return err
-		}
-		if v := r.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, r.uniMemRef.Mode1(dst), r.memRank); err != nil {
-				return err
-			}
-			r.fault("unicast")
-			if c := mm.m.Get(dst); c != nil {
-				c.(*Conn).Send(payload)
-			}
-		}
-		return nil
+		return r.unicast(tx, group, dst, payload, r.policy.Patience())
 	})
 }
 
-// MulticastErrV is MulticastErr with a pre-boxed key.
+// MulticastErrV is the multicast section under the policy.
 func (r *Resilient) MulticastErrV(group core.Value, payload []byte) error {
 	return r.policy.Run(func(tx *core.Txn) error {
-		if err := r.policy.Acquire(tx, r.groupsSem, r.mcGRef.Mode1(group), r.groupsRank); err != nil {
-			return err
-		}
-		if v := r.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, r.mcMemMode, r.memRank); err != nil {
-				return err
-			}
-			r.fault("multicast")
-			mm.m.RangeHeld(func(_, c core.Value) bool {
-				c.(*Conn).Send(payload)
-				return true
-			})
-		}
-		return nil
+		return r.multicast(tx, group, payload, r.policy.Patience())
 	})
 }
 
-// LookupErrV is the membership probe under the policy with pre-boxed
-// keys: the section first rides the optimistic envelope (lock-free, so
-// it can neither stall nor trip the breaker's stall feed) and only the
-// pessimistic fallback pays bounded acquisitions. The breaker still
-// guards the whole section, so an open breaker sheds the read before
-// it touches anything.
+// LookupErrV is the membership probe under the policy: inside the
+// breaker's admission, the section first runs LookupV's transaction-free
+// optimistic read (it can neither stall nor feed the breaker) and only
+// the pessimistic fallback pays bounded acquisitions. The breaker
+// guards the whole section, so an open breaker sheds the read before it
+// touches anything.
 func (r *Resilient) LookupErrV(group, member core.Value) (bool, error) {
 	var found bool
 	err := r.policy.Run(func(tx *core.Txn) error {
-		if tx.TryOptimistic(func(tx *core.Txn) bool {
-			if !tx.Observe(r.groupsSem, r.uniGRef.Mode1(group), r.groupsRank) {
-				return false
-			}
-			found = false
-			if v := r.groups.Get(group); v != nil {
-				mm := v.(*memberMap)
-				if !tx.Observe(mm.sem, r.uniMemRef.Mode1(member), r.memRank) {
-					return false
-				}
-				found = mm.m.Get(member) != nil
-			}
-			return true
-		}) {
+		var ok bool
+		if found, ok = r.lookupOptimisticV(group, member); ok {
 			return nil
 		}
-		if err := r.policy.Acquire(tx, r.groupsSem, r.uniGRef.Mode1(group), r.groupsRank); err != nil {
-			return err
-		}
-		found = false
-		if v := r.groups.Get(group); v != nil {
-			mm := v.(*memberMap)
-			if err := r.policy.Acquire(tx, mm.sem, r.uniMemRef.Mode1(member), r.memRank); err != nil {
-				return err
-			}
-			found = mm.m.Get(member) != nil
-		}
-		return nil
+		var err error
+		found, err = r.lookup(tx, group, member, r.policy.Patience())
+		return err
 	})
 	return found, err
 }
@@ -145,6 +70,6 @@ func (r *Resilient) UnicastBatchErrV(reqs []SendReq, sc *BatchScratch) error {
 		return r.UnicastErrV(reqs[0].Group, reqs[0].Dst, reqs[0].Payload)
 	}
 	return r.policy.Run(func(tx *core.Txn) error {
-		return r.unicastBatchLocked(tx, reqs, sc, r.policy.Patience())
+		return r.unicastBatch(tx, reqs, sc, r.policy.Patience())
 	})
 }

@@ -44,7 +44,7 @@ func TestResilientRouterShedsAndRecovers(t *testing.T) {
 
 	// Conflicting policy-guarded writes must be dropped, not wedge.
 	var stall *core.StallError
-	if err := r.RegisterErr("g", "m3", NewConn("m3", 0)); err == nil {
+	if err := r.RegisterErrV("g", "m3", NewConn("m3", 0)); err == nil {
 		t.Fatal("RegisterErr succeeded against a held conflicting lock")
 	} else if !errors.As(err, &stall) {
 		t.Fatalf("RegisterErr error lost its type: %v", err)
@@ -58,10 +58,10 @@ func TestResilientRouterShedsAndRecovers(t *testing.T) {
 	faultWG.Wait()
 
 	// Fault cleared: everything flows again.
-	if err := r.RegisterErr("g", "m3", NewConn("m3", 0)); err != nil {
+	if err := r.RegisterErrV("g", "m3", NewConn("m3", 0)); err != nil {
 		t.Fatalf("RegisterErr after recovery: %v", err)
 	}
-	if err := r.UnicastErr("g", "m1", []byte("x")); err != nil {
+	if err := r.UnicastErrV("g", "m1", []byte("x")); err != nil {
 		t.Fatalf("UnicastErr after recovery: %v", err)
 	}
 	found, err := r.LookupErrV("g", "m3")

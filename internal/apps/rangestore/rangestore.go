@@ -2,7 +2,7 @@
 // workload of the hybrid optimistic/pessimistic experiments (the
 // retired benchall -exp optimistic and -exp adaptive), the store behind
 // the gated rangestore-scan workload of benchmark/, and the example in
-// examples/rangestore. Keys [0, Capacity) are partitioned into
+// examples/rangestore. Keys [0, capacity) are partitioned into
 // contiguous ranges, one shard — an adt.HashMap plus its own Semantic
 // lock — per range. Point writes lock one shard's key mode; the pair
 // write locks two shards in one fused LockBatch; the scan is the
@@ -85,9 +85,6 @@ func New(nShards, capacity int) *Store {
 	}
 	return s
 }
-
-// Capacity returns the (rounded) key-space size.
-func (s *Store) Capacity() int { return s.capacity }
 
 // Partner returns the key paired with k by PutPair.
 func (s *Store) Partner(k int) int { return (k + s.capacity/2) % s.capacity }

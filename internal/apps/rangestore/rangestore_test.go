@@ -54,7 +54,7 @@ func TestScanOracle(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				s.PutPair((w*31 + i*7) % (s.Capacity() / 2))
+				s.PutPair((w*31 + i*7) % (s.capacity / 2))
 			}
 		}(w)
 	}
@@ -127,7 +127,7 @@ func TestShardOfMatchesDivision(t *testing.T) {
 		{5, 33},   // capacity rounds up to 35, width 7: division
 	} {
 		s := New(c.shards, c.capacity)
-		capacity, width := s.Capacity(), s.Capacity()/c.shards
+		capacity, width := s.capacity, s.capacity/c.shards
 		for k := -2 * capacity; k < 2*capacity; k++ {
 			want := ((k%capacity + capacity) % capacity) / width
 			if got := s.shardOf(k); got != &s.shards[want] {
@@ -149,7 +149,7 @@ func TestNegativeKeyDoesNotPanic(t *testing.T) {
 	if got := s.Get(-1); got != "x" {
 		t.Errorf("Get(-1) = %v, want x", got)
 	}
-	if s.shardOf(-1) != s.shardOf(s.Capacity()-1) {
+	if s.shardOf(-1) != s.shardOf(s.capacity-1) {
 		t.Error("key -1 is not in the shard of the key it wraps to")
 	}
 }
@@ -190,7 +190,7 @@ func TestGetFallsBack(t *testing.T) {
 // a bare Snapshot's reads are ordered against the writers' sections.
 func TestBareReadHammer(t *testing.T) {
 	s := New(8, 256)
-	half, toggled := s.Capacity()/2, s.Capacity()/4
+	half, toggled := s.capacity/2, s.capacity/4
 	for k := 0; k < half; k++ {
 		s.PutPair(k)
 	}

@@ -277,15 +277,15 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 					hit := chaos.Shield(func() {
 						switch {
 						case op < 10:
-							err = r.RegisterErr(g, m, gossip.NewConn(m, 0))
+							err = r.RegisterErrV(g, m, gossip.NewConn(m, 0))
 						case op < 20:
-							err = r.UnregisterErr(g, m)
+							err = r.UnregisterErrV(g, m)
 						case op < 50:
-							err = r.UnicastErr(g, m, payload)
+							err = r.UnicastErrV(g, m, payload)
 						case op < 60:
 							_, err = r.LookupErrV(g, m)
 						default:
-							err = r.MulticastErr(g, payload)
+							err = r.MulticastErrV(g, payload)
 						}
 					})
 					if hit {

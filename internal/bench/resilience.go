@@ -257,9 +257,9 @@ func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint
 				var err error
 				switch i % 5 {
 				case 0, 1:
-					err = r.UnicastErr(g, m, payload)
+					err = r.UnicastErrV(g, m, payload)
 				case 2:
-					err = r.MulticastErr(g, payload)
+					err = r.MulticastErrV(g, payload)
 				default:
 					_, err = r.LookupErrV(g, m)
 				}

@@ -343,9 +343,6 @@ func SetWaitTiming(on bool) {
 	waitSampling.Store(false)
 }
 
-// WaitTimingEnabled reports whether global wait-time sampling is on.
-func WaitTimingEnabled() bool { return waitSampling.Load() }
-
 // Watchdog samples registered Semantic instances for acquisitions
 // blocked past a threshold. One watchdog typically covers every
 // instance of a ModeTable (register instances at creation); sampling

@@ -50,7 +50,7 @@ func TestStallErrorWaitedUnwatched(t *testing.T) {
 // skip it — it reports the wait as a growing lower bound with Sampled
 // false, and the report renders the bound with a "≥" prefix.
 func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
-	prev := WaitTimingEnabled()
+	prev := waitSampling.Load()
 	SetWaitTiming(false)
 	defer SetWaitTiming(prev)
 
@@ -172,7 +172,7 @@ func TestWaitNanosGating(t *testing.T) {
 		s.Release(sm)
 	}
 
-	prev := WaitTimingEnabled()
+	prev := waitSampling.Load()
 	defer SetWaitTiming(prev)
 
 	SetWaitTiming(false)

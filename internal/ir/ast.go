@@ -246,12 +246,6 @@ func (a *Atomic) Var(name string) (Param, bool) {
 	return Param{}, false
 }
 
-// IsADTVar reports whether name is declared as an ADT pointer.
-func (a *Atomic) IsADTVar(name string) bool {
-	p, ok := a.Var(name)
-	return ok && p.IsADT
-}
-
 // ADTType returns the declared ADT class of a pointer variable.
 func (a *Atomic) ADTType(name string) string {
 	p, _ := a.Var(name)

@@ -203,8 +203,9 @@ func TestPrintSynthetic(t *testing.T) {
 
 func TestAtomicVarHelpers(t *testing.T) {
 	a := papersec.Fig1()
-	if !a.IsADTVar("map") || a.IsADTVar("id") || a.IsADTVar("nope") {
-		t.Error("IsADTVar misclassifies")
+	isADT := func(name string) bool { p, ok := a.Var(name); return ok && p.IsADT }
+	if !isADT("map") || isADT("id") || isADT("nope") {
+		t.Error("Var misclassifies ADT pointers")
 	}
 	if a.ADTType("set") != "Set" {
 		t.Errorf("ADTType(set) = %q", a.ADTType("set"))

@@ -626,9 +626,8 @@ func exprText(e ast.Expr) string {
 // ---------------------------------------------------------------------
 
 // RetryPath checks the discipline around the bounded-acquisition
-// surface (Txn.LockWithin / LockBatchWithin, Semantic.AcquireWithin,
-// resilience.Policy.Acquire). Two shapes defeat the point of a patience
-// bound:
+// surface (Txn.LockWithin / LockBatchWithin, Semantic.AcquireWithin).
+// Two shapes defeat the point of a patience bound:
 //
 //   - a discarded error (expression statement or blank assignment): the
 //     acquisition can time out, report a StallError — and the caller
@@ -678,10 +677,6 @@ func (p *Pass) boundedAcqCall(call *ast.CallExpr) (string, bool) {
 		}
 	case "AcquireWithin":
 		if namedFromCore(p.TypeOf(sel.X), "Semantic") {
-			return exprText(sel.X) + "." + sel.Sel.Name, true
-		}
-	case "Acquire":
-		if namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Policy") {
 			return exprText(sel.X) + "." + sel.Sel.Name, true
 		}
 	}
@@ -1224,8 +1219,7 @@ func (p *Pass) calleeUnderInternal(fun ast.Expr) bool {
 //     — the function literal handed to core.Atomically or
 //     resilience.Policy.Run, else the enclosing function declaration
 //     (a helper taking the *core.Txn, or a baseline's method) — by a
-//     Txn.Lock*, a Policy.Acquire*, or a lock call of internal/cc or
-//     sync;
+//     Txn.Lock* or a lock call of internal/cc or sync;
 //   - it must not sit inside a Txn.TryOptimistic body, nor between a
 //     core.Snapshot's Observe and its Validate: an optimistic observer
 //     holds nothing, so nothing keeps a writer out of the walk.
@@ -1262,8 +1256,8 @@ func (p *Pass) isHeldCall(call *ast.CallExpr) bool {
 }
 
 // isAcquisition reports whether call takes a lock a held walk can rest
-// on: Txn.Lock*, Policy.Acquire*, or Lock/RLock/LockOrdered/Enter of a
-// type from sync or internal/cc.
+// on: Txn.Lock*, or Lock/RLock/LockOrdered/Enter of a type from sync or
+// internal/cc.
 func (p *Pass) isAcquisition(call *ast.CallExpr) bool {
 	fn := p.calleeFunc(call)
 	if fn == nil {
@@ -1272,8 +1266,6 @@ func (p *Pass) isAcquisition(call *ast.CallExpr) bool {
 	recv := p.TypeOf(call.Fun.(*ast.SelectorExpr).X)
 	switch name := fn.Name(); {
 	case strings.HasPrefix(name, "Lock") && namedFromCore(recv, "Txn"):
-		return true
-	case strings.HasPrefix(name, "Acquire") && namedFromPkg(recv, "internal/resilience", "Policy"):
 		return true
 	case name == "Lock" || name == "RLock" || name == "LockOrdered" || name == "Enter":
 		path := fn.Pkg().Path()
@@ -1357,7 +1349,7 @@ func (p *Pass) checkHeldWalk(held *ast.CallExpr, ancestors []ast.Node, spans []S
 	})
 	if !locked {
 		p.Reportf(held.Pos(),
-			"%s is not preceded by a lock acquisition in its section; a *Held walk takes no lock of its own — first take a mode that excludes every mutator (Txn.Lock*, Policy.Acquire*) or the cc/sync lock every writer takes",
+			"%s is not preceded by a lock acquisition in its section; a *Held walk takes no lock of its own — first take a mode that excludes every mutator (Txn.Lock*) or the cc/sync lock every writer takes",
 			name)
 	}
 }

@@ -98,7 +98,7 @@ func (s *store) Unsafe() core.Value {
 // core.Atomically, so the operations inside are section-guarded.
 func PoliciedPut(pol *resilience.Policy, s *store) error {
 	return pol.Run(func(tx *core.Txn) error {
-		if err := pol.Acquire(tx, s.m.Sem(), core.ModeID(0), s.rank); err != nil {
+		if err := tx.LockWithin(s.m.Sem(), core.ModeID(0), s.rank, pol.Patience()); err != nil {
 			return err
 		}
 		s.m.Put(1, 2)

@@ -38,9 +38,8 @@
 //     same promise and is held to the same rule (SnapshotSpans is the
 //     span rule, shared with heldwalk and interproc's guardedby); an
 //     Observe that no Validate answers is reported too.
-//   - retrypath: a bounded acquisition (LockWithin, AcquireWithin,
-//     LockBatchWithin and Policy.Acquire) signals stalls through its
-//     error; a discarded error proceeds without the lock, and an
+//   - retrypath: a bounded acquisition (LockWithin, AcquireWithin and
+//     LockBatchWithin) signals stalls through its error; a discarded error proceeds without the lock, and an
 //     unbounded `for {}` retry that does not go through Policy.Run
 //     turns one stall into a retry storm.
 //   - boxonce: a string or integer key handed to the selector and to

@@ -37,7 +37,7 @@ func boxedInNestedLiteral(s *kv, name string) (v core.Value) {
 
 func boxedThroughVariadicAndPolicy(s *kv, p *resilience.Policy, k string) error {
 	return p.Run(func(tx *core.Txn) error {
-		if err := p.Acquire(tx, s.sem, s.sel(k), 0); err != nil {
+		if err := tx.LockWithin(s.sem, s.sel(k), 0, p.Patience()); err != nil {
 			return err
 		}
 		s.m.Remove(k) // want "k is converted to core.Value again"

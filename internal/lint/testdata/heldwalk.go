@@ -37,7 +37,7 @@ func heldUnderBatch(w *walked) {
 
 func heldUnderPolicy(w *walked, p *resilience.Policy) error {
 	return p.Run(func(tx *core.Txn) error {
-		if err := p.Acquire(tx, w.sem, w.mode, 0); err != nil {
+		if err := tx.LockWithin(w.sem, w.mode, 0, p.Patience()); err != nil {
 			return err
 		}
 		w.m.RangeHeld(visit)

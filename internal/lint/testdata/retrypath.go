@@ -56,14 +56,14 @@ func counterBoundedRetryIsClean(tx *core.Txn, sem *core.Semantic, m core.ModeID)
 	return false
 }
 
-func discardedPolicyAcquire(pol *resilience.Policy, tx *core.Txn, sem *core.Semantic, m core.ModeID) {
-	pol.Acquire(tx, sem, m, 0) // want "error discarded"
+func discardedPolicyPatience(pol *resilience.Policy, tx *core.Txn, sem *core.Semantic, m core.ModeID) {
+	tx.LockWithin(sem, m, 0, pol.Patience()) // want "error discarded"
 	tx.UnlockAll()
 }
 
-func policyAcquireRetryStorm(pol *resilience.Policy, tx *core.Txn, sem *core.Semantic, m core.ModeID) {
+func policyPatienceRetryStorm(pol *resilience.Policy, tx *core.Txn, sem *core.Semantic, m core.ModeID) {
 	for { // want "unbounded for-loop retries"
-		if err := pol.Acquire(tx, sem, m, 0); err == nil {
+		if err := tx.LockWithin(sem, m, 0, pol.Patience()); err == nil {
 			tx.UnlockAll()
 			return
 		}
@@ -73,7 +73,7 @@ func policyAcquireRetryStorm(pol *resilience.Policy, tx *core.Txn, sem *core.Sem
 func policyDelegationIsClean(pol *resilience.Policy, sem *core.Semantic, m core.ModeID) {
 	for {
 		err := pol.Run(func(tx *core.Txn) error {
-			return pol.Acquire(tx, sem, m, 0)
+			return tx.LockWithin(sem, m, 0, pol.Patience())
 		})
 		if err == nil {
 			return

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/net/wire"
+	"repro/internal/resilience"
 )
 
 // TestServerFramePathAllocs is the tentpole's 0 allocs/op pin: the
@@ -61,5 +62,35 @@ func TestServerFramePathAllocs(t *testing.T) {
 		resp, _ = e.HandleBatch(batch, resp[:0])
 	}); n != 0 {
 		t.Errorf("batched unicast frame path allocs/op = %v, want 0", n)
+	}
+
+	// The same frames on a server under a policy (breaker and patience):
+	// admission and the bounded acquisitions allocate nothing either.
+	ps, err := New(Config{Addr: "127.0.0.1:0", Policy: resilience.New("alloc", resilience.DefaultConfig())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Shutdown(time.Second)
+	pe := ps.Exerciser()
+	if resp, err = pe.Handle(reg, resp[:0]); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = pe.HandleBatch(batch, resp[:0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"lookup", func() { resp, _ = pe.Handle(look, resp[:0]) }},
+		{"unicast", func() { resp, _ = pe.Handle(uni, resp[:0]) }},
+		{"batched unicast", func() { resp, _ = pe.HandleBatch(batch, resp[:0]) }},
+	} {
+		if n := testing.AllocsPerRun(2000, c.run); n != 0 {
+			t.Errorf("policied %s frame path allocs/op = %v, want 0", c.name, n)
+		}
+	}
+	if got := ps.Stats.Errors.Load(); got != 0 {
+		t.Errorf("policied server answered %d error frames, want 0", got)
 	}
 }

@@ -142,7 +142,7 @@ func (c *conn) close() {
 }
 
 // process answers a batch of parsed requests in order, fusing each run
-// of ≥2 adjacent unicasts into one UnicastBatchV section.
+// of ≥2 adjacent unicasts into one UnicastBatchErrV section.
 func (c *conn) process(reqs []wire.Req, resp []byte) []byte {
 	for i := 0; i < len(reqs); {
 		if reqs[i].Kind == wire.KindUnicast {
@@ -163,10 +163,10 @@ func (c *conn) process(reqs []wire.Req, resp []byte) []byte {
 }
 
 // unicastRun routes a pipelined run of unicasts through the fused
-// LockBatch prologue. Under a policy the whole run succeeds or fails as
-// one unit: a breaker refusal (before any lock is touched) or a
-// prologue that stalled past the policy's patience (before any send)
-// answers every frame in the run with the same error code.
+// LockBatch prologue. The whole run succeeds or fails as one unit: a
+// breaker refusal (before any lock is touched) or a prologue that
+// stalled past the policy's patience (before any send) answers every
+// frame in the run with the same error code.
 func (c *conn) unicastRun(run []wire.Req, resp []byte) []byte {
 	c.sendReqs = c.sendReqs[:0]
 	for i := range run {
@@ -178,16 +178,12 @@ func (c *conn) unicastRun(run []wire.Req, resp []byte) []byte {
 	}
 	c.s.Stats.Batches.Add(1)
 	c.s.Stats.Batched.Add(uint64(len(run)))
-	if r := c.s.resil; r != nil {
-		if err := r.UnicastBatchErrV(c.sendReqs, &c.sc); err != nil {
-			code := errCode(err)
-			for range run {
-				resp = c.respErr(resp, code)
-			}
-			return resp
+	if err := c.s.router.UnicastBatchErrV(c.sendReqs, &c.sc); err != nil {
+		code := errCode(err)
+		for range run {
+			resp = c.respErr(resp, code)
 		}
-	} else {
-		c.s.ours.UnicastBatchV(c.sendReqs, &c.sc)
+		return resp
 	}
 	for range run {
 		resp = c.respOK(resp)
@@ -196,67 +192,33 @@ func (c *conn) unicastRun(run []wire.Req, resp []byte) []byte {
 }
 
 func (c *conn) handleOne(req wire.Req, resp []byte) []byte {
+	r := c.s.router
+	var err error
 	switch req.Kind {
 	case wire.KindRegister:
-		g, m := c.intern(req.Group), c.intern(req.A)
 		// Registration is membership churn, not the steady state: the
 		// sink map keys allocate here and nowhere else.
 		sink := c.s.sink(string(req.Group), string(req.A))
-		if r := c.s.resil; r != nil {
-			if err := r.RegisterErrV(g, m, sink); err != nil {
-				return c.respErr(resp, errCode(err))
-			}
-		} else {
-			c.s.ours.RegisterV(g, m, sink)
-		}
-		return c.respOK(resp)
-
+		err = r.RegisterErrV(c.intern(req.Group), c.intern(req.A), sink)
 	case wire.KindUnregister:
-		g, m := c.intern(req.Group), c.intern(req.A)
-		if r := c.s.resil; r != nil {
-			if err := r.UnregisterErrV(g, m); err != nil {
-				return c.respErr(resp, errCode(err))
-			}
-		} else {
-			c.s.ours.UnregisterV(g, m)
-		}
-		return c.respOK(resp)
-
+		err = r.UnregisterErrV(c.intern(req.Group), c.intern(req.A))
 	case wire.KindUnicast:
-		g, m := c.intern(req.Group), c.intern(req.A)
-		if r := c.s.resil; r != nil {
-			if err := r.UnicastErrV(g, m, req.Payload); err != nil {
-				return c.respErr(resp, errCode(err))
-			}
-		} else {
-			c.s.ours.UnicastV(g, m, req.Payload)
-		}
-		return c.respOK(resp)
-
+		err = r.UnicastErrV(c.intern(req.Group), c.intern(req.A), req.Payload)
 	case wire.KindMulticast:
-		g := c.intern(req.Group)
-		if r := c.s.resil; r != nil {
-			if err := r.MulticastErrV(g, req.Payload); err != nil {
-				return c.respErr(resp, errCode(err))
-			}
-		} else {
-			c.s.ours.MulticastV(g, req.Payload)
-		}
-		return c.respOK(resp)
-
+		err = r.MulticastErrV(c.intern(req.Group), req.Payload)
 	case wire.KindLookup:
-		g, m := c.intern(req.Group), c.intern(req.A)
-		if r := c.s.resil; r != nil {
-			found, err := r.LookupErrV(g, m)
-			if err != nil {
-				return c.respErr(resp, errCode(err))
-			}
+		var found bool
+		if found, err = r.LookupErrV(c.intern(req.Group), c.intern(req.A)); err == nil {
 			return c.respBool(resp, found)
 		}
-		return c.respBool(resp, c.s.ours.LookupV(g, m))
+	default:
+		// ParseReq admits no other kinds; answer malformed defensively.
+		return c.respErr(resp, wire.CodeMalformed)
 	}
-	// ParseReq admits no other kinds; answer malformed defensively.
-	return c.respErr(resp, wire.CodeMalformed)
+	if err != nil {
+		return c.respErr(resp, errCode(err))
+	}
+	return c.respOK(resp)
 }
 
 func (c *conn) respOK(resp []byte) []byte {

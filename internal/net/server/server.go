@@ -17,14 +17,15 @@
 // Pipelining: when a client has more requests already buffered on the
 // connection, the goroutine drains up to MaxBatch of them, a run of
 // adjacent unicasts becomes ONE atomic section with a fused LockBatch
-// prologue (gossip.UnicastBatchV), and the batch's replies leave in one
-// write. Responses keep request order.
+// prologue (gossip.Resilient.UnicastBatchErrV), and the batch's
+// replies leave in one write. Responses keep request order.
 //
-// Resilience: with a Policy configured, every section runs
-// breaker-checked with bounded patience (gossip.Resilient); an open
-// breaker's refusal (CodeBreakerOpen) is written before any lock is
-// touched, a stalled section answers CodeStall, and the connection
-// keeps serving.
+// Resilience: every frame runs through the router's policied forms
+// (gossip.Resilient), with or without a Policy — a nil Policy has no
+// breaker and no bound, so those forms then block like the plain ones.
+// With a Policy, an open breaker's refusal (CodeBreakerOpen) is written
+// before any lock is touched, a stalled section answers CodeStall, and
+// the connection keeps serving.
 package server
 
 import (
@@ -65,8 +66,8 @@ type Config struct {
 	// Router, when non-nil, serves this router instead of building one
 	// (benchmarks share one router between wire and in-process cells).
 	Router *gossip.Ours
-	// Policy, when non-nil, routes every section through the resilience
-	// layer; refusals become wire error frames.
+	// Policy, when non-nil, puts every section under the resilience
+	// layer's breaker and patience; refusals become wire error frames.
 	Policy *resilience.Policy
 }
 
@@ -89,10 +90,9 @@ type Counters struct {
 
 // Server is one TCP listener over one gossip router.
 type Server struct {
-	cfg   Config
-	ln    net.Listener
-	ours  *gossip.Ours
-	resil *gossip.Resilient
+	cfg    Config
+	ln     net.Listener
+	router *gossip.Resilient // the router under cfg.Policy, which may be nil
 
 	Stats Counters
 
@@ -127,24 +127,20 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:   cfg,
-		ln:    ln,
-		ours:  ours,
-		conns: make(map[*conn]struct{}),
-		sinks: make(map[sinkKey]*gossip.Conn),
-	}
-	if cfg.Policy != nil {
-		s.resil = gossip.NewResilient(ours, cfg.Policy)
-	}
-	return s, nil
+	return &Server{
+		cfg:    cfg,
+		ln:     ln,
+		router: gossip.NewResilient(ours, cfg.Policy),
+		conns:  make(map[*conn]struct{}),
+		sinks:  make(map[sinkKey]*gossip.Conn),
+	}, nil
 }
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Router returns the served router (lock audit, telemetry providers).
-func (s *Server) Router() *gossip.Ours { return s.ours }
+func (s *Server) Router() *gossip.Ours { return s.router.Ours }
 
 // Serve runs the accept loop until Shutdown (or a fatal listener
 // error). It blocks; run it on its own goroutine.

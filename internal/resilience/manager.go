@@ -35,7 +35,7 @@ func (m *Manager) Add(p *Policy) {
 	m.policies = append(m.policies, p)
 	m.mu.Unlock()
 	if m.reg != nil {
-		m.reg.RegisterPolicySource(p.Name(), p.Stats)
+		m.reg.RegisterPolicySource(p.Stats)
 	}
 }
 

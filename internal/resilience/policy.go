@@ -12,8 +12,9 @@ import (
 // Config assembles one policy: bounded patience plus an optional
 // breaker (nil disables it).
 type Config struct {
-	// Patience bounds each individual lock acquisition (Acquire uses
-	// LockWithin with this patience). Default 500µs.
+	// Patience bounds each individual lock acquisition inside a
+	// policied section (the section body passes it to Txn.LockWithin).
+	// Default 500µs.
 	Patience time.Duration
 
 	Breaker *BreakerConfig
@@ -30,8 +31,10 @@ func DefaultConfig() Config {
 
 // Policy bundles the patience and breaker for one traffic class and is
 // the object applications hold: Run wraps a whole section in the
-// breaker's admission, and Acquire is the bounded per-lock call inside
-// a section.
+// breaker's admission, and the section body bounds each acquisition by
+// Patience. A nil *Policy is the policy of no policy: no breaker and no
+// bound (Run is core.Atomically, Patience is core.Forever), so one
+// section body serves policied and plain callers alike.
 type Policy struct {
 	name     string
 	patience time.Duration
@@ -53,22 +56,18 @@ func New(name string, cfg Config) *Policy {
 	return p
 }
 
-// Name returns the policy's telemetry key.
-func (p *Policy) Name() string { return p.name }
-
 // Patience returns the bound the policy puts on each lock acquisition,
-// for section bodies that pass it to the core's bounded calls directly.
-func (p *Policy) Patience() time.Duration { return p.patience }
+// for section bodies that pass it to the core's bounded calls
+// (Txn.LockWithin, LockBatchWithin); core.Forever for a nil policy.
+func (p *Policy) Patience() time.Duration {
+	if p == nil {
+		return core.Forever
+	}
+	return p.patience
+}
 
 // Breaker returns the policy's breaker, nil if disabled.
 func (p *Policy) Breaker() *Breaker { return p.breaker }
-
-// Acquire is the policy-bounded lock call for use inside a Run section:
-// LockWithin with the policy's patience. A returned *StallError aborts
-// the section: return it from the section closure.
-func (p *Policy) Acquire(tx *core.Txn, s *core.Semantic, m core.ModeID, rank int) error {
-	return tx.LockWithin(s, m, rank, p.patience)
-}
 
 // stalled reports whether err is a stall — the failure the breaker
 // counts against a half-open probe.
@@ -79,8 +78,10 @@ func stalled(err error) bool {
 
 // Run executes section as one policied atomic section: breaker
 // admission, then core.Atomically(section). The section closure returns
-// an error to abort (typically a *StallError from Acquire); held locks
-// release through the section epilogue before Run returns it.
+// an error to abort (typically the *StallError of a bounded
+// acquisition); held locks release through the section epilogue before
+// Run returns it. On a nil policy Run is core.Atomically(section): no
+// admission and no counters.
 func (p *Policy) Run(section func(tx *core.Txn) error) error {
 	return p.guarded(func() error {
 		var serr error
@@ -97,6 +98,9 @@ func (p *Policy) Run(section func(tx *core.Txn) error) error {
 // still votes — as a failure — instead of leaking a half-open probe
 // slot.
 func (p *Policy) guarded(attempt func() error) error {
+	if p == nil {
+		return attempt()
+	}
 	var done func(bool)
 	if p.breaker != nil {
 		d, err := p.breaker.Allow()

@@ -32,7 +32,7 @@ func TestPolicyStallTyped(t *testing.T) {
 			defer wg.Done()
 			errs[g] = p.Run(func(tx *core.Txn) error {
 				runs[g]++
-				return p.Acquire(tx, s, km, 0)
+				return tx.LockWithin(s, km, 0, p.Patience())
 			})
 		}(g)
 	}
@@ -72,6 +72,33 @@ func TestPolicyOpenBreakerRefusesBeforeSection(t *testing.T) {
 	}
 	if ran {
 		t.Fatal("section ran behind an open breaker")
+	}
+}
+
+// TestNilPolicyIsAtomically: a nil policy has no breaker and no bound —
+// Run runs the section once as core.Atomically and returns its error,
+// and Patience is core.Forever.
+func TestNilPolicyIsAtomically(t *testing.T) {
+	var p *resilience.Policy
+	if got := p.Patience(); got != core.Forever {
+		t.Fatalf("nil Patience = %v, want core.Forever", got)
+	}
+	tbl, keys := keyedTable(t)
+	s := core.NewSemantic(tbl)
+	km := keys.Mode(2)
+	runs := 0
+	if err := p.Run(func(tx *core.Txn) error {
+		runs++
+		return tx.LockWithin(s, km, 0, p.Patience())
+	}); err != nil || runs != 1 {
+		t.Fatalf("nil Run = %v after %d runs, want nil after 1", err, runs)
+	}
+	want := errors.New("aborted")
+	if err := p.Run(func(*core.Txn) error { return want }); err != want {
+		t.Fatalf("nil Run returned %v, want the section's error", err)
+	}
+	if err := s.CheckQuiesced(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -17,18 +17,13 @@ type NetStats struct {
 	Frames map[string]uint64 `json:"frames,omitempty"`
 }
 
-// netSource is one registered network-listener state provider.
-type netSource struct {
-	name string
-	fn   func() []NetStats
-}
-
-// RegisterNetSource adds a network-listener counter provider under
-// name: every snapshot calls fn and appends its rows to Snapshot.Net.
-// fn runs on the snapshot reader's goroutine and must be internally
-// synchronized (atomic counter loads suffice).
-func (r *Registry) RegisterNetSource(name string, fn func() []NetStats) {
+// RegisterNetSource adds a network-listener counter provider: every
+// snapshot calls fn and appends its rows, each naming its listener
+// (NetStats.Server), to Snapshot.Net. fn runs on the snapshot reader's
+// goroutine and must be internally synchronized (atomic counter loads
+// suffice).
+func (r *Registry) RegisterNetSource(fn func() []NetStats) {
 	r.mu.Lock()
-	r.net = append(r.net, netSource{name: name, fn: fn})
+	r.net = append(r.net, fn)
 	r.mu.Unlock()
 }

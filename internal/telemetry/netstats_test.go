@@ -13,7 +13,7 @@ func TestNetSourceSnapshot(t *testing.T) {
 		t.Fatalf("empty registry has %d net rows", len(got))
 	}
 	calls := 0
-	r.RegisterNetSource("gossipd", func() []NetStats {
+	r.RegisterNetSource(func() []NetStats {
 		calls++
 		return []NetStats{{
 			Server: "gossipd",
@@ -21,7 +21,7 @@ func TestNetSourceSnapshot(t *testing.T) {
 			Frames: map[string]uint64{"in.lookup": 10, "out.bool": 10, "shed": 2},
 		}}
 	})
-	r.RegisterNetSource("second", func() []NetStats {
+	r.RegisterNetSource(func() []NetStats {
 		return []NetStats{{Server: "second", Conns: map[string]uint64{"accepted": 1}}}
 	})
 	snap := r.Snapshot()

@@ -97,12 +97,6 @@ type group struct {
 	provider func() []*core.Semantic
 }
 
-// policySource is one registered resilience-policy state provider.
-type policySource struct {
-	name string
-	fn   func() []PolicyStats
-}
-
 // Registry maps application-level groups of Semantic instances to
 // snapshot rows. Registration is cheap (it records the instance
 // pointers, nothing more); all cost is on the snapshot reader.
@@ -110,8 +104,8 @@ type policySource struct {
 type Registry struct {
 	mu       sync.Mutex
 	groups   []*group
-	policies []policySource
-	net      []netSource
+	policies []func() []PolicyStats
+	net      []func() []NetStats
 }
 
 // NewRegistry returns an empty registry.
@@ -143,13 +137,14 @@ func (r *Registry) RegisterProvider(groupName, class string, provider func() []*
 	r.mu.Unlock()
 }
 
-// RegisterPolicySource adds a resilience-policy state provider under
-// name: every snapshot calls fn and appends its rows to
-// Snapshot.Policies. Like instance providers, fn runs on the snapshot
-// reader's goroutine and must be internally synchronized.
-func (r *Registry) RegisterPolicySource(name string, fn func() []PolicyStats) {
+// RegisterPolicySource adds a resilience-policy state provider: every
+// snapshot calls fn and appends its rows, each naming its policy
+// (PolicyStats.Policy), to Snapshot.Policies. Like instance providers,
+// fn runs on the snapshot reader's goroutine and must be internally
+// synchronized.
+func (r *Registry) RegisterPolicySource(fn func() []PolicyStats) {
 	r.mu.Lock()
-	r.policies = append(r.policies, policySource{name: name, fn: fn})
+	r.policies = append(r.policies, fn)
 	r.mu.Unlock()
 }
 
@@ -175,8 +170,8 @@ func (r *Registry) Unregister(groupName string) {
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	groups := append([]*group(nil), r.groups...)
-	policies := append([]policySource(nil), r.policies...)
-	netSources := append([]netSource(nil), r.net...)
+	policies := append([]func() []PolicyStats(nil), r.policies...)
+	netSources := append([]func() []NetStats(nil), r.net...)
 	r.mu.Unlock()
 
 	type key struct{ group, class string }
@@ -228,10 +223,10 @@ func (r *Registry) Snapshot() Snapshot {
 		out.Groups = append(out.Groups, *rows[k])
 	}
 	for _, p := range policies {
-		out.Policies = append(out.Policies, p.fn()...)
+		out.Policies = append(out.Policies, p()...)
 	}
 	for _, s := range netSources {
-		out.Net = append(out.Net, s.fn()...)
+		out.Net = append(out.Net, s()...)
 	}
 	return out
 }

@@ -71,7 +71,7 @@ func TestStallFeedUnifiesClocks(t *testing.T) {
 
 func TestPolicySourcesInSnapshot(t *testing.T) {
 	r := telemetry.NewRegistry()
-	r.RegisterPolicySource("p1", func() []telemetry.PolicyStats {
+	r.RegisterPolicySource(func() []telemetry.PolicyStats {
 		return []telemetry.PolicyStats{{Policy: "p1", Kind: "breaker", State: "closed",
 			Counters: map[string]uint64{"tripped": 2}}}
 	})
