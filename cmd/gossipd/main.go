@@ -15,7 +15,7 @@
 //	/debug/semlock  the same snapshot alone, indented
 //	/debug/pprof/   the standard pprof index (profile, trace, symbol, ...)
 //
-// Serving the debug endpoints also turns on wait-duration sampling
+// Serving the debug endpoints also turns on wait timing
 // (core.SetWaitTiming), so snapshots include cumulative blocked time.
 //
 // Usage:
@@ -92,9 +92,10 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		// Wait-duration sampling is off by default (it costs two clock
-		// reads per blocked acquisition); a debug listener means an
-		// operator wants the full picture.
+		// Blocked acquisitions always stamp their park time; summing
+		// the waits into the snapshots costs one more clock read per
+		// blocked acquisition and is off by default. A debug listener
+		// means an operator wants the full picture.
 		core.SetWaitTiming(true)
 		telemetry.Default.Publish()
 		mux := http.NewServeMux()
@@ -133,7 +134,7 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
-	interrupted := false
+	interrupted, mismatched := false, false
 	for _, pol := range want {
 		r := gossip.New(pol, cfg.SendCost, plan.Options{})
 		if *debugAddr != "" {
@@ -149,12 +150,9 @@ func main() {
 			}
 		}
 		var wrapped *gossip.Resilient
-		var mgr *resilience.Manager
 		if *resil {
 			if o, ok := r.(*gossip.Ours); ok {
-				var rp *resilience.Policy
-				rp, mgr = startPolicy("gossipd", *patience, *debugAddr != "")
-				wrapped = gossip.NewResilient(o, rp)
+				wrapped = gossip.NewResilient(o, newPolicy("gossipd", *patience, *debugAddr != ""))
 				r = wrapped
 			} else {
 				fmt.Fprintf(os.Stderr, "gossipd: -resilience applies to the ours policy only; running %s unwrapped\n", pol)
@@ -181,9 +179,6 @@ func main() {
 			}
 		}
 		elapsed := time.Since(start)
-		if mgr != nil {
-			mgr.Stop()
-		}
 
 		dropped := uint64(0)
 		if wrapped != nil {
@@ -203,6 +198,7 @@ func main() {
 			// design; the drops are accounted, not lost.
 			status = "OK (degraded)"
 		}
+		mismatched = mismatched || status == "FRAME MISMATCH"
 		fmt.Printf("%-8s routed %6d msgs, delivered %7d frames in %8v (%7.0f msgs/s)  [%s]\n",
 			pol, res.Handled, res.FramesDelivered, elapsed.Round(time.Millisecond),
 			float64(res.Handled)/elapsed.Seconds(), status)
@@ -229,29 +225,29 @@ func main() {
 			} else {
 				fmt.Printf("gossipd: drained cleanly (policy %s has no lock audit)\n", pol)
 			}
-			return
+			break
 		}
+	}
+	if mismatched {
+		fmt.Fprintf(os.Stderr, "gossipd: a policy delivered the wrong number of frames\n")
+		os.Exit(1)
 	}
 }
 
-// startPolicy builds the -resilience policy — the given patience and a
-// breaker tripping at 1000 stalls/s — and starts a Manager feeding it
-// the stall feed. Its state is registered with the Default telemetry
-// registry only when debug endpoints are served: policy state is only
-// worth publishing where an operator can scrape it.
-func startPolicy(name string, patience time.Duration, debug bool) (*resilience.Policy, *resilience.Manager) {
+// newPolicy builds the -resilience policy: the given patience and a
+// breaker tripping at 1000 stalls/s of its own sections. Its state is
+// registered with the Default telemetry registry only when debug
+// endpoints are served: policy state is only worth publishing where an
+// operator can scrape it.
+func newPolicy(name string, patience time.Duration, debug bool) *resilience.Policy {
 	rp := resilience.New(name, resilience.Config{
 		Patience: patience,
 		Breaker:  &resilience.BreakerConfig{TripStallRate: 1000, Cooldown: time.Millisecond, Probes: 3},
 	})
-	var reg *telemetry.Registry
 	if debug {
-		reg = telemetry.Default
+		telemetry.Default.RegisterPolicySource(rp.Stats)
 	}
-	mgr := resilience.NewManager(reg)
-	mgr.Add(rp)
-	mgr.Start()
-	return rp, mgr
+	return rp
 }
 
 // serveListen is the -listen daemon mode: the ours router behind the
@@ -260,9 +256,8 @@ func startPolicy(name string, patience time.Duration, debug bool) (*resilience.P
 func serveListen(addr string, sendCost int, resil, debug bool, patience time.Duration) {
 	waiters0 := core.WaitersOutstanding()
 	cfg := server.Config{Addr: addr, SendCost: sendCost}
-	var mgr *resilience.Manager
 	if resil {
-		cfg.Policy, mgr = startPolicy("gossipd-net", patience, debug)
+		cfg.Policy = newPolicy("gossipd-net", patience, debug)
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -290,9 +285,6 @@ func serveListen(addr string, sendCost int, resil, debug bool, patience time.Dur
 	if err := s.Shutdown(drainDeadline); err != nil {
 		fmt.Fprintf(os.Stderr, "gossipd: %v\n", err)
 		os.Exit(1)
-	}
-	if mgr != nil {
-		mgr.Stop()
 	}
 
 	leaked := int64(0)

@@ -41,20 +41,23 @@ func (r *Resilient) MulticastErrV(group core.Value, payload []byte) error {
 }
 
 // LookupErrV is the membership probe under the policy: inside the
-// breaker's admission, the section first runs LookupV's transaction-free
-// optimistic read (it can neither stall nor feed the breaker) and only
-// the pessimistic fallback pays bounded acquisitions. The breaker
-// guards the whole section, so an open breaker sheds the read before it
-// touches anything.
+// breaker's admission (Policy.Do), it runs LookupV's transaction-free
+// optimistic read (it can neither stall nor feed the breaker) and opens
+// an atomic section only for the pessimistic fallback, whose
+// acquisitions are bounded by the patience. The breaker guards the
+// whole probe, so an open breaker sheds the read before it touches
+// anything; without a policy the optimistic read pays no transaction.
 func (r *Resilient) LookupErrV(group, member core.Value) (bool, error) {
 	var found bool
-	err := r.policy.Run(func(tx *core.Txn) error {
+	err := r.policy.Do(func() error {
 		var ok bool
 		if found, ok = r.lookupOptimisticV(group, member); ok {
 			return nil
 		}
 		var err error
-		found, err = r.lookup(tx, group, member, r.policy.Patience())
+		core.Atomically(func(tx *core.Txn) {
+			found, err = r.lookup(tx, group, member, r.policy.Patience())
+		})
 		return err
 	})
 	return found, err

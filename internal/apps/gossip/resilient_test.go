@@ -81,8 +81,8 @@ func TestResilientRouterShedsAndRecovers(t *testing.T) {
 
 // TestResilientRouterHammer races all four policy-guarded operations
 // and policied lookups across groups while a saboteur repeatedly parks on
-// the register fault point of one hot group, with the stall feed wired
-// into a breaker that trips, cools down and probes throughout. Run
+// the register fault point of one hot group, with the policy's own
+// stalls driving a breaker that trips, cools down and probes. Run
 // under -race; the invariants are liveness (no wedged goroutine
 // survives the hammer), no leaked waiters, and quiesced locks.
 func TestResilientRouterHammer(t *testing.T) {
@@ -97,10 +97,6 @@ func TestResilientRouterHammer(t *testing.T) {
 			Probes:        2,
 		},
 	})
-	mgr := resilience.NewManager(nil)
-	mgr.Add(p)
-	mgr.Start()
-	defer mgr.Stop()
 	r := NewResilient(o, p)
 	groups := []string{"hot", "warm", "cold"}
 	for _, g := range groups {

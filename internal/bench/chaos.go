@@ -249,9 +249,6 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 		},
 	})
 	r := gossip.NewResilient(o, pol)
-	mgr := resilience.NewManager(nil)
-	mgr.Add(pol)
-	mgr.Start()
 	payload := []byte("chaos-payload")
 	for g := 0; g < 4; g++ {
 		for m := 0; m < 8; m++ {
@@ -301,7 +298,6 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 		return opsPer * cfg.Workers, faulted.Load()
 	}
 	cell := runChaosPhases("gossip-resilient", inj, o.Sems(), run)
-	mgr.Stop()
 	cell.Dropped = dropped.Load()
 	st := pol.Breaker().Stats()
 	cell.BreakerTrips = st.Counters["tripped"]

@@ -197,11 +197,13 @@ func resilienceOp(i int) (string, string) {
 }
 
 // resiliencePolicies builds the ON side's two traffic-class policies:
-// the hot class gets tight patience and a breaker tripping on the
-// unified stall feed with a short cooldown (open = fail fast during a
+// the hot class gets tight patience and a breaker tripping on its own
+// sections' stalls with a short cooldown (open = fail fast during a
 // hold, probe recovery after), while the cold class runs with bounded
-// patience only (its traffic is healthy; a process-wide breaker would
-// punish it for the hot class's stalls).
+// patience only. A breaker counts only the stalls its own policy
+// returns, so the classes are separate by construction: the hot class's
+// stalls never reach a cold breaker, and a cold breaker would trip
+// only on cold stalls.
 func resiliencePolicies() (hot, cold *resilience.Policy) {
 	hot = resilience.New("gossip-hot", resilience.Config{
 		Patience: 300 * time.Microsecond,
@@ -228,10 +230,6 @@ func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint
 	polHot, polCold := resiliencePolicies()
 	rHot := gossip.NewResilient(o, polHot)
 	rCold := gossip.NewResilient(o, polCold)
-	mgr := resilience.NewManager(nil)
-	mgr.Add(polHot)
-	mgr.Add(polCold)
-	mgr.Start()
 
 	stop := make(chan struct{})
 	var sabWG, wg sync.WaitGroup
@@ -279,7 +277,6 @@ func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint
 	wg.Wait()
 	sabWG.Wait()
 	elapsed := time.Since(t0)
-	mgr.Stop()
 	o.FaultHook = nil
 
 	pt := ResiliencePoint{

@@ -32,9 +32,9 @@ type LockStats struct {
 	// that exhausted their patience and returned a StallError.
 	Stalls uint64
 	// WaitNanos is the cumulative measured blocking time of slow-path
-	// waiters. A waiter contributes only when it carried a timestamp —
-	// the instance was Watchdog-watched, or SetWaitTiming(true) was in
-	// effect, when it parked; otherwise its wait is not sampled.
+	// waiters that settled while SetWaitTiming(true) was in effect. Every
+	// waiter carries its park time, so each contribution is a whole
+	// measured wait, never a bound; with timing off it stays put.
 	WaitNanos int64
 	// OptimisticHits counts optimistic executions (Txn.TryOptimistic)
 	// whose end-of-section validation on this instance succeeded;
@@ -53,15 +53,10 @@ type LockStats struct {
 	OptimisticRefusals uint64
 }
 
-// waitSampling globally enables the per-waiter wait timestamps (and
-// with them LockStats.WaitNanos) on instances that no Watchdog watches.
-// Off by default: the timestamp costs a time.Now() per slow-path entry,
-// which only telemetry consumers should pay for.
+// waitSampling enables the accumulation of LockStats.WaitNanos. Off by
+// default: only telemetry consumers read it. SetWaitTiming
+// (internal/core/stall.go) flips it.
 var waitSampling atomic.Bool
-
-// SetWaitTiming (internal/core/stall.go) flips this switch; it also
-// records the enable instant so waiters parked before the flip settle
-// with a lower-bound wait instead of none at all.
 
 // Semantic is the per-ADT-instance semantic lock: the realization of the
 // synchronization API of §2.2 (lock / unlockAll) for one ADT instance.
@@ -662,17 +657,6 @@ type mechV2 struct {
 	// over-approximation invariant without stopping the world.
 	maintainSummary bool
 
-	// watched is set once a Watchdog registers the instance. Slow-path
-	// waiters only pay a time.Now() for their diagnostic timestamp when
-	// somebody will actually read it (sampleMech) or when global wait
-	// sampling (SetWaitTiming) is on; otherwise the clock call is
-	// skipped entirely.
-	watched atomic.Bool
-	// watchedAt is when watched first flipped on (unix nanos, 0 =
-	// never). The sampler uses it as a lower bound on the wait of
-	// waiters that parked before timing was available.
-	watchedAt atomic.Int64
-
 	// version is the optimistic-read invalidation counter: every
 	// SUCCESSFUL acquisition of a mode that conflicts with anything and
 	// is not made only of observers (maskInfo.bump) advances it,
@@ -734,12 +718,9 @@ var waitersOut atomic.Int64
 func WaitersOutstanding() int64 { return waitersOut.Load() }
 
 // getWaiter checks a waiter out of the pool for one slow-path wait on
-// this mechanism. The diagnostic timestamp is gated: time.Now() costs a
-// vDSO call on every slow-path entry, and nothing reads w.since unless
-// a Watchdog samples the instance (watched) or a telemetry consumer
-// asked for wait timing (SetWaitTiming). A waiter parked before either
-// gate opened carries a zero since; sampleMech reports it with a lower
-// bound from watchedAt instead of a measured wait.
+// this mechanism, stamped with its park time. That one clock read per
+// slow-path entry is the only wait clock: the watchdog (sampleMech) and
+// LockStats.WaitNanos (settleWait) both measure from it.
 func (m *mechV2) getWaiter(mask []wordMask, log []Acquisition) *waiterV2 {
 	w := waiterPool.Get().(*waiterV2)
 	select {
@@ -747,58 +728,21 @@ func (m *mechV2) getWaiter(mask []wordMask, log []Acquisition) *waiterV2 {
 	default:
 	}
 	w.mask = mask
-	if m.watched.Load() || waitSampling.Load() {
-		w.since = time.Now()
-	} else {
-		w.since = time.Time{}
-	}
+	w.since = time.Now()
 	w.log = log
 	waitersOut.Add(1)
 	return w
 }
 
-// settleWait folds a finished waiter's wait into the mechanism's
-// cumulative wait time, just before the waiter returns to the pool.
-// Waiters with a park-time timestamp contribute their measured wait.
-// Waiters WITHOUT one — parked while every sampling gate was closed —
-// contribute a ">=" lower bound when a gate has opened since: time
-// measured from the gate-open instant (the earlier of the mechanism
-// becoming watched and the last SetWaitTiming enable), the same
-// semantics the watchdog uses for pre-Watch waiters
-// (WaiterInfo.Sampled). The bound is sound because an unsampled waiter
-// demonstrably parked before the gate opened. Without it, a metrics
-// consumer that enables wait timing mid-run would read zero-wait samples
-// from every waiter already parked — garbage that looks like an idle
-// lock.
-// Waiters settling with every gate still closed contribute nothing.
+// settleWait folds a finished waiter's measured wait into the
+// mechanism's cumulative wait time while SetWaitTiming is on, just
+// before the waiter returns to the pool. A waiter that parked before
+// timing was turned on still carries its park time, so it contributes
+// its whole wait; with timing off it contributes nothing.
 func (m *mechV2) settleWait(w *waiterV2) {
-	if !w.since.IsZero() {
-		m.waitNanos.Add(int64(time.Since(w.since)))
-		return
-	}
-	if at := m.waitBoundAt(); at != 0 {
-		if d := time.Now().UnixNano() - at; d > 0 {
-			m.waitNanos.Add(d)
-		}
-	}
-}
-
-// waitBoundAt returns the unix-nano instant from which an unsampled
-// waiter's wait can be lower-bounded: the earliest open sampling gate
-// (earlier instant = larger, still-sound bound), or 0 when no gate is
-// open. Any open gate's enable time is sound — a waiter with no
-// timestamp parked while that gate was closed, hence before it opened.
-func (m *mechV2) waitBoundAt() int64 {
-	var at int64
-	if m.watched.Load() {
-		at = m.watchedAt.Load()
-	}
 	if waitSampling.Load() {
-		if t := waitTimingAt.Load(); t != 0 && (at == 0 || t < at) {
-			at = t
-		}
+		m.waitNanos.Add(int64(time.Since(w.since)))
 	}
-	return at
 }
 
 func putWaiter(w *waiterV2) {

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -100,87 +99,7 @@ func (s *Semantic) stallError(ms []ModeID, p int, holders []stallSlot, waited ti
 	if len(log) > 0 {
 		e.Log = append([]Acquisition(nil), log...)
 	}
-	emitStall(StallEvent{
-		Instance:  s.id,
-		Class:     e.Class,
-		Mechanism: p,
-		Source:    StallTimeout,
-		Waited:    waited,
-		Waiters:   1,
-	})
 	return e
-}
-
-// ---------------------------------------------------------------------
-// Unified stall observation
-// ---------------------------------------------------------------------
-
-// StallSource names which clock produced a StallEvent: the bounded
-// acquisition that self-clocked its own exhausted patience, or the
-// watchdog sampler that found waiters blocked past its threshold.
-type StallSource uint8
-
-const (
-	// StallTimeout: an AcquireWithin/LockWithin/LockBatchWithin call gave
-	// up. Exactly one event per timed-out acquisition (per stalled
-	// mechanism group for a batch); Waited is the patience actually
-	// spent, Waiters is 1.
-	StallTimeout StallSource = iota
-	// StallWatchdog: a Watchdog scan found a mechanism with waiters
-	// blocked past the threshold. One event per stalled mechanism per
-	// scan — repeated scans over the same stuck waiter re-emit, so
-	// watchdog events measure sustained pressure, not distinct failures.
-	// Waited is the longest observed wait, Waiters the over-threshold
-	// waiter count.
-	StallWatchdog
-)
-
-func (s StallSource) String() string {
-	if s == StallWatchdog {
-		return "watchdog"
-	}
-	return "timeout"
-}
-
-// StallEvent is one stall observation, from either clock. Both the
-// timeout path and the watchdog funnel through the same observer so a
-// consumer (the resilience layer's breaker windows) sees one coherent
-// event stream instead of two contradictory counts.
-type StallEvent struct {
-	Instance  uint64
-	Class     string
-	Mechanism int
-	Source    StallSource
-	Waited    time.Duration
-	Waiters   int
-}
-
-// stallObserver holds the process-wide observer. An atomic pointer (not
-// a mutex) keeps the nil-observer check on the stall path to one load.
-var stallObserver atomic.Pointer[func(StallEvent)]
-
-// SetStallObserver installs fn as the process-wide stall observer; both
-// bounded-acquisition timeouts and watchdog threshold crossings are
-// delivered to it. fn is called synchronously from the stalling
-// goroutine or the watchdog sampler — keep it brief and never acquire
-// semantic locks inside it. Passing nil uninstalls. Returns the
-// previous observer so tests and layered consumers can chain or
-// restore.
-func SetStallObserver(fn func(StallEvent)) (prev func(StallEvent)) {
-	var p *func(StallEvent)
-	if fn != nil {
-		p = &fn
-	}
-	if old := stallObserver.Swap(p); old != nil {
-		return *old
-	}
-	return nil
-}
-
-func emitStall(ev StallEvent) {
-	if fn := stallObserver.Load(); fn != nil {
-		(*fn)(ev)
-	}
 }
 
 // modeNameOfSlot resolves a mechanism-local counter slot back to the
@@ -257,13 +176,7 @@ func (s *Semantic) CheckQuiesced() error {
 type WaiterInfo struct {
 	Slots  []int         `json:"slots"`
 	Waited time.Duration `json:"waited"`
-	// Sampled reports whether Waited is a measured duration. Waiters
-	// that parked before wait timing was available on their mechanism
-	// carry no timestamp; for those Waited is a lower bound — time since
-	// a sampling gate opened (the instance becoming watched, or a
-	// SetWaitTiming enable, whichever came first) — and Sampled is false.
-	Sampled bool          `json:"sampled"`
-	Log     []Acquisition `json:"log,omitempty"`
+	Log    []Acquisition `json:"log,omitempty"`
 }
 
 // StallReport is one watchdog observation of a mechanism with at least
@@ -279,9 +192,7 @@ type StallReport struct {
 	Waiters   []WaiterInfo `json:"waiters"`
 }
 
-// String renders the report for logs. Lower-bound waits of pre-Watch
-// waiters (Sampled false) are prefixed "≥" so an unsampled bound is
-// never mistaken for a measured duration.
+// String renders the report for logs.
 func (r StallReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "core: stall on %s instance %d mech %d:", r.Class, r.Instance, r.Mechanism)
@@ -292,11 +203,7 @@ func (r StallReport) String() string {
 		fmt.Fprintf(&b, " held %s(x%d)", h.Mode, h.Count)
 	}
 	for _, w := range r.Waiters {
-		bound := ""
-		if !w.Sampled {
-			bound = "≥"
-		}
-		fmt.Fprintf(&b, "; waiter on slots %v blocked %s%v", w.Slots, bound, w.Waited.Round(time.Millisecond))
+		fmt.Fprintf(&b, "; waiter on slots %v blocked %v", w.Slots, w.Waited.Round(time.Millisecond))
 		if len(w.Log) > 0 {
 			fmt.Fprintf(&b, " holding %d lock(s)", len(w.Log))
 		}
@@ -318,30 +225,12 @@ type WatchdogConfig struct {
 	OnStall func(StallReport)
 }
 
-// waitTimingAt records when global wait-time sampling last transitioned
-// off→on (unix nanos; 0 = never enabled). Waiters already parked at
-// that moment carry no timestamp of their own; their settle and the
-// watchdog sampler use this as the same ">=" lower bound that
-// Watchdog.Watch's watchedAt provides — a waiter demonstrably parked
-// before the gate opened has waited at least since the gate opened.
-var waitTimingAt atomic.Int64
-
-// SetWaitTiming turns global wait-time sampling on or off. The
-// telemetry layer calls this when a metrics consumer attaches; a
-// Watchdog.Watch enables sampling per instance regardless of this
-// switch. Waiters already parked when sampling turns on have no
-// park-time timestamp; they settle with a lower bound measured from the
-// enable instant (see mechV2.settleWait), so a mid-run enable feeds the
-// telemetry consumers conservative nonzero samples instead of zeros.
-func SetWaitTiming(on bool) {
-	if on {
-		if !waitSampling.Swap(true) {
-			waitTimingAt.Store(time.Now().UnixNano())
-		}
-		return
-	}
-	waitSampling.Store(false)
-}
+// SetWaitTiming turns the accumulation of LockStats.WaitNanos on or
+// off. The telemetry layer calls this when a metrics consumer attaches.
+// Every waiter carries its park time whatever the switch says, so a
+// waiter already parked when timing turns on settles with its whole
+// measured wait (see mechV2.settleWait).
+func SetWaitTiming(on bool) { waitSampling.Store(on) }
 
 // Watchdog samples registered Semantic instances for acquisitions
 // blocked past a threshold. One watchdog typically covers every
@@ -369,22 +258,10 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	return &Watchdog{cfg: cfg}
 }
 
-// Watch registers an instance for sampling. It also marks the
-// instance's mechanisms as watched, which turns on the per-waiter wait
-// timestamps the sampler reads — unwatched instances skip that clock
-// call on the slow path entirely. Waiters already parked at the moment
-// of registration carry no timestamp; the sampler still reports them,
-// with their wait lower-bounded from the moment of registration
-// (WaiterInfo.Sampled false), so a stuck pre-Watch waiter cannot stay
-// invisible forever.
+// Watch registers an instance for sampling. Every waiter carries its
+// park time, so a waiter that parked before the instance was watched is
+// reported with its measured wait like any other.
 func (d *Watchdog) Watch(s *Semantic) {
-	now := time.Now().UnixNano()
-	for p := range s.mechs {
-		m := &s.mechs[p]
-		if !m.watched.Swap(true) {
-			m.watchedAt.CompareAndSwap(0, now)
-		}
-	}
 	d.mu.Lock()
 	d.sems = append(d.sems, s)
 	d.mu.Unlock()
@@ -392,9 +269,6 @@ func (d *Watchdog) Watch(s *Semantic) {
 
 // Scan samples every watched instance once, returning a report for each
 // mechanism that has at least one waiter blocked past the threshold.
-// Each report is also delivered to the process-wide stall observer
-// (SetStallObserver) as a StallWatchdog event, the same stream the
-// timeout path feeds — one clock, not two.
 func (d *Watchdog) Scan() []StallReport {
 	d.mu.Lock()
 	sems := append([]*Semantic(nil), d.sems...)
@@ -406,20 +280,6 @@ func (d *Watchdog) Scan() []StallReport {
 		for p := range s.mechs {
 			if r, ok := s.sampleMech(p, now, d.cfg.Threshold); ok {
 				out = append(out, r)
-				var longest time.Duration
-				for _, w := range r.Waiters {
-					if w.Waited > longest {
-						longest = w.Waited
-					}
-				}
-				emitStall(StallEvent{
-					Instance:  r.Instance,
-					Class:     r.Class,
-					Mechanism: r.Mechanism,
-					Source:    StallWatchdog,
-					Waited:    longest,
-					Waiters:   len(r.Waiters),
-				})
 			}
 		}
 	}
@@ -437,22 +297,7 @@ func (s *Semantic) sampleMech(p int, now time.Time, threshold time.Duration) (St
 
 	var waiters []WaiterInfo
 	for _, w := range m.waiters {
-		var waited time.Duration
-		sampled := !w.since.IsZero()
-		if sampled {
-			waited = now.Sub(w.since)
-		} else if at := m.waitBoundAt(); at != 0 {
-			// Parked before timing was available on this mechanism; its
-			// true wait start is unknown. Lower-bound the wait from the
-			// earliest open sampling gate — the instance becoming
-			// watched or a SetWaitTiming enable — so the bound keeps
-			// growing and a permanently stuck pre-gate waiter crosses
-			// the threshold and gets reported instead of being skipped
-			// forever.
-			waited = now.Sub(time.Unix(0, at))
-		} else {
-			continue // never watched: no wait bound at all
-		}
+		waited := now.Sub(w.since)
 		if waited < threshold {
 			continue
 		}
@@ -465,7 +310,7 @@ func (s *Semantic) sampleMech(p int, now time.Time, threshold time.Duration) (St
 				bs &= bs - 1
 			}
 		}
-		wi := WaiterInfo{Slots: slots, Waited: waited, Sampled: sampled}
+		wi := WaiterInfo{Slots: slots, Waited: waited}
 		if len(w.log) > 0 {
 			wi.Log = append([]Acquisition(nil), w.log...)
 		}

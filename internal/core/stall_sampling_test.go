@@ -3,18 +3,15 @@ package core
 import (
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// These tests pin the wait-duration contract after the sampling gate:
-// getWaiter only stamps a park timestamp when the mechanism is watched
-// or SetWaitTiming is on, so every consumer of a wait duration must
-// either not depend on the timestamp (StallError measures its own
-// clock) or say explicitly when it is reporting a bound rather than a
-// measurement (WaiterInfo.Sampled).
+// These tests pin the wait-duration contract: getWaiter stamps every
+// waiter with its park time, the watchdog and LockStats.WaitNanos both
+// measure from that one stamp, and SetWaitTiming gates only whether
+// WaitNanos accumulates. StallError measures its own patience.
 
 // TestStallErrorWaitedUnwatched: a bounded acquisition that times out
 // on an instance nobody watches must still report a real, measured wait
@@ -46,9 +43,8 @@ func TestStallErrorWaitedUnwatched(t *testing.T) {
 }
 
 // TestWatchdogReportsPreWatchWaiter: a waiter that parked before the
-// instance was watched carries no timestamp, but the sampler must not
-// skip it — it reports the wait as a growing lower bound with Sampled
-// false, and the report renders the bound with a "≥" prefix.
+// instance was watched, with wait timing off, is reported like any
+// other, and its wait grows across scans.
 func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 	prev := waitSampling.Load()
 	SetWaitTiming(false)
@@ -81,7 +77,7 @@ func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 
 	d := NewWatchdog(WatchdogConfig{Threshold: 5 * time.Millisecond})
 	d.Watch(s)
-	time.Sleep(15 * time.Millisecond) // let the lower bound cross the threshold
+	time.Sleep(15 * time.Millisecond) // let the wait cross the threshold
 
 	reports := d.Scan()
 	if len(reports) == 0 {
@@ -92,24 +88,18 @@ func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 		t.Fatalf("report waiters = %+v, want exactly 1", r.Waiters)
 	}
 	w := r.Waiters[0]
-	if w.Sampled {
-		t.Error("pre-Watch waiter reported as Sampled; its true park time is unknown")
-	}
 	if w.Waited <= 0 {
-		t.Errorf("lower-bound Waited = %v, want > 0", w.Waited)
-	}
-	if str := r.String(); !strings.Contains(str, "≥") {
-		t.Errorf("report %q does not mark the unsampled bound with ≥", str)
+		t.Errorf("Waited = %v, want > 0", w.Waited)
 	}
 
-	// The bound keeps growing across scans — a stuck waiter can't hide.
+	// The wait keeps growing across scans — a stuck waiter can't hide.
 	time.Sleep(10 * time.Millisecond)
 	again := d.Scan()
 	if len(again) == 0 || len(again[0].Waiters) != 1 {
 		t.Fatal("waiter vanished from second scan")
 	}
 	if again[0].Waiters[0].Waited <= w.Waited {
-		t.Errorf("lower bound did not grow: %v then %v", w.Waited, again[0].Waiters[0].Waited)
+		t.Errorf("wait did not grow: %v then %v", w.Waited, again[0].Waiters[0].Waited)
 	}
 
 	s.Release(km)
@@ -117,8 +107,8 @@ func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 	s.Release(sm)
 }
 
-// TestWatchdogSampledWaiter: once the instance is watched, new waiters
-// carry measured timestamps and report Sampled true with no "≥".
+// TestWatchdogSampledWaiter: a waiter that parks on a watched instance
+// is reported with its measured wait.
 func TestWatchdogSampledWaiter(t *testing.T) {
 	tbl := mapTable(t, 1, TableOptions{})
 	s := NewSemantic(tbl)
@@ -140,14 +130,8 @@ func TestWatchdogSampledWaiter(t *testing.T) {
 		t.Fatal("watched waiter not reported")
 	}
 	w := reports[0].Waiters[0]
-	if !w.Sampled {
-		t.Error("post-Watch waiter reported as unsampled")
-	}
 	if w.Waited <= 0 {
 		t.Errorf("Waited = %v, want > 0", w.Waited)
-	}
-	if str := reports[0].String(); strings.Contains(str, "≥") {
-		t.Errorf("sampled wait rendered as a bound: %q", str)
 	}
 
 	s.Release(km)
@@ -208,78 +192,6 @@ func TestBatchStatsContract(t *testing.T) {
 	}
 	s.Release(m0)
 	s.Release(m1)
-}
-
-// TestStallObserverUnifiedClock: both stall clocks — the timeout path's
-// self-clocked StallError and the watchdog's threshold scan — must feed
-// the single process-wide observer, tagged by source, for the same
-// instance and mechanism.
-func TestStallObserverUnifiedClock(t *testing.T) {
-	var mu sync.Mutex
-	var events []StallEvent
-	prev := SetStallObserver(func(ev StallEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	})
-	defer SetStallObserver(prev)
-
-	tbl := mapTable(t, 1, TableOptions{})
-	s := NewSemantic(tbl)
-	km := keyMode(tbl, 4)
-	s.Acquire(km)
-
-	// Clock one: bounded acquisition times out.
-	patience := 10 * time.Millisecond
-	if err := s.AcquireWithin(km, patience); err == nil {
-		t.Fatal("acquisition against a live holder succeeded")
-	}
-
-	// Clock two: watchdog finds a parked waiter past threshold.
-	d := NewWatchdog(WatchdogConfig{Threshold: 5 * time.Millisecond})
-	d.Watch(s)
-	blocked := make(chan error, 1)
-	go func() { blocked <- s.AcquireWithin(km, time.Minute) }()
-	waitParked(t, s, 2)
-	time.Sleep(10 * time.Millisecond)
-	if n := len(d.Scan()); n == 0 {
-		t.Fatal("watchdog scan found no stalled mechanism")
-	}
-	s.Release(km)
-	if err := <-blocked; err != nil {
-		t.Fatalf("parked waiter after release: %v", err)
-	}
-	s.Release(km)
-
-	mu.Lock()
-	defer mu.Unlock()
-	var timeouts, watchdogs int
-	for _, ev := range events {
-		if ev.Instance != s.ID() {
-			t.Errorf("event for unexpected instance %d", ev.Instance)
-		}
-		switch ev.Source {
-		case StallTimeout:
-			timeouts++
-			if ev.Waiters != 1 {
-				t.Errorf("timeout event Waiters = %d, want 1", ev.Waiters)
-			}
-			if ev.Waited < patience {
-				t.Errorf("timeout event Waited = %v, below patience %v", ev.Waited, patience)
-			}
-		case StallWatchdog:
-			watchdogs++
-			if ev.Waiters < 1 {
-				t.Errorf("watchdog event Waiters = %d, want >=1", ev.Waiters)
-			}
-		}
-	}
-	if timeouts != 1 {
-		t.Errorf("timeout events = %d, want 1", timeouts)
-	}
-	if watchdogs < 1 {
-		t.Errorf("watchdog events = %d, want >=1", watchdogs)
-	}
 }
 
 // TestWaitTimingMidFlightToggle: a waiter parked BEFORE

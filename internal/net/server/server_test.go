@@ -316,20 +316,16 @@ func TestServerMalformed(t *testing.T) {
 
 // TestServerShedChaos: a chaos hook holds a unicast section open while
 // a second client's conflicting unregister stalls past the policy's
-// patience. That stall trips the breaker through the stall feed, so the
-// second client's next requests are refused with wire-level
-// CodeBreakerOpen frames BEFORE any lock is touched, and the refused
-// connection serves normally once the hold clears and a probe closes
-// the breaker.
+// patience. That stall, returned by the policy's own section, trips its
+// breaker, so the second client's next requests are refused with
+// wire-level CodeBreakerOpen frames BEFORE any lock is touched, and the
+// refused connection serves normally once the hold clears and a probe
+// closes the breaker.
 func TestServerShedChaos(t *testing.T) {
 	policy := resilience.New("net-test", resilience.Config{
 		Patience: 500 * time.Microsecond,
 		Breaker:  &resilience.BreakerConfig{TripStallRate: 1, Cooldown: 200 * time.Millisecond, Probes: 1},
 	})
-	mgr := resilience.NewManager(nil)
-	mgr.Add(policy)
-	mgr.Start()
-	defer mgr.Stop()
 	s := startServer(t, Config{Policy: policy})
 	defer s.Shutdown(5 * time.Second)
 

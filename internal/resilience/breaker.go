@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -44,9 +43,9 @@ type BreakerConfig struct {
 	// measured over. Defaults: 1s over 8 buckets.
 	Window  time.Duration
 	Buckets int
-	// TripStallRate is the windowed stall rate (events/sec on the
-	// unified stall feed) at or above which a stall opens the breaker.
-	// <= 0 disables tripping.
+	// TripStallRate is the windowed stall rate (stalls/sec returned by
+	// the policy's own sections) at or above which a stall opens the
+	// breaker. <= 0 disables tripping.
 	TripStallRate float64
 	// Cooldown is how long an open breaker refuses before moving to
 	// half-open. Default 50ms.
@@ -57,10 +56,10 @@ type BreakerConfig struct {
 }
 
 // Breaker is a circuit breaker over one policy's traffic, driven by the
-// unified stall feed. The trip decision sits on the stall path
-// (RecordStall), so admission in the closed state (Allow) is one atomic
-// load; the returned done func reports the attempt's outcome so
-// half-open probes can vote on recovery.
+// stalls that policy's sections return. The trip decision sits on the
+// stall path (RecordStall), so admission in the closed state (Allow) is
+// one atomic load; the returned done func reports the attempt's outcome
+// so half-open probes can vote on recovery.
 type Breaker struct {
 	name string
 	cfg  BreakerConfig
@@ -103,14 +102,14 @@ func NewBreaker(name string, cfg BreakerConfig) *Breaker {
 	}
 }
 
-// RecordStall feeds one stall observation into the breaker's window and
-// opens a closed breaker once the windowed rate reaches TripStallRate.
-// Wired to the unified stall feed by the Manager, so timeout-path and
-// watchdog stalls land in the same window by construction. Only a new
-// stall can trip: the stalls behind an earlier trip stay in the window
-// after the probes reclose the breaker, and re-reading them at
+// RecordStall counts one stall into the breaker's window and opens a
+// closed breaker once the windowed rate reaches TripStallRate. The
+// owning policy calls it once per stalled section (Policy.Do), so the
+// window holds exactly the stalls of this breaker's own traffic. Only a
+// new stall can trip: the stalls behind an earlier trip stay in the
+// window after the probes reclose the breaker, and re-reading them at
 // admission would reopen it at once.
-func (b *Breaker) RecordStall(core.StallEvent) {
+func (b *Breaker) RecordStall() {
 	b.stalls.Add(1)
 	if b.cfg.TripStallRate <= 0 || b.State() != BreakerClosed || b.stalls.Rate() < b.cfg.TripStallRate {
 		return

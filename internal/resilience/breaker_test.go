@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/resilience"
 )
 
@@ -33,7 +32,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Trip on windowed stall rate.
 	for i := 0; i < 5; i++ {
-		b.RecordStall(core.StallEvent{})
+		b.RecordStall()
 	}
 	if b.State() != resilience.BreakerOpen {
 		t.Fatalf("state after trip %v", b.State())
@@ -97,12 +96,12 @@ func TestBreakerTripsOnStall(t *testing.T) {
 		t.Fatalf("closed Allow allocates %v per call, want 0", n)
 	}
 	for i := 0; i < 9; i++ {
-		b.RecordStall(core.StallEvent{})
+		b.RecordStall()
 	}
 	if b.State() != resilience.BreakerClosed {
 		t.Fatalf("state below the trip rate %v, want closed", b.State())
 	}
-	b.RecordStall(core.StallEvent{})
+	b.RecordStall()
 	if b.State() != resilience.BreakerOpen {
 		t.Fatalf("state after the crossing stall %v, want open", b.State())
 	}
@@ -122,7 +121,7 @@ func TestBreakerReclosedIgnoresStaleStalls(t *testing.T) {
 		Probes:        3,
 	})
 	for i := 0; i < 50; i++ {
-		b.RecordStall(core.StallEvent{})
+		b.RecordStall()
 	}
 	if _, err := b.Allow(); !errors.Is(err, resilience.ErrBreakerOpen) {
 		t.Fatalf("Allow after 50 stalls: %v, want ErrBreakerOpen", err)
@@ -155,7 +154,7 @@ func TestBreakerHalfOpenProbeQuota(t *testing.T) {
 		Probes:        2,
 	})
 	for i := 0; i < 10; i++ {
-		b.RecordStall(core.StallEvent{})
+		b.RecordStall()
 	}
 	if b.State() != resilience.BreakerOpen {
 		t.Fatal("breaker did not trip")
@@ -203,7 +202,7 @@ func TestBreakerConcurrentProbesRace(t *testing.T) {
 			case <-stopStalls:
 				return
 			default:
-				b.RecordStall(core.StallEvent{})
+				b.RecordStall()
 				time.Sleep(100 * time.Microsecond)
 			}
 		}

@@ -70,34 +70,40 @@ func (p *Policy) Patience() time.Duration {
 func (p *Policy) Breaker() *Breaker { return p.breaker }
 
 // stalled reports whether err is a stall — the failure the breaker
-// counts against a half-open probe.
+// counts in its window and against a half-open probe.
 func stalled(err error) bool {
 	var stall *core.StallError
 	return errors.As(err, &stall)
 }
 
-// Run executes section as one policied atomic section: breaker
-// admission, then core.Atomically(section). The section closure returns
-// an error to abort (typically the *StallError of a bounded
-// acquisition); held locks release through the section epilogue before
-// Run returns it. On a nil policy Run is core.Atomically(section): no
-// admission and no counters.
+// Run executes section as one policied atomic section: Do around
+// core.Atomically(section). The section closure returns an error to
+// abort (typically the *StallError of a bounded acquisition); held
+// locks release through the section epilogue before Run returns it. On
+// a nil policy Run is core.Atomically(section): no admission and no
+// counters.
 func (p *Policy) Run(section func(tx *core.Txn) error) error {
-	return p.guarded(func() error {
+	return p.Do(func() error {
 		var serr error
 		core.Atomically(func(tx *core.Txn) { serr = section(tx) })
 		return serr
 	})
 }
 
-// guarded runs one attempt behind the breaker. It is kept out of Run so
-// that Run inlines into the Resilient wrappers, which keeps those
-// wrappers too large to inline into the server's frame loop
-// (EXPERIMENTS.md "The gate the controller chose"). The breaker's done
-// callback runs via defer so a panicking section (chaos injection)
-// still votes — as a failure — instead of leaking a half-open probe
-// slot.
-func (p *Policy) guarded(attempt func() error) error {
+// Do runs one attempt behind the breaker and counts its outcome: an
+// attempt that returns a *core.StallError is a stall failure and one
+// stall in the breaker's window, which is the breaker's only input. The
+// attempt opens its own sections, so a read that holds nothing (an
+// optimistic snapshot) runs under the policy without a transaction. On
+// a nil policy Do is attempt().
+//
+// Do is kept out of Run so that Run inlines into the Resilient
+// wrappers, which keeps those wrappers too large to inline into the
+// server's frame loop (EXPERIMENTS.md "The gate the controller chose").
+// The breaker's done callback runs via defer so a panicking section
+// (chaos injection) still votes — as a failure — instead of leaking a
+// half-open probe slot.
+func (p *Policy) Do(attempt func() error) error {
 	if p == nil {
 		return attempt()
 	}
@@ -119,16 +125,11 @@ func (p *Policy) guarded(attempt func() error) error {
 	err := attempt()
 	if ok = err == nil || !stalled(err); !ok {
 		p.stallFailures.Add(1)
+		if p.breaker != nil {
+			p.breaker.RecordStall()
+		}
 	}
 	return err
-}
-
-// ObserveStall feeds one unified-stall-feed event into the breaker
-// window. Wired by the Manager.
-func (p *Policy) ObserveStall(ev core.StallEvent) {
-	if p.breaker != nil {
-		p.breaker.RecordStall(ev)
-	}
 }
 
 // Stats returns the policy's telemetry row plus the breaker's, suitable

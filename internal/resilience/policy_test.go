@@ -64,7 +64,7 @@ func TestPolicyOpenBreakerRefusesBeforeSection(t *testing.T) {
 	p := resilience.New("t", resilience.Config{
 		Breaker: &resilience.BreakerConfig{TripStallRate: 1, Cooldown: time.Minute},
 	})
-	p.ObserveStall(core.StallEvent{})
+	p.Breaker().RecordStall()
 	ran := false
 	err := p.Run(func(*core.Txn) error { ran = true; return nil })
 	if !errors.Is(err, resilience.ErrBreakerOpen) {
@@ -102,43 +102,42 @@ func TestNilPolicyIsAtomically(t *testing.T) {
 	}
 }
 
-// TestManagerWiresSignals: the manager's stall feed must reach policy
-// breakers, and after Stop a stall no longer does.
-func TestManagerWiresSignals(t *testing.T) {
-	prev := core.SetStallObserver(nil)
-	defer core.SetStallObserver(prev)
-
-	m := resilience.NewManager(nil)
-	p := resilience.New("t", resilience.Config{
+// TestBreakerCountsOwnStalls: a policy's breaker needs no wiring
+// beyond New and counts only the stalls its own sections return. A
+// stalled Run on A opens A and leaves B closed, and a bare
+// AcquireWithin stall outside any policy opens neither.
+func TestBreakerCountsOwnStalls(t *testing.T) {
+	cfg := resilience.Config{
 		Patience: time.Millisecond,
 		Breaker:  &resilience.BreakerConfig{TripStallRate: 1, Cooldown: time.Minute},
-	})
-	m.Add(p)
-	m.Start()
+	}
+	a, b := resilience.New("a", cfg), resilience.New("b", cfg)
 
-	// A real stall must land in the breaker window via the feed and
-	// trip it on the spot.
 	tbl, keys := keyedTable(t)
 	s := core.NewSemantic(tbl)
 	km := keys.Mode(3)
-	s.Acquire(km)
+	s.Acquire(km) // permanent conflicting holder
+
 	if err := s.AcquireWithin(km, time.Millisecond); err == nil {
 		t.Fatal("acquisition against a live holder succeeded")
 	}
-	if p.Breaker().State() != resilience.BreakerOpen {
-		t.Fatalf("breaker untouched by stall feed: %v", p.Breaker().State())
+	if sa, sb := a.Breaker().State(), b.Breaker().State(); sa != resilience.BreakerClosed || sb != resilience.BreakerClosed {
+		t.Fatalf("a stall outside any policy moved the breakers: a %v, b %v", sa, sb)
 	}
 
-	m.Stop()
-	q := resilience.New("q", resilience.Config{
-		Breaker: &resilience.BreakerConfig{TripStallRate: 1, Cooldown: time.Minute},
-	})
-	m.Add(q)
-	if err := s.AcquireWithin(km, time.Millisecond); err == nil {
-		t.Fatal("acquisition against a live holder succeeded")
+	err := a.Run(func(tx *core.Txn) error { return tx.LockWithin(s, km, 0, a.Patience()) })
+	var stall *core.StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("Run on a: %v, want *core.StallError", err)
+	}
+	if st := a.Breaker().State(); st != resilience.BreakerOpen {
+		t.Fatalf("breaker a %v after its own stall, want open", st)
+	}
+	if st := b.Breaker().State(); st != resilience.BreakerClosed {
+		t.Fatalf("breaker b %v after a's stall, want closed", st)
 	}
 	s.Release(km)
-	if q.Breaker().State() != resilience.BreakerClosed {
-		t.Fatal("a stopped manager still fans stalls out")
+	if err := s.CheckQuiesced(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,7 @@
 // Package resilience is the policy layer between applications and the
-// semantic-lock runtime: it turns the runtime's detection machinery —
-// bounded acquisition with StallError, the stall Watchdog, the
-// telemetry Registry — into action, so an injected slow hold degrades
-// throughput instead of collapsing it.
+// semantic-lock runtime: it turns the runtime's bounded acquisition
+// (a *core.StallError when patience runs out) into action, so an
+// injected slow hold degrades throughput instead of collapsing it.
 //
 // A Policy is two things:
 //
@@ -11,18 +10,21 @@
 //     section, releases what it held, and returns the *core.StallError;
 //     the caller drops the operation. Nothing is retried.
 //
-//   - Breaker (optional): a circuit breaker driven by the unified stall
-//     feed (core.SetStallObserver → telemetry.StallFeed). A stall that
-//     lifts the windowed stall rate to the trip rate opens it; Open →
-//     HalfOpen after a cooldown; HalfOpen → Closed after consecutive
-//     successful probes (→ Open again on any probe failure). While it
-//     is open, sections are refused with ErrBreakerOpen before they
-//     touch a lock, so callers stop queueing behind a wedged holder.
-//     A closed breaker admits with one atomic load.
+//   - Breaker (optional): a circuit breaker that counts the stalls its
+//     own policy's sections return (Policy.Do) and nothing else — no
+//     other policy's stalls and no watchdog report — so one stalled
+//     section is one count and a hot class's breaker never refuses a
+//     cold class. A stall that lifts the windowed stall rate to the
+//     trip rate opens it; Open → HalfOpen after a cooldown; HalfOpen →
+//     Closed after consecutive successful probes (→ Open again on any
+//     probe failure). While it is open, sections are refused with
+//     ErrBreakerOpen before they touch a lock, so callers stop queueing
+//     behind a wedged holder. A closed breaker admits with one atomic
+//     load.
 //
-// Policies expose their counters through telemetry.PolicyStats
-// (Registry.RegisterPolicySource), and a Manager fans the stall feed
-// into the policies' breakers.
+// A policy needs no wiring beyond New: its breaker is fed by its own
+// Do. Callers that publish its counters register Policy.Stats with a
+// telemetry registry (Registry.RegisterPolicySource).
 package resilience
 
 import "errors"

@@ -38,8 +38,8 @@ type GroupStats struct {
 	Batches   uint64 `json:"batches"`
 	Stalls    uint64 `json:"stalls"`
 	// WaitNanos is cumulative measured blocking time; zero unless
-	// core.SetWaitTiming(true) or a Watchdog was active while waiters
-	// parked (see core.LockStats.WaitNanos).
+	// core.SetWaitTiming(true) was on while waiters settled (see
+	// core.LockStats.WaitNanos).
 	WaitNanos int64 `json:"wait_nanos"`
 	// OutstandingHolds is the instances' total live holder count at
 	// snapshot time — nonzero while sections are executing, and a leak

@@ -1,19 +1,13 @@
-// Windowed rates: the resilience layer's breakers act on "stalls per
-// second over the last N milliseconds", not lifetime counters, so this
-// file adds small bucketed sliding windows and the StallFeed that fills
-// one from core's unified stall-observer hook (core.SetStallObserver).
-// Both stall clocks — bounded-acquisition timeouts and watchdog
-// threshold scans — arrive on the same feed, so a breaker can never see
-// two contradictory stall counts.
+// Windowed rates: a resilience breaker acts on "stalls per second over
+// the last N milliseconds", not lifetime counters, so this file adds a
+// small bucketed sliding window. Each breaker fills its own from the
+// stalls its policy's sections return.
 
 package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
 )
 
 // RateWindow is a bucketed sliding-window event counter: Add records
@@ -105,73 +99,4 @@ func (w *RateWindow) Sum() uint64 {
 func (w *RateWindow) Rate() float64 {
 	span := w.bucketDur * time.Duration(len(w.buckets))
 	return float64(w.Sum()) / span.Seconds()
-}
-
-// StallFeed is the single funnel for core's stall observations: Install
-// registers it as the process-wide stall observer, after which every
-// bounded-acquisition timeout and every watchdog threshold report lands
-// in one RateWindow and is fanned out to subscribers (resilience
-// breakers keep per-policy windows this way). One feed, one clock — the
-// satellite fix for StallError.Waited and Watchdog reports previously
-// being two unrelated counts.
-type StallFeed struct {
-	win      *RateWindow
-	timeouts atomic.Uint64
-	watchdog atomic.Uint64
-
-	mu   sync.Mutex
-	subs []func(core.StallEvent)
-}
-
-// NewStallFeed creates a feed whose windowed rate covers the trailing
-// `window` duration in `buckets` slices.
-func NewStallFeed(window time.Duration, buckets int) *StallFeed {
-	return &StallFeed{win: NewRateWindow(window, buckets)}
-}
-
-// Install registers the feed as the process-wide stall observer and
-// returns the previously installed observer (chained: the feed forwards
-// every event to it, so installing a feed never silences an existing
-// consumer). Uninstall by calling core.SetStallObserver with the
-// returned value — or nil to clear everything.
-func (f *StallFeed) Install() (prev func(core.StallEvent)) {
-	prev = core.SetStallObserver(f.observe)
-	f.mu.Lock()
-	if prev != nil {
-		f.subs = append(f.subs, prev)
-	}
-	f.mu.Unlock()
-	return prev
-}
-
-// Subscribe adds a synchronous consumer called for every stall event.
-// Subscribers run on the stalling goroutine or the watchdog sampler —
-// keep them brief and never acquire semantic locks inside.
-func (f *StallFeed) Subscribe(fn func(core.StallEvent)) {
-	f.mu.Lock()
-	f.subs = append(f.subs, fn)
-	f.mu.Unlock()
-}
-
-func (f *StallFeed) observe(ev core.StallEvent) {
-	f.win.Add(1)
-	if ev.Source == core.StallWatchdog {
-		f.watchdog.Add(1)
-	} else {
-		f.timeouts.Add(1)
-	}
-	f.mu.Lock()
-	subs := f.subs
-	f.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
-	}
-}
-
-// Sum returns the stall events inside the trailing window.
-func (f *StallFeed) Sum() uint64 { return f.win.Sum() }
-
-// Counts returns the lifetime event counts by source.
-func (f *StallFeed) Counts() (timeouts, watchdog uint64) {
-	return f.timeouts.Load(), f.watchdog.Load()
 }

@@ -1,11 +1,9 @@
 package telemetry_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -27,45 +25,6 @@ func TestRateWindowDecays(t *testing.T) {
 	}
 	if r := w.Rate(); r <= 0 {
 		t.Fatalf("Rate = %v, want > 0", r)
-	}
-}
-
-// TestStallFeedUnifiesClocks: both core stall sources must land in the
-// feed's single window, split by source in the lifetime counts, and fan
-// out to subscribers.
-func TestStallFeedUnifiesClocks(t *testing.T) {
-	f := telemetry.NewStallFeed(time.Second, 4)
-	prev := f.Install()
-	defer core.SetStallObserver(prev)
-
-	var mu sync.Mutex
-	var seen []core.StallEvent
-	f.Subscribe(func(ev core.StallEvent) {
-		mu.Lock()
-		seen = append(seen, ev)
-		mu.Unlock()
-	})
-
-	tbl, keys, _ := keyedTable(t)
-	s := core.NewSemantic(tbl)
-	m := keys.Mode(1)
-	s.Acquire(m)
-	if err := s.AcquireWithin(m, 5*time.Millisecond); err == nil {
-		t.Fatal("acquisition against a live holder succeeded")
-	}
-	s.Release(m)
-
-	if got := f.Sum(); got != 1 {
-		t.Fatalf("windowed sum = %d, want 1", got)
-	}
-	timeouts, watchdog := f.Counts()
-	if timeouts != 1 || watchdog != 0 {
-		t.Fatalf("counts = (%d,%d), want (1,0)", timeouts, watchdog)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 1 || seen[0].Source != core.StallTimeout {
-		t.Fatalf("subscriber saw %+v, want one timeout event", seen)
 	}
 }
 
