@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -94,6 +93,27 @@ func (f *Figure) Scalability(name string) float64 {
 	return s.Values[f.Xs[len(f.Xs)-1]] / base
 }
 
+// addSeries appends one series per name, valued at each of f's thread
+// counts by value(name, threads).
+func (f *Figure) addSeries(names []string, value func(name string, threads int) float64) {
+	for _, name := range names {
+		s := Series{Name: name, Values: map[int]float64{}}
+		for _, x := range f.Xs {
+			s.Values[x] = value(name, x)
+		}
+		f.Series = append(f.Series, s)
+	}
+}
+
+// addSpeedups appends one series per name: the time run takes at one
+// thread over its time at each of f's thread counts, in percent.
+func (f *Figure) addSpeedups(names []string, run func(name string, threads int) float64) {
+	for _, name := range names {
+		base := run(name, 1)
+		f.addSeries([]string{name}, func(name string, T int) float64 { return base / run(name, T) * 100 })
+	}
+}
+
 // sortedStringKeys is a helper for deterministic map iteration in reports.
 func sortedStringKeys(m map[string]float64) []string {
 	ks := make([]string, 0, len(m))
@@ -102,19 +122,4 @@ func sortedStringKeys(m map[string]float64) []string {
 	}
 	sort.Strings(ks)
 	return ks
-}
-
-// geomean returns the geometric mean of the positive values in xs.
-func geomean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,20 +21,23 @@ import (
 
 // ChaosBench is the fault-recovery experiment behind
 // `benchall -exp chaos`: it drives the gossip and intruder applications
-// through three phases — a fault-free baseline, a burst with panics and
-// scheduler delays injected inside atomic sections, and a fault-free
-// recovery phase — and verifies that the runtime comes back intact. The
-// acceptance criteria are structural (no leaked lock counts, no
+// through three phases — a burst with panics and scheduler delays
+// injected inside atomic sections, a fault-free recovery phase on the
+// same instance, and a fault-free baseline on an identical twin that
+// never sees a fault — and verifies that the runtime comes back intact.
+// The acceptance criteria are structural (no leaked lock counts, no
 // registered waiters, every instance quiescent after the burst) plus a
 // throughput criterion: the recovery phase must reach at least 80% of
 // the baseline's ops/sec, i.e. absorbed faults leave no lasting damage.
 type ChaosConfig struct {
-	OpsPerPhase int // gossip ops per phase (split across workers)
+	OpsPerPhase int // gossip ops per round of a phase (split across workers)
 	Workers     int
-	Flows       int // intruder flows per phase
+	Flows       int // intruder flows per round of a phase
 }
 
-// ChaosPhase is one measured phase of one app's chaos run.
+// ChaosPhase is one measured phase of one app's chaos run: the faulted
+// phase's one round, or the baseline or recovery round of the median
+// pair.
 type ChaosPhase struct {
 	Phase     string  `json:"phase"` // "baseline", "faulted", "recovery"
 	Ops       int     `json:"ops"`
@@ -89,7 +94,7 @@ type ChaosReport struct {
 // phase back to 80 % of the baseline.
 var chaosReport = Report{
 	ID: "chaos", File: "BENCH_chaos.json",
-	Run:    func() (Formatter, error) { return ChaosBench(ChaosConfig{}), nil },
+	Run:    func() (Formatter, error) { return ChaosBench(ChaosConfig{}) },
 	Fields: []string{"gomaxprocs", "cells", "criteria"},
 	Criteria: []string{"recovery_ratio_min", "leaked_locks_total", "quiesce_failures",
 		"telemetry_holds_mismatch", "panic_recovery_mismatch", "leaked_waiters_total"},
@@ -113,11 +118,39 @@ func chaosInjector() *chaos.Injector {
 
 const chaosWatchdogThreshold = time.Millisecond
 
-// runChaosPhases runs the three phases for one app. run executes one
-// workload pass with faults shielded and returns (ops attempted, ops
-// absorbed as faults); sems lists the app's lock instances for the
-// watchdog and the quiescence check.
-func runChaosPhases(app string, inj *chaos.Injector, sems []*core.Semantic, run func() (int, uint64)) ChaosCell {
+// chaosRounds is how many pairs of baseline and recovery rounds a cell
+// runs; the cell reports the pair whose recovery ratio is the median.
+const chaosRounds = 7
+
+// chaosApp is one instance of a cell's application: its lock instances
+// and one pass of its workload with faults shielded, returning (ops
+// attempted, ops absorbed as faults).
+type chaosApp struct {
+	sems []*core.Semantic
+	run  func() (int, uint64)
+}
+
+// chaosRound times one pass of run after a full collection: a round
+// lasts a few milliseconds, so a GC cycle landing in it would move its
+// ops/sec by about 2×.
+func chaosRound(phase string, run func() (int, uint64)) ChaosPhase {
+	runtime.GC()
+	t0 := time.Now()
+	ops, faulted := run()
+	sec := time.Since(t0).Seconds()
+	return ChaosPhase{Phase: phase, Ops: ops, Faulted: faulted, Seconds: sec, OpsPerSec: float64(ops) / sec}
+}
+
+// runChaosPhases runs one app's cell: the faulted phase on subject with
+// inj armed, then the recovery phase on subject and the baseline phase
+// on twin, an identical instance whose own injector is never armed.
+// Each baseline round is paired with an adjacent recovery round, so a
+// pair sees the host at one speed: a shared host's speed can drift by
+// 2× within tens of milliseconds, and a baseline taken before the
+// faults' second or so would compare two speeds of the host, not a
+// recovered instance with a healthy one. The drain audit and the
+// telemetry cross-check cover both instances.
+func runChaosPhases(app string, inj *chaos.Injector, subject, twin chaosApp) ChaosCell {
 	cell := ChaosCell{App: app}
 	panics0 := core.SectionPanicsRecovered()
 	waiters0 := core.WaitersOutstanding()
@@ -128,117 +161,59 @@ func runChaosPhases(app string, inj *chaos.Injector, sems []*core.Semantic, run 
 		Interval:  chaosWatchdogThreshold / 2,
 		OnStall:   func(core.StallReport) { stalls.Add(1) },
 	})
-	for _, s := range sems {
+	for _, s := range subject.sems {
 		d.Watch(s)
 	}
+	inj.Arm()
+	d.Start()
+	faulted := chaosRound("faulted", subject.run)
+	inj.Disarm()
+	d.Stop()
 
-	for _, phase := range []string{"baseline", "faulted", "recovery"} {
-		if phase == "faulted" {
-			inj.Arm()
-			d.Start()
+	// Warm the twin as the faulted phase warmed the subject; a pair is
+	// {baseline, recovery}.
+	twin.run()
+	pairs := make([][2]ChaosPhase, chaosRounds)
+	for i := range pairs {
+		if i%2 == 0 {
+			pairs[i][0], pairs[i][1] = chaosRound("baseline", twin.run), chaosRound("recovery", subject.run)
+		} else {
+			pairs[i][1], pairs[i][0] = chaosRound("recovery", subject.run), chaosRound("baseline", twin.run)
 		}
-		t0 := time.Now()
-		ops, faulted := run()
-		elapsed := time.Since(t0)
-		if phase == "faulted" {
-			inj.Disarm()
-			d.Stop()
-		}
-		cell.Phases = append(cell.Phases, ChaosPhase{
-			Phase:     phase,
-			Ops:       ops,
-			Faulted:   faulted,
-			Seconds:   elapsed.Seconds(),
-			OpsPerSec: float64(ops) / elapsed.Seconds(),
-		})
 	}
+	ratio := func(p [2]ChaosPhase) float64 { return p[1].OpsPerSec / p[0].OpsPerSec }
+	sort.Slice(pairs, func(i, j int) bool { return ratio(pairs[i]) < ratio(pairs[j]) })
+	mid := pairs[len(pairs)/2]
+	cell.Phases = []ChaosPhase{mid[0], faulted, mid[1]}
 
+	sems := slices.Concat(subject.sems, twin.sems)
 	cell.Panics, cell.SlowHolds, cell.Delays = inj.Counts()
 	cell.StallReports = int(stalls.Load())
-	for _, s := range sems {
-		cell.LeakedLocks += s.OutstandingHolds()
-	}
-	if err := chaos.CheckRecovered(sems...); err != nil {
-		cell.QuiesceError = err.Error()
-	}
+	cell.LeakedLocks, cell.LeakedWaiters, cell.QuiesceError = drainAudit(sems, waiters0)
 
 	// Telemetry cross-check: the same instances seen through a telemetry
-	// registry snapshot must report the same outstanding holds the direct
-	// walk above found, the section-panic counter delta must equal the
-	// injector's panic count, and no waiter registration may leak.
+	// registry snapshot must report the same outstanding holds the audit
+	// above found, and the section-panic counter delta must equal the
+	// injector's panic count.
 	reg := telemetry.NewRegistry()
 	reg.Register(app, "chaos", sems...)
 	for _, g := range reg.Snapshot().Groups {
 		cell.TelemetryHolds += g.OutstandingHolds
 	}
 	cell.RecoveredPanics = core.SectionPanicsRecovered() - panics0
-	cell.LeakedWaiters = core.WaitersOutstanding() - waiters0
 	if base := cell.Phases[0].OpsPerSec; base > 0 {
 		cell.RecoveryRatio = cell.Phases[2].OpsPerSec / base
 	}
 	return cell
 }
 
-// chaosGossipCell runs the gossip router through the three phases.
-func chaosGossipCell(cfg ChaosConfig) ChaosCell {
-	r := gossip.NewOurs(0, plan.Options{})
-	inj := chaosInjector()
-	r.FaultHook = inj.Hook
-	payload := []byte("chaos-payload")
-	for g := 0; g < 4; g++ {
-		for m := 0; m < 8; m++ {
-			name := fmt.Sprintf("m%d", m)
-			r.Register(fmt.Sprintf("g%d", g), name, gossip.NewConn(name, 0))
-		}
-	}
+// chaosGroups are the gossip cells' four groups.
+var chaosGroups = []string{"g0", "g1", "g2", "g3"}
 
-	opsPer := cfg.OpsPerPhase / cfg.Workers
-	run := func() (int, uint64) {
-		var faulted atomic.Uint64
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < opsPer; i++ {
-					g := fmt.Sprintf("g%d", (w+i)%4)
-					m := fmt.Sprintf("m%d", i%8)
-					op := (w*31 + i*7) % 100
-					hit := chaos.Shield(func() {
-						switch {
-						case op < 10:
-							r.Register(g, m, gossip.NewConn(m, 0))
-						case op < 20:
-							r.Unregister(g, m)
-						case op < 60:
-							r.Unicast(g, m, payload)
-						default:
-							r.Multicast(g, payload)
-						}
-					})
-					if hit {
-						faulted.Add(1)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		return opsPer * cfg.Workers, faulted.Load()
-	}
-	return runChaosPhases("gossip", inj, r.Sems(), run)
-}
-
-// chaosGossipResilientCell runs the policied router through the same
-// three phases. Unlike the plain cell, operations the policy gives up
-// on — stalled past the patience, or breaker-refused — are dropped
-// (counted) instead of blocking until the fault clears; the structural
-// recovery criteria apply unchanged, and the breaker's counters land in
-// the cell for the -chaos-strict artifact.
-func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
-	o := gossip.NewOurs(0, plan.Options{})
-	inj := chaosInjector()
-	o.FaultHook = inj.Hook
-	pol := resilience.New("gossip-chaos", resilience.Config{
+// chaosPolicy is the "gossip-resilient" cell's policy: bounded patience
+// and a breaker tripping on its own sections' stalls.
+func chaosPolicy() *resilience.Policy {
+	return resilience.New("gossip-chaos", resilience.Config{
 		Patience: 500 * time.Microsecond,
 		Breaker: &resilience.BreakerConfig{
 			Window:        100 * time.Millisecond,
@@ -248,27 +223,28 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 			Probes:        2,
 		},
 	})
-	r := gossip.NewResilient(o, pol)
-	payload := []byte("chaos-payload")
-	for g := 0; g < 4; g++ {
-		for m := 0; m < 8; m++ {
-			name := fmt.Sprintf("m%d", m)
-			o.Register(fmt.Sprintf("g%d", g), name, gossip.NewConn(name, 0))
-		}
-	}
+}
 
-	var dropped atomic.Uint64
+// chaosGossipCell runs the gossip router behind pol through the three
+// phases, its twin behind twinPol. With nil policies every operation
+// blocks until the fault clears, so any error is a bug and fails the
+// cell; with a policy, operations it gives up on — stalled past the
+// patience, or breaker-refused — are dropped (counted), and pol's
+// breaker counters land in the cell. The structural recovery criteria
+// apply to both alike.
+func chaosGossipCell(cfg ChaosConfig, app string, pol, twinPol *resilience.Policy) (ChaosCell, error) {
+	payload := []byte("chaos-payload")
 	opsPer := cfg.OpsPerPhase / cfg.Workers
-	run := func() (int, uint64) {
-		var faulted atomic.Uint64
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
+	newApp := func(pol *resilience.Policy, hook func(string), tally *outcomes) chaosApp {
+		o := gossip.NewOurs(0, plan.Options{})
+		o.FaultHook = hook
+		seedGroups(o, chaosGroups)
+		r := gossip.NewResilient(o, pol)
+		return chaosApp{o.Sems(), func() (int, uint64) {
+			var faulted atomic.Uint64
+			parallel(cfg.Workers, func(w int) {
 				for i := 0; i < opsPer; i++ {
-					g := fmt.Sprintf("g%d", (w+i)%4)
-					m := fmt.Sprintf("m%d", i%8)
+					g, m := chaosGroups[(w+i)%4], memberNames[i%8]
 					op := (w*31 + i*7) % 100
 					var err error
 					hit := chaos.Shield(func() {
@@ -288,47 +264,43 @@ func chaosGossipResilientCell(cfg ChaosConfig) ChaosCell {
 					if hit {
 						faulted.Add(1)
 					}
-					if resilienceDropped(err) {
-						dropped.Add(1)
-					}
+					tally.add(pol, err)
 				}
-			}(w)
-		}
-		wg.Wait()
-		return opsPer * cfg.Workers, faulted.Load()
+			})
+			return opsPer * cfg.Workers, faulted.Load()
+		}}
 	}
-	cell := runChaosPhases("gossip-resilient", inj, o.Sems(), run)
-	cell.Dropped = dropped.Load()
-	st := pol.Breaker().Stats()
-	cell.BreakerTrips = st.Counters["tripped"]
-	cell.BreakerRejects = st.Counters["rejected"]
-	return cell
+	var tally, twinTally outcomes
+	inj := chaosInjector()
+	cell := runChaosPhases(app, inj, newApp(pol, inj.Hook, &tally), newApp(twinPol, chaosInjector().Hook, &twinTally))
+	cell.Dropped = uint64(tally.dropped.Load())
+	if pol != nil { // a nil policy has no breaker to read
+		st := pol.Breaker().Stats()
+		cell.BreakerTrips = st.Counters["tripped"]
+		cell.BreakerRejects = st.Counters["rejected"]
+	}
+	return cell, errors.Join(tally.err(app), twinTally.err(app+" twin"))
 }
 
 // chaosIntruderCell runs the reassembly pipeline through the three
-// phases; each phase processes a fresh capture of cfg.Flows flows.
+// phases; each round processes a fresh capture of cfg.Flows flows.
 func chaosIntruderCell(cfg ChaosConfig) ChaosCell {
-	proc := intruder.NewOurs(plan.Options{})
-	inj := chaosInjector()
-	proc.FaultHook = inj.Hook
-
-	seed := int64(0)
-	run := func() (int, uint64) {
-		seed++
-		w := intruder.Generate(intruder.Config{Attacks: 10, MaxLength: 64, Flows: cfg.Flows, Seed: seed})
-		// Injected panics drop packets, leaving their flows incomplete in
-		// the reassembly map across phases — so each phase must use a
-		// disjoint FlowID range or a stale half-built flow would collide
-		// with a fresh flow of the same ID (and different fragment count).
-		for i := range w.Packets {
-			w.Packets[i].FlowID += int(seed) * cfg.Flows
-		}
-		var faulted atomic.Uint64
-		var wg sync.WaitGroup
-		for wk := 0; wk < cfg.Workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
+	newApp := func(hook func(string)) chaosApp {
+		proc := intruder.NewOurs(plan.Options{})
+		proc.FaultHook = hook
+		seed := int64(0)
+		return chaosApp{proc.Sems(), func() (int, uint64) {
+			seed++
+			w := intruder.Generate(intruder.Config{Attacks: 10, MaxLength: 64, Flows: cfg.Flows, Seed: seed})
+			// Injected panics drop packets, leaving their flows incomplete in
+			// the reassembly map across rounds — so each round must use a
+			// disjoint FlowID range or a stale half-built flow would collide
+			// with a fresh flow of the same ID (and different fragment count).
+			for i := range w.Packets {
+				w.Packets[i].FlowID += int(seed) * cfg.Flows
+			}
+			var faulted atomic.Uint64
+			parallel(cfg.Workers, func(wk int) {
 				for i := wk; i < len(w.Packets); i += cfg.Workers {
 					p := w.Packets[i]
 					if chaos.Shield(func() { proc.Process(p) }) {
@@ -336,17 +308,17 @@ func chaosIntruderCell(cfg ChaosConfig) ChaosCell {
 					}
 					chaos.Shield(func() { proc.Pop() })
 				}
-			}(wk)
-		}
-		wg.Wait()
-		return len(w.Packets), faulted.Load()
+			})
+			return len(w.Packets), faulted.Load()
+		}}
 	}
-	return runChaosPhases("intruder", inj, proc.Sems(), run)
+	inj := chaosInjector()
+	return runChaosPhases("intruder", inj, newApp(inj.Hook), newApp(chaosInjector().Hook))
 }
 
 // ChaosBench runs the chaos experiment for both applications and
 // computes the summary criteria.
-func ChaosBench(cfg ChaosConfig) *ChaosReport {
+func ChaosBench(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.OpsPerPhase == 0 {
 		cfg.OpsPerPhase = 6000
 	}
@@ -360,7 +332,15 @@ func ChaosBench(cfg ChaosConfig) *ChaosReport {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Criteria:   map[string]float64{},
 	}
-	rep.Cells = append(rep.Cells, chaosGossipCell(cfg), chaosGossipResilientCell(cfg), chaosIntruderCell(cfg))
+	plain, err := chaosGossipCell(cfg, "gossip", nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	policied, err := chaosGossipCell(cfg, "gossip-resilient", chaosPolicy(), chaosPolicy())
+	if err != nil {
+		return nil, err
+	}
+	rep.Cells = append(rep.Cells, plain, policied, chaosIntruderCell(cfg))
 
 	minRatio := 0.0
 	var leaked, holdsMismatch, leakedWaiters int64
@@ -390,7 +370,7 @@ func ChaosBench(cfg ChaosConfig) *ChaosReport {
 	rep.Criteria["telemetry_holds_mismatch"] = float64(holdsMismatch)
 	rep.Criteria["panic_recovery_mismatch"] = panicMismatch
 	rep.Criteria["leaked_waiters_total"] = float64(leakedWaiters)
-	return rep
+	return rep, nil
 }
 
 // Format renders the report as one aligned table per app.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -160,42 +161,53 @@ func netCell(cfg NetConfig, conns int, readFrac float64) (NetPoint, error) {
 		pt.DrainError = err.Error()
 	}
 	pt.LeakedConns = s.ActiveConns()
-	for _, sem := range s.Router().Sems() {
-		pt.LeakedLocks += sem.OutstandingHolds()
-		if err := sem.CheckQuiesced(); err != nil && pt.QuiesceError == "" {
-			pt.QuiesceError = err.Error()
-		}
-	}
-	pt.LeakedWaiters = core.WaitersOutstanding() - waiters0
+	pt.LeakedLocks, pt.LeakedWaiters, pt.QuiesceError = drainAudit(s.Router().Sems(), waiters0)
 	return pt, nil
+}
+
+// netFixture is a fresh server's Exerciser with member m0 registered
+// in group g0, and the frame bodies the in-process rows replay: a
+// lookup of m0, a unicast to it, and a pipelined batch of those
+// unicasts. resp is a reply buffer to reuse.
+type netFixture struct {
+	s         *server.Server
+	e         *server.Exerciser
+	look, uni []byte
+	batch     [][]byte
+	resp      []byte
+}
+
+func newNetFixture(cfg NetConfig) (*netFixture, error) {
+	reg, err1 := wire.AppendRegister(nil, "g0", "m0")
+	look, err2 := wire.AppendLookup(nil, "g0", "m0")
+	uni, err3 := wire.AppendUnicast(nil, "g0", "m0", make([]byte, cfg.PayloadBytes))
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return nil, err
+	}
+	s, err := server.New(server.Config{Addr: "127.0.0.1:0", SendCost: cfg.SendCost})
+	if err != nil {
+		return nil, err
+	}
+	f := &netFixture{s: s, e: s.Exerciser(), look: look[wire.HeaderLen:], uni: uni[wire.HeaderLen:], resp: make([]byte, 0, 4<<10)}
+	if f.resp, err = f.e.Handle(reg[wire.HeaderLen:], f.resp); err != nil {
+		s.Shutdown(time.Second)
+		return nil, err
+	}
+	f.batch = make([][]byte, cfg.Pipeline)
+	for i := range f.batch {
+		f.batch[i] = f.uni
+	}
+	return f, nil
 }
 
 // netInprocCell drives the Exerciser — the server's exact frame
 // handling, minus sockets — with the same op mix for the same window.
 func netInprocCell(cfg NetConfig, readFrac float64) (NetInproc, error) {
-	s, err := server.New(server.Config{Addr: "127.0.0.1:0", SendCost: cfg.SendCost})
+	f, err := newNetFixture(cfg)
 	if err != nil {
 		return NetInproc{}, err
 	}
-	defer s.Shutdown(time.Second)
-	e := s.Exerciser()
-
-	resp := make([]byte, 0, 4<<10)
-	body := func(f []byte, err error) []byte {
-		if err != nil {
-			panic(err)
-		}
-		return f[wire.HeaderLen:]
-	}
-	if resp, err = e.Handle(body(wire.AppendRegister(nil, "g0", "m0")), resp); err != nil {
-		return NetInproc{}, err
-	}
-	look := body(wire.AppendLookup(nil, "g0", "m0"))
-	uni := body(wire.AppendUnicast(nil, "g0", "m0", make([]byte, cfg.PayloadBytes)))
-	batch := make([][]byte, cfg.Pipeline)
-	for i := range batch {
-		batch[i] = uni
-	}
+	defer f.s.Shutdown(time.Second)
 
 	readThreshold := int(readFrac * 1000)
 	var ops uint64
@@ -206,12 +218,12 @@ func netInprocCell(cfg NetConfig, readFrac float64) (NetInproc, error) {
 			break
 		}
 		if (i*611)%1000 < readThreshold {
-			if resp, err = e.Handle(look, resp[:0]); err != nil {
+			if f.resp, err = f.e.Handle(f.look, f.resp[:0]); err != nil {
 				return NetInproc{}, err
 			}
 			ops++
 		} else {
-			if resp, err = e.HandleBatch(batch, resp[:0]); err != nil {
+			if f.resp, err = f.e.HandleBatch(f.batch, f.resp[:0]); err != nil {
 				return NetInproc{}, err
 			}
 			ops += uint64(cfg.Pipeline)
@@ -225,36 +237,20 @@ func netInprocCell(cfg NetConfig, readFrac float64) (NetInproc, error) {
 // per operation over the Exerciser: the max across the lookup, single
 // unicast, and fused batch paths.
 func netSteadyAllocs(cfg NetConfig) (float64, error) {
-	s, err := server.New(server.Config{Addr: "127.0.0.1:0"})
+	f, err := newNetFixture(cfg)
 	if err != nil {
 		return 0, err
 	}
-	defer s.Shutdown(time.Second)
-	e := s.Exerciser()
-	body := func(f []byte, err error) []byte {
-		if err != nil {
-			panic(err)
-		}
-		return f[wire.HeaderLen:]
-	}
-	resp := make([]byte, 0, 4<<10)
-	if resp, err = e.Handle(body(wire.AppendRegister(nil, "g0", "m0")), resp); err != nil {
+	defer f.s.Shutdown(time.Second)
+	e, resp := f.e, f.resp
+	if resp, err = e.HandleBatch(f.batch, resp[:0]); err != nil { // warm scratch
 		return 0, err
 	}
-	look := body(wire.AppendLookup(nil, "g0", "m0"))
-	uni := body(wire.AppendUnicast(nil, "g0", "m0", make([]byte, cfg.PayloadBytes)))
-	batch := make([][]byte, cfg.Pipeline)
-	for i := range batch {
-		batch[i] = uni
-	}
-	if resp, err = e.HandleBatch(batch, resp[:0]); err != nil { // warm scratch
-		return 0, err
-	}
-	max := testing.AllocsPerRun(1000, func() { resp, _ = e.Handle(look, resp[:0]) })
-	if n := testing.AllocsPerRun(1000, func() { resp, _ = e.Handle(uni, resp[:0]) }); n > max {
+	max := testing.AllocsPerRun(1000, func() { resp, _ = e.Handle(f.look, resp[:0]) })
+	if n := testing.AllocsPerRun(1000, func() { resp, _ = e.Handle(f.uni, resp[:0]) }); n > max {
 		max = n
 	}
-	if n := testing.AllocsPerRun(1000, func() { resp, _ = e.HandleBatch(batch, resp[:0]) }); n > max {
+	if n := testing.AllocsPerRun(1000, func() { resp, _ = e.HandleBatch(f.batch, resp[:0]) }); n > max {
 		max = n / float64(cfg.Pipeline)
 	}
 	return max, nil

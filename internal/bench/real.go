@@ -3,6 +3,7 @@ package bench
 import (
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -27,39 +28,29 @@ type RealConfig struct {
 	Threads      []int
 }
 
-func hostNote() string {
-	return "real execution on this host: GOMAXPROCS = " + itoa(runtime.GOMAXPROCS(0))
+// realFig is an empty real-execution figure over cfg's thread counts,
+// noting the host's core count.
+func realFig(cfg RealConfig, id, title, yLabel string) *Figure {
+	return &Figure{
+		ID:     id,
+		Title:  title,
+		YLabel: yLabel,
+		Xs:     cfg.Threads,
+		Notes:  []string{"real execution on this host: GOMAXPROCS = " + strconv.Itoa(runtime.GOMAXPROCS(0))},
+	}
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-// measure runs fn concurrently from T goroutines, opsPerThread calls
-// each, and returns operations per millisecond.
-func measure(threads, opsPerThread int, fn func(tid, i int)) float64 {
-	var wg sync.WaitGroup
+// measure runs op concurrently from T goroutines, opsPerThread calls
+// each, every goroutine drawing from its own perThreadRngs source, and
+// returns operations per millisecond.
+func measure(threads, opsPerThread int, op func(rng *rand.Rand)) float64 {
+	rngs := perThreadRngs(threads)
 	start := time.Now()
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			for i := 0; i < opsPerThread; i++ {
-				fn(t, i)
-			}
-		}(t)
-	}
-	wg.Wait()
+	parallel(threads, func(t int) {
+		for i := 0; i < opsPerThread; i++ {
+			op(rngs[t])
+		}
+	})
 	ms := float64(time.Since(start).Microseconds()) / 1000
 	if ms == 0 {
 		ms = 0.001
@@ -67,158 +58,132 @@ func measure(threads, opsPerThread int, fn func(tid, i int)) float64 {
 	return float64(threads*opsPerThread) / ms
 }
 
+// parallel runs fn(0), …, fn(n-1) on n goroutines and waits for all.
+func parallel(n int, fn func(w int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn(w)
+		}(w)
+	}
+	wg.Wait()
+}
+
+func perThreadRngs(n int) []*rand.Rand {
+	out := make([]*rand.Rand, n)
+	for i := range out {
+		out[i] = rand.New(rand.NewSource(int64(i) + 1))
+	}
+	return out
+}
+
+// moduleMix builds one composite module under policy pol and returns it
+// with the module's op mix: one transaction drawn from rng. Each mix is
+// written once, for its real-execution figure and for StatsReport.
+type moduleMix func(pol string) (module any, op func(rng *rand.Rand))
+
+// ciaMix is Fig 21's workload: ComputeIfAbsent over 2^17 keys.
+func ciaMix(pol string) (any, func(*rand.Rand)) {
+	m := cia.New(pol, plan.Options{})
+	return m, func(rng *rand.Rand) { m.ComputeIfAbsent(rng.Intn(1 << 17)) }
+}
+
+// graphMix is Fig 22's workload: the paper's 35/35/20/10 mix of
+// successor and predecessor queries, edge inserts and removes over
+// 2^16 nodes.
+func graphMix(pol string) (any, func(*rand.Rand)) {
+	g := graph.New(pol, plan.Options{})
+	return g, func(rng *rand.Rand) {
+		op := rng.Intn(100)
+		a, b := rng.Intn(1<<16), rng.Intn(1<<16)
+		switch {
+		case op < 35:
+			g.FindSuccessors(a)
+		case op < 70:
+			g.FindPredecessors(a)
+		case op < 90:
+			g.InsertEdge(a, b)
+		default:
+			g.RemoveEdge(a, b)
+		}
+	}
+}
+
+// cacheMix is Fig 23's workload: 90% Get / 10% Put over 2^20 keys.
+func cacheMix(pol string) (any, func(*rand.Rand)) {
+	c := cache.New(pol, 5_000_000, plan.Options{})
+	return c, func(rng *rand.Rand) {
+		k := rng.Intn(1 << 20)
+		if rng.Intn(100) < 10 {
+			c.Put(k, k)
+		} else {
+			c.Get(k)
+		}
+	}
+}
+
+// realFigure measures mix for every policy at every thread count, on a
+// fresh module per cell.
+func realFigure(cfg RealConfig, id, title string, policies []string, mix moduleMix) *Figure {
+	fig := realFig(cfg, id, title, "operations per millisecond")
+	fig.addSeries(policies, func(pol string, T int) float64 {
+		_, op := mix(pol)
+		return measure(T, cfg.OpsPerThread, op)
+	})
+	return fig
+}
+
 // Fig21Real measures the real ComputeIfAbsent modules.
 func Fig21Real(cfg RealConfig) *Figure {
-	fig := &Figure{
-		ID:     "fig21-real",
-		Title:  "ComputeIfAbsent throughput (real execution)",
-		YLabel: "operations per millisecond",
-		Xs:     cfg.Threads,
-		Notes:  []string{hostNote()},
-	}
-	const keySpace = 1 << 17
-	for _, pol := range cia.Policies() {
-		s := Series{Name: pol, Values: map[int]float64{}}
-		for _, T := range cfg.Threads {
-			m := cia.New(pol, plan.Options{})
-			rngs := make([]*rand.Rand, T)
-			for t := range rngs {
-				rngs[t] = rand.New(rand.NewSource(int64(t) + 1))
-			}
-			s.Values[T] = measure(T, cfg.OpsPerThread, func(t, _ int) {
-				m.ComputeIfAbsent(rngs[t].Intn(keySpace))
-			})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	return realFigure(cfg, "fig21-real", "ComputeIfAbsent throughput (real execution)", cia.Policies(), ciaMix)
 }
 
 // Fig22Real measures the real Graph modules with the paper's mix.
 func Fig22Real(cfg RealConfig) *Figure {
-	fig := &Figure{
-		ID:     "fig22-real",
-		Title:  "Graph throughput (real execution); 35/35/20/10 mix",
-		YLabel: "operations per millisecond",
-		Xs:     cfg.Threads,
-		Notes:  []string{hostNote()},
-	}
-	const nodeSpace = 1 << 16
-	for _, pol := range graph.Policies() {
-		s := Series{Name: pol, Values: map[int]float64{}}
-		for _, T := range cfg.Threads {
-			g := graph.New(pol, plan.Options{})
-			rngs := make([]*rand.Rand, T)
-			for t := range rngs {
-				rngs[t] = rand.New(rand.NewSource(int64(t) + 1))
-			}
-			s.Values[T] = measure(T, cfg.OpsPerThread, func(t, _ int) {
-				rng := rngs[t]
-				op := rng.Intn(100)
-				a, b := rng.Intn(nodeSpace), rng.Intn(nodeSpace)
-				switch {
-				case op < 35:
-					g.FindSuccessors(a)
-				case op < 70:
-					g.FindPredecessors(a)
-				case op < 90:
-					g.InsertEdge(a, b)
-				default:
-					g.RemoveEdge(a, b)
-				}
-			})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	return realFigure(cfg, "fig22-real", "Graph throughput (real execution); 35/35/20/10 mix", graph.Policies(), graphMix)
 }
 
 // Fig23Real measures the real Cache modules (90% Get / 10% Put).
 func Fig23Real(cfg RealConfig) *Figure {
-	fig := &Figure{
-		ID:     "fig23-real",
-		Title:  "Cache throughput (real execution); 90% Get / 10% Put",
-		YLabel: "operations per millisecond",
-		Xs:     cfg.Threads,
-		Notes:  []string{hostNote()},
-	}
-	const keySpace = 1 << 20
-	for _, pol := range cache.Policies() {
-		s := Series{Name: pol, Values: map[int]float64{}}
-		for _, T := range cfg.Threads {
-			c := cache.New(pol, 5_000_000, plan.Options{})
-			rngs := make([]*rand.Rand, T)
-			for t := range rngs {
-				rngs[t] = rand.New(rand.NewSource(int64(t) + 1))
-			}
-			s.Values[T] = measure(T, cfg.OpsPerThread, func(t, _ int) {
-				rng := rngs[t]
-				k := rng.Intn(keySpace)
-				if rng.Intn(100) < 10 {
-					c.Put(k, k)
-				} else {
-					c.Get(k)
-				}
-			})
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	return realFigure(cfg, "fig23-real", "Cache throughput (real execution); 90% Get / 10% Put", cache.Policies(), cacheMix)
+}
+
+// speedupFigure reports, for every policy, the time one worker takes
+// over the time each thread count takes, in percent. setup builds a
+// fresh run of the workload for a policy and a worker count; only the
+// returned run is timed.
+func speedupFigure(cfg RealConfig, id, title string, policies []string, setup func(pol string, workers int) (run func())) *Figure {
+	fig := realFig(cfg, id, title, "speedup (%)")
+	fig.addSpeedups(policies, func(pol string, workers int) float64 {
+		run := setup(pol, workers)
+		start := time.Now()
+		run()
+		return float64(time.Since(start).Microseconds())
+	})
 	return fig
 }
 
 // Fig24Real runs the real Intruder application and reports speedup over
 // one worker.
 func Fig24Real(cfg RealConfig, wcfg intruder.Config) *Figure {
-	fig := &Figure{
-		ID:     "fig24-real",
-		Title:  "Intruder speedup over one worker (real execution)",
-		YLabel: "speedup (%)",
-		Xs:     cfg.Threads,
-		Notes:  []string{hostNote()},
-	}
 	w := intruder.Generate(wcfg)
-	for _, pol := range intruder.Policies() {
-		s := Series{Name: pol, Values: map[int]float64{}}
-		timeFor := func(workers int) float64 {
+	return speedupFigure(cfg, "fig24-real", "Intruder speedup over one worker (real execution)", intruder.Policies(),
+		func(pol string, workers int) func() {
 			proc := intruder.NewProcessor(pol, plan.Options{})
-			start := time.Now()
-			intruder.Run(w, proc, workers)
-			return float64(time.Since(start).Microseconds())
-		}
-		base := timeFor(1)
-		for _, T := range cfg.Threads {
-			s.Values[T] = base / timeFor(T) * 100
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+			return func() { intruder.Run(w, proc, workers) }
+		})
 }
 
 // Fig25Real runs the real GossipRouter under MPerf and reports speedup
 // over one worker.
 func Fig25Real(cfg RealConfig, mcfg gossip.MPerfConfig) *Figure {
-	fig := &Figure{
-		ID:     "fig25-real",
-		Title:  "GossipRouter MPerf speedup over one worker (real execution)",
-		YLabel: "speedup (%)",
-		Xs:     cfg.Threads,
-		Notes:  []string{hostNote()},
-	}
-	for _, pol := range gossip.Policies() {
-		s := Series{Name: pol, Values: map[int]float64{}}
-		timeFor := func(workers int) float64 {
+	return speedupFigure(cfg, "fig25-real", "GossipRouter MPerf speedup over one worker (real execution)", gossip.Policies(),
+		func(pol string, workers int) func() {
 			r := gossip.New(pol, mcfg.SendCost, plan.Options{})
 			c := mcfg
 			c.Workers = workers
-			start := time.Now()
-			gossip.RunMPerf(r, c)
-			return float64(time.Since(start).Microseconds())
-		}
-		base := timeFor(1)
-		for _, T := range cfg.Threads {
-			s.Values[T] = base / timeFor(T) * 100
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+			return func() { gossip.RunMPerf(r, c) }
+		})
 }

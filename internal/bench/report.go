@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Formatter is what every run function returns: a result that prints
@@ -56,6 +58,21 @@ func formatCriteria(criteria map[string]float64) string {
 		fmt.Fprintf(&b, "  %s = %.3f\n", k, criteria[k])
 	}
 	return b.String()
+}
+
+// drainAudit is the audit every real-execution cell ends with, once its
+// work has drained: the outstanding holds on sems, the registered-waiter
+// count above waiters0 (core.WaitersOutstanding read before the cell),
+// and the first CheckQuiesced error, "" when every instance is
+// quiescent. Each must read zero.
+func drainAudit(sems []*core.Semantic, waiters0 int64) (holds, waiters int64, quiesce string) {
+	for _, s := range sems {
+		holds += s.OutstandingHolds()
+		if err := s.CheckQuiesced(); err != nil && quiesce == "" {
+			quiesce = err.Error()
+		}
+	}
+	return holds, core.WaitersOutstanding() - waiters0, quiesce
 }
 
 // WriteReport writes rep as the indented JSON artifact at path.

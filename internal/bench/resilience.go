@@ -21,11 +21,12 @@ import (
 // saboteur that repeatedly grabs one hot group's locks and sits on them
 // (a slow-hold injected through the register fault point), swept over
 // hold durations at a fixed re-hold interval. Each sweep point runs the
-// same mixed workload twice — policies OFF (the plain blocking router)
-// and policies ON (bounded-patience acquisitions, a circuit breaker on
-// the hot traffic class, lookups that try the optimistic envelope
-// first) — and the report's retention curve is the ratio of completed
-// operations per second, ON over OFF.
+// same mixed workload through the same gossip.Resilient wrappers twice:
+// policies OFF (a nil policy, so every section blocks as the plain
+// router does) and policies ON (bounded-patience acquisitions and a
+// circuit breaker on the hot traffic class). The two arms differ by the
+// policy pointer alone, and the report's retention curve is the ratio
+// of completed operations per second, ON over OFF.
 //
 // The injection is time-based, not op-count-based, deliberately: a
 // per-op injector advances with completed work, which makes both sides
@@ -56,8 +57,8 @@ type ResiliencePoint struct {
 	BreakerTrips   uint64 `json:"breaker_trips"`   // hot-class breaker openings
 	BreakerRejects uint64 `json:"breaker_rejects"` // attempts refused while open
 
-	LeakedLocks   int64  `json:"leaked_locks"`   // outstanding holds after the ON run; must be 0
-	LeakedWaiters int64  `json:"leaked_waiters"` // registered-waiter delta after the ON run; must be 0
+	LeakedLocks   int64  `json:"leaked_locks"`   // outstanding holds after the OFF and ON runs; must be 0
+	LeakedWaiters int64  `json:"leaked_waiters"` // registered-waiter delta over the OFF and ON runs; must be 0
 	QuiesceError  string `json:"quiesce_error,omitempty"`
 }
 
@@ -78,7 +79,7 @@ type ResilienceReport struct {
 // throughput, its policies did engage, and nothing leaked.
 var resilienceReport = Report{
 	ID: "resilience", File: "BENCH_resilience.json",
-	Run:    func() (Formatter, error) { return ResilienceBench(ResilienceConfig{}), nil },
+	Run:    func() (Formatter, error) { return ResilienceBench(ResilienceConfig{}) },
 	Fields: []string{"gomaxprocs", "workers", "points", "policy_state", "criteria"},
 	Criteria: []string{"retention_at_max_hold", "retention_at_zero_hold", "policies_engaged_at_max_hold",
 		"leaked_locks_total", "leaked_waiters_total", "quiesce_failures"},
@@ -90,12 +91,15 @@ var resilienceReport = Report{
 // saboteur sits on, three cold groups that must keep flowing.
 var resilienceGroups = []string{"hot", "c0", "c1", "c2"}
 
-// resilienceSeed registers eight members per group.
-func resilienceSeed(r gossip.Router) {
-	for _, g := range resilienceGroups {
-		for m := 0; m < 8; m++ {
-			name := fmt.Sprintf("m%d", m)
-			r.Register(g, name, gossip.NewConn(name, 0))
+// memberNames are the eight members every gossip cell registers per
+// group, named once so that no operation formats a name.
+var memberNames = []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
+
+// seedGroups registers every member of memberNames in every group.
+func seedGroups(o *gossip.Ours, groups []string) {
+	for _, g := range groups {
+		for _, m := range memberNames {
+			o.Register(g, m, gossip.NewConn(m, 0))
 		}
 	}
 }
@@ -134,68 +138,6 @@ func resilienceSaboteur(o *gossip.Ours, hold, interval time.Duration, stop <-cha
 	}()
 }
 
-// resilienceOffCell measures the blocking router under the saboteur:
-// every operation completes, however long it blocks.
-func resilienceOffCell(cfg ResilienceConfig, hold time.Duration) (int, float64) {
-	o := gossip.NewOurs(0, plan.Options{})
-	resilienceSeed(o)
-	payload := []byte("resilience-payload")
-
-	stop := make(chan struct{})
-	var sabWG, wg sync.WaitGroup
-	if hold > 0 {
-		resilienceSaboteur(o, hold, cfg.Interval, stop, &sabWG)
-	}
-	var ops atomic.Int64
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; ; i += 1 {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				g, m := resilienceOp(i)
-				switch i % 5 {
-				case 0, 1:
-					o.Unicast(g, m, payload)
-				case 2:
-					o.Multicast(g, payload)
-				default:
-					o.Lookup(g, m)
-				}
-				ops.Add(1)
-				// Yield between ops on both sides of the comparison:
-				// router clients are I/O-bound in reality, and without
-				// the yield a small-GOMAXPROCS scheduler lets the
-				// CPU-bound client loops starve the saboteur itself,
-				// silently under-injecting.
-				runtime.Gosched()
-			}
-		}(w)
-	}
-	t0 := time.Now()
-	time.Sleep(cfg.Duration)
-	close(stop)
-	wg.Wait()
-	sabWG.Wait()
-	elapsed := time.Since(t0)
-	o.FaultHook = nil
-	return int(ops.Load()), float64(ops.Load()) / elapsed.Seconds()
-}
-
-// resilienceOp maps a loop counter to (group, member): half the
-// operations touch the hot group, half are spread over the cold ones.
-func resilienceOp(i int) (string, string) {
-	m := fmt.Sprintf("m%d", i%8)
-	if i%2 == 0 {
-		return "hot", m
-	}
-	return resilienceGroups[1+(i/2)%3], m
-}
-
 // resiliencePolicies builds the ON side's two traffic-class policies:
 // the hot class gets tight patience and a breaker tripping on its own
 // sections' stalls with a short cooldown (open = fail fast during a
@@ -219,91 +161,75 @@ func resiliencePolicies() (hot, cold *resilience.Policy) {
 	return hot, cold
 }
 
-// resilienceOnCell measures the policied router under the same
-// saboteur: operations complete or are dropped — never wedge.
-func resilienceOnCell(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint, []telemetry.PolicyStats) {
+// resilienceArm is one arm's measured window and its drain audit.
+type resilienceArm struct {
+	ops     int64   // completed operations
+	rate    float64 // completed operations per second
+	dropped int64   // operations a policy gave up on
+	holds   int64   // outstanding holds after the window
+	waiters int64   // registered-waiter delta over the window
+	quiesce string  // first quiescence error, "" when quiescent
+}
+
+// resilienceCell runs the workload for one window under the saboteur,
+// the hot group's traffic behind hot and the cold groups' behind cold.
+// Half the operations touch the hot group, half are spread over the
+// cold ones. nil, nil is the OFF arm: every section blocks until its
+// locks free up, so an error there is a bug and fails the cell.
+func resilienceCell(cfg ResilienceConfig, hold time.Duration, hot, cold *resilience.Policy) (resilienceArm, error) {
 	o := gossip.NewOurs(0, plan.Options{})
-	resilienceSeed(o)
+	seedGroups(o, resilienceGroups)
 	payload := []byte("resilience-payload")
 	waiters0 := core.WaitersOutstanding()
-
-	polHot, polCold := resiliencePolicies()
-	rHot := gossip.NewResilient(o, polHot)
-	rCold := gossip.NewResilient(o, polCold)
+	rHot, rCold := gossip.NewResilient(o, hot), gossip.NewResilient(o, cold)
 
 	stop := make(chan struct{})
-	var sabWG, wg sync.WaitGroup
+	var sabWG sync.WaitGroup
 	if hold > 0 {
 		resilienceSaboteur(o, hold, cfg.Interval, stop, &sabWG)
 	}
-	var ops, dropped atomic.Int64
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; ; i += 1 {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				g, m := resilienceOp(i)
-				r := rCold
-				if g == "hot" {
-					r = rHot
-				}
-				var err error
-				switch i % 5 {
-				case 0, 1:
-					err = r.UnicastErrV(g, m, payload)
-				case 2:
-					err = r.MulticastErrV(g, payload)
-				default:
-					_, err = r.LookupErrV(g, m)
-				}
-				if err == nil {
-					ops.Add(1)
-				} else {
-					dropped.Add(1)
-				}
-				runtime.Gosched() // same yield as the OFF side
-
-			}
-		}(w)
-	}
+	var tally outcomes
 	t0 := time.Now()
-	time.Sleep(cfg.Duration)
-	close(stop)
-	wg.Wait()
+	time.AfterFunc(cfg.Duration, func() { close(stop) })
+	parallel(cfg.Workers, func(w int) {
+		for i := w; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g, m, r, pol := resilienceGroups[0], memberNames[i%8], rHot, hot
+			if i%2 == 1 {
+				g, r, pol = resilienceGroups[1+(i/2)%3], rCold, cold
+			}
+			var err error
+			switch i % 5 {
+			case 0, 1:
+				err = r.UnicastErrV(g, m, payload)
+			case 2:
+				err = r.MulticastErrV(g, payload)
+			default:
+				_, err = r.LookupErrV(g, m)
+			}
+			tally.add(pol, err)
+			// Yield between ops: router clients are I/O-bound in
+			// reality, and without the yield a small-GOMAXPROCS
+			// scheduler lets the CPU-bound client loops starve the
+			// saboteur itself, silently under-injecting.
+			runtime.Gosched()
+		}
+	})
 	sabWG.Wait()
 	elapsed := time.Since(t0)
-	o.FaultHook = nil
 
-	pt := ResiliencePoint{
-		HoldMS:      float64(hold) / float64(time.Millisecond),
-		OnOps:       int(ops.Load()),
-		OnOpsPerSec: float64(ops.Load()) / elapsed.Seconds(),
-		Dropped:     uint64(dropped.Load()),
-	}
-	stats := append(polHot.Stats(), polCold.Stats()...)
-	for _, row := range stats {
-		if row.Kind == "breaker" {
-			pt.BreakerTrips += row.Counters["tripped"]
-			pt.BreakerRejects += row.Counters["rejected"]
-		}
-	}
-	for _, s := range o.Sems() {
-		pt.LeakedLocks += s.OutstandingHolds()
-		if err := s.CheckQuiesced(); err != nil && pt.QuiesceError == "" {
-			pt.QuiesceError = err.Error()
-		}
-	}
-	pt.LeakedWaiters = core.WaitersOutstanding() - waiters0
-	return pt, stats
+	arm := resilienceArm{ops: tally.ok.Load(), dropped: tally.dropped.Load()}
+	arm.rate = float64(arm.ops) / elapsed.Seconds()
+	arm.holds, arm.waiters, arm.quiesce = drainAudit(o.Sems(), waiters0)
+	return arm, tally.err("resilience")
 }
 
 // ResilienceBench runs the sweep and computes the summary criteria.
-func ResilienceBench(cfg ResilienceConfig) *ResilienceReport {
+func ResilienceBench(cfg ResilienceConfig) (*ResilienceReport, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 300 * time.Millisecond
 	}
@@ -323,17 +249,43 @@ func ResilienceBench(cfg ResilienceConfig) *ResilienceReport {
 		IntervalMS: float64(cfg.Interval) / float64(time.Millisecond),
 	}
 	for _, hold := range cfg.Holds {
-		offOps, offRate := resilienceOffCell(cfg, hold)
-		pt, stats := resilienceOnCell(cfg, hold)
-		pt.OffOps, pt.OffOpsPerSec = offOps, offRate
-		if offRate > 0 {
-			pt.Retention = pt.OnOpsPerSec / offRate
+		off, err := resilienceCell(cfg, hold, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		hot, cold := resiliencePolicies()
+		on, err := resilienceCell(cfg, hold, hot, cold)
+		if err != nil {
+			return nil, err
+		}
+		pt := ResiliencePoint{
+			HoldMS:        float64(hold) / float64(time.Millisecond),
+			OffOps:        int(off.ops),
+			OffOpsPerSec:  off.rate,
+			OnOps:         int(on.ops),
+			OnOpsPerSec:   on.rate,
+			Dropped:       uint64(on.dropped),
+			LeakedLocks:   off.holds + on.holds,
+			LeakedWaiters: off.waiters + on.waiters,
+			QuiesceError:  off.quiesce,
+		}
+		if pt.QuiesceError == "" {
+			pt.QuiesceError = on.quiesce
+		}
+		if off.rate > 0 {
+			pt.Retention = on.rate / off.rate
+		}
+		rep.Policies = append(hot.Stats(), cold.Stats()...) // the last (highest-hold) cell's rows stay
+		for _, row := range rep.Policies {
+			if row.Kind == "breaker" {
+				pt.BreakerTrips += row.Counters["tripped"]
+				pt.BreakerRejects += row.Counters["rejected"]
+			}
 		}
 		rep.Points = append(rep.Points, pt)
-		rep.Policies = stats // keep the last (highest-hold) cell's rows
 	}
 	rep.Criteria = resilienceCriteria(rep.Points)
-	return rep
+	return rep, nil
 }
 
 // resilienceCriteria summarizes the sweep points, lowest hold first.
@@ -383,10 +335,41 @@ func (r *ResilienceReport) Format() string {
 	return b.String() + formatCriteria(r.Criteria)
 }
 
-// resilienceDropped reports whether err is a policy's deliberate give-up
-// — a stall past the patience or a breaker refusal — which the chaos
-// harness counts as an absorbed drop, not a failure.
-func resilienceDropped(err error) bool {
+// outcomes tallies a policied workload's operations. An error is a
+// drop when the policy that ran the operation gave up on purpose — a
+// stall past its patience or a breaker refusal. With no policy nothing
+// gives up, so there, as for any other error, the error is a bug: it
+// is counted as failed and fails the cell.
+type outcomes struct {
+	ok, dropped, failed atomic.Int64
+	first               atomic.Pointer[error]
+}
+
+func (t *outcomes) add(pol *resilience.Policy, err error) {
+	switch {
+	case err == nil:
+		t.ok.Add(1)
+	case pol != nil && gaveUp(err):
+		t.dropped.Add(1)
+	default:
+		t.failed.Add(1)
+		first := err // only a failure moves its error to the heap
+		t.first.CompareAndSwap(nil, &first)
+	}
+}
+
+// gaveUp reports whether err is a policy's deliberate give-up: a stall
+// past its patience or a breaker refusal. It is a function of its own
+// so that only an error pays for the heap-allocated errors.As target.
+func gaveUp(err error) bool {
 	var stall *core.StallError
 	return errors.As(err, &stall) || errors.Is(err, resilience.ErrBreakerOpen)
+}
+
+// err is the cell's failure: nil unless some operation failed.
+func (t *outcomes) err(cell string) error {
+	if n := t.failed.Load(); n > 0 {
+		return fmt.Errorf("%s: %d operations failed, first: %w", cell, n, *t.first.Load())
+	}
+	return nil
 }

@@ -120,13 +120,9 @@ func Fig21Sim(cfg SimConfig) *Figure {
 		}
 	}
 
-	for _, name := range []string{"ours", "global", "2pl", "manual", "v8"} {
-		s := Series{Name: name, Values: map[int]float64{}}
-		for _, T := range fig.Xs {
-			s.Values[T] = runPolicy(T, build(name, T))
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	fig.addSeries([]string{"ours", "global", "2pl", "manual", "v8"}, func(name string, T int) float64 {
+		return runPolicy(T, build(name, T))
+	})
 	return fig
 }
 
@@ -243,13 +239,9 @@ func Fig22SimMix(cfg SimConfig, mix GraphMix, id string) *Figure {
 		}
 	}
 
-	for _, name := range []string{"ours", "global", "2pl", "manual"} {
-		s := Series{Name: name, Values: map[int]float64{}}
-		for _, T := range fig.Xs {
-			s.Values[T] = runPolicy(T, build(name, T))
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	fig.addSeries([]string{"ours", "global", "2pl", "manual"}, func(name string, T int) float64 {
+		return runPolicy(T, build(name, T))
+	})
 	return fig
 }
 
@@ -350,13 +342,9 @@ func Fig23SimMix(cfg SimConfig, getPct int, id string) *Figure {
 		}
 	}
 
-	for _, name := range []string{"ours", "global", "2pl", "manual"} {
-		s := Series{Name: name, Values: map[int]float64{}}
-		for _, T := range fig.Xs {
-			s.Values[T] = runPolicy(T, build(name, T))
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	fig.addSeries([]string{"ours", "global", "2pl", "manual"}, func(name string, T int) float64 {
+		return runPolicy(T, build(name, T))
+	})
 	return fig
 }
 
@@ -381,7 +369,7 @@ func Fig24Sim(cfg SimConfig) *Figure {
 	}
 	trace := intruder.Generate(wcfg)
 
-	run := func(name string, threads int) int64 {
+	run := func(name string, threads int) float64 {
 		var fmap, gmu *sim.Res
 		inMu := sim.NewMutex("input")
 		// decoded queue: mode 0 = enqueue (commutes with itself),
@@ -456,17 +444,10 @@ func Fig24Sim(cfg SimConfig) *Figure {
 			})
 		}
 		mk, _ := s.Run()
-		return mk
+		return float64(mk)
 	}
 
-	for _, name := range []string{"ours", "global", "2pl", "manual"} {
-		s := Series{Name: name, Values: map[int]float64{}}
-		base := run(name, 1)
-		for _, T := range fig.Xs {
-			s.Values[T] = float64(base) / float64(run(name, T)) * 100
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	fig.addSpeedups([]string{"ours", "global", "2pl", "manual"}, run)
 	return fig
 }
 
@@ -491,7 +472,7 @@ func Fig25Sim(cfg SimConfig) *Figure {
 		messages = 1000
 	}
 
-	run := func(name string, threads int) int64 {
+	run := func(name string, threads int) float64 {
 		var groupsRes, membersRW, gmu, groupsMu, membersMu *sim.Res
 		switch name {
 		case "global":
@@ -549,16 +530,9 @@ func Fig25Sim(cfg SimConfig) *Figure {
 			})
 		}
 		mk, _ := s.Run()
-		return mk
+		return float64(mk)
 	}
 
-	for _, name := range []string{"ours", "global", "2pl", "manual"} {
-		s := Series{Name: name, Values: map[int]float64{}}
-		base := run(name, 1)
-		for _, T := range fig.Xs {
-			s.Values[T] = float64(base) / float64(run(name, T)) * 100
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	fig.addSpeedups([]string{"ours", "global", "2pl", "manual"}, run)
 	return fig
 }

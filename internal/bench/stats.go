@@ -2,15 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/modules/cache"
-	"repro/internal/modules/cia"
-	"repro/internal/modules/graph"
-	"repro/internal/modules/plan"
 )
 
 // StatsReporter is implemented by the "ours" module variants: cumulative
@@ -29,75 +23,19 @@ func StatsReport(opsPerThread, threads int) string {
 	b.WriteString("Lock-mechanism statistics (real execution, 'ours' variants)\n")
 	fmt.Fprintf(&b, "%d threads × %d transactions each\n\n", threads, opsPerThread)
 	fmt.Fprintf(&b, "%-10s %12s %12s %12s %10s\n", "module", "fast-path", "slow-path", "waits", "fast%")
-
-	row := func(name string, r StatsReporter, run func(tid, i int)) {
-		var wg sync.WaitGroup
-		for t := 0; t < threads; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				for i := 0; i < opsPerThread; i++ {
-					run(t, i)
-				}
-			}(t)
-		}
-		wg.Wait()
-		st := r.LockStats()
+	for _, row := range []struct {
+		name string
+		mix  moduleMix
+	}{{"cia", ciaMix}, {"graph", graphMix}, {"cache", cacheMix}} {
+		m, op := row.mix("ours")
+		measure(threads, opsPerThread, op)
+		st := m.(StatsReporter).LockStats()
 		total := st.FastPath + st.Slow
 		pct := 0.0
 		if total > 0 {
 			pct = float64(st.FastPath) / float64(total) * 100
 		}
-		fmt.Fprintf(&b, "%-10s %12d %12d %12d %9.2f%%\n", name, st.FastPath, st.Slow, st.Waits, pct)
-	}
-
-	{
-		m := cia.New("ours", plan.Options{})
-		r := m.(StatsReporter)
-		rngs := perThreadRngs(threads)
-		row("cia", r, func(t, _ int) { m.ComputeIfAbsent(rngs[t].Intn(1 << 17)) })
-	}
-	{
-		g := graph.New("ours", plan.Options{})
-		r := g.(StatsReporter)
-		rngs := perThreadRngs(threads)
-		row("graph", r, func(t, _ int) {
-			rng := rngs[t]
-			op := rng.Intn(100)
-			a, d := rng.Intn(1<<16), rng.Intn(1<<16)
-			switch {
-			case op < 35:
-				g.FindSuccessors(a)
-			case op < 70:
-				g.FindPredecessors(a)
-			case op < 90:
-				g.InsertEdge(a, d)
-			default:
-				g.RemoveEdge(a, d)
-			}
-		})
-	}
-	{
-		c := cache.New("ours", 5_000_000, plan.Options{})
-		r := c.(StatsReporter)
-		rngs := perThreadRngs(threads)
-		row("cache", r, func(t, _ int) {
-			rng := rngs[t]
-			k := rng.Intn(1 << 20)
-			if rng.Intn(100) < 10 {
-				c.Put(k, k)
-			} else {
-				c.Get(k)
-			}
-		})
+		fmt.Fprintf(&b, "%-10s %12d %12d %12d %9.2f%%\n", row.name, st.FastPath, st.Slow, st.Waits, pct)
 	}
 	return b.String()
-}
-
-func perThreadRngs(n int) []*rand.Rand {
-	out := make([]*rand.Rand, n)
-	for i := range out {
-		out[i] = rand.New(rand.NewSource(int64(i) + 1))
-	}
-	return out
 }

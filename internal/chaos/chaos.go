@@ -126,16 +126,3 @@ func Shield(fn func()) (faulted bool) {
 	fn()
 	return false
 }
-
-// CheckRecovered verifies full recovery after a fault burst has
-// drained: every given instance is quiescent (slot counters zero,
-// summaries zero, waitMask empty, no registered waiters). Call it only
-// after all in-flight sections have finished.
-func CheckRecovered(sems ...*core.Semantic) error {
-	for _, s := range sems {
-		if err := s.CheckQuiesced(); err != nil {
-			return fmt.Errorf("chaos: instance not recovered: %w", err)
-		}
-	}
-	return nil
-}

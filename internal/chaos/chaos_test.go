@@ -97,8 +97,10 @@ func TestChaosGossipPanicRecovery(t *testing.T) {
 	if faulted == 0 {
 		t.Fatal("no op observed an absorbed fault")
 	}
-	if err := chaos.CheckRecovered(r.Sems()...); err != nil {
-		t.Fatal(err)
+	for _, s := range r.Sems() {
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := core.WaitersOutstanding(); n != 0 {
 		t.Fatalf("waiter free-list leaked: %d outstanding", n)
@@ -108,8 +110,10 @@ func TestChaosGossipPanicRecovery(t *testing.T) {
 	if f := gossipMix(r, 4, 100); f != 0 {
 		t.Fatalf("disarmed run absorbed %d faults", f)
 	}
-	if err := chaos.CheckRecovered(r.Sems()...); err != nil {
-		t.Fatal(err)
+	for _, s := range r.Sems() {
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -145,8 +149,10 @@ func TestChaosIntruderPanicRecovery(t *testing.T) {
 	if faulted.load() == 0 {
 		t.Fatal("no reassembly op observed an absorbed fault")
 	}
-	if err := chaos.CheckRecovered(proc.Sems()...); err != nil {
-		t.Fatal(err)
+	for _, s := range proc.Sems() {
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := core.WaitersOutstanding(); n != 0 {
 		t.Fatalf("waiter free-list leaked: %d outstanding", n)
@@ -211,8 +217,10 @@ func TestChaosSlowHolderWatchdog(t *testing.T) {
 	if got.Waiters[0].Waited < 10*time.Millisecond {
 		t.Errorf("waiter under threshold reported: %v", got.Waiters[0].Waited)
 	}
-	if err := chaos.CheckRecovered(r.Sems()...); err != nil {
-		t.Fatal(err)
+	for _, s := range r.Sems() {
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // harness's own accounting and the telemetry layer's view of the same
 // run: after a faulted burst drains, a telemetry snapshot over the
 // router's instances must report zero outstanding holds (what
-// CheckRecovered proves by direct inspection), the recovered-panic
+// CheckQuiesced proves by direct inspection), the recovered-panic
 // counter delta must equal the injector's panic count exactly (every
 // injected panic unwinds through exactly one atomic section, is counted
 // there, and is absorbed by Shield), and the registered-waiter total
@@ -43,8 +43,10 @@ func TestChaosTelemetryCrossCheck(t *testing.T) {
 	if panics == 0 || faulted == 0 {
 		t.Fatalf("injector idle: %d panics, %d faulted ops", panics, faulted)
 	}
-	if err := chaos.CheckRecovered(r.Sems()...); err != nil {
-		t.Fatal(err)
+	for _, s := range r.Sems() {
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	reg := telemetry.NewRegistry()

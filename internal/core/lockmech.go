@@ -36,7 +36,8 @@ type LockStats struct {
 	// waiter carries its park time, so each contribution is a whole
 	// measured wait, never a bound; with timing off it stays put.
 	WaitNanos int64
-	// OptimisticHits counts optimistic executions (Txn.TryOptimistic)
+	// OptimisticHits counts optimistic reads (a Snapshot, bare in the
+	// shipped transaction-free reads or embedded in Txn.TryOptimistic)
 	// whose end-of-section validation on this instance succeeded;
 	// OptimisticRetries counts validations that failed here — a
 	// conflicting mode was acquired inside the read window — discarding
@@ -78,8 +79,9 @@ type Semantic struct {
 	// ablation A4.
 	disableFastPath bool
 
-	// Optimistic-read outcome counters and the adaptive gate
-	// (Txn.TryOptimistic). optHits/optRetries are the cumulative
+	// Optimistic-read outcome counters and the adaptive gate (a
+	// Snapshot's Observe and Validate, bare or inside
+	// Txn.TryOptimistic). optHits/optRetries are the cumulative
 	// validation outcomes reported in LockStats, and their sum is the
 	// gate's window position; the two gate cells implement the windowed
 	// failure-rate hysteresis of optimisticAllowed/recordValidation.
@@ -411,7 +413,7 @@ func (s *Semantic) Stats() LockStats {
 }
 
 // ---------------------------------------------------------------------
-// Optimistic read validation (Txn.TryOptimistic)
+// Optimistic read validation (Snapshot, bare or in Txn.TryOptimistic)
 // ---------------------------------------------------------------------
 
 // The adaptive gate's tuning: validation outcomes are accounted in
