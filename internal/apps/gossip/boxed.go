@@ -136,8 +136,7 @@ func (o *Ours) multicast(tx *core.Txn, group core.Value, payload []byte, patienc
 // locked and validating their version counters at the end — it holds
 // nothing, so it needs no transaction — and only re-runs under the
 // pessimistic prologue (lookup, LookupPessimistic's body) when an
-// observation is refused, validation fails or the per-instance adaptive
-// gate has closed the optimistic path. The observed modes are exactly
+// observation is refused or validation fails. The observed modes are exactly
 // the modes the pessimistic path locks — unicast's {get(g)} / {get(dst)}
 // — so the conflict predicate is the one the plan's certificate already
 // covers. The individual ADT reads are safe without the semantic locks

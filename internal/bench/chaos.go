@@ -53,7 +53,7 @@ type ChaosCell struct {
 	Panics        uint64       `json:"injected_panics"`
 	SlowHolds     uint64       `json:"injected_slow_holds"`
 	Delays        uint64       `json:"injected_delays"`
-	StallReports  int          `json:"stall_reports"` // watchdog reports during the faulted phase
+	StallReports  int          `json:"stall_reports"` // stall-scan reports during the faulted phase
 	LeakedLocks   int64        `json:"leaked_locks"`  // outstanding holder counts after drain; must be 0
 	QuiesceError  string       `json:"quiesce_error,omitempty"`
 	RecoveryRatio float64      `json:"recovery_ratio"` // recovery ops/sec ÷ baseline ops/sec
@@ -105,7 +105,7 @@ var chaosReport = Report{
 
 // chaosInjector is the shared fault schedule: frequent enough that a
 // phase of a few thousand ops sees dozens of faults, slow holds long
-// enough for the watchdog (threshold below) to observe them.
+// enough for the stall sampler (threshold below) to observe them.
 func chaosInjector() *chaos.Injector {
 	return chaos.NewInjector(chaos.Config{
 		PanicEvery:    17,
@@ -116,7 +116,7 @@ func chaosInjector() *chaos.Injector {
 	})
 }
 
-const chaosWatchdogThreshold = time.Millisecond
+const chaosStallThreshold = time.Millisecond
 
 // chaosRounds is how many pairs of baseline and recovery rounds a cell
 // runs; the cell reports the pair whose recovery ratio is the median.
@@ -155,20 +155,27 @@ func runChaosPhases(app string, inj *chaos.Injector, subject, twin chaosApp) Cha
 	panics0 := core.SectionPanicsRecovered()
 	waiters0 := core.WaitersOutstanding()
 
-	var stalls atomic.Int64
-	d := core.NewWatchdog(core.WatchdogConfig{
-		Threshold: chaosWatchdogThreshold,
-		Interval:  chaosWatchdogThreshold / 2,
-		OnStall:   func(core.StallReport) { stalls.Add(1) },
-	})
-	for _, s := range subject.sems {
-		d.Watch(s)
-	}
+	// The stall sampler scans the subject every half threshold while the
+	// faults are armed, counting one report per stalled mechanism per scan.
+	stop, stalls := make(chan struct{}), make(chan int)
+	go func() {
+		n, tick := 0, time.NewTicker(chaosStallThreshold/2)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				stalls <- n
+				return
+			case <-tick.C:
+				n += len(core.ScanStalls(chaosStallThreshold, subject.sems...))
+			}
+		}
+	}()
 	inj.Arm()
-	d.Start()
 	faulted := chaosRound("faulted", subject.run)
 	inj.Disarm()
-	d.Stop()
+	close(stop)
+	cell.StallReports = <-stalls
 
 	// Warm the twin as the faulted phase warmed the subject; a pair is
 	// {baseline, recovery}.
@@ -188,7 +195,6 @@ func runChaosPhases(app string, inj *chaos.Injector, subject, twin chaosApp) Cha
 
 	sems := slices.Concat(subject.sems, twin.sems)
 	cell.Panics, cell.SlowHolds, cell.Delays = inj.Counts()
-	cell.StallReports = int(stalls.Load())
 	cell.LeakedLocks, cell.LeakedWaiters, cell.QuiesceError = drainAudit(sems, waiters0)
 
 	// Telemetry cross-check: the same instances seen through a telemetry

@@ -160,7 +160,7 @@ func TestChaosIntruderPanicRecovery(t *testing.T) {
 }
 
 // TestChaosSlowHolderWatchdog plants a slow holder inside multicast and
-// checks that the stall watchdog observes the blocked acquisition:
+// checks that a stall scan observes the blocked acquisition:
 // a report naming at least one holder slot and one over-threshold
 // waiter with its wait duration.
 func TestChaosSlowHolderWatchdog(t *testing.T) {
@@ -173,11 +173,6 @@ func TestChaosSlowHolderWatchdog(t *testing.T) {
 		if site == "multicast" {
 			once.Do(func() { <-release }) // one deliberately stuck holder
 		}
-	}
-
-	d := core.NewWatchdog(core.WatchdogConfig{Threshold: 10 * time.Millisecond, Interval: 5 * time.Millisecond})
-	for _, s := range r.Sems() {
-		d.Watch(s)
 	}
 
 	var wg sync.WaitGroup
@@ -197,10 +192,10 @@ func TestChaosSlowHolderWatchdog(t *testing.T) {
 		case <-deadline:
 			close(release)
 			wg.Wait()
-			t.Fatal("watchdog never reported the stalled register")
+			t.Fatal("stall scan never reported the stalled register")
 		default:
 		}
-		for _, rep := range d.Scan() {
+		for _, rep := range core.ScanStalls(10*time.Millisecond, r.Sems()...) {
 			if len(rep.Holders) > 0 && len(rep.Waiters) > 0 {
 				got, found = rep, true
 				break

@@ -44,11 +44,9 @@ type LockStats struct {
 	// a completed body and forcing the section to re-run through the
 	// pessimistic prologue. OptimisticRefusals counts observations
 	// turned away before any body ran: a conflicting holder was visible
-	// at Observe time. A refusal wastes no work, so it is deliberately
-	// NOT a retry and does not feed the adaptive gate — counting it as a
-	// failure would let the pessimistic fallback a gate closure triggers
-	// keep the gate closed (every fallback holder refuses the optimists
-	// behind it, which reads as a high "failure" rate).
+	// at Observe time. A refusal wastes no work, so it is not a retry.
+	// A read of one instance lands in exactly one of the three, unless
+	// its body panics before Validate.
 	OptimisticHits     uint64
 	OptimisticRetries  uint64
 	OptimisticRefusals uint64
@@ -79,19 +77,13 @@ type Semantic struct {
 	// ablation A4.
 	disableFastPath bool
 
-	// Optimistic-read outcome counters and the adaptive gate (a
-	// Snapshot's Observe and Validate, bare or inside
-	// Txn.TryOptimistic). optHits/optRetries are the cumulative
-	// validation outcomes reported in LockStats, and their sum is the
-	// gate's window position; the two gate cells implement the windowed
-	// failure-rate hysteresis of optimisticAllowed/recordValidation.
-	// All padded: they sit on the section hot path of read-mostly
-	// workloads.
+	// Optimistic-read outcome counters (a Snapshot's Observe and
+	// Validate, bare or inside Txn.TryOptimistic), reported in
+	// LockStats and read by nothing else. Padded: they sit on the
+	// section hot path of read-mostly workloads.
 	optHits    padded.Uint64
 	optRetries padded.Uint64
-	optRefused padded.Uint64 // observe-time turn-aways; never enter the gate window
-	optGate    padded.Uint64 // 0 = enabled; n>0 = pessimistic runs left before the next probe
-	optWinFail padded.Uint64
+	optRefused padded.Uint64 // observe-time turn-aways
 }
 
 // NewSemantic creates the semantic lock for one ADT instance of the class
@@ -125,7 +117,7 @@ const Forever = time.Duration(math.MaxInt64)
 func (s *Semantic) Acquire(m ModeID) { s.acquire(m, nil) }
 
 // acquire is Acquire carrying the acquirer's transaction log, exposed to
-// the stall watchdog while the acquisition is parked (nil for direct
+// ScanStalls while the acquisition is parked (nil for direct
 // calls and unchecked transactions). Txn.Lock routes here.
 func (s *Semantic) acquire(m ModeID, log []Acquisition) {
 	p := s.table.part[m]
@@ -416,25 +408,6 @@ func (s *Semantic) Stats() LockStats {
 // Optimistic read validation (Snapshot, bare or in Txn.TryOptimistic)
 // ---------------------------------------------------------------------
 
-// The adaptive gate's tuning: validation outcomes are accounted in
-// windows of optWindow attempts; a window whose failure share reaches
-// optDisableNum/optDisableDen — i.e. fails·den >= window·num, so the
-// gate closes at exactly 768 failures of 1024, and stays open at 767 —
-// disables the optimistic path for optProbeInterval executions, after
-// which a single probe attempt decides whether to re-enable. The wide
-// window and high threshold ride out correlated failure bursts — a
-// writer preempted inside a read window fails every reader of that
-// window at once — while a sustained failure rate still closes the
-// gate, and contended instances then degrade to the pessimistic path at
-// a bounded duty cycle (one wasted body execution per ~optProbeInterval
-// sections). DESIGN.md §14 has the measurements behind the values.
-const (
-	optWindow        = 1024
-	optDisableNum    = 3 // disable at ≥ num/den = 3/4 failures per window
-	optDisableDen    = 4
-	optProbeInterval = 1024
-)
-
 // observeMode begins one optimistic observation of mode m on the
 // instance: it snapshots the version counter of m's mechanism and then
 // verifies that no conflicting mode currently has a holder. The order
@@ -502,84 +475,6 @@ func (s *Semantic) Version(m ModeID) uint64 {
 	}
 	return s.mechs[p].version.Load()
 }
-
-// optimisticAllowed is the adaptive gate's admission test, asked once
-// per Observe. Enabled (gate == 0) admits everything; disabled counts
-// executions down and admits exactly the one that reaches zero as a
-// probe — recordValidation re-arms the countdown if the probe fails.
-// The counter races benignly: concurrent decrements can only shorten
-// the countdown or wrap it, and a wrapped (huge) value is treated as an
-// expired countdown.
-func (s *Semantic) optimisticAllowed() bool {
-	g := s.optGate.Load()
-	if g == 0 {
-		return true
-	}
-	n := s.optGate.Add(^uint64(0))
-	if n == 0 || n > optProbeInterval {
-		// Reached (or raced past) the probe point. Clear the gate so the
-		// probe's recordValidation starts from the enabled state.
-		s.optGate.Store(0)
-		return true
-	}
-	return false
-}
-
-// recordValidation accounts one optimistic outcome on the instance:
-// one RMW on the cumulative counter the outcome belongs to, plus the
-// window's failure counter for a failure. The gate's window needs no
-// counter of its own — its position is hits + retries, and the update
-// that brings the sum to a multiple of optWindow closes the window. A
-// window whose failure share reaches optDisableNum/optDisableDen (at
-// the boundary: exactly window·num/den failures close it, one fewer
-// does not) disables the optimistic path for optProbeInterval
-// executions.
-//
-// The sum is read from two cells, so a hit and a failure racing across
-// a boundary can both see it, or both step over it. Neither loses a
-// failure: the failure counter is harvested with a Swap, so a second
-// closer finds it already emptied and leaves the gate as the first set
-// it, and a boundary nobody saw carries its failures into the next
-// window's verdict, as does a failure recorded between a closer's read
-// and its Swap.
-func (s *Semantic) recordValidation(ok bool) {
-	var n uint64
-	if ok {
-		n = s.optHits.Add(1) + s.optRetries.Load()
-	} else {
-		s.optWinFail.Add(1)
-		n = s.optRetries.Add(1) + s.optHits.Load()
-	}
-	if n%optWindow != 0 {
-		return
-	}
-	fails := s.optWinFail.Swap(0)
-	if fails*optDisableDen >= optWindow*optDisableNum {
-		s.optGate.Store(optProbeInterval)
-	}
-}
-
-// recordRefusal accounts one observe-time turn-away: the attempt was
-// rejected before its body ran, so no work was wasted. Refusals stay
-// out of the gate's failure window on purpose. The gate's cost model
-// weighs wasted re-execution against the pessimistic envelope, and a
-// refusal wastes nothing — but more importantly, refusals are mostly
-// MANUFACTURED by the gate itself: once it closes, sections serialize
-// through the pessimistic fallback, every fallback holder refuses the
-// optimists arriving behind it, and if those refusals counted as
-// failures the gate would observe a near-total "failure" rate of its
-// own making and never re-open.
-func (s *Semantic) recordRefusal() { s.optRefused.Add(1) }
-
-// OptimisticEnabled reports whether the adaptive gate currently admits
-// optimistic execution on the instance. Advisory: a false result is
-// transient — the gate probes itself open again — and the state may
-// change before the next observation. Callers use it to pick a refusal
-// strategy: an Observe refused under an open gate saw a transient
-// conflicting holder and may be worth retrying after a backoff, while
-// one refused by a closed gate should fall back to the pessimistic
-// prologue immediately.
-func (s *Semantic) OptimisticEnabled() bool { return s.optGate.Load() == 0 }
 
 // Holders returns the current holder count of mode m (test hook).
 func (s *Semantic) Holders(m ModeID) int32 {
@@ -688,10 +583,10 @@ type mechV2 struct {
 // waiterV2 is one blocked acquirer: the conflict mask it is waiting on,
 // a 1-buffered signal channel (buffering makes a signal that races with
 // the waiter's re-scan stick instead of getting lost), and diagnostic
-// metadata for the stall watchdog — when the wait began and, for
+// metadata for ScanStalls — when the wait began and, for
 // transaction-driven acquisitions, the blocked transaction's acquisition
 // log as of blocking (the owner is parked inside Acquire and appends to
-// the log only after it deregisters, so the watchdog may read the
+// the log only after it deregisters, so ScanStalls may read the
 // snapshot under mu without racing the owner).
 type waiterV2 struct {
 	mask  []wordMask
@@ -721,7 +616,7 @@ func WaitersOutstanding() int64 { return waitersOut.Load() }
 
 // getWaiter checks a waiter out of the pool for one slow-path wait on
 // this mechanism, stamped with its park time. That one clock read per
-// slow-path entry is the only wait clock: the watchdog (sampleMech) and
+// slow-path entry is the only wait clock: ScanStalls (sampleMech) and
 // LockStats.WaitNanos (settleWait) both measure from it.
 func (m *mechV2) getWaiter(mask []wordMask, log []Acquisition) *waiterV2 {
 	w := waiterPool.Get().(*waiterV2)

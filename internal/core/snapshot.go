@@ -64,9 +64,8 @@ func (sn *Snapshot) find(s *Semantic) *snapEntry {
 // holder) for Validate. Mirroring Lock's LV semantics, a nil instance
 // and a re-observation of an already-observed instance are no-ops.
 // Observe reports whether the observation is admissible; false — a
-// conflicting holder is visible, or the instance's adaptive gate
-// currently refuses optimistic execution — means the section should
-// give up and run its pessimistic prologue.
+// conflicting holder is visible, counted as a refusal — means the
+// section should give up and run its pessimistic prologue.
 func (sn *Snapshot) Observe(s *Semantic, m ModeID) bool {
 	if s == nil {
 		return true
@@ -74,19 +73,11 @@ func (sn *Snapshot) Observe(s *Semantic, m ModeID) bool {
 	if sn.find(s) != nil {
 		return true // LOCAL_SET: one observation per instance
 	}
-	if !s.optimisticAllowed() {
-		return false
-	}
 	ver, ok := s.observeMode(m)
 	if !ok {
-		// A conflicting holder is visible right now: the pessimistic
-		// prologue would have blocked. This is a refusal, not a failed
-		// validation — no body ran, nothing is re-executed — and it must
-		// not feed the gate's failure window: fallback holders (which a
-		// gate closure itself produces) refuse every optimist behind
-		// them, and accounting those as failures locks the gate shut on
-		// evidence of its own making.
-		s.recordRefusal()
+		// The pessimistic prologue would have blocked. A refusal, not a
+		// failed validation: no body ran, nothing is re-executed.
+		s.optRefused.Add(1)
 		return false
 	}
 	e := snapEntry{sem: s, ver: ver, mode: m}
@@ -101,10 +92,9 @@ func (sn *Snapshot) Observe(s *Semantic, m ModeID) bool {
 
 // Validate re-checks every observation with one version compare per
 // observed instance (see Semantic.validateMode for why the acquire-side
-// bump makes a holder re-scan unnecessary) and empties the vector.
-// Outcomes are recorded per instance — a hit on each instance that
-// validated, a failed validation on the instance that did not — feeding
-// the per-instance adaptive gates.
+// bump makes a holder re-scan unnecessary) and empties the vector. It
+// counts a hit on each instance when all validate, or a retry on the
+// first instance whose version moved.
 func (sn *Snapshot) Validate() bool {
 	in, over := sn.e[:min(sn.n, snapInline)], sn.more[:max(sn.n-snapInline, 0)]
 	sn.n = 0
@@ -112,20 +102,27 @@ func (sn *Snapshot) Validate() bool {
 		return false
 	}
 	for i := range in {
-		in[i].sem.recordValidation(true)
+		in[i].sem.optHits.Add(1)
 	}
 	for i := range over {
-		over[i].sem.recordValidation(true)
+		over[i].sem.optHits.Add(1)
 	}
 	return true
 }
 
-// validateAll compares every observation's version, recording a failed
-// validation on the first instance whose version moved.
+// validateAll compares every observation's version, counting a retry
+// on the first instance whose version moved. It stays out of line, as
+// it was while a gate call kept it over the inlining budget: inlined at
+// both of Validate's call sites it grows Validate from 314 to 542 bytes
+// and moves every function linked after this package by 32 bytes modulo
+// a cache line; net-rpc read 5–10 % slower that way (EXPERIMENTS.md
+// "Deleting the optimistic gate").
+//
+//go:noinline
 func validateAll(es []snapEntry) bool {
 	for i := range es {
 		if e := &es[i]; !e.sem.validateMode(e.mode, e.ver) {
-			e.sem.recordValidation(false)
+			e.sem.optRetries.Add(1)
 			return false
 		}
 	}

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 	"time"
 )
 
 // This file is the liveness layer of the lock runtime: bounded
-// acquisition (AcquireWithin) returning structured StallErrors, and the
-// Watchdog that samples registered instances for acquisitions blocked
-// past a threshold. The protocol itself is deadlock-free under OS2PL
+// acquisition (AcquireWithin) returning structured StallErrors, and
+// ScanStalls, which samples instances for acquisitions blocked past a
+// threshold. The protocol itself is deadlock-free under OS2PL
 // (§3.3); these tools exist for the failure modes the protocol cannot
 // rule out — a holder that stalls, loops, or (before panic-safe sections
 // existed) leaked its locks entirely.
@@ -166,10 +165,10 @@ func (s *Semantic) CheckQuiesced() error {
 }
 
 // ---------------------------------------------------------------------
-// Stall watchdog
+// Stall scan
 // ---------------------------------------------------------------------
 
-// WaiterInfo describes one acquisition the watchdog found blocked past
+// WaiterInfo describes one acquisition ScanStalls found blocked past
 // its threshold: the counter slots the waiter's conflict mask covers,
 // how long it has been waiting, and — for transaction-driven
 // acquisitions — the blocked transaction's acquisition log.
@@ -179,7 +178,7 @@ type WaiterInfo struct {
 	Log    []Acquisition `json:"log,omitempty"`
 }
 
-// StallReport is one watchdog observation of a mechanism with at least
+// StallReport is one ScanStalls observation of a mechanism with at least
 // one waiter blocked past the threshold: the instance, the mechanism,
 // the published waiter-interest words, the slots currently holding
 // counts (with mode names), and every over-threshold waiter.
@@ -211,20 +210,6 @@ func (r StallReport) String() string {
 	return b.String()
 }
 
-// WatchdogConfig tunes a Watchdog. The zero value is not useful; use
-// sensible thresholds (e.g. 100ms/25ms in tests, seconds in production).
-type WatchdogConfig struct {
-	// Threshold is the wait duration past which a blocked acquisition
-	// counts as stalled.
-	Threshold time.Duration
-	// Interval is the sampling period of the background sampler
-	// (Start/Stop). Scan may also be called synchronously at any time.
-	Interval time.Duration
-	// OnStall receives one report per stalled mechanism per sample. It is
-	// called from the sampler goroutine; keep it brief.
-	OnStall func(StallReport)
-}
-
 // SetWaitTiming turns the accumulation of LockStats.WaitNanos on or
 // off. The telemetry layer calls this when a metrics consumer attaches.
 // Every waiter carries its park time whatever the switch says, so a
@@ -232,53 +217,18 @@ type WatchdogConfig struct {
 // measured wait (see mechV2.settleWait).
 func SetWaitTiming(on bool) { waitSampling.Store(on) }
 
-// Watchdog samples registered Semantic instances for acquisitions
-// blocked past a threshold. One watchdog typically covers every
-// instance of a ModeTable (register instances at creation); sampling
-// cost is one mutex acquisition per mechanism per interval, so it is
-// cheap enough to leave running in production.
-type Watchdog struct {
-	cfg WatchdogConfig
-
-	mu   sync.Mutex
-	sems []*Semantic
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewWatchdog creates a watchdog with the given configuration.
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = time.Second
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = cfg.Threshold / 2
-	}
-	return &Watchdog{cfg: cfg}
-}
-
-// Watch registers an instance for sampling. Every waiter carries its
-// park time, so a waiter that parked before the instance was watched is
-// reported with its measured wait like any other.
-func (d *Watchdog) Watch(s *Semantic) {
-	d.mu.Lock()
-	d.sems = append(d.sems, s)
-	d.mu.Unlock()
-}
-
-// Scan samples every watched instance once, returning a report for each
-// mechanism that has at least one waiter blocked past the threshold.
-func (d *Watchdog) Scan() []StallReport {
-	d.mu.Lock()
-	sems := append([]*Semantic(nil), d.sems...)
-	d.mu.Unlock()
-
+// ScanStalls samples each instance once and returns a report for every
+// mechanism with at least one waiter blocked past threshold. Every
+// waiter carries its park time, so a waiter that parked before the
+// caller began scanning is reported with its whole measured wait. The
+// cost is one mutex acquisition per mechanism; a caller that wants a
+// watchdog calls it on a ticker over the instances it already holds.
+func ScanStalls(threshold time.Duration, sems ...*Semantic) []StallReport {
 	now := time.Now()
 	var out []StallReport
 	for _, s := range sems {
 		for p := range s.mechs {
-			if r, ok := s.sampleMech(p, now, d.cfg.Threshold); ok {
+			if r, ok := s.sampleMech(p, now, threshold); ok {
 				out = append(out, r)
 			}
 		}
@@ -340,49 +290,4 @@ func (s *Semantic) sampleMech(p int, now time.Time, threshold time.Duration) (St
 		}
 	}
 	return r, true
-}
-
-// Start launches the background sampler; reports go to cfg.OnStall.
-func (d *Watchdog) Start() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stop != nil {
-		return // already running
-	}
-	d.stop = make(chan struct{})
-	d.done = make(chan struct{})
-	go d.run(d.stop, d.done)
-}
-
-func (d *Watchdog) run(stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(d.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			if d.cfg.OnStall == nil {
-				continue
-			}
-			for _, r := range d.Scan() {
-				d.cfg.OnStall(r)
-			}
-		}
-	}
-}
-
-// Stop halts the background sampler and waits for it to exit. Safe to
-// call when the sampler was never started.
-func (d *Watchdog) Stop() {
-	d.mu.Lock()
-	stop, done := d.stop, d.done
-	d.stop, d.done = nil, nil
-	d.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // These tests pin the wait-duration contract: getWaiter stamps every
-// waiter with its park time, the watchdog and LockStats.WaitNanos both
+// waiter with its park time, ScanStalls and LockStats.WaitNanos both
 // measure from that one stamp, and SetWaitTiming gates only whether
 // WaitNanos accumulates. StallError measures its own patience.
 
@@ -43,8 +43,8 @@ func TestStallErrorWaitedUnwatched(t *testing.T) {
 }
 
 // TestWatchdogReportsPreWatchWaiter: a waiter that parked before the
-// instance was watched, with wait timing off, is reported like any
-// other, and its wait grows across scans.
+// first scan, with wait timing off, is reported like any other, and its
+// wait grows across scans.
 func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 	prev := waitSampling.Load()
 	SetWaitTiming(false)
@@ -57,7 +57,7 @@ func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 
 	acquired := make(chan struct{})
 	go func() {
-		s.Acquire(sm) // parks: conflicts with km, nobody watching yet
+		s.Acquire(sm) // parks: conflicts with km, before any scan
 		close(acquired)
 	}()
 	// Wait for the waiter to actually register (past the adaptive spin).
@@ -75,13 +75,11 @@ func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	d := NewWatchdog(WatchdogConfig{Threshold: 5 * time.Millisecond})
-	d.Watch(s)
 	time.Sleep(15 * time.Millisecond) // let the wait cross the threshold
 
-	reports := d.Scan()
+	reports := ScanStalls(5*time.Millisecond, s)
 	if len(reports) == 0 {
-		t.Fatal("pre-Watch waiter was not reported")
+		t.Fatal("waiter parked before the first scan was not reported")
 	}
 	r := reports[0]
 	if len(r.Waiters) != 1 {
@@ -94,7 +92,7 @@ func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 
 	// The wait keeps growing across scans — a stuck waiter can't hide.
 	time.Sleep(10 * time.Millisecond)
-	again := d.Scan()
+	again := ScanStalls(5*time.Millisecond, s)
 	if len(again) == 0 || len(again[0].Waiters) != 1 {
 		t.Fatal("waiter vanished from second scan")
 	}
@@ -107,15 +105,12 @@ func TestWatchdogReportsPreWatchWaiter(t *testing.T) {
 	s.Release(sm)
 }
 
-// TestWatchdogSampledWaiter: a waiter that parks on a watched instance
+// TestWatchdogSampledWaiter: a waiter that parks on a scanned instance
 // is reported with its measured wait.
 func TestWatchdogSampledWaiter(t *testing.T) {
 	tbl := mapTable(t, 1, TableOptions{})
 	s := NewSemantic(tbl)
 	km, sm := keyMode(tbl, 1), sizeMode(tbl)
-
-	d := NewWatchdog(WatchdogConfig{Threshold: 5 * time.Millisecond})
-	d.Watch(s)
 
 	s.Acquire(km)
 	acquired := make(chan struct{})
@@ -125,9 +120,9 @@ func TestWatchdogSampledWaiter(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 
-	reports := d.Scan()
+	reports := ScanStalls(5*time.Millisecond, s)
 	if len(reports) == 0 {
-		t.Fatal("watched waiter not reported")
+		t.Fatal("parked waiter not reported")
 	}
 	w := reports[0].Waiters[0]
 	if w.Waited <= 0 {
@@ -140,7 +135,7 @@ func TestWatchdogSampledWaiter(t *testing.T) {
 }
 
 // TestWaitNanosGating: LockStats.WaitNanos accumulates only when wait
-// timing is on (globally or via a watchdog); otherwise blocking costs
+// timing is on; otherwise blocking costs
 // no clock call and the counter stays zero.
 func TestWaitNanosGating(t *testing.T) {
 	block := func(s *Semantic, km, sm ModeID) {
@@ -196,8 +191,7 @@ func TestBatchStatsContract(t *testing.T) {
 
 // TestWaitTimingMidFlightToggle: a waiter parked BEFORE
 // SetWaitTiming(true) settles with a ">=" lower bound measured from the
-// enable instant instead of reporting zero — the same convention the
-// watchdog uses for pre-Watch waiters — so a metrics consumer attaching
+// enable instant instead of reporting zero, so a metrics consumer attaching
 // mid-run reads conservative nonzero samples, not garbage.
 func TestWaitTimingMidFlightToggle(t *testing.T) {
 	SetWaitTiming(false)
@@ -343,8 +337,9 @@ func TestWaitTimingToggleHammer(t *testing.T) {
 					s.Acquire(sm) // wildcard: conflicts with every key mode
 					s.Release(sm)
 				default:
-					if s.optimisticAllowed() {
-						s.recordValidation(i%8 != 0)
+					var sn Snapshot
+					if sn.Observe(s, m) {
+						sn.Validate()
 					}
 				}
 			}

@@ -161,7 +161,7 @@ func (t *Txn) Lock(s *Semantic, m ModeID, rank int) {
 		return
 	}
 	// The transaction's log rides along so a blocked acquisition exposes
-	// it to the stall watchdog (nil for unchecked transactions).
+	// it to ScanStalls (nil for unchecked transactions).
 	s.acquire(m, t.log)
 	t.recordHeld(s, m, rank)
 }

@@ -197,7 +197,7 @@ func (e *Executor) runStmt(si int, sec *ir.Atomic, s ir.Stmt, env map[string]cor
 	case *ir.Observe:
 		// Optimistic counterpart of LV/LV2: snapshot the version counter
 		// of the mode the lock statement would have taken. A failed
-		// observation (holders present, adaptive gate closed) aborts the
+		// observation (a conflicting holder present) aborts the
 		// enclosing optimistic body via optAbort, which the Optimistic
 		// case recovers into the pessimistic fallback.
 		for _, v := range x.Vars {

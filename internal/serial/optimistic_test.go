@@ -202,15 +202,10 @@ func TestOptimisticRaceHammer(t *testing.T) {
 				t.Fatalf("validated optimistic read saw torn invariant: x=%d y=%d", pair[0], pair[1])
 			}
 
-			// After the writers drain, the optimistic path must commit again
-			// (the adaptive gate reopens after its probe interval at worst).
-			tx := core.NewTxn()
-			committed := false
-			for i := 0; i < 10000 && !committed; i++ {
-				committed = shape.read(tx, a, b, func() {})
-			}
-			if !committed {
-				t.Error("optimistic path never recovered after contention drained")
+			// After the writers drain, the first uncontended read commits:
+			// nothing turns reads away after a run of failures.
+			if !shape.read(core.NewTxn(), a, b, func() {}) {
+				t.Error("uncontended optimistic read failed after contention drained")
 			}
 			if hits := a.Stats().OptimisticHits; hits == 0 {
 				t.Error("no optimistic hits recorded on instance a")

@@ -49,12 +49,11 @@ type GroupStats struct {
 	// optimistic attempts (a core.Snapshot, bare or inside
 	// core.Txn.TryOptimistic) into validated
 	// lock-free commits and discarded runs that re-ran through the
-	// pessimistic fallback. A high retry share means the adaptive gate
-	// is (or should be) closing the optimistic path for these instances.
+	// pessimistic fallback; each retry wasted one body execution.
 	// OptimisticRefusals counts attempts turned away at observation time
-	// before any body ran because a conflicting holder was visible (a
-	// closed gate turns attempts away uncounted); cheap, and deliberately
-	// excluded from the retry count (see core.LockStats.OptimisticRefusals).
+	// before any body ran because a conflicting holder was visible;
+	// cheap, and deliberately excluded from the retry count (see
+	// core.LockStats.OptimisticRefusals).
 	OptimisticHits     uint64 `json:"optimistic_hits"`
 	OptimisticRetries  uint64 `json:"optimistic_retries"`
 	OptimisticRefusals uint64 `json:"optimistic_refusals"`
