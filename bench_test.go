@@ -119,10 +119,10 @@ func BenchmarkFig25(b *testing.B) {
 	want := gossip.ExpectedFrames(cfg)
 	for _, pol := range gossip.Policies() {
 		b.Run(pol, func(b *testing.B) {
-			gossip.New(pol, cfg.SendCost, plan.Options{}) // warm the plan cache
+			gossip.New(pol, plan.Options{}) // warm the plan cache
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := gossip.New(pol, cfg.SendCost, plan.Options{})
+				r := gossip.New(pol, plan.Options{})
 				if res := gossip.RunMPerf(r, cfg); res.FramesDelivered != want {
 					b.Fatalf("delivered %d frames, want %d", res.FramesDelivered, want)
 				}

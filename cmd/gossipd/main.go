@@ -136,7 +136,7 @@ func main() {
 
 	interrupted, mismatched := false, false
 	for _, pol := range want {
-		r := gossip.New(pol, cfg.SendCost, plan.Options{})
+		r := gossip.New(pol, plan.Options{})
 		if *debugAddr != "" {
 			if o, ok := r.(*gossip.Ours); ok {
 				// Live provider: each scrape re-walks the group table, so

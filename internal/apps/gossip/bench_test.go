@@ -59,7 +59,7 @@ func lookupOf(r Router) func(group, member string) bool {
 // so "ours vs Global at one thread" (-cpu 1) is one command.
 func BenchmarkGossipChurnMix(b *testing.B) {
 	for _, policy := range []string{"ours", "global", "manual", "2pl"} {
-		b.Run(policy, func(b *testing.B) { churnMix(b, New(policy, 60, plan.Options{})) })
+		b.Run(policy, func(b *testing.B) { churnMix(b, New(policy, plan.Options{})) })
 	}
 }
 

@@ -128,8 +128,8 @@ func TestStringFormAllocs(t *testing.T) {
 		t.Skip("race instrumentation heap-allocates stack closures; the pins hold on the normal build")
 	}
 	routers := map[string]*Ours{
-		`New("ours")`:  New("ours", 0, plan.Options{}).(*Ours),
-		"NewOurs":      NewOurs(0, plan.Options{}),
+		`New("ours")`:  New("ours", plan.Options{}).(*Ours),
+		"NewOurs":      NewOurs(plan.Options{}),
 		"NewOursFused": NewOursFused(0, plan.Options{}),
 	}
 	for ctor, o := range routers {

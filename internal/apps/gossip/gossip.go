@@ -178,12 +178,12 @@ var planCache = plan.NewCache(func(opt plan.Options) *plan.Plan {
 func BuildPlan(opt plan.Options) *plan.Plan { return planCache.Get(opt) }
 
 // New creates the named variant: "ours", "global", "2pl" or "manual".
-// The router ignores sendCost: the per-frame synthetic I/O cost belongs
-// to the Conn a member registers (NewConn), not to the routing table.
-func New(policy string, sendCost int, opt plan.Options) Router {
+// The per-frame synthetic I/O cost belongs to the Conn a member
+// registers (NewConn), not to the routing table.
+func New(policy string, opt plan.Options) Router {
 	switch policy {
 	case "ours":
-		return NewOurs(sendCost, opt)
+		return NewOurs(opt)
 	case "global":
 		return &global{groups: adt.NewHashMap()}
 	case "2pl":
@@ -239,11 +239,8 @@ type memberMap struct {
 
 // NewOurs creates the semantic-locking router with access to the
 // concrete type (fault hook, lock introspection); New("ours", ...)
-// returns the same thing as a Router. sendCost is ignored, as in New.
-func NewOurs(sendCost int, opt plan.Options) *Ours {
-	_ = sendCost
-	return newOurs(BuildPlan(opt))
-}
+// returns the same thing as a Router.
+func NewOurs(opt plan.Options) *Ours { return newOurs(BuildPlan(opt)) }
 
 // newOurs wires the router to a synthesized plan. It panics unless the
 // plan's member table derives that multicast's {values()} mode excludes
@@ -270,10 +267,11 @@ func newOurs(p *plan.Plan) *Ours {
 	return o
 }
 
-// NewOursFused is NewOurs: there is one router. The name survives only
-// because benchmark/README.md "The API this benchmark pins" lists it; the
-// owed benchmark-only PR drops it together with Txn.CachedMode1.
-func NewOursFused(sendCost int, opt plan.Options) *Ours { return NewOurs(sendCost, opt) }
+// NewOursFused is NewOurs: there is one router, and it ignores sendCost.
+// The name and its signature survive only because benchmark/README.md
+// "The API this benchmark pins" lists them; the owed benchmark-only PR
+// drops it together with Txn.CachedMode1.
+func NewOursFused(sendCost int, opt plan.Options) *Ours { return NewOurs(opt) }
 
 func (o *Ours) fault(site string) {
 	if o.FaultHook != nil {

@@ -48,7 +48,7 @@ func TestPlanShape(t *testing.T) {
 func TestRouterSemantics(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			r := New(pol, 0, testOpts())
+			r := New(pol, testOpts())
 			a, b := NewConn("a", 0), NewConn("b", 0)
 			r.Register("g", "a", a)
 			r.Register("g", "b", b)
@@ -78,7 +78,7 @@ func TestRouterSemantics(t *testing.T) {
 func TestRouterConcurrent(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			r := New(pol, 0, testOpts())
+			r := New(pol, testOpts())
 			groups := []string{"g0", "g1", "g2"}
 			conns := make([]*Conn, 12)
 			var wg sync.WaitGroup
@@ -121,7 +121,7 @@ func TestMPerfGroundTruth(t *testing.T) {
 	for _, pol := range Policies() {
 		for _, workers := range []int{1, 4} {
 			cfg.Workers = workers
-			r := New(pol, cfg.SendCost, testOpts())
+			r := New(pol, testOpts())
 			res := RunMPerf(r, cfg)
 			if res.FramesDelivered != want {
 				t.Errorf("%s/%d workers: %d frames, want %d", pol, workers, res.FramesDelivered, want)

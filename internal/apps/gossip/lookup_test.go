@@ -14,7 +14,7 @@ import (
 // baseline answer identically across membership churn, and the
 // uncontended optimistic path actually commits lock-free.
 func TestLookupVariantsAgree(t *testing.T) {
-	r := NewOurs(0, plan.Options{})
+	r := NewOurs(plan.Options{})
 	r.Register("g", "alice", NewConn("alice", 0))
 	r.Register("g", "bob", NewConn("bob", 0))
 
@@ -50,7 +50,7 @@ func TestLookupVariantsAgree(t *testing.T) {
 // race-enabled CI lane), and lookups of members outside the churn set
 // must stay true throughout.
 func TestLookupConcurrentChurn(t *testing.T) {
-	r := NewOurs(0, plan.Options{})
+	r := NewOurs(plan.Options{})
 	r.Register("g", "stable", NewConn("stable", 0))
 
 	const workers, iters = 4, 400
@@ -94,7 +94,7 @@ func TestLookupConcurrentChurn(t *testing.T) {
 // pessimistic body — which waits for the holder — and answers
 // correctly; the refusal is counted and no hit is.
 func TestLookupFallsBack(t *testing.T) {
-	r := NewOurs(0, plan.Options{})
+	r := NewOurs(plan.Options{})
 	r.Register("g", "alice", NewConn("alice", 0))
 	g, alice := core.Value("g"), core.Value("alice")
 	before := r.groupsSem.Stats()

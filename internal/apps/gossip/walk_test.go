@@ -55,7 +55,7 @@ func TestMulticastWalkHammer(t *testing.T) {
 		},
 	}
 	for _, pol := range []string{"ours", "global", "2pl", "manual"} {
-		routers[pol] = func() Router { return New(pol, 0, plan.Options{}) }
+		routers[pol] = func() Router { return New(pol, plan.Options{}) }
 	}
 	for pol, build := range routers {
 		t.Run(pol, func(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // TestDrainAuditReportsHold: an acquisition left unreleased is one
 // outstanding hold and a quiescence error; releasing it clears both.
 func TestDrainAuditReportsHold(t *testing.T) {
-	o := gossip.NewOurs(0, plan.Options{})
+	o := gossip.NewOurs(plan.Options{})
 	seedGroups(o, chaosGroups)
 	sems := o.Sems()
 	waiters0 := core.WaitersOutstanding()
@@ -28,32 +28,25 @@ func TestDrainAuditReportsHold(t *testing.T) {
 	}
 }
 
-// TestResilienceArms drives both arms of the resilience experiment for
-// short windows: the nil-policy arm completes operations and drops
-// none, the policied arm drops under a hold, and neither leaves a hold,
-// a waiter or a non-quiescent instance behind.
+// TestResilienceArms drives both arms of a resilience sweep point for
+// short rounds: the nil-policy arm completes operations and fails none,
+// the policied arm drops under a hold, and neither leaves a hold, a
+// waiter or a non-quiescent instance behind.
 func TestResilienceArms(t *testing.T) {
 	cfg := ResilienceConfig{Duration: 20 * time.Millisecond, Workers: 2, Interval: 4 * time.Millisecond}
 	for _, hold := range []time.Duration{0, 2 * time.Millisecond} {
-		off, err := resilienceCell(cfg, hold, nil, nil)
+		pt, _, err := resiliencePoint(cfg, hold)
 		if err != nil {
-			t.Fatalf("hold %v, no policy: %v", hold, err)
+			t.Fatalf("hold %v: %v", hold, err)
 		}
-		if off.ops == 0 || off.dropped != 0 {
-			t.Errorf("hold %v, no policy: %d ops, %d dropped; want some ops and no drops", hold, off.ops, off.dropped)
+		if pt.OffOps == 0 {
+			t.Errorf("hold %v, no policy: no operation completed", hold)
 		}
-		hot, cold := resiliencePolicies()
-		on, err := resilienceCell(cfg, hold, hot, cold)
-		if err != nil {
-			t.Fatalf("hold %v, policied: %v", hold, err)
-		}
-		if hold > 0 && on.dropped == 0 {
+		if hold > 0 && pt.Dropped == 0 {
 			t.Errorf("hold %v, policied: no operation dropped", hold)
 		}
-		for name, arm := range map[string]resilienceArm{"no policy": off, "policied": on} {
-			if arm.holds != 0 || arm.waiters != 0 || arm.quiesce != "" {
-				t.Errorf("hold %v, %s: leaked holds=%d waiters=%d quiesce=%q", hold, name, arm.holds, arm.waiters, arm.quiesce)
-			}
+		if pt.LeakedLocks != 0 || pt.LeakedWaiters != 0 || pt.QuiesceError != "" {
+			t.Errorf("hold %v: leaked holds=%d waiters=%d quiesce=%q", hold, pt.LeakedLocks, pt.LeakedWaiters, pt.QuiesceError)
 		}
 	}
 }

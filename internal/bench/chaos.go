@@ -118,9 +118,28 @@ func chaosInjector() *chaos.Injector {
 
 const chaosStallThreshold = time.Millisecond
 
-// chaosRounds is how many pairs of baseline and recovery rounds a cell
-// runs; the cell reports the pair whose recovery ratio is the median.
-const chaosRounds = 7
+// pairedRounds is how many pairs of rounds medianPair runs.
+const pairedRounds = 7
+
+// medianPair runs pairedRounds pairs of one round of a and one of b,
+// alternating which runs first, and returns the pair whose ratio b ÷ a
+// is the median. A shared host's speed can drift by 2× within tens of
+// milliseconds: two adjacent rounds see it at one speed, two long
+// windows one after the other would compare two speeds of the host.
+func medianPair[T any](a, b func() T, ratio func(a, b T) float64) (T, T) {
+	pairs := make([][2]T, pairedRounds)
+	for i := range pairs {
+		if i%2 == 0 {
+			pairs[i][0], pairs[i][1] = a(), b()
+		} else {
+			pairs[i][1], pairs[i][0] = b(), a()
+		}
+	}
+	r := func(p [2]T) float64 { return ratio(p[0], p[1]) }
+	sort.Slice(pairs, func(i, j int) bool { return r(pairs[i]) < r(pairs[j]) })
+	mid := pairs[pairedRounds/2]
+	return mid[0], mid[1]
+}
 
 // chaosApp is one instance of a cell's application: its lock instances
 // and one pass of its workload with faults shielded, returning (ops
@@ -143,10 +162,8 @@ func chaosRound(phase string, run func() (int, uint64)) ChaosPhase {
 
 // runChaosPhases runs one app's cell: the faulted phase on subject with
 // inj armed, then the recovery phase on subject and the baseline phase
-// on twin, an identical instance whose own injector is never armed.
-// Each baseline round is paired with an adjacent recovery round, so a
-// pair sees the host at one speed: a shared host's speed can drift by
-// 2× within tens of milliseconds, and a baseline taken before the
+// on twin, an identical instance whose own injector is never armed,
+// in medianPair's alternating rounds: a baseline taken before the
 // faults' second or so would compare two speeds of the host, not a
 // recovered instance with a healthy one. The drain audit and the
 // telemetry cross-check cover both instances.
@@ -180,18 +197,11 @@ func runChaosPhases(app string, inj *chaos.Injector, subject, twin chaosApp) Cha
 	// Warm the twin as the faulted phase warmed the subject; a pair is
 	// {baseline, recovery}.
 	twin.run()
-	pairs := make([][2]ChaosPhase, chaosRounds)
-	for i := range pairs {
-		if i%2 == 0 {
-			pairs[i][0], pairs[i][1] = chaosRound("baseline", twin.run), chaosRound("recovery", subject.run)
-		} else {
-			pairs[i][1], pairs[i][0] = chaosRound("recovery", subject.run), chaosRound("baseline", twin.run)
-		}
-	}
-	ratio := func(p [2]ChaosPhase) float64 { return p[1].OpsPerSec / p[0].OpsPerSec }
-	sort.Slice(pairs, func(i, j int) bool { return ratio(pairs[i]) < ratio(pairs[j]) })
-	mid := pairs[len(pairs)/2]
-	cell.Phases = []ChaosPhase{mid[0], faulted, mid[1]}
+	base, rec := medianPair(
+		func() ChaosPhase { return chaosRound("baseline", twin.run) },
+		func() ChaosPhase { return chaosRound("recovery", subject.run) },
+		func(base, rec ChaosPhase) float64 { return rec.OpsPerSec / base.OpsPerSec })
+	cell.Phases = []ChaosPhase{base, faulted, rec}
 
 	sems := slices.Concat(subject.sems, twin.sems)
 	cell.Panics, cell.SlowHolds, cell.Delays = inj.Counts()
@@ -242,7 +252,7 @@ func chaosGossipCell(cfg ChaosConfig, app string, pol, twinPol *resilience.Polic
 	payload := []byte("chaos-payload")
 	opsPer := cfg.OpsPerPhase / cfg.Workers
 	newApp := func(pol *resilience.Policy, hook func(string), tally *outcomes) chaosApp {
-		o := gossip.NewOurs(0, plan.Options{})
+		o := gossip.NewOurs(plan.Options{})
 		o.FaultHook = hook
 		seedGroups(o, chaosGroups)
 		r := gossip.NewResilient(o, pol)

@@ -39,7 +39,6 @@ type NetConfig struct {
 	ReadFracs    []float64     // lookup fraction sweep (default 0, 0.5, 0.9)
 	Pipeline     int           // unicasts per pipelined window (default 8)
 	PayloadBytes int           // unicast payload (default 64)
-	SendCost     int           // synthetic sink I/O cost (default 0)
 }
 
 // NetPoint is one (conns, read fraction) cell.
@@ -125,7 +124,7 @@ func (c *NetConfig) defaults() {
 // drain.
 func netCell(cfg NetConfig, conns int, readFrac float64) (NetPoint, error) {
 	waiters0 := core.WaitersOutstanding()
-	s, err := server.New(server.Config{Addr: "127.0.0.1:0", SendCost: cfg.SendCost})
+	s, err := server.New(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		return NetPoint{}, err
 	}
@@ -184,7 +183,7 @@ func newNetFixture(cfg NetConfig) (*netFixture, error) {
 	if err := errors.Join(err1, err2, err3); err != nil {
 		return nil, err
 	}
-	s, err := server.New(server.Config{Addr: "127.0.0.1:0", SendCost: cfg.SendCost})
+	s, err := server.New(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		return nil, err
 	}

@@ -181,7 +181,7 @@ func Fig24Real(cfg RealConfig, wcfg intruder.Config) *Figure {
 func Fig25Real(cfg RealConfig, mcfg gossip.MPerfConfig) *Figure {
 	return speedupFigure(cfg, "fig25-real", "GossipRouter MPerf speedup over one worker (real execution)", gossip.Policies(),
 		func(pol string, workers int) func() {
-			r := gossip.New(pol, mcfg.SendCost, plan.Options{})
+			r := gossip.New(pol, plan.Options{})
 			c := mcfg
 			c.Workers = workers
 			return func() { gossip.RunMPerf(r, c) }

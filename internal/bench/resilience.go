@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,12 +22,13 @@ import (
 // saboteur that repeatedly grabs one hot group's locks and sits on them
 // (a slow-hold injected through the register fault point), swept over
 // hold durations at a fixed re-hold interval. Each sweep point runs the
-// same mixed workload through the same gossip.Resilient wrappers twice:
-// policies OFF (a nil policy, so every section blocks as the plain
-// router does) and policies ON (bounded-patience acquisitions and a
-// circuit breaker on the hot traffic class). The two arms differ by the
-// policy pointer alone, and the report's retention curve is the ratio
-// of completed operations per second, ON over OFF.
+// same mixed workload through the same gossip.Resilient wrappers on two
+// routers: policies OFF (a nil policy, so every section blocks as the
+// plain router does) and policies ON (bounded-patience acquisitions and
+// a circuit breaker on the hot traffic class). The two arms differ by
+// the policy pointer alone, and the report's retention curve is the
+// ratio of completed operations per second, ON over OFF, of the median
+// pair of alternating rounds (medianPair).
 //
 // The injection is time-based, not op-count-based, deliberately: a
 // per-op injector advances with completed work, which makes both sides
@@ -36,14 +38,18 @@ import (
 // fast and keeps the cold classes flowing — exactly the degradation the
 // resilience layer exists to bound.
 type ResilienceConfig struct {
-	Duration time.Duration   // per-cell measurement window (default 300ms)
-	Workers  int             // client goroutines (default 8)
-	Holds    []time.Duration // saboteur hold sweep (default 0, 2ms, 5ms, 9ms)
-	Interval time.Duration   // saboteur re-hold period (default 10ms)
+	Duration time.Duration // per-round measurement window (default 100ms)
+	Workers  int           // client goroutines (default 8)
+	Interval time.Duration // saboteur re-hold period (default 10ms)
 }
 
+// resilienceHolds is the saboteur hold sweep, lowest first.
+var resilienceHolds = []time.Duration{0, 2 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond}
+
 // ResiliencePoint is one sweep point: the same workload with and
-// without policies at one saboteur hold duration.
+// without policies at one saboteur hold duration. The ops, rates and
+// drops are the median pair's OFF and ON rounds; the breaker counts
+// cover every ON round of the point.
 type ResiliencePoint struct {
 	HoldMS       float64 `json:"hold_ms"`
 	OffOps       int     `json:"off_ops"`
@@ -57,8 +63,8 @@ type ResiliencePoint struct {
 	BreakerTrips   uint64 `json:"breaker_trips"`   // hot-class breaker openings
 	BreakerRejects uint64 `json:"breaker_rejects"` // attempts refused while open
 
-	LeakedLocks   int64  `json:"leaked_locks"`   // outstanding holds after the OFF and ON runs; must be 0
-	LeakedWaiters int64  `json:"leaked_waiters"` // registered-waiter delta over the OFF and ON runs; must be 0
+	LeakedLocks   int64  `json:"leaked_locks"`   // outstanding holds after every round of both arms; must be 0
+	LeakedWaiters int64  `json:"leaked_waiters"` // registered-waiter delta over every round of both arms; must be 0
 	QuiesceError  string `json:"quiesce_error,omitempty"`
 }
 
@@ -66,10 +72,10 @@ type ResiliencePoint struct {
 type ResilienceReport struct {
 	GOMAXPROCS int                     `json:"gomaxprocs"`
 	Workers    int                     `json:"workers"`
-	CellSec    float64                 `json:"cell_seconds"`
+	CellSec    float64                 `json:"cell_seconds"` // one round's window
 	IntervalMS float64                 `json:"saboteur_interval_ms"`
 	Points     []ResiliencePoint       `json:"points"`
-	Policies   []telemetry.PolicyStats `json:"policy_state"` // final policy rows from the max-hold ON cell
+	Policies   []telemetry.PolicyStats `json:"policy_state"` // final policy rows from the max-hold ON arm
 	Criteria   map[string]float64      `json:"criteria"`
 }
 
@@ -161,46 +167,47 @@ func resiliencePolicies() (hot, cold *resilience.Policy) {
 	return hot, cold
 }
 
-// resilienceArm is one arm's measured window and its drain audit.
+// resilienceArm is one arm of a sweep point: one router for all its
+// rounds, its hot and cold groups' policies, and its rounds' tally. nil,
+// nil policies are the OFF arm: every section blocks until its locks
+// free up, so an error there is a bug and fails the point.
 type resilienceArm struct {
-	ops     int64   // completed operations
-	rate    float64 // completed operations per second
-	dropped int64   // operations a policy gave up on
-	holds   int64   // outstanding holds after the window
-	waiters int64   // registered-waiter delta over the window
-	quiesce string  // first quiescence error, "" when quiescent
+	cfg       ResilienceConfig
+	hold      time.Duration
+	o         *gossip.Ours
+	hot, cold *resilience.Policy
+	tally     outcomes
 }
 
-// resilienceCell runs the workload for one window under the saboteur,
-// the hot group's traffic behind hot and the cold groups' behind cold.
-// Half the operations touch the hot group, half are spread over the
-// cold ones. nil, nil is the OFF arm: every section blocks until its
-// locks free up, so an error there is a bug and fails the cell.
-func resilienceCell(cfg ResilienceConfig, hold time.Duration, hot, cold *resilience.Policy) (resilienceArm, error) {
-	o := gossip.NewOurs(0, plan.Options{})
-	seedGroups(o, resilienceGroups)
-	payload := []byte("resilience-payload")
-	waiters0 := core.WaitersOutstanding()
-	rHot, rCold := gossip.NewResilient(o, hot), gossip.NewResilient(o, cold)
+func newResilienceArm(cfg ResilienceConfig, hold time.Duration, hot, cold *resilience.Policy) *resilienceArm {
+	a := &resilienceArm{cfg: cfg, hold: hold, o: gossip.NewOurs(plan.Options{}), hot: hot, cold: cold}
+	seedGroups(a.o, resilienceGroups)
+	return a
+}
 
+// round runs the workload for one window under the saboteur and returns
+// the operations completed and the operations a policy gave up on. Half
+// the operations touch the hot group, half are spread over the cold ones.
+func (a *resilienceArm) round() (int, uint64) {
+	ok0, dropped0 := a.tally.ok.Load(), a.tally.dropped.Load()
+	payload := []byte("resilience-payload")
+	rHot, rCold := gossip.NewResilient(a.o, a.hot), gossip.NewResilient(a.o, a.cold)
 	stop := make(chan struct{})
 	var sabWG sync.WaitGroup
-	if hold > 0 {
-		resilienceSaboteur(o, hold, cfg.Interval, stop, &sabWG)
+	if a.hold > 0 {
+		resilienceSaboteur(a.o, a.hold, a.cfg.Interval, stop, &sabWG)
 	}
-	var tally outcomes
-	t0 := time.Now()
-	time.AfterFunc(cfg.Duration, func() { close(stop) })
-	parallel(cfg.Workers, func(w int) {
+	time.AfterFunc(a.cfg.Duration, func() { close(stop) })
+	parallel(a.cfg.Workers, func(w int) {
 		for i := w; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			g, m, r, pol := resilienceGroups[0], memberNames[i%8], rHot, hot
+			g, m, r, pol := resilienceGroups[0], memberNames[i%8], rHot, a.hot
 			if i%2 == 1 {
-				g, r, pol = resilienceGroups[1+(i/2)%3], rCold, cold
+				g, r, pol = resilienceGroups[1+(i/2)%3], rCold, a.cold
 			}
 			var err error
 			switch i % 5 {
@@ -211,7 +218,7 @@ func resilienceCell(cfg ResilienceConfig, hold time.Duration, hot, cold *resilie
 			default:
 				_, err = r.LookupErrV(g, m)
 			}
-			tally.add(pol, err)
+			a.tally.add(pol, err)
 			// Yield between ops: router clients are I/O-bound in
 			// reality, and without the yield a small-GOMAXPROCS
 			// scheduler lets the CPU-bound client loops starve the
@@ -220,24 +227,49 @@ func resilienceCell(cfg ResilienceConfig, hold time.Duration, hot, cold *resilie
 		}
 	})
 	sabWG.Wait()
-	elapsed := time.Since(t0)
+	return int(a.tally.ok.Load() - ok0), uint64(a.tally.dropped.Load() - dropped0)
+}
 
-	arm := resilienceArm{ops: tally.ok.Load(), dropped: tally.dropped.Load()}
-	arm.rate = float64(arm.ops) / elapsed.Seconds()
-	arm.holds, arm.waiters, arm.quiesce = drainAudit(o.Sems(), waiters0)
-	return arm, tally.err("resilience")
+// resiliencePoint measures one hold: the OFF and ON arms in medianPair's
+// alternating chaosRounds (a round's Faulted count is its dropped
+// operations), then one drain audit over both routers.
+func resiliencePoint(cfg ResilienceConfig, hold time.Duration) (ResiliencePoint, []telemetry.PolicyStats, error) {
+	waiters0 := core.WaitersOutstanding()
+	hot, cold := resiliencePolicies()
+	off, on := newResilienceArm(cfg, hold, nil, nil), newResilienceArm(cfg, hold, hot, cold)
+	offR, onR := medianPair(
+		func() ChaosPhase { return chaosRound("off", off.round) },
+		func() ChaosPhase { return chaosRound("on", on.round) },
+		func(off, on ChaosPhase) float64 { return on.OpsPerSec / off.OpsPerSec })
+	pt := ResiliencePoint{
+		HoldMS:       float64(hold) / float64(time.Millisecond),
+		OffOps:       offR.Ops,
+		OffOpsPerSec: offR.OpsPerSec,
+		OnOps:        onR.Ops,
+		OnOpsPerSec:  onR.OpsPerSec,
+		Dropped:      onR.Faulted,
+	}
+	if offR.OpsPerSec > 0 {
+		pt.Retention = onR.OpsPerSec / offR.OpsPerSec
+	}
+	pt.LeakedLocks, pt.LeakedWaiters, pt.QuiesceError = drainAudit(slices.Concat(off.o.Sems(), on.o.Sems()), waiters0)
+	policies := append(on.hot.Stats(), on.cold.Stats()...)
+	for _, row := range policies {
+		if row.Kind == "breaker" {
+			pt.BreakerTrips += row.Counters["tripped"]
+			pt.BreakerRejects += row.Counters["rejected"]
+		}
+	}
+	return pt, policies, errors.Join(off.tally.err("resilience off"), on.tally.err("resilience on"))
 }
 
 // ResilienceBench runs the sweep and computes the summary criteria.
 func ResilienceBench(cfg ResilienceConfig) (*ResilienceReport, error) {
 	if cfg.Duration == 0 {
-		cfg.Duration = 300 * time.Millisecond
+		cfg.Duration = 100 * time.Millisecond
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 8
-	}
-	if len(cfg.Holds) == 0 {
-		cfg.Holds = []time.Duration{0, 2 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond}
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = 10 * time.Millisecond
@@ -248,41 +280,13 @@ func ResilienceBench(cfg ResilienceConfig) (*ResilienceReport, error) {
 		CellSec:    cfg.Duration.Seconds(),
 		IntervalMS: float64(cfg.Interval) / float64(time.Millisecond),
 	}
-	for _, hold := range cfg.Holds {
-		off, err := resilienceCell(cfg, hold, nil, nil)
+	for _, hold := range resilienceHolds {
+		pt, policies, err := resiliencePoint(cfg, hold)
 		if err != nil {
 			return nil, err
-		}
-		hot, cold := resiliencePolicies()
-		on, err := resilienceCell(cfg, hold, hot, cold)
-		if err != nil {
-			return nil, err
-		}
-		pt := ResiliencePoint{
-			HoldMS:        float64(hold) / float64(time.Millisecond),
-			OffOps:        int(off.ops),
-			OffOpsPerSec:  off.rate,
-			OnOps:         int(on.ops),
-			OnOpsPerSec:   on.rate,
-			Dropped:       uint64(on.dropped),
-			LeakedLocks:   off.holds + on.holds,
-			LeakedWaiters: off.waiters + on.waiters,
-			QuiesceError:  off.quiesce,
-		}
-		if pt.QuiesceError == "" {
-			pt.QuiesceError = on.quiesce
-		}
-		if off.rate > 0 {
-			pt.Retention = on.rate / off.rate
-		}
-		rep.Policies = append(hot.Stats(), cold.Stats()...) // the last (highest-hold) cell's rows stay
-		for _, row := range rep.Policies {
-			if row.Kind == "breaker" {
-				pt.BreakerTrips += row.Counters["tripped"]
-				pt.BreakerRejects += row.Counters["rejected"]
-			}
 		}
 		rep.Points = append(rep.Points, pt)
+		rep.Policies = policies // the last (highest-hold) point's rows stay
 	}
 	rep.Criteria = resilienceCriteria(rep.Points)
 	return rep, nil
@@ -319,8 +323,8 @@ func resilienceCriteria(points []ResiliencePoint) map[string]float64 {
 func (r *ResilienceReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Resilience — graceful degradation under slow-hold injection, GOMAXPROCS=%d\n", r.GOMAXPROCS)
-	fmt.Fprintf(&b, "(%d workers, %.0fms cells, saboteur re-hold every %.0fms; ops/sec are completed operations)\n",
-		r.Workers, r.CellSec*1000, r.IntervalMS)
+	fmt.Fprintf(&b, "(%d workers, median of %d pairs of %.0fms rounds, saboteur re-hold every %.0fms; ops/sec are completed operations)\n",
+		r.Workers, pairedRounds, r.CellSec*1000, r.IntervalMS)
 	fmt.Fprintf(&b, "%-9s%14s%14s%11s%9s%9s%10s\n",
 		"hold(ms)", "off ops/s", "on ops/s", "retention", "dropped", "b.trips", "b.rejects")
 	for _, p := range r.Points {
@@ -328,7 +332,7 @@ func (r *ResilienceReport) Format() string {
 			p.HoldMS, p.OffOpsPerSec, p.OnOpsPerSec, p.Retention,
 			p.Dropped, p.BreakerTrips, p.BreakerRejects)
 	}
-	fmt.Fprintf(&b, "\npolicy state (max-hold cell):\n")
+	fmt.Fprintf(&b, "\npolicy state (max-hold ON arm, all rounds):\n")
 	for _, row := range r.Policies {
 		fmt.Fprintf(&b, "  %-12s %-8s %-10s %v\n", row.Policy, row.Kind, row.State, row.Counters)
 	}

@@ -77,7 +77,7 @@ func seedGossip(r *gossip.Ours) {
 // zero, waitMask empty, no registered waiters), the waiter free-list
 // did not leak, and a fault-free batch afterwards completes.
 func TestChaosGossipPanicRecovery(t *testing.T) {
-	r := gossip.NewOurs(0, plan.Options{})
+	r := gossip.NewOurs(plan.Options{})
 	inj := chaos.NewInjector(chaos.Config{
 		PanicEvery: 7,
 		DelayEvery: 5,
@@ -164,7 +164,7 @@ func TestChaosIntruderPanicRecovery(t *testing.T) {
 // a report naming at least one holder slot and one over-threshold
 // waiter with its wait duration.
 func TestChaosSlowHolderWatchdog(t *testing.T) {
-	r := gossip.NewOurs(0, plan.Options{})
+	r := gossip.NewOurs(plan.Options{})
 	seedGossip(r)
 
 	release := make(chan struct{})

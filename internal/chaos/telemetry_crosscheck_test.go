@@ -26,7 +26,7 @@ func TestChaosTelemetryCrossCheck(t *testing.T) {
 	aborts0 := core.SectionAborts()
 	waiters0 := core.WaitersOutstanding()
 
-	r := gossip.NewOurs(0, plan.Options{})
+	r := gossip.NewOurs(plan.Options{})
 	inj := chaos.NewInjector(chaos.Config{
 		PanicEvery: 7,
 		DelayEvery: 5,

@@ -190,9 +190,9 @@ func TestBatchStatsContract(t *testing.T) {
 }
 
 // TestWaitTimingMidFlightToggle: a waiter parked BEFORE
-// SetWaitTiming(true) settles with a ">=" lower bound measured from the
-// enable instant instead of reporting zero, so a metrics consumer attaching
-// mid-run reads conservative nonzero samples, not garbage.
+// SetWaitTiming(true) settles with its whole wait, measured from the
+// park time it was stamped with, so a metrics consumer attaching mid-run
+// reads real samples, not zero.
 func TestWaitTimingMidFlightToggle(t *testing.T) {
 	SetWaitTiming(false)
 	defer SetWaitTiming(false)
@@ -216,7 +216,7 @@ func TestWaitTimingMidFlightToggle(t *testing.T) {
 	}
 
 	// Enable wait timing with the waiter already parked, then hold the
-	// lock long enough that the lower bound is unmistakably nonzero.
+	// lock long enough that the measured wait is unmistakably nonzero.
 	SetWaitTiming(true)
 	const hold = 40 * time.Millisecond
 	time.Sleep(hold)
@@ -225,12 +225,12 @@ func TestWaitTimingMidFlightToggle(t *testing.T) {
 
 	got := time.Duration(s.Stats().WaitNanos)
 	if got < hold/2 {
-		t.Fatalf("WaitNanos = %v after mid-flight enable, want >= ~%v (lower bound from enable instant)", got, hold)
+		t.Fatalf("WaitNanos = %v after mid-flight enable, want >= ~%v (measured from the park time)", got, hold)
 	}
 
 	// Control: with timing off again, a fresh pre-parked waiter settles
-	// with no credit at all — the bound only applies while a gate is
-	// open at settle time.
+	// with no credit at all — it carries its park time too, but a wait
+	// is added only while timing is on when the waiter settles.
 	SetWaitTiming(false)
 	base := s.Stats().WaitNanos
 	s.Acquire(km)

@@ -150,7 +150,7 @@ func TestNoRefineExecution(t *testing.T) {
 	res, err := synth.Synthesize(&synth.Program{
 		Sections: []*ir.Atomic{papersecFig1()},
 		Specs:    adtspecs.All(),
-	}, synth.Options{StopAfter: synth.StageRefine, NoRefine: true, Phi: core.NewPhi(4)})
+	}, synth.Options{StopAfter: synth.StageNullChecks, Phi: core.NewPhi(4)})
 	if err != nil {
 		t.Fatal(err)
 	}

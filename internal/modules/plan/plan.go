@@ -65,13 +65,16 @@ func Build(sections []*ir.Atomic, specs map[string]*core.Spec, classOf func(*ir.
 	if n == 0 {
 		n = core.DefaultAbstractValues
 	}
+	stop := synth.StageRefine
+	if opt.NoRefine {
+		stop = synth.StageNullChecks
+	}
 	res, err := synth.Synthesize(&synth.Program{
 		Sections: sections,
 		Specs:    specs,
 		ClassOf:  classOf,
 	}, synth.Options{
-		StopAfter:           synth.StageRefine,
-		NoRefine:            opt.NoRefine,
+		StopAfter:           stop,
 		Phi:                 core.NewPhi(n),
 		MaxModes:            opt.MaxModes,
 		DisablePartitioning: opt.NoPartition,

@@ -24,16 +24,20 @@ type LoadConfig struct {
 	Pipeline int
 	// PayloadBytes sizes the unicast payload (default 64).
 	PayloadBytes int
-	// Groups/Members shape the membership universe the setup phase
-	// registers (defaults 4 and 8).
-	Groups  int
-	Members int
-	// WarmupOps are per-worker unmeasured iterations before the window
+}
+
+const (
+	// loadGroups and loadMembers shape the membership universe the
+	// setup phase registers; worker w talks to group w mod loadGroups
+	// and member w mod loadMembers.
+	loadGroups  = 4
+	loadMembers = 8
+	// warmupOps are per-worker unmeasured iterations before the window
 	// opens (buffer growth, interning, TCP slow start). The measurement
 	// window opens only after every worker has warmed up, so Duration
-	// buys measured operations at any connection count. Default 16.
-	WarmupOps int
-}
+	// buys measured operations at any connection count.
+	warmupOps = 16
+)
 
 // LoadResult aggregates one cell.
 type LoadResult struct {
@@ -66,29 +70,20 @@ func (c *LoadConfig) defaults() {
 	if c.PayloadBytes <= 0 {
 		c.PayloadBytes = 64
 	}
-	if c.Groups <= 0 {
-		c.Groups = 4
-	}
-	if c.Members <= 0 {
-		c.Members = 8
-	}
-	if c.WarmupOps <= 0 {
-		c.WarmupOps = 16
-	}
 }
 
-// SeedMembership registers the Groups×Members universe over one
+// seedMembership registers the loadGroups×loadMembers universe over one
 // connection, so a cell (or an external target) has members to hit.
 // Registration is idempotent on the server, so repeated cells against
 // one server are fine.
-func SeedMembership(addr string, groups, members int) error {
+func seedMembership(addr string) error {
 	c, err := Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	for g := 0; g < groups; g++ {
-		for m := 0; m < members; m++ {
+	for g := 0; g < loadGroups; g++ {
+		for m := 0; m < loadMembers; m++ {
 			if err := c.Register(groupName(g), memberName(m)); err != nil {
 				return fmt.Errorf("seed register g%d/m%d: %w", g, m, err)
 			}
@@ -107,7 +102,7 @@ func memberName(m int) string { return fmt.Sprintf("m%d", m) }
 // that hits a hard failure stops; the cell reports it in Errors.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	cfg.defaults()
-	if err := SeedMembership(cfg.Addr, cfg.Groups, cfg.Members); err != nil {
+	if err := seedMembership(cfg.Addr); err != nil {
 		return nil, err
 	}
 
@@ -151,8 +146,8 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			defer wg.Done()
 			var h Hist
 			var ops, shed, hardErrs uint64
-			g := groupName(w % cfg.Groups)
-			m := memberName(w % cfg.Members)
+			g := groupName(w % loadGroups)
+			m := memberName(w % loadMembers)
 			fail := func(err error) bool {
 				// Connection teardown at cell end is not a workload error.
 				if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
@@ -203,13 +198,13 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			}
 
 			alive := true
-			for i := 0; i < cfg.WarmupOps && alive; i++ {
+			for i := 0; i < warmupOps && alive; i++ {
 				alive = iter(i, false)
 			}
 			warm.Done()
 			if alive {
 				<-open
-				for i := cfg.WarmupOps; !time.Now().After(deadline); i++ {
+				for i := warmupOps; !time.Now().After(deadline); i++ {
 					if !iter(i, true) {
 						break
 					}

@@ -19,7 +19,7 @@ import (
 // answered), the reply buffer, the parsed-request scratch, the SendReq
 // scratch, the LockBatch scratch and the intern table. The scratch
 // slices start empty and grow to the largest batch the client sends, so
-// a connection that never pipelines never pays for MaxBatch. After
+// a connection that never pipelines never pays for maxBatch. After
 // warmup the loop allocates nothing.
 type conn struct {
 	s   *Server
@@ -38,6 +38,12 @@ type conn struct {
 }
 
 const (
+	// maxBatch caps how many already-buffered frames a connection
+	// drains per wakeup; maxFrame caps one frame body, and a longer
+	// length prefix is refused before any of its body is read.
+	maxBatch = 16
+	maxFrame = 64 << 10
+
 	// maxIntern caps one connection's intern table; a client cycling
 	// through more names than this re-boxes the overflow per request
 	// instead of growing without bound.
@@ -53,7 +59,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
 		s:     s,
 		nc:    nc,
-		fr:    wire.NewReader(nc, readBufSize, s.cfg.MaxFrame),
+		fr:    wire.NewReader(nc, readBufSize, maxFrame),
 		names: make(map[string]core.Value),
 	}
 }
@@ -93,7 +99,7 @@ func (c *conn) serve() {
 		}
 		c.reqs = c.reqs[:0]
 		perr := c.parse(body)
-		for perr == nil && len(c.reqs) < c.s.cfg.MaxBatch {
+		for perr == nil && len(c.reqs) < maxBatch {
 			body, ok := c.fr.Buffered()
 			if !ok {
 				break

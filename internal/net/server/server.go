@@ -15,7 +15,7 @@
 // small frames costs one goroutine and a few KiB of buffers.
 //
 // Pipelining: when a client has more requests already buffered on the
-// connection, the goroutine drains up to MaxBatch of them, a run of
+// connection, the goroutine drains up to maxBatch of them, a run of
 // adjacent unicasts becomes ONE atomic section with a fused LockBatch
 // prologue (gossip.Resilient.UnicastBatchErrV), and the batch's
 // replies leave in one write. Responses keep request order.
@@ -54,15 +54,6 @@ type Config struct {
 	// in-process MPerf uses, which keeps the in-process-vs-networked
 	// comparison honest: only the request wire path differs).
 	SendCost int
-	// MaxBatch caps how many already-buffered frames a connection
-	// drains per wakeup; runs of adjacent unicasts inside the drain are
-	// fused into one LockBatch prologue. 0 means 16; 1 disables batching.
-	MaxBatch int
-	// MaxFrame caps one frame body; 0 means 64 KiB.
-	MaxFrame int
-	// PlanOpt parameterizes plan synthesis when the server builds its
-	// own router.
-	PlanOpt plan.Options
 	// Router, when non-nil, serves this router instead of building one
 	// (benchmarks share one router between wire and in-process cells).
 	Router *gossip.Ours
@@ -110,18 +101,9 @@ type sinkKey struct{ group, member string }
 // New creates a server and starts listening (but not accepting; call
 // Serve).
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 16
-	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = 64 << 10
-	}
 	ours := cfg.Router
 	if ours == nil {
-		ours = gossip.NewOursFused(cfg.SendCost, cfg.PlanOpt)
+		ours = gossip.NewOurs(plan.Options{})
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {

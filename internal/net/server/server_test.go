@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -181,46 +182,57 @@ func TestServerEndToEnd(t *testing.T) {
 
 // TestServerPipelining: a burst of unicasts written in one segment is
 // drained as one batch and fused into LockBatch prologues; responses
-// come back in request order.
+// come back in request order. A burst one frame over maxBatch is split:
+// no fused batch holds more than maxBatch frames.
 func TestServerPipelining(t *testing.T) {
-	s := startServer(t, Config{MaxBatch: 16})
-	defer s.Shutdown(5 * time.Second)
+	for _, burst := range []int{8, maxBatch + 1} {
+		s := startServer(t, Config{})
+		c := dial(t, s.Addr().String())
+		c.send(frame(wire.AppendRegister(nil, "g", "m")))
+		c.recv()
 
-	c := dial(t, s.Addr().String())
-	defer c.close()
-	c.send(frame(wire.AppendRegister(nil, "g", "m")))
-	c.recv()
-
-	const burst = 8
-	for round := 0; round < 20; round++ {
-		var frames [][]byte
-		for i := 0; i < burst; i++ {
-			frames = append(frames, frame(wire.AppendUnicast(nil, "g", "m", []byte("p"))))
-		}
-		// One lookup at the tail: the response order pin — OKs for every
-		// unicast, then exactly one Bool.
-		frames = append(frames, frame(wire.AppendLookup(nil, "g", "m")))
-		c.send(frames...)
-		for i := 0; i < burst; i++ {
-			if r := c.recv(); r.Kind != wire.KindOK {
-				t.Fatalf("round %d resp %d: %+v", round, i, r)
+		full := 0 // rounds fused into exactly one batch of min(burst, maxBatch)
+		for round := 0; round < 20; round++ {
+			b0, f0 := s.Stats.Batches.Load(), s.Stats.Batched.Load()
+			var frames [][]byte
+			for i := 0; i < burst; i++ {
+				frames = append(frames, frame(wire.AppendUnicast(nil, "g", "m", []byte("p"))))
+			}
+			// One lookup at the tail: the response order pin — OKs for
+			// every unicast, then exactly one Bool.
+			frames = append(frames, frame(wire.AppendLookup(nil, "g", "m")))
+			c.send(frames...)
+			for i := 0; i < burst; i++ {
+				if r := c.recv(); r.Kind != wire.KindOK {
+					t.Fatalf("burst %d round %d resp %d: %+v", burst, round, i, r)
+				}
+			}
+			if r := c.recv(); r.Kind != wire.KindBool || !r.Bool {
+				t.Fatalf("burst %d round %d tail lookup: %+v", burst, round, r)
+			}
+			// A batch over the cap could only be the whole burst, alone.
+			b, f := s.Stats.Batches.Load()-b0, s.Stats.Batched.Load()-f0
+			if b == 1 && f > maxBatch {
+				t.Fatalf("burst %d round %d: one fused batch of %d frames, cap %d", burst, round, f, maxBatch)
+			}
+			if b == 1 && f == uint64(min(burst, maxBatch)) {
+				full++
 			}
 		}
-		if r := c.recv(); r.Kind != wire.KindBool || !r.Bool {
-			t.Fatalf("round %d tail lookup: %+v", round, r)
-		}
-	}
 
-	if got := s.Sink("g", "m").Frames.Load(); got != 20*burst {
-		t.Errorf("delivered frames = %d, want %d", got, 20*burst)
-	}
-	// Single-segment bursts batch on loopback; require the fused path to
-	// have fired at least once across 20 rounds.
-	if s.Stats.Batches.Load() == 0 {
-		t.Errorf("no fused batches across %d pipelined bursts", 20)
-	}
-	if b, f := s.Stats.Batches.Load(), s.Stats.Batched.Load(); f < 2*b {
-		t.Errorf("batched frames %d < 2×batches %d", f, b)
+		if got := s.Sink("g", "m").Frames.Load(); got != int64(20*burst) {
+			t.Errorf("burst %d: delivered frames = %d, want %d", burst, got, 20*burst)
+		}
+		// Single-segment bursts arrive whole on loopback; require one
+		// round to have fused a full batch.
+		if full == 0 {
+			t.Errorf("burst %d: no round fused a batch of %d frames", burst, min(burst, maxBatch))
+		}
+		if b, f := s.Stats.Batches.Load(), s.Stats.Batched.Load(); f < 2*b {
+			t.Errorf("burst %d: batched frames %d < 2×batches %d", burst, f, b)
+		}
+		c.close()
+		s.Shutdown(5 * time.Second)
 	}
 }
 
@@ -266,7 +278,7 @@ func TestServerSplitFrames(t *testing.T) {
 // CodeMalformed error frame and a closed connection — never a panic,
 // never a desynced stream. The server survives to serve a new client.
 func TestServerMalformed(t *testing.T) {
-	s := startServer(t, Config{MaxFrame: 1 << 10})
+	s := startServer(t, Config{})
 	defer s.Shutdown(5 * time.Second)
 
 	// Unknown kind.
@@ -280,13 +292,21 @@ func TestServerMalformed(t *testing.T) {
 	}
 	c.close()
 
-	// Oversized length prefix: rejected before the body is read.
-	c = dial(t, s.Addr().String())
-	c.send([]byte{0xff, 0xff, 0xff, 0xff})
-	if r, ok := c.recvErr(); !ok || r.Kind != wire.KindErr || r.Code != wire.CodeMalformed {
-		t.Fatalf("oversized frame: %+v ok=%v", r, ok)
+	// Oversized length prefixes, the largest and one byte over maxFrame:
+	// rejected from the prefix alone, before any body is read (none is
+	// sent), and the connection closed.
+	for _, n := range []uint32{0xffffffff, maxFrame + 1} {
+		c = dial(t, s.Addr().String())
+		c.nc.SetReadDeadline(time.Now().Add(5 * time.Second)) // a server waiting for the body fails, not hangs
+		c.send(binary.BigEndian.AppendUint32(nil, n))
+		if r, ok := c.recvErr(); !ok || r.Kind != wire.KindErr || r.Code != wire.CodeMalformed {
+			t.Fatalf("oversized frame %#x: %+v ok=%v", n, r, ok)
+		}
+		if _, err := c.fr.Next(); err != io.EOF {
+			t.Fatalf("connection not closed after oversized prefix %#x: %v", n, err)
+		}
+		c.close()
 	}
-	c.close()
 
 	// Trailing garbage on a fixed-shape request, pipelined after a good
 	// one: the good prefix is answered first.
@@ -301,13 +321,18 @@ func TestServerMalformed(t *testing.T) {
 	}
 	c.close()
 
-	if got := s.Stats.Decode.Load(); got != 3 {
-		t.Errorf("decode errors = %d, want 3", got)
+	if got := s.Stats.Decode.Load(); got != 4 {
+		t.Errorf("decode errors = %d, want 4", got)
 	}
 
-	// A fresh client is unaffected.
+	// A fresh client is unaffected, and a body of exactly maxFrame bytes
+	// (kind, group length, group, payload) is served.
 	c = dial(t, s.Addr().String())
 	defer c.close()
+	c.send(frame(wire.AppendMulticast(nil, "g", make([]byte, maxFrame-3))))
+	if r := c.recv(); r.Kind != wire.KindOK {
+		t.Fatalf("body of exactly maxFrame bytes: %+v", r)
+	}
 	c.send(frame(wire.AppendLookup(nil, "g", "m")))
 	if r := c.recv(); r.Kind != wire.KindBool || !r.Bool {
 		t.Fatalf("server did not survive malformed clients: %+v", r)

@@ -49,19 +49,13 @@ const (
 
 // Options configures synthesis.
 type Options struct {
-	// StopAfter truncates the pipeline (default: run everything).
+	// StopAfter truncates the pipeline. StageNullChecks keeps the
+	// generic lock(+) sets — ablation A1.
 	StopAfter Stage
-	// NoRefine keeps the generic lock(+) sets — ablation A1. Equivalent
-	// to StopAfter = StageNullChecks.
-	NoRefine bool
-	// NoMergeSameMethod disables the argument-widening merge of
-	// same-method operations in refined sets (§4 / Fig 2's {add(*)}).
-	NoMergeSameMethod bool
 	// Mode-table compilation parameters (§5); see core.TableOptions.
 	Phi                 core.Phi
 	MaxModes            int
 	DisablePartitioning bool
-	DisableMerging      bool
 	// Verify runs the internal/verify certificate checker over every
 	// synthesized section as a post-pass; synthesis fails with the
 	// counterexample paths if any OS2PL obligation is falsified.
@@ -168,8 +162,8 @@ func Synthesize(p *Program, opts Options) (*Result, error) {
 		if opts.StopAfter >= StageNullChecks {
 			removeNullChecks(out)
 		}
-		if opts.StopAfter >= StageRefine && !opts.NoRefine {
-			refineSection(si, out, cs, !opts.NoMergeSameMethod)
+		if opts.StopAfter >= StageRefine {
+			refineSection(si, out, cs)
 		}
 		res.Sections = append(res.Sections, out)
 	}
@@ -207,10 +201,11 @@ func Synthesize(p *Program, opts Options) (*Result, error) {
 }
 
 // refineSection replaces each lock statement's generic set with the
-// refined symbolic set holding at its program point (§4).
-func refineSection(si int, sec *ir.Atomic, cs *Classes, mergeSameMethod bool) {
+// refined symbolic set holding at its program point (§4), with
+// same-method operations merged (Fig 2's {add(*)}).
+func refineSection(si int, sec *ir.Atomic, cs *Classes) {
 	cfg := ir.BuildCFG(sec)
-	ref := refineSets(si, cs, cfg, mergeSameMethod)
+	ref := refineSets(si, cs, cfg, true)
 	classOf := func(v string) string {
 		k, _ := cs.ClassOfVar(si, v)
 		return k
@@ -269,7 +264,6 @@ func buildTables(res *Result, cs *Classes, opts Options) map[string]*core.ModeTa
 			Phi:                 opts.Phi,
 			MaxModes:            opts.MaxModes,
 			DisablePartitioning: opts.DisablePartitioning,
-			DisableMerging:      opts.DisableMerging,
 		})
 	}
 	return tables

@@ -147,7 +147,7 @@ func TestTablesBuilt(t *testing.T) {
 // same-instance parallelism.
 func TestAblationNoRefine(t *testing.T) {
 	res, err := synth.Synthesize(paperProgram(papersec.Fig1()),
-		synth.Options{StopAfter: synth.StageRefine, NoRefine: true})
+		synth.Options{StopAfter: synth.StageNullChecks})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package verify_test
 
 import (
+	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -306,16 +308,16 @@ func renderAll(vs []*verify.Violation) string {
 	return b.String()
 }
 
-// TestCorpusCertifies runs the verifier over every section of the
-// example corpus — the paper's figures and the library modules — at
-// every pipeline stage, and asserts the certificate holds everywhere.
-// It also reports the verifier's wall time over the corpus (recorded in
-// EXPERIMENTS.md).
-func TestCorpusCertifies(t *testing.T) {
-	progs := []struct {
-		name string
-		p    *synth.Program
-	}{
+// corpusProgram is one program of the example corpus.
+type corpusProgram struct {
+	name string
+	p    *synth.Program
+}
+
+// corpus is the example corpus: the paper's figures and the library
+// modules.
+func corpus() []corpusProgram {
+	return []corpusProgram{
 		{"fig1", &synth.Program{Sections: []*ir.Atomic{papersec.Fig1()}, Specs: adtspecs.All()}},
 		{"fig4", &synth.Program{Sections: []*ir.Atomic{papersec.Fig4()}, Specs: adtspecs.All()}},
 		{"fig7", &synth.Program{Sections: []*ir.Atomic{papersec.Fig7()}, Specs: adtspecs.All()}},
@@ -325,21 +327,33 @@ func TestCorpusCertifies(t *testing.T) {
 		{"gossip", &synth.Program{Sections: gossip.Sections(), Specs: adtspecs.All(), ClassOf: gossip.ClassOf}},
 		{"cia", &synth.Program{Sections: []*ir.Atomic{cia.Section()}, Specs: adtspecs.All()}},
 	}
+}
+
+// fresh clones a program's sections: Synthesize shares no state, but
+// the sections are mutated by the pipeline, so each run needs fresh
+// input.
+func (pr corpusProgram) fresh() *synth.Program {
+	fresh := &synth.Program{Specs: pr.p.Specs, ClassOf: pr.p.ClassOf}
+	for _, sec := range pr.p.Sections {
+		fresh.Sections = append(fresh.Sections, sec.Clone())
+	}
+	return fresh
+}
+
+// TestCorpusCertifies runs the verifier over every section of the
+// example corpus at every pipeline stage, and asserts the certificate
+// holds everywhere. It also reports the verifier's wall time over the
+// corpus (recorded in EXPERIMENTS.md).
+func TestCorpusCertifies(t *testing.T) {
 	stages := []synth.Stage{
 		synth.StageInsert, synth.StageRemoveRedundant, synth.StageElideLocalSet,
 		synth.StageEarlyRelease, synth.StageNullChecks, synth.StageRefine,
 	}
 	sections := 0
 	var verifyTime time.Duration
-	for _, pr := range progs {
+	for _, pr := range corpus() {
 		for _, stage := range stages {
-			// Re-clone: Synthesize shares no state, but the sections are
-			// mutated by the pipeline, so each run needs fresh input.
-			fresh := &synth.Program{Specs: pr.p.Specs, ClassOf: pr.p.ClassOf}
-			for _, sec := range pr.p.Sections {
-				fresh.Sections = append(fresh.Sections, sec.Clone())
-			}
-			res, err := synth.Synthesize(fresh, synth.Options{StopAfter: stage})
+			res, err := synth.Synthesize(pr.fresh(), synth.Options{StopAfter: stage})
 			if err != nil {
 				t.Fatalf("%s@%d: Synthesize: %v", pr.name, stage, err)
 			}
@@ -353,4 +367,58 @@ func TestCorpusCertifies(t *testing.T) {
 		}
 	}
 	t.Logf("verified %d section instances in %v", sections, verifyTime)
+}
+
+// TestNullChecksStageIsUnrefined: ablation A1 — generic whole-ADT locks —
+// is the pipeline stopped before refinement. For every corpus program,
+// stopping after StageNullChecks yields the sections and the mode
+// tables, mode for mode, in testdata/unrefined.golden: the output of
+// running through StageRefine with the refinement pass skipped.
+func TestNullChecksStageIsUnrefined(t *testing.T) {
+	want, err := os.ReadFile("testdata/unrefined.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, pr := range corpus() {
+		res, err := synth.Synthesize(pr.fresh(), synth.Options{StopAfter: synth.StageNullChecks, Phi: core.NewPhi(4)})
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		b.WriteString("== " + pr.name + "\n" + resultText(res))
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("StageNullChecks output differs from testdata/unrefined.golden:\n%s", got)
+	}
+}
+
+// resultText prints a synthesis result's sections and, per class in key
+// order, its mode table: each mode with its mechanism, its slot and the
+// modes it commutes with.
+func resultText(res *synth.Result) string {
+	var b strings.Builder
+	for _, sec := range res.Sections {
+		b.WriteString(ir.Print(sec))
+		b.WriteString("\n")
+	}
+	keys := make([]string, 0, len(res.Tables))
+	for k := range res.Tables {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		tbl := res.Tables[k]
+		fmt.Fprintf(&b, "table %s: %d canonical, %d mechanisms\n", k, tbl.CanonicalCount(), tbl.NumMechanisms())
+		for i, m := range tbl.Modes() {
+			id := core.ModeID(i)
+			fmt.Fprintf(&b, "  %d %v mech=%d slot=%d commutes:", i, m, tbl.MechanismOf(id), tbl.SlotOf(id))
+			for j := range tbl.Modes() {
+				if tbl.Commute(id, core.ModeID(j)) {
+					fmt.Fprintf(&b, " %d", j)
+				}
+			}
+			b.WriteString("\n")
+		}
+	}
+	return b.String()
 }
