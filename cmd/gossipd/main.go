@@ -64,7 +64,6 @@ import (
 
 	"repro/internal/apps/gossip"
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 	"repro/internal/net/server"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
@@ -136,7 +135,7 @@ func main() {
 
 	interrupted, mismatched := false, false
 	for _, pol := range want {
-		r := gossip.New(pol, plan.Options{})
+		r := gossip.New(pol)
 		if *debugAddr != "" {
 			if o, ok := r.(*gossip.Ours); ok {
 				// Live provider: each scrape re-walks the group table, so

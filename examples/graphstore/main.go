@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/modules/graph"
-	"repro/internal/modules/plan"
 )
 
 func main() {
@@ -23,7 +22,7 @@ func main() {
 	flag.Parse()
 
 	for _, pol := range graph.Policies() {
-		g := graph.New(pol, plan.Options{})
+		g := graph.New(pol)
 		start := time.Now()
 		var wg sync.WaitGroup
 		for wk := 0; wk < *workers; wk++ {

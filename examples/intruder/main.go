@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/apps/intruder"
-	"repro/internal/modules/plan"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 		cfg.Flows, len(w.Packets), w.AttackFlows)
 
 	for _, pol := range intruder.Policies() {
-		proc := intruder.NewProcessor(pol, plan.Options{})
+		proc := intruder.NewProcessor(pol)
 		start := time.Now()
 		found := intruder.Run(w, proc, *workers)
 		status := "OK"

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cc"
-	"repro/internal/modules/plan"
 )
 
 // lookupOf returns r's membership probe. Only Ours exports one; for a
@@ -59,7 +58,7 @@ func lookupOf(r Router) func(group, member string) bool {
 // so "ours vs Global at one thread" (-cpu 1) is one command.
 func BenchmarkGossipChurnMix(b *testing.B) {
 	for _, policy := range []string{"ours", "global", "manual", "2pl"} {
-		b.Run(policy, func(b *testing.B) { churnMix(b, New(policy, plan.Options{})) })
+		b.Run(policy, func(b *testing.B) { churnMix(b, New(policy)) })
 	}
 }
 

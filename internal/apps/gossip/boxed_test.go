@@ -13,8 +13,8 @@ import (
 // TestBoxedEquivalence: the V variants compute exactly what the string
 // variants compute — same membership answers, same delivered frames.
 func TestBoxedEquivalence(t *testing.T) {
-	os := NewOursFused(0, plan.Options{})
-	ov := NewOursFused(0, plan.Options{})
+	os := NewOurs()
+	ov := NewOurs()
 
 	groups := []string{"g0", "g1"}
 	members := []string{"m0", "m1", "m2"}
@@ -91,7 +91,7 @@ func TestBoxedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates stack closures; the 0 allocs/op pin holds on the normal build")
 	}
-	o := NewOursFused(0, plan.Options{})
+	o := NewOurs()
 	var g, m core.Value = "g0", "m0"
 	conn := NewConn("m0", 0)
 	o.RegisterV(g, m, conn)
@@ -128,8 +128,8 @@ func TestStringFormAllocs(t *testing.T) {
 		t.Skip("race instrumentation heap-allocates stack closures; the pins hold on the normal build")
 	}
 	routers := map[string]*Ours{
-		`New("ours")`:  New("ours", plan.Options{}).(*Ours),
-		"NewOurs":      NewOurs(plan.Options{}),
+		`New("ours")`:  New("ours").(*Ours),
+		"NewOurs":      NewOurs(),
 		"NewOursFused": NewOursFused(0, plan.Options{}),
 	}
 	for ctor, o := range routers {
@@ -159,7 +159,7 @@ func TestStringFormAllocs(t *testing.T) {
 // churn, and lookups race under -race; delivered-frame accounting must
 // balance and nothing may leak.
 func TestUnicastBatchRace(t *testing.T) {
-	o := NewOursFused(0, plan.Options{})
+	o := NewOurs()
 	const G, M = 4, 8
 	conns := map[string]*Conn{}
 	for g := 0; g < G; g++ {
@@ -226,8 +226,8 @@ func TestResilientBoxedEquivalence(t *testing.T) {
 		{"nil", nil},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			o := NewOursFused(0, plan.Options{})
-			r := NewResilient(NewOursFused(0, plan.Options{}), arm.p)
+			o := NewOurs()
+			r := NewResilient(NewOurs(), arm.p)
 			var g, m core.Value = "g0", "m0"
 			co, c := NewConn("m0", 0), NewConn("m0", 0)
 			same := func(what string, err error) {

@@ -168,22 +168,24 @@ func ClassOf(sec *ir.Atomic, v string) string {
 	return sec.ADTType(v)
 }
 
-var planCache = plan.NewCache(func(opt plan.Options) *plan.Plan {
-	return plan.MustBuild(Sections(), adtspecs.All(), ClassOf, opt)
-})
-
-// BuildPlan synthesizes the router; plans are memoized per Options.
+// BuildPlan synthesizes the router under opt, uncached; tests build
+// their small-φ variants here.
 // register's {put(m,conn)} instantiates n² modes, so the default
 // MaxModes cap coarsens φ — members are still spread over 32 buckets.
-func BuildPlan(opt plan.Options) *plan.Plan { return planCache.Get(opt) }
+func BuildPlan(opt plan.Options) *plan.Plan {
+	return plan.MustBuild(Sections(), adtspecs.All(), ClassOf, opt)
+}
+
+// defaultPlan is the plan every constructor runs, synthesized once.
+var defaultPlan = sync.OnceValue(func() *plan.Plan { return BuildPlan(plan.Options{}) })
 
 // New creates the named variant: "ours", "global", "2pl" or "manual".
 // The per-frame synthetic I/O cost belongs to the Conn a member
 // registers (NewConn), not to the routing table.
-func New(policy string, opt plan.Options) Router {
+func New(policy string) Router {
 	switch policy {
 	case "ours":
-		return NewOurs(opt)
+		return NewOurs()
 	case "global":
 		return &global{groups: adt.NewHashMap()}
 	case "2pl":
@@ -238,9 +240,9 @@ type memberMap struct {
 }
 
 // NewOurs creates the semantic-locking router with access to the
-// concrete type (fault hook, lock introspection); New("ours", ...)
-// returns the same thing as a Router.
-func NewOurs(opt plan.Options) *Ours { return newOurs(BuildPlan(opt)) }
+// concrete type (fault hook, lock introspection); New("ours") returns
+// the same thing as a Router.
+func NewOurs() *Ours { return newOurs(defaultPlan()) }
 
 // newOurs wires the router to a synthesized plan. It panics unless the
 // plan's member table derives that multicast's {values()} mode excludes
@@ -267,11 +269,11 @@ func newOurs(p *plan.Plan) *Ours {
 	return o
 }
 
-// NewOursFused is NewOurs: there is one router, and it ignores sendCost.
-// The name and its signature survive only because benchmark/README.md
-// "The API this benchmark pins" lists them; the owed benchmark-only PR
-// drops it together with Txn.CachedMode1.
-func NewOursFused(sendCost int, opt plan.Options) *Ours { return NewOurs(opt) }
+// NewOursFused is NewOurs: there is one router, and it ignores both
+// arguments. The name and its signature survive only because
+// benchmark/README.md "The API this benchmark pins" lists them; the owed
+// benchmark-only PR drops it together with Txn.CachedMode1.
+func NewOursFused(sendCost int, opt plan.Options) *Ours { return NewOurs() }
 
 func (o *Ours) fault(site string) {
 	if o.FaultHook != nil {

@@ -7,11 +7,22 @@ import (
 	"repro/internal/modules/plan"
 )
 
-func testOpts() plan.Options { return plan.Options{AbstractValues: 8, MaxModes: 1024} }
+// testPlan is the small-φ plan the router tests run "ours" on.
+var testPlan = sync.OnceValue(func() *plan.Plan {
+	return BuildPlan(plan.Options{AbstractValues: 8, MaxModes: 1024})
+})
+
+// newRouter builds the named router, "ours" on testPlan.
+func newRouter(pol string) Router {
+	if pol == "ours" {
+		return newOurs(testPlan())
+	}
+	return New(pol)
+}
 
 // TestPlanShape asserts the synthesized router plan.
 func TestPlanShape(t *testing.T) {
-	p := BuildPlan(testOpts())
+	p := testPlan()
 	if set := p.LockSet(0, "groups").Key(); set != "{get(g),put(g,*)}" {
 		t.Errorf("register groups lock = %s", set)
 	}
@@ -48,7 +59,7 @@ func TestPlanShape(t *testing.T) {
 func TestRouterSemantics(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			r := New(pol, testOpts())
+			r := newRouter(pol)
 			a, b := NewConn("a", 0), NewConn("b", 0)
 			r.Register("g", "a", a)
 			r.Register("g", "b", b)
@@ -78,7 +89,7 @@ func TestRouterSemantics(t *testing.T) {
 func TestRouterConcurrent(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			r := New(pol, testOpts())
+			r := newRouter(pol)
 			groups := []string{"g0", "g1", "g2"}
 			conns := make([]*Conn, 12)
 			var wg sync.WaitGroup
@@ -121,7 +132,7 @@ func TestMPerfGroundTruth(t *testing.T) {
 	for _, pol := range Policies() {
 		for _, workers := range []int{1, 4} {
 			cfg.Workers = workers
-			r := New(pol, testOpts())
+			r := newRouter(pol)
 			res := RunMPerf(r, cfg)
 			if res.FramesDelivered != want {
 				t.Errorf("%s/%d workers: %d frames, want %d", pol, workers, res.FramesDelivered, want)

@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 )
 
 // TestLookupVariantsAgree: the optimistic Lookup and the pessimistic
 // baseline answer identically across membership churn, and the
 // uncontended optimistic path actually commits lock-free.
 func TestLookupVariantsAgree(t *testing.T) {
-	r := NewOurs(plan.Options{})
+	r := NewOurs()
 	r.Register("g", "alice", NewConn("alice", 0))
 	r.Register("g", "bob", NewConn("bob", 0))
 
@@ -50,7 +49,7 @@ func TestLookupVariantsAgree(t *testing.T) {
 // race-enabled CI lane), and lookups of members outside the churn set
 // must stay true throughout.
 func TestLookupConcurrentChurn(t *testing.T) {
-	r := NewOurs(plan.Options{})
+	r := NewOurs()
 	r.Register("g", "stable", NewConn("stable", 0))
 
 	const workers, iters = 4, 400
@@ -94,7 +93,7 @@ func TestLookupConcurrentChurn(t *testing.T) {
 // pessimistic body — which waits for the holder — and answers
 // correctly; the refusal is counted and no hit is.
 func TestLookupFallsBack(t *testing.T) {
-	r := NewOurs(plan.Options{})
+	r := NewOurs()
 	r.Register("g", "alice", NewConn("alice", 0))
 	g, alice := core.Value("g"), core.Value("alice")
 	before := r.groupsSem.Stats()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 	"repro/internal/resilience"
 )
 
@@ -18,7 +17,7 @@ import (
 // be dropped — not wedge forever — and once the fault clears, the same
 // operations must succeed again.
 func TestResilientRouterShedsAndRecovers(t *testing.T) {
-	o := NewOurs(plan.Options{})
+	o := NewOurs()
 	r := NewResilient(o, resilience.New("gossip", resilience.Config{Patience: time.Millisecond}))
 
 	r.Register("g", "m1", NewConn("m1", 0))
@@ -86,7 +85,7 @@ func TestResilientRouterShedsAndRecovers(t *testing.T) {
 // under -race; the invariants are liveness (no wedged goroutine
 // survives the hammer), no leaked waiters, and quiesced locks.
 func TestResilientRouterHammer(t *testing.T) {
-	o := NewOurs(plan.Options{})
+	o := NewOurs()
 	p := resilience.New("gossip", resilience.Config{
 		Patience: time.Millisecond,
 		Breaker: &resilience.BreakerConfig{
@@ -176,7 +175,7 @@ func TestResilientRouterHammer(t *testing.T) {
 // mechanism quiesced — and the same batch must go through once the
 // holder is gone.
 func TestResilientUnicastBatchStalls(t *testing.T) {
-	o := NewOurs(plan.Options{})
+	o := NewOurs()
 	r := NewResilient(o, resilience.New("gossip", resilience.Config{Patience: 2 * time.Millisecond}))
 	c1, c2 := NewConn("m1", 0), NewConn("m2", 0)
 	r.Register("g", "m1", c1)

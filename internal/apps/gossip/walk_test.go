@@ -50,12 +50,12 @@ func TestMulticastWalkHammer(t *testing.T) {
 	}
 	routers := map[string]func() Router{
 		"resilient": func() Router {
-			return NewResilient(NewOursFused(0, plan.Options{}),
+			return NewResilient(NewOurs(),
 				resilience.New("hammer", resilience.Config{Patience: time.Minute}))
 		},
 	}
 	for _, pol := range []string{"ours", "global", "2pl", "manual"} {
-		routers[pol] = func() Router { return New(pol, plan.Options{}) }
+		routers[pol] = func() Router { return New(pol) }
 	}
 	for pol, build := range routers {
 		t.Run(pol, func(t *testing.T) {

@@ -200,20 +200,21 @@ func PopSection() *ir.Atomic {
 	}
 }
 
-var planCache = plan.NewCache(func(opt plan.Options) *plan.Plan {
+// BuildPlan synthesizes the reassembly and pop sections under opt,
+// uncached; tests build their small-φ variants here.
+func BuildPlan(opt plan.Options) *plan.Plan {
 	return plan.MustBuild([]*ir.Atomic{Section(), PopSection()}, adtspecs.All(), nil, opt)
-})
+}
 
-// BuildPlan synthesizes the reassembly and pop sections; plans are
-// memoized per Options.
-func BuildPlan(opt plan.Options) *plan.Plan { return planCache.Get(opt) }
+// defaultPlan is the plan every constructor runs, synthesized once.
+var defaultPlan = sync.OnceValue(func() *plan.Plan { return BuildPlan(plan.Options{}) })
 
 // NewProcessor creates the named variant: "ours", "global", "2pl" or
 // "manual".
-func NewProcessor(policy string, opt plan.Options) Processor {
+func NewProcessor(policy string) Processor {
 	switch policy {
 	case "ours":
-		return NewOurs(opt)
+		return NewOurs()
 	case "global":
 		return &globalProc{fmap: adt.NewHashMap(), decoded: adt.NewQueue()}
 	case "2pl":
@@ -254,10 +255,12 @@ type Ours struct {
 }
 
 // NewOurs creates the semantic-locking processor with access to the
-// concrete type (fault hook, lock introspection); NewProcessor("ours",
-// ...) returns the same thing as a Processor.
-func NewOurs(opt plan.Options) *Ours {
-	p := BuildPlan(opt)
+// concrete type (fault hook, lock introspection); NewProcessor("ours")
+// returns the same thing as a Processor.
+func NewOurs() *Ours { return newOurs(defaultPlan()) }
+
+// newOurs wires the processor to a synthesized plan.
+func newOurs(p *plan.Plan) *Ours {
 	o := &Ours{fmap: adt.NewHashMap(), decoded: adt.NewQueue()}
 	o.fmapSem = core.NewSemantic(p.Table("Map"))
 	o.decSem = core.NewSemantic(p.Table("Queue"))

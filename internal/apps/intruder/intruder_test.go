@@ -75,9 +75,15 @@ func TestPlanShape(t *testing.T) {
 // is what guarantees no flow is torn or lost.
 func TestAllVariantsDetectAllAttacks(t *testing.T) {
 	w := Generate(smallConfig())
+	p := BuildPlan(plan.Options{AbstractValues: 8})
 	for _, pol := range Policies() {
 		for _, workers := range []int{1, 4, 8} {
-			proc := NewProcessor(pol, plan.Options{AbstractValues: 8})
+			var proc Processor
+			if pol == "ours" {
+				proc = newOurs(p)
+			} else {
+				proc = NewProcessor(pol)
+			}
 			got := Run(w, proc, workers)
 			if got != w.AttackFlows {
 				t.Errorf("%s/%d workers: detected %d attacks, want %d", pol, workers, got, w.AttackFlows)

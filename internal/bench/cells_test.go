@@ -6,13 +6,12 @@ import (
 
 	"repro/internal/apps/gossip"
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 )
 
 // TestDrainAuditReportsHold: an acquisition left unreleased is one
 // outstanding hold and a quiescence error; releasing it clears both.
 func TestDrainAuditReportsHold(t *testing.T) {
-	o := gossip.NewOurs(plan.Options{})
+	o := gossip.NewOurs()
 	seedGroups(o, chaosGroups)
 	sems := o.Sems()
 	waiters0 := core.WaitersOutstanding()

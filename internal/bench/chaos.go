@@ -14,7 +14,6 @@ import (
 	"repro/internal/apps/intruder"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
@@ -212,7 +211,7 @@ func runChaosPhases(app string, inj *chaos.Injector, subject, twin chaosApp) Cha
 	// above found, and the section-panic counter delta must equal the
 	// injector's panic count.
 	reg := telemetry.NewRegistry()
-	reg.Register(app, "chaos", sems...)
+	reg.RegisterProvider(app, "chaos", func() []*core.Semantic { return sems })
 	for _, g := range reg.Snapshot().Groups {
 		cell.TelemetryHolds += g.OutstandingHolds
 	}
@@ -252,7 +251,7 @@ func chaosGossipCell(cfg ChaosConfig, app string, pol, twinPol *resilience.Polic
 	payload := []byte("chaos-payload")
 	opsPer := cfg.OpsPerPhase / cfg.Workers
 	newApp := func(pol *resilience.Policy, hook func(string), tally *outcomes) chaosApp {
-		o := gossip.NewOurs(plan.Options{})
+		o := gossip.NewOurs()
 		o.FaultHook = hook
 		seedGroups(o, chaosGroups)
 		r := gossip.NewResilient(o, pol)
@@ -302,7 +301,7 @@ func chaosGossipCell(cfg ChaosConfig, app string, pol, twinPol *resilience.Polic
 // phases; each round processes a fresh capture of cfg.Flows flows.
 func chaosIntruderCell(cfg ChaosConfig) ChaosCell {
 	newApp := func(hook func(string)) chaosApp {
-		proc := intruder.NewOurs(plan.Options{})
+		proc := intruder.NewOurs()
 		proc.FaultHook = hook
 		seed := int64(0)
 		return chaosApp{proc.Sems(), func() (int, uint64) {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/modules/cache"
 	"repro/internal/modules/cia"
 	"repro/internal/modules/graph"
-	"repro/internal/modules/plan"
 )
 
 // Real-execution measurements run the actual modules with goroutines on
@@ -86,7 +85,7 @@ type moduleMix func(pol string) (module any, op func(rng *rand.Rand))
 
 // ciaMix is Fig 21's workload: ComputeIfAbsent over 2^17 keys.
 func ciaMix(pol string) (any, func(*rand.Rand)) {
-	m := cia.New(pol, plan.Options{})
+	m := cia.New(pol)
 	return m, func(rng *rand.Rand) { m.ComputeIfAbsent(rng.Intn(1 << 17)) }
 }
 
@@ -94,7 +93,7 @@ func ciaMix(pol string) (any, func(*rand.Rand)) {
 // successor and predecessor queries, edge inserts and removes over
 // 2^16 nodes.
 func graphMix(pol string) (any, func(*rand.Rand)) {
-	g := graph.New(pol, plan.Options{})
+	g := graph.New(pol)
 	return g, func(rng *rand.Rand) {
 		op := rng.Intn(100)
 		a, b := rng.Intn(1<<16), rng.Intn(1<<16)
@@ -113,7 +112,7 @@ func graphMix(pol string) (any, func(*rand.Rand)) {
 
 // cacheMix is Fig 23's workload: 90% Get / 10% Put over 2^20 keys.
 func cacheMix(pol string) (any, func(*rand.Rand)) {
-	c := cache.New(pol, 5_000_000, plan.Options{})
+	c := cache.New(pol, 5_000_000)
 	return c, func(rng *rand.Rand) {
 		k := rng.Intn(1 << 20)
 		if rng.Intn(100) < 10 {
@@ -171,7 +170,7 @@ func Fig24Real(cfg RealConfig, wcfg intruder.Config) *Figure {
 	w := intruder.Generate(wcfg)
 	return speedupFigure(cfg, "fig24-real", "Intruder speedup over one worker (real execution)", intruder.Policies(),
 		func(pol string, workers int) func() {
-			proc := intruder.NewProcessor(pol, plan.Options{})
+			proc := intruder.NewProcessor(pol)
 			return func() { intruder.Run(w, proc, workers) }
 		})
 }
@@ -181,7 +180,7 @@ func Fig24Real(cfg RealConfig, wcfg intruder.Config) *Figure {
 func Fig25Real(cfg RealConfig, mcfg gossip.MPerfConfig) *Figure {
 	return speedupFigure(cfg, "fig25-real", "GossipRouter MPerf speedup over one worker (real execution)", gossip.Policies(),
 		func(pol string, workers int) func() {
-			r := gossip.New(pol, plan.Options{})
+			r := gossip.New(pol)
 			c := mcfg
 			c.Workers = workers
 			return func() { gossip.RunMPerf(r, c) }

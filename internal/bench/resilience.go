@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/apps/gossip"
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
@@ -180,7 +179,7 @@ type resilienceArm struct {
 }
 
 func newResilienceArm(cfg ResilienceConfig, hold time.Duration, hot, cold *resilience.Policy) *resilienceArm {
-	a := &resilienceArm{cfg: cfg, hold: hold, o: gossip.NewOurs(plan.Options{}), hot: hot, cold: cold}
+	a := &resilienceArm{cfg: cfg, hold: hold, o: gossip.NewOurs(), hot: hot, cold: cold}
 	seedGroups(a.o, resilienceGroups)
 	return a
 }

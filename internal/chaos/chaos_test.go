@@ -11,7 +11,6 @@ import (
 	"repro/internal/apps/intruder"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 )
 
 // All tests here are named TestChaos* so CI's `-run Chaos` selects the
@@ -77,7 +76,7 @@ func seedGossip(r *gossip.Ours) {
 // zero, waitMask empty, no registered waiters), the waiter free-list
 // did not leak, and a fault-free batch afterwards completes.
 func TestChaosGossipPanicRecovery(t *testing.T) {
-	r := gossip.NewOurs(plan.Options{})
+	r := gossip.NewOurs()
 	inj := chaos.NewInjector(chaos.Config{
 		PanicEvery: 7,
 		DelayEvery: 5,
@@ -121,7 +120,7 @@ func TestChaosGossipPanicRecovery(t *testing.T) {
 // injected mid-section panics: dropped packets are acceptable (their
 // flows never complete), leaked locks are not.
 func TestChaosIntruderPanicRecovery(t *testing.T) {
-	proc := intruder.NewOurs(plan.Options{})
+	proc := intruder.NewOurs()
 	inj := chaos.NewInjector(chaos.Config{PanicEvery: 13, DelayEvery: 9})
 	proc.FaultHook = inj.Hook
 
@@ -164,7 +163,7 @@ func TestChaosIntruderPanicRecovery(t *testing.T) {
 // a report naming at least one holder slot and one over-threshold
 // waiter with its wait duration.
 func TestChaosSlowHolderWatchdog(t *testing.T) {
-	r := gossip.NewOurs(plan.Options{})
+	r := gossip.NewOurs()
 	seedGossip(r)
 
 	release := make(chan struct{})

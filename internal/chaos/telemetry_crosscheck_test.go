@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps/gossip"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 	"repro/internal/telemetry"
 )
 
@@ -26,7 +25,7 @@ func TestChaosTelemetryCrossCheck(t *testing.T) {
 	aborts0 := core.SectionAborts()
 	waiters0 := core.WaitersOutstanding()
 
-	r := gossip.NewOurs(plan.Options{})
+	r := gossip.NewOurs()
 	inj := chaos.NewInjector(chaos.Config{
 		PanicEvery: 7,
 		DelayEvery: 5,
@@ -50,7 +49,7 @@ func TestChaosTelemetryCrossCheck(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	reg.Register("gossip", "Map", r.Sems()...)
+	reg.RegisterProvider("gossip", "Map", r.Sems)
 	snap := reg.Snapshot()
 
 	var holds int64

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/adt"
 	"repro/internal/adtspecs"
@@ -92,19 +93,21 @@ func ClassOf(sec *ir.Atomic, v string) string {
 	return sec.ADTType(v)
 }
 
-var planCache = plan.NewCache(func(opt plan.Options) *plan.Plan {
+// BuildPlan synthesizes the module under opt, uncached; tests build
+// their small-φ variants here.
+func BuildPlan(opt plan.Options) *plan.Plan {
 	return plan.MustBuild(Sections(), adtspecs.All(), ClassOf, opt)
-})
+}
 
-// BuildPlan synthesizes the module; plans are memoized per Options.
-func BuildPlan(opt plan.Options) *plan.Plan { return planCache.Get(opt) }
+// defaultPlan is the plan every constructor runs, synthesized once.
+var defaultPlan = sync.OnceValue(func() *plan.Plan { return BuildPlan(plan.Options{}) })
 
 // New creates the named variant: "ours", "global", "2pl" or "manual".
 // limit is the cache's size parameter (§6.1 uses 5000K).
-func New(policy string, limit int, opt plan.Options) Module {
+func New(policy string, limit int) Module {
 	switch policy {
 	case "ours":
-		return newOurs(limit, opt)
+		return newOurs(defaultPlan(), limit)
 	case "global":
 		return &global{eden: adt.NewHashMap(), longterm: adt.NewHashMap(), limit: limit}
 	case "2pl":
@@ -135,8 +138,7 @@ type ours struct {
 	putLong          func(core.Value) core.ModeID
 }
 
-func newOurs(limit int, opt plan.Options) *ours {
-	p := BuildPlan(opt)
+func newOurs(p *plan.Plan, limit int) *ours {
 	o := &ours{eden: adt.NewHashMap(), longterm: adt.NewHashMap(), limit: limit}
 	o.edenSem = core.NewSemantic(p.Table("Map$eden"))
 	o.longSem = core.NewSemantic(p.Table("Map$longterm"))

@@ -10,9 +10,21 @@ import (
 	"repro/internal/modules/plan"
 )
 
+// testPlan is the small-φ plan the variant tests run "ours" on.
+var testPlan = sync.OnceValue(func() *plan.Plan { return BuildPlan(plan.Options{AbstractValues: 8}) })
+
+// newModule builds the named variant with the given limit, "ours" on
+// testPlan.
+func newModule(pol string, limit int) Module {
+	if pol == "ours" {
+		return newOurs(testPlan(), limit)
+	}
+	return New(pol, limit)
+}
+
 // TestPlanShape asserts the synthesized plan behind "ours".
 func TestPlanShape(t *testing.T) {
-	p := BuildPlan(plan.Options{AbstractValues: 8})
+	p := testPlan()
 	if set := p.LockSet(0, "eden").Key(); set != "{get(k),put(k,*)}" {
 		t.Errorf("get section eden lock = %s", set)
 	}
@@ -44,7 +56,7 @@ func TestPlanShape(t *testing.T) {
 func TestVariantsSequential(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			c := New(pol, 4, plan.Options{AbstractValues: 8})
+			c := newModule(pol, 4)
 			if c.Get(1) != nil {
 				t.Fatal("empty cache returned a value")
 			}
@@ -72,7 +84,7 @@ func TestVariantsSequential(t *testing.T) {
 func TestVariantsNoLostValues(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			c := New(pol, 32, plan.Options{AbstractValues: 8})
+			c := newModule(pol, 32)
 			const keys = 64
 			// Each key k is only ever bound to k*10.
 			var wg sync.WaitGroup

@@ -15,6 +15,7 @@ package cia
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/adt"
 	"repro/internal/adtspecs"
@@ -66,20 +67,21 @@ func Section() *ir.Atomic {
 	}
 }
 
-var planCache = plan.NewCache(func(opt plan.Options) *plan.Plan {
+// BuildPlan synthesizes the section under opt, uncached; the ablation
+// tests and BenchmarkAblation build their variants here.
+func BuildPlan(opt plan.Options) *plan.Plan {
 	return plan.MustBuild([]*ir.Atomic{Section()}, adtspecs.All(), nil, opt)
-})
+}
 
-// BuildPlan synthesizes the section (exposed for the plan-assertion
-// tests and the report tooling); plans are memoized per Options.
-func BuildPlan(opt plan.Options) *plan.Plan { return planCache.Get(opt) }
+// defaultPlan is the plan every constructor runs, synthesized once.
+var defaultPlan = sync.OnceValue(func() *plan.Plan { return BuildPlan(plan.Options{}) })
 
 // New creates the named variant: "ours", "global", "2pl", "manual" or
-// "v8". opt applies to "ours" only.
-func New(policy string, opt plan.Options) Module {
+// "v8".
+func New(policy string) Module {
 	switch policy {
 	case "ours":
-		return newOurs(opt)
+		return newOurs(defaultPlan())
 	case "global":
 		return &globalCIA{m: adt.NewHashMap()}
 	case "2pl":
@@ -100,18 +102,15 @@ func Policies() []string { return []string{"ours", "global", "2pl", "manual", "v
 // the mode selected by φ(key) for the refined set
 // {containsKey(key), put(key,*)}.
 type ours struct {
-	m     *adt.HashMap
-	sem   *core.Semantic
-	ref   core.SetRef
-	keyed bool // false under ablation A1: the generic set has no variables
+	m   *adt.HashMap
+	sem *core.Semantic
+	ref core.SetRef
 }
 
-func newOurs(opt plan.Options) *ours {
-	p := BuildPlan(opt)
+func newOurs(p *plan.Plan) *ours {
 	o := &ours{m: adt.NewHashMap()}
 	o.sem = core.NewSemantic(p.Table("Map"))
 	o.ref = p.Ref(0, "map")
-	o.keyed = len(o.ref.Vars()) > 0
 	return o
 }
 
@@ -119,12 +118,9 @@ func newOurs(opt plan.Options) *ours {
 func (o *ours) LockStats() core.LockStats { return o.sem.Stats() }
 
 func (o *ours) ComputeIfAbsent(key int) []byte {
-	var mode core.ModeID
-	if o.keyed {
-		mode = o.ref.Mode(key)
-	} else {
-		mode = o.ref.Mode()
-	}
+	// Mode1 also serves ablation A1's generic set: a constant set's one
+	// mode.
+	mode := o.ref.Mode1(key)
 	o.sem.Acquire(mode)
 	defer o.sem.Release(mode)
 	if v := o.m.Get(key); v != nil {

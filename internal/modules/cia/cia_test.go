@@ -1,6 +1,7 @@
 package cia
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -57,7 +58,7 @@ func TestPlanShape(t *testing.T) {
 func TestVariantsSequential(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			m := New(pol, plan.Options{})
+			m := New(pol)
 			v1 := m.ComputeIfAbsent(7)
 			if v1 == nil || len(v1) != ComputeSize {
 				t.Fatalf("computed value wrong: %v", v1)
@@ -80,7 +81,7 @@ func TestVariantsSequential(t *testing.T) {
 func TestVariantsAtomicity(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			m := New(pol, plan.Options{})
+			m := New(pol)
 			const goroutines = 8
 			const keys = 13
 			results := make([][]([]byte), goroutines)
@@ -125,7 +126,7 @@ func TestAblationNoRefine(t *testing.T) {
 	if !strings.Contains(p.Print(0), "map.lock(+)") {
 		t.Errorf("NoRefine plan should use generic lock:\n%s", p.Print(0))
 	}
-	m := New("ours", plan.Options{NoRefine: true})
+	m := newOurs(p)
 	a, b := m.ComputeIfAbsent(1), m.ComputeIfAbsent(1)
 	if &a[0] != &b[0] {
 		t.Error("NoRefine variant broken")
@@ -134,7 +135,7 @@ func TestAblationNoRefine(t *testing.T) {
 
 // TestAblationSmallPhi: fewer abstract values still correct.
 func TestAblationSmallPhi(t *testing.T) {
-	m := New("ours", plan.Options{AbstractValues: 2})
+	m := newOurs(BuildPlan(plan.Options{AbstractValues: 2}))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -146,4 +147,29 @@ func TestAblationSmallPhi(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// BenchmarkAblation measures the "ours" variant under the design
+// ablations (A1–A3) — real execution; the scaling ablation curves come
+// from `benchall -exp ablation`.
+func BenchmarkAblation(b *testing.B) {
+	const keySpace = 1 << 17
+	variants := map[string]plan.Options{
+		"full-64":     {},
+		"norefine-A1": {NoRefine: true},
+		"phi4-A2":     {AbstractValues: 4},
+		"nopart-A3":   {NoPartition: true},
+	}
+	for name, opt := range variants {
+		b.Run(name, func(b *testing.B) {
+			m := newOurs(BuildPlan(opt))
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(1))
+				for pb.Next() {
+					m.ComputeIfAbsent(rng.Intn(keySpace))
+				}
+			})
+		})
+	}
 }

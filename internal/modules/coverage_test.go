@@ -17,6 +17,7 @@ import (
 	"repro/internal/modules/cia"
 	"repro/internal/modules/graph"
 	"repro/internal/modules/plan"
+	"repro/internal/modules/planreg"
 )
 
 func opts() plan.Options { return plan.Options{AbstractValues: 8} }
@@ -155,7 +156,7 @@ func TestGossipCoverage(t *testing.T) {
 }
 
 // TestExcludesMutators reads ModeTable.ExcludesMutators off every
-// shipped table and compares it, mode by mode, with the answer written
+// shipped table (planreg's plans plus rangestore's) and compares it, mode by mode, with the answer written
 // here per mode shape (the methods a mode holds). What the rows say:
 //
 //   - gossip's member {values()} — the mode multicast's RangeHeld walk
@@ -173,28 +174,22 @@ func TestExcludesMutators(t *testing.T) {
 	tables := map[string]*core.ModeTable{
 		"rangestore": rangestore.New(2, 64).Sems()[0].Table(),
 	}
-	for domain, p := range map[string]*plan.Plan{
-		"gossip":   gossip.BuildPlan(plan.Options{}),
-		"intruder": intruder.BuildPlan(plan.Options{}),
-		"cia":      cia.BuildPlan(plan.Options{}),
-		"graph":    graph.BuildPlan(plan.Options{}),
-		"cache":    cache.BuildPlan(plan.Options{}),
-	} {
-		for class, tbl := range p.Res.Tables {
-			tables[domain+"/"+class] = tbl
+	for _, e := range planreg.All() {
+		for class, tbl := range e.Res.Tables {
+			tables[e.Domain+"/"+class] = tbl
 		}
 	}
 	want := map[string]map[string]bool{
-		"gossip/Map$groups":    {"get": false, "get+put": false},
-		"gossip/Map$members":   {"get": false, "put": false, "remove": false, "values": true},
-		"rangestore":           {"get": false, "put+remove": false, "values": true},
-		"intruder/Map":         {"get+put+remove": false},
-		"intruder/Queue":       {"enqueue": false, "dequeue": true},
-		"cia/Map":              {"get+put": false},
-		"graph/Multimap$succs": {"get": false, "put": false, "remove": false},
-		"graph/Multimap$preds": {"get": false, "put": false, "remove": false},
-		"cache/Map$eden":       {"get+put": false, "clear+put+size": true},
-		"cache/Map$longterm":   {"get": true, "putAll": true},
+		"apps/gossip/Map$groups":       {"get": false, "get+put": false},
+		"apps/gossip/Map$members":      {"get": false, "put": false, "remove": false, "values": true},
+		"rangestore":                   {"get": false, "put+remove": false, "values": true},
+		"apps/intruder/Map":            {"get+put+remove": false},
+		"apps/intruder/Queue":          {"enqueue": false, "dequeue": true},
+		"modules/cia/Map":              {"get+put": false},
+		"modules/graph/Multimap$succs": {"get": false, "put": false, "remove": false},
+		"modules/graph/Multimap$preds": {"get": false, "put": false, "remove": false},
+		"modules/cache/Map$eden":       {"get+put": false, "clear+put+size": true},
+		"modules/cache/Map$longterm":   {"get": true, "putAll": true},
 	}
 	if len(tables) != len(want) {
 		t.Errorf("%d shipped tables, answers written for %d", len(tables), len(want))

@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/adt"
 	"repro/internal/adtspecs"
@@ -98,18 +99,20 @@ func ClassOf(sec *ir.Atomic, v string) string {
 	return sec.ADTType(v)
 }
 
-var planCache = plan.NewCache(func(opt plan.Options) *plan.Plan {
+// BuildPlan synthesizes the module under opt, uncached; tests build
+// their small-φ variants here.
+func BuildPlan(opt plan.Options) *plan.Plan {
 	return plan.MustBuild(Sections(), adtspecs.All(), ClassOf, opt)
-})
+}
 
-// BuildPlan synthesizes the module; plans are memoized per Options.
-func BuildPlan(opt plan.Options) *plan.Plan { return planCache.Get(opt) }
+// defaultPlan is the plan every constructor runs, synthesized once.
+var defaultPlan = sync.OnceValue(func() *plan.Plan { return BuildPlan(plan.Options{}) })
 
 // New creates the named variant: "ours", "global", "2pl" or "manual".
-func New(policy string, opt plan.Options) Module {
+func New(policy string) Module {
 	switch policy {
 	case "ours":
-		return newOurs(opt)
+		return newOurs(defaultPlan())
 	case "global":
 		return &global{succs: adt.NewMultimap(), preds: adt.NewMultimap()}
 	case "2pl":
@@ -147,11 +150,11 @@ type ours struct {
 	remPred  func(core.Value, core.Value) core.ModeID // removeEdge: preds {remove(d,s)}
 }
 
-func newOurs(opt plan.Options) *ours {
-	// Two-variable sets instantiate n² modes; the default MaxModes cap
-	// (4096) coarsens φ to 32 buckets, keeping the O(modes²) F_c
-	// computation fast while preserving ample key-pair parallelism.
-	p := BuildPlan(opt)
+// newOurs wires the module to p. Two-variable sets instantiate n²
+// modes; the default MaxModes cap (4096) coarsens φ to 32 buckets,
+// keeping the O(modes²) F_c computation fast while preserving ample
+// key-pair parallelism.
+func newOurs(p *plan.Plan) *ours {
 	o := &ours{succs: adt.NewMultimap(), preds: adt.NewMultimap()}
 	o.succsSem = core.NewSemantic(p.Table("Multimap$succs"))
 	o.predsSem = core.NewSemantic(p.Table("Multimap$preds"))

@@ -9,9 +9,20 @@ import (
 	"repro/internal/modules/plan"
 )
 
+// testPlan is the small-φ plan the variant tests run "ours" on.
+var testPlan = sync.OnceValue(func() *plan.Plan { return BuildPlan(plan.Options{AbstractValues: 8}) })
+
+// newModule builds the named variant, "ours" on testPlan.
+func newModule(pol string) Module {
+	if pol == "ours" {
+		return newOurs(testPlan())
+	}
+	return New(pol)
+}
+
 // TestPlanShape asserts the synthesized plans behind the "ours" variant.
 func TestPlanShape(t *testing.T) {
-	p := BuildPlan(plan.Options{AbstractValues: 8})
+	p := testPlan()
 	wantInsert := `atomic insertEdge {
   succs.lock({put(d,s),put(s,d)});
   ok=succs.put(s, d);
@@ -54,7 +65,7 @@ func TestPlanShape(t *testing.T) {
 func TestVariantsSequential(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			g := New(pol, plan.Options{AbstractValues: 8})
+			g := newModule(pol)
 			if !g.InsertEdge(1, 2) || g.InsertEdge(1, 2) {
 				t.Error("InsertEdge newness wrong")
 			}
@@ -82,7 +93,7 @@ func TestVariantsSequential(t *testing.T) {
 func TestVariantsSymmetry(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) {
-			g := New(pol, plan.Options{AbstractValues: 8})
+			g := newModule(pol)
 			const nodes = 16
 			var wg sync.WaitGroup
 			for w := 0; w < 8; w++ {

@@ -9,7 +9,6 @@ package plan
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -21,7 +20,9 @@ type Plan struct {
 	Res *synth.Result
 }
 
-// Options mirror the ablation switches of the evaluation (DESIGN.md A1–A4).
+// Options mirror the ablation switches of the evaluation (DESIGN.md
+// A1–A4). Module constructors run the zero value's plan; tests and the
+// ablation benchmark build the others through each module's BuildPlan.
 type Options struct {
 	// AbstractValues is the φ range n (§5.1); 0 means the paper's 64.
 	AbstractValues int
@@ -31,32 +32,6 @@ type Options struct {
 	NoPartition bool
 	// MaxModes caps the per-class mode count (§5.3 opt. 3); 0 = default.
 	MaxModes int
-}
-
-// Cache memoizes compiled plans per Options — synthesis (in particular
-// the O(modes²) commutativity function) is a compile-time cost that
-// module constructors must not pay repeatedly.
-type Cache struct {
-	mu    sync.Mutex
-	plans map[Options]*Plan
-	build func(Options) *Plan
-}
-
-// NewCache creates a memoizing plan builder.
-func NewCache(build func(Options) *Plan) *Cache {
-	return &Cache{plans: map[Options]*Plan{}, build: build}
-}
-
-// Get returns the plan for the options, compiling it on first use.
-func (c *Cache) Get(opt Options) *Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.plans[opt]; ok {
-		return p
-	}
-	p := c.build(opt)
-	c.plans[opt] = p
-	return p
 }
 
 // Build synthesizes the sections with the given specs and options.

@@ -1,5 +1,6 @@
 // Package planreg enumerates every synthesized locking plan in the
-// tree. The evaluation modules each compile their own plan privately;
+// tree. Each evaluation module's constructors run its default plan,
+// synthesized once per process behind an unexported sync.OnceValue;
 // whole-program checks — in particular the global lock-order embedding
 // of verify.GlobalOrder that cmd/semlockvet drives — need all of them
 // at once, under stable names. Adding a module with a synthesized plan
@@ -8,12 +9,8 @@
 package planreg
 
 import (
-	"sort"
-
-	"repro/internal/adtspecs"
 	"repro/internal/apps/gossip"
 	"repro/internal/apps/intruder"
-	"repro/internal/ir"
 	"repro/internal/modules/cache"
 	"repro/internal/modules/cia"
 	"repro/internal/modules/graph"
@@ -28,29 +25,18 @@ type Entry struct {
 	Res    *synth.Result
 }
 
-// All builds every registered plan with default options and returns
-// them sorted by domain. Synthesis runs fresh here (a compile-time
-// cost, a few milliseconds per module); the modules' own memoizing
-// caches are unexported by design.
+// All builds every registered plan with default options, in domain
+// order. Synthesis runs fresh here (a compile-time cost, a few
+// milliseconds per module) through each module's BuildPlan, the one
+// place that names the module's sections and class function.
 func All() []Entry {
-	builders := []struct {
-		domain   string
-		sections []*ir.Atomic
-		classOf  func(*ir.Atomic, string) string
-	}{
-		{"modules/cache", cache.Sections(), cache.ClassOf},
-		{"modules/cia", []*ir.Atomic{cia.Section()}, nil},
-		{"modules/graph", graph.Sections(), graph.ClassOf},
-		{"apps/gossip", gossip.Sections(), gossip.ClassOf},
-		{"apps/intruder", []*ir.Atomic{intruder.Section(), intruder.PopSection()}, nil},
+	return []Entry{
+		{"apps/gossip", gossip.BuildPlan(plan.Options{}).Res},
+		{"apps/intruder", intruder.BuildPlan(plan.Options{}).Res},
+		{"modules/cache", cache.BuildPlan(plan.Options{}).Res},
+		{"modules/cia", cia.BuildPlan(plan.Options{}).Res},
+		{"modules/graph", graph.BuildPlan(plan.Options{}).Res},
 	}
-	entries := make([]Entry, 0, len(builders))
-	for _, b := range builders {
-		p := plan.MustBuild(b.sections, adtspecs.All(), b.classOf, plan.Options{})
-		entries = append(entries, Entry{Domain: b.domain, Res: p.Res})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Domain < entries[j].Domain })
-	return entries
 }
 
 // GlobalOrder accumulates every registered plan into one program-wide

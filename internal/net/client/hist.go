@@ -37,7 +37,7 @@ func (h *Hist) Merge(o *Hist) {
 	h.n += o.n
 }
 
-// Quantile returns the q-th (0..1) latency estimate: the geometric
+// Quantile returns the q-th (0..1) latency estimate: the arithmetic
 // midpoint of the bucket holding the q-th sample.
 func (h *Hist) Quantile(q float64) time.Duration {
 	if h.n == 0 {

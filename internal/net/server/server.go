@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/apps/gossip"
 	"repro/internal/core"
-	"repro/internal/modules/plan"
 	"repro/internal/net/wire"
 	"repro/internal/padded"
 	"repro/internal/resilience"
@@ -103,7 +102,7 @@ type sinkKey struct{ group, member string }
 func New(cfg Config) (*Server, error) {
 	ours := cfg.Router
 	if ours == nil {
-		ours = gossip.NewOurs(plan.Options{})
+		ours = gossip.NewOurs()
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {

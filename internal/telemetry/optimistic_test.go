@@ -51,7 +51,7 @@ func TestOptimisticCountersInSnapshot(t *testing.T) {
 	}
 
 	r := telemetry.NewRegistry()
-	r.Register("occ", "Map", s)
+	r.RegisterProvider("occ", "Map", func() []*core.Semantic { return []*core.Semantic{s} })
 	row := r.Snapshot().Groups[0]
 	if row.OptimisticHits != 1 {
 		t.Errorf("OptimisticHits = %d, want 1", row.OptimisticHits)
@@ -87,7 +87,7 @@ func TestSnapshotAllocsPerInstance(t *testing.T) {
 		for i := range sems {
 			sems[i] = core.NewSemantic(tbl)
 		}
-		r.Register("g", "Map", sems...)
+		r.RegisterProvider("g", "Map", func() []*core.Semantic { return sems })
 		return r
 	}
 	small, large := mk(1), mk(64)

@@ -88,18 +88,16 @@ type Snapshot struct {
 	SectionAborts          uint64        `json:"section_aborts"`
 }
 
-// group is one registered instance collection. Exactly one of sems and
-// provider is set.
+// group is one registered instance source.
 type group struct {
 	name     string
 	class    string
-	sems     []*core.Semantic
 	provider func() []*core.Semantic
 }
 
 // Registry maps application-level groups of Semantic instances to
-// snapshot rows. Registration is cheap (it records the instance
-// pointers, nothing more); all cost is on the snapshot reader.
+// snapshot rows. Registration is cheap (it records the provider,
+// nothing more); all cost is on the snapshot reader.
 // A Registry is safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
@@ -115,17 +113,9 @@ func NewRegistry() *Registry { return &Registry{} }
 // (cmd/gossipd -debug-addr) read from.
 var Default = NewRegistry()
 
-// Register adds a fixed set of instances under (group, class). Multiple
-// Register calls with the same names accumulate into one snapshot row.
-func (r *Registry) Register(groupName, class string, sems ...*core.Semantic) {
-	g := &group{name: groupName, class: class, sems: append([]*core.Semantic(nil), sems...)}
-	r.mu.Lock()
-	r.groups = append(r.groups, g)
-	r.mu.Unlock()
-}
-
-// RegisterProvider adds a dynamic instance source under (group, class):
-// every snapshot calls provider for the current instance list. The
+// RegisterProvider adds an instance source under (group, class): every
+// snapshot calls provider for the current instance list, and sources
+// registered under the same names accumulate into one row. The
 // provider must be safe to call from the snapshot reader's goroutine —
 // if the application mutates its instance collection concurrently (as
 // gossip.Ours.Sems does during membership churn), snapshot only during
@@ -145,23 +135,6 @@ func (r *Registry) RegisterProvider(groupName, class string, provider func() []*
 func (r *Registry) RegisterPolicySource(fn func() []PolicyStats) {
 	r.mu.Lock()
 	r.policies = append(r.policies, fn)
-	r.mu.Unlock()
-}
-
-// Unregister removes every group registered under groupName.
-func (r *Registry) Unregister(groupName string) {
-	r.mu.Lock()
-	kept := r.groups[:0]
-	for _, g := range r.groups {
-		if g.name != groupName {
-			kept = append(kept, g)
-		}
-	}
-	// Clear the dropped tail so unregistered groups don't pin instances.
-	for i := len(kept); i < len(r.groups); i++ {
-		r.groups[i] = nil
-	}
-	r.groups = kept
 	r.mu.Unlock()
 }
 
@@ -185,11 +158,7 @@ func (r *Registry) Snapshot() Snapshot {
 			rows[k] = row
 			order = append(order, k)
 		}
-		sems := g.sems
-		if g.provider != nil {
-			sems = g.provider()
-		}
-		for _, s := range sems {
+		for _, s := range g.provider() {
 			if s == nil {
 				continue
 			}

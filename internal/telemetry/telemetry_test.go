@@ -42,7 +42,7 @@ func TestRegistrySnapshotAggregates(t *testing.T) {
 	b.Acquire(m0) // leave one hold outstanding
 
 	r := telemetry.NewRegistry()
-	r.Register("maps", "Map", a, b)
+	r.RegisterProvider("maps", "Map", func() []*core.Semantic { return []*core.Semantic{a, b} })
 	snap := r.Snapshot()
 	if len(snap.Groups) != 1 {
 		t.Fatalf("got %d rows, want 1", len(snap.Groups))
@@ -65,8 +65,7 @@ func TestRegistrySnapshotAggregates(t *testing.T) {
 }
 
 // TestRegistryProviderAndUnregister: provider-backed groups re-read
-// their instance list each snapshot; Unregister removes all groups of
-// a name.
+// their instance list each snapshot.
 func TestRegistryProviderAndUnregister(t *testing.T) {
 	tbl, keys, _ := keyedTable(t)
 	var mu sync.Mutex
@@ -90,10 +89,6 @@ func TestRegistryProviderAndUnregister(t *testing.T) {
 	row := r.Snapshot().Groups[0]
 	if row.Instances != 1 || row.FastPath != 1 {
 		t.Errorf("row = %+v, want 1 instance with 1 fast-path acquire", row)
-	}
-	r.Unregister("dyn")
-	if n := len(r.Snapshot().Groups); n != 0 {
-		t.Errorf("groups after Unregister = %d, want 0", n)
 	}
 }
 
@@ -130,7 +125,7 @@ func TestPublishAndHandler(t *testing.T) {
 	s.Acquire(m)
 	s.Release(m)
 	r := telemetry.NewRegistry()
-	r.Register("pub", "Map", s)
+	r.RegisterProvider("pub", "Map", func() []*core.Semantic { return []*core.Semantic{s} })
 	r.Publish()
 	r.Publish() // idempotent — must not panic on the duplicate expvar name
 
