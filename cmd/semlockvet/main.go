@@ -61,8 +61,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := lint.Run(pkgs, lint.All())
-	diags = append(diags, lint.RunProgram(pkgs, interproc.All())...)
+	diags := lint.Run(pkgs, lint.All(), interproc.All())
 
 	if *plans {
 		g := planreg.GlobalOrder()

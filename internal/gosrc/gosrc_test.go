@@ -152,6 +152,9 @@ func F(m *semadt.Map) {}`,
 		"ctor without directive": `package p
 //semlock:atomic
 func F(m *semadt.Map) { s := semadt.NewSet(nil); m.Put(1, s) }`,
+		"longer marker": `package p
+//semlock:atomicity
+func F(m *semadt.Map) {}`,
 	}
 	for name, src := range cases {
 		if _, err := ParseFile(name+".go", src); err == nil {

@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"repro/internal/ir"
+	"repro/internal/lint"
 )
 
 // adtTypes maps semadt type names to ADT class/spec names.
@@ -85,7 +86,7 @@ func ParseFile(filename string, src any) (*File, error) {
 		if !ok || fd.Doc == nil {
 			continue
 		}
-		if !hasDirective(fd.Doc, "//semlock:atomic") {
+		if !lint.HasDirective(fd.Doc, "//semlock:atomic") {
 			continue
 		}
 		fn, err := parseFunction(fset, fd)
@@ -98,15 +99,6 @@ func ParseFile(filename string, src any) (*File, error) {
 		return nil, fmt.Errorf("gosrc: %s contains no //semlock:atomic functions", filename)
 	}
 	return out, nil
-}
-
-func hasDirective(doc *ast.CommentGroup, d string) bool {
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), d) {
-			return true
-		}
-	}
-	return false
 }
 
 func parseFunction(fset *token.FileSet, fd *ast.FuncDecl) (*Function, error) {

@@ -10,106 +10,6 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// paddedcopy
-// ---------------------------------------------------------------------
-
-// PaddedCopy flags copies of internal/padded counter types. The padded
-// types exist to pin one hot atomic counter per cache line; a by-value
-// copy duplicates the counter (updates split between the copies) and is
-// never what the lock mechanism means. They must move by pointer or
-// live in-place inside arrays.
-var PaddedCopy = &Analyzer{
-	Name: "paddedcopy",
-	Doc:  "flags internal/padded counters copied by value",
-	Run:  runPaddedCopy,
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "_"
-}
-
-func paddedTypeName(t types.Type) (string, bool) {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/padded") {
-		return "", false
-	}
-	if _, isStruct := n.Underlying().(*types.Struct); !isStruct {
-		return "", false
-	}
-	return obj.Name(), true
-}
-
-func runPaddedCopy(p *Pass) {
-	if strings.HasSuffix(p.PkgPath, "internal/padded") {
-		return // the package's own internals are exempt
-	}
-	checkField := func(f *ast.Field, what string) {
-		if name, ok := paddedTypeName(p.TypeOf(f.Type)); ok {
-			p.Reportf(f.Pos(), "padded.%s %s by value; use *padded.%s", name, what, name)
-		}
-	}
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncType:
-				if x.Params != nil {
-					for _, f := range x.Params.List {
-						checkField(f, "passed")
-					}
-				}
-				if x.Results != nil {
-					for _, f := range x.Results.List {
-						checkField(f, "returned")
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range x.Rhs {
-					if _, isLit := rhs.(*ast.CompositeLit); isLit {
-						continue // zero-value initialization, not a copy
-					}
-					if _, isCall := rhs.(*ast.CallExpr); isCall {
-						continue // the offending result type is flagged at its signature
-					}
-					if len(x.Lhs) == len(x.Rhs) && isBlank(x.Lhs[i]) {
-						continue // discarded, not duplicated
-					}
-					if name, ok := paddedTypeName(p.TypeOf(rhs)); ok {
-						p.Reportf(rhs.Pos(), "assignment copies padded.%s by value", name)
-					}
-				}
-			case *ast.ValueSpec:
-				for i, v := range x.Values {
-					if _, isLit := v.(*ast.CompositeLit); isLit {
-						continue
-					}
-					if _, isCall := v.(*ast.CallExpr); isCall {
-						continue
-					}
-					if i < len(x.Names) && x.Names[i].Name == "_" {
-						continue
-					}
-					if name, ok := paddedTypeName(p.TypeOf(v)); ok {
-						p.Reportf(v.Pos(), "declaration copies padded.%s by value", name)
-					}
-				}
-			case *ast.RangeStmt:
-				if x.Value != nil {
-					if name, ok := paddedTypeName(p.TypeOf(x.Value)); ok {
-						p.Reportf(x.Value.Pos(), "range copies padded.%s elements by value; index the slice instead", name)
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
 // txndiscipline
 // ---------------------------------------------------------------------
 
@@ -128,20 +28,6 @@ var TxnDiscipline = &Analyzer{
 
 var rawLockMethods = map[string]bool{"Acquire": true, "TryAcquire": true, "Release": true}
 
-// namedFromCore reports whether t (possibly behind a pointer) is the
-// named core type.
-func namedFromCore(t types.Type, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/core")
-}
-
 func runTxnDiscipline(p *Pass) {
 	if strings.HasSuffix(p.PkgPath, "internal/core") {
 		return // the transaction layer itself drives the mechanism
@@ -156,7 +42,7 @@ func runTxnDiscipline(p *Pass) {
 			if !ok || !rawLockMethods[sel.Sel.Name] {
 				return true
 			}
-			if namedFromCore(p.TypeOf(sel.X), "Semantic") {
+			if IsNamed(p.TypeOf(sel.X), "internal/core", "Semantic") {
 				p.Reportf(call.Pos(),
 					"raw Semantic.%s outside internal/core; acquire through core.Txn so two-phase and OS2PL order are enforced",
 					sel.Sel.Name)
@@ -213,123 +99,6 @@ func runModeMask(p *Pass) {
 }
 
 // ---------------------------------------------------------------------
-// unlockpath
-// ---------------------------------------------------------------------
-
-// UnlockPath checks, in internal/modules, that a function which locks
-// through a core.Txn releases on every return path: either a deferred
-// UnlockAll, or an explicit UnlockAll/UnlockInstance between the lock
-// and each return. The check is syntactic (source order approximates
-// paths), which is exactly right for the module code's straight-line
-// lock/work/unlock shape — and `defer tx.UnlockAll()` is always the
-// recommended fix it suggests.
-var UnlockPath = &Analyzer{
-	Name: "unlockpath",
-	Doc:  "flags Txn locks in internal/modules without UnlockAll on every return path",
-	Run:  runUnlockPath,
-}
-
-func runUnlockPath(p *Pass) {
-	if !strings.Contains(p.PkgPath, "internal/modules") {
-		return
-	}
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			p.checkUnlockPaths(fn)
-		}
-	}
-}
-
-func (p *Pass) checkUnlockPaths(fn *ast.FuncDecl) {
-	var firstLock token.Pos = token.NoPos
-	var lockRecv string
-	var unlockPositions []token.Pos
-	deferredUnlock := false
-
-	isTxnCall := func(call *ast.CallExpr, methods map[string]bool) (string, bool) {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !methods[sel.Sel.Name] {
-			return "", false
-		}
-		if !namedFromCore(p.TypeOf(sel.X), "Txn") {
-			return "", false
-		}
-		return exprText(sel.X), true
-	}
-	lockMethods := map[string]bool{"Lock": true, "LockOrdered": true}
-	unlockMethods := map[string]bool{"UnlockAll": true, "UnlockInstance": true}
-
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.DeferStmt:
-			if _, ok := isTxnCall(x.Call, unlockMethods); ok {
-				deferredUnlock = true
-			}
-			// defer func() { ...; tx.UnlockAll(); ... }()
-			if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(m ast.Node) bool {
-					if call, ok := m.(*ast.CallExpr); ok {
-						if _, ok := isTxnCall(call, unlockMethods); ok {
-							deferredUnlock = true
-						}
-					}
-					return true
-				})
-			}
-		case *ast.CallExpr:
-			if recv, ok := isTxnCall(x, lockMethods); ok {
-				if firstLock == token.NoPos {
-					firstLock, lockRecv = x.Pos(), recv
-				}
-			}
-			if _, ok := isTxnCall(x, unlockMethods); ok {
-				unlockPositions = append(unlockPositions, x.Pos())
-			}
-		}
-		return true
-	})
-
-	if firstLock == token.NoPos || deferredUnlock {
-		return
-	}
-	unlockBetween := func(lo, hi token.Pos) bool {
-		for _, u := range unlockPositions {
-			if u > lo && u <= hi {
-				return true
-			}
-		}
-		return false
-	}
-	flagged := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // returns inside closures are not this function's paths
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || ret.Pos() < firstLock {
-			return true
-		}
-		if !unlockBetween(firstLock, ret.Pos()) {
-			p.Reportf(ret.Pos(),
-				"return leaves %s locked: no UnlockAll between the Lock and this return; prefer defer %s.UnlockAll()",
-				lockRecv, lockRecv)
-			flagged = true
-		}
-		return true
-	})
-	// A function with no return statements still needs a release before
-	// falling off the end.
-	if !flagged && !unlockBetween(firstLock, fn.Body.End()) {
-		p.Reportf(firstLock, "%s.Lock without any UnlockAll in %s; prefer defer %s.UnlockAll()",
-			lockRecv, fn.Name.Name, lockRecv)
-	}
-}
-
-// ---------------------------------------------------------------------
 // abortpath
 // ---------------------------------------------------------------------
 
@@ -376,7 +145,7 @@ type abortCreation struct {
 func (p *Pass) checkAbortScope(name string, body *ast.BlockStmt) {
 	isTxnPtr := func(t types.Type) bool {
 		ptr, ok := t.(*types.Pointer)
-		return ok && namedFromCore(ptr.Elem(), "Txn")
+		return ok && IsNamed(ptr.Elem(), "internal/core", "Txn")
 	}
 	// newTxn reports whether e mints or checks out a transaction.
 	newTxn := func(e ast.Expr) bool {
@@ -395,7 +164,7 @@ func (p *Pass) checkAbortScope(name string, body *ast.BlockStmt) {
 	}
 	isTxnMethod := func(call *ast.CallExpr, method string) bool {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		return ok && sel.Sel.Name == method && namedFromCore(p.TypeOf(sel.X), "Txn")
+		return ok && sel.Sel.Name == method && IsNamed(p.TypeOf(sel.X), "internal/core", "Txn")
 	}
 
 	var creations []*abortCreation
@@ -565,7 +334,7 @@ func (p *Pass) rankText(e ast.Expr) string {
 	case *ast.Ident:
 		return "expr:" + x.Name
 	case *ast.SelectorExpr:
-		return "expr:" + exprText(x)
+		return "expr:" + ExprText(x)
 	}
 	return "" // unique: never considered equal to another rank
 }
@@ -581,10 +350,10 @@ func (p *Pass) checkBatchableRuns(stmts []ast.Stmt) {
 			return lockCallInfo{}, false
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Lock" || !namedFromCore(p.TypeOf(sel.X), "Txn") {
+		if !ok || sel.Sel.Name != "Lock" || !IsNamed(p.TypeOf(sel.X), "internal/core", "Txn") {
 			return lockCallInfo{}, false
 		}
-		return lockCallInfo{pos: call.Pos(), recv: exprText(sel.X), rank: p.rankText(call.Args[2])}, true
+		return lockCallInfo{pos: call.Pos(), recv: ExprText(sel.X), rank: p.rankText(call.Args[2])}, true
 	}
 	for i := 0; i < len(stmts); {
 		first, ok := asLock(stmts[i])
@@ -606,18 +375,6 @@ func (p *Pass) checkBatchableRuns(stmts []ast.Stmt) {
 				run, first.recv, first.recv)
 		}
 		i = j
-	}
-}
-
-// exprText renders a simple receiver expression for diagnostics.
-func exprText(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprText(x.X) + "." + x.Sel.Name
-	default:
-		return "txn"
 	}
 }
 
@@ -649,18 +406,9 @@ var RetryPath = &Analyzer{
 	Run:  runRetryPath,
 }
 
-// namedFromPkg reports whether t (possibly behind a pointer) is the
-// named type from a package whose import path ends in pkgSuffix.
-func namedFromPkg(t types.Type, pkgSuffix, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), pkgSuffix)
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
 }
 
 // boundedAcqCall reports whether call is one of the bounded-acquisition
@@ -672,12 +420,12 @@ func (p *Pass) boundedAcqCall(call *ast.CallExpr) (string, bool) {
 	}
 	switch sel.Sel.Name {
 	case "LockWithin", "LockBatchWithin":
-		if namedFromCore(p.TypeOf(sel.X), "Txn") {
-			return exprText(sel.X) + "." + sel.Sel.Name, true
+		if IsNamed(p.TypeOf(sel.X), "internal/core", "Txn") {
+			return ExprText(sel.X) + "." + sel.Sel.Name, true
 		}
 	case "AcquireWithin":
-		if namedFromCore(p.TypeOf(sel.X), "Semantic") {
-			return exprText(sel.X) + "." + sel.Sel.Name, true
+		if IsNamed(p.TypeOf(sel.X), "internal/core", "Semantic") {
+			return ExprText(sel.X) + "." + sel.Sel.Name, true
 		}
 	}
 	return "", false
@@ -742,7 +490,7 @@ func (p *Pass) checkUnboundedRetry(loop *ast.ForStmt) {
 			acq = name
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Run" &&
-			namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Policy") {
+			IsNamed(p.TypeOf(sel.X), "internal/resilience", "Policy") {
 			delegated = true
 		}
 		return true
@@ -801,18 +549,6 @@ func occLowerMethod(m string) string {
 	return strings.ToLower(m[:1]) + m[1:]
 }
 
-func hasDocDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(c.Text) == directive {
-			return true
-		}
-	}
-	return false
-}
-
 // occRootIdent unwraps selectors, indexing, derefs, and parens to the
 // base identifier of an assignment target.
 func occRootIdent(e ast.Expr) *ast.Ident {
@@ -841,7 +577,7 @@ func runOccPure(p *Pass) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if !hasDocDirective(fn.Doc, "//semlock:readonly") {
+			if !HasDirective(fn.Doc, "//semlock:readonly") {
 				if spans := SnapshotSpans(p.Info, fn.Body); len(spans) > 0 {
 					for _, sp := range spans {
 						if sp.Close == token.NoPos {
@@ -855,7 +591,7 @@ func runOccPure(p *Pass) {
 				}
 				continue
 			}
-			if !hasDocDirective(fn.Doc, "//semlock:atomic") {
+			if !HasDirective(fn.Doc, "//semlock:atomic") {
 				p.Reportf(fn.Pos(),
 					"//semlock:readonly on %s without //semlock:atomic; the marker asserts an atomic section is observation-only",
 					fn.Name.Name)
@@ -896,10 +632,10 @@ func SnapshotSpans(info *types.Info, body ast.Node) []SnapshotSpan {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !namedFromCore(info.TypeOf(sel.X), "Snapshot") {
+		if !ok || !IsNamed(info.TypeOf(sel.X), "internal/core", "Snapshot") {
 			return true
 		}
-		recv := exprText(sel.X)
+		recv := ExprText(sel.X)
 		switch i, isOpen := open[recv]; {
 		case sel.Sel.Name == "Observe" && !isOpen:
 			open[recv] = len(spans)
@@ -953,22 +689,11 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl, where string, in func(token.Pos) b
 	// behind one (adt.HashMap implements Map, adt.HashSet implements Set;
 	// the others share their class's name).
 	classOf := func(e ast.Expr) (class string, wrapper, ok bool) {
-		t := p.TypeOf(e)
-		if t == nil {
-			return "", false, false
+		if name, ok := NamedFrom(p.TypeOf(e), "internal/semadt"); ok {
+			return name, true, true
 		}
-		if ptr, isPtr := t.(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		n, isNamed := t.(*types.Named)
-		if !isNamed || n.Obj().Pkg() == nil {
-			return "", false, false
-		}
-		switch path := n.Obj().Pkg().Path(); {
-		case strings.HasSuffix(path, "internal/semadt"):
-			return n.Obj().Name(), true, true
-		case strings.HasSuffix(path, "internal/adt"):
-			return strings.TrimPrefix(n.Obj().Name(), "Hash"), false, true
+		if name, ok := NamedFrom(p.TypeOf(e), "internal/adt"); ok {
+			return strings.TrimPrefix(name, "Hash"), false, true
 		}
 		return "", false, false
 	}
@@ -1017,7 +742,7 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl, where string, in func(token.Pos) b
 			if mutates(class, wrapper, sel.Sel.Name) {
 				p.Reportf(x.Pos(),
 					"call %s.%s mutates %s state inside %s; an optimistic read only observes — move the mutation out, or make the section pessimistic",
-					exprText(sel.X), sel.Sel.Name, class, where)
+					ExprText(sel.X), sel.Sel.Name, class, where)
 			}
 		case *ast.SelectorExpr:
 			// A method value (m.Put) or method expression
@@ -1041,7 +766,7 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl, where string, in func(token.Pos) b
 			if mutates(class, wrapper, x.Sel.Name) {
 				p.Reportf(x.Pos(),
 					"method value %s.%s captures a mutator of %s inside %s; deferred or spawned, it still mutates state an optimistic read may discard",
-					exprText(x.X), x.Sel.Name, class, where)
+					ExprText(x.X), x.Sel.Name, class, where)
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
@@ -1064,8 +789,8 @@ func (p *Pass) checkOccPure(fn *ast.FuncDecl, where string, in func(token.Pos) b
 // heap-allocates a copy per use; the section should box the key once,
 // before it starts, and pass the boxed value around (the apps' V forms
 // are that idiom). In its smallest form the check is syntactic: inside
-// a function literal passed to core.Atomically or resilience.Policy.Run
-// — nested literals included, they are the same section — it counts,
+// a function literal that opens a section (IsSectionEntry) — nested
+// literals and sections included, they are the same section — it counts,
 // per variable, the plain-identifier arguments whose parameter is the
 // empty interface on a callee declared under internal/, plus explicit
 // core.Value(x) conversions, and reports the second one. Variables that
@@ -1085,7 +810,7 @@ func runBoxOnce(p *Pass) {
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !p.isSectionCall(call) {
+			if !ok || !IsSectionEntry(p.Info, call) {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -1093,26 +818,9 @@ func runBoxOnce(p *Pass) {
 					p.checkBoxOnce(lit)
 				}
 			}
-			return true
+			return false // a section opened inside is part of this one
 		})
 	}
-}
-
-// isSectionCall reports whether call is core.Atomically(...) or
-// (*resilience.Policy).Run(...).
-func (p *Pass) isSectionCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Atomically":
-		fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-		return ok && fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/core")
-	case "Run":
-		return namedFromPkg(p.TypeOf(sel.X), "internal/resilience", "Policy")
-	}
-	return false
 }
 
 // boxedVar returns the variable e names when boxing it allocates.
@@ -1216,8 +924,8 @@ func (p *Pass) calleeUnderInternal(fun ast.Expr) bool {
 // acquisition itself, and that is syntactic:
 //
 //   - the call must be preceded, in source order inside its section body
-//     — the function literal handed to core.Atomically or
-//     resilience.Policy.Run, else the enclosing function declaration
+//     — the function literal handed to a section entry
+//     (IsSectionEntry), else the enclosing function declaration
 //     (a helper taking the *core.Txn, or a baseline's method) — by a
 //     Txn.Lock* or a lock call of internal/cc or sync;
 //   - it must not sit inside a Txn.TryOptimistic body, nor between a
@@ -1234,22 +942,9 @@ var HeldWalk = &Analyzer{
 	Run:  runHeldWalk,
 }
 
-// calleeFunc returns the declared function or method a call invokes.
-func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, _ := p.Info.Uses[sel.Sel].(*types.Func)
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	return fn
-}
-
 // isHeldCall reports whether call invokes a *Held method of internal/adt.
 func (p *Pass) isHeldCall(call *ast.CallExpr) bool {
-	fn := p.calleeFunc(call)
+	fn := calleeFunc(p.Info, call)
 	return fn != nil && strings.HasSuffix(fn.Name(), "Held") &&
 		strings.HasSuffix(fn.Pkg().Path(), "internal/adt") &&
 		fn.Type().(*types.Signature).Recv() != nil
@@ -1259,26 +954,19 @@ func (p *Pass) isHeldCall(call *ast.CallExpr) bool {
 // on: Txn.Lock*, or Lock/RLock/LockOrdered/Enter of a type from sync or
 // internal/cc.
 func (p *Pass) isAcquisition(call *ast.CallExpr) bool {
-	fn := p.calleeFunc(call)
+	fn := calleeFunc(p.Info, call)
 	if fn == nil {
 		return false
 	}
 	recv := p.TypeOf(call.Fun.(*ast.SelectorExpr).X)
 	switch name := fn.Name(); {
-	case strings.HasPrefix(name, "Lock") && namedFromCore(recv, "Txn"):
+	case strings.HasPrefix(name, "Lock") && IsNamed(recv, "internal/core", "Txn"):
 		return true
 	case name == "Lock" || name == "RLock" || name == "LockOrdered" || name == "Enter":
 		path := fn.Pkg().Path()
 		return path == "sync" || strings.HasSuffix(path, "internal/cc")
 	}
 	return false
-}
-
-// isTryOptimistic reports whether call is (*core.Txn).TryOptimistic(...).
-func (p *Pass) isTryOptimistic(call *ast.CallExpr) bool {
-	fn := p.calleeFunc(call)
-	return fn != nil && fn.Name() == "TryOptimistic" &&
-		namedFromCore(p.TypeOf(call.Fun.(*ast.SelectorExpr).X), "Txn")
 }
 
 func runHeldWalk(p *Pass) {
@@ -1309,7 +997,7 @@ func runHeldWalk(p *Pass) {
 // innermost first: a literal handed to a section call, else the function
 // declaration — and requires an acquisition before it there.
 func (p *Pass) checkHeldWalk(held *ast.CallExpr, ancestors []ast.Node, spans []SnapshotSpan) {
-	name := exprText(held.Fun)
+	name := ExprText(held.Fun)
 	if InSnapshotSpan(spans, held.Pos()) {
 		p.Reportf(held.Pos(),
 			"%s between a core.Snapshot's Observe and its Validate: an optimistic observer holds no mode, so nothing keeps a writer out of the walk; use the locking walk there, or move the call to the pessimistic path",
@@ -1326,13 +1014,13 @@ func (p *Pass) checkHeldWalk(held *ast.CallExpr, ancestors []ast.Node, spans []S
 			if !ok {
 				continue // a plain closure: part of the body around it
 			}
-			if p.isTryOptimistic(outer) {
+			if isTryOptimistic(p.Info, outer) {
 				p.Reportf(held.Pos(),
 					"%s inside a TryOptimistic body: an optimistic observer holds no mode, so nothing keeps a writer out of the walk; use the locking walk there, or move the call to the pessimistic path",
 					name)
 				return
 			}
-			if p.isSectionCall(outer) {
+			if IsSectionEntry(p.Info, outer) {
 				body = fn.Body
 			}
 		}

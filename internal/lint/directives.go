@@ -1,8 +1,29 @@
 package lint
 
 import (
+	"go/ast"
+	"go/token"
 	"strings"
 )
+
+// HasDirective reports whether doc carries the compiler directive d (a
+// //semlock: marker). A directive line is the directive alone, or the
+// directive followed by whitespace and anything else — a reason, a
+// note — so "//semlock:readonly -- reason" is the readonly marker and
+// "//semlock:atomicity" is not the atomic one. The compiler (gosrc) and
+// every analyzer read markers through this one rule.
+func HasDirective(doc *ast.CommentGroup, d string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		rest, ok := strings.CutPrefix(c.Text, d)
+		if ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+			return true
+		}
+	}
+	return false
+}
 
 // Suppression directives. Some code drives the raw lock mechanism on
 // purpose — the internal/modules and internal/apps "ours" types are
@@ -16,10 +37,16 @@ import (
 //	//semlockvet:ignore <analyzer> -- <reason>
 //
 // trailing the offending line or on the line directly above it. The
-// reason is mandatory: a directive without one is itself reported, so
-// suppressions stay auditable.
+// reason is mandatory, and the analyzer must be one the run knows (or
+// "directive", the name malformed directives are reported under): a
+// directive without a reason, or naming no analyzer — misspelled, or
+// left behind by a deleted one — suppresses nothing and is itself
+// reported, so suppressions stay auditable.
 
 const directivePrefix = "semlockvet:"
+
+// directiveAnalyzer is the analyzer name of directive findings.
+const directiveAnalyzer = "directive"
 
 // suppressions holds the parsed directives of one package.
 type suppressions struct {
@@ -38,58 +65,60 @@ func (s *suppressions) covers(d Diagnostic) bool {
 	return lines[d.Pos.Line][d.Analyzer] || lines[d.Pos.Line-1][d.Analyzer]
 }
 
-// parseSuppressions scans a package's comments for directives.
-// Malformed ones are reported through report.
-func parseSuppressions(pkg *Package, report func(d Diagnostic)) *suppressions {
+// parseSuppressions scans the packages' comments for directives. A
+// malformed one, or one whose analyzer is not in known, is reported
+// through report and suppresses nothing.
+func parseSuppressions(pkgs []*Package, known map[string]bool, report func(d Diagnostic)) *suppressions {
 	s := &suppressions{
 		file: make(map[string]map[string]bool),
 		line: make(map[string]map[int]map[string]bool),
 	}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, directivePrefix) {
-					continue
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					s.parse(pkg.Fset.Position(c.Pos()), c.Text, known, report)
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				verb, rest, _ := strings.Cut(strings.TrimPrefix(text, directivePrefix), " ")
-				spec, reason, hasReason := strings.Cut(rest, "--")
-				name := strings.TrimSpace(spec)
-				malformed := func(why string) {
-					report(Diagnostic{Pos: pos, Analyzer: "directive",
-						Message: "malformed " + directivePrefix + verb + " directive: " + why})
-				}
-				if verb != "ignore" && verb != "file-ignore" {
-					malformed("unknown verb (want ignore or file-ignore)")
-					continue
-				}
-				if name == "" || !hasReason || strings.TrimSpace(reason) == "" {
-					malformed("want //" + directivePrefix + verb + " <analyzer> -- <reason>")
-					continue
-				}
-				if verb == "file-ignore" {
-					m := s.file[pos.Filename]
-					if m == nil {
-						m = make(map[string]bool)
-						s.file[pos.Filename] = m
-					}
-					m[name] = true
-					continue
-				}
-				byLine := s.line[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
-					s.line[pos.Filename] = byLine
-				}
-				m := byLine[pos.Line]
-				if m == nil {
-					m = make(map[string]bool)
-					byLine[pos.Line] = m
-				}
-				m[name] = true
 			}
 		}
 	}
 	return s
+}
+
+// parse records one comment's directive, if it is one.
+func (s *suppressions) parse(pos token.Position, comment string, known map[string]bool, report func(d Diagnostic)) {
+	text := strings.TrimSpace(strings.TrimPrefix(comment, "//"))
+	if !strings.HasPrefix(text, directivePrefix) {
+		return
+	}
+	verb, rest, _ := strings.Cut(strings.TrimPrefix(text, directivePrefix), " ")
+	spec, reason, hasReason := strings.Cut(rest, "--")
+	name := strings.TrimSpace(spec)
+	malformed := func(why string) {
+		report(Diagnostic{Pos: pos, Analyzer: directiveAnalyzer,
+			Message: "malformed " + directivePrefix + verb + " directive: " + why})
+	}
+	switch {
+	case verb != "ignore" && verb != "file-ignore":
+		malformed("unknown verb (want ignore or file-ignore)")
+	case name == "" || !hasReason || strings.TrimSpace(reason) == "":
+		malformed("want //" + directivePrefix + verb + " <analyzer> -- <reason>")
+	case !known[name]:
+		malformed("names no analyzer of this run (" + name + "), so it suppresses nothing")
+	case verb == "file-ignore":
+		if s.file[pos.Filename] == nil {
+			s.file[pos.Filename] = make(map[string]bool)
+		}
+		s.file[pos.Filename][name] = true
+	default:
+		byLine := s.line[pos.Filename]
+		if byLine == nil {
+			byLine = make(map[int]map[string]bool)
+			s.line[pos.Filename] = byLine
+		}
+		if byLine[pos.Line] == nil {
+			byLine[pos.Line] = make(map[string]bool)
+		}
+		byLine[pos.Line][name] = true
+	}
 }

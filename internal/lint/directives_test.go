@@ -20,6 +20,15 @@ func parseSrc(t *testing.T, src string) *Package {
 	return &Package{PkgPath: "repro/tdata", Fset: fset, Files: []*ast.File{f}}
 }
 
+// known holds every per-package analyzer's name, and "directive".
+func known() map[string]bool {
+	names := map[string]bool{directiveAnalyzer: true}
+	for _, a := range All() {
+		names[a.Name] = true
+	}
+	return names
+}
+
 // TestDirectiveScoping pins the coverage rules: a line ignore covers
 // its own line and the next, a file ignore covers its whole file (and
 // only that file), and both are keyed by analyzer name.
@@ -34,7 +43,7 @@ var b int
 `
 	pkg := parseSrc(t, src)
 	var malformed []Diagnostic
-	sup := parseSuppressions(pkg, func(d Diagnostic) { malformed = append(malformed, d) })
+	sup := parseSuppressions([]*Package{pkg}, known(), func(d Diagnostic) { malformed = append(malformed, d) })
 	if len(malformed) != 0 {
 		t.Fatalf("well-formed directives reported as malformed: %v", malformed)
 	}
@@ -50,7 +59,7 @@ var b int
 		{"ignore covers the next line", "occpure", "fix.go", 4, true},
 		{"ignore stops two lines below", "occpure", "fix.go", 5, false},
 		{"ignore does not reach back up", "occpure", "fix.go", 2, false},
-		{"ignore is analyzer-keyed", "paddedcopy", "fix.go", 3, false},
+		{"ignore is analyzer-keyed", "modemask", "fix.go", 3, false},
 		{"file-ignore covers the top of the file", "txndiscipline", "fix.go", 1, true},
 		{"file-ignore covers below the directive", "txndiscipline", "fix.go", 7, true},
 		{"file-ignore is analyzer-keyed", "modemask", "fix.go", 7, false},
@@ -67,8 +76,9 @@ var b int
 	}
 }
 
-// TestDirectiveMalformed pins the malformed shapes: every one is
-// reported as a "directive" finding and suppresses nothing.
+// TestDirectiveMalformed pins the malformed shapes, a directive naming
+// no analyzer among them: every one is reported as a "directive"
+// finding and suppresses nothing.
 func TestDirectiveMalformed(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -81,13 +91,15 @@ func TestDirectiveMalformed(t *testing.T) {
 		{"unknown verb", "//semlockvet:suppress occpure -- some reason", "unknown verb"},
 		{"file-ignore missing analyzer", "//semlockvet:file-ignore -- some reason", "want //semlockvet:file-ignore"},
 		{"file-ignore missing reason", "//semlockvet:file-ignore occpure", "want //semlockvet:file-ignore"},
+		{"misspelled analyzer", "//semlockvet:ignore occpur -- some reason", "names no analyzer of this run (occpur)"},
+		{"file-ignore of a deleted analyzer", "//semlockvet:file-ignore paddedcopy -- some reason", "names no analyzer of this run (paddedcopy)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			src := "package tdata\n\n" + tc.directive + "\nvar a int\n"
 			pkg := parseSrc(t, src)
 			var malformed []Diagnostic
-			sup := parseSuppressions(pkg, func(d Diagnostic) { malformed = append(malformed, d) })
+			sup := parseSuppressions([]*Package{pkg}, known(), func(d Diagnostic) { malformed = append(malformed, d) })
 			if len(malformed) != 1 {
 				t.Fatalf("want exactly 1 malformed report, got %v", malformed)
 			}
@@ -125,7 +137,7 @@ func f() {
 }
 `
 	pkg := parseSrc(t, src)
-	sup := parseSuppressions(pkg, func(Diagnostic) {})
+	sup := parseSuppressions([]*Package{pkg}, known(), func(Diagnostic) {})
 	if !sup.covers(Diagnostic{Pos: token.Position{Filename: "fix.go", Line: 5}, Analyzer: "occpure"}) {
 		t.Errorf("directive should cover the line directly below it (the func line)")
 	}

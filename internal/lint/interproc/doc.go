@@ -35,8 +35,10 @@
 //     certificate to a global claim.
 //
 // Both analyzers implement lint.ProgramAnalyzer and run through
-// lint.RunProgram; cmd/semlockvet wires them in next to the per-package
-// suite.
+// lint.Run next to the per-package suite. What opens a section, the
+// core/cc/adt type predicates and what a directive line means come from
+// internal/lint, so both tiers answer them alike; this package adds only
+// the call-graph engine and the two analyzers over it.
 //
 // The engine is deliberately conservative where Go makes static
 // resolution hard: calls through interfaces and function values resolve

@@ -127,7 +127,7 @@ func buildProgram(pkgs []*lint.Package) *program {
 					hasTxnParam: signatureTakesTxn(obj),
 					topScope:    &rankScope{},
 				}
-				if hasDocDirective(fd.Doc, "//semlock:atomic") {
+				if lint.HasDirective(fd.Doc, "//semlock:atomic") {
 					fi.sectionGuarded = true
 				}
 				p.funcs[key] = fi
@@ -173,7 +173,7 @@ func keyOf(fn *types.Func) funcKey {
 
 func displayName(fd *ast.FuncDecl, pkg *lint.Package) string {
 	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		return "(" + exprText(fd.Recv.List[0].Type) + ")." + fd.Name.Name
+		return "(" + lint.ExprText(fd.Recv.List[0].Type) + ")." + fd.Name.Name
 	}
 	return pkg.Types.Name() + "." + fd.Name.Name
 }
@@ -184,58 +184,29 @@ func signatureTakesTxn(fn *types.Func) bool {
 		return false
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
-		if isTxnType(sig.Params().At(i).Type()) {
+		if lint.IsNamed(sig.Params().At(i).Type(), "internal/core", "Txn") {
 			return true
 		}
 	}
 	return false
 }
 
-// ---- type predicates ----
-
-// namedFrom reports the named type behind pointers if its package path
-// ends in pkgSuffix.
-func namedFrom(t types.Type, pkgSuffix string) (string, bool) {
-	if t == nil {
-		return "", false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return "", false
-	}
-	if !strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix) {
-		return "", false
-	}
-	return n.Obj().Name(), true
-}
-
+// isADTType renders t's class ("adt.HashMap", "semadt.Map") when it is
+// a semantic-ADT type.
 func isADTType(t types.Type) (string, bool) {
-	if name, ok := namedFrom(t, "internal/adt"); ok {
+	if name, ok := lint.NamedFrom(t, "internal/adt"); ok {
 		return "adt." + name, true
 	}
-	if name, ok := namedFrom(t, "internal/semadt"); ok {
+	if name, ok := lint.NamedFrom(t, "internal/semadt"); ok {
 		return "semadt." + name, true
 	}
 	return "", false
 }
 
-func isTxnType(t types.Type) bool {
-	n, ok := namedFrom(t, "internal/core")
-	return ok && n == "Txn"
-}
-
-func isTwoPLType(t types.Type) bool {
-	n, ok := namedFrom(t, "internal/cc")
-	return ok && n == "TwoPL"
-}
-
 // ---- the per-function scanner ----
 
 type guardCtx struct {
-	guarded   bool // inside an Atomically/TryOptimistic literal or a section-guarded decl
+	guarded   bool // inside a section-entry literal (lint.IsSectionEntry) or a section-guarded decl
 	guardSeen bool // a local guard acquisition appeared earlier in source order
 	spawned   bool // inside a go-statement literal or a literal that escapes
 	scope     *rankScope
@@ -339,7 +310,7 @@ func (s *scanner) prepass() {
 				classify(lhs, rhs)
 				// A store through a selector/index publishes the RHS.
 				if _, isIdent := lhs.(*ast.Ident); !isIdent && rhs != nil {
-					escape(rhs, n.Pos(), "stored into "+exprText(lhs))
+					escape(rhs, n.Pos(), "stored into "+lint.ExprText(lhs))
 				}
 			}
 		case *ast.DeclStmt:
@@ -367,7 +338,7 @@ func (s *scanner) prepass() {
 				return true
 			}
 			for _, a := range n.Args {
-				escape(a, n.Pos(), "passed to "+exprText(n.Fun))
+				escape(a, n.Pos(), "passed to "+lint.ExprText(n.Fun))
 			}
 		case *ast.GoStmt:
 			// Captures inside the spawned literal escape; the literal
@@ -401,7 +372,7 @@ type litKind int
 const (
 	litEscapes  litKind = iota // go target, assigned, passed to an opaque call
 	litInherits                // deferred or immediately invoked: same goroutine, same section
-	litSection                 // argument of Atomically/TryOptimistic: starts/continues a section
+	litSection                 // argument of a section entry (lint.IsSectionEntry): starts/continues a section
 )
 
 // litClass finds the immediate use of lit inside body. Linear in the
@@ -427,7 +398,7 @@ func litClass(pkg *lint.Package, body *ast.BlockStmt, lit *ast.FuncLit) litKind 
 			}
 			for _, a := range n.Args {
 				if a == lit {
-					if isSectionEntry(pkg, n) || isTryOptimistic(pkg, n) || isPolicySection(pkg, n) {
+					if lint.IsSectionEntry(pkg.Info, n) {
 						kind = litSection
 					} else {
 						kind = litEscapes
@@ -474,57 +445,6 @@ func isConstructorCall(pkg *lint.Package, e ast.Expr) bool {
 
 // ---- guard-relevant call classification ----
 
-// isSectionEntry: core.Atomically(fn) or (*core.Txn).Atomically(fn).
-func isSectionEntry(pkg *lint.Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if selObj, isMethod := pkg.Info.Selections[sel]; isMethod {
-		fn, _ := selObj.Obj().(*types.Func)
-		return fn != nil && fn.Name() == "Atomically" && isTxnType(selObj.Recv())
-	}
-	fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
-	return fn != nil && fn.Name() == "Atomically" && fn.Pkg() != nil &&
-		strings.HasSuffix(fn.Pkg().Path(), "internal/core")
-}
-
-// isPolicySection: (*resilience.Policy).Run(section). The resilience
-// layer runs the closure inside core.Atomically, so the literal body is
-// section-guarded exactly like an Atomically argument.
-func isPolicySection(pkg *lint.Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	selObj, isMethod := pkg.Info.Selections[sel]
-	if !isMethod {
-		return false
-	}
-	fn, _ := selObj.Obj().(*types.Func)
-	if fn == nil || fn.Name() != "Run" {
-		return false
-	}
-	n, ok := namedFrom(selObj.Recv(), "internal/resilience")
-	return ok && n == "Policy"
-}
-
-// isTryOptimistic: (*core.Txn).TryOptimistic(fn) — body runs on the
-// same transaction, so it both enters a section and (for rank scoping)
-// continues the current scope.
-func isTryOptimistic(pkg *lint.Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	selObj, isMethod := pkg.Info.Selections[sel]
-	if !isMethod {
-		return false
-	}
-	fn, _ := selObj.Obj().(*types.Func)
-	return fn != nil && fn.Name() == "TryOptimistic" && isTxnType(selObj.Recv())
-}
-
 // guard method sets, keyed by receiver type.
 var (
 	txnGuardMethods = map[string]bool{
@@ -568,18 +488,18 @@ func isGuardAcquire(pkg *lint.Package, call *ast.CallExpr) bool {
 		return false
 	}
 	recv := selObj.Recv()
-	if isTxnType(recv) && txnGuardMethods[fn.Name()] {
+	if lint.IsNamed(recv, "internal/core", "Txn") && txnGuardMethods[fn.Name()] {
 		return true
 	}
-	if n, ok := namedFrom(recv, "internal/core"); ok && n == "Semantic" && semGuardMethods[fn.Name()] {
+	if lint.IsNamed(recv, "internal/core", "Semantic") && semGuardMethods[fn.Name()] {
 		return true
 	}
-	if n, ok := namedFrom(recv, "internal/cc"); ok {
+	if n, ok := lint.NamedFrom(recv, "internal/cc"); ok {
 		if set := ccGuardMethods[n]; set != nil && set[fn.Name()] {
 			return true
 		}
 	}
-	if n, ok := namedFrom(recv, "sync"); ok {
+	if n, ok := lint.NamedFrom(recv, "sync"); ok {
 		if set := syncGuardMethods[n]; set != nil && set[fn.Name()] {
 			return true
 		}
@@ -881,7 +801,7 @@ func (s *scanner) scanCall(call *ast.CallExpr, ctx *guardCtx) {
 	// purposes the body is an isolated alternative too. The resilience
 	// layer's Policy.Run runs its closure inside core.Atomically, on a
 	// fresh transaction, so the same applies.
-	if isSectionEntry(s.pkg, call) || isTryOptimistic(s.pkg, call) || isPolicySection(s.pkg, call) {
+	if lint.IsSectionEntry(s.pkg.Info, call) {
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			s.scanExpr(sel.X, ctx)
 		}
@@ -922,13 +842,13 @@ func (s *scanner) scanCall(call *ast.CallExpr, ctx *guardCtx) {
 		site := &opSite{
 			pos:     call.Pos(),
 			pkg:     s.pkg,
-			recv:    exprText(recvExpr),
+			recv:    lint.ExprText(recvExpr),
 			class:   class,
 			method:  method,
 			guarded: s.covered(ctx, call.Pos()),
 			spawned: ctx.spawned,
 			shared:  true,
-			flow:    "receiver " + exprText(recvExpr) + " may be shared",
+			flow:    "receiver " + lint.ExprText(recvExpr) + " may be shared",
 		}
 		if id, isIdent := recvExpr.(*ast.Ident); isIdent {
 			if obj := s.pkg.Info.Uses[id]; obj != nil {
@@ -980,7 +900,7 @@ func (s *scanner) recordCall(call *ast.CallExpr, ctx *guardCtx) {
 		// sequence into the caller's rank scope.
 		for _, a := range call.Args {
 			t := s.pkg.Info.TypeOf(a)
-			if isTxnType(t) || isTwoPLType(t) {
+			if lint.IsNamed(t, "internal/core", "Txn") || lint.IsNamed(t, "internal/cc", "TwoPL") {
 				s.emit(ctx, &rankCall{callee: callee, pos: call.Pos()})
 				break
 			}
@@ -1024,46 +944,6 @@ func (p *program) markSectionGuarded(key funcKey) {
 	if fi := p.funcs[key]; fi != nil {
 		fi.sectionGuarded = true
 	}
-}
-
-// ---- misc ----
-
-func exprText(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprText(e.X) + "." + e.Sel.Name
-	case *ast.StarExpr:
-		return "*" + exprText(e.X)
-	case *ast.UnaryExpr:
-		return e.Op.String() + exprText(e.X)
-	case *ast.IndexExpr:
-		return exprText(e.X) + "[" + exprText(e.Index) + "]"
-	case *ast.CallExpr:
-		return exprText(e.Fun) + "(...)"
-	case *ast.ParenExpr:
-		return "(" + exprText(e.X) + ")"
-	case *ast.TypeAssertExpr:
-		return exprText(e.X) + ".(...)"
-	case *ast.BasicLit:
-		return e.Value
-	default:
-		return "?"
-	}
-}
-
-func hasDocDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == directive || strings.HasPrefix(text, directive+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 func constIntOf(pkg *lint.Package, e ast.Expr) (int64, bool) {

@@ -101,7 +101,7 @@ func witnessText(d *lint.Diagnostic) string { return strings.Join(d.Witness, "\n
 // interprocedural witness chains.
 func TestGuardedBy(t *testing.T) {
 	pkg := loadFixture(t, "repro/tdata", "guardedby.go")
-	diags := lint.RunProgram([]*lint.Package{pkg}, []*lint.ProgramAnalyzer{GuardedBy})
+	diags := lint.Run([]*lint.Package{pkg}, nil, []*lint.ProgramAnalyzer{GuardedBy})
 	matchWants(t, "guardedby.go", diags)
 
 	// The helper's finding must name the exposing caller chain.
@@ -136,7 +136,7 @@ func TestGuardedBy(t *testing.T) {
 // splice), and nothing else.
 func TestRankOrder(t *testing.T) {
 	pkg := loadFixture(t, "repro/tdata", "rankorder.go")
-	diags := lint.RunProgram([]*lint.Package{pkg}, []*lint.ProgramAnalyzer{RankOrder})
+	diags := lint.Run([]*lint.Package{pkg}, nil, []*lint.ProgramAnalyzer{RankOrder})
 
 	inv := findDiag(diags, "rank 1 acquired after rank 2")
 	if inv == nil {

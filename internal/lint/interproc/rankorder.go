@@ -130,7 +130,7 @@ func (s *scanner) recordRankEvents(call *ast.CallExpr, ctx *guardCtx) {
 	}
 	recv := selObj.Recv()
 	switch {
-	case isTxnType(recv):
+	case lint.IsNamed(recv, "internal/core", "Txn"):
 		switch fn.Name() {
 		case "Lock", "LockWithin", "Observe":
 			if len(call.Args) >= 3 {
@@ -155,7 +155,7 @@ func (s *scanner) recordRankEvents(call *ast.CallExpr, ctx *guardCtx) {
 				s.emit(ctx, &rankLock{syms: group, pos: call.Pos()})
 			}
 		}
-	case isTwoPLType(recv):
+	case lint.IsNamed(recv, "internal/cc", "TwoPL"):
 		switch fn.Name() {
 		case "Lock":
 			if len(call.Args) >= 1 {
@@ -234,7 +234,7 @@ func (s *scanner) symOf(e ast.Expr) rankSym {
 			return rankSym{scope: string(s.fi.key), name: e.Name}
 		}
 	}
-	return rankSym{scope: string(s.fi.key), name: exprText(e)}
+	return rankSym{scope: string(s.fi.key), name: lint.ExprText(e)}
 }
 
 func appendSym(syms []rankSym, s rankSym) []rankSym {

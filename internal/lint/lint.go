@@ -8,9 +8,6 @@
 //
 // The analyzers:
 //
-//   - paddedcopy: internal/padded counters must never be copied by
-//     value — a copy duplicates the hot counter and silently splits
-//     updates across two cache lines.
 //   - txndiscipline: the raw lock mechanism (core.Semantic's Acquire /
 //     TryAcquire / Release) must only be driven through core.Txn, which
 //     enforces the two-phase and OS2PL rules; direct calls outside
@@ -18,9 +15,6 @@
 //   - modemask: lock-mode masks are 64-bit; shifting an untyped
 //     constant by a non-constant count in int context silently builds a
 //     31-bit mask on the way to a uint64 word.
-//   - unlockpath: in internal/modules, a function that locks through a
-//     Txn must release on every return path (defer tx.UnlockAll() or an
-//     explicit unlock before each return).
 //   - abortpath: a function that creates a core.Txn (NewTxn,
 //     NewCheckedTxn, or a pool checkout asserted to *core.Txn) must
 //     guard its release against panics — a deferred UnlockAll or an
@@ -49,6 +43,17 @@
 //     the container's own, so it must come after a lock acquisition in
 //     its section and never inside a TryOptimistic body or a
 //     core.Snapshot's Observe…Validate span.
+//
+// Two invariants have no analyzer here because something else already
+// decides them. An internal/padded counter copied by value is go vet's
+// copylocks finding: each padded type wraps a sync/atomic value
+// (internal/padded's TestCounterFieldsAreAtomic keeps it that way). A
+// section's release on every path is core.Atomically's epilogue, and
+// abortpath holds every other Txn to a panic-safe release.
+//
+// What opens a section, which named type a value is, and what a
+// directive line means are answered once, in section.go and
+// directives.go, for these analyzers and internal/lint/interproc's.
 //
 // Deliberate exceptions — plan transcriptions in internal/modules and
 // internal/apps, and benchmarks of the bare mechanism — carry
@@ -118,10 +123,9 @@ func (d Diagnostic) String() string {
 }
 
 // All returns the repository's per-package analyzers. Whole-program
-// analyzers (guardedby, rankorder) live in internal/lint/interproc and
-// run through RunProgram.
+// analyzers (guardedby, rankorder) live in internal/lint/interproc.
 func All() []*Analyzer {
-	return []*Analyzer{PaddedCopy, TxnDiscipline, ModeMask, UnlockPath, AbortPath, Batchable, OccPure, RetryPath, BoxOnce, HeldWalk}
+	return []*Analyzer{TxnDiscipline, ModeMask, AbortPath, Batchable, OccPure, RetryPath, BoxOnce, HeldWalk}
 }
 
 // ProgramAnalyzer is one whole-program check: unlike Analyzer it sees
@@ -158,46 +162,23 @@ func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args .
 	})
 }
 
-// RunProgram applies whole-program analyzers to the loaded packages and
-// returns the findings sorted by position. The same //semlockvet:ignore
-// and //semlockvet:file-ignore directives that scope per-package
-// analyzers apply, keyed by the file the diagnostic lands in; malformed
-// directives are NOT re-reported here (Run already reports them), so
-// running both entry points over one load never duplicates findings.
-func RunProgram(pkgs []*Package, analyzers []*ProgramAnalyzer) []Diagnostic {
-	var raw []Diagnostic
-	for _, a := range analyzers {
-		a.Run(&ProgramPass{Analyzer: a, Pkgs: pkgs, diags: &raw})
-	}
-	var diags []Diagnostic
-	sups := make([]*suppressions, 0, len(pkgs))
-	for _, pkg := range pkgs {
-		sups = append(sups, parseSuppressions(pkg, func(Diagnostic) {}))
-	}
-	for _, d := range raw {
-		covered := false
-		for _, s := range sups {
-			if s.covers(d) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			diags = append(diags, d)
-		}
-	}
-	sortDiags(diags)
-	return diags
-}
-
-// Run applies the analyzers to the packages and returns the findings
+// Run applies the per-package analyzers to each package and the
+// whole-program analyzers to all of them, and returns the findings
 // sorted by position. Findings covered by a //semlockvet:ignore or
-// //semlockvet:file-ignore directive (see directives.go) are dropped;
-// malformed directives are themselves reported.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
+// //semlockvet:file-ignore directive of the file they land in (see
+// directives.go) are dropped; a malformed directive, or one naming no
+// analyzer of this run, is itself reported.
+func Run(pkgs []*Package, analyzers []*Analyzer, program []*ProgramAnalyzer) []Diagnostic {
+	known := map[string]bool{directiveAnalyzer: true}
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	for _, a := range program {
+		known[a.Name] = true
+	}
+	var diags, raw []Diagnostic
+	sup := parseSuppressions(pkgs, known, func(d Diagnostic) { diags = append(diags, d) })
 	for _, pkg := range pkgs {
-		var raw []Diagnostic
 		for _, a := range analyzers {
 			a.Run(&Pass{
 				Analyzer: a,
@@ -209,11 +190,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				diags:    &raw,
 			})
 		}
-		sup := parseSuppressions(pkg, func(d Diagnostic) { diags = append(diags, d) })
-		for _, d := range raw {
-			if !sup.covers(d) {
-				diags = append(diags, d)
-			}
+	}
+	for _, a := range program {
+		a.Run(&ProgramPass{Analyzer: a, Pkgs: pkgs, diags: &raw})
+	}
+	for _, d := range raw {
+		if !sup.covers(d) {
+			diags = append(diags, d)
 		}
 	}
 	sortDiags(diags)

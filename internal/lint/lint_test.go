@@ -14,8 +14,9 @@ import (
 )
 
 // loadFixture type-checks one testdata file under a chosen package path
-// (the path matters: unlockpath gates on internal/modules, and
-// txndiscipline exempts internal/core). The source importer resolves
+// (the path matters: txndiscipline, abortpath and retrypath exempt
+// internal/core, and boxonce counts only callees declared under
+// internal/). The source importer resolves
 // the fixture's repro/... imports because testdata/ sits inside the
 // module.
 func loadFixture(t *testing.T, pkgPath string, filenames ...string) *Package {
@@ -72,10 +73,8 @@ func TestAnalyzers(t *testing.T) {
 		pkgPath  string
 		analyzer *Analyzer
 	}{
-		{"paddedcopy.go", "repro/tdata", PaddedCopy},
 		{"txndiscipline.go", "repro/tdata", TxnDiscipline},
 		{"modemask.go", "repro/tdata", ModeMask},
-		{"unlockpath.go", "repro/internal/modules/tdata", UnlockPath},
 		{"abortpath.go", "repro/tdata", AbortPath},
 		{"batchable.go", "repro/tdata", Batchable},
 		{"directives.go", "repro/tdata", TxnDiscipline},
@@ -87,7 +86,7 @@ func TestAnalyzers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name+"/"+tc.file, func(t *testing.T) {
 			pkg := loadFixture(t, tc.pkgPath, tc.file)
-			diags := Run([]*Package{pkg}, []*Analyzer{tc.analyzer})
+			diags := Run([]*Package{pkg}, []*Analyzer{tc.analyzer}, nil)
 			wants := wantsOf(t, tc.file)
 			for _, d := range diags {
 				line := d.Pos.Line
@@ -113,30 +112,25 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
-// TestPathGates checks the package-path scoping: unlockpath is silent
-// outside internal/modules, and txndiscipline is silent inside
-// internal/core (where driving the raw mechanism is the job). retrypath
-// is silent inside internal/core only: internal/resilience has no retry
-// loop left to exempt.
+// TestPathGates checks the package-path scoping: txndiscipline and
+// abortpath are silent inside internal/core (where driving the raw
+// mechanism is the job). retrypath is silent inside internal/core only:
+// internal/resilience has no retry loop left to exempt.
 func TestPathGates(t *testing.T) {
-	outside := loadFixture(t, "repro/tdata", "unlockpath.go")
-	if diags := Run([]*Package{outside}, []*Analyzer{UnlockPath}); len(diags) != 0 {
-		t.Errorf("unlockpath fired outside internal/modules: %v", diags)
-	}
 	inCore := loadFixture(t, "repro/internal/core", "txndiscipline.go")
-	if diags := Run([]*Package{inCore}, []*Analyzer{TxnDiscipline}); len(diags) != 0 {
+	if diags := Run([]*Package{inCore}, []*Analyzer{TxnDiscipline}, nil); len(diags) != 0 {
 		t.Errorf("txndiscipline fired inside internal/core: %v", diags)
 	}
 	abortInCore := loadFixture(t, "repro/internal/core", "abortpath.go")
-	if diags := Run([]*Package{abortInCore}, []*Analyzer{AbortPath}); len(diags) != 0 {
+	if diags := Run([]*Package{abortInCore}, []*Analyzer{AbortPath}, nil); len(diags) != 0 {
 		t.Errorf("abortpath fired inside internal/core: %v", diags)
 	}
 	retryInCore := loadFixture(t, "repro/internal/core", "retrypath.go")
-	if diags := Run([]*Package{retryInCore}, []*Analyzer{RetryPath}); len(diags) != 0 {
+	if diags := Run([]*Package{retryInCore}, []*Analyzer{RetryPath}, nil); len(diags) != 0 {
 		t.Errorf("retrypath fired inside internal/core: %v", diags)
 	}
 	retryInResilience := loadFixture(t, "repro/internal/resilience", "retrypath.go")
-	if diags := Run([]*Package{retryInResilience}, []*Analyzer{RetryPath}); len(diags) == 0 {
+	if diags := Run([]*Package{retryInResilience}, []*Analyzer{RetryPath}, nil); len(diags) == 0 {
 		t.Errorf("retrypath silent inside internal/resilience, which is no longer exempt")
 	}
 }
@@ -151,7 +145,7 @@ func TestLoadModulePackage(t *testing.T) {
 	if len(pkgs) != 1 || !strings.HasSuffix(pkgs[0].PkgPath, "internal/padded") {
 		t.Fatalf("loaded %v, want exactly internal/padded", pkgs)
 	}
-	if diags := Run(pkgs, All()); len(diags) != 0 {
+	if diags := Run(pkgs, All(), nil); len(diags) != 0 {
 		t.Errorf("internal/padded should be clean: %v", diags)
 	}
 }

@@ -1,6 +1,7 @@
 // Fixture for malformed suppression directives: a directive without a
-// reason (or with an unknown verb) suppresses nothing and is itself
-// reported, so typo'd suppressions cannot silently disable a check.
+// reason, with an unknown verb, or naming no analyzer suppresses nothing
+// and is itself reported, so typo'd suppressions cannot silently
+// disable a check.
 package tdata
 
 import "repro/internal/core"
@@ -12,4 +13,10 @@ func bad(b *box, m core.ModeID) {
 	b.sem.Acquire(m) // want "raw Semantic.Acquire"
 	//semlockvet:frob txndiscipline -- bogus verb // want "unknown verb"
 	b.sem.Release(m) // want "raw Semantic.Release"
+}
+
+func misnamed(b *box, m core.ModeID) {
+	//semlockvet:ignore txndiscpline -- misspelled // want "names no analyzer of this run"
+	b.sem.Acquire(m) // want "raw Semantic.Acquire"
+	//semlockvet:file-ignore paddedcopy -- its analyzer is gone // want "names no analyzer of this run"
 }

@@ -45,6 +45,16 @@ func countedLookup(m *semadt.Map, k int) {
 	hitCount++ // want "store to package-level hitCount"
 }
 
+// A marker line is the marker alone or the marker followed by
+// whitespace: a trailing reason or note leaves it the marker.
+//
+//semlock:atomic // compiled by semlockc
+//semlock:readonly -- a probe: it only reads
+func annotatedProbe(m *semadt.Map, k int) {
+	m.Put(k, k) // want "mutates Map state"
+	hitCount++  // want "store to package-level hitCount"
+}
+
 //semlock:readonly
 func notASection(m *semadt.Map, k int) { // want "without //semlock:atomic"
 	_ = m.Get(k)

@@ -1,6 +1,11 @@
 package padded
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"testing"
 	"unsafe"
 )
@@ -42,5 +47,53 @@ func TestOps(t *testing.T) {
 	u.Store(9)
 	if u.Load() != 9 {
 		t.Error("Uint64 Store")
+	}
+}
+
+// TestCounterFieldsAreAtomic: every padded type's counter is a
+// sync/atomic value. That field is what go vet's copylocks check keys
+// on (sync/atomic's types carry a noCopy marker), so it is what makes a
+// padded counter copied by value a vet finding; a plain integer there
+// would lose the check silently.
+func TestCounterFieldsAreAtomic(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "padded.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := (&types.Config{Importer: importer.ForCompiler(fset, "source", nil)}).
+		Check("repro/internal/padded", fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	structs := 0
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		structs++
+		counters := 0
+		for i := 0; i < st.NumFields(); i++ {
+			field := st.Field(i)
+			if field.Name() == "_" {
+				continue
+			}
+			counters++
+			n, ok := field.Type().(*types.Named)
+			if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync/atomic" {
+				t.Errorf("%s.%s is %s, want a sync/atomic type", name, field.Name(), field.Type())
+			}
+		}
+		if counters != 1 {
+			t.Errorf("%s has %d counter fields, want 1", name, counters)
+		}
+	}
+	if structs == 0 {
+		t.Fatal("no padded types found")
 	}
 }
