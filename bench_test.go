@@ -40,7 +40,7 @@ func BenchmarkFig19Compile(b *testing.B) {
 func BenchmarkSemanticAcquire(b *testing.B) {
 	p := cia.BuildPlan(plan.Options{})
 	tbl := p.Table("Map")
-	ref := p.Ref(0, "map")
+	ref := p.Ref(0, "m")
 	sem := core.NewSemantic(tbl)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,7 +56,7 @@ func BenchmarkSemanticAcquire(b *testing.B) {
 func BenchmarkSemanticAcquireParallel(b *testing.B) {
 	p := cia.BuildPlan(plan.Options{})
 	sem := core.NewSemantic(p.Table("Map"))
-	ref := p.Ref(0, "map")
+	ref := p.Ref(0, "m")
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
@@ -88,7 +88,7 @@ func BenchmarkSynthesize(b *testing.B) {
 // (§5.1): φ of the key plus the dense lookup.
 func BenchmarkModeSelect(b *testing.B) {
 	p := cia.BuildPlan(plan.Options{})
-	ref := p.Ref(0, "map")
+	ref := p.Ref(0, "m")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,6 @@
 package demo
 
 import (
-	"repro/internal/adtspecs"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/modules/plan"
@@ -49,40 +48,44 @@ func _semlockSections() []*ir.Atomic {
 	}
 }
 
-// _semlockPlan re-runs the (deterministic) synthesis at startup.
-var _semlockPlan = plan.MustBuild(_semlockSections(), adtspecs.All(), nil, plan.Options{})
+// _semlockPlan is one plan of _semlockSections: its lock sites and
+// allocation tables. The compiled functions are its methods, so each
+// runs the plan its receiver was bound to.
+type _semlockPlan struct {
+	site0  core.SetRef
+	site1  core.SetRef
+	site2  core.SetRef
+	tblSet *core.ModeTable
+}
 
-var _semlockTblSet = _semlockPlan.Table("Set")
-
-var _semlockSite0 = _semlockPlan.Ref(0, "m")
-var _semlockSite1 = _semlockPlan.Ref(0, "set")
-var _semlockSite2 = _semlockPlan.Ref(0, "q")
-
-// _semlockMode selects the runtime locking mode for a site.
-func _semlockMode(r core.SetRef, vals ...core.Value) core.ModeID {
-	if len(r.Vars()) == 0 {
-		return r.Mode()
+// _semlockBind resolves the lock sites against p, a plan synthesized
+// from _semlockSections().
+func _semlockBind(p *plan.Plan) *_semlockPlan {
+	return &_semlockPlan{
+		site0:  p.Ref(0, "m"),
+		site1:  p.Ref(0, "set"),
+		site2:  p.Ref(0, "q"),
+		tblSet: p.Table("Set"),
 	}
-	return r.Mode(vals...)
 }
 
 // Process is the semantically locked form of the annotated input
-// function (compiled plan: see _semlockPlan).
-func Process(m *semadt.Map, q *semadt.Queue, id, x, y int, flag bool) {
+// function, run under the plan _p binds.
+func (_p *_semlockPlan) Process(m *semadt.Map, q *semadt.Queue, id, x, y int, flag bool) {
 	var set core.Value
 	_ = set
 	core.Atomically(func(tx *core.Txn) {
-		tx.Lock(semadt.SemOf(m), _semlockMode(_semlockSite0, semadt.ID(id)), 0)
+		tx.Lock(semadt.SemOf(m), _p.site0.Mode1(semadt.ID(id)), 0)
 		set = m.Get(id)
 		if set == nil {
-			set = semadt.NewSet(_semlockTblSet)
+			set = semadt.NewSet(_p.tblSet)
 			m.Put(id, set)
 		}
-		tx.Lock(semadt.SemOf(set), _semlockMode(_semlockSite1), 1)
+		tx.Lock(semadt.SemOf(set), _p.site1.Mode(), 1)
 		set.(*semadt.Set).Add(x)
 		set.(*semadt.Set).Add(y)
 		if flag {
-			tx.Lock(semadt.SemOf(q), _semlockMode(_semlockSite2, semadt.ID(set)), 2)
+			tx.Lock(semadt.SemOf(q), _p.site2.Mode1(semadt.ID(set)), 2)
 			q.Enqueue(set)
 			tx.UnlockInstance(semadt.SemOf(q))
 			m.Remove(id)

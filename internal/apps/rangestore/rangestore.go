@@ -7,7 +7,7 @@
 // lock — per range. Point writes lock one shard's key mode; the pair
 // write locks two shards in one fused LockBatch; the scan is the
 // read-only section that wants the optimistic envelope, because
-// pessimistically it must hold every shard's values() mode at once.
+// pessimistically it must hold every shard's scan mode at once.
 //
 // The store doubles as its own consistency oracle: PutPair atomically
 // inserts or removes the pair (k, partner(k)) in one section, so the
@@ -44,9 +44,9 @@ type Store struct {
 	width    int
 	shift    int // log2(width) when width is a power of two, else -1
 
-	writeRef core.SetRef // {put(k,*), remove(k)}
+	writeRef core.SetRef // {get(k), put(k,*), remove(k)}
 	getRef   core.SetRef // {get(k)}
-	scanMode core.ModeID // {values()}
+	scanMode core.ModeID // {size(), values()}
 }
 
 // New creates a store of nShards shards covering keys [0, capacity).
@@ -60,10 +60,11 @@ func New(nShards, capacity int) *Store {
 		width = 1
 	}
 	writeSet := core.SymSetOf(
+		core.SymOpOf("get", core.VarArg("k")),
 		core.SymOpOf("put", core.VarArg("k"), core.Star()),
 		core.SymOpOf("remove", core.VarArg("k")))
 	getSet := core.SymSetOf(core.SymOpOf("get", core.VarArg("k")))
-	scanSet := core.SymSetOf(core.SymOpOf("values"))
+	scanSet := core.SymSetOf(core.SymOpOf("size"), core.SymOpOf("values"))
 	tbl := core.NewModeTable(adtspecs.Map(), []core.SymSet{writeSet, getSet, scanSet},
 		core.TableOptions{Phi: core.NewPhi(16)})
 
@@ -188,7 +189,7 @@ func (s *Store) GetPessimistic(k int) core.Value {
 }
 
 // Scan counts the store's entries via the optimistic fast path:
-// observe every shard's values() mode, read every size lock-free, and
+// observe every shard's scan mode, read every size lock-free, and
 // validate. On a refusal or a failed validation it re-runs under the
 // pessimistic whole-store batch. Because PutPair keeps the entry count
 // even in every serial state, an odd return would prove a torn read

@@ -3,6 +3,7 @@ package gosrc
 import (
 	"fmt"
 	"go/format"
+	"slices"
 	"strings"
 
 	"repro/internal/adtspecs"
@@ -67,7 +68,7 @@ type generator struct {
 	res *synth.Result
 	b   strings.Builder
 
-	sites     []string // emitted site-var initializers
+	sites     []string // p.Ref calls resolving each lock site, by site number
 	siteIndex map[string]int
 }
 
@@ -88,7 +89,6 @@ func (g *generator) run() (string, error) {
 	g.b.WriteString("//\n// Semantic locking synthesized per Golan-Gueta et al., PPoPP 2015.\n\n")
 	fmt.Fprintf(&g.b, "package %s\n\n", g.f.Package)
 	g.b.WriteString(`import (
-	"repro/internal/adtspecs"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/modules/plan"
@@ -103,47 +103,50 @@ func _semlockSections() []*ir.Atomic {
 		g.b.WriteString(indentLines(atomicLit(fn.Section), 2) + ",\n")
 	}
 	g.b.WriteString("\t}\n}\n\n")
-	g.b.WriteString("// _semlockPlan re-runs the (deterministic) synthesis at startup.\n")
-	g.b.WriteString("var _semlockPlan = plan.MustBuild(_semlockSections(), adtspecs.All(), nil, plan.Options{})\n\n")
 
-	// Class tables (for allocations).
-	classes := map[string]bool{}
+	// One plan's lock sites and allocation tables, bound by the package
+	// from a plan it synthesized from _semlockSections.
+	var tables []string
 	for _, fn := range g.f.Functions {
-		collectNewClasses(fn.Section, classes)
+		collectNewClasses(fn.Section, &tables)
 	}
-	for class := range classes {
-		fmt.Fprintf(&g.b, "var _semlockTbl%s = _semlockPlan.Table(%q)\n", class, class)
+	var fields, inits strings.Builder
+	for i, ref := range g.sites {
+		fmt.Fprintf(&fields, "\tsite%d core.SetRef\n", i)
+		fmt.Fprintf(&inits, "\t\tsite%d: %s,\n", i, ref)
 	}
-	if len(classes) > 0 {
-		g.b.WriteString("\n")
+	for _, class := range tables {
+		fmt.Fprintf(&fields, "\ttbl%s *core.ModeTable\n", class)
+		fmt.Fprintf(&inits, "\t\ttbl%s: p.Table(%q),\n", class, class)
 	}
+	fmt.Fprintf(&g.b, `// _semlockPlan is one plan of _semlockSections: its lock sites and
+// allocation tables. The compiled functions are its methods, so each
+// runs the plan its receiver was bound to.
+type _semlockPlan struct {
+%s}
 
-	// Lock-site refs.
-	for i, init := range g.sites {
-		fmt.Fprintf(&g.b, "var _semlockSite%d = %s\n", i, init)
-	}
-	g.b.WriteString(`
-// _semlockMode selects the runtime locking mode for a site.
-func _semlockMode(r core.SetRef, vals ...core.Value) core.ModeID {
-	if len(r.Vars()) == 0 {
-		return r.Mode()
-	}
-	return r.Mode(vals...)
+// _semlockBind resolves the lock sites against p, a plan synthesized
+// from _semlockSections().
+func _semlockBind(p *plan.Plan) *_semlockPlan {
+	return &_semlockPlan{
+%s	}
 }
 
-`)
+`, fields.String(), inits.String())
 	g.b.WriteString(body.String())
 	return g.b.String(), nil
 }
 
-func collectNewClasses(a *ir.Atomic, out map[string]bool) {
+// collectNewClasses appends the classes a allocates to out, each once,
+// in order of first use.
+func collectNewClasses(a *ir.Atomic, out *[]string) {
 	var walk func(b ir.Block)
 	walk = func(b ir.Block) {
 		for _, s := range b {
 			switch x := s.(type) {
 			case *ir.Assign:
-				if x.NewType != "" {
-					out[x.NewType] = true
+				if x.NewType != "" && !slices.Contains(*out, x.NewType) {
+					*out = append(*out, x.NewType)
 				}
 			case *ir.If:
 				walk(x.Then)
@@ -156,16 +159,16 @@ func collectNewClasses(a *ir.Atomic, out map[string]bool) {
 	walk(a.Body)
 }
 
-// site interns a Ref initializer and returns its variable name.
+// site interns a lock site and returns the expression reading its SetRef.
 func (g *generator) site(si int, varName string) string {
 	key := fmt.Sprintf("%d/%s", si, varName)
-	if i, ok := g.siteIndex[key]; ok {
-		return fmt.Sprintf("_semlockSite%d", i)
+	i, ok := g.siteIndex[key]
+	if !ok {
+		i = len(g.sites)
+		g.siteIndex[key] = i
+		g.sites = append(g.sites, fmt.Sprintf("p.Ref(%d, %q)", si, varName))
 	}
-	i := len(g.sites)
-	g.siteIndex[key] = i
-	g.sites = append(g.sites, fmt.Sprintf("_semlockPlan.Ref(%d, %q)", si, varName))
-	return fmt.Sprintf("_semlockSite%d", i)
+	return fmt.Sprintf("_p.site%d", i)
 }
 
 // function emits one rewritten function.
@@ -173,11 +176,11 @@ func (g *generator) function(si int, fn *Function) (string, error) {
 	sec := g.res.Sections[si]
 	var b strings.Builder
 
-	// Signature: ADT params keep their wrapper types; other params keep
-	// their original types.
+	// Signature: the annotated one, as a method of the plan; every param
+	// and the result keep their original types.
 	fmt.Fprintf(&b, "// %s is the semantically locked form of the annotated input\n", fn.Name)
-	fmt.Fprintf(&b, "// function (compiled plan: see _semlockPlan).\n")
-	fmt.Fprintf(&b, "func %s(", fn.Name)
+	fmt.Fprintf(&b, "// function, run under the plan _p binds.\n")
+	fmt.Fprintf(&b, "func (_p *_semlockPlan) %s(", fn.Name)
 	var params []string
 	if fn.Decl.Type.Params != nil {
 		for _, field := range fn.Decl.Type.Params.List {
@@ -190,7 +193,13 @@ func (g *generator) function(si int, fn *Function) (string, error) {
 		}
 	}
 	b.WriteString(strings.Join(params, ", "))
-	b.WriteString(") {\n")
+	b.WriteString(")")
+	ret := "return"
+	if fn.Result != nil {
+		fmt.Fprintf(&b, " %s", renderNode(g.f.Fset, fn.Decl.Type.Results.List[0].Type))
+		ret += " " + renderNode(g.f.Fset, fn.Result)
+	}
+	b.WriteString(" {\n")
 
 	// Locals: every variable assigned in the body and not a parameter.
 	// Declared outside the section closure so their scope matches the
@@ -220,7 +229,7 @@ func (g *generator) function(si int, fn *Function) (string, error) {
 		if err := g.emitBlock(&b, si, fn, opt.Body, 2); err != nil {
 			return "", err
 		}
-		b.WriteString("\t\treturn true\n\t}() && sn.Validate() {\n\t\treturn\n\t}\n")
+		fmt.Fprintf(&b, "\t\treturn true\n\t}() && sn.Validate() {\n\t\t%s\n\t}\n", ret)
 		body = opt.Fallback
 	}
 	if sectionGuarded(body) {
@@ -234,6 +243,9 @@ func (g *generator) function(si int, fn *Function) (string, error) {
 		if err := g.emitBlock(&b, si, fn, body, 1); err != nil {
 			return "", err
 		}
+	}
+	if fn.Result != nil {
+		fmt.Fprintf(&b, "\t%s\n", ret)
 	}
 	b.WriteString("}\n")
 	return b.String(), nil
@@ -403,7 +415,7 @@ func (g *generator) emitStmt(b *strings.Builder, si int, fn *Function, s ir.Stmt
 	case *ir.Assign:
 		ind(b, depth)
 		if x.NewType != "" {
-			fmt.Fprintf(b, "%s = semadt.New%s(_semlockTbl%s)\n", x.Lhs, x.NewType, x.NewType)
+			fmt.Fprintf(b, "%s = semadt.New%s(_p.tbl%s)\n", x.Lhs, x.NewType, x.NewType)
 			return nil
 		}
 		fmt.Fprintf(b, "%s = %s\n", x.Lhs, g.exprText(fn, x.Rhs))
@@ -444,14 +456,19 @@ func (g *generator) modeExpr(site string, si int, lv *ir.LV) string {
 		set = g.res.Classes.ByKey[key].Spec.AllOpsSet()
 	}
 	vars := set.Vars()
-	if len(vars) == 0 {
-		return fmt.Sprintf("_semlockMode(%s)", site)
-	}
 	args := make([]string, len(vars))
 	for i, v := range vars {
 		args[i] = "semadt.ID(" + v + ")"
 	}
-	return fmt.Sprintf("_semlockMode(%s, %s)", site, strings.Join(args, ", "))
+	// Fixed arity builds no []core.Value, so keys stay on the stack; Mode1
+	// and Mode2 also take the constant set a site has in an unrefined plan.
+	switch len(vars) {
+	case 1:
+		return fmt.Sprintf("%s.Mode1(%s)", site, args[0])
+	case 2:
+		return fmt.Sprintf("%s.Mode2(%s)", site, strings.Join(args, ", "))
+	}
+	return fmt.Sprintf("%s.Mode(%s)", site, strings.Join(args, ", "))
 }
 
 func (g *generator) rankOf(si int, v string) int {

@@ -101,7 +101,7 @@ func TestCompileDemo(t *testing.T) {
 }
 
 // TestGenerateDemo: the rewritten Go parses and contains the inserted
-// locking statements. (examples/compiled holds a committed, compiling
+// locking statements. (examples/compiler/demo holds a committed, compiling
 // copy of this output.)
 func TestGenerateDemo(t *testing.T) {
 	f := parseDemo(t)
@@ -118,17 +118,65 @@ func TestGenerateDemo(t *testing.T) {
 		t.Fatalf("generated source does not parse: %v\n%s", perr, src)
 	}
 	for _, want := range []string{
-		"func Process(m *semadt.Map, q *semadt.Queue, id, x, y int, flag bool) {",
+		"func (_p *_semlockPlan) Process(m *semadt.Map, q *semadt.Queue, id, x, y int, flag bool) {",
 		"core.Atomically(func(tx *core.Txn) {",
-		"tx.Lock(semadt.SemOf(m), _semlockMode(_semlockSite0, semadt.ID(id)), 0)",
-		"tx.Lock(semadt.SemOf(set)",
-		"set = semadt.NewSet(_semlockTblSet)",
+		"tx.Lock(semadt.SemOf(m), _p.site0.Mode1(semadt.ID(id)), 0)",
+		"tx.Lock(semadt.SemOf(set), _p.site1.Mode(), 1)",
+		"set = semadt.NewSet(_p.tblSet)",
 		"set.(*semadt.Set).Add(x)",
 		"tx.UnlockInstance(semadt.SemOf(q))",
 		"m.Remove(id)",
+		"site0:  p.Ref(0, \"m\"),",
+		"tblSet: p.Table(\"Set\"),",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated source missing %q:\n%s", want, src)
+		}
+	}
+	if strings.Contains(src, "_semlockMode") || strings.Contains(src, "plan.MustBuild") {
+		t.Errorf("generated source selects through a variadic helper or builds its own plan:\n%s", src)
+	}
+}
+
+// TestGenerateResult: a function with one result returns it after the
+// section, from the local the section assigned; the return statement is
+// not part of the section's IR.
+func TestGenerateResult(t *testing.T) {
+	src := `package p
+
+import "repro/internal/semadt"
+
+//semlock:atomic
+func Lookup(m *semadt.Map, k, j int) []byte {
+	v := m.Get(k)
+	if v == nil {
+		v = make([]byte, j)
+		m.Put(k, v)
+	}
+	return v.([]byte)
+}
+`
+	f, err := ParseFile("result.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := ir.Print(f.Functions[0].Section); strings.Contains(out, "return") {
+		t.Errorf("the return statement leaked into the section:\n%s", out)
+	}
+	res, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := Generate(f, res)
+	if err != nil {
+		t.Fatalf("Generate: %v\n%s", err, gen)
+	}
+	for _, want := range []string{
+		"func (_p *_semlockPlan) Lookup(m *semadt.Map, k, j int) []byte {",
+		"\t})\n\treturn v.([]byte)\n}",
+	} {
+		if !strings.Contains(gen, want) {
+			t.Errorf("generated source missing %q:\n%s", want, gen)
 		}
 	}
 }
@@ -155,6 +203,12 @@ func F(m *semadt.Map) { s := semadt.NewSet(nil); m.Put(1, s) }`,
 		"longer marker": `package p
 //semlock:atomicity
 func F(m *semadt.Map) {}`,
+		"result not returned last": `package p
+//semlock:atomic
+func F(m *semadt.Map) int { m.Clear() }`,
+		"two results": `package p
+//semlock:atomic
+func F(m *semadt.Map) (int, int) { return 1, 2 }`,
 	}
 	for name, src := range cases {
 		if _, err := ParseFile(name+".go", src); err == nil {

@@ -87,7 +87,7 @@ func TestMultiFunctionCompile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, src)
 	}
-	for _, want := range []string{"func AddMember(", "func HasMember(", "_semlockPlan"} {
+	for _, want := range []string{") AddMember(", ") HasMember(", "_semlockPlan"} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated source missing %q", want)
 		}

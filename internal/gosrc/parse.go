@@ -18,6 +18,8 @@
 //     of its type's default class (the analogue of a points-to split);
 //   - statements: (re)assignments, ADT method calls, if/else with
 //     x == nil / x != nil or opaque conditions, for loops;
+//   - at most one result, returned by the body's last statement, which
+//     runs after the section ends;
 //   - everything else is treated as opaque thread-local computation.
 package gosrc
 
@@ -71,6 +73,8 @@ type Function struct {
 	LocalADTs map[string]string // name → class
 	// ClassKeys holds //semlock:class overrides: variable → class key.
 	ClassKeys map[string]string
+	// Result is the closing return's expression (nil without a result).
+	Result ast.Expr
 }
 
 // ParseFile parses Go source and extracts every annotated function.
@@ -158,8 +162,21 @@ func parseFunction(fset *token.FileSet, fd *ast.FuncDecl) (*Function, error) {
 		sec.Vars = append(sec.Vars, ir.Param{Name: name, Type: class, IsADT: true})
 	}
 
+	// One result: the closing return statement reads it after the section.
+	stmts := fd.Body.List
+	if res := fd.Type.Results; res != nil {
+		var ret *ast.ReturnStmt
+		if len(stmts) > 0 {
+			ret, _ = stmts[len(stmts)-1].(*ast.ReturnStmt)
+		}
+		if len(res.List) != 1 || len(res.List[0].Names) != 0 || ret == nil || len(ret.Results) != 1 {
+			return nil, fmt.Errorf("a function with results must have one unnamed result, returned by its last statement")
+		}
+		fn.Result, stmts = ret.Results[0], stmts[:len(stmts)-1]
+	}
+
 	p := &funcParser{fset: fset, fn: fn, sec: sec}
-	body, err := p.block(fd.Body.List)
+	body, err := p.block(stmts)
 	if err != nil {
 		return nil, err
 	}

@@ -7,14 +7,15 @@ import (
 )
 
 // TestCommittedGeneratedFilesUpToDate regenerates the committed compiler
-// examples from their annotated inputs and compares byte for byte — the
-// committed outputs must always match what semlockc produces today.
+// outputs — the cia module's section and the Fig 1 example — from their
+// annotated inputs and compares byte for byte: the committed outputs
+// must always match what semlockc produces today.
 func TestCommittedGeneratedFilesUpToDate(t *testing.T) {
 	cases := []struct {
 		input, output string
 	}{
 		{"../../examples/compiler/demo/input.go.txt", "../../examples/compiler/demo/demo_semlock.go"},
-		{"../../examples/compiler/cia/input.go.txt", "../../examples/compiler/cia/cia_semlock.go"},
+		{"../modules/cia/section.go", "../modules/cia/cia_semlock.go"},
 	}
 	for _, c := range cases {
 		t.Run(filepath.Base(filepath.Dir(c.input)), func(t *testing.T) {
@@ -35,8 +36,8 @@ func TestCommittedGeneratedFilesUpToDate(t *testing.T) {
 				t.Fatal(err)
 			}
 			if string(got) != want {
-				t.Errorf("%s is stale; regenerate with:\n  go run ./cmd/semlockc -in %s -out %s",
-					c.output, c.input, c.output)
+				t.Errorf("%s is stale; regenerate with:\n  go generate ./%s",
+					c.output, filepath.Join("internal/gosrc", filepath.Dir(c.input)))
 			}
 		})
 	}

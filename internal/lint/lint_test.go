@@ -21,8 +21,7 @@ import (
 // module.
 func loadFixture(t *testing.T, pkgPath string, filenames ...string) *Package {
 	t.Helper()
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	fset := fixtureFset
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, filepath.Join("testdata", name), nil, parser.ParseComments)
@@ -37,13 +36,21 @@ func loadFixture(t *testing.T, pkgPath string, filenames ...string) *Package {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: imp}
+	conf := types.Config{Importer: fixtureImporter}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking %v as %s: %v", filenames, pkgPath, err)
 	}
 	return &Package{PkgPath: pkgPath, Dir: "testdata", Fset: fset, Files: files, Types: tpkg, Info: info}
 }
+
+// Every fixture load shares one FileSet and one source importer, so the
+// repro packages the fixtures import are type-checked once per test
+// binary, not once per load.
+var (
+	fixtureFset     = token.NewFileSet()
+	fixtureImporter = importer.ForCompiler(fixtureFset, "source", nil)
+)
 
 var wantRe = regexp.MustCompile(`// want "([^"]*)"`)
 

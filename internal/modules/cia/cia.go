@@ -7,10 +7,10 @@
 //	}
 //
 // as one atomic section over a shared Map, in every synchronization
-// variant of the evaluation: the synthesized semantic locking (Ours),
-// a single global lock (Global), per-instance two-phase locking (2PL),
-// 64-way lock striping (Manual), and the hand-crafted CHM-V8 style
-// per-bucket computeIfAbsent (V8).
+// variant of the evaluation: the semantic locking semlockc compiles from
+// section.go into cia_semlock.go (Ours), a single global lock (Global),
+// per-instance two-phase locking (2PL), 64-way lock striping (Manual),
+// and the hand-crafted CHM-V8 style per-bucket computeIfAbsent (V8).
 package cia
 
 import (
@@ -21,11 +21,11 @@ import (
 	"repro/internal/adtspecs"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/modules/plan"
+	"repro/internal/semadt"
 )
 
-//semlockvet:file-ignore txndiscipline -- this file transcribes the synthesized plans by hand; it drives the raw mechanism on purpose
+//go:generate go run repro/cmd/semlockc -in section.go -out cia_semlock.go
 
 // ComputeSize is the paper's emulated computation: a 128-byte
 // allocation.
@@ -39,38 +39,11 @@ type Module interface {
 	ComputeIfAbsent(key int) []byte
 }
 
-// Section is the benchmark's atomic section in IR — the exact input the
-// synthesizer compiles. It is the get/put rendering of the pattern
-// (equivalent to the containsKey form, and what a computeIfAbsent that
-// returns the value executes):
-//
-//	value = map.get(key);
-//	if(value == null) { value = compute(); map.put(key, value); }
-func Section() *ir.Atomic {
-	return &ir.Atomic{
-		Name: "computeIfAbsent",
-		Vars: []ir.Param{
-			{Name: "map", Type: "Map", IsADT: true, NonNull: true},
-			{Name: "key", Type: "int"},
-			{Name: "value", Type: "bytes"},
-		},
-		Body: ir.Block{
-			&ir.Call{Recv: "map", Method: "get", Args: []ir.Expr{ir.VarRef{Name: "key"}}, Assign: "value"},
-			&ir.If{
-				Cond: ir.IsNull{Var: "value"},
-				Then: ir.Block{
-					&ir.Assign{Lhs: "value", Rhs: ir.Opaque{Text: "compute()"}},
-					&ir.Call{Recv: "map", Method: "put", Args: []ir.Expr{ir.VarRef{Name: "key"}, ir.VarRef{Name: "value"}}},
-				},
-			},
-		},
-	}
-}
-
-// BuildPlan synthesizes the section under opt, uncached; the ablation
-// tests and BenchmarkAblation build their variants here.
+// BuildPlan synthesizes the compiled section (section.go) under opt,
+// uncached; the ablation tests and BenchmarkAblation build their
+// variants here.
 func BuildPlan(opt plan.Options) *plan.Plan {
-	return plan.MustBuild([]*ir.Atomic{Section()}, adtspecs.All(), nil, opt)
+	return plan.MustBuild(_semlockSections(), adtspecs.All(), nil, opt)
 }
 
 // defaultPlan is the plan every constructor runs, synthesized once.
@@ -98,53 +71,42 @@ func New(policy string) Module {
 // Policies lists the variants in the order Fig 21 plots them.
 func Policies() []string { return []string{"ours", "global", "2pl", "manual", "v8"} }
 
-// ours executes the synthesized plan: one semantic lock on the map in
-// the mode selected by φ(key) for the refined set
-// {containsKey(key), put(key,*)}.
+// ours runs the section semlockc compiled (cia_semlock.go) under the
+// plan it was built with.
 type ours struct {
-	m   *adt.HashMap
-	sem *core.Semantic
-	ref core.SetRef
+	m *semadt.Map
+	p *_semlockPlan
 }
 
 func newOurs(p *plan.Plan) *ours {
-	o := &ours{m: adt.NewHashMap()}
-	o.sem = core.NewSemantic(p.Table("Map"))
-	o.ref = p.Ref(0, "map")
-	return o
+	return &ours{m: semadt.NewMap(p.Table("Map")), p: _semlockBind(p)}
 }
 
 // LockStats exposes the map instance's acquisition statistics.
-func (o *ours) LockStats() core.LockStats { return o.sem.Stats() }
+func (o *ours) LockStats() core.LockStats { return o.m.Sem().Stats() }
 
-func (o *ours) ComputeIfAbsent(key int) []byte {
-	// Mode1 also serves ablation A1's generic set: a constant set's one
-	// mode.
-	mode := o.ref.Mode1(key)
-	o.sem.Acquire(mode)
-	defer o.sem.Release(mode)
-	if v := o.m.Get(key); v != nil {
-		return v.([]byte)
-	}
-	v := compute()
-	o.m.Put(key, v)
-	return v
-}
+func (o *ours) ComputeIfAbsent(key int) []byte { return o.p.computeIfAbsent(o.m, key) }
 
 type globalCIA struct {
 	m  *adt.HashMap
 	mu cc.GlobalLock
 }
 
-func (g *globalCIA) ComputeIfAbsent(key int) []byte {
-	g.mu.Enter()
-	defer g.mu.Exit()
-	if v := g.m.Get(key); v != nil {
+// lockedBody is the section's body on a plain map, which each baseline
+// runs under its own lock.
+func lockedBody(m *adt.HashMap, key int) []byte {
+	if v := m.Get(key); v != nil {
 		return v.([]byte)
 	}
 	v := compute()
-	g.m.Put(key, v)
+	m.Put(key, v)
 	return v
+}
+
+func (g *globalCIA) ComputeIfAbsent(key int) []byte {
+	g.mu.Enter()
+	defer g.mu.Exit()
+	return lockedBody(g.m, key)
 }
 
 type twoPLCIA struct {
@@ -156,12 +118,7 @@ func (t *twoPLCIA) ComputeIfAbsent(key int) []byte {
 	var tx cc.TwoPL
 	tx.Lock(t.lock)
 	defer tx.UnlockAll()
-	if v := t.m.Get(key); v != nil {
-		return v.([]byte)
-	}
-	v := compute()
-	t.m.Put(key, v)
-	return v
+	return lockedBody(t.m, key)
 }
 
 type manualCIA struct {
@@ -172,12 +129,7 @@ type manualCIA struct {
 func (m *manualCIA) ComputeIfAbsent(key int) []byte {
 	m.stripes.Lock(key)
 	defer m.stripes.Unlock(key)
-	if v := m.m.Get(key); v != nil {
-		return v.([]byte)
-	}
-	v := compute()
-	m.m.Put(key, v)
-	return v
+	return lockedBody(m.m, key)
 }
 
 type v8CIA struct {

@@ -9,32 +9,32 @@ import (
 	"repro/internal/modules/plan"
 )
 
-// TestPlanShape asserts the synthesized plan the "ours" variant
-// hand-executes: one lock on the map in mode {get(key),put(key,*)},
-// released at the section end.
+// TestPlanShape asserts the synthesized plan the "ours" variant runs:
+// one lock on the map in mode {get(key),put(key,*)}, released at the
+// section end.
 func TestPlanShape(t *testing.T) {
 	p := BuildPlan(plan.Options{})
 	got := p.Print(0)
 	want := `atomic computeIfAbsent {
-  map.lock({get(key),put(key,*)});
-  value=map.get(key);
+  m.lock({get(key),put(key,*)});
+  value=m.get(key);
   if(value==null) {
     value=compute();
-    map.put(key, value);
+    m.put(key, value);
   }
-  map.unlockAll();
+  m.unlockAll();
 }
 `
 	if got != want {
 		t.Errorf("plan:\n%s\nwant:\n%s", got, want)
 	}
-	if key := p.LockSet(0, "map").Key(); key != "{get(key),put(key,*)}" {
+	if key := p.LockSet(0, "m").Key(); key != "{get(key),put(key,*)}" {
 		t.Errorf("lock set = %s", key)
 	}
 	// The Map table admits per-bucket parallelism: distinct-bucket modes
 	// commute.
 	tbl := p.Table("Map")
-	ref := p.Ref(0, "map")
+	ref := p.Ref(0, "m")
 	if tbl.Commute(ref.Mode(1), ref.Mode(1)) {
 		t.Error("same-key modes must conflict (get vs put)")
 	}
@@ -72,6 +72,19 @@ func TestVariantsSequential(t *testing.T) {
 				t.Error("distinct keys must get distinct values")
 			}
 		})
+	}
+}
+
+// TestPresentKeyAllocs pins the compiled section's read path: a key
+// already bound costs no allocation, so the key is not boxed onto the
+// heap for mode selection or the map read, and the section's closure
+// stays on the stack.
+func TestPresentKeyAllocs(t *testing.T) {
+	m := New("ours")
+	const key = 1 << 20 // outside the runtime's preallocated small-integer boxes
+	m.ComputeIfAbsent(key)
+	if n := testing.AllocsPerRun(100, func() { m.ComputeIfAbsent(key) }); n != 0 {
+		t.Errorf("ComputeIfAbsent of a present key: %v allocs, want 0", n)
 	}
 }
 
@@ -123,7 +136,7 @@ func TestVariantsAtomicity(t *testing.T) {
 // TestAblationNoRefine: the A1 variant locks the whole ADT generically.
 func TestAblationNoRefine(t *testing.T) {
 	p := BuildPlan(plan.Options{NoRefine: true})
-	if !strings.Contains(p.Print(0), "map.lock(+)") {
+	if !strings.Contains(p.Print(0), "m.lock(+)") {
 		t.Errorf("NoRefine plan should use generic lock:\n%s", p.Print(0))
 	}
 	m := newOurs(p)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/adtspecs"
 	"repro/internal/apps/gossip"
 	"repro/internal/apps/intruder"
 	"repro/internal/apps/rangestore"
@@ -46,7 +47,7 @@ func mustNotCover(t *testing.T, tbl *core.ModeTable, m core.ModeID, ops ...core.
 func TestCIACoverage(t *testing.T) {
 	p := cia.BuildPlan(opts())
 	tbl := p.Table("Map")
-	ref := p.Ref(0, "map")
+	ref := p.Ref(0, "m")
 	k := 7
 	m := ref.Mode(k)
 	mustCover(t, tbl, m,
@@ -155,6 +156,81 @@ func TestGossipCoverage(t *testing.T) {
 	mustCover(t, groups, rg, core.NewOp("get", "g1"), core.NewOp("put", "g1", "anything"))
 }
 
+// TestRangestoreCoverage: the store's sections perform more than their
+// names say — PutPair's togglePair reads the key it writes, and Scan and
+// ScanPessimistic call Size under the values() mode — so the write mode
+// must cover get(k) and the scan mode size(). Each mode is found in the
+// store's own table by the operation only it licenses: a key's write mode
+// covers put(k), its read mode get(k) and not put(k), the scan mode
+// values(). Adding the two operations must not change what the modes
+// exclude: every F_c row, mechanism and ExcludesMutators answer is the
+// one of the table built without them.
+func TestRangestoreCoverage(t *testing.T) {
+	shipped := rangestore.New(2, 64).Sems()[0].Table()
+	writeSet := core.SymSetOf(
+		core.SymOpOf("put", core.VarArg("k"), core.Star()),
+		core.SymOpOf("remove", core.VarArg("k")))
+	getSet := core.SymSetOf(core.SymOpOf("get", core.VarArg("k")))
+	scanSet := core.SymSetOf(core.SymOpOf("values"))
+	bare := core.NewModeTable(adtspecs.Map(), []core.SymSet{writeSet, getSet, scanSet},
+		core.TableOptions{Phi: core.NewPhi(16)})
+
+	// roles lists a table's modes in one order for both tables: each
+	// key's write and read modes, then the scan mode.
+	roles := func(tbl *core.ModeTable) []core.ModeID {
+		find := func(covers, not core.Op) core.ModeID {
+			found := core.ModeID(-1)
+			for id := range tbl.Modes() {
+				m := core.ModeID(id)
+				if tbl.CoversOp(m, covers) && (not.Method == "" || !tbl.CoversOp(m, not)) {
+					if found >= 0 {
+						t.Fatalf("modes %d and %d both license %s", found, m, covers)
+					}
+					found = m
+				}
+			}
+			if found < 0 {
+				t.Fatalf("no mode licenses %s", covers)
+			}
+			return found
+		}
+		var out []core.ModeID
+		for k := 0; k < 64; k++ {
+			put := core.NewOp("put", k, "v")
+			out = append(out, find(put, core.Op{}), find(core.NewOp("get", k), put))
+		}
+		return append(out, find(core.NewOp("values"), core.Op{}))
+	}
+	got, was := roles(shipped), roles(bare)
+	for i := 0; i < 128; i += 2 {
+		k := i / 2
+		mustCover(t, shipped, got[i], core.NewOp("get", k), core.NewOp("put", k, k), core.NewOp("remove", k))
+		mustCover(t, shipped, got[i+1], core.NewOp("get", k))
+	}
+	mustCover(t, shipped, got[128], core.NewOp("values"), core.NewOp("size"))
+
+	if len(shipped.Modes()) != len(bare.Modes()) || shipped.CanonicalCount() != bare.CanonicalCount() ||
+		shipped.NumMechanisms() != bare.NumMechanisms() {
+		t.Errorf("table shape: %d modes, %d canonical, %d mechanisms; without the added operations %d, %d, %d",
+			len(shipped.Modes()), shipped.CanonicalCount(), shipped.NumMechanisms(),
+			len(bare.Modes()), bare.CanonicalCount(), bare.NumMechanisms())
+	}
+	for i := range got {
+		if shipped.ExcludesMutators(got[i]) != bare.ExcludesMutators(was[i]) ||
+			shipped.MechanismOf(got[i]) != bare.MechanismOf(was[i]) {
+			t.Errorf("mode %s: ExcludesMutators %v mechanism %d; without the added operations %v, %d",
+				shipped.Mode(got[i]), shipped.ExcludesMutators(got[i]), shipped.MechanismOf(got[i]),
+				bare.ExcludesMutators(was[i]), bare.MechanismOf(was[i]))
+		}
+		for j := range got {
+			if shipped.Commute(got[i], got[j]) != bare.Commute(was[i], was[j]) {
+				t.Errorf("F_c(%s, %s) = %v; without the added operations %v",
+					shipped.Mode(got[i]), shipped.Mode(got[j]), shipped.Commute(got[i], got[j]), bare.Commute(was[i], was[j]))
+			}
+		}
+	}
+}
+
 // TestExcludesMutators reads ModeTable.ExcludesMutators off every
 // shipped table (planreg's plans plus rangestore's) and compares it, mode by mode, with the answer written
 // here per mode shape (the methods a mode holds). What the rows say:
@@ -182,7 +258,7 @@ func TestExcludesMutators(t *testing.T) {
 	want := map[string]map[string]bool{
 		"apps/gossip/Map$groups":       {"get": false, "get+put": false},
 		"apps/gossip/Map$members":      {"get": false, "put": false, "remove": false, "values": true},
-		"rangestore":                   {"get": false, "put+remove": false, "values": true},
+		"rangestore":                   {"get": false, "get+put+remove": false, "size+values": true},
 		"apps/intruder/Map":            {"get+put+remove": false},
 		"apps/intruder/Queue":          {"enqueue": false, "dequeue": true},
 		"modules/cia/Map":              {"get+put": false},

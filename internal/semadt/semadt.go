@@ -1,21 +1,16 @@
 // Package semadt provides "ADTs with semantic locking" (§2.2): the
 // shared containers of internal/adt paired with their per-instance
-// semantic locks. These are the types that code rewritten by the
-// semlockc compiler (internal/gosrc) manipulates: every instance exposes
-// Sem() for the inserted lock statements, while the standard API stays
-// the familiar container interface.
+// semantic locks. These are the containers of the compiled modules,
+// which code rewritten by the semlockc compiler (internal/gosrc)
+// manipulates: every instance exposes Sem() for the inserted lock
+// statements, while the standard API stays the familiar container
+// interface.
 package semadt
 
 import (
 	"repro/internal/adt"
 	"repro/internal/core"
 )
-
-// Instance is implemented by every ADT-with-semantic-locking type.
-type Instance interface {
-	// Sem returns the instance's semantic lock.
-	Sem() *core.Semantic
-}
 
 // Map is a Map ADT with semantic locking.
 type Map struct {
@@ -146,14 +141,20 @@ func (x *Multimap) ContainsEntry(k, v core.Value) bool { return x.m.ContainsEntr
 // Size returns the entry count.
 func (x *Multimap) Size() int { return x.m.Size() }
 
-// SemOf returns v's semantic lock when v is an Instance, else nil —
-// the helper generated lock statements use on possibly-nil variables.
+// SemOf returns v's semantic lock when v is one of this package's
+// containers, else nil — the helper generated lock statements use on
+// possibly-nil variables. A switch on the concrete types, unlike a call
+// through an interface, does not leak v.
 func SemOf(v core.Value) *core.Semantic {
-	if v == nil {
-		return nil
-	}
-	if inst, ok := v.(Instance); ok {
-		return inst.Sem()
+	switch x := v.(type) {
+	case *Map:
+		return x.sem
+	case *Set:
+		return x.sem
+	case *Queue:
+		return x.sem
+	case *Multimap:
+		return x.sem
 	}
 	return nil
 }
@@ -161,8 +162,8 @@ func SemOf(v core.Value) *core.Semantic {
 // ID returns the identity of an ADT value for φ (mode selection over
 // pointer-valued arguments); non-ADT values pass through.
 func ID(v core.Value) core.Value {
-	if inst, ok := v.(Instance); ok {
-		return inst.Sem().ID()
+	if s := SemOf(v); s != nil {
+		return s.ID()
 	}
 	return v
 }

@@ -11,9 +11,9 @@ import (
 	"repro/internal/adtspecs"
 	"repro/internal/apps/gossip"
 	"repro/internal/core"
+	"repro/internal/gosrc"
 	"repro/internal/ir"
 	"repro/internal/modules/cache"
-	"repro/internal/modules/cia"
 	"repro/internal/modules/graph"
 	"repro/internal/papersec"
 	"repro/internal/synth"
@@ -325,8 +325,18 @@ func corpus() []corpusProgram {
 		{"cache", &synth.Program{Sections: cache.Sections(), Specs: adtspecs.All(), ClassOf: cache.ClassOf}},
 		{"graph", &synth.Program{Sections: graph.Sections(), Specs: adtspecs.All(), ClassOf: graph.ClassOf}},
 		{"gossip", &synth.Program{Sections: gossip.Sections(), Specs: adtspecs.All(), ClassOf: gossip.ClassOf}},
-		{"cia", &synth.Program{Sections: []*ir.Atomic{cia.Section()}, Specs: adtspecs.All()}},
+		{"cia", &synth.Program{Sections: ciaSections(), Specs: adtspecs.All()}},
 	}
+}
+
+// ciaSections parses the cia module's annotated source, the one
+// definition of its section.
+func ciaSections() []*ir.Atomic {
+	f, err := gosrc.ParseFile("../modules/cia/section.go", nil)
+	if err != nil {
+		panic(err)
+	}
+	return []*ir.Atomic{f.Functions[0].Section}
 }
 
 // fresh clones a program's sections: Synthesize shares no state, but
