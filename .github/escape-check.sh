@@ -4,10 +4,11 @@
 # `go build -gcflags=-m`. The apps' alloc pins (TestStringFormAllocs,
 # TestPointOpAllocs) catch the effect; this names the line that caused it.
 # Likewise the closures handed to the held walk (HashMap.RangeHeld) must
-# stay on the multicast sections' stacks, and the core.Snapshot of a
+# stay on the multicast sections' stacks, the compiled sections'
+# core.Atomically closures on their callers', and the core.Snapshot of a
 # transaction-free optimistic read on its reader's.
 set -u
-out="$(go build -gcflags=-m ./internal/core ./internal/adt ./internal/apps/gossip ./internal/apps/rangestore ./internal/modules/cia 2>&1)"
+out="$(go build -gcflags=-m ./internal/core ./internal/adt ./internal/apps/gossip ./internal/apps/rangestore ./internal/modules/cia ./internal/modules/graph 2>&1)"
 fail=0
 check() { # file, start of the function's declaration, parameter[, its verdict if not "does not escape"]
 	local line want="${4:-$3 does not escape}"
@@ -45,6 +46,10 @@ check internal/core/snapshot.go 'func (sn *Snapshot) Validate(' sn
 # selection stays on the stack, and so does the section's closure.
 check internal/modules/cia/cia_semlock.go '.Mode1(semadt.ID(key))' key
 check internal/modules/cia/cia_semlock.go 'core.Atomically(func(' 'func literal'
+# Likewise both keys graph's insertEdge boxes for its first lock's Mode2
+# (site2); its closure is among the four check_literals checks below.
+check internal/modules/graph/graph_semlock.go '_p.site2.Mode2(' d
+check internal/modules/graph/graph_semlock.go '_p.site2.Mode2(' s
 for f in internal/apps/rangestore/rangestore.go internal/apps/gossip/boxed.go; do
 	if ! grep -q 'var sn core.Snapshot' "$f"; then
 		echo "escape-check: $f declares no 'var sn core.Snapshot'; the transaction-free reads moved"
@@ -55,22 +60,23 @@ for f in internal/apps/rangestore/rangestore.go internal/apps/gossip/boxed.go; d
 		fail=1
 	fi
 done
-check_walks() { # file, number of RangeHeld call sites it must hold
+check_literals() { # file, start of the call each closure is handed to, number of such call sites
 	local lines n=0 line
-	lines="$(grep -nF '.RangeHeld(func(' "$1" | cut -d: -f1)"
+	lines="$(grep -nF "$2" "$1" | cut -d: -f1)"
 	for line in $lines; do
 		n=$((n + 1))
 		if ! grep -q "^$1:$line:[0-9]*: func literal does not escape" <<<"$out"; then
-			echo "escape-check: the RangeHeld closure at $1:$line is not reported as 'does not escape':"
+			echo "escape-check: the closure of '$2' at $1:$line is not reported as 'does not escape':"
 			grep "^$1:$line:" <<<"$out"
 			fail=1
 		fi
 	done
-	if [ "$n" -ne "$2" ]; then
-		echo "escape-check: $1 holds $n RangeHeld call sites, expected $2"
+	if [ "$n" -ne "$3" ]; then
+		echo "escape-check: $1 holds $n '$2' call sites, expected $3"
 		fail=1
 	fi
 }
-check_walks internal/apps/gossip/boxed.go 1  # multicast, the body of MulticastV and Resilient.MulticastErrV
-check_walks internal/apps/gossip/gossip.go 3 # the three baselines (global, 2pl, manual)
+check_literals internal/apps/gossip/boxed.go '.RangeHeld(func(' 1  # multicast, the body of MulticastV and Resilient.MulticastErrV
+check_literals internal/apps/gossip/gossip.go '.RangeHeld(func(' 3 # the three baselines (global, 2pl, manual)
+check_literals internal/modules/graph/graph_semlock.go 'core.Atomically(func(' 4 # the four compiled sections
 exit $fail

@@ -12,11 +12,14 @@ import (
 )
 
 // benchMix runs mix once per policy under RunParallel: real execution
-// of the same op mix the real-execution figure measures.
+// of the same op mix the real-execution figure measures. Each policy's
+// module is built once, outside b.Run's function, so every b.N round
+// runs on the state the rounds before it left, not on a fresh module
+// that a share of the round refills.
 func benchMix(b *testing.B, policies []string, mix moduleMix) {
 	for _, pol := range policies {
+		_, op := mix(pol)
 		b.Run(pol, func(b *testing.B) {
-			_, op := mix(pol)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

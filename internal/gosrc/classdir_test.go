@@ -1,8 +1,18 @@
 package gosrc
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
+	"repro/internal/modules/cache"
+	"repro/internal/modules/graph"
+	"repro/internal/modules/plan"
 )
 
 // graphSrc uses //semlock:class to split the two multimaps into
@@ -97,4 +107,83 @@ func keysOf[V any](m map[string]V) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestGeneratedClassSplitRanks runs the compiled modules whose sections
+// split a class: the plan each builds from its generated sections and
+// class function (BuildPlan) has a table for every split class, and the
+// rank every emitted lock statement carries is that plan's rank of the
+// locked variable's class. Without the generated class function the
+// plan merges the split classes while the lock statements keep the
+// split ranks.
+func TestGeneratedClassSplitRanks(t *testing.T) {
+	for _, m := range []struct {
+		dir   string
+		build func(plan.Options) *plan.Plan
+	}{
+		{"graph", graph.BuildPlan},
+		{"cache", cache.BuildPlan},
+	} {
+		t.Run(m.dir, func(t *testing.T) {
+			dir := filepath.Join("../modules", m.dir)
+			f, err := ParseFile(filepath.Join(dir, "section.go"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.ClassOf() == nil {
+				t.Fatal("section.go splits no class")
+			}
+			p := m.build(plan.Options{})
+			section := map[string]int{}
+			for si, fn := range f.Functions {
+				section[fn.Name] = si
+				for v, key := range fn.ClassKeys {
+					if p.Res.Tables[key] == nil {
+						t.Errorf("%s: no table for the split class %q of %s", fn.Name, key, v)
+					}
+					if got, _ := p.Res.Classes.ClassOfVar(si, v); got != key {
+						t.Errorf("%s: plan puts %s in class %q, directive says %q", fn.Name, v, got, key)
+					}
+				}
+			}
+
+			gen := filepath.Join(dir, m.dir+"_semlock.go")
+			af, err := parser.ParseFile(token.NewFileSet(), gen, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locks := 0
+			for _, d := range af.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil {
+					continue
+				}
+				si, ok := section[fd.Name.Name]
+				if !ok {
+					t.Fatalf("%s: method %s compiles no section of section.go", gen, fd.Name.Name)
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok || lint.ExprText(call.Fun) != "tx.Lock" {
+						return true
+					}
+					locks++
+					v := lint.ExprText(call.Args[0].(*ast.CallExpr).Args[0])
+					rank, err := strconv.Atoi(call.Args[2].(*ast.BasicLit).Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key, _ := p.Res.Classes.ClassOfVar(si, v)
+					if want := p.Rank(key); rank != want {
+						t.Errorf("%s: tx.Lock of %s carries rank %d, the plan ranks its class %q %d",
+							fd.Name.Name, v, rank, key, want)
+					}
+					return true
+				})
+			}
+			if locks == 0 {
+				t.Errorf("%s holds no tx.Lock", gen)
+			}
+		})
+	}
 }

@@ -136,6 +136,50 @@ func TestGenerateDemo(t *testing.T) {
 	if strings.Contains(src, "_semlockMode") || strings.Contains(src, "plan.MustBuild") {
 		t.Errorf("generated source selects through a variadic helper or builds its own plan:\n%s", src)
 	}
+	// The releases that end the section are core.Atomically's epilogue.
+	if !strings.Contains(src, "\t\t\tm.Remove(id)\n\t\t}\n\t})\n") {
+		t.Errorf("generated section does not end at its last operation:\n%s", src)
+	}
+}
+
+// TestGenerateTypedLocals: a local declared var x T keeps its type in
+// the output, so conditions and results that need it compile; other
+// locals are core.Value.
+func TestGenerateTypedLocals(t *testing.T) {
+	src := `package p
+
+import "repro/internal/semadt"
+
+//semlock:atomic
+func Count(m *semadt.Map, k, limit int) bool {
+	var ok bool
+	var n int
+	n = m.Size()
+	v := m.Get(k)
+	ok = n < limit && v == nil
+	if ok {
+		m.Put(k, n)
+	}
+	return ok
+}
+`
+	f, err := ParseFile("typed.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := Generate(f, res)
+	if err != nil {
+		t.Fatalf("Generate: %v\n%s", err, gen)
+	}
+	for _, want := range []string{"var n int\n", "var v core.Value\n", "var ok bool\n", "\t})\n\treturn ok\n}"} {
+		if !strings.Contains(gen, want) {
+			t.Errorf("generated source missing %q:\n%s", want, gen)
+		}
+	}
 }
 
 // TestGenerateResult: a function with one result returns it after the
@@ -209,6 +253,9 @@ func F(m *semadt.Map) int { m.Clear() }`,
 		"two results": `package p
 //semlock:atomic
 func F(m *semadt.Map) (int, int) { return 1, 2 }`,
+		"var with a value": `package p
+//semlock:atomic
+func F(m *semadt.Map) { var n int = 1; m.Put(1, n) }`,
 	}
 	for name, src := range cases {
 		if _, err := ParseFile(name+".go", src); err == nil {

@@ -16,6 +16,10 @@
 //   - optional //semlock:class NAME KEY directives refining the pointer
 //     abstraction: the variable forms the equivalence class KEY instead
 //     of its type's default class (the analogue of a points-to split);
+//     the generated file carries the class function they define;
+//   - thread-local variables declared var x T keep the type T in the
+//     output (the generated file imports core, ir, plan and semadt);
+//     other locals are core.Value;
 //   - statements: (re)assignments, ADT method calls, if/else with
 //     x == nil / x != nil or opaque conditions, for loops;
 //   - at most one result, returned by the body's last statement, which
@@ -73,8 +77,32 @@ type Function struct {
 	LocalADTs map[string]string // name → class
 	// ClassKeys holds //semlock:class overrides: variable → class key.
 	ClassKeys map[string]string
+	// localTypes holds the types of locals declared var x T.
+	localTypes map[string]string // name → type text
 	// Result is the closing return's expression (nil without a result).
 	Result ast.Expr
+}
+
+// ClassOf returns the abstraction the //semlock:class directives define
+// — a directed variable forms its class key, any other its type's class
+// — or nil when the file has none. Compilation and the generated
+// _semlockClassOf both follow it.
+func (f *File) ClassOf() func(sec *ir.Atomic, v string) string {
+	keys := map[string]map[string]string{} // section name → overrides
+	for _, fn := range f.Functions {
+		if len(fn.ClassKeys) > 0 {
+			keys[fn.Name] = fn.ClassKeys
+		}
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	return func(sec *ir.Atomic, v string) string {
+		if k, ok := keys[sec.Name][v]; ok {
+			return k
+		}
+		return sec.ADTType(v)
+	}
 }
 
 // ParseFile parses Go source and extracts every annotated function.
@@ -107,11 +135,12 @@ func ParseFile(filename string, src any) (*File, error) {
 
 func parseFunction(fset *token.FileSet, fd *ast.FuncDecl) (*Function, error) {
 	fn := &Function{
-		Name:      fd.Name.Name,
-		Decl:      fd,
-		ADTParams: map[string]string{},
-		LocalADTs: map[string]string{},
-		ClassKeys: map[string]string{},
+		Name:       fd.Name.Name,
+		Decl:       fd,
+		ADTParams:  map[string]string{},
+		LocalADTs:  map[string]string{},
+		ClassKeys:  map[string]string{},
+		localTypes: map[string]string{},
 	}
 	sec := &ir.Atomic{Name: fd.Name.Name}
 
@@ -244,7 +273,21 @@ func (p *funcParser) stmt(s ast.Stmt) ([]ir.Stmt, error) {
 	case *ast.ForStmt:
 		return p.forStmt(x)
 	case *ast.DeclStmt:
-		// var declarations: record names, no IR effect.
+		// var x T: the local keeps its type in the output; no IR effect.
+		gd, ok := x.Decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			return nil, fmt.Errorf("unsupported declaration (line %d)", p.fset.Position(s.Pos()).Line)
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if vs.Type == nil || len(vs.Values) > 0 {
+				return nil, fmt.Errorf("declare locals as var x T and assign them separately (line %d)",
+					p.fset.Position(vs.Pos()).Line)
+			}
+			for _, n := range vs.Names {
+				p.fn.localTypes[n.Name] = renderNode(p.fset, vs.Type)
+			}
+		}
 		return nil, nil
 	case *ast.ReturnStmt:
 		return nil, fmt.Errorf("return inside an atomic section is not supported (line %d)",

@@ -106,12 +106,11 @@ func (*While) stmtNode()  {}
 
 // ---- Synthetic statements inserted by the synthesizer ----
 
-// Prologue initializes LOCAL_SET (§3.1). Guard additionally demands a
-// panic-guarded epilogue: the emitted section must release LOCAL_SET on
-// every exit path — normal return, early unlock, abort, or panic — by
-// wrapping the section body in core.Atomically. The synthesizer always
-// sets Guard, making every synthesized section panic-safe by
-// construction; an unguarded Prologue is only constructible by hand.
+// Prologue initializes LOCAL_SET (§3.1). The emitted section releases
+// LOCAL_SET on every exit path — normal return, early unlock, abort, or
+// panic — because gosrc wraps every section body in core.Atomically.
+// Guard, the synthesizer's record of that demand, is always true and
+// nothing reads it.
 type Prologue struct {
 	Guard bool
 }

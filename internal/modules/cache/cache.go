@@ -3,7 +3,9 @@
 // longterm store (a WeakHashMap in Tomcat; a plain map here, see
 // DESIGN.md substitution 4). Get is not read-only: on an eden miss it
 // promotes the longterm entry back into eden. Put flushes eden into
-// longterm when the size bound is reached.
+// longterm when the size bound is reached. The semantic locking (Ours)
+// is what semlockc compiles from section.go into cache_semlock.go;
+// Global, 2PL and Manual lock by hand.
 package cache
 
 import (
@@ -14,11 +16,11 @@ import (
 	"repro/internal/adtspecs"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/modules/plan"
+	"repro/internal/semadt"
 )
 
-//semlockvet:file-ignore txndiscipline -- this file transcribes the synthesized plans by hand; it drives the raw mechanism on purpose
+//go:generate go run repro/cmd/semlockc -in section.go -out cache_semlock.go
 
 // Module is the benchmark interface.
 type Module interface {
@@ -26,77 +28,10 @@ type Module interface {
 	Put(k int, v core.Value)
 }
 
-// Sections returns the two atomic procedures in IR.
-//
-//	get(k):  v = eden.get(k)
-//	         if (v == null) { v = longterm.get(k); if (v != null) eden.put(k, v) }
-//	put(k,v): s = eden.size()
-//	          if (s >= limit) { longterm.putAll(eden); eden.clear() }
-//	          eden.put(k, v)
-func Sections() []*ir.Atomic {
-	vars := func() []ir.Param {
-		return []ir.Param{
-			{Name: "eden", Type: "Map", IsADT: true, NonNull: true},
-			{Name: "longterm", Type: "Map", IsADT: true, NonNull: true},
-			{Name: "k", Type: "int"},
-			{Name: "v", Type: "value"},
-			{Name: "s", Type: "int"},
-			{Name: "limit", Type: "int"},
-		}
-	}
-	return []*ir.Atomic{
-		{
-			Name: "get",
-			Vars: vars(),
-			Body: ir.Block{
-				&ir.Call{Recv: "eden", Method: "get", Args: []ir.Expr{ir.VarRef{Name: "k"}}, Assign: "v"},
-				&ir.If{
-					Cond: ir.IsNull{Var: "v"},
-					Then: ir.Block{
-						&ir.Call{Recv: "longterm", Method: "get", Args: []ir.Expr{ir.VarRef{Name: "k"}}, Assign: "v"},
-						&ir.If{
-							Cond: ir.NotNull{Var: "v"},
-							Then: ir.Block{
-								&ir.Call{Recv: "eden", Method: "put", Args: []ir.Expr{ir.VarRef{Name: "k"}, ir.VarRef{Name: "v"}}},
-							},
-						},
-					},
-				},
-			},
-		},
-		{
-			Name: "put",
-			Vars: vars(),
-			Body: ir.Block{
-				&ir.Call{Recv: "eden", Method: "size", Assign: "s"},
-				&ir.If{
-					Cond: ir.OpaqueCond{Text: "s>=limit", Reads: []string{"s", "limit"}},
-					Then: ir.Block{
-						&ir.Call{Recv: "longterm", Method: "putAll", Args: []ir.Expr{ir.VarRef{Name: "eden"}}},
-						&ir.Call{Recv: "eden", Method: "clear"},
-					},
-				},
-				&ir.Call{Recv: "eden", Method: "put", Args: []ir.Expr{ir.VarRef{Name: "k"}, ir.VarRef{Name: "v"}}},
-			},
-		},
-	}
-}
-
-// ClassOf splits eden and longterm into separate classes.
-func ClassOf(sec *ir.Atomic, v string) string {
-	switch v {
-	case "eden":
-		return "Map$eden"
-	case "longterm":
-		return "Map$longterm"
-	}
-	return sec.ADTType(v)
-}
-
-// BuildPlan synthesizes the module under opt, uncached; tests build
-// their small-φ variants here.
+// BuildPlan synthesizes the compiled sections (section.go) under opt,
+// uncached; tests build their small-φ variants here.
 func BuildPlan(opt plan.Options) *plan.Plan {
-	return plan.MustBuild(Sections(), adtspecs.All(), ClassOf, opt)
+	return plan.MustBuild(_semlockSections(), adtspecs.All(), _semlockClassOf, opt)
 }
 
 // defaultPlan is the plan every constructor runs, synthesized once.
@@ -128,30 +63,26 @@ func New(policy string, limit int) Module {
 // Policies lists the variants in the order Fig 23 plots them.
 func Policies() []string { return []string{"ours", "global", "2pl", "manual"} }
 
-// ours executes the synthesized plan.
+// ours runs the sections semlockc compiled (cache_semlock.go) under the
+// plan it was built with.
 type ours struct {
-	eden, longterm   *adt.HashMap
-	edenSem, longSem *core.Semantic
-	limit            int
-	getEden, getLong func(core.Value) core.ModeID
-	putEden          func(core.Value, core.Value) core.ModeID
-	putLong          func(core.Value) core.ModeID
+	eden, longterm *semadt.Map
+	limit          int
+	p              *_semlockPlan
 }
 
 func newOurs(p *plan.Plan, limit int) *ours {
-	o := &ours{eden: adt.NewHashMap(), longterm: adt.NewHashMap(), limit: limit}
-	o.edenSem = core.NewSemantic(p.Table("Map$eden"))
-	o.longSem = core.NewSemantic(p.Table("Map$longterm"))
-	o.getEden = p.Ref(0, "eden").Binder1("k")
-	o.getLong = p.Ref(0, "longterm").Binder1("k")
-	o.putEden = p.Ref(1, "eden").Binder2("k", "v")
-	o.putLong = p.Ref(1, "longterm").Binder1("eden")
-	return o
+	return &ours{
+		eden:     semadt.NewMap(p.Table("Map$eden")),
+		longterm: semadt.NewMap(p.Table("Map$longterm")),
+		limit:    limit,
+		p:        _semlockBind(p),
+	}
 }
 
 // LockStats sums both map instances' acquisition statistics.
 func (o *ours) LockStats() core.LockStats {
-	a, b := o.edenSem.Stats(), o.longSem.Stats()
+	a, b := o.eden.Sem().Stats(), o.longterm.Sem().Stats()
 	return core.LockStats{
 		FastPath: a.FastPath + b.FastPath,
 		Slow:     a.Slow + b.Slow,
@@ -159,41 +90,9 @@ func (o *ours) LockStats() core.LockStats {
 	}
 }
 
-func (o *ours) Get(k int) core.Value {
-	me := o.getEden(k)
-	o.edenSem.Acquire(me)
-	v := o.eden.Get(k)
-	if v == nil {
-		ml := o.getLong(k)
-		o.longSem.Acquire(ml)
-		v = o.longterm.Get(k)
-		if v != nil {
-			o.eden.Put(k, v)
-		}
-		o.longSem.Release(ml)
-	}
-	o.edenSem.Release(me)
-	return v
-}
+func (o *ours) Get(k int) core.Value { return o.p.get(o.eden, o.longterm, k) }
 
-func (o *ours) Put(k int, v core.Value) {
-	// The put set is {clear(), put(k,v), size()}: both k and v select
-	// the mode (v adds no discrimination — put/put commutes on distinct
-	// keys alone — so the v-differing modes merge into shared counters).
-	me := o.putEden(k, v)
-	o.edenSem.Acquire(me)
-	if o.eden.Size() >= o.limit {
-		// The putAll set's variable is the eden pointer itself; its
-		// runtime value is the instance identity.
-		ml := o.putLong(o.edenSem.ID())
-		o.longSem.Acquire(ml)
-		o.longterm.PutAll(o.eden)
-		o.eden.Clear()
-		o.longSem.Release(ml)
-	}
-	o.eden.Put(k, v)
-	o.edenSem.Release(me)
-}
+func (o *ours) Put(k int, v core.Value) { o.p.put(o.eden, o.longterm, k, v, o.limit) }
 
 type global struct {
 	mu             cc.GlobalLock

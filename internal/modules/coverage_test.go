@@ -1,8 +1,11 @@
 // Package modules_test verifies, for every evaluation module, that the
-// hand-written "ours" code paths match the synthesized plans: the mode
-// each implementation acquires covers exactly the runtime operations the
+// "ours" code paths match the synthesized plans: the mode each
+// implementation acquires covers exactly the runtime operations the
 // implementation performs inside it (the S2PL rule of §2.3, checked
-// statically against the compiled tables).
+// statically against the compiled tables). The composite modules cia,
+// graph and cache run sections semlockc compiled; the apps gossip,
+// intruder and rangestore are still hand-written, and for them this is
+// the check that the transcription matches the plan.
 package modules_test
 
 import (

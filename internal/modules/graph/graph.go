@@ -3,7 +3,9 @@
 // Multimap instances — successors and predecessors — with four atomic
 // procedures: find successors, find predecessors, insert edge, remove
 // edge. The two multimaps must be updated together, which is exactly the
-// multi-ADT atomicity problem semantic locking solves.
+// multi-ADT atomicity problem semantic locking solves. The semantic
+// locking (Ours) is what semlockc compiles from section.go into
+// graph_semlock.go; Global, 2PL and Manual lock by hand.
 package graph
 
 import (
@@ -14,11 +16,11 @@ import (
 	"repro/internal/adtspecs"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/modules/plan"
+	"repro/internal/semadt"
 )
 
-//semlockvet:file-ignore txndiscipline -- this file transcribes the synthesized plans by hand; it drives the raw mechanism on purpose
+//go:generate go run repro/cmd/semlockc -in section.go -out graph_semlock.go
 
 // Module is the benchmark interface.
 type Module interface {
@@ -28,81 +30,10 @@ type Module interface {
 	RemoveEdge(s, d int) bool
 }
 
-// Sections returns the module's four atomic sections in IR. The
-// successor and predecessor multimaps are distinct equivalence classes
-// (distinct allocation sites under the paper's points-to abstraction),
-// expressed here with ClassOf.
-func Sections() []*ir.Atomic {
-	vars := func() []ir.Param {
-		return []ir.Param{
-			{Name: "succs", Type: "Multimap", IsADT: true, NonNull: true},
-			{Name: "preds", Type: "Multimap", IsADT: true, NonNull: true},
-			{Name: "s", Type: "int"},
-			{Name: "d", Type: "int"},
-			{Name: "n", Type: "int"},
-			{Name: "out", Type: "list"},
-			{Name: "ok", Type: "boolean"},
-		}
-	}
-	return []*ir.Atomic{
-		{
-			Name: "findSuccessors",
-			Vars: vars(),
-			Body: ir.Block{
-				&ir.Call{Recv: "succs", Method: "get", Args: []ir.Expr{ir.VarRef{Name: "n"}}, Assign: "out"},
-			},
-		},
-		{
-			Name: "findPredecessors",
-			Vars: vars(),
-			Body: ir.Block{
-				&ir.Call{Recv: "preds", Method: "get", Args: []ir.Expr{ir.VarRef{Name: "n"}}, Assign: "out"},
-			},
-		},
-		{
-			Name: "insertEdge",
-			Vars: vars(),
-			Body: ir.Block{
-				&ir.Call{Recv: "succs", Method: "put", Args: []ir.Expr{ir.VarRef{Name: "s"}, ir.VarRef{Name: "d"}}, Assign: "ok"},
-				&ir.If{
-					Cond: ir.OpaqueCond{Text: "ok", Reads: []string{"ok"}},
-					Then: ir.Block{
-						&ir.Call{Recv: "preds", Method: "put", Args: []ir.Expr{ir.VarRef{Name: "d"}, ir.VarRef{Name: "s"}}},
-					},
-				},
-			},
-		},
-		{
-			Name: "removeEdge",
-			Vars: vars(),
-			Body: ir.Block{
-				&ir.Call{Recv: "succs", Method: "remove", Args: []ir.Expr{ir.VarRef{Name: "s"}, ir.VarRef{Name: "d"}}, Assign: "ok"},
-				&ir.If{
-					Cond: ir.OpaqueCond{Text: "ok", Reads: []string{"ok"}},
-					Then: ir.Block{
-						&ir.Call{Recv: "preds", Method: "remove", Args: []ir.Expr{ir.VarRef{Name: "d"}, ir.VarRef{Name: "s"}}},
-					},
-				},
-			},
-		},
-	}
-}
-
-// ClassOf splits the two multimaps into separate equivalence classes.
-func ClassOf(sec *ir.Atomic, v string) string {
-	switch v {
-	case "succs":
-		return "Multimap$succs"
-	case "preds":
-		return "Multimap$preds"
-	}
-	return sec.ADTType(v)
-}
-
-// BuildPlan synthesizes the module under opt, uncached; tests build
-// their small-φ variants here.
+// BuildPlan synthesizes the compiled sections (section.go) under opt,
+// uncached; tests build their small-φ variants here.
 func BuildPlan(opt plan.Options) *plan.Plan {
-	return plan.MustBuild(Sections(), adtspecs.All(), ClassOf, opt)
+	return plan.MustBuild(_semlockSections(), adtspecs.All(), _semlockClassOf, opt)
 }
 
 // defaultPlan is the plan every constructor runs, synthesized once.
@@ -133,43 +64,27 @@ func New(policy string) Module {
 // Policies lists the variants in the order Fig 22 plots them.
 func Policies() []string { return []string{"ours", "global", "2pl", "manual"} }
 
-// ours executes the synthesized plan: per-section refined modes on the
-// two multimap instances, acquired in class-rank order.
+// ours runs the sections semlockc compiled (graph_semlock.go) under the
+// plan it was built with. Two-variable sets instantiate n² modes; the
+// default MaxModes cap (4096) coarsens φ to 32 buckets, keeping the
+// O(modes²) F_c computation fast while preserving ample key-pair
+// parallelism.
 type ours struct {
-	succs, preds       *adt.Multimap
-	succsSem, predsSem *core.Semantic
-
-	// Mode selectors bound to each call site's natural argument order
-	// (core.SetRef.Binder), so the (s,d)/(d,s) positions cannot be
-	// confused with the sets' canonical variable order.
-	findSucc func(core.Value) core.ModeID             // findSuccessors: succs {get(n)}
-	findPred func(core.Value) core.ModeID             // findPredecessors: preds {get(n)}
-	insSucc  func(core.Value, core.Value) core.ModeID // insertEdge: succs {put(s,d)}
-	insPred  func(core.Value, core.Value) core.ModeID // insertEdge: preds {put(d,s)}
-	remSucc  func(core.Value, core.Value) core.ModeID // removeEdge: succs {remove(s,d)}
-	remPred  func(core.Value, core.Value) core.ModeID // removeEdge: preds {remove(d,s)}
+	succs, preds *semadt.Multimap
+	p            *_semlockPlan
 }
 
-// newOurs wires the module to p. Two-variable sets instantiate n²
-// modes; the default MaxModes cap (4096) coarsens φ to 32 buckets,
-// keeping the O(modes²) F_c computation fast while preserving ample
-// key-pair parallelism.
 func newOurs(p *plan.Plan) *ours {
-	o := &ours{succs: adt.NewMultimap(), preds: adt.NewMultimap()}
-	o.succsSem = core.NewSemantic(p.Table("Multimap$succs"))
-	o.predsSem = core.NewSemantic(p.Table("Multimap$preds"))
-	o.findSucc = p.Ref(0, "succs").Binder1("n")
-	o.findPred = p.Ref(1, "preds").Binder1("n")
-	o.insSucc = p.Ref(2, "succs").Binder2("s", "d")
-	o.insPred = p.Ref(2, "preds").Binder2("d", "s")
-	o.remSucc = p.Ref(3, "succs").Binder2("s", "d")
-	o.remPred = p.Ref(3, "preds").Binder2("d", "s")
-	return o
+	return &ours{
+		succs: semadt.NewMultimap(p.Table("Multimap$succs")),
+		preds: semadt.NewMultimap(p.Table("Multimap$preds")),
+		p:     _semlockBind(p),
+	}
 }
 
 // LockStats sums both multimap instances' acquisition statistics.
 func (o *ours) LockStats() core.LockStats {
-	a, b := o.succsSem.Stats(), o.predsSem.Stats()
+	a, b := o.succs.Sem().Stats(), o.preds.Sem().Stats()
 	return core.LockStats{
 		FastPath: a.FastPath + b.FastPath,
 		Slow:     a.Slow + b.Slow,
@@ -177,52 +92,13 @@ func (o *ours) LockStats() core.LockStats {
 	}
 }
 
-func (o *ours) FindSuccessors(n int) []core.Value {
-	m := o.findSucc(n)
-	o.succsSem.Acquire(m)
-	out := o.succs.Get(n)
-	o.succsSem.Release(m)
-	return out
-}
+func (o *ours) FindSuccessors(n int) []core.Value { return o.p.findSuccessors(o.succs, n) }
 
-func (o *ours) FindPredecessors(n int) []core.Value {
-	m := o.findPred(n)
-	o.predsSem.Acquire(m)
-	out := o.preds.Get(n)
-	o.predsSem.Release(m)
-	return out
-}
+func (o *ours) FindPredecessors(n int) []core.Value { return o.p.findPredecessors(o.preds, n) }
 
-// InsertEdge follows the synthesized plan: lock succs for the put,
-// and lock preds (rank succs < preds) only on the branch that uses it.
-func (o *ours) InsertEdge(s, d int) bool {
-	ms := o.insSucc(s, d)
-	o.succsSem.Acquire(ms)
-	ok := o.succs.Put(s, d)
-	if ok {
-		mp := o.insPred(d, s)
-		o.predsSem.Acquire(mp)
-		o.preds.Put(d, s)
-		o.predsSem.Release(mp)
-	}
-	o.succsSem.Release(ms)
-	return ok
-}
+func (o *ours) InsertEdge(s, d int) bool { return o.p.insertEdge(o.succs, o.preds, s, d) }
 
-// RemoveEdge mirrors InsertEdge with remove modes.
-func (o *ours) RemoveEdge(s, d int) bool {
-	ms := o.remSucc(s, d)
-	o.succsSem.Acquire(ms)
-	ok := o.succs.Remove(s, d)
-	if ok {
-		mp := o.remPred(d, s)
-		o.predsSem.Acquire(mp)
-		o.preds.Remove(d, s)
-		o.predsSem.Release(mp)
-	}
-	o.succsSem.Release(ms)
-	return ok
-}
+func (o *ours) RemoveEdge(s, d int) bool { return o.p.removeEdge(o.succs, o.preds, s, d) }
 
 type global struct {
 	mu           cc.GlobalLock

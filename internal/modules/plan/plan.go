@@ -1,9 +1,10 @@
 // Package plan builds the synthesized locking plans that the evaluation
-// modules (§6.1) execute. Each module declares its atomic sections in
-// IR, runs the full synthesis pipeline, and pulls out the compiled mode
-// tables and the refined symbolic set locked at each section's lock
-// sites. The hand-written module code then executes exactly the plan —
-// and the module tests assert the printed plan matches, so the
+// modules (§6.1) execute. Each module hands over its atomic sections in
+// IR — a compiled module the _semlockSections() semlockc wrote, an app
+// its own — runs the full synthesis pipeline, and pulls out the
+// compiled mode tables and the refined symbolic set locked at each
+// section's lock sites. The module code then executes exactly the plan
+// — and the module tests assert the printed plan matches, so the
 // benchmarks measure the compiler's actual output.
 package plan
 

@@ -48,6 +48,9 @@ func (x *Map) Size() int { return x.m.Size() }
 // Clear removes all bindings.
 func (x *Map) Clear() { x.m.Clear() }
 
+// PutAll binds every key of src to its value in src.
+func (x *Map) PutAll(src *Map) { x.m.PutAll(src.m) }
+
 // Values returns a snapshot of the bound values.
 func (x *Map) Values() []core.Value { return x.m.Values() }
 

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/adtspecs"
 	"repro/internal/core"
+	"repro/internal/gosrc"
 	"repro/internal/interp"
-	"repro/internal/modules/graph"
 	"repro/internal/serial"
 	"repro/internal/synth"
 )
@@ -18,11 +18,15 @@ import (
 // tiny node space through the interpreter and demands a serial witness
 // for every burst — the Multimap-typed instance of the §2.3 theorem.
 func TestGraphBurstsSerializable(t *testing.T) {
-	res, err := synth.Synthesize(&synth.Program{
-		Sections: graph.Sections(),
-		Specs:    adtspecs.All(),
-		ClassOf:  graph.ClassOf,
-	}, synth.Options{StopAfter: synth.StageRefine, Phi: core.NewPhi(4), MaxModes: 64})
+	f, err := gosrc.ParseFile("../modules/graph/section.go", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := &synth.Program{Specs: adtspecs.All(), ClassOf: f.ClassOf()}
+	for _, fn := range f.Functions {
+		pr.Sections = append(pr.Sections, fn.Section)
+	}
+	res, err := synth.Synthesize(pr, synth.Options{StopAfter: synth.StageRefine, Phi: core.NewPhi(4), MaxModes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

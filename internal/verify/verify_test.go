@@ -13,8 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gosrc"
 	"repro/internal/ir"
-	"repro/internal/modules/cache"
-	"repro/internal/modules/graph"
 	"repro/internal/papersec"
 	"repro/internal/synth"
 	"repro/internal/verify"
@@ -322,21 +320,25 @@ func corpus() []corpusProgram {
 		{"fig4", &synth.Program{Sections: []*ir.Atomic{papersec.Fig4()}, Specs: adtspecs.All()}},
 		{"fig7", &synth.Program{Sections: []*ir.Atomic{papersec.Fig7()}, Specs: adtspecs.All()}},
 		{"fig9", &synth.Program{Sections: []*ir.Atomic{papersec.Fig9()}, Specs: adtspecs.All()}},
-		{"cache", &synth.Program{Sections: cache.Sections(), Specs: adtspecs.All(), ClassOf: cache.ClassOf}},
-		{"graph", &synth.Program{Sections: graph.Sections(), Specs: adtspecs.All(), ClassOf: graph.ClassOf}},
+		{"cache", compiled("../modules/cache/section.go")},
+		{"graph", compiled("../modules/graph/section.go")},
 		{"gossip", &synth.Program{Sections: gossip.Sections(), Specs: adtspecs.All(), ClassOf: gossip.ClassOf}},
-		{"cia", &synth.Program{Sections: ciaSections(), Specs: adtspecs.All()}},
+		{"cia", compiled("../modules/cia/section.go")},
 	}
 }
 
-// ciaSections parses the cia module's annotated source, the one
-// definition of its section.
-func ciaSections() []*ir.Atomic {
-	f, err := gosrc.ParseFile("../modules/cia/section.go", nil)
+// compiled parses a compiled module's annotated source, the one
+// definition of its sections and their classes.
+func compiled(path string) *synth.Program {
+	f, err := gosrc.ParseFile(path, nil)
 	if err != nil {
 		panic(err)
 	}
-	return []*ir.Atomic{f.Functions[0].Section}
+	pr := &synth.Program{Specs: adtspecs.All(), ClassOf: f.ClassOf()}
+	for _, fn := range f.Functions {
+		pr.Sections = append(pr.Sections, fn.Section)
+	}
+	return pr
 }
 
 // fresh clones a program's sections: Synthesize shares no state, but
